@@ -5,13 +5,15 @@ A from-scratch re-expression of the semantics of the reference repo
 distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
 
     read_parquet(pages)
-      -> map_batches(extract_text)             # stateless, Arrow zero-copy
-      -> map_batches(GazetteerMatcher)         # actor pool, automaton built once
-      -> map_batches(resolve + vet)            # vectorized NumPy, reference parity
-      -> map_batches(encode cells)             # S2 / hex (H3-style) indices
-      -> map_batches(PIPJoin)                  # broadcast STRtree point-in-polygon
-      -> groupby(cell).aggregate(...)          # salted / pre-combined tile stats
+      -> map_batches(GeocodeFusedStage)        # ONE fused stage, worker-cached tasks:
+           extract_text                        #   Arrow zero-copy HTML -> text
+           GazetteerMatcher                    #   vectorized phrase-key lookup
+           resolve + vet                       #   vectorized NumPy, reference parity
+           encode cells                        #   S2 / hex (H3-style) indices
+           PIPJoin                             #   broadcast R-tree point-in-polygon
+           KNNFacilities                       #   optional nearest facilities
       -> write_parquet (per-partition lineage, resumable)
+      -> groupby(cell).aggregate(...)          # pre-combined tile stats
 
 The reference geocodes one row at a time through four live HTTP APIs
 (reference geocode/batch_geocode.py:173-182); this engine replaces the

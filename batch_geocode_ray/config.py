@@ -29,36 +29,6 @@ class PipelineConfig:
     results_per_app: int = 2
     max_buffer: float = 15.0  # km, bbox-diagonal cutoff
 
-    # Ray execution knobs. batch_size is rows per UDF invocation;
-    # concurrency is the actor-pool size for stateful stages. On a real
-    # cluster these scale with the node count; the streaming executor
-    # handles backpressure either way.
-    # Pool minimums stay at 1: with several actor-pool stages in one
-    # pipeline, minimums that sum to the CPU count starve the read/task
-    # stages and wedge the stream. Autoscaling grows pools under load.
-    # Actor pools autoscale (min, max); maxima are set well above a
-    # single node's CPU count so the pool — not the config — is the
-    # binding constraint on a big cluster, while min=1 keeps small hosts
-    # from starving (see actor_num_cpus below).
-    batch_size: int = 2048
-    # Fused task-mode stage: None = one batch per read block, which
-    # lets Ray fuse ReadParquet->MapBatches->Write into ONE operator —
-    # no intermediate object-store round trip (measured ~15% at 32
-    # CPUs, and it is exactly the memory traffic the bandwidth-bound
-    # 8->32 pair pays for). Block grain is set by _read_num_blocks
-    # (~32 MB), so per-batch memory stays bounded.
-    fused_batch_size: int | None = None
-    matcher_concurrency: int | tuple[int, int] = (1, 64)
-    pip_concurrency: int | tuple[int, int] = (1, 32)
-    # Logical CPUs reserved per actor. Fractional on purpose: a pipeline
-    # with several actor-pool stages at num_cpus=1 RESERVES min_pool x 1
-    # CPU per stage, which on a small host starves the upstream read
-    # task pool and wedges the stream (observed with 4 stages on 4
-    # CPUs). 0.5 lets pools interleave; each actor is single-threaded
-    # NumPy anyway, and the streaming executor's backpressure keeps real
-    # utilization bounded.
-    actor_num_cpus: float = 0.5
-
     # kNN
     knn_k: int = 3
 

@@ -1,13 +1,20 @@
-"""The flagship end-to-end pipeline (SURVEY §3.4):
+"""The flagship end-to-end pipeline (SURVEY §3.4): one fused operator
 
     read_parquet(pages)
-      -> extract_text (stateless, drops html early)
-      -> GazetteerMatcher (actor pool, broadcast automaton)
-      -> MentionResolver (actor pool, vet + wide columns)
-      -> cell encode (stateless: s2_cell + h3-style hex res 7/8/9)
-      -> PIPJoin (actor pool, broadcast STRtree)
-      -> [optional] KNNFacilities (actor pool, broadcast index)
-      -> forks: page-level parquet / tile aggregates
+      -> GeocodeFusedStage, per batch:
+           extract_text (drops html early)
+           -> GazetteerMatcher (vectorized phrase-key lookup)
+           -> MentionResolver (vet + wide columns)
+           -> cell encode (s2_cell + h3-style hex res 7/8/9)
+           -> PIPJoin (broadcast polygon index)
+           -> [optional] KNNFacilities (broadcast facility grid)
+      -> write (page-level parquet) / build_tile_aggregates
+
+The stage runs as plain tasks whose built state is cached per worker
+process (``stages/stateful.py``), so Ray fuses Read->Map->Write into a
+single operator and the stage reaches full cluster parallelism at once
+(a 30-actor pool measured ~10 s of spin-up: 960k pages ran 15.4 s under
+actors vs 4.2 s under cached tasks).
 
 All pipeline builders are lazy — they return Datasets; the caller
 consumes (write_parquet / iter_batches / to_pandas on small results).
@@ -32,6 +39,7 @@ from batch_geocode_ray.stages.knn import FacilityIndex, KNNFacilities
 from batch_geocode_ray.stages.matcher import GazetteerMatcher
 from batch_geocode_ray.stages.pip import PIPJoin, PolygonIndex
 from batch_geocode_ray.stages.resolve import MentionResolver
+from batch_geocode_ray.stages.stateful import stateful_map_batches
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
 
 
@@ -54,27 +62,33 @@ def encode_cells_stage(batch: pa.Table, resolutions=(7, 8, 9), s2_level: int = 1
     return batch
 
 
+def _get(x):
+    return ray.get(x) if isinstance(x, ray.ObjectRef) else x
+
+
 class GeocodeFusedStage:
-    """ONE actor-pool stage running the whole per-page chain:
+    """The whole per-page chain as one callable:
     extract -> match -> resolve/vet -> cells -> PIP -> kNN.
 
-    Fusing matters for throughput: with four separate actor pools the
-    streaming executor juggles five operators and none reaches high
-    occupancy (measured ~4x parallelism on 32 CPUs); one pool sized to
-    the cluster gets near-linear scaling. The unfused stages remain for
-    composability/tests; semantics are identical (the fused __call__
-    just chains the same callables).
+    Fusing matters for throughput: with one operator per layer the
+    streaming executor juggles six operators and none reaches high
+    occupancy (measured ~4x parallelism on 32 CPUs); one fused stage
+    gets near-linear scaling and no intermediate object-store round
+    trips. Each layer's callable is still usable on its own.
+
+    Broadcast inputs (gazetteer, config, prior, polygons, facilities)
+    may be ObjectRefs; they are fetched once at construction.
     """
 
     def __init__(self, gazetteer, config: PipelineConfig,
                  lang_cc_prior=None, polygons=None, facilities=None,
                  verify_extraction: bool = False, with_knn: bool = False,
                  keep_columns: list[str] | None = None):
-        self.cfg = config
+        self.cfg = config = _get(config)
         self.verify_extraction = verify_extraction
         self.matcher = GazetteerMatcher(gazetteer)
         self.resolver = MentionResolver(
-            self.matcher.gaz, config=config, lang_cc_prior=lang_cc_prior,
+            self.matcher.gaz, config=config, lang_cc_prior=_get(lang_cc_prior),
             keep_columns=keep_columns or ["url", "warc_ts", "lang"])
         self.pip = PIPJoin(polygons) if polygons is not None else None
         # grid probe: vectorized per-cell candidate rings with exact
@@ -93,16 +107,6 @@ class GeocodeFusedStage:
         if self.knn is not None:
             b = self.knn(b)
         return b
-
-
-def _fused_pool_size() -> int:
-    """Actor-pool size for the fused stage: most of the cluster, leaving
-    headroom for read tasks + driver."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, cpus - 2)
 
 
 def _read_num_blocks(paths) -> int | None:
@@ -144,55 +148,6 @@ def _read_num_blocks(paths) -> int | None:
     return max(1, min(3 * cpus, total // (1 << 20)))
 
 
-# Per-worker soft-state cache for the task-mode fused stage. Ray worker
-# processes persist across tasks, so the state (automaton, R-tree,
-# facility index) builds ONCE per worker on first touch — same
-# amortization as an actor pool, but the stage runs in the pre-started
-# task pool and reaches full cluster parallelism instantly (a fixed
-# 30-actor pool measured ~10s of spin-up, dominating short runs:
-# 960k pages ran 15.4s under actors vs 4.2s under cached tasks).
-_FUSED_STATE_CACHE: dict = {}
-
-# stateful_mode="auto" memory model: task mode keeps ONE built-state
-# copy in EVERY worker process that ever runs the stage — up to
-# cluster-CPUs copies (32 workers x a 2 GB gazetteer = 64 GB of heap).
-# Actor mode caps residency at the pool size and amortizes its ~10 s
-# spin-up over the long runs a huge state implies. Auto picks actor
-# once the broadcast inputs (gazetteer + polygons + facilities tables,
-# a lower bound on built-state size) exceed this threshold.
-AUTO_ACTOR_STATE_BYTES = 1 << 30
-
-
-def _resolve_stateful_mode(mode: str, gazetteer: pa.Table,
-                           admin_polygons: pa.Table | None,
-                           facilities: pa.Table | None) -> str:
-    """``"auto"`` -> "task" below :data:`AUTO_ACTOR_STATE_BYTES` of
-    broadcast-input bytes, "actor" at/above; explicit modes pass
-    through. Both physical plans are value-identical
-    (tests/test_fused_stage.py)."""
-    if mode != "auto":
-        return mode
-    state = gazetteer.nbytes
-    if admin_polygons is not None:
-        state += admin_polygons.nbytes
-    if facilities is not None:
-        state += facilities.nbytes
-    return "actor" if state >= AUTO_ACTOR_STATE_BYTES else "task"
-
-
-def _fused_task_fn(batch: pa.Table, *, cache_key, gazetteer, config,
-                   lang_cc_prior, polygons, facilities,
-                   verify_extraction, with_knn) -> pa.Table:
-    stage = _FUSED_STATE_CACHE.get(cache_key)
-    if stage is None:
-        stage = GeocodeFusedStage(
-            gazetteer, config, lang_cc_prior=lang_cc_prior,
-            polygons=polygons, facilities=facilities,
-            verify_extraction=verify_extraction, with_knn=with_knn)
-        _FUSED_STATE_CACHE[cache_key] = stage
-    return stage(batch)
-
-
 def build_geocode_pipeline(pages_path: str | list[str],
                            gazetteer: pa.Table,
                            admin_polygons: pa.Table | None = None,
@@ -200,28 +155,14 @@ def build_geocode_pipeline(pages_path: str | list[str],
                            cfg: PipelineConfig | None = None,
                            lang_cc_prior=None,
                            verify_extraction: bool = False,
-                           with_knn: bool = False,
-                           fused: bool = True,
-                           stateful_mode: str = "auto") -> Dataset:
+                           with_knn: bool = False) -> Dataset:
     """Page-level geocode Dataset: url/lang + wide geocode columns +
-    cells + admin assignment (+ optional kNN).
-
-    ``fused=True`` (default) runs the whole per-page chain in one
-    stage; ``fused=False`` keeps one operator per stage (per-stage
-    stats, tests). ``stateful_mode`` picks the fused stage's physical
-    plan: ``"task"`` caches the built state per worker process —
-    instant full-cluster parallelism, right whenever the state fits
-    comfortably in every worker; ``"actor"`` uses an explicit actor
-    pool — the right plan when the broadcast state is huge (multi-GB
-    gazetteers) and you want pool-controlled memory residency instead
-    of one copy per worker. ``"auto"`` (default) picks by measured
-    broadcast-state size (:func:`_resolve_stateful_mode`,
-    threshold :data:`AUTO_ACTOR_STATE_BYTES`)."""
+    cells + admin assignment (+ optional kNN), from one fused stage
+    (:class:`GeocodeFusedStage`) run as worker-cached tasks."""
     gaz_index = GazetteerIndex.from_table(gazetteer)
     cfg = cfg or PipelineConfig(sources=gaz_index.sources)
     if lang_cc_prior is None:
         lang_cc_prior = LANG_CC_PRIOR
-    gaz_ref = ray.put(gaz_index)
 
     # prune at the read: the oracle `text` column is recomputed from
     # `html` and only needed when verifying extraction — skipping it
@@ -244,92 +185,28 @@ def build_geocode_pipeline(pages_path: str | list[str],
     ds = rd.read_parquet(pages_path, columns=read_cols,
                          override_num_blocks=_read_num_blocks(pages_path))
 
-    if fused:
-        stateful_mode = _resolve_stateful_mode(
-            stateful_mode, gazetteer, admin_polygons,
-            facilities if with_knn else None)
-        poly_ref = (ray.put(PolygonIndex(admin_polygons))
-                    if admin_polygons is not None else None)
-        fac_ref = (ray.put(FacilityIndex(facilities))
-                   if with_knn and facilities is not None else None)
-        kwargs = {
-            "gazetteer": gaz_ref,
-            "config": cfg,
-            "lang_cc_prior": lang_cc_prior,
-            "polygons": poly_ref,
-            "facilities": fac_ref,
-            "verify_extraction": verify_extraction,
-            "with_knn": with_knn,
-        }
-        if stateful_mode == "task":
-            cache_key = (gaz_ref, poly_ref, fac_ref, verify_extraction,
-                         with_knn, cfg.results_per_app, cfg.max_buffer,
-                         tuple(cfg.hex_resolutions), cfg.s2_level)
-            return ds.map_batches(
-                _fused_task_fn,
-                fn_kwargs={"cache_key": cache_key, **kwargs},
-                batch_format="pyarrow",
-                batch_size=cfg.fused_batch_size,
-            )
-        return ds.map_batches(
-            GeocodeFusedStage,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=_fused_pool_size(),
-            num_cpus=1,
-        )
-
-    ds = ds.map_batches(
-        lambda b: extract_text_stage(b, verify_against_input=verify_extraction),
-        batch_format="pyarrow",
-    )
-    ds = ds.map_batches(
-        GazetteerMatcher,
-        fn_constructor_kwargs={"gazetteer": gaz_ref},
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=cfg.matcher_concurrency,
-        num_cpus=cfg.actor_num_cpus,
-    )
-    ds = ds.map_batches(
-        MentionResolver,
-        fn_constructor_kwargs={
-            "gazetteer": gaz_ref,
-            "config": cfg,
-            "lang_cc_prior": lang_cc_prior,
-            "keep_columns": ["url", "warc_ts", "lang"],
-        },
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=cfg.matcher_concurrency,
-        num_cpus=cfg.actor_num_cpus,
-    )
-    ds = ds.map_batches(
-        lambda b: encode_cells_stage(b, cfg.hex_resolutions, cfg.s2_level),
-        batch_format="pyarrow",
-    )
-    if admin_polygons is not None:
-        poly_ref = ray.put(PolygonIndex(admin_polygons))
-        ds = ds.map_batches(
-            PIPJoin,
-            fn_constructor_kwargs={"polygons": poly_ref},
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=cfg.pip_concurrency,
-            num_cpus=cfg.actor_num_cpus,
-        )
-    if with_knn and facilities is not None:
-        fac_ref = ray.put(FacilityIndex(facilities))
-        ds = ds.map_batches(
-            KNNFacilities,
-            fn_constructor_kwargs={"facilities": fac_ref, "k": cfg.knn_k},
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=cfg.pip_concurrency,
-            num_cpus=cfg.actor_num_cpus,
-        )
-    return ds
+    # Every broadcast input goes behind an ObjectRef: each worker reads
+    # it zero-copy from plasma, and the refs are hashable, so they form
+    # the key of the bounded per-worker state cache.
+    kwargs = {
+        "gazetteer": ray.put(gaz_index),
+        "config": ray.put(cfg),
+        "lang_cc_prior": ray.put(lang_cc_prior),
+        "polygons": (ray.put(PolygonIndex(admin_polygons))
+                     if admin_polygons is not None else None),
+        "facilities": (ray.put(FacilityIndex(facilities))
+                       if with_knn and facilities is not None else None),
+        "verify_extraction": verify_extraction,
+        "with_knn": with_knn,
+    }
+    # batch_size=None: one batch per read block, which lets Ray fuse
+    # ReadParquet->MapBatches->Write into ONE operator — no intermediate
+    # object-store round trip (measured ~15% at 32 CPUs, and it is
+    # exactly the memory traffic the bandwidth-bound 8->32 pair pays
+    # for). Block grain is set by _read_num_blocks (~32 MB), so
+    # per-batch memory stays bounded.
+    return stateful_map_batches(ds, GeocodeFusedStage, kwargs,
+                                batch_format="pyarrow", batch_size=None)
 
 
 def build_tile_aggregates(page_ds: Dataset, res: int = 7,

@@ -27,6 +27,12 @@ import pyarrow.parquet as pq
 
 import ray
 
+# A module global, not a local import, so the tile build can be wrapped
+# by name (run.build_tile_aggregates_from_pages).
+from batch_geocode_ray.pipelines.geocode import (
+    build_tile_aggregates as build_tile_aggregates_from_pages,
+)
+
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
@@ -183,18 +189,6 @@ def main(argv=None):
     if owns_ray:
         ray.shutdown()
     return summary
-
-
-def build_tile_aggregates_from_pages(page_ds, res: int):
-    """Tile aggregates straight from checkpointed page output."""
-    import pyarrow.compute as pc
-
-    from batch_geocode_ray.stages.aggregates import tile_aggregate
-
-    cell_col = f"hex_cell_r{res}"
-    with_cell = page_ds.map_batches(
-        lambda b: b.filter(pc.is_valid(b[cell_col])), batch_format="pyarrow")
-    return tile_aggregate(with_cell, cell_col).sort(cell_col)
 
 
 if __name__ == "__main__":

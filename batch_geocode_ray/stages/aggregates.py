@@ -484,7 +484,8 @@ def global_percent_rank(ds: Dataset, value_col: str,
     ``pct = rows_strictly_below / (n - 1)`` (0.0 when n == 1). The
     division is the same two-integer float64 division DuckDB performs,
     so results are bit-identical. Nulls in ``value_col`` are rejected
-    (SQL window functions ORDER nulls instead; callers filter first).
+    (SQL window functions ORDER nulls instead; callers filter first),
+    and so are non-integer columns (TypeError).
     """
     counts = grouped_aggregate(
         ds.select_columns([value_col]), [value_col],
@@ -493,6 +494,10 @@ def global_percent_rank(ds: Dataset, value_col: str,
     vs, ns = [], []
     for b in counts.iter_batches(batch_format="pyarrow"):
         col = b[value_col]
+        if not pa.types.is_integer(col.type):
+            raise TypeError(
+                f"global_percent_rank: {value_col!r} is {col.type}, not an "
+                "integer type; the value->count table would truncate it")
         if col.null_count:
             raise ValueError(
                 f"global_percent_rank: null values in {value_col!r}; "

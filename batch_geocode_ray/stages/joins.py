@@ -425,8 +425,8 @@ def broadcast_join(ds: Dataset, small: pa.Table, key: str,
     Runs as a plain TASK map with a per-worker lookup cache rather than
     an actor pool: actor spin-up is ~1-2 s that short queries pay in
     full, while tasks reach full parallelism instantly and fuse with
-    the upstream read (the fused-stage ``stateful_mode="task"``
-    lesson). State cost per worker is one zero-copy plasma read."""
+    the upstream read (the same lesson as the fused flagship stage).
+    State cost per worker is one zero-copy plasma read."""
     ref = ray.put(_Lookup(small, key, value_cols))
     return ds.map_batches(
         _broadcast_join_fn,

@@ -1,40 +1,30 @@
-"""Gazetteer mention matcher — stateful stage (actor pool or
-worker-cached task pool; see pipelines/geocode).
+"""Gazetteer mention matcher — stateful stage (a worker-cached task
+inside the fused flagship stage; see pipelines/geocode).
 
 Replaces the reference's per-row HTTP geocoding fan-out
 (query_funcs.py:178-191) with offline matching of gazetteer phrases
-against page text. Two equivalent engines:
+against page text. Tokens are lowercased [a-z0-9]+ runs from a NumPy
+byte scan over the Arrow buffers; each token maps to a vocab code via
+``pc.index_in`` (C++); for every phrase length L present in the
+gazetteer, all length-L windows whose tokens are all in-vocab get a
+rolling splitmix key, binary-searched against the phrase-key table;
+hits are verified code-by-code (hash collisions cannot emit). Python
+touches only the (rare) verified hits.
 
-  * VECTORIZED (default, ``emit_spans=False``): tokens come from the
-    Arrow C++ tokenizer; each token maps to a vocab code via
-    ``pc.index_in`` (C++); for every phrase length L present in the
-    gazetteer, all length-L windows whose tokens are all in-vocab get a
-    rolling splitmix key, binary-searched against the phrase-key table;
-    hits are verified code-by-code (hash collisions cannot emit).
-    Python touches only the (rare) verified hits. Mention start/end are
-    TOKEN indices within the document.
-  * Aho-Corasick (``emit_spans=True``): the original per-doc automaton
-    scan over ``re.finditer`` tokens; start/end are CHARACTER offsets
-    into the text. Use when downstream needs char spans (snippeting).
-
-Both tokenize identically (lowercased [a-z0-9]+ runs), emit every
-occurrence of every phrase (duplicates across sources included), and
-are equality-tested against each other modulo the span unit.
+Every occurrence of every phrase is emitted (duplicates across sources
+included); mention start/end are TOKEN indices within the document.
+The result equals a naive all-occurrence token-window scan
+(``tests/oracle.py:naive_find_all``), spans included.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from batch_geocode_ray.functions.ahocorasick import TokenAhoCorasick
 from batch_geocode_ray.functions.hashing import splitmix64
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 MENTION_TYPE = pa.struct([
     ("gazetteer_id", pa.int64()),
@@ -100,10 +90,9 @@ def _ascii_tokens(col: pa.Array) -> tuple[pa.Array, np.ndarray]:
 
 
 class GazetteerMatcher:
-    """Callable class for ``map_batches`` (actor pool or cached task)."""
+    """Callable class for ``map_batches`` (cached task)."""
 
-    def __init__(self, gazetteer, text_col: str = "text",
-                 emit_spans: bool = False):
+    def __init__(self, gazetteer, text_col: str = "text"):
         import ray
 
         gaz = ray.get(gazetteer) if isinstance(gazetteer, ray.ObjectRef) else gazetteer
@@ -111,14 +100,7 @@ class GazetteerMatcher:
             gaz = GazetteerIndex.from_table(gaz)
         self.gaz: GazetteerIndex = gaz
         self.text_col = text_col
-        self.emit_spans = emit_spans
 
-        if emit_spans:
-            self.automaton = TokenAhoCorasick(
-                gaz.phrases, list(range(len(gaz.phrases))))
-            return
-
-        # ---- vectorized tables -------------------------------------
         vocab: dict[str, int] = {}
         for ph in gaz.phrases:
             for tok in ph:
@@ -149,14 +131,7 @@ class GazetteerMatcher:
                               codes_s)               # codes per slot
         self.names_arr = np.array(gaz.names, dtype=object)
 
-    # ------------------------------------------------------------------
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.emit_spans:
-            return self._call_spans(batch)
-        return self._call_vectorized(batch)
-
-    # ---- vectorized path ---------------------------------------------
-    def _call_vectorized(self, batch: pa.Table) -> pa.Table:
         gaz = self.gaz
         n = batch.num_rows
         col = batch[self.text_col]
@@ -241,42 +216,6 @@ class GazetteerMatcher:
                              if len(entry) else [], pa.string()),
                     pa.array(starts.astype(np.int32), pa.int32()),
                     pa.array(ends.astype(np.int32), pa.int32()),
-                ],
-                fields=list(MENTION_TYPE),
-            ),
-        )
-        return batch.append_column("mentions", mentions)
-
-    # ---- char-span (Aho-Corasick) path --------------------------------
-    def _call_spans(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        gaz = self.gaz
-        find_all = self.automaton.find_all
-
-        flat_gid: list[int] = []
-        flat_name: list[str] = []
-        flat_start: list[int] = []
-        flat_end: list[int] = []
-        offsets = [0]
-        for text in texts:
-            if text:
-                toks_m = list(_TOKEN_RE.finditer(text.lower()))
-                toks = [m.group() for m in toks_m]
-                for t0, t1, entry in find_all(toks):
-                    flat_gid.append(int(gaz.ids[entry]))
-                    flat_name.append(gaz.names[entry])
-                    flat_start.append(toks_m[t0].start())
-                    flat_end.append(toks_m[t1 - 1].end())
-            offsets.append(len(flat_gid))
-
-        mentions = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()),
-            pa.StructArray.from_arrays(
-                [
-                    pa.array(flat_gid, pa.int64()),
-                    pa.array(flat_name, pa.string()),
-                    pa.array(flat_start, pa.int32()),
-                    pa.array(flat_end, pa.int32()),
                 ],
                 fields=list(MENTION_TYPE),
             ),

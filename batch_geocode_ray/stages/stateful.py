@@ -6,8 +6,12 @@ that is expensive to build AND long pipelines that amortize the
 plain tasks reach full parallelism instantly and fuse with the
 upstream read. This module gives class-based stages the task path:
 the instance is constructed once per WORKER PROCESS (memoized by
-cache key) and reused by every task the worker runs — the same shape
-as the fused flagship stage's ``stateful_mode="task"``.
+cache key) and reused by every task the worker runs. The fused
+flagship stage runs this way too.
+
+The cache holds at most ``_STATE_CACHE_MAX`` instances per worker and
+evicts the oldest first: each pipeline build puts fresh ObjectRefs into
+its key, so an unbounded cache would keep one state copy per build.
 
 Broadcast state should still arrive as a ``ray.put`` ObjectRef inside
 ``kwargs`` so each worker reads it zero-copy from plasma instead of

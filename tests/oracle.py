@@ -59,6 +59,31 @@ def find_mentions(text: str, gaz: OracleGazetteer):
     return hit
 
 
+def naive_find_all(tokens: list[str], phrases) -> list[tuple[int, int, int]]:
+    """Every occurrence ``(start, end, phrase index)`` of every non-empty
+    phrase in ``tokens``, by a plain scan over all token windows; in
+    (start, phrase index) order, duplicates included."""
+    phrases = [list(ph) for ph in phrases]
+    out = []
+    for i in range(len(tokens)):
+        for pid, ph in enumerate(phrases):
+            if ph and tokens[i:i + len(ph)] == ph:
+                out.append((i, i + len(ph), pid))
+    return out
+
+
+def naive_mentions(texts: list[str | None], gaz) -> list[list[dict]]:
+    """The matcher's ``mentions`` column for ``texts`` over a
+    ``GazetteerIndex``, from :func:`naive_find_all` (token-index spans)."""
+    out = []
+    for text in texts:
+        toks = _TOKEN_RE.findall((text or "").lower())
+        out.append([{"gazetteer_id": int(gaz.ids[e]), "name": gaz.names[e],
+                     "start": s, "end": t}
+                    for s, t, e in naive_find_all(toks, gaz.phrases)])
+    return out
+
+
 def geocode_page(text: str, lang: str, gaz: OracleGazetteer,
                  prior: dict[str, frozenset[str]] | None,
                  cfg: PipelineConfig):

@@ -1,5 +1,7 @@
-"""Fused vs unfused flagship pipeline must produce identical output
-(the fused actor stage is a physical-plan choice, not a semantic one)."""
+"""The fused flagship stage's physical plan: per-worker state stays
+bounded across builds, read blocks are sized for the cluster, and the
+bench world keeps the plan its scaling record was measured on. Its
+output is checked against tests/oracle.py in test_pipeline_oracle.py."""
 
 import pyarrow as pa
 
@@ -7,59 +9,43 @@ from batch_geocode_ray.pipelines.geocode import build_geocode_pipeline
 from batch_geocode_ray.sources.fixtures import ensure_fixture_dir, generate_world
 
 
-def collect(ds):
-    rows = [r for t in ds.iter_batches(batch_format="pyarrow")
-            for r in t.to_pylist()]
-    return sorted(rows, key=lambda r: r["url"])
+def _live_fused_states(batch: pa.Table) -> pa.Table:
+    """Probe fused after the stage: live fused states in this worker."""
+    import gc
+    import os
+
+    from batch_geocode_ray.pipelines.geocode import GeocodeFusedStage
+
+    gc.collect()
+    live = sum(isinstance(o, GeocodeFusedStage) for o in gc.get_objects())
+    return pa.table({"pid": [os.getpid()], "live": [live]})
 
 
-def test_fused_equals_unfused():
+def test_fused_state_per_worker_bounded():
+    """Every build broadcasts fresh ObjectRefs, so every build constructs
+    a new fused state in each worker that runs it. Over more builds than
+    the workers have cache slots in total, some worker runs more than
+    _STATE_CACHE_MAX builds; it must still hold at most that many live
+    states (an unbounded cache kept one per build)."""
+    import ray
+
+    from batch_geocode_ray.stages.stateful import _STATE_CACHE_MAX
+
     d = ensure_fixture_dir(300)
     w = generate_world()
-    kwargs = dict(
-        gazetteer=w.gazetteer,
-        admin_polygons=w.admin_polygons,
-        facilities=w.facilities,
-        with_knn=True,
-    )
-    fused = collect(build_geocode_pipeline(f"{d}/pages", fused=True, **kwargs))
-    unfused = collect(build_geocode_pipeline(f"{d}/pages", fused=False, **kwargs))
-    actor = collect(build_geocode_pipeline(f"{d}/pages", fused=True,
-                                           stateful_mode="actor", **kwargs))
-    assert len(fused) == len(unfused) == len(actor) == 300
-    assert fused[0].keys() == unfused[0].keys()
-    for a, b, c in zip(fused, unfused, actor):
-        assert a == b == c
-
-
-def test_stateful_mode_auto_threshold(monkeypatch):
-    """auto -> task below AUTO_ACTOR_STATE_BYTES of broadcast-input
-    bytes, actor at/above; explicit modes pass through; the pipeline
-    output is mode-independent (pinned by test_fused_equals_unfused)."""
-    import batch_geocode_ray.pipelines.geocode as g
-    from batch_geocode_ray.sources.fixtures import generate_world
-
-    w = generate_world()
-    small = w.gazetteer.nbytes + w.admin_polygons.nbytes
-    assert g._resolve_stateful_mode(
-        "auto", w.gazetteer, w.admin_polygons, None) == "task"
-    monkeypatch.setattr(g, "AUTO_ACTOR_STATE_BYTES", small)
-    assert g._resolve_stateful_mode(
-        "auto", w.gazetteer, w.admin_polygons, None) == "actor"
-    monkeypatch.setattr(g, "AUTO_ACTOR_STATE_BYTES", small + 1)
-    assert g._resolve_stateful_mode(
-        "auto", w.gazetteer, w.admin_polygons, None) == "task"
-    # facilities count toward the state only when broadcast
-    monkeypatch.setattr(g, "AUTO_ACTOR_STATE_BYTES",
-                        small + w.facilities.nbytes)
-    assert g._resolve_stateful_mode(
-        "auto", w.gazetteer, w.admin_polygons, w.facilities) == "actor"
-    # explicit modes never re-resolve
-    monkeypatch.setattr(g, "AUTO_ACTOR_STATE_BYTES", 0)
-    assert g._resolve_stateful_mode(
-        "task", w.gazetteer, None, None) == "task"
-    assert g._resolve_stateful_mode(
-        "actor", w.gazetteer, None, None) == "actor"
+    workers = int(ray.cluster_resources().get("CPU", 4))
+    peak: dict[int, int] = {}
+    for _ in range(_STATE_CACHE_MAX * workers + 1):
+        ds = build_geocode_pipeline(
+            f"{d}/pages", w.gazetteer, admin_polygons=w.admin_polygons,
+            facilities=w.facilities, with_knn=True)
+        probe = ds.map_batches(_live_fused_states, batch_format="pyarrow",
+                               batch_size=None)
+        for t in probe.iter_batches(batch_format="pyarrow"):
+            for pid, live in zip(t["pid"].to_pylist(), t["live"].to_pylist()):
+                peak[pid] = max(peak.get(pid, 0), live)
+    assert peak and min(peak.values()) >= 1
+    assert max(peak.values()) <= _STATE_CACHE_MAX, peak
 
 
 def test_read_num_blocks_sizing(tmp_path):
@@ -85,19 +71,15 @@ def test_read_num_blocks_sizing(tmp_path):
 
 def test_bench_world_flagship_plan_unchanged_by_r5():
     """Scaling-record inheritance witness (BASELINE.md round-5): the
-    two round-5 flagship-path changes are provably inactive at the
-    bench fixture's configuration — (a) the bench world's polygon set
-    is small enough that the PIP R-tree builds NO internal levels, so
-    assign() runs the identical pre-r5 linear leaf scan; (b)
-    stateful_mode='auto' resolves to 'task', the pre-r5 default. With
-    both pinned, the measured r3 clean-window scaling record applies
+    round-5 PIP R-tree is inactive at the bench fixture's
+    configuration — the bench world's polygon set is small enough that
+    it builds NO internal levels, so assign() runs the identical pre-r5
+    linear leaf scan. The fused stage runs as worker-cached tasks, its
+    only plan, so the measured r3 clean-window scaling record applies
     to this build's physical plan."""
-    import batch_geocode_ray.pipelines.geocode as g
     from batch_geocode_ray.sources.fixtures import generate_world
     from batch_geocode_ray.stages.pip import PolygonIndex
 
     w = generate_world()
     idx = PolygonIndex(w.admin_polygons)
     assert idx.inner_levels == []
-    assert g._resolve_stateful_mode(
-        "auto", w.gazetteer, w.admin_polygons, w.facilities) == "task"

@@ -50,3 +50,11 @@ def test_empty_input_raises(ray_session):
                   "v": pa.array([], pa.int64())})
     with pytest.raises(ValueError, match="empty input"):
         global_percent_rank(ray.data.from_arrow(t), "v")
+
+
+def test_float_column_rejected(ray_session):
+    """Float scores would be truncated to int64 and ranked wrong."""
+    t = pa.table({"i": pa.array([0, 1], pa.int64()),
+                  "v": pa.array([0.25, 0.75], pa.float64())})
+    with pytest.raises(TypeError, match="not an integer type"):
+        global_percent_rank(ray.data.from_arrow(t), "v")
