@@ -10,7 +10,7 @@ distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
            GazetteerMatcher                    #   vectorized phrase-key lookup
            resolve + vet                       #   vectorized NumPy, reference parity
            encode cells                        #   S2 / hex (H3-style) indices
-           PIPJoin                             #   broadcast R-tree point-in-polygon
+           PIPJoin                             #   broadcast grid point-in-polygon
            KNNFacilities                       #   optional nearest facilities
       -> write_parquet (per-partition lineage, resumable)
       -> groupby(cell).aggregate(...)          # pre-combined tile stats

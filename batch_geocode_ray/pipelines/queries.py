@@ -1828,8 +1828,8 @@ def _sql_q49() -> str:
          len(ring_lons) AS nv
   FROM '{d}/admin_polygons.parquet'
 ), edges AS (
-  -- edge (prev vertex -> vertex i), the exact loop order of
-  -- PolygonIndex.contains (j starts at the last vertex)
+  -- edge (prev vertex -> vertex i), the edge rows of
+  -- PolygonIndex._ray_cast (vertex 0 pairs with the last vertex)
   SELECT admin_id, admin_level, cc,
          ring_lons[((i.i + nv - 2) % nv) + 1] AS x1,
          ring_lats[((i.i + nv - 2) % nv) + 1] AS y1,
@@ -1840,7 +1840,7 @@ def _sql_q49() -> str:
   SELECT url, b_lon AS lon, b_lat AS lat FROM best WHERE b_buf <= 15.0
 ), hits AS (
   -- even-odd: a point is inside iff an odd number of edges cross the
-  -- rightward ray; the crossing test mirrors pip.py:75-78
+  -- rightward ray; the crossing test mirrors PolygonIndex._ray_cast
   SELECT p.url, e.admin_id, e.admin_level, e.cc
   FROM pts p JOIN edges e
     ON ((e.y1 > p.lat) <> (e.y2 > p.lat))

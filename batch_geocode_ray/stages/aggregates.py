@@ -547,9 +547,13 @@ def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
     floor(h)-th and ceil(h)-th values. Prefer binary-exact q (0.25,
     0.5, 0.75): h is then IEEE-identical across engines, so
     floor/ceil cannot disagree when h lands on an integer. Nulls in
-    ``value_col`` are ignored (SQL aggregate semantics); group keys
-    are assumed non-null (the house-wide exchange convention — the
-    segment boundary scan treats null-vs-null as a boundary).
+    ``value_col`` are ignored (SQL aggregate semantics), and a group
+    whose values are all null emits NULL quantiles, as SQL ``GROUP BY``
+    does; group keys are assumed non-null (the house-wide exchange
+    convention — the segment boundary scan treats null-vs-null as a
+    boundary). When h lands on an integer rank the quantile is that
+    value itself, rounded once to the nearest float64 (also for int64
+    beyond 2^53); only a fractional h interpolates in float.
     """
     if not qs:
         raise ValueError("grouped_quantile_cont: no quantiles requested")
@@ -562,12 +566,11 @@ def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
         raise ValueError(
             "grouped_quantile_cont: out_names/qs length mismatch")
 
-    def drop_null(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_valid(b[value_col]))
-
+    # null values stay in as their own (group, null) row with _n = 0,
+    # sorted last in the group, so an all-null group still reaches
+    # finalize
     counts = grouped_aggregate(
-        ds.select_columns(keys + [value_col])
-          .map_batches(drop_null, batch_format="pyarrow"),
+        ds.select_columns(keys + [value_col]),
         keys + [value_col], [(value_col, "count", "_n")],
         merge="single", sort_keys=keys + [value_col])
 
@@ -590,26 +593,31 @@ def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
                     .to_numpy(zero_copy_only=False))
         starts = np.nonzero(change)[0]
         ends = np.concatenate([starts[1:], [n_rows]])
-        v = np.asarray(b[value_col].to_numpy(zero_copy_only=False),
-                       dtype=np.float64)
+        # native integer dtype: no float rounding before it is needed
+        v = pc.fill_null(b[value_col], 0).to_numpy(zero_copy_only=False)
         c = np.asarray(b["_n"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
-        res = np.empty((len(starts), len(qs)), dtype=np.float64)
+        res = np.full((len(starts), len(qs)), np.nan)
         for gi, (s, e) in enumerate(zip(starts, ends)):  # per GROUP —
             # bounded group count by the module's grouping contract;
             # work within is vectorized over the distinct values
             cum = np.cumsum(c[s:e])
             total = int(cum[-1])
+            if total == 0:          # all-null group -> NULL quantiles
+                continue
             for qi, q in enumerate(qs):
                 h = q * (total - 1)
                 lo = int(np.floor(h))
                 hi = int(np.ceil(h))
                 vlo = v[s + int(np.searchsorted(cum, lo + 1))]
+                if lo == hi:
+                    res[gi, qi] = vlo
+                    continue
                 vhi = v[s + int(np.searchsorted(cum, hi + 1))]
-                res[gi, qi] = vlo + (h - lo) * (vhi - vlo)
+                res[gi, qi] = float(vlo) + (h - lo) * (float(vhi) - float(vlo))
         out = {k: b[k].take(pa.array(starts, pa.int64())) for k in keys}
         for qi, nm in enumerate(out_names):
-            out[nm] = pa.array(res[:, qi], pa.float64())
+            out[nm] = pa.array(res[:, qi], pa.float64(), from_pandas=True)
         return pa.table(out)
 
     return counts.map_batches(finalize, batch_format="pyarrow",

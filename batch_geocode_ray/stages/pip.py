@@ -1,16 +1,21 @@
 """Point-in-polygon broadcast join (SURVEY §2.5 J3).
 
 The admin-polygon side is small (thousands of polygons); the page side
-is the 10^12-row stream. So: pack an STR bulk-loaded R-tree over the
-polygons ONCE on the driver, ``ray.put`` it, and probe it from an actor
-pool inside ``map_batches`` — the big side never shuffles.
+is the 10^12-row stream. So: build a columnar polygon index ONCE on the
+driver, ``ray.put`` it, and probe it inside the fused stage's tasks —
+the big side never shuffles.
 
 From-scratch pieces (no shapely/geos in the sandbox):
-  * STR packing: sort polygon bboxes by center-x into vertical slices,
-    sort each slice by center-y, emit fixed-capacity leaves (the
-    classic Sort-Tile-Recursive bulk load).
-  * Containment: even-odd ray casting, vectorized over candidate
-    points per polygon edge.
+  * Storage: rings as CSR (``offsets`` + flat ``xs``/``ys``) taken
+    straight from the Arrow list arrays, so the index pickles as a
+    handful of large buffers and ``ray.get`` maps them zero-copy.
+  * Directory: a sparse multi-level uniform lon/lat grid (GeoBlocks,
+    EDBT'21, without the interior/boundary cell classes). Each polygon
+    registers in the <= 2x2 cells of the power-of-two level at least
+    as large as its bbox extent; each level is one sorted
+    ``(cell_key, polygon)`` array.
+  * Containment: even-odd ray casting over every candidate
+    (point, polygon) x edge row at once.
 
 Assignment when polygons nest/overlap (countries contain provinces):
 deepest ``admin_level`` wins, ties broken by smallest ``admin_id`` —
@@ -21,170 +26,167 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+# pair x edge rows ray-cast per chunk: bounds probe memory when a few
+# huge rings meet many points
+_EDGE_ROWS_PER_CHUNK = 1 << 20
+# finest level relative to the data extent: keeps a level's row-major
+# cell keys (<= 2^31 cells per axis) inside int64
+_MAX_LEVEL_SPAN = 31
+
+
+def _cells(v, lvl, origin):
+    """Cell coordinate of ``v`` at level ``lvl`` (size 2^lvl), relative
+    to ``origin``; division by a power of two is exact."""
+    return np.floor(np.ldexp(v, -lvl)).astype(np.int64) - origin
 
 
 class PolygonIndex:
-    """Immutable packed polygon set + STR R-tree (broadcast).
+    """Immutable columnar polygon set + grid directory (broadcast).
 
-    Leaves come from the classic STR bulk load; INTERNAL levels chunk
-    the (slice-then-y sorted, therefore spatially coherent) child list
-    ``node_capacity`` at a time up to a root — so probes descend the
-    tree and prune whole subtrees per batch instead of linearly
-    scanning every leaf bbox. At 10^3 polygons the linear scan was
-    fine; at 10^5+ admin sets it degrades ~100x (VERDICT r4 #6); the
-    descent visits O(log n + hit leaves) instead. ``last_leaf_visits``
-    records how many leaves the most recent :meth:`assign` actually
-    bbox-tested (observability for the sublinearity pytest)."""
+    ``last_leaf_visits`` is the number of distinct non-empty grid
+    cells the most recent :meth:`assign` probed (observability for the
+    sublinearity pytest). Rings with fewer than 3 vertices can contain
+    no point under even-odd and are dropped; a NaN/inf vertex raises
+    ``ValueError`` naming its ``admin_id``."""
 
-    def __init__(self, admin_table: pa.Table, leaf_capacity: int = 8,
-                 node_capacity: int = 16):
-        self.admin_id = np.asarray(admin_table["admin_id"].to_numpy(zero_copy_only=False))
-        self.admin_level = np.asarray(admin_table["admin_level"].to_numpy(zero_copy_only=False))
-        self.cc = admin_table["cc"].to_pylist()
+    def __init__(self, admin_table: pa.Table):
+        aid = np.asarray(admin_table["admin_id"].to_numpy(zero_copy_only=False), np.int64)
         lons = admin_table["ring_lons"].combine_chunks()
         lats = admin_table["ring_lats"].combine_chunks()
-        self.ring_lons = [np.asarray(x, dtype=np.float64) for x in lons.to_pylist()]
-        self.ring_lats = [np.asarray(x, dtype=np.float64) for x in lats.to_pylist()]
+        ox, oy = np.asarray(lons.offsets), np.asarray(lats.offsets)
+        n_vert = np.diff(ox)
+        if not np.array_equal(n_vert, np.diff(oy)):
+            bad = int(np.argmax(n_vert != np.diff(oy)))
+            raise ValueError(f"PolygonIndex: admin_id {aid[bad]} has "
+                             "ring_lons/ring_lats of different lengths")
+        xs = np.asarray(lons.values.to_numpy(zero_copy_only=False)[ox[0]:ox[-1]], np.float64)
+        ys = np.asarray(lats.values.to_numpy(zero_copy_only=False)[oy[0]:oy[-1]], np.float64)
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.all():
+            bad = np.searchsorted(ox - ox[0], np.argmin(finite), "right") - 1
+            raise ValueError(f"PolygonIndex: admin_id {aid[bad]} has a NaN/inf vertex")
+        keep = n_vert >= 3
+        if not keep.all():
+            xs, ys = xs[np.repeat(keep, n_vert)], ys[np.repeat(keep, n_vert)]
+        self.offsets = np.concatenate([[0], np.cumsum(n_vert[keep])]).astype(np.int64)
+        self.xs, self.ys = xs, ys
+        self.admin_id = aid[keep]
+        self.admin_level = np.asarray(admin_table["admin_level"].to_numpy(
+            zero_copy_only=False), np.int64)[keep]
+        cc = pc.dictionary_encode(admin_table["cc"].combine_chunks().cast(pa.string()))
+        self.cc_dict = cc.dictionary
+        self.cc_code = np.asarray(pc.fill_null(cc.indices, -1), np.int32)[keep]
 
-        n = len(self.ring_lons)
-        self.bb_min_x = np.array([r.min() for r in self.ring_lons])
-        self.bb_max_x = np.array([r.max() for r in self.ring_lons])
-        self.bb_min_y = np.array([r.min() for r in self.ring_lats])
-        self.bb_max_y = np.array([r.max() for r in self.ring_lats])
-
-        # STR pack: slices by center-x, runs by center-y
-        cx = (self.bb_min_x + self.bb_max_x) / 2
-        cy = (self.bb_min_y + self.bb_max_y) / 2
-        n_leaves = max(1, int(np.ceil(n / leaf_capacity)))
-        n_slices = max(1, int(np.ceil(np.sqrt(n_leaves))))
-        per_slice = int(np.ceil(n / n_slices))
-        order_x = np.argsort(cx, kind="stable")
-        self.leaves: list[np.ndarray] = []
-        for s in range(n_slices):
-            sl = order_x[s * per_slice:(s + 1) * per_slice]
-            if len(sl) == 0:
-                continue
-            sl = sl[np.argsort(cy[sl], kind="stable")]
-            for i in range(0, len(sl), leaf_capacity):
-                self.leaves.append(sl[i:i + leaf_capacity])
-        self.leaf_min_x = np.array([self.bb_min_x[m].min() for m in self.leaves])
-        self.leaf_max_x = np.array([self.bb_max_x[m].max() for m in self.leaves])
-        self.leaf_min_y = np.array([self.bb_min_y[m].min() for m in self.leaves])
-        self.leaf_max_y = np.array([self.bb_max_y[m].max() for m in self.leaves])
-
-        # internal levels, bottom-up: level L groups level L-1's nodes
-        # (level 0 groups leaves) in runs of node_capacity. Children of
-        # node i at any level are the contiguous span
-        # [starts[i], ends[i]) of the level below — contiguity is free
-        # because the STR order is already spatial.
-        self.inner_levels: list[tuple] = []
-        c_min_x, c_max_x = self.leaf_min_x, self.leaf_max_x
-        c_min_y, c_max_y = self.leaf_min_y, self.leaf_max_y
-        while len(c_min_x) > node_capacity:
-            n_nodes = int(np.ceil(len(c_min_x) / node_capacity))
-            starts = np.arange(n_nodes, dtype=np.int64) * node_capacity
-            ends = np.minimum(starts + node_capacity,
-                              len(c_min_x)).astype(np.int64)
-            c_min_x = np.minimum.reduceat(c_min_x, starts)
-            c_max_x = np.maximum.reduceat(c_max_x, starts)
-            c_min_y = np.minimum.reduceat(c_min_y, starts)
-            c_max_y = np.maximum.reduceat(c_max_y, starts)
-            self.inner_levels.append(
-                (c_min_x, c_max_x, c_min_y, c_max_y, starts, ends))
+        starts = self.offsets[:-1]
+        n = len(starts)
+        self.bb = np.stack([np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts),
+                            np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)])
+        self.extent = ((self.bb[0].min(), self.bb[1].max(), self.bb[2].min(), self.bb[3].max())
+                       if n else (np.inf, -np.inf, np.inf, -np.inf))
+        # level: smallest power of two >= the bbox extent, so a bbox
+        # spans <= 2 cells per axis (clamped up: coarser keeps that)
+        mant, ex = np.frexp(np.maximum(self.bb[1] - self.bb[0], self.bb[3] - self.bb[2]))
+        lvl = ex - (mant == 0.5)
+        if n:
+            span = max(self.extent[1] - self.extent[0], self.extent[3] - self.extent[2])
+            lvl = np.maximum(lvl, int(np.frexp(span)[1]) - _MAX_LEVEL_SPAN)
+        self.grid_levels, k = np.unique(lvl.astype(np.int64), return_inverse=True)
+        # per level: origin cell of the extent and cells per column; a
+        # cell's key is its row-major index from that origin
+        self.lvl_x0 = _cells(self.extent[0], self.grid_levels, 0)
+        self.lvl_y0 = _cells(self.extent[2], self.grid_levels, 0)
+        self.lvl_ny = _cells(self.extent[3], self.grid_levels, self.lvl_y0) + 1
+        x_lo, x_hi = (_cells(self.bb[r], lvl, self.lvl_x0[k]) for r in (0, 1))
+        y_lo, y_hi = (_cells(self.bb[r], lvl, self.lvl_y0[k]) for r in (2, 3))
+        dx, dy = np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]])
+        m = (x_lo + dx <= x_hi) & (y_lo + dy <= y_hi)          # (corner, polygon)
+        key = ((x_lo + dx) * self.lvl_ny[k] + y_lo + dy)[m]
+        level = np.broadcast_to(k, m.shape)[m]
+        order = np.lexsort((key, level))
+        self.cell_key = key[order]
+        self.cell_poly = np.broadcast_to(np.arange(n), m.shape)[m][order]
+        self.lvl_off = np.searchsorted(level[order], np.arange(len(self.grid_levels) + 1))
         self.last_leaf_visits = 0
 
-    def contains(self, poly: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Even-odd ray-casting test of points against one polygon ring,
-        vectorized over points (edges looped — rings are short).
-        Boundary convention: the half-open edge rule of the crossing
-        test (consistent, deterministic).
-        """
-        xs, ys = self.ring_lons[poly], self.ring_lats[poly]
-        inside = np.zeros(len(px), dtype=bool)
-        j = len(xs) - 1
-        for i in range(len(xs)):
-            x1, y1, x2, y2 = xs[j], ys[j], xs[i], ys[i]
-            cond = (y1 > py) != (y2 > py)
-            if cond.any():
-                x_cross = (x2 - x1) * (py - y1) / (y2 - y1) + x1
-                inside ^= cond & (px < x_cross)
-            j = i
-        return inside
+    def _candidates(self, px, py):
+        """All (point, polygon) pairs whose grid cell matches, level by
+        level; every point inside a polygon's closed bbox is found.
+        Points lie within the extent, so their cells are in range."""
+        pts, polys = [], []
+        self.last_leaf_visits = 0
+        for k, L in enumerate(self.grid_levels):
+            keys = self.cell_key[self.lvl_off[k]:self.lvl_off[k + 1]]
+            key = _cells(px, L, self.lvl_x0[k]) * self.lvl_ny[k] + _cells(py, L, self.lvl_y0[k])
+            lo = np.searchsorted(keys, key, "left")
+            cnt = np.searchsorted(keys, key, "right") - lo
+            self.last_leaf_visits += len(np.unique(key[cnt > 0]))
+            pt = np.repeat(np.arange(len(px)), cnt)
+            within = np.arange(len(pt)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+            pts.append(pt)
+            polys.append(self.cell_poly[self.lvl_off[k] + np.repeat(lo, cnt) + within])
+        if not pts:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return np.concatenate(pts), np.concatenate(polys)
 
-    def _candidate_leaves(self, px: np.ndarray, py: np.ndarray):
-        """Yield (leaf_index, candidate point indices) by descending
-        the internal levels, pruning every subtree whose node bbox
-        holds none of the remaining candidates. Each visit is
-        vectorized over its candidate set; with no internal level
-        (few polygons) every leaf gets the full point set — the
-        pre-round-5 linear behavior."""
-        all_idx = np.arange(len(px), dtype=np.int64)
-        if not self.inner_levels:
-            for li in range(len(self.leaves)):
-                yield li, all_idx
-            return
-        top = len(self.inner_levels) - 1
-        n_roots = len(self.inner_levels[top][0])
-        stack = [(top, i, all_idx) for i in range(n_roots)]
-        while stack:
-            lvl, node, idx = stack.pop()
-            mnx, mxx, mny, mxy, starts, ends = self.inner_levels[lvl]
-            m = ((px[idx] >= mnx[node]) & (px[idx] <= mxx[node]) &
-                 (py[idx] >= mny[node]) & (py[idx] <= mxy[node]))
-            if not m.any():
-                continue
-            idx2 = idx[m]
-            for child in range(starts[node], ends[node]):
-                if lvl == 0:
-                    yield int(child), idx2
-                else:
-                    stack.append((lvl - 1, int(child), idx2))
+    def _ray_cast(self, X, Y, poly):
+        """Even-odd crossing per (point, polygon) pair, over all its
+        edge rows (j = previous vertex, i = vertex). Boundary
+        convention: the half-open edge rule of the crossing test."""
+        n_e = self.offsets[poly + 1] - self.offsets[poly]
+        first = np.cumsum(n_e) - n_e
+        row = np.repeat(np.arange(len(poly)), n_e)
+        e = np.arange(len(row)) - first[row]
+        i = self.offsets[poly][row] + e
+        j = np.where(e == 0, i + n_e[row] - 1, i - 1)
+        y = Y[row]
+        y1, y2 = self.ys[j], self.ys[i]
+        c = np.nonzero((y1 > y) != (y2 > y))[0]
+        x1, x2 = self.xs[j[c]], self.xs[i[c]]
+        cross = np.zeros(len(row), bool)
+        cross[c] = X[row[c]] < (x2 - x1) * (y[c] - y1[c]) / (y2[c] - y1[c]) + x1
+        return np.bitwise_xor.reduceat(cross, first)
 
     def assign(self, px: np.ndarray, py: np.ndarray):
         """Deepest-level containing polygon per point.
 
-        Returns (admin_id, admin_level, cc_list) with -1 / None for
-        points outside every polygon.
+        Returns (admin_id, admin_level, cc): int64 arrays with -1 and a
+        ``pa.string()`` array with null for points outside every
+        polygon or with a NaN/inf coordinate.
         """
-        n = len(px)
-        best_level = np.full(n, -1, dtype=np.int64)
-        best_id = np.full(n, -1, dtype=np.int64)
-        self.last_leaf_visits = 0
-        for li, cand in self._candidate_leaves(px, py):
-            m = ((px[cand] >= self.leaf_min_x[li]) &
-                 (px[cand] <= self.leaf_max_x[li]) &
-                 (py[cand] >= self.leaf_min_y[li]) &
-                 (py[cand] <= self.leaf_max_y[li]))
-            if not m.any():
-                continue
-            self.last_leaf_visits += 1
-            idx = cand[m]
-            for poly in self.leaves[li]:
-                pm = ((px[idx] >= self.bb_min_x[poly]) & (px[idx] <= self.bb_max_x[poly]) &
-                      (py[idx] >= self.bb_min_y[poly]) & (py[idx] <= self.bb_max_y[poly]))
-                if not pm.any():
-                    continue
-                cidx = idx[pm]
-                hit = self.contains(int(poly), px[cidx], py[cidx])
-                if not hit.any():
-                    continue
-                h = cidx[hit]
-                lvl = int(self.admin_level[poly])
-                aid = int(self.admin_id[poly])
-                better = (lvl > best_level[h]) | ((lvl == best_level[h]) &
-                                                  ((best_id[h] < 0) | (aid < best_id[h])))
-                upd = h[better]
-                best_level[upd] = lvl
-                best_id[upd] = aid
-        cc = [None] * n
-        id_to_cc = {int(a): c for a, c in zip(self.admin_id, self.cc)}
-        for i in np.nonzero(best_id >= 0)[0]:
-            cc[i] = id_to_cc[int(best_id[i])]
-        return best_id, best_level, cc
+        px = np.asarray(px, np.float64)
+        py = np.asarray(py, np.float64)
+        # points outside the data's extent (NaN/inf too) match nothing;
+        # dropping them also keeps every cell key far from overflow
+        x0, x1, y0, y1 = self.extent
+        sel = np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))[0]
+        pt, poly = self._candidates(px[sel], py[sel])
+        X, Y = px[sel][pt], py[sel][pt]
+        bb = self.bb[:, poly]
+        m = (X >= bb[0]) & (X <= bb[1]) & (Y >= bb[2]) & (Y <= bb[3])
+        pt, poly, X, Y = pt[m], poly[m], X[m], Y[m]
+        hit = np.zeros(len(pt), bool)
+        n_e = self.offsets[poly + 1] - self.offsets[poly]
+        chunk = (np.cumsum(n_e) - n_e) // _EDGE_ROWS_PER_CHUNK
+        cuts = np.flatnonzero(np.diff(chunk, prepend=-1))
+        for a, b in zip(cuts, list(cuts[1:]) + [len(pt)]):
+            hit[a:b] = self._ray_cast(X[a:b], Y[a:b], poly[a:b])
+        pt, poly = pt[hit], poly[hit]
+        order = np.lexsort((poly, self.admin_id[poly], -self.admin_level[poly], pt))
+        pt, poly = pt[order], poly[order]
+        first = np.ones(len(pt), bool)
+        first[1:] = pt[1:] != pt[:-1]
+        at, poly = sel[pt[first]], poly[first]
+        admin_id, admin_level, code = (np.full(len(px), -1, t) for t in (np.int64, np.int64, np.int32))
+        admin_id[at], admin_level[at], code[at] = (
+            self.admin_id[poly], self.admin_level[poly], self.cc_code[poly])
+        cc = pc.take(self.cc_dict, pa.array(code, pa.int32(), mask=code < 0))
+        return admin_id, admin_level, cc
 
 
 class PIPJoin:
-    """map_batches actor stage: append admin assignment of each row's
+    """Fused-stage layer: append admin assignment of each row's
     (lon_col, lat_col) point. Null coordinates -> null assignment.
     """
 
@@ -199,23 +201,9 @@ class PIPJoin:
         self.lat_col = lat_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = np.asarray(batch[self.lon_col].to_numpy(zero_copy_only=False), dtype=np.float64)
-        lat = np.asarray(batch[self.lat_col].to_numpy(zero_copy_only=False), dtype=np.float64)
-        ok = ~(np.isnan(lon) | np.isnan(lat))
-        admin_id = np.full(len(lon), -1, dtype=np.int64)
-        admin_level = np.full(len(lon), -1, dtype=np.int64)
-        cc_out = [None] * len(lon)
-        if ok.any():
-            ids, levels, ccs = self.index.assign(lon[ok], lat[ok])
-            pos = np.nonzero(ok)[0]
-            admin_id[pos] = ids
-            admin_level[pos] = levels
-            for p, c in zip(pos, ccs):
-                cc_out[p] = c
-        batch = batch.append_column(
-            "admin_id", pa.array(np.where(admin_id >= 0, admin_id, -1), pa.int64(),
-                                 from_pandas=False))
-        batch = batch.append_column(
-            "admin_level", pa.array(admin_level, pa.int64()))
-        batch = batch.append_column("admin_cc", pa.array(cc_out, pa.string()))
-        return batch
+        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
+        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
+        admin_id, admin_level, cc = self.index.assign(lon, lat)
+        batch = batch.append_column("admin_id", pa.array(admin_id, pa.int64()))
+        batch = batch.append_column("admin_level", pa.array(admin_level, pa.int64()))
+        return batch.append_column("admin_cc", cc)

@@ -71,15 +71,18 @@ def test_read_num_blocks_sizing(tmp_path):
 
 def test_bench_world_flagship_plan_unchanged_by_r5():
     """Scaling-record inheritance witness (BASELINE.md round-5): the
-    round-5 PIP R-tree is inactive at the bench fixture's
-    configuration — the bench world's polygon set is small enough that
-    it builds NO internal levels, so assign() runs the identical pre-r5
-    linear leaf scan. The fused stage runs as worker-cached tasks, its
-    only plan, so the measured r3 clean-window scaling record applies
-    to this build's physical plan."""
-    from batch_geocode_ray.sources.fixtures import generate_world
-    from batch_geocode_ray.stages.pip import PolygonIndex
-
+    flagship's Ray physical plan is still one ReadParquet feeding one
+    fused MapBatches of worker-cached tasks, its only plan, so the
+    measured r3 clean-window scaling record applies to this build.
+    The columnar grid PolygonIndex replaced the R-tree INSIDE that
+    fused task: it changes the per-batch PIP kernel, not the plan."""
+    d = ensure_fixture_dir(300)
     w = generate_world()
-    idx = PolygonIndex(w.admin_polygons)
-    assert idx.inner_levels == []
+    ds = build_geocode_pipeline(
+        f"{d}/pages", w.gazetteer, admin_polygons=w.admin_polygons,
+        facilities=w.facilities, with_knn=True)
+    chain, op = [], ds._logical_plan.dag
+    while op is not None:
+        chain.append(op.name)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    assert chain == ["MapBatches(_cached_call)", "ReadParquet"]

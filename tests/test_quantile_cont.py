@@ -91,3 +91,29 @@ def test_validation_errors(ray_session):
         grouped_quantile_cont(ds, ["g"], "v", [1.5])
     with pytest.raises(ValueError, match="length mismatch"):
         grouped_quantile_cont(ds, ["g"], "v", [0.5], out_names=["a", "b"])
+
+
+def test_all_null_group_emits_null_row(ray_session):
+    # SQL GROUP BY keeps a group whose values are all null and gives it
+    # a NULL percentile_cont; it must not vanish from the output
+    t = pa.table({"g": pa.array([1, 1, 2, 2, 3], pa.int64()),
+                  "v": pa.array([4, 8, None, None, 5], pa.int64())})
+    got = _collect(grouped_quantile_cont(
+        ray.data.from_arrow(t).repartition(2), ["g"], "v", [0.25, 0.5]))
+    assert got["g"].to_pylist() == [1, 2, 3]
+    assert got["p25"].to_pylist() == [5.0, None, 5.0]
+    assert got["p50"].to_pylist() == [6.0, None, 5.0]
+
+
+def test_int64_beyond_2_53_at_integer_rank(ray_session):
+    # h = 0.5 * (3 - 1) = 1 is an integer rank: the quantile is the
+    # middle value itself, not a float interpolation between neighbours
+    big = [2 ** 62 + 1024, 2 ** 62 + 2048, 2 ** 62 + 4096]
+    t = pa.table({"g": pa.array([1, 1, 1, 2], pa.int64()),
+                  "v": pa.array(big + [2 ** 53 + 1], pa.int64())})
+    got = _collect(grouped_quantile_cont(
+        ray.data.from_arrow(t), ["g"], "v", [0.0, 0.5, 1.0]))
+    assert [got[c][0].as_py() for c in ("p00", "p50", "p100")] == \
+        [float(x) for x in big]
+    assert int(got["p50"][0].as_py()) == big[1]
+    assert got["p50"][1].as_py() == float(2 ** 53 + 1)

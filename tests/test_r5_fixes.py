@@ -309,7 +309,7 @@ def test_connected_components_hint_same_result():
 
 
 # ---------------------------------------------------------------------------
-# PIP R-tree: internal-node descent is sublinear in leaves
+# PIP grid directory: the probe is sublinear in polygons
 # ---------------------------------------------------------------------------
 
 def _grid_polygon_table(side):
@@ -332,13 +332,17 @@ def _grid_polygon_table(side):
 
 
 def test_pip_tree_descent_correct_and_sublinear():
+    """The multi-level grid directory answers a clustered batch from a
+    handful of cells, not the whole polygon set."""
     from batch_geocode_ray.stages.pip import PolygonIndex
 
     side = 320                      # 102,400 polygons
+    n_polygons = side * side
     idx = PolygonIndex(_grid_polygon_table(side))
-    n_leaves = len(idx.leaves)
-    assert n_leaves > 10_000
-    assert len(idx.inner_levels) >= 2   # a real hierarchy, not one root
+    assert len(idx.admin_id) == n_polygons
+    # unit squares: one level of unit cells, each square in its 2x2
+    assert idx.grid_levels.tolist() == [0]
+    assert len(idx.cell_key) == 4 * n_polygons
 
     rng = np.random.default_rng(3)
     # clustered batch: points inside a 4x4-cell window (strict interior)
@@ -350,10 +354,9 @@ def test_pip_tree_descent_correct_and_sublinear():
             + np.floor(px).astype(np.int64))
     assert np.array_equal(ids, want)
     assert (levels == 1).all()
-    assert cc[0] == f"c{int(want[0]) % 97}"
-    # the descent must prune nearly everything: a 4x4-cell window
-    # touches a handful of leaves, not the 12k+ leaf directory
-    assert idx.last_leaf_visits < n_leaves // 100, idx.last_leaf_visits
+    assert cc[0].as_py() == f"c{int(want[0]) % 97}"
+    # a 4x4-cell window touches at most 16 non-empty cells
+    assert idx.last_leaf_visits < n_polygons // 100, idx.last_leaf_visits
 
     # scattered batch incl. points outside every polygon
     px2 = rng.uniform(-5, side + 5, 500)
@@ -369,23 +372,33 @@ def test_pip_tree_descent_correct_and_sublinear():
 
 
 def test_pip_tree_matches_flat_scan_small():
-    """With few polygons there is no internal level and behavior is the
-    pre-existing linear scan; with a tiny node_capacity the same
-    polygons answer identically through a forced multi-level tree."""
+    """Nested polygons on several grid levels answer exactly as the
+    flat scan of tests/oracle.py, including points on every unit grid
+    line (polygon edges and cell boundaries)."""
     from batch_geocode_ray.stages.pip import PolygonIndex
+    from .oracle import oracle_pip_assign
 
-    t = _grid_polygon_table(7)      # 49 polygons
-    flat = PolygonIndex(t)          # 49 <= default capacities -> flat-ish
-    deep = PolygonIndex(t, leaf_capacity=2, node_capacity=2)
-    assert len(deep.inner_levels) >= 3
+    t = _grid_polygon_table(7)      # 49 unit squares, admin_level 1
+    nested = pa.table({             # one 7x7 (level 0), two 3x3 (level 2)
+        "admin_id": pa.array([1000, 1001, 1002], pa.int64()),
+        "admin_level": pa.array([0, 2, 2], pa.int64()),
+        "cc": pa.array(["all", "a", "b"], pa.string()),
+        "ring_lons": pa.array([[0., 7., 7., 0.], [1., 4., 4., 1.],
+                               [3., 6., 6., 3.]], pa.list_(pa.float64())),
+        "ring_lats": pa.array([[0., 0., 7., 7.], [1., 1., 4., 4.],
+                               [2., 2., 5., 5.]], pa.list_(pa.float64())),
+    })
+    t = pa.concat_tables([t, nested])
+    idx = PolygonIndex(t)
+    assert len(idx.grid_levels) >= 3
     rng = np.random.default_rng(11)
-    px = rng.uniform(-1, 8, 400)
-    py = rng.uniform(-1, 8, 400)
-    f_ids, f_lv, f_cc = flat.assign(px, py)
-    d_ids, d_lv, d_cc = deep.assign(px, py)
-    assert np.array_equal(f_ids, d_ids)
-    assert np.array_equal(f_lv, d_lv)
-    assert f_cc == d_cc
+    px = np.concatenate([rng.uniform(-1, 8, 400),
+                         rng.integers(-1, 9, 200).astype(np.float64)])
+    py = np.concatenate([rng.uniform(-1, 8, 400), rng.uniform(-1, 8, 200)])
+    ids, lv, cc = idx.assign(px, py)
+    polys = t.to_pylist()
+    want = [oracle_pip_assign(x, y, polys) for x, y in zip(px, py)]
+    assert list(zip(ids.tolist(), lv.tolist(), cc.to_pylist())) == want
 
 
 # ---------------------------------------------------------------------------
