@@ -7,11 +7,6 @@ kills skew), then a small ``groupby(cell).aggregate(Sum/Min/Max)``
 over the partials, then a cheap finalize (mean = sum/count). The
 all-to-all exchange only ever carries ~n_cells x n_blocks rows, not
 n_pages.
-
-``salted_groupby_map_groups`` is the explicit salted two-stage pattern
-for group logic that can't pre-combine (arbitrary ``map_groups`` fns):
-groupby((key, salt)) partial -> groupby(key) final. A correctness test
-pins salted == unsalted.
 """
 
 from __future__ import annotations
@@ -200,26 +195,6 @@ def grouped_quantiles(ds: Dataset, group_col: str, value_col: str,
     return ds.groupby(group_col).map_groups(one_group, batch_format="pyarrow")
 
 
-def salted_groupby_map_groups(ds: Dataset, key: str, partial_fn, final_fn,
-                              num_salts: int = 16, batch_format: str = "pyarrow") -> Dataset:
-    """Two-stage skew-resistant grouped computation.
-
-    ``partial_fn(group_df) -> df`` runs per (key, salt) group;
-    ``final_fn(group_df) -> df`` merges a key's partials. The salt is a
-    deterministic hash of the row position within batch + key so hot
-    keys split across ``num_salts`` groups.
-    """
-
-    def add_salt(b: pa.Table) -> pa.Table:
-        h = np.arange(b.num_rows, dtype=np.int64)
-        salt = (h % num_salts).astype(np.int64)
-        return b.append_column("_salt", pa.array(salt, pa.int64()))
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow")
-    stage1 = salted.groupby([key, "_salt"]).map_groups(partial_fn, batch_format=batch_format)
-    return stage1.groupby(key).map_groups(final_fn, batch_format=batch_format)
-
-
 def pivot_counts(ds: Dataset, group_col: str, type_col: str,
                  categories: list[str], out_prefix: str = "n_",
                  merge: str = "single") -> Dataset:
@@ -361,33 +336,16 @@ def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
     """collect_set + sorted string_agg per key: one row per key with
     its DISTINCT ``val`` strings joined by ``sep`` in lexicographic
     order. Per-batch distinct-pair combiner shrinks the shuffle to one
-    row per (batch, key, val); the assembly runs under the coarse-
-    bucket exchange (never one Python call per key) and builds the
+    row per (batch, key, val); the assembly runs under
+    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` (never one
+    Python call per key) and builds the
     joined strings VECTORIZED — an Arrow ListArray from per-key offsets
     fed to the C++ ``binary_join`` kernel."""
-    from batch_geocode_ray.stages.windows import _bucketed_groups
-    from batch_geocode_ray.functions.hashing import splitmix64
+    from batch_geocode_ray.stages.dedup import bucket_exchange
 
     def distinct_pairs(b: pa.Table) -> pa.Table:
         return (b.select([key, val])
                 .group_by([key, val]).aggregate([]))
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        col = b[key]
-        if pa.types.is_integer(col.type):
-            k = np.asarray(col.to_numpy(zero_copy_only=False)) \
-                .astype(np.uint64)
-            h = splitmix64(k)
-        else:
-            from batch_geocode_ray.functions.hashing import (
-                stable_hash64_array,
-            )
-
-            h = stable_hash64_array(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray)
-                else col)
-        return b.append_column(
-            "_bucket", pa.array((h % np.uint64(nb)).astype(np.int64)))
 
     def assemble(g: pa.Table) -> pa.Table:
         t = g.select([key, val])
@@ -422,7 +380,7 @@ def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
         })
 
     pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow")
-    return _bucketed_groups(pairs, bucket, assemble)
+    return bucket_exchange(pairs, key, assemble)
 
 
 def int_quantile_threshold(ds: Dataset, value_col: str, q: float) -> int:

@@ -99,6 +99,64 @@ def _one_task(ds: Dataset, fn) -> Dataset:
                                          batch_size=None)
 
 
+# ---------------------------------------------------------------------------
+# the coarse-bucket exchange
+# ---------------------------------------------------------------------------
+
+def _check_key_type(t: pa.DataType, name: str) -> None:
+    if not (pa.types.is_integer(t) or pa.types.is_string(t)
+            or pa.types.is_large_string(t) or pa.types.is_binary(t)
+            or pa.types.is_large_binary(t)):
+        raise TypeError(f"bucket key column {name!r} has type {t}; "
+                        "expected an integer, string or binary column")
+
+
+def key_hash64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
+    """uint64 bucket hash of key column ``name``: ``splitmix64`` of the
+    integers' uint64 view, ``stable_hash64_array`` of strings and
+    binaries. Other types raise ``TypeError`` naming the column."""
+    _check_key_type(col.type, name)
+    if pa.types.is_integer(col.type):
+        k = np.asarray(pc.fill_null(col, 0).to_numpy(zero_copy_only=False))
+        return splitmix64(k.astype(np.int64, copy=False).view(np.uint64))
+    return stable_hash64_array(col)
+
+
+def bucket_exchange(ds: Dataset, key: str, fn,
+                    size_hint_bytes: int | None = None) -> Dataset:
+    """Co-locate every row sharing a ``key`` value and run ``fn`` over
+    each co-located group of rows: the repo's one keyed shuffle.
+
+    ``fn`` must be bucket-independent (it lexsorts and segments by key
+    internally): below ``SMALL_COLLAPSE_BYTES`` the whole input runs
+    through it as ONE task, skipping the all-to-all (~1-2 s fixed).
+    Above it, rows hash (:func:`key_hash64`) into
+    :func:`adaptive_bucket_count` coarse buckets and
+    ``groupby(_bucket).map_groups(fn)`` runs ``fn`` once per bucket,
+    never once per key. ``fn`` never sees the ``_bucket`` column.
+
+    The probe materializes the input to measure it; a caller that
+    knows the input is big passes ``size_hint_bytes`` (>= the
+    threshold) and the exchange streams, bucket count from the hint."""
+    m, small, probed_bytes = _probe_small(ds, size_hint_bytes=size_hint_bytes)
+    # a lazy (hinted) stream has no schema yet: its batches check instead
+    schema = m.schema(fetch_if_missing=False)
+    if schema is not None and key in schema.names:
+        _check_key_type(dict(zip(schema.names, schema.types))[key], key)
+    if small:
+        return _one_task(m, fn)
+    nb = np.uint64(adaptive_bucket_count(probed_bytes))
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column("_bucket", pa.array(
+            (key_hash64(b[key], key) % nb).astype(np.int64)))
+
+    return (m.map_batches(add_bucket, batch_format="pyarrow")
+            .groupby("_bucket")
+            .map_groups(lambda g: fn(g.drop_columns(["_bucket"])),
+                        batch_format="pyarrow"))
+
+
 def join_partitions(cap: int = 64) -> int:
     """Partition count for Ray's hash-shuffle join, sized to the
     cluster: each join partition reserves 0.125 CPU of aggregator actor
@@ -126,8 +184,8 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
                         size_hint_bytes: int | None = None) -> Dataset:
     """Attach ``payload`` columns (``{source_col: out_col}``) from
     ``source`` onto every ``requests`` row whose ``req_key`` equals the
-    source row's ``source_key`` — an equi-join expressed as the repo's
-    coarse-bucket exchange instead of ``Dataset.join``.
+    source row's ``source_key`` — an equi-join expressed as one
+    :func:`bucket_exchange` on the key instead of ``Dataset.join``.
 
     Why not the native join: Ray 2.49's hash-shuffle join feeds acero
     per partition and CRASHES ('No match for FieldRef') whenever one
@@ -143,9 +201,6 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     without requests emit nothing. ``missing``: "error" raises on a
     request key absent from source; "null" attaches typed nulls (left
     semantics)."""
-    from batch_geocode_ray.functions.hashing import splitmix64
-    from batch_geocode_ray.stages.windows import _bucketed_groups
-
     req_schema = requests.schema()
     req_names = list(req_schema.names)
     req_types = dict(zip(req_schema.names, req_schema.types))
@@ -178,16 +233,7 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
             .union(requests.map_batches(as_request,
                                         batch_format="pyarrow")))
 
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        k = np.asarray(b["__lk_k"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(k) % np.uint64(nb)).astype(np.int64)))
-
     def attach(g: pa.Table) -> pa.Table:
-        if "_bucket" in g.column_names:
-            g = g.drop_columns(["_bucket"])
         k = np.asarray(g["__lk_k"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         r = np.asarray(g["__lk_r"].to_numpy(zero_copy_only=False),
@@ -222,8 +268,8 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     # source side is corpus-sized (e.g. verify joins attaching document
     # text), pass the caller's hint so the union streams instead of
     # materializing for the plan probe
-    return _bucketed_groups(rows, bucket, attach,
-                            size_hint_bytes=size_hint_bytes)
+    return bucket_exchange(rows, "__lk_k", attach,
+                           size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +402,9 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
 
     if small:
         return _one_task(hashed, one)
-    # shuffle plan: co-locate each fingerprint bucket, emit inside
-    nb = np.uint64(adaptive_bucket_count(probed_bytes))
-    return (hashed.map_batches(
-        lambda b: b.append_column("_bucket", pa.array(
-            (np.asarray(b["fingerprint"].to_numpy(zero_copy_only=False))
-             .astype(np.uint64) % nb).astype(np.int64))),
-        batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(lambda g: one(g.drop_columns(["_bucket"])),
-                    batch_format="pyarrow"))
+    # shuffle plan: co-locate each fingerprint, emit inside
+    return bucket_exchange(hashed, "fingerprint", one,
+                           size_hint_bytes=probed_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +537,11 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
 
         return _one_task(grams, all_pairs)
 
-    # Coarse-bucket the grams (gram_hash % n_buckets) so the groupby
-    # runs the Python hook ~n_buckets times, NOT once per distinct gram
-    # (millions). Inside a bucket, segment boundaries over the sorted
-    # (gram, id) arrays find each gram's posting list vectorized; only
-    # multi-doc segments (the rare shared grams) loop.
-    n_buckets = adaptive_bucket_count(probed_bytes)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        g = np.asarray(b["gram"].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        return b.append_column(
-            "_bucket", pa.array((g % np.uint64(n_buckets)).astype(np.int64)))
-
+    # bucket_exchange on the gram runs the Python hook once per coarse
+    # bucket, NOT once per distinct gram (millions). Inside a bucket,
+    # segment boundaries over the sorted (gram, id) arrays find each
+    # gram's posting list vectorized; only multi-doc segments (the rare
+    # shared grams) loop.
     def emit_pairs_bucket(group: pa.Table) -> pa.Table:
         """Pair rows (with both docs' gram counts) for uncapped
         postings; capped postings emit their member docs as hot markers
@@ -551,9 +583,8 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
                          "_n1": pa.array(np.concatenate(n1s), pa.int64()),
                          "_n2": pa.array(np.concatenate(n2s), pa.int64())})
 
-    marked = (grams.map_batches(add_bucket, batch_format="pyarrow")
-              .groupby("_bucket")
-              .map_groups(emit_pairs_bucket, batch_format="pyarrow"))
+    marked = bucket_exchange(grams, "gram", emit_pairs_bucket,
+                             size_hint_bytes=probed_bytes)
 
     if max_posting is not None:
         marked = marked.materialize()  # consumed twice (hot split)
@@ -649,7 +680,7 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
       train side is one map pass, exactly like :func:`bloom_anti_join`
       but with an exact membership set and per-doc hit counts.
     * **distributed** (eval side too big to broadcast): one
-      coarse-bucket exchange keyed on the gram hash — eval gram rows
+      :func:`bucket_exchange` keyed on the gram hash — eval gram rows
       ride as carriers, train gram rows as requests; a bucket marks the
       train rows whose gram segment contains an eval row, then a
       per-doc sum over the (id, bucket-partial) table finalizes. The
@@ -730,7 +761,6 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     # (block-split-safe: the per-doc finalize below AGGREGATES partial
     # rows, unlike the broadcast plan's in-UDF contiguity)
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
     train_grams = train.map_batches(
         lambda b: _doc_grams(b, text_col, id_col, k),
@@ -755,13 +785,6 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     rows = (eval_m.map_batches(as_eval, batch_format="pyarrow")
             .union(train_grams.map_batches(as_train,
                                            batch_format="pyarrow")))
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        g = np.asarray(b["gram"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(g) % np.uint64(nb)).astype(np.int64)))
 
     def hits_in_bucket(group: pa.Table) -> pa.Table:
         g = np.asarray(group["gram"].to_numpy(zero_copy_only=False),
@@ -801,8 +824,8 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     hint = None
     if size_hint_bytes is not None:
         hint = int(size_hint_bytes) + int(eval_bytes or 0)
-    partials = _bucketed_groups(rows, bucket, hits_in_bucket,
-                                size_hint_bytes=hint)
+    partials = bucket_exchange(rows, "gram", hits_in_bucket,
+                               size_hint_bytes=hint)
     # a doc's grams hash into many buckets -> sum the bucket partials;
     # grouping key is the doc id (bounded by #contaminated docs);
     # n_grams is constant per doc, so "max" just carries it through
@@ -817,8 +840,9 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
 # ---------------------------------------------------------------------------
 
 class MinHashSignatures:
-    """Actor-pool stage: per-doc MinHash signature over k-token shingles.
-    Permutation params are built once per actor (deterministic seed)."""
+    """Stateful stage: per-doc MinHash signature over k-token shingles.
+    Permutation params are built once per instance (deterministic
+    seed); ``stateful_map_batches`` caches one per worker process."""
 
     def __init__(self, text_col: str, id_col: str, num_perm: int = 128,
                  k: int = 3, seed: int = 7, include_text: bool = False):
@@ -1060,22 +1084,13 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
                     acc = acc * B + block[:, j]
                 out_band.append(np.full(n, band, dtype=np.int64))
                 out_key.append(acc.astype(np.int64))
-        # fold band index into the bucket hash -> ONE int64 groupby key;
-        # coarse `_bucket` keeps the Python group hook call count at
-        # the size-probed bucket count
+        # fold band index into the bucket hash -> ONE int64 exchange key
         combined = (np.concatenate(out_key).astype(np.uint64)
                     ^ splitmix64(np.concatenate(out_band)))
         return pa.table({
             "bkey": pa.array(combined.astype(np.int64), pa.int64()),
-            "_bucket": pa.array(
-                (combined % _nb_sig).astype(np.int64), pa.int64()),
             id_col: pa.array(np.tile(ids, bands), pa.int64()),
         })
-
-    # exchange rows = bands x docs; sigs bytes upper-bound the per-doc
-    # row width, so this over- rather than under-buckets
-    _nb_sig = np.uint64(adaptive_bucket_count(probed_bytes))
-    buckets = sigs.map_batches(band_keys, batch_format="pyarrow")
 
     def emit_pairs_bucket(group: pa.Table) -> pa.Table:
         bk = np.asarray(group["bkey"].to_numpy(zero_copy_only=False),
@@ -1098,8 +1113,12 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
                          "d2": pa.array(np.concatenate(d2s), pa.int64())})
 
-    cand = (buckets.groupby("_bucket")
-            .map_groups(emit_pairs_bucket, batch_format="pyarrow")
+    # exchange rows = bands x docs; sigs bytes upper-bound the per-doc
+    # row width, so the probed size over- rather than under-buckets
+    cand = (bucket_exchange(sigs.map_batches(band_keys,
+                                             batch_format="pyarrow"),
+                            "bkey", emit_pairs_bucket,
+                            size_hint_bytes=probed_bytes)
             .groupby(["d1", "d2"])
             .aggregate(Count(alias_name="_dup")))  # distinct pairs
 
@@ -1281,8 +1300,6 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
                     ^ splitmix64(np.concatenate(bands_)))
         return pa.table({
             "bkey": pa.array(combined.astype(np.int64), pa.int64()),
-            "_bucket": pa.array(
-                (combined % _nb_sim).astype(np.int64), pa.int64()),
             id_col: pa.array(np.tile(ids, 4), pa.int64()),
             "simhash": pa.array(np.tile(
                 np.asarray(b["simhash"].to_numpy(zero_copy_only=False)), 4),
@@ -1325,10 +1342,10 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
         })
 
     # 4 banded copies of each (id, simhash) row ride the exchange
-    _nb_sim = np.uint64(adaptive_bucket_count(4 * probed_bytes))
-    return (hashed.map_batches(band_rows, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(emit_pairs_bucket, batch_format="pyarrow")
+    return (bucket_exchange(hashed.map_batches(band_rows,
+                                               batch_format="pyarrow"),
+                            "bkey", emit_pairs_bucket,
+                            size_hint_bytes=4 * probed_bytes)
             .groupby(["d1", "d2"])
             .aggregate(Min("hamming", alias_name="hamming")))
 
@@ -1476,14 +1493,8 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
     if small:
         # in-task `seen` already de-dupes; no distinct stage needed
         return _one_task(m, pairs_in_bucket)
-    nb = np.uint64(adaptive_bucket_count(probed_bytes))
-    pairs = (m.map_batches(
-        lambda b: b.append_column("_bucket", pa.array(
-            (np.asarray(b["vkey"].to_numpy(zero_copy_only=False))
-             .astype(np.uint64) % nb).astype(np.int64))),
-        batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow"))
+    pairs = bucket_exchange(m, "vkey", pairs_in_bucket,
+                            size_hint_bytes=probed_bytes)
     # the same pair can verify in several buckets -> global distinct
     return (pairs.groupby(["d1", "d2"]).aggregate(Count(alias_name="_c"))
             .map_batches(lambda b: pa.table({"d1": b["d1"], "d2": b["d2"]}),

@@ -15,10 +15,12 @@ Two physical plans behind one API (the repo-wide adaptive pattern):
   (``dedup.SMALL_COLLAPSE_BYTES`` probe), one task runs a fully
   vectorized NumPy min-label fixpoint (no Python loop over edges).
 * **distributed** — hash-to-min label propagation with pointer
-  jumping, expressed as the repo's coarse-bucket
-  ``groupby(_bucket).map_groups`` + vectorized-segment pattern (NOT
-  ``Dataset.join``: a label-keyed self-join both concentrates skew and
-  trips Ray's hash-join on degenerate key distributions). Each round
+  jumping, expressed as a coarse-bucket ``groupby(_bucket).map_groups``
+  + vectorized-segment exchange (NOT ``Dataset.join``: a label-keyed
+  self-join both concentrates skew and trips Ray's hash-join on
+  degenerate key distributions). It hashes keys with
+  ``dedup.key_hash64`` like ``dedup.bucket_exchange`` does, but stays
+  hand-built for the hot-key salting below. Each round
   is exactly TWO all-to-alls — one bucket shuffle that answers every
   "label of key k?" request (neighbor offers AND pointer jumps in the
   same exchange), and one partial-combining min-aggregate — shuffling
@@ -53,6 +55,7 @@ from batch_geocode_ray.stages.dedup import (
     _one_task,
     _probe_small,
     join_partitions,
+    key_hash64,
 )
 
 _MAX_ROUNDS = 40  # pointer jumping ⇒ ≥ 2^40 node chains before this binds
@@ -196,14 +199,12 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         lambda b: _sym(b, a_col, b_col), batch_format="pyarrow").materialize()
     from batch_geocode_ray.stages.dedup import adaptive_bucket_count
 
+    # custom exchange, not bucket_exchange: hot keys salt across buckets
     n_buckets = np.uint64(adaptive_bucket_count(sym.size_bytes() or 0))
 
     def bucket(b: pa.Table) -> pa.Table:
-        k = np.asarray(b["key"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(k) % n_buckets).astype(np.int64)))
+        return b.append_column("_bucket", pa.array(
+            (key_hash64(b["key"], "key") % n_buckets).astype(np.int64)))
 
     def bucket_salted(b: pa.Table, *, hot_ref) -> pa.Table:
         """Bucket assignment with hot keys fanned across sub-buckets:
@@ -214,6 +215,7 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         hk, hs = ray.get(hot_ref)  # sorted hot keys, splits per key
         k = np.asarray(b["key"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
+        kh = key_hash64(b["key"], "key")
         q = np.asarray(b["q"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         pos = np.minimum(np.searchsorted(hk, k), len(hk) - 1)
@@ -223,14 +225,13 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         salt[req] = (splitmix64(q[req].astype(np.uint64))
                      % s_k[req].astype(np.uint64))
 
-        def cell(kk: np.ndarray, ss: np.ndarray) -> pa.Array:
-            c = (splitmix64(kk.astype(np.uint64)) + ss) % n_buckets
-            return pa.array(c.astype(np.int64))
+        def cell(rows: np.ndarray, ss: np.ndarray) -> pa.Array:
+            return pa.array(((kh[rows] + ss) % n_buckets).astype(np.int64))
 
         car_hot = (q == -1) & (s_k > 1)
         keep = ~car_hot
         base = b.filter(pa.array(keep)).append_column(
-            "_bucket", cell(k[keep], salt[keep]))
+            "_bucket", cell(keep, salt[keep]))
         if not car_hot.any():
             return base
         reps = s_k[car_hot].astype(np.int64)
@@ -239,7 +240,7 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         ar = (np.arange(len(idx))
               - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.uint64)
         extra = b.take(pa.array(idx, pa.int64())).append_column(
-            "_bucket", cell(k[idx], ar))
+            "_bucket", cell(idx, ar))
         return pa.concat_tables([base, extra])
 
     def min_by_node(ds: Dataset) -> Dataset:

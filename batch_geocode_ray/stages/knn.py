@@ -4,7 +4,9 @@ Two physical plans, same semantics (k nearest facilities by haversine
 distance, ties broken by smaller facility_id):
 
   * ``KNNFacilities`` (broadcast): the facility table rides `ray.put`
-    into an actor pool; each batch computes a vectorized
+    into per-worker cached state (the fused geocode stage runs as
+    tasks through ``stages/stateful.stateful_map_batches``, built once
+    per worker process); each batch computes a vectorized
     points x facilities haversine matrix and partial top-k with
     argpartition. Right plan while facilities fit in worker memory
     (≤ ~1e6 rows) — no shuffle at all.
@@ -168,9 +170,11 @@ def knn_partitioned(points: "Dataset", facilities: "Dataset", k: int = 3,
 
 
 class KNNFacilities:
-    """map_batches actor stage appending ``knn_ids``/``knn_dists``
+    """Per-batch callable appending ``knn_ids``/``knn_dists``
     (list<int64> / list<float64>, distance-ordered, id tie-break).
-    Rows with null coordinates get empty lists.
+    Rows with null coordinates get empty lists. The fused geocode
+    stage builds it once per worker process (worker-cached tasks via
+    ``stateful_map_batches``, no actor pool).
     """
 
     def __init__(self, facilities, k: int = 3,

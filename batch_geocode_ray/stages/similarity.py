@@ -119,8 +119,9 @@ def _merge_partial_topk(partials: Dataset, k: int,
     the oracle order.
 
     Large query sets (Q > SHUFFLE_MERGE_QUERIES, e.g. per-doc queries):
-    coarse-bucket by query_id hash (size-probed bucket count,
-    ~32 MB/bucket) and merge per bucket in parallel (never one task per
+    unless the partials measure small enough for that same one task,
+    a :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+    query_id merges per coarse bucket in parallel (never one task per
     query — see grouped-aggregate notes), then a distributed sort
     restores the (query_id, rank) order. No single worker ever holds
     more than one bucket of the partials."""
@@ -144,28 +145,19 @@ def _merge_partial_topk(partials: Dataset, k: int,
             "rank": pa.array(rank[keep], pa.int64()),
         })
 
+    from batch_geocode_ray.stages.dedup import (
+        _one_task,
+        _probe_small,
+        bucket_exchange,
+    )
+
     if n_queries is not None and n_queries > SHUFFLE_MERGE_QUERIES:
-        from batch_geocode_ray.stages.dedup import adaptive_bucket_count
-
-        partials = partials.materialize()  # k-bounded rows per group
-        n_buckets = adaptive_bucket_count(partials.size_bytes() or 0)
-
-        def add_bucket(b: pa.Table) -> pa.Table:
-            q = np.asarray(b["query_id"].to_numpy(zero_copy_only=False),
-                           np.int64)
-            return b.append_column(
-                "_qb", pa.array((q % n_buckets).astype(np.int64)))
-
-        def merge_bucket(g: pa.Table) -> pa.Table:
-            return merge_one(g.drop_columns(["_qb"]))
-
-        return (partials.map_batches(add_bucket, batch_format="pyarrow")
-                .groupby("_qb")
-                .map_groups(merge_bucket, batch_format="pyarrow")
-                .sort(["query_id", "rank"]))
-
-    return partials.repartition(1).map_batches(
-        merge_one, batch_format="pyarrow", batch_size=None)
+        partials, small, size = _probe_small(partials)
+        if not small:
+            return (bucket_exchange(partials, "query_id", merge_one,
+                                    size_hint_bytes=size)
+                    .sort(["query_id", "rank"]))
+    return _one_task(partials, merge_one)
 
 
 def _pair_table(d1, d2, cos) -> pa.Table:
@@ -223,10 +215,11 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
         has no Dataset-API shape).
       * ``method="lsh"`` -> random-hyperplane LSH: sign bits of
         ``bands*rows`` fixed projections, banded into ``bands`` bucket
-        keys; within-bucket exact cosine verify, then a pair-distinct
-        groupby. Linear shuffle, no false positives; recall follows the
-        banding S-curve — right for true near-dup thresholds (>= ~0.7;
-        at 0.4 the hyperplane collision rate barely prunes, use exact).
+        keys; one ``bucket_exchange`` on the band key, within-bucket
+        exact cosine verify, then a pair-distinct groupby. Linear
+        shuffle, no false positives; recall follows the banding
+        S-curve — right for true near-dup thresholds (>= ~0.7; at 0.4
+        the hyperplane collision rate barely prunes, use exact).
         The LSH path STREAMS: it needs one ``take_batch(1)`` for the
         vector dim, never the whole projection — pass
         ``size_hint_bytes`` (~vec bytes x rows) and the (id, vec)
@@ -275,10 +268,6 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
     dim = _matrix_of(first, vec_col).shape[1]
     planes = np.random.RandomState(seed).randn(n_planes, dim)
     planes_ref = ray.put(planes)
-    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
-
-    # exchange carries `bands` copies of each (id, vec) row
-    n_buckets = adaptive_bucket_count(bands * probed_bytes)
 
     def band_rows(b: pa.Table) -> pa.Table:
         from batch_geocode_ray.functions.hashing import splitmix64
@@ -288,7 +277,6 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
         n = len(ids)
         if n == 0:
             return pa.table({"bkey": pa.array([], pa.int64()),
-                             "_bucket": pa.array([], pa.int64()),
                              id_col: pa.array([], pa.int64()),
                              vec_col: b[vec_col]})
         bits = (m @ pl.T) >= 0.0                      # (n, planes)
@@ -305,8 +293,6 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
         idx = pa.array(np.tile(np.arange(n), bands), pa.int64())
         return pa.table({
             "bkey": pa.array(combined.astype(np.int64), pa.int64()),
-            "_bucket": pa.array(
-                (combined % np.uint64(n_buckets)).astype(np.int64)),
             id_col: pa.array(np.tile(ids, bands), pa.int64()),
             vec_col: vec.take(idx),
         })
@@ -331,9 +317,12 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             return _pair_table([], [], [])
         return pa.concat_tables(outs)
 
-    pairs = (proj.map_batches(band_rows, batch_format="pyarrow")
-             .groupby("_bucket")
-             .map_groups(verify_bucket, batch_format="pyarrow"))
+    # the exchange carries `bands` copies of each (id, vec) row; the
+    # hint is floored at the threshold because this plan never collapses
+    pairs = _dd.bucket_exchange(
+        proj.map_batches(band_rows, batch_format="pyarrow"), "bkey",
+        verify_bucket,
+        size_hint_bytes=max(bands * probed_bytes, _dd.SMALL_COLLAPSE_BYTES))
     # same pair can surface from several bands -> distinct via groupby
     from ray.data.aggregate import Max
     return pairs.groupby(["d1", "d2"]).aggregate(
@@ -607,7 +596,6 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                    threshold: float = 0.9,
                    centroids: np.ndarray | None = None,
                    k: int = 8, kmeans_iters: int = 10, seed: int = 11,
-                   n_buckets: int | None = None,
                    size_hint_bytes: int | None = None) -> Dataset:
     """SemDeDup-class semantic deduplication (Abbas et al. 2023,
     arXiv:2303.09540): cluster the embedding space with k-means, then
@@ -623,8 +611,9 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     narrow assign pass appends (cluster, centroid_sim) and packs the
     NORMALIZED vector into a fixed-width binary blob (list<float>
     cannot ride an exchange — see the MinHash verify note); then ONE
-    coarse-bucket exchange keyed on cluster delivers whole clusters to
-    tasks that lexsort, segment, and matmul per cluster. Below the
+    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+    cluster delivers whole clusters to tasks that lexsort, segment, and
+    matmul per cluster. Below the
     small threshold (or under a small ``size_hint_bytes``) the exchange
     collapses to one task; above it the plan streams — pass
     ``size_hint_bytes`` (input bytes) to skip the size probe entirely.
@@ -639,8 +628,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
 
     Output: one row per input — (id_col, cluster, centroid_sim, kept).
     """
-    from batch_geocode_ray.stages.windows import _bucketed_groups
-    from batch_geocode_ray.functions.hashing import splitmix64
+    from batch_geocode_ray.stages.dedup import bucket_exchange
 
     if centroids is None:
         centroids = kmeans_fit(ds, vec_col, k=k, iters=kmeans_iters,
@@ -670,13 +658,6 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                          "cluster": pa.array(cl),
                          "centroid_sim": pa.array(cs, pa.float64()),
                          "_vec": vec_arr})
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        cl = np.asarray(b["cluster"].to_numpy(zero_copy_only=False),
-                        dtype=np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(cl) % np.uint64(nb)).astype(np.int64)))
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "cluster": pa.array([], pa.int64()),
@@ -720,7 +701,6 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                          "centroid_sim": pa.array(cs, pa.float64()),
                          "kept": pa.array(kept)})
 
-    return _bucketed_groups(ds.map_batches(assign, batch_format="pyarrow"),
-                            bucket, dedup_in_bucket,
-                            n_buckets=n_buckets,
-                            size_hint_bytes=size_hint_bytes)
+    return bucket_exchange(ds.map_batches(assign, batch_format="pyarrow"),
+                           "cluster", dedup_in_bucket,
+                           size_hint_bytes=size_hint_bytes)

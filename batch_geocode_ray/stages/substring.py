@@ -15,9 +15,9 @@ is the hashed analogue of that suffix sort:
   each batch reduces its positions to distinct ``(gram_hash, doc,
   n_positions)`` rows before anything moves, so repeated grams within
   a document never widen the exchange;
-* ONE coarse-bucket exchange (size-probed bucket count, small-collapse
-  to a single task below the probe — the repo-wide adaptive pattern)
-  co-locates each gram hash's posting list; cross-document segments
+* ONE :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+  the gram hash (size-probed bucket count, small-collapse to a single
+  task below the probe) co-locates each gram hash's posting list; cross-document segments
   are found by vectorized lexsort + boundary diff.
 
 Two output semantics:
@@ -58,7 +58,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 from ray.data.aggregate import Count
 
-from batch_geocode_ray.functions.hashing import splitmix64
+from batch_geocode_ray.stages.dedup import bucket_exchange
 
 # odd bases => invertible mod 2^64, so rolling hashes come from O(n)
 # prefix sums instead of an O(n*L) sliding window. TWO independent
@@ -177,14 +177,6 @@ def _stream(ds: Dataset, text_col: str, id_col: str, L: int,
         batch_format="pyarrow")
 
 
-def _bucket_by_h(b: pa.Table, nb: int) -> pa.Table:
-    h = np.asarray(b["h"].to_numpy(zero_copy_only=False)) \
-        .astype(np.uint64)
-    return b.append_column(
-        "_bucket",
-        pa.array((splitmix64(h) % np.uint64(nb)).astype(np.int64)))
-
-
 def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
                               L: int = 40,
                               size_hint_bytes: int | None = None) -> Dataset:
@@ -197,7 +189,6 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     width) at real scale so the exchange streams instead of
     materializing the corpus-sized stream for the plan probe."""
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
     def emit_counts(g: pa.Table) -> pa.Table:
         h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
@@ -223,9 +214,8 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
         return pa.table({id_col: pa.array(doc[keep], pa.int64()),
                          "cnt": pa.array(cnt[keep], pa.int64())})
 
-    partials = _bucketed_groups(_stream(ds, text_col, id_col, L),
-                                _bucket_by_h, emit_counts,
-                                size_hint_bytes=size_hint_bytes)
+    partials = bucket_exchange(_stream(ds, text_col, id_col, L), "h",
+                               emit_counts, size_hint_bytes=size_hint_bytes)
     return grouped_aggregate(partials, [id_col],
                              [("cnt", "sum", "n_dup_positions")])
 
@@ -240,7 +230,6 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
     legitimately contains P(P-1)/2 pairs — see the module docstring for
     why corpus-scale callers want :func:`duplicate_position_counts`."""
     from batch_geocode_ray.stages.dedup import _bucket_lookup_join
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
     def emit_pairs(g: pa.Table) -> pa.Table:
         h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
@@ -267,8 +256,8 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
                          "d2": pa.array(np.concatenate(d2s), pa.int64())})
 
-    cand = (_bucketed_groups(_stream(ds, text_col, id_col, L),
-                             _bucket_by_h, emit_pairs)
+    cand = (bucket_exchange(_stream(ds, text_col, id_col, L), "h",
+                            emit_pairs)
             .groupby(["d1", "d2"]).aggregate(Count(alias_name="_c")))
 
     # exact verify: attach both texts, confirm a shared L-gram by
@@ -335,12 +324,10 @@ def _dup_positions_stream(ds: Dataset, text_col: str, id_col: str,
     """(doc, pos) rows of every duplicated L-gram window: per-position
     gram stream -> ONE bucket exchange by gram hash -> shared flagging
     kernel."""
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
-    return _bucketed_groups(
-        _stream(ds, text_col, id_col, L, with_positions=True),
-        _bucket_by_h, _emit_dup_positions,
-        size_hint_bytes=size_hint_bytes)
+    return bucket_exchange(
+        _stream(ds, text_col, id_col, L, with_positions=True), "h",
+        _emit_dup_positions, size_hint_bytes=size_hint_bytes)
 
 
 def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
@@ -356,17 +343,9 @@ def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
     by doc unions each doc's [pos, pos+L) intervals with a vectorized
     sweep (coverage = L + sum(min(gap, L)) over consecutive sorted
     starts). Two all-to-alls over O(duplicated positions) rows."""
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
     dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
                                     size_hint_bytes)
-
-    def bucket_by_doc(b: pa.Table, nb: int) -> pa.Table:
-        d = np.asarray(b["doc"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(d) % np.uint64(nb)).astype(np.int64)))
 
     def coverage(g: pa.Table) -> pa.Table:
         doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
@@ -400,7 +379,7 @@ def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
             "n_dup_chars": pa.array(cov, pa.int64()),
         })
 
-    return _bucketed_groups(dup_pos, bucket_by_doc, coverage)
+    return bucket_exchange(dup_pos, "doc", coverage)
 
 
 def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
@@ -428,17 +407,9 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     ~32 x corpus chars)."""
     from batch_geocode_ray.stages.dedup import _bucket_lookup_join
     from batch_geocode_ray.stages.joins import semi_anti_join
-    from batch_geocode_ray.stages.windows import _bucketed_groups
 
     dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
                                     size_hint_bytes)
-
-    def bucket_by_doc(b: pa.Table, nb: int) -> pa.Table:
-        d = np.asarray(b["doc"].to_numpy(zero_copy_only=False)) \
-            .astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(d) % np.uint64(nb)).astype(np.int64)))
 
     def spans_blob(g: pa.Table) -> pa.Table:
         """One row per flagged doc: its merged [s, e) cut intervals as
@@ -486,8 +457,7 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     # pin the per-position gram stream and both exchanges would execute
     # twice. It is one narrow row per FLAGGED doc (~24 B + 16 B per
     # interval) — the bounded dedup-artifact class, not the corpus
-    spans = _bucketed_groups(dup_pos, bucket_by_doc,
-                             spans_blob).materialize()
+    spans = bucket_exchange(dup_pos, "doc", spans_blob).materialize()
 
     texts = ds.map_batches(
         lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),

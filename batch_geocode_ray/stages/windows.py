@@ -2,11 +2,14 @@
 sessionization and per-group top-k.
 
 Ray Data has no native session windows; ``sessionize`` expresses them
-as: coarse-bucket users (so the Python group hook runs ~n_buckets
-times, not once per user) -> vectorized NumPy session assignment over
-the lexsorted (user, ts) arrays inside each bucket. Partitioning
-assumption: one user's events fit in one group's memory (true even for
-pathological users at billions of events/user — then pre-split by day).
+as: :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+the user (the Python group hook runs once per coarse bucket, not once
+per user) -> vectorized NumPy session assignment over the lexsorted
+(user, ts) arrays inside each bucket. The other per-key windows here
+(moving average, rank, LAG gaps, transitions) share that exchange.
+Partitioning assumption: one user's events fit in one group's memory
+(true even for pathological users at billions of events/user — then
+pre-split by day).
 
 ``grouped_topk`` keeps per-group candidates k-bounded inside every
 batch (partial top-k), so the final merge sees at most
@@ -21,51 +24,15 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from batch_geocode_ray.functions.hashing import splitmix64
-
-
-def _bucketed_groups(ds: Dataset, bucket_fn, group_fn,
-                     n_buckets: int | None = None,
-                     size_hint_bytes: int | None = None) -> Dataset:
-    """bucket-map -> groupby(_bucket) -> per-bucket vectorized group fn,
-    with the same adaptive small-side collapse as the dedup ops: the
-    group fns here lexsort and segment internally, so they are
-    bucket-INDEPENDENT — below the size threshold the whole input runs
-    through ``group_fn`` as ONE task, skipping the groupby all-to-all
-    (~1-2 s fixed). Above it, the coarse-bucket shuffle is the
-    10^12-row plan (hook runs ~n_buckets times, never once per key).
-
-    ``bucket_fn(batch, n_buckets)`` receives the bucket count, which is
-    SIZE-PROBED by default (dedup.adaptive_bucket_count) so one bucket
-    never outgrows a task's memory at any input scale; pass
-    ``n_buckets`` to pin it.
-
-    The probe MATERIALIZES the input to measure it — fine up to
-    object-store scale, but a 100 TB caller should not pin a
-    corpus-sized stream just to learn it isn't small. Pass
-    ``size_hint_bytes`` (e.g. the source files' byte size) and, when it
-    clears the small threshold, the exchange runs FULLY STREAMING: no
-    probe, no materialization, bucket count derived from the hint."""
-    from batch_geocode_ray.stages.dedup import (
-        _one_task,
-        _probe_small,
-        adaptive_bucket_count,
-    )
-
-    m, small, probed_bytes = _probe_small(ds,
-                                          size_hint_bytes=size_hint_bytes)
-    if small:
-        return _one_task(m, group_fn)
-    nb = n_buckets or adaptive_bucket_count(probed_bytes)
-    return (m.map_batches(lambda b: bucket_fn(b, nb),
-                          batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(group_fn, batch_format="pyarrow"))
+from batch_geocode_ray.stages.dedup import (
+    _one_task,
+    _probe_small,
+    bucket_exchange,
+)
 
 
 def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
-               order_col: str, gap_seconds: float = 1800.0,
-               n_buckets: int | None = None) -> Dataset:
+               order_col: str, gap_seconds: float = 1800.0) -> Dataset:
     """Gap-based sessions per user.
 
     A new session starts when the time since the previous event of the
@@ -73,12 +40,6 @@ def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
     (user_col, session_n [1-based per user], session_start, session_end,
     n_events, sum_value). Ties in ``ts_col`` order by ``order_col``.
     """
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        u = np.asarray(b[user_col].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(u) % np.uint64(nb)).astype(np.int64)))
 
     def sessions_in_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -122,13 +83,12 @@ def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
             "sum_value": pa.array(sums, pa.float64()),
         })
 
-    return _bucketed_groups(ds, bucket, sessions_in_bucket,
-                            n_buckets=n_buckets)
+    return bucket_exchange(ds, user_col, sessions_in_bucket)
 
 
 def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
                        order_col: str, value_col: str,
-                       window_rows: int = 7, n_buckets: int | None = None,
+                       window_rows: int = 7,
                        out_name: str = "mov_avg") -> Dataset:
     """Per-key moving average over the ``window_rows`` preceding rows
     (inclusive), ordered by (``ts_col``, ``order_col``) — the
@@ -136,18 +96,11 @@ def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
     BY key ORDER BY ts, id ROWS BETWEEN w-1 PRECEDING AND CURRENT
     ROW)).
 
-    Same partitioning shape as :func:`sessionize`: coarse-bucket keys
-    so the Python group hook runs ~n_buckets times, lexsort inside the
+    Same partitioning shape as :func:`sessionize`: one
+    :func:`bucket_exchange` keyed on ``key_col``, lexsort inside the
     bucket, vectorized windowed sums via per-segment cumsum.
     Output: (``order_col``, ``out_name``) — one row per input row.
     """
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        u = np.asarray(b[key_col].to_numpy(zero_copy_only=False)
-                       ).astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(u) % np.uint64(nb)).astype(np.int64)))
 
     def avg_in_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -183,8 +136,7 @@ def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
             out_name: pa.array(avg, pa.float64()),
         })
 
-    return _bucketed_groups(ds, bucket, avg_in_bucket,
-                            n_buckets=n_buckets)
+    return bucket_exchange(ds, key_col, avg_in_bucket)
 
 
 def hopping_window_rows(ds: Dataset, ts_col: str, value_cols: list[str],
@@ -228,11 +180,13 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
     Per-batch partial top-k bounds what any merge sees to
     k x n_groups x n_blocks rows. ``merge``:
       * ``"single"`` — one final task (the summary case: few groups);
-      * ``"shuffle"`` — coarse-bucketed groupby merge for HUGE group
-        counts (per-url top-k at 10^12 rows): groups hash into ~1k
-        buckets so the Python group hook runs per bucket, and segments
+      * ``"shuffle"`` — :func:`bucket_exchange` merge keyed on the
+        group for HUGE group counts (per-url top-k at 10^12 rows):
+        the Python group hook runs per coarse bucket, and segments
         inside the bucket are ranked vectorized. No single task ever
-        holds all groups.
+        holds all groups, unless the partials measure small enough to
+        collapse into one. ``group_col`` must be an integer, string
+        or binary column.
     """
     cols = [group_col, sort_col, tie_col] + (extra_cols or [])
     cols = list(dict.fromkeys(cols))
@@ -261,40 +215,12 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     if merge == "single":
-        return partials.repartition(1).map_batches(
-            final, batch_format="pyarrow", batch_size=None)
-
-    def bucket(b: pa.Table) -> pa.Table:
-        col = b[group_col]
-        if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
-            h = np.asarray(col.to_numpy(zero_copy_only=False)
-                           ).astype(np.uint64)
-        else:
-            from batch_geocode_ray.functions.hashing import (
-                stable_hash64_array,
-            )
-
-            h = stable_hash64_array(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray)
-                else col)
-        return b.append_column("_bucket", pa.array(
-            (splitmix64(h) % nb).astype(np.int64)))
-
-    def final_bucket(g: pa.Table) -> pa.Table:
-        return final(g.drop_columns(["_bucket"]))
-
-    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
-
-    pm = partials.materialize()  # partials are k-bounded per group
-    nb = np.uint64(adaptive_bucket_count(pm.size_bytes() or 0))
-    return (pm.map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(final_bucket, batch_format="pyarrow"))
+        return _one_task(partials, final)
+    return bucket_exchange(partials, group_col, final)
 
 
 def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
-                 tie_cols: list[str], id_col: str,
-                 n_buckets: int | None = None) -> Dataset:
+                 tie_cols: list[str], id_col: str) -> Dataset:
     """Per-key ranking windows Ray Data lacks natively — the SQL triple
 
         ROW_NUMBER() OVER (PARTITION BY key
@@ -306,19 +232,12 @@ def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
     ``rank_col`` must be integer-valued (ties are exact, so ranks are
     integers on both engines — no float stabilization needed).
 
-    Same partitioning shape as :func:`sessionize`: coarse-bucket keys
-    (group hook runs ~n_buckets times, never per key), lexsort inside,
-    then vectorized run/segment arithmetic. Output one row per input
+    Same partitioning shape as :func:`sessionize`: one
+    :func:`bucket_exchange` keyed on ``key_col``, lexsort inside, then
+    vectorized run/segment arithmetic. Output one row per input
     row: (id_col, key_col, rn, rnk, drnk). Partitioning assumption:
     one bucket of keys fits in a group's memory.
     """
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        u = np.asarray(b[key_col].to_numpy(zero_copy_only=False)
-                       ).astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(u) % np.uint64(nb)).astype(np.int64)))
 
     def rank_in_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -359,12 +278,11 @@ def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
             "drnk": pa.array(drnk.astype(np.int64)),
         })
 
-    return _bucketed_groups(ds, bucket, rank_in_bucket,
-                            n_buckets=n_buckets)
+    return bucket_exchange(ds, key_col, rank_in_bucket)
 
 
 def interarrival_stats(ds: Dataset, key_col: str, ts_col: str,
-                       order_col: str, n_buckets: int | None = None) -> Dataset:
+                       order_col: str) -> Dataset:
     """Per-key LAG-gap aggregate: order each key's rows by
     (ts_col, order_col), take consecutive timestamp deltas (the SQL
     ``epoch_us(ts) - LAG(epoch_us(ts)) OVER (PARTITION BY key ORDER BY
@@ -376,13 +294,6 @@ def interarrival_stats(ds: Dataset, key_col: str, ts_col: str,
     The reduction happens INSIDE the bucket group fn, so the shuffle
     moves one row per input row once and the output is one row per key.
     """
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        u = np.asarray(b[key_col].to_numpy(zero_copy_only=False)
-                       ).astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(u) % np.uint64(nb)).astype(np.int64)))
 
     def gaps_in_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -420,13 +331,11 @@ def interarrival_stats(ds: Dataset, key_col: str, ts_col: str,
                                    .astype(np.int64)),
         })
 
-    return _bucketed_groups(ds, bucket, gaps_in_bucket,
-                            n_buckets=n_buckets)
+    return bucket_exchange(ds, key_col, gaps_in_bucket)
 
 
 def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
-                              val_col: str, order_col: str,
-                              n_buckets: int | None = None) -> Dataset:
+                              val_col: str, order_col: str) -> Dataset:
     """Markov transition matrix: count consecutive (prev -> next)
     ``val_col`` pairs within each key's (ts, order)-ordered row
     sequence, summed over all keys — the SQL ``LAG() OVER (PARTITION BY
@@ -435,13 +344,6 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
     the bucket group fn, so the final exchange carries one row per
     (bucket, from, to) — the transition matrix, not the events."""
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
-    def bucket(b: pa.Table, nb: int) -> pa.Table:
-        u = np.asarray(b[key_col].to_numpy(zero_copy_only=False)
-                       ).astype(np.uint64)
-        return b.append_column(
-            "_bucket",
-            pa.array((splitmix64(u) % np.uint64(nb)).astype(np.int64)))
 
     def trans_in_bucket(g: pa.Table) -> pa.Table:
         empty = pa.table({"from_type": pa.array([], pa.string()),
@@ -469,8 +371,7 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
              .aggregate([("to_type", "count")]))
         return t.rename_columns(["from_type", "to_type", "n"])
 
-    partials = _bucketed_groups(ds, bucket, trans_in_bucket,
-                                n_buckets=n_buckets)
+    partials = bucket_exchange(ds, key_col, trans_in_bucket)
     return grouped_aggregate(partials, ["from_type", "to_type"],
                              [("n", "sum", "n")], merge="single",
                              sort_keys=["from_type", "to_type"])
@@ -507,6 +408,7 @@ def _range_bucket_fn(nb: int):
     CONTIGUOUS slices (``(key * nb) >> 32``) — contiguity is what lets
     a per-bucket local scan + broadcast base produce exact global
     prefix sums."""
+    # not bucket_exchange: a hashed bucket would scatter the key order
     def add_bucket(b: pa.Table) -> pa.Table:
         key = np.asarray(b["shuffle_key"].to_numpy(zero_copy_only=False),
                          dtype=np.int64).astype(np.uint64)
@@ -518,7 +420,6 @@ def _range_bucket_fn(nb: int):
 def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
                           seq_len: int = 1024,
                           mult: int = 2654435761,
-                          n_buckets: int | None = None,
                           size_hint_bytes: int | None = None) -> Dataset:
     """GPT-style training-sequence packing: a DISTRIBUTED ORDERED PREFIX
     SUM over token counts in a deterministic shuffle order.
@@ -563,12 +464,6 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     int64 (a 100 TB corpus is ~2^44 tokens — 3 orders of magnitude of
     headroom).
     """
-    from batch_geocode_ray.stages.dedup import (
-        _one_task,
-        _probe_small,
-        adaptive_bucket_count,
-    )
-
     def narrow(b: pa.Table) -> pa.Table:
         return _shuffle_narrow_tokens(b, id_col, text_col, mult,
                                       "sequence_pack_offsets")
@@ -601,8 +496,9 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     import ray as _ray
 
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
+    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
 
-    nb = n_buckets or adaptive_bucket_count(approx)
+    nb = adaptive_bucket_count(approx)
 
     add_bucket = _range_bucket_fn(nb)
 
@@ -636,7 +532,6 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
 def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
                                 group_col: str, budget_tokens: int,
                                 mult: int = 2654435761,
-                                n_buckets: int | None = None,
                                 size_hint_bytes: int | None = None
                                 ) -> Dataset:
     """Data-mixture curation: cap every group (source / domain) at a
@@ -661,12 +556,6 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     high-cardinality group key (per-url) needs a different plan (it
     also makes no sense as a mixture axis).
     """
-    from batch_geocode_ray.stages.dedup import (
-        _one_task,
-        _probe_small,
-        adaptive_bucket_count,
-    )
-
     def narrow(b: pa.Table) -> pa.Table:
         return _shuffle_narrow_tokens(b, id_col, text_col, mult,
                                       "grouped_token_budget_sample",
@@ -722,8 +611,9 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     import ray as _ray
 
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
+    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
 
-    nb = n_buckets or adaptive_bucket_count(approx)
+    nb = adaptive_bucket_count(approx)
 
     add_bucket = _range_bucket_fn(nb)
 

@@ -1,5 +1,5 @@
-"""Tile aggregation + salted groupby correctness (skew-resistance must
-not change answers — SURVEY §5.5)."""
+"""Tile aggregation correctness (skew-resistance must not change
+answers — SURVEY §5.5)."""
 
 import numpy as np
 import pandas as pd
@@ -9,7 +9,6 @@ import ray.data as rd
 
 from batch_geocode_ray.stages.aggregates import (
     cell_partial_aggregate,
-    salted_groupby_map_groups,
     tile_aggregate,
 )
 
@@ -53,68 +52,15 @@ def test_partial_aggregate_collapses_hot_cell():
     assert part["pages"].to_pylist() and sum(part["pages"].to_pylist()) == 1000
 
 
-def test_salted_groupby_matches_unsalted():
-    ds, t = make_ds(n=2000, n_cells=4)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hex_cell_r7": [df["hex_cell_r7"].iloc[0]],
-            "s": [df["best_buffer"].sum()],
-            "n": [df["best_buffer"].count()],
-        })
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hex_cell_r7": [df["hex_cell_r7"].iloc[0]],
-            "mean_buffer": [df["s"].sum() / max(df["n"].sum(), 1)],
-        })
-
-    got = (salted_groupby_map_groups(ds, "hex_cell_r7", partial, final,
-                                     num_salts=8, batch_format="pandas")
-           .to_pandas().sort_values("hex_cell_r7").reset_index(drop=True))
-    df = t.to_pandas()
-    want = df.groupby("hex_cell_r7")["best_buffer"].mean().reset_index(name="mean_buffer")
-    assert got["hex_cell_r7"].tolist() == want["hex_cell_r7"].tolist()
-    np.testing.assert_allclose(got["mean_buffer"], want["mean_buffer"], rtol=1e-9)
-
-
-def test_salted_groupby_pyarrow_default_preserves_int64_cells():
-    """Default batch_format must be pyarrow: a pandas round-trip turns
-    nullable int64 cell ids into float64 and corrupts >2^53 values."""
-    big = np.int64(2**62 + 12345)  # not float64-representable exactly
-    t = pa.table({
-        "cell": pa.array([big, big, big + 1], pa.int64()),
-        "v": pa.array([1.0, 2.0, 3.0]),
-    })
-    ds = rd.from_arrow(t).repartition(2)
-
-    def partial(g: pa.Table) -> pa.Table:
-        return pa.table({
-            "cell": pa.array([g["cell"][0].as_py()], pa.int64()),
-            "s": pa.array([float(np.nansum(
-                g["v"].to_numpy(zero_copy_only=False)))]),
-        })
-
-    def final(g: pa.Table) -> pa.Table:
-        return pa.table({
-            "cell": pa.array([g["cell"][0].as_py()], pa.int64()),
-            "sum_v": pa.array([float(np.nansum(
-                g["s"].to_numpy(zero_copy_only=False)))]),
-        })
-
-    out = salted_groupby_map_groups(ds, "cell", partial, final, num_salts=4)
-    tbl = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
-    rows = dict(zip(tbl["cell"].to_pylist(), tbl["sum_v"].to_pylist()))
-    assert rows == {int(big): 3.0, int(big) + 1: 3.0}
-    assert tbl.schema.field("cell").type == pa.int64()
-
-
-def test_grouped_topk_merge_plans_agree():
+def test_grouped_topk_merge_plans_agree(monkeypatch):
     """grouped_topk: the single-task merge and the coarse-bucketed
     shuffle merge (for huge group counts) must give identical rows."""
     import ray.data as rd2
 
+    import batch_geocode_ray.stages.dedup as dd
     from batch_geocode_ray.stages.windows import grouped_topk
+
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # reach the shuffle
 
     rng = np.random.RandomState(11)
     t = pa.table({

@@ -1,0 +1,157 @@
+"""dedup.bucket_exchange: the one keyed shuffle.
+
+Pins (a) the collapsed one-task plan and the forced distributed plan
+give the same rows for integer, string and large_string keys, (b) an
+unsupported key type raises TypeError naming the column on both plans,
+(c) the group fn never sees the ``_bucket`` column, (d) forcing
+``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, and (e) no
+module outside ``stages/dedup.py`` hand-writes a ``_bucket`` exchange.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+import pyarrow as pa
+import pytest
+import ray.data as rd
+
+import batch_geocode_ray.stages.dedup as dd
+
+
+def per_key(g: pa.Table) -> pa.Table:
+    """Bucket-independent group fn: one row per key, plus the columns
+    the fn was handed."""
+    out = g.group_by("k").aggregate([("v", "sum"), ("v", "count")])
+    return out.append_column(
+        "seen", pa.array([",".join(g.column_names)] * out.num_rows))
+
+
+def run(ds, monkeypatch, distributed: bool):
+    """Rows of ``bucket_exchange(ds, "k", per_key)`` and whether the
+    run sized a shuffle."""
+    calls = []
+    real = dd.adaptive_bucket_count
+
+    def spy(size_bytes, *a, **kw):
+        calls.append(size_bytes)
+        return real(size_bytes, *a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(dd, "adaptive_bucket_count", spy)
+        if distributed:
+            m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+        rows = sorted((r["k"], r["v_sum"], r["v_count"], r["seen"])
+                      for r in dd.bucket_exchange(ds, "k", per_key)
+                      .take_all())
+    return rows, bool(calls)
+
+
+def _check_both_plans(keys, key_type, monkeypatch):
+    rng = np.random.RandomState(5)
+    v = rng.randint(0, 100, len(keys))
+    ds = rd.from_arrow(pa.table({
+        "k": pa.array(keys, key_type),
+        "v": pa.array(v, pa.int64()),
+    })).repartition(6)  # every key spans several input blocks
+
+    collapsed, shuffled_c = run(ds, monkeypatch, distributed=False)
+    distributed, shuffled_d = run(ds, monkeypatch, distributed=True)
+    assert not shuffled_c and shuffled_d
+    assert collapsed == distributed
+    # one output row per key means every key's rows met in one group
+    want = {}
+    for k, x in zip(keys, v.tolist()):
+        s, c = want.get(k, (0, 0))
+        want[k] = (s + x, c + 1)
+    assert [(k, s, c) for k, s, c, _ in distributed] == \
+        sorted((k, s, c) for k, (s, c) in want.items())
+    assert {seen for *_, seen in collapsed + distributed} == {"k,v"}
+
+
+def test_int64_keys_both_plans(monkeypatch):
+    base = [-(2 ** 62), -7, -1, 0, 1, 2 ** 53 + 1, 2 ** 62 + 3,
+            2 ** 63 - 1, -(2 ** 63)]
+    keys = [base[i % len(base)] for i in range(300)]
+    _check_both_plans(keys, pa.int64(), monkeypatch)
+
+
+@pytest.mark.parametrize("key_type", [pa.string(), pa.large_string()])
+def test_string_keys_both_plans(key_type, monkeypatch):
+    words = ["en", "de", "fr", "", "ja", "a longer key", "zz"]
+    keys = [words[(i * 5) % len(words)] for i in range(200)]
+    _check_both_plans(keys, key_type, monkeypatch)
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+@pytest.mark.parametrize("col", [
+    pa.array([0.5, 1.5, 0.5], pa.float64()),
+    pa.array([[1], [2], [1]], pa.list_(pa.int64())),
+])
+def test_unsupported_key_type_raises(col, distributed, monkeypatch):
+    if distributed:
+        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    ds = rd.from_arrow(pa.table({"score": col, "v": [1, 2, 3]}))
+    with pytest.raises(TypeError, match="'score'"):
+        dd.bucket_exchange(ds, "score", lambda g: g).take_all()
+
+
+# ---------------------------------------------------------------------------
+# structural guard: one exchange implementation
+# ---------------------------------------------------------------------------
+
+PKG = pathlib.Path(dd.__file__).resolve().parents[1]
+
+# (module, top-level function) pairs allowed their own `_bucket` column:
+# graph's salted hot-key exchange and the two range-bucket Blelloch
+# scans, which need contiguous key ranges rather than hashed buckets
+ALLOWED = {
+    ("stages/graph.py", "_cc_distributed"),
+    ("stages/windows.py", "_range_bucket_fn"),
+    ("stages/windows.py", "sequence_pack_offsets"),
+    ("stages/windows.py", "grouped_token_budget_sample"),
+}
+
+
+def _is_bucket(node) -> bool:
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return any(_is_bucket(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value == "_bucket"
+
+
+def _bucket_sites(tree: ast.Module):
+    """(top-level function, line) of every `_bucket` column append —
+    ``append_column("_bucket", ...)`` or a ``"_bucket"`` dict key —
+    and every ``groupby("_bucket")``."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            hit = False
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.args:
+                hit = (node.func.attr in ("append_column", "groupby")
+                       and _is_bucket(node.args[0]))
+            elif isinstance(node, ast.Dict):
+                hit = any(k is not None and _is_bucket(k) for k in node.keys)
+            if hit:
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_only_dedup_writes_bucket_exchanges():
+    offenders = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        if rel == "stages/dedup.py":
+            continue
+        for fn, line in _bucket_sites(ast.parse(path.read_text())):
+            if (rel, fn) not in ALLOWED:
+                offenders.append(f"{rel}:{line} ({fn})")
+    assert offenders == [], (
+        "hand-written bucket exchange; use dedup.bucket_exchange: "
+        + ", ".join(offenders))
+
+
+def test_guard_detects_the_exchange_itself():
+    """The detector is not vacuous: it finds bucket_exchange's own
+    append + groupby in dedup.py."""
+    tree = ast.parse((PKG / "stages/dedup.py").read_text())
+    assert {fn for fn, _ in _bucket_sites(tree)} == {"bucket_exchange"}

@@ -173,12 +173,14 @@ def test_knn_shuffle_merge_matches_single_task(monkeypatch):
     """Large-Q plan (bucketed shuffle merge + distributed sort) must
     return exactly the single-task merge's rows in the same order —
     and must not route all partials through one task."""
+    import batch_geocode_ray.stages.dedup as dd
     import batch_geocode_ray.stages.similarity as sim
 
     ds, m = embeddings_ds()
     q, qids = m[:7], np.arange(7)
     want = knn_cosine(ds, "embedding", "vec_id", q, qids, k=4).take_all()
     monkeypatch.setattr(sim, "SHUFFLE_MERGE_QUERIES", 3)  # force shuffle path
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     got = knn_cosine(ds, "embedding", "vec_id", q, qids, k=4).take_all()
     assert [tuple(sorted(r.items())) for r in got] == \
         [tuple(sorted(r.items())) for r in want]

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.stages.windows import sequence_pack_offsets
 
 
@@ -45,7 +46,7 @@ def _collect(ds):
         ds.iter_batches(batch_format="pyarrow")).sort_by("doc_id")
 
 
-def test_pack_sequences_both_plans_match_oracle():
+def test_pack_sequences_both_plans_match_oracle(monkeypatch):
     ids, texts = _corpus()
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(ids, pa.int64()),
@@ -56,9 +57,10 @@ def test_pack_sequences_both_plans_match_oracle():
     small = _collect(sequence_pack_offsets(ds, "doc_id", "text", seq_len=64))
     assert small.equals(want)
 
+    # 7 range buckets -> 7 base offsets from the exclusive scan
+    monkeypatch.setattr(dd, "adaptive_bucket_count", lambda *a, **k: 7)
     big = _collect(sequence_pack_offsets(
-        ds, "doc_id", "text", seq_len=64,
-        n_buckets=7, size_hint_bytes=1 << 40))
+        ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
     assert big.equals(want)
 
 
@@ -158,7 +160,7 @@ def _budget_oracle(ids, grps, texts, budget):
     })
 
 
-def test_mixture_budget_both_plans_match_oracle():
+def test_mixture_budget_both_plans_match_oracle(monkeypatch):
     ids, grps, texts = _grouped_corpus()
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(ids, pa.int64()),
@@ -172,9 +174,9 @@ def test_mixture_budget_both_plans_match_oracle():
     assert small.equals(want)
     assert 0 < small.num_rows < len(ids)  # budget actually bites
 
+    monkeypatch.setattr(dd, "adaptive_bucket_count", lambda *a, **k: 5)
     big = _collect(grouped_token_budget_sample(
-        ds, "doc_id", "text", "source", 120,
-        n_buckets=5, size_hint_bytes=1 << 40))
+        ds, "doc_id", "text", "source", 120, size_hint_bytes=1 << 40))
     assert big.equals(want)
 
 
