@@ -209,15 +209,13 @@ def build_geocode_pipeline(pages_path: str | list[str],
                                 batch_format="pyarrow", batch_size=None)
 
 
-def build_tile_aggregates(page_ds: Dataset, res: int = 7,
-                          merge: str = "shuffle") -> Dataset:
+def build_tile_aggregates(page_ds: Dataset, res: int = 7) -> Dataset:
     """Choropleth tile stats per hex cell at ``res``, sorted by cell for
-    deterministic golden output. ``merge="single"`` for small tile
-    counts (skips the Aggregate+Sort all-to-all ops)."""
+    deterministic golden output (:func:`tile_aggregate`: one task for
+    small tile counts, a bucket exchange plus a sort for large ones)."""
     import pyarrow.compute as pc
 
     cell_col = f"hex_cell_r{res}"
     with_cell = page_ds.map_batches(
         lambda b: b.filter(pc.is_valid(b[cell_col])), batch_format="pyarrow")
-    out = tile_aggregate(with_cell, cell_col, merge=merge)
-    return out if merge == "single" else out.sort(cell_col)
+    return tile_aggregate(with_cell, cell_col)

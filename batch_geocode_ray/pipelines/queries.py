@@ -27,6 +27,7 @@ from ray.data import Dataset
 
 from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import (
+    _one_task,
     exact_dedup,
     fingerprint_dedup,
     minhash_lsh_pairs,
@@ -73,8 +74,7 @@ def _sort_single(ds: Dataset, keys: list[str]) -> Dataset:
     def f(b: pa.Table) -> pa.Table:
         return b.sort_by([(k, "ascending") for k in keys])
 
-    return ds.repartition(1).map_batches(f, batch_format="pyarrow",
-                                         batch_size=None)
+    return _one_task(ds, f)
 
 
 def _sort_adaptive(ds: Dataset, keys: list[str] | str,
@@ -142,7 +142,7 @@ def q01_pricing_summary(sf_dir: str) -> Dataset:
          ("l_extendedprice", "sum", "sum_base_price"),
          ("l_discount", "mean", "avg_disc"),
          ("l_quantity", "count", "count_order")],
-        merge="single", sort_keys=["l_returnflag", "l_linestatus"])
+        sort_keys=["l_returnflag", "l_linestatus"])
     return _round_cols(agg, {"sum_qty": 4, "sum_base_price": 4, "avg_disc": 4})
 
 
@@ -198,7 +198,7 @@ def q03_segment_revenue(sf_dir: str) -> Dataset:
         joined, ["c_mktsegment"],
         [("o_totalprice", "sum", "total_revenue"),
          ("o_totalprice", "count", "n_orders")],
-        merge="single", sort_keys=["c_mktsegment"])
+        sort_keys=["c_mktsegment"])
     return _round_cols(agg, {"total_revenue": 4})
 
 
@@ -222,7 +222,7 @@ def q04_brand_volume(sf_dir: str) -> Dataset:
         joined, ["p_brand"],
         [("l_quantity", "sum", "sum_qty"),
          ("l_quantity", "count", "n_items")],
-        merge="single", sort_keys=["p_brand"])
+        sort_keys=["p_brand"])
     return _round_cols(agg, {"sum_qty": 4})
 
 
@@ -254,7 +254,7 @@ def q05_region_nation_customers(sf_dir: str) -> Dataset:
         joined, ["r_name", "n_name"],
         [("c_acctbal", "sum", "acctbal_sum"),
          ("c_custkey", "count", "n_customers")],
-        merge="single", sort_keys=["r_name", "n_name"])
+        sort_keys=["r_name", "n_name"])
     return _round_cols(agg, {"acctbal_sum": 4})
 
 
@@ -275,7 +275,7 @@ def q06_order_priorities(sf_dir: str) -> Dataset:
     return grouped_aggregate(
         orders, ["o_orderpriority"],
         [("o_orderpriority", "count", "n_orders")],
-        merge="single", sort_keys=["o_orderpriority"])
+        sort_keys=["o_orderpriority"])
 
 
 SQL_Q06 = """
@@ -297,7 +297,7 @@ def q07_events_hourly(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         ds, ["hour"],
         [("value", "sum", "sum_value"), ("value", "count", "n_events")],
-        merge="single", sort_keys=["hour"])
+        sort_keys=["hour"])
     return _round_cols(agg, {"sum_value": 4})
 
 
@@ -314,14 +314,13 @@ def q08_user_event_stats(sf_dir: str) -> Dataset:
     # two-stage distinct count: (user, type) partials, then per-user
     stage1 = grouped_aggregate(
         ev, ["user_id", "event_type"],
-        [("value", "sum", "_s"), ("value", "count", "_n")],
-        merge="single")
+        [("value", "sum", "_s"), ("value", "count", "_n")])
     stage2 = grouped_aggregate(
         stage1, ["user_id"],
         [("_s", "sum", "sum_value"),
          ("_n", "sum", "n_events"),
          ("_s", "count", "n_event_types")],
-        merge="single", sort_keys=["user_id"])
+        sort_keys=["user_id"])
     return _round_cols(stage2, {"sum_value": 4})
 
 
@@ -470,7 +469,7 @@ def q13_doc_langs(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["lang"])
     return grouped_aggregate(
         docs, ["lang"], [("lang", "count", "n_docs")],
-        merge="single", sort_keys=["lang"])
+        sort_keys=["lang"])
 
 
 SQL_Q13 = """
@@ -525,7 +524,7 @@ def q14_gazetteer_mentions(sf_dir: str) -> Dataset:
     return grouped_aggregate(
         matched.map_batches(explode, batch_format="pyarrow"),
         ["doc_id", "name"], [("name", "count", "n_mentions")],
-        merge="single", sort_keys=["doc_id", "name"])
+        sort_keys=["doc_id", "name"])
 
 
 _GAZ_VALUES = ", ".join(f"('{n}')" for n in _DOC_GAZETTEER)
@@ -748,7 +747,7 @@ def q23_tile_aggregates(sf_dir: str) -> Dataset:
 
     pages, world = _fixture_pages_for(sf_dir)
     ds = build_geocode_pipeline(pages, world.gazetteer)
-    return build_tile_aggregates(ds, res=7, merge="single")
+    return build_tile_aggregates(ds, res=7)
 
 
 def _media_table(n: int = 64) -> pa.Table:
@@ -905,7 +904,7 @@ def q26_hashjoin_revenue(sf_dir: str) -> Dataset:
         joined, ["c_mktsegment"],
         [("o_totalprice", "sum", "total_revenue"),
          ("o_totalprice", "count", "n_orders")],
-        merge="single", sort_keys=["c_mktsegment"])
+        sort_keys=["c_mktsegment"])
     return _round_cols(agg, {"total_revenue": 4})
 
 
@@ -950,7 +949,7 @@ def q30_nations_with_presence(sf_dir: str) -> Dataset:
     both = cust.union(supp)
     return grouped_aggregate(
         both, ["nationkey", "side"], [("side", "count", "n_rows")],
-        merge="single", sort_keys=["nationkey", "side"])
+        sort_keys=["nationkey", "side"])
 
 
 SQL_Q30 = """
@@ -1004,8 +1003,7 @@ def q32_rasterize_events(sf_dir: str) -> Dataset:
 
     pts = ev.map_batches(to_points, batch_format="pyarrow")
     grid = GridSpec(nx=360, ny=180)
-    out = rasterize_points(pts, grid, "lon", "lat", weight_col="w",
-                           merge="single")
+    out = rasterize_points(pts, grid, "lon", "lat", weight_col="w")
     return _round_cols(out, {"weight_sum": 4})
 
 
@@ -1184,7 +1182,7 @@ def q35_embedding_clusters(sf_dir: str) -> Dataset:
     assigned = kmeans_assign(emb, "embedding", "vec_id", cent)
     return grouped_aggregate(
         assigned, ["cluster"], [("vec_id", "count", "n_vectors")],
-        merge="single", sort_keys=["cluster"])
+        sort_keys=["cluster"])
 
 
 def q36_domain_stats(sf_dir: str) -> Dataset:
@@ -1221,7 +1219,7 @@ def q36_domain_stats(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         docs.map_batches(f, batch_format="pyarrow"), ["domain"],
         [("_one", "count", "n_pages"), ("_samp", "sum", "n_sampled")],
-        merge="single", sort_keys=["domain"])
+        sort_keys=["domain"])
 
     def finalize(b: pa.Table) -> pa.Table:
         total = float(pc.sum(b["n_pages"]).as_py() or 0)
@@ -1380,7 +1378,7 @@ def q38_heavy_hitters(sf_dir: str) -> Dataset:
                                    "event_type")
     agg = grouped_aggregate(
         filtered, ["event_type"],
-        [("event_type", "count", "n_events")], merge="single")
+        [("event_type", "count", "n_events")])
     thresh = n_total / k
 
     def finalize(b: pa.Table) -> pa.Table:
@@ -1411,7 +1409,7 @@ def q39_hopping_windows(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         win, ["window_start"],
         [("value", "count", "n_events"), ("value", "sum", "sum_value")],
-        merge="single", sort_keys=["window_start"])
+        sort_keys=["window_start"])
     return _round_cols(agg, {"sum_value": 4})
 
 
@@ -1608,8 +1606,8 @@ def q44_price_quantile_sketch(sf_dir: str) -> Dataset:
     quantile_disc) plus a boolean asserting the distributed sketch
     (k=512 rank-spaced entries per block, ~0.4% rank error) lands
     within 1% rank-error of the exact values. The sketch is the scale
-    path for quantiles over groups too large for exact per-group sorts
-    (stages/aggregates.grouped_quantiles)."""
+    path for groups whose DISTINCT values are too many for the exact
+    value->count kernel (stages/aggregates.grouped_quantiles)."""
     import ray.data as rd_
 
     from batch_geocode_ray.functions.sketches import grouped_quantile_sketch
@@ -1798,7 +1796,7 @@ def q48_tile_raster(sf_dir: str) -> Dataset:
         return t.append_column("raster_cell", pa.array(cell, pa.int64()))
 
     ds = _flagship_pipeline().map_batches(add_cell, batch_format="pyarrow")
-    out = tile_aggregate(ds, "raster_cell", merge="single")
+    out = tile_aggregate(ds, "raster_cell")
     return _round_cols(out, {"mean_buffer": 4, "min_buffer": 4,
                              "max_buffer": 4})
 
@@ -2066,7 +2064,7 @@ def q52_order_sample_stats(sf_dir: str) -> Dataset:
         ["o_orderpriority"],
         [("o_orderkey", "count", "n_orders"),
          ("o_totalprice", "sum", "sum_price")],
-        merge="single", sort_keys=["o_orderpriority"])
+        sort_keys=["o_orderpriority"])
     return _round_cols(agg, {"sum_price": 4})
 
 
@@ -2475,7 +2473,7 @@ def q62_bloom_blocklist(sf_dir: str) -> Dataset:
         kept, ["l_returnflag"],
         [("l_quantity", "sum", "sum_qty"),
          ("l_orderkey", "count", "n_items")],
-        merge="single", sort_keys=["l_returnflag"])
+        sort_keys=["l_returnflag"])
     return _round_cols(agg, {"sum_qty": 4})
 
 
@@ -2590,8 +2588,7 @@ def q65_embedding_gram(sf_dir: str) -> Dataset:
         })
 
     parts = emb.map_batches(partial, batch_format="pyarrow")
-    out = parts.repartition(1).map_batches(merge, batch_format="pyarrow",
-                                           batch_size=None)
+    out = _one_task(parts, merge)
     return _round_cols(out, {"g": 4})
 
 
@@ -2689,7 +2686,7 @@ def q67_grouped_distinct_hll(sf_dir: str) -> Dataset:
                               [("user_id", "count", "_c")])
     exact = grouped_aggregate(pairs, ["event_type"],
                               [("user_id", "count", "exact_distinct")],
-                              merge="single", sort_keys=["event_type"])
+                              sort_keys=["event_type"])
     exact_tbl = pa.concat_tables(exact.iter_batches(
         batch_size=None, batch_format="pyarrow"))
 
@@ -2720,10 +2717,8 @@ def q67_grouped_distinct_hll(sf_dir: str) -> Dataset:
                             pa.float64()),
         })
 
-    est = (ev.map_batches(sketch_partial, batch_format="pyarrow")
-           .repartition(1)
-           .map_batches(merge_regs, batch_format="pyarrow",
-                        batch_size=None))
+    est = _one_task(ev.map_batches(sketch_partial, batch_format="pyarrow"),
+                    merge_regs)
     est_map = {r["event_type"]: r["est"] for r in est.take_all()}
 
     types = exact_tbl["event_type"].to_pylist()
@@ -2806,9 +2801,7 @@ def q69_source_lang_entropy(sf_dir: str) -> Dataset:
             "entropy": pa.array(ent, pa.float64()),
         })
 
-    out = counts.repartition(1).map_batches(entropy,
-                                            batch_format="pyarrow",
-                                            batch_size=None)
+    out = _one_task(counts, entropy)
     return _round_cols(out, {"entropy": 4})
 
 
@@ -3226,7 +3219,6 @@ def q82_source_lang_regression(sf_dir: str) -> Dataset:
     feats = docs.map_batches(tok, batch_format="pyarrow")
     out = grouped_bivariate_stats(feats, ["lang", "source"],
                                   "n_tokens", "n_chars",
-                                  merge="single",
                                   sort_keys=["lang", "source"])
     # covar/intercept are large-magnitude (~1e6 / ~1e3): the two
     # engines' different summation orders disagree at the 1e-9-absolute

@@ -1,12 +1,16 @@
 """Tile / summary aggregation (SURVEY §2.6 A3/A4) — shuffle-light.
 
 The scalable shape: **pre-aggregate inside map_batches** (pyarrow's C++
-hash group-by collapses each batch to one row per cell — a hot
+hash group-by collapses each batch to one row per group — a hot
 mega-city cell collapses to ONE partial row per batch, which is what
-kills skew), then a small ``groupby(cell).aggregate(Sum/Min/Max)``
-over the partials, then a cheap finalize (mean = sum/count). The
-all-to-all exchange only ever carries ~n_cells x n_blocks rows, not
-n_pages.
+kills skew), then ONE merge kernel over the partials (a pyarrow
+``group_by`` re-merge plus the finalize, e.g. mean = sum/count) run
+through :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` on the
+group keys. The exchange measures the partials: below
+``SMALL_COLLAPSE_BYTES`` the merge is one task, above it one task per
+coarse bucket. The all-to-all only ever carries ~n_groups x n_blocks
+rows, not the input rows. Exact quantiles use the same shape with
+(group, value) -> count partials.
 """
 
 from __future__ import annotations
@@ -17,197 +21,112 @@ import pyarrow.compute as pc
 import ray
 
 from ray.data import Dataset
-from ray.data.aggregate import Max, Min, Sum
+
+from batch_geocode_ray.stages.dedup import _exchange, _one_task, bucket_exchange
 
 
-def cell_partial_aggregate(batch: pa.Table, cell_col: str, buffer_col: str = "best_buffer") -> pa.Table:
-    """Per-batch combiner: one row per cell with count / sum / min / max
-    of the buffer column (null buffers excluded from stats but counted
-    as pages)."""
-    t = pa.table({
-        cell_col: batch[cell_col],
-        "_buf": batch[buffer_col],
-        "_has": pc.is_valid(batch[buffer_col]).cast(pa.int64()),
-    })
-    g = t.group_by(cell_col).aggregate([
-        ("_buf", "sum"),
-        ("_buf", "min"),
-        ("_buf", "max"),
-        ("_has", "sum"),
-        (cell_col, "count"),
-    ])
-    return g.rename_columns([cell_col, "buf_sum", "buf_min", "buf_max", "buf_n", "pages"])
-
-
-def tile_aggregate(ds: Dataset, cell_col: str, buffer_col: str = "best_buffer",
-                   merge: str = "shuffle") -> Dataset:
+def tile_aggregate(ds: Dataset, cell_col: str,
+                   buffer_col: str = "best_buffer") -> Dataset:
     """Full two-stage tile aggregate: partial per batch, merged per
-    cell, finalize mean. Output columns:
-    (cell_col, pages, mean_buffer, min_buffer, max_buffer).
-
-    ``merge="shuffle"`` scales to millions of cells (res-9 planet);
-    ``merge="single"`` is the cheap plan when the cell count is known
-    small (regional tiles, coarse resolutions) and sorts by cell.
-    """
+    cell, finalize mean, sorted by cell. Output columns:
+    (cell_col, pages, mean_buffer, min_buffer, max_buffer)."""
     return grouped_aggregate(
         ds, [cell_col],
         [(cell_col, "count", "pages"),
          (buffer_col, "mean", "mean_buffer"),
          (buffer_col, "min", "min_buffer"),
          (buffer_col, "max", "max_buffer")],
-        merge=merge,
-        sort_keys=[cell_col] if merge == "single" else None,
-    )
+        sort_keys=[cell_col])
 
 
 def grouped_aggregate(ds: Dataset, keys: list[str],
                       specs: list[tuple[str, str, str]],
-                      merge: str = "shuffle",
-                      sort_keys: list[str] | None = None) -> Dataset:
+                      sort_keys: list[str] | None = None,
+                      size_hint_bytes: int | None = None) -> Dataset:
     """Generic scalable grouped aggregation: per-batch partial combine
     (pyarrow C++ hash group-by) -> merge of partials -> finalize.
     ``specs`` entries are ``(column, op, out_name)`` with op in
     {"sum", "min", "max", "count", "count_rows", "mean"}.
 
     The partial stage carries one row per (batch, group) instead of one
-    per input row — the same skew-collapsing property as
-    :func:`tile_aggregate` (a hot key costs one partial row per batch).
-
-    ``merge``:
-      * ``"shuffle"`` — Ray groupby().aggregate over the partials: the
-        right plan when the GROUP CARDINALITY is large (e.g. per-url
-        dedup at 10^12 rows) since no single worker holds all groups.
-      * ``"single"`` — route all partials to one task (repartition(1))
-        and merge + finalize (+ optional sort) there in one pyarrow
-        group_by. The right plan when groups are few (summary stats,
-        per-segment rollups): the partials total n_blocks x n_groups
-        tiny rows, and this skips two all-to-all operators (Aggregate +
-        Sort), each with ~1-2s fixed cost per query.
-    ``sort_keys`` (single merge only): sort the final table by these
-    columns inside the merge task.
+    per input row (a hot key costs one partial row per batch). The
+    merge is ONE kernel — re-aggregate the partials with pyarrow
+    ``group_by`` and finalize — run through :func:`bucket_exchange` on
+    ``keys``: one task when the partials measure small (few groups),
+    one task per coarse bucket otherwise (10^12-row per-url groups).
+    Key columns must be integer, temporal, string or binary; null keys
+    form their own group. ``sort_keys`` orders the output: inside the
+    merge task when collapsed, by a distributed ``sort`` otherwise.
+    The exchange materializes the partials to measure them, unless
+    ``size_hint_bytes`` (>= the collapse threshold) says they are big:
+    a corpus-scale caller passes its hint and the partials stream.
     """
-    partial_aggs: list[tuple[str, str]] = []   # (col, pa_fn)
+    partial_aggs: list[tuple] = []   # (col, pa_fn)
     partial_names: list[str] = []
-    merge_aggs = []
-    final_exprs: list[tuple[str, str, str | None]] = []  # out, kind, aux
+    remerge_aggs: list[tuple[str, str]] = []
+    means: list[str] = []
 
     def add_partial(col, fn, name):
         partial_aggs.append((col, fn))
         partial_names.append(name)
+        remerge_aggs.append((name, fn if fn in ("min", "max") else "sum"))
 
     for col, op, out in specs:
-        if op == "sum":
-            add_partial(col, "sum", out)
-            merge_aggs.append(Sum(out, alias_name=out))
-            final_exprs.append((out, "direct", None))
-        elif op == "min":
-            add_partial(col, "min", out)
-            merge_aggs.append(Min(out, alias_name=out))
-            final_exprs.append((out, "direct", None))
-        elif op == "max":
-            add_partial(col, "max", out)
-            merge_aggs.append(Max(out, alias_name=out))
-            final_exprs.append((out, "direct", None))
-        elif op == "count":
-            add_partial(col, "count", out)
-            merge_aggs.append(Sum(out, alias_name=out))
-            final_exprs.append((out, "direct", None))
+        if op in ("sum", "min", "max", "count"):
+            add_partial(col, op, out)
         elif op == "count_rows":
-            add_partial(keys[0], "count", out)   # keys are non-null here
-            merge_aggs.append(Sum(out, alias_name=out))
-            final_exprs.append((out, "direct", None))
+            add_partial([], "count_all", out)
         elif op == "mean":
             add_partial(col, "sum", f"__{out}_s")
             add_partial(col, "count", f"__{out}_n")
-            merge_aggs.append(Sum(f"__{out}_s", alias_name=f"__{out}_s"))
-            merge_aggs.append(Sum(f"__{out}_n", alias_name=f"__{out}_n"))
-            final_exprs.append((out, "mean", None))
+            means.append(out)
         else:
             raise ValueError(f"unknown op {op}")
+    out_names = [out for _, _, out in specs]
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(keys).aggregate(partial_aggs)
+        g = batch.group_by(keys, use_threads=False).aggregate(partial_aggs)
         # pyarrow returns keys first, then aggregates in spec order
         return g.rename_columns(keys + partial_names)
 
-    def finalize(b: pa.Table) -> pa.Table:
-        cols: dict[str, pa.Array | pa.ChunkedArray] = {k: b[k] for k in keys}
-        for out, kind, _ in final_exprs:
-            if kind == "direct":
-                cols[out] = b[out]
-            else:
-                s = np.asarray(b[f"__{out}_s"].to_numpy(zero_copy_only=False),
-                               dtype=np.float64)
-                n = np.asarray(b[f"__{out}_n"].to_numpy(zero_copy_only=False),
-                               dtype=np.float64)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    cols[out] = pa.array(
-                        np.where(n > 0, s / np.maximum(n, 1), np.nan),
-                        pa.float64(), from_pandas=True)
-        return pa.table(cols)
+    def merge(b: pa.Table) -> pa.Table:
+        # partials arrive in task-completion order, which varies run to
+        # run: a canonical row order and a one-thread group_by make the
+        # float sums bit-identical across runs (resume must equal clean)
+        b = b.sort_by([(c, "ascending") for c in keys + partial_names])
+        g = b.group_by(keys, use_threads=False).aggregate(remerge_aggs)
+        g = g.rename_columns(keys + partial_names)
+        for out in means:
+            s = np.asarray(g[f"__{out}_s"].to_numpy(zero_copy_only=False),
+                           dtype=np.float64)
+            n = np.asarray(g[f"__{out}_n"].to_numpy(zero_copy_only=False),
+                           dtype=np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                g = g.append_column(out, pa.array(
+                    np.where(n > 0, s / np.maximum(n, 1), np.nan),
+                    pa.float64(), from_pandas=True))
+        g = g.select(keys + out_names)
+        if sort_keys:
+            g = g.sort_by([(k, "ascending") for k in sort_keys])
+        return g
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    if merge == "single":
-        # re-combine the partials with the same (sum/min/max of partial)
-        # functions pyarrow-side in ONE task
-        remerge_aggs = []
-        for (col, fn), name in zip(partial_aggs, partial_names):
-            refn = "sum" if fn in ("sum", "count") else fn
-            remerge_aggs.append((name, refn))
-
-        def merge_one(b: pa.Table) -> pa.Table:
-            g = b.group_by(keys).aggregate(remerge_aggs)
-            g = g.rename_columns(keys + partial_names)
-            g = finalize(g)
-            if sort_keys:
-                g = g.sort_by([(k, "ascending") for k in sort_keys])
-            return g
-
-        return partials.repartition(1).map_batches(
-            merge_one, batch_format="pyarrow", batch_size=None)
-
-    merged = partials.groupby(keys[0] if len(keys) == 1 else keys) \
-                     .aggregate(*merge_aggs)
-    return merged.map_batches(finalize, batch_format="pyarrow")
-
-
-def grouped_quantiles(ds: Dataset, group_col: str, value_col: str,
-                      qs: list[float], out_names: list[str]) -> Dataset:
-    """EXACT per-group discrete quantiles (DuckDB quantile_disc
-    semantics: the sorted element at index ceil(q*n)-1).
-
-    Runs as groupby().map_groups — one group's values must fit a worker
-    (fine for per-category stats; for mega-groups switch to a mergeable
-    histogram sketch and accept bin-width error).
-    """
-
-    def one_group(g: pa.Table) -> pa.Table:
-        v = np.sort(np.asarray(g[value_col].to_numpy(zero_copy_only=False),
-                               dtype=np.float64))
-        n = len(v)
-        cols = {group_col: pa.array([g[group_col][0].as_py()])}
-        for q, name in zip(qs, out_names):
-            idx = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
-            cols[name] = pa.array([float(v[idx])], pa.float64())
-        return pa.table(cols)
-
-    return ds.groupby(group_col).map_groups(one_group, batch_format="pyarrow")
+    out, collapsed = _exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), keys, merge,
+        size_hint_bytes)
+    return out if collapsed or not sort_keys else out.sort(sort_keys)
 
 
 def pivot_counts(ds: Dataset, group_col: str, type_col: str,
-                 categories: list[str], out_prefix: str = "n_",
-                 merge: str = "single") -> Dataset:
-    """PIVOT: one output row per ``group_col`` value with a count
-    column per category of ``type_col`` (SQL: ``count(*) FILTER (WHERE
-    type = c) AS n_c``). Unknown categories are dropped (SQL IN-list
-    semantics).
+                 categories: list[str], out_prefix: str = "n_") -> Dataset:
+    """PIVOT: one output row per ``group_col`` value, sorted by it, with
+    a count column per category of ``type_col`` (SQL: ``count(*) FILTER
+    (WHERE type = c) AS n_c``). Unknown categories are dropped (SQL
+    IN-list semantics).
 
     Vectorized per batch as 0/1 indicator columns summed by the same
     partial-combine plan as :func:`grouped_aggregate` — a hot group
     costs one partial row per batch, never a shuffle of raw rows.
     """
-    import pyarrow.compute as pc
 
     def indicators(b: pa.Table) -> pa.Table:
         cols = {group_col: b[group_col]}
@@ -220,16 +139,13 @@ def pivot_counts(ds: Dataset, group_col: str, type_col: str,
              for c in categories]
     return grouped_aggregate(ds.map_batches(indicators,
                                             batch_format="pyarrow"),
-                             [group_col], specs, merge=merge,
-                             sort_keys=[group_col]
-                             if merge == "single" else None)
+                             [group_col], specs, sort_keys=[group_col])
 
 
 def grouping_sets_aggregate(ds: Dataset, keys: list[str],
                             specs: list[tuple[str, str, str]],
                             sets: list[list[str]],
-                            sentinel: str = "ALL",
-                            merge: str = "shuffle") -> Dataset:
+                            sentinel: str = "ALL") -> Dataset:
     """GROUP BY GROUPING SETS: one output level per key subset in
     ``sets``, absent key columns holding ``sentinel`` (SQL mirrors with
     ``coalesce(k, sentinel)``). ROLLUP and CUBE are the prefix/powerset
@@ -249,7 +165,7 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
             raise ValueError(f"cannot re-aggregate op {op!r}")
     out_names = [out for _, _, out in specs]
 
-    fine = grouped_aggregate(ds, keys, specs, merge=merge).materialize()
+    fine = grouped_aggregate(ds, keys, specs).materialize()
     respec = [(out, "sum" if op in ("sum", "count", "count_rows")
                else op, out) for _, op, out in specs]
 
@@ -271,14 +187,14 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
         if sub == keys:
             lvl = fine
         elif sub:
-            lvl = grouped_aggregate(fine, sub, respec, merge="single")
+            lvl = grouped_aggregate(fine, sub, respec)
         else:
             lvl = grouped_aggregate(
                 fine.map_batches(
                     lambda b: b.append_column(
                         "_all", pa.array([0] * b.num_rows, pa.int64())),
                     batch_format="pyarrow"),
-                ["_all"], respec, merge="single")
+                ["_all"], respec)
         levels.append(lvl.map_batches(project(sub), batch_format="pyarrow"))
     out = levels[0]
     for lvl in levels[1:]:
@@ -288,19 +204,17 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
 
 def rollup_aggregate(ds: Dataset, keys: list[str],
                      specs: list[tuple[str, str, str]],
-                     sentinel: str = "ALL",
-                     merge: str = "shuffle") -> Dataset:
+                     sentinel: str = "ALL") -> Dataset:
     """GROUP BY ROLLUP(keys...): fine level + one subtotal per key
     prefix + grand total (see :func:`grouping_sets_aggregate`)."""
     sets = [keys[:w] for w in range(len(keys), -1, -1)]
     return grouping_sets_aggregate(ds, keys, specs, sets,
-                                   sentinel=sentinel, merge=merge)
+                                   sentinel=sentinel)
 
 
 def cube_aggregate(ds: Dataset, keys: list[str],
                    specs: list[tuple[str, str, str]],
-                   sentinel: str = "ALL",
-                   merge: str = "shuffle") -> Dataset:
+                   sentinel: str = "ALL") -> Dataset:
     """GROUP BY CUBE(keys...): every key subset
     (see :func:`grouping_sets_aggregate`)."""
     import itertools
@@ -308,7 +222,7 @@ def cube_aggregate(ds: Dataset, keys: list[str],
     sets = [list(c) for w in range(len(keys), -1, -1)
             for c in itertools.combinations(keys, w)]
     return grouping_sets_aggregate(ds, keys, specs, sets,
-                                   sentinel=sentinel, merge=merge)
+                                   sentinel=sentinel)
 
 
 def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
@@ -325,9 +239,8 @@ def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
                                             (tie_col, "ascending")])
         return b.take(idx[:k])
 
-    partials = ds.map_batches(take_top, batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        take_top, batch_format="pyarrow", batch_size=None)
+    return _one_task(ds.map_batches(take_top, batch_format="pyarrow"),
+                     take_top)
 
 
 def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
@@ -341,7 +254,6 @@ def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
     Python call per key) and builds the
     joined strings VECTORIZED — an Arrow ListArray from per-key offsets
     fed to the C++ ``binary_join`` kernel."""
-    from batch_geocode_ray.stages.dedup import bucket_exchange
 
     def distinct_pairs(b: pa.Table) -> pa.Table:
         return (b.select([key, val])
@@ -388,15 +300,13 @@ def int_quantile_threshold(ds: Dataset, value_col: str, q: float) -> int:
     scale — the selection statistic behind "keep the top X% by score"
     curation (FineWeb-style length/quality gating).
 
-    :func:`grouped_quantiles` routes one group's raw values to one
-    worker — fine per-category, corpus-fatal for a single global group
-    (10^12 rows of int64 = 8 TB in one task). This path is mergeable
-    instead: per-batch value->count partials (pyarrow hash group-by)
-    -> single-task merge -> driver cumulative scan over the DISTINCT
-    values. Partitioning assumption: the SCORE'S CARDINALITY is
-    bounded (doc lengths, integer quality scores — ~10^6 distinct),
-    which is what makes the exact answer cheap; a continuous score
-    needs the q44 quantile-sketch path and its error bound instead.
+    Per-batch value->count partials (pyarrow hash group-by) ->
+    :func:`grouped_aggregate` merge keyed on the value -> driver
+    cumulative scan over the DISTINCT values. Partitioning assumption:
+    the SCORE'S CARDINALITY is bounded (doc lengths, integer quality
+    scores — ~10^6 distinct), which is what makes the exact answer
+    cheap; a continuous score needs the q44 quantile-sketch path and
+    its error bound instead.
 
     Returns the sorted element at index ``ceil(q*n)-1`` (DuckDB
     ``quantile_disc`` semantics, same as :func:`grouped_quantiles`).
@@ -405,8 +315,7 @@ def int_quantile_threshold(ds: Dataset, value_col: str, q: float) -> int:
         raise ValueError(f"int_quantile_threshold: q={q} outside [0, 1]")
     counts = grouped_aggregate(
         ds.select_columns([value_col]), [value_col],
-        [(value_col, "count", "_n")], merge="single",
-        sort_keys=[value_col])
+        [(value_col, "count", "_n")])
     vs, ns = [], []
     for b in counts.iter_batches(batch_format="pyarrow"):
         vs.append(np.asarray(b[value_col].to_numpy(zero_copy_only=False),
@@ -445,17 +354,18 @@ def global_percent_rank(ds: Dataset, value_col: str,
     (SQL window functions ORDER nulls instead; callers filter first),
     and so are non-integer columns (TypeError).
     """
+    schema = ds.schema()
+    vt = dict(zip(schema.names, schema.types))[value_col] if schema else None
+    if vt is not None and not pa.types.is_integer(vt):
+        raise TypeError(
+            f"global_percent_rank: {value_col!r} is {vt}, not an integer "
+            "type; the value->count table would truncate it")
     counts = grouped_aggregate(
         ds.select_columns([value_col]), [value_col],
-        [(value_col, "count", "_n")], merge="single",
-        sort_keys=[value_col])
+        [(value_col, "count", "_n")])
     vs, ns = [], []
     for b in counts.iter_batches(batch_format="pyarrow"):
         col = b[value_col]
-        if not pa.types.is_integer(col.type):
-            raise TypeError(
-                f"global_percent_rank: {value_col!r} is {col.type}, not an "
-                "integer type; the value->count table would truncate it")
         if col.null_count:
             raise ValueError(
                 f"global_percent_rank: null values in {value_col!r}; "
@@ -486,12 +396,107 @@ def global_percent_rank(ds: Dataset, value_col: str,
     return ds.map_batches(score, batch_format="pyarrow")
 
 
+def _segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Row indices where the (sorted) ``keys`` change; null equals null."""
+    n = t.num_rows
+    if n == 0:
+        return np.zeros(0, np.int64)
+    change = np.zeros(n, dtype=bool)
+    change[0] = True
+    for k in keys:
+        col = t[k].combine_chunks()
+        a, b = col.slice(1), col.slice(0, n - 1)
+        same = pc.or_kleene(pc.equal(a, b),
+                            pc.and_(pc.is_null(a), pc.is_null(b)))
+        change[1:] |= ~np.asarray(pc.fill_null(same, False)
+                                  .to_numpy(zero_copy_only=False), dtype=bool)
+    return np.nonzero(change)[0]
+
+
+def _value_count_quantiles(ds: Dataset, keys: list[str], value_col: str,
+                           qs: list[float], out_names: list[str],
+                           kind: str) -> Dataset:
+    """Exact per-group quantiles from mergeable value->count partials:
+    per batch one row per DISTINCT (group, value) with its count, then
+    ONE :func:`bucket_exchange` on the group keys only (never on the
+    value) whose kernel re-merges the counts, sorts by (keys, value)
+    and runs one cumulative scan. ``kind`` picks the per-q formula:
+    "disc" (element at rank ceil(q*n)-1) or "cont" (interpolate at
+    h = q*(n-1)). Null values are ignored (they stay as a count-0 row,
+    sorted last in their group, so an all-null group emits NULLs)."""
+    fn = "grouped_quantiles" if kind == "disc" else "grouped_quantile_cont"
+    if not qs:
+        raise ValueError(f"{fn}: no quantiles requested")
+    for q in qs:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"{fn}: q={q} outside [0, 1]")
+    if len(out_names) != len(qs):
+        raise ValueError(f"{fn}: out_names/qs length mismatch")
+    cols = keys + [value_col]
+
+    def counts(b: pa.Table) -> pa.Table:
+        return (b.select(cols).group_by(cols)
+                .aggregate([(value_col, "count")])
+                .rename_columns(cols + ["_n"]))
+
+    def finalize(b: pa.Table) -> pa.Table:
+        t = (b.group_by(cols).aggregate([("_n", "sum")])
+             .rename_columns(cols + ["_n"])
+             .sort_by([(c, "ascending") for c in cols]))
+        starts = _segment_starts(t, keys)
+        # native value dtype: no float rounding before it is needed
+        v = pc.fill_null(t[value_col], 0).to_numpy(zero_copy_only=False)
+        c = np.asarray(t["_n"].to_numpy(zero_copy_only=False), np.int64)
+        cum = np.cumsum(c)
+        total = (np.add.reduceat(c, starts) if len(starts)
+                 else np.zeros(0, np.int64))
+        below = cum[starts] - c[starts]
+        ok = total > 0                        # all-null group -> NULL
+
+        def at(rank):  # value at 0-based rank within each group
+            i = np.searchsorted(cum, below + rank + 1)
+            return v[np.minimum(i, len(v) - 1)].astype(np.float64)
+
+        out = {k: t[k].take(pa.array(starts, pa.int64())) for k in keys}
+        for q, nm in zip(qs, out_names):
+            if kind == "disc":
+                r = np.clip(np.ceil(q * total).astype(np.int64) - 1,
+                            0, np.maximum(total - 1, 0))
+                res = at(r)
+            else:
+                h = q * (total - 1)
+                lo, hi = np.floor(h), np.ceil(h)
+                vlo, vhi = at(lo.astype(np.int64)), at(hi.astype(np.int64))
+                # an integer rank is the value itself, rounded once
+                res = np.where(lo == hi, vlo, vlo + (h - lo) * (vhi - vlo))
+            out[nm] = pa.array(res, pa.float64(), mask=~ok)
+        return pa.table(out)
+
+    return bucket_exchange(
+        ds.map_batches(counts, batch_format="pyarrow"), keys, finalize)
+
+
+def grouped_quantiles(ds: Dataset, group_col: str, value_col: str,
+                      qs: list[float], out_names: list[str]) -> Dataset:
+    """EXACT per-group discrete quantiles (DuckDB ``quantile_disc``
+    semantics: the sorted element at index ceil(q*n)-1), as float64.
+
+    Mergeable value->count partials exchanged on the group only (see
+    :func:`_value_count_quantiles`): the exchange carries one row per
+    DISTINCT (group, value), so a group's size is bounded by its value
+    cardinality, not its row count; a continuous score over a
+    mega-group needs the q44 quantile-sketch path instead. Nulls are
+    ignored (SQL aggregate semantics)."""
+    return _value_count_quantiles(ds, [group_col], value_col, qs,
+                                  out_names, "disc")
+
+
 def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
                           qs: list[float],
                           out_names: list[str] | None = None) -> Dataset:
     """Per-group INTERPOLATED quantiles (SQL ``quantile_cont`` /
     ``percentile_cont``) of an integer column, from the same mergeable
-    value->count partials as :func:`int_quantile_threshold` — the
+    value->count partials as :func:`grouped_quantiles` — the
     exchange carries one row per DISTINCT (group, value) pair, never
     the input rows. Same partitioning assumption: the score's
     cardinality is bounded (doc lengths, integer quality scores,
@@ -507,84 +512,19 @@ def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
     floor/ceil cannot disagree when h lands on an integer. Nulls in
     ``value_col`` are ignored (SQL aggregate semantics), and a group
     whose values are all null emits NULL quantiles, as SQL ``GROUP BY``
-    does; group keys are assumed non-null (the house-wide exchange
-    convention — the segment boundary scan treats null-vs-null as a
-    boundary). When h lands on an integer rank the quantile is that
-    value itself, rounded once to the nearest float64 (also for int64
-    beyond 2^53); only a fractional h interpolates in float.
+    does; null group keys form their own group. When h lands on an
+    integer rank the quantile is that value itself, rounded once to
+    the nearest float64 (also for int64 beyond 2^53); only a
+    fractional h interpolates in float.
     """
-    if not qs:
-        raise ValueError("grouped_quantile_cont: no quantiles requested")
-    for q in qs:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"grouped_quantile_cont: q={q} outside [0, 1]")
     if out_names is None:
         out_names = [f"p{int(round(q * 100)):02d}" for q in qs]
-    if len(out_names) != len(qs):
-        raise ValueError(
-            "grouped_quantile_cont: out_names/qs length mismatch")
-
-    # null values stay in as their own (group, null) row with _n = 0,
-    # sorted last in the group, so an all-null group still reaches
-    # finalize
-    counts = grouped_aggregate(
-        ds.select_columns(keys + [value_col]),
-        keys + [value_col], [(value_col, "count", "_n")],
-        merge="single", sort_keys=keys + [value_col])
-
-    def finalize(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            out = {k: b[k] for k in keys}
-            for nm in out_names:
-                out[nm] = pa.array([], pa.float64())
-            return pa.table(out)
-        # merge="single" delivers ONE block sorted by keys + value:
-        # group segments are contiguous, values ascending within each.
-        n_rows = b.num_rows
-        change = np.zeros(n_rows, dtype=bool)
-        change[0] = True
-        if n_rows > 1:
-            for k in keys:
-                col = b[k].combine_chunks()
-                change[1:] |= ~np.asarray(
-                    pc.equal(col.slice(1), col.slice(0, n_rows - 1))
-                    .to_numpy(zero_copy_only=False))
-        starts = np.nonzero(change)[0]
-        ends = np.concatenate([starts[1:], [n_rows]])
-        # native integer dtype: no float rounding before it is needed
-        v = pc.fill_null(b[value_col], 0).to_numpy(zero_copy_only=False)
-        c = np.asarray(b["_n"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        res = np.full((len(starts), len(qs)), np.nan)
-        for gi, (s, e) in enumerate(zip(starts, ends)):  # per GROUP —
-            # bounded group count by the module's grouping contract;
-            # work within is vectorized over the distinct values
-            cum = np.cumsum(c[s:e])
-            total = int(cum[-1])
-            if total == 0:          # all-null group -> NULL quantiles
-                continue
-            for qi, q in enumerate(qs):
-                h = q * (total - 1)
-                lo = int(np.floor(h))
-                hi = int(np.ceil(h))
-                vlo = v[s + int(np.searchsorted(cum, lo + 1))]
-                if lo == hi:
-                    res[gi, qi] = vlo
-                    continue
-                vhi = v[s + int(np.searchsorted(cum, hi + 1))]
-                res[gi, qi] = float(vlo) + (h - lo) * (float(vhi) - float(vlo))
-        out = {k: b[k].take(pa.array(starts, pa.int64())) for k in keys}
-        for qi, nm in enumerate(out_names):
-            out[nm] = pa.array(res[:, qi], pa.float64(), from_pandas=True)
-        return pa.table(out)
-
-    return counts.map_batches(finalize, batch_format="pyarrow",
-                              batch_size=None)
+    return _value_count_quantiles(ds, keys, value_col, qs, out_names,
+                                  "cont")
 
 
 def grouped_bivariate_stats(ds: Dataset, keys: list[str],
                             x_col: str, y_col: str,
-                            merge: str = "single",
                             sort_keys: list[str] | None = None) -> Dataset:
     """Per-group bivariate statistics — covariance, Pearson
     correlation, and the simple least-squares fit of y on x
@@ -620,7 +560,7 @@ def grouped_bivariate_stats(ds: Dataset, keys: list[str],
         [(xt, "sum", "_sx"), (yt, "sum", "_sy"),
          ("__bxy", "sum", "_sxy"), ("__bxx", "sum", "_sxx"),
          ("__byy", "sum", "_syy"), (xt, "count", "n_rows")],
-        merge=merge, sort_keys=sort_keys)
+        sort_keys=sort_keys)
 
     def finalize(b: pa.Table) -> pa.Table:
         n = np.asarray(b["n_rows"].to_numpy(zero_copy_only=False),

@@ -103,58 +103,93 @@ def _one_task(ds: Dataset, fn) -> Dataset:
 # the coarse-bucket exchange
 # ---------------------------------------------------------------------------
 
+# the exchange's own bucket column: a reserved name, so callers may key
+# or carry a plain ``_bucket`` column (the range-bucket Blelloch scans
+# do) without colliding with it
+EXCHANGE_BUCKET = "__bucket_exchange"
+
+
+def _is_temporal(t: pa.DataType) -> bool:
+    return (pa.types.is_timestamp(t) or pa.types.is_date(t)
+            or pa.types.is_time(t) or pa.types.is_duration(t))
+
+
 def _check_key_type(t: pa.DataType, name: str) -> None:
-    if not (pa.types.is_integer(t) or pa.types.is_string(t)
-            or pa.types.is_large_string(t) or pa.types.is_binary(t)
-            or pa.types.is_large_binary(t)):
-        raise TypeError(f"bucket key column {name!r} has type {t}; "
-                        "expected an integer, string or binary column")
+    if not (pa.types.is_integer(t) or _is_temporal(t)
+            or pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        raise TypeError(f"bucket key column {name!r} has type {t}; expected "
+                        "an integer, temporal, string or binary column")
 
 
 def key_hash64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
     """uint64 bucket hash of key column ``name``: ``splitmix64`` of the
-    integers' uint64 view, ``stable_hash64_array`` of strings and
-    binaries. Other types raise ``TypeError`` naming the column."""
-    _check_key_type(col.type, name)
+    integers' uint64 view (temporal columns: of their integer physical
+    value), ``stable_hash64_array`` of strings and binaries. Other
+    types raise ``TypeError`` naming the column."""
+    t = col.type
+    _check_key_type(t, name)
+    if _is_temporal(t):
+        col = pc.cast(col, pa.int32() if t.bit_width == 32 else pa.int64())
     if pa.types.is_integer(col.type):
         k = np.asarray(pc.fill_null(col, 0).to_numpy(zero_copy_only=False))
         return splitmix64(k.astype(np.int64, copy=False).view(np.uint64))
     return stable_hash64_array(col)
 
 
-def bucket_exchange(ds: Dataset, key: str, fn,
+def _keys_hash64(b: pa.Table, keys: list[str]) -> np.ndarray:
+    """Multi-column key hash: ``splitmix64`` combines of the per-column
+    :func:`key_hash64` (a one-column key hashes as that column)."""
+    h = key_hash64(b[keys[0]], keys[0])
+    for k in keys[1:]:
+        h = splitmix64(h ^ key_hash64(b[k], k))
+    return h
+
+
+def _exchange(ds: Dataset, key: str | list[str], fn,
+              size_hint_bytes: int | None = None) -> tuple[Dataset, bool]:
+    """:func:`bucket_exchange`, plus whether it collapsed to one task."""
+    keys = [key] if isinstance(key, str) else list(key)
+    m, small, probed_bytes = _probe_small(ds, size_hint_bytes=size_hint_bytes)
+    # a lazy (hinted) stream has no schema yet: its batches check instead
+    schema = m.schema(fetch_if_missing=False)
+    if schema is not None:
+        types = dict(zip(schema.names, schema.types))
+        for k in keys:
+            if k in types:
+                _check_key_type(types[k], k)
+    if small:
+        return _one_task(m, fn), True
+    nb = np.uint64(adaptive_bucket_count(probed_bytes))
+
+    def add_bucket(b: pa.Table) -> pa.Table:
+        return b.append_column(EXCHANGE_BUCKET, pa.array(
+            (_keys_hash64(b, keys) % nb).astype(np.int64)))
+
+    return (m.map_batches(add_bucket, batch_format="pyarrow")
+            .groupby(EXCHANGE_BUCKET)
+            .map_groups(lambda g: fn(g.drop_columns([EXCHANGE_BUCKET])),
+                        batch_format="pyarrow")), False
+
+
+def bucket_exchange(ds: Dataset, key: str | list[str], fn,
                     size_hint_bytes: int | None = None) -> Dataset:
-    """Co-locate every row sharing a ``key`` value and run ``fn`` over
-    each co-located group of rows: the repo's one keyed shuffle.
+    """Co-locate every row sharing a ``key`` value (one column or a
+    list of columns) and run ``fn`` over each co-located group of rows:
+    the repo's one keyed shuffle.
 
     ``fn`` must be bucket-independent (it lexsorts and segments by key
     internally): below ``SMALL_COLLAPSE_BYTES`` the whole input runs
     through it as ONE task, skipping the all-to-all (~1-2 s fixed).
-    Above it, rows hash (:func:`key_hash64`) into
+    Above it, rows hash (:func:`key_hash64`, combined per column) into
     :func:`adaptive_bucket_count` coarse buckets and
-    ``groupby(_bucket).map_groups(fn)`` runs ``fn`` once per bucket,
-    never once per key. ``fn`` never sees the ``_bucket`` column.
+    ``groupby(EXCHANGE_BUCKET).map_groups(fn)`` runs ``fn`` once per
+    bucket, never once per key. ``fn`` never sees the bucket column.
 
     The probe materializes the input to measure it; a caller that
     knows the input is big passes ``size_hint_bytes`` (>= the
     threshold) and the exchange streams, bucket count from the hint."""
-    m, small, probed_bytes = _probe_small(ds, size_hint_bytes=size_hint_bytes)
-    # a lazy (hinted) stream has no schema yet: its batches check instead
-    schema = m.schema(fetch_if_missing=False)
-    if schema is not None and key in schema.names:
-        _check_key_type(dict(zip(schema.names, schema.types))[key], key)
-    if small:
-        return _one_task(m, fn)
-    nb = np.uint64(adaptive_bucket_count(probed_bytes))
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("_bucket", pa.array(
-            (key_hash64(b[key], key) % nb).astype(np.int64)))
-
-    return (m.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(lambda g: fn(g.drop_columns(["_bucket"])),
-                        batch_format="pyarrow"))
+    return _exchange(ds, key, fn, size_hint_bytes)[0]
 
 
 def join_partitions(cap: int = 64) -> int:
@@ -832,7 +867,7 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     return grouped_aggregate(
         partials, [id_col],
         [("_part", "sum", "n_hit_grams"), ("n_grams", "max", "n_grams")],
-        merge="shuffle")
+        size_hint_bytes=hint)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from batch_geocode_ray.stages.dedup import _one_task
+
 
 class _Lookup:
     """Immutable small-side lookup, built once, broadcast via ray.put.
@@ -412,7 +414,7 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_aggregate(partials, [small_id],
                              [(count_name, "sum", count_name)],
-                             merge="single", sort_keys=[small_id])
+                             sort_keys=[small_id])
 
 
 def broadcast_join(ds: Dataset, small: pa.Table, key: str,
@@ -480,9 +482,7 @@ def build_bloom(keys_ds: Dataset, key: str, m_bits: int = 1 << 23,
     parts = keys_ds.map_batches(partial, batch_format="pyarrow")
     lvl1 = parts.repartition(32).map_batches(
         orfold, batch_format="pyarrow", batch_size=None)
-    final = lvl1.repartition(1).map_batches(
-        orfold, batch_format="pyarrow", batch_size=None)
-    [row] = final.take_all()
+    [row] = _one_task(lvl1, orfold).take_all()
     return np.frombuffer(row["bm"], np.uint8).copy()
 
 

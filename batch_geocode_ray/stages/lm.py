@@ -64,15 +64,15 @@ def _doc_pairs(b: pa.Table, text_col: str):
 
 
 def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
-                         k: float = 0.5,
-                         merge: str = "single") -> Dataset:
+                         k: float = 0.5) -> Dataset:
     """Train an add-k-smoothed bigram LM on ``ds`` and score every
     document's self-perplexity: ``ppl = exp(-mean log P(w2|w1))`` with
     ``P(w2|w1) = (cb + k) / (cu + k·V)`` — cb the bigram count, cu the
     context count, V the context-vocabulary size. Documents with fewer
-    than two tokens emit no row (no pairs to score). ``merge`` is
-    forwarded to :func:`grouped_aggregate` ("single" for a bounded
-    vocabulary; "shuffle" when the bigram table itself is large).
+    than two tokens emit no row (no pairs to score). The bigram counts
+    merge through :func:`grouped_aggregate`, which measures them: one
+    task for a bounded vocabulary, a bucket exchange when the bigram
+    table itself is large.
 
     Output: (``id_col``, ``n_pairs`` int64, ``ppl`` float64).
     """
@@ -91,7 +91,7 @@ def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
 
     model_t = grouped_aggregate(
         ds.map_batches(pair_counts, batch_format="pyarrow"),
-        ["w1", "w2"], [("cb", "sum", "cb")], merge=merge)
+        ["w1", "w2"], [("cb", "sum", "cb")])
     batches = list(model_t.iter_batches(batch_format="pyarrow"))
     if not batches or not sum(t.num_rows for t in batches):
         raise ValueError("bigram_lm_perplexity: no token pairs in input")

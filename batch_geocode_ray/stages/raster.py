@@ -64,11 +64,10 @@ class GridSpec:
 
 def rasterize_points(ds: Dataset, grid: GridSpec,
                      lon_col: str, lat_col: str,
-                     weight_col: str | None = None,
-                     merge: str = "shuffle") -> Dataset:
+                     weight_col: str | None = None) -> Dataset:
     """Point stream -> sparse raster: (cell_x, cell_y, n_points[,
-    weight_sum]) for every non-empty cell. Out-of-bounds and null
-    coordinates are dropped."""
+    weight_sum]) for every non-empty cell, sorted by cell. Out-of-bounds
+    and null coordinates are dropped."""
 
     def partial(b: pa.Table) -> pa.Table:
         lon = np.asarray(b[lon_col].to_numpy(zero_copy_only=False), np.float64)
@@ -92,8 +91,7 @@ def rasterize_points(ds: Dataset, grid: GridSpec,
     if weight_col is not None:
         specs.append(("_w", "sum", "weight_sum"))
     return grouped_aggregate(
-        cells, ["cell_x", "cell_y"], specs, merge=merge,
-        sort_keys=["cell_x", "cell_y"] if merge == "single" else None)
+        cells, ["cell_x", "cell_y"], specs, sort_keys=["cell_x", "cell_y"])
 
 
 def raster_to_tiles(long_raster: pa.Table, grid: GridSpec,

@@ -41,7 +41,8 @@ from batch_geocode_ray.state.gazetteer import GazetteerIndex
 
 
 class MentionResolver:
-    """Actor-pool stage: mentions -> vetted wide geocode columns.
+    """Resolve layer of the fused stage: mentions -> vetted wide
+    geocode columns (the ``mentions`` column is dropped).
 
     ``lang_cc_prior``: optional dict lang -> frozenset of ISO2 codes; a
     candidate passes when its cc is missing, the page lang has no
@@ -50,8 +51,7 @@ class MentionResolver:
 
     def __init__(self, gazetteer, config: PipelineConfig | None = None,
                  lang_cc_prior: dict[str, frozenset[str]] | None = None,
-                 keep_columns: list[str] | None = None,
-                 drop_mentions: bool = True):
+                 keep_columns: list[str] | None = None):
         import ray
 
         gaz = ray.get(gazetteer) if isinstance(gazetteer, ray.ObjectRef) else gazetteer
@@ -60,7 +60,6 @@ class MentionResolver:
         self.gaz: GazetteerIndex = gaz
         self.cfg = config or PipelineConfig(sources=gaz.sources)
         self.keep_columns = keep_columns
-        self.drop_mentions = drop_mentions
         self.entry_of_gid = gaz.entry_of_gid()
         self.gid_lookup_keys = np.array(sorted(self.entry_of_gid), dtype=np.int64)
         self.gid_lookup_vals = np.array(
@@ -226,8 +225,7 @@ class MentionResolver:
         # assemble: passthrough columns + wide columns in reference order
         keep = self.keep_columns
         if keep is None:
-            keep = [c for c in batch.column_names
-                    if c != "mentions" or not self.drop_mentions]
+            keep = [c for c in batch.column_names if c != "mentions"]
         result = {c: batch[c] for c in keep}
         for prefix in self.prefixes:
             for suffix in GEOCODING_SUFFIXES:

@@ -18,6 +18,12 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from batch_geocode_ray.stages.dedup import (
+    _one_task,
+    _probe_small,
+    bucket_exchange,
+)
+
 
 def _matrix_of(batch: pa.Table, vec_col: str) -> np.ndarray:
     """(n, d) float64 matrix from a fixed-size/variable list column."""
@@ -145,12 +151,6 @@ def _merge_partial_topk(partials: Dataset, k: int,
             "rank": pa.array(rank[keep], pa.int64()),
         })
 
-    from batch_geocode_ray.stages.dedup import (
-        _one_task,
-        _probe_small,
-        bucket_exchange,
-    )
-
     if n_queries is not None and n_queries > SHUFFLE_MERGE_QUERIES:
         partials, small, size = _probe_small(partials)
         if not small:
@@ -247,8 +247,7 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             out = _upper_pairs(ids, m, ids, m, threshold)
             return out.sort_by([("d1", "ascending"), ("d2", "ascending")])
 
-        return proj.repartition(1).map_batches(
-            one, batch_format="pyarrow", batch_size=None)
+        return _one_task(proj, one)
 
     if method == "exact":
         refs = proj.to_arrow_refs()  # O(blocks) refs; data stays put
@@ -560,10 +559,8 @@ def pca_project(ds: Dataset, vec_col: str, id_col: str,
                          "s": pa.array([s.tobytes()], pa.binary()),
                          "g": pa.array([g.tobytes()], pa.binary())})
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow")
-              .repartition(1)
-              .map_batches(merge_one, batch_format="pyarrow",
-                           batch_size=None).take_all())
+    merged = _one_task(ds.map_batches(partial, batch_format="pyarrow"),
+                       merge_one).take_all()
     if not merged or merged[0]["n"] == 0:
         raise ValueError("pca_project: empty input")
     n_total = merged[0]["n"]
@@ -628,8 +625,6 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
 
     Output: one row per input — (id_col, cluster, centroid_sim, kept).
     """
-    from batch_geocode_ray.stages.dedup import bucket_exchange
-
     if centroids is None:
         centroids = kmeans_fit(ds, vec_col, k=k, iters=kmeans_iters,
                                seed=seed)

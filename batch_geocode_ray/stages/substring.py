@@ -183,7 +183,8 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     """Per-document duplicated-position counts: for each document with
     at least one, the number of byte positions whose length-``L`` gram
     occurs in ≥ 2 distinct documents. Output: (``id_col``,
-    n_dup_positions), only documents with a positive count.
+    n_dup_positions), only documents with a positive count, sorted by
+    ``id_col``.
 
     ``size_hint_bytes``: pass ~32 x corpus_chars (the gram-stream
     width) at real scale so the exchange streams instead of
@@ -217,7 +218,9 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     partials = bucket_exchange(_stream(ds, text_col, id_col, L), "h",
                                emit_counts, size_hint_bytes=size_hint_bytes)
     return grouped_aggregate(partials, [id_col],
-                             [("cnt", "sum", "n_dup_positions")])
+                             [("cnt", "sum", "n_dup_positions")],
+                             sort_keys=[id_col],
+                             size_hint_bytes=size_hint_bytes)
 
 
 def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,

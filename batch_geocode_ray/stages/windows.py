@@ -171,22 +171,18 @@ def hopping_window_rows(ds: Dataset, ts_col: str, value_cols: list[str],
 
 def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
                  tie_col: str, k: int,
-                 extra_cols: list[str] | None = None,
-                 merge: str = "single") -> Dataset:
+                 extra_cols: list[str] | None = None) -> Dataset:
     """Top-k rows per group by ``sort_col`` DESC (ties: ``tie_col``
     ASC), with a 1-based ``rank`` column — the distributed form of the
     reference's per-source top-N (query_funcs.py:376).
 
-    Per-batch partial top-k bounds what any merge sees to
-    k x n_groups x n_blocks rows. ``merge``:
-      * ``"single"`` — one final task (the summary case: few groups);
-      * ``"shuffle"`` — :func:`bucket_exchange` merge keyed on the
-        group for HUGE group counts (per-url top-k at 10^12 rows):
-        the Python group hook runs per coarse bucket, and segments
-        inside the bucket are ranked vectorized. No single task ever
-        holds all groups, unless the partials measure small enough to
-        collapse into one. ``group_col`` must be an integer, string
-        or binary column.
+    Per-batch partial top-k bounds what the merge sees to
+    k x n_groups x n_blocks rows. The merge is one
+    :func:`bucket_exchange` keyed on the group: one final task when the
+    partials measure small (the summary case: few groups), else one
+    task per coarse bucket (per-url top-k at 10^12 rows), segments
+    inside the bucket ranked vectorized. ``group_col`` must be an
+    integer, temporal, string or binary column.
     """
     cols = [group_col, sort_col, tie_col] + (extra_cols or [])
     cols = list(dict.fromkeys(cols))
@@ -213,10 +209,8 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
         rank = np.arange(len(g)) - start + 1
         return b.append_column("rank", pa.array(rank, pa.int64()))
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    if merge == "single":
-        return _one_task(partials, final)
-    return bucket_exchange(partials, group_col, final)
+    return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                           group_col, final)
 
 
 def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
@@ -373,7 +367,7 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
 
     partials = bucket_exchange(ds, key_col, trans_in_bucket)
     return grouped_aggregate(partials, ["from_type", "to_type"],
-                             [("n", "sum", "n")], merge="single",
+                             [("n", "sum", "n")],
                              sort_keys=["from_type", "to_type"])
 
 
@@ -509,7 +503,8 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     # even at a 10^12-doc corpus)
     totals = grouped_aggregate(
         bucketed.select_columns(["_bucket", "n_tokens"]),
-        ["_bucket"], [("n_tokens", "sum", "tok_sum")], merge="single")
+        ["_bucket"], [("n_tokens", "sum", "tok_sum")],
+        size_hint_bytes=size_hint_bytes)
     per_bucket = np.zeros(nb, dtype=np.int64)
     for tb in totals.iter_batches(batch_format="pyarrow"):
         per_bucket[np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),
@@ -625,7 +620,7 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     totals = grouped_aggregate(
         bucketed.select_columns(["_bucket", group_col, "n_tokens"]),
         ["_bucket", group_col], [("n_tokens", "sum", "tok_sum")],
-        merge="single")
+        size_hint_bytes=size_hint_bytes)
     per: dict[str, np.ndarray] = {}
     for tb in totals.iter_batches(batch_format="pyarrow"):
         bks = np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),

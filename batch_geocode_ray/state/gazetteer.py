@@ -1,8 +1,8 @@
 """Gazetteer broadcast state.
 
 One immutable, NumPy-backed index built on the driver, `ray.put` once,
-and materialized once per actor in stage ``__init__`` (zero-copy for
-the numeric arrays via the object store). This replaces the reference's
+and materialized once per worker when the worker-cached fused stage is
+constructed (zero-copy for the numeric arrays via the object store). This replaces the reference's
 four per-row HTTP geocoding services (query_funcs.py:293-506) with an
 offline lookup; the ``source`` column keeps the multi-provider shape so
 the wide output layout survives.

@@ -7,10 +7,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from batch_geocode_ray.stages.aggregates import (
-    cell_partial_aggregate,
-    tile_aggregate,
-)
+import batch_geocode_ray.stages.aggregates as ag
+from batch_geocode_ray.stages.aggregates import tile_aggregate
 
 
 def make_ds(n=5000, n_cells=7, seed=0, hot_frac=0.5):
@@ -43,24 +41,39 @@ def test_tile_aggregate_matches_pandas():
     np.testing.assert_allclose(got["max_buffer"], want["max_buffer"], rtol=1e-12)
 
 
-def test_partial_aggregate_collapses_hot_cell():
-    _, t = make_ds(n=1000)
-    part = cell_partial_aggregate(t, "hex_cell_r7")
-    # one row per distinct cell regardless of skew -> shuffle carries
-    # O(cells) rows per block, not O(pages)
-    assert part.num_rows == len(set(t["hex_cell_r7"].to_pylist()))
-    assert part["pages"].to_pylist() and sum(part["pages"].to_pylist()) == 1000
+def test_partial_aggregate_collapses_hot_cell(monkeypatch):
+    """What tile_aggregate hands to the exchange for a 50%-hot cell:
+    per-batch partials, at most one row per (cell, input block) —
+    O(cells) rows per block, not O(pages) — whose ``pages`` still sum
+    to the input row count."""
+    ds, t = make_ds(n=5000, hot_frac=0.5)
+    n_blocks = ds.materialize().num_blocks()
+    seen = []
+    real = ag._exchange
+
+    def spy(partials, keys, fn, *a, **kw):
+        partials = partials.materialize()
+        seen.append(pa.concat_tables(
+            partials.iter_batches(batch_format="pyarrow")))
+        return real(partials, keys, fn, *a, **kw)
+
+    monkeypatch.setattr(ag, "_exchange", spy)
+    assert tile_aggregate(ds, "hex_cell_r7").count() == 7
+    [part] = seen
+    n_cells = len(set(t["hex_cell_r7"].to_pylist()))
+    assert n_cells == 7 and n_blocks == 8
+    assert part.num_rows <= n_cells * n_blocks
+    assert sum(part["pages"].to_pylist()) == t.num_rows
 
 
 def test_grouped_topk_merge_plans_agree(monkeypatch):
-    """grouped_topk: the single-task merge and the coarse-bucketed
-    shuffle merge (for huge group counts) must give identical rows."""
+    """grouped_topk: the collapsed single-task merge and the
+    coarse-bucketed exchange (for huge group counts, forced by
+    ``SMALL_COLLAPSE_BYTES = 0``) must give identical rows."""
     import ray.data as rd2
 
     import batch_geocode_ray.stages.dedup as dd
     from batch_geocode_ray.stages.windows import grouped_topk
-
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # reach the shuffle
 
     rng = np.random.RandomState(11)
     t = pa.table({
@@ -70,12 +83,13 @@ def test_grouped_topk_merge_plans_agree(monkeypatch):
     })
     ds = rd2.from_arrow(t).repartition(5)
 
-    def run(merge):
+    def run():
         return sorted((r["g"], r["rank"], r["id"]) for r in grouped_topk(
-            ds, "g", "v", "id", k=3, merge=merge).take_all())
+            ds, "g", "v", "id", k=3).take_all())
 
-    single = run("single")
-    shuffle = run("shuffle")
+    single = run()
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # reach the shuffle
+    shuffle = run()
     assert single == shuffle and len(single) == 40 * 3
 
 
@@ -129,3 +143,103 @@ def test_cube_aggregate_matches_pandas():
             want.append((row.get("a", "ALL"), row.get("b", "ALL"),
                          int(row["sum"]), int(row["count"])))
     assert got == sorted(want)
+
+
+def _aggregate_both_plans(ds, keys, sort_keys, monkeypatch):
+    """grouped_aggregate rows (in output order) collapsed, then with
+    the exchange forced distributed (``SMALL_COLLAPSE_BYTES = 0``)."""
+    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    specs = [("v", "sum", "sv"), ("v", "count", "nv"),
+             ("v", "mean", "mv"), ("v", "min", "lo"), ("v", "max", "hi"),
+             (None, "count_rows", "rows")]
+    out = []
+    for distributed in (False, True):
+        with monkeypatch.context() as m:
+            if distributed:
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            out.append([tuple(r.values()) for r in grouped_aggregate(
+                ds, keys, specs, sort_keys=sort_keys).take_all()])
+    return out
+
+
+def _null_last(v):
+    return (v is None, v if v is not None else 0)
+
+
+def test_grouped_aggregate_string_int_key_plans_agree(monkeypatch):
+    """(string, int64) key: both plans give the pandas answer, and
+    ``sort_keys`` (here NOT the key order) orders the output on the
+    distributed plan too."""
+    rng = np.random.RandomState(12)
+    n = 3000
+    s = rng.choice(["en", "de", "fr", "ja"], n)
+    i = rng.randint(-3, 6, n)
+    v = rng.uniform(-5, 5, n)
+    ds = rd.from_arrow(pa.table({"s": pa.array(s),
+                                 "i": pa.array(i, pa.int64()),
+                                 "v": pa.array(v)})).repartition(6)
+    collapsed, distributed = _aggregate_both_plans(
+        ds, ["s", "i"], ["i", "s"], monkeypatch)
+    want = (pd.DataFrame({"s": s, "i": i, "v": v})
+            .groupby(["s", "i"])["v"]
+            .agg(["sum", "count", "mean", "min", "max", "size"])
+            .reset_index().sort_values(["i", "s"]))
+    for got in (collapsed, distributed):
+        assert [r[:2] for r in got] == list(zip(want["s"], want["i"]))
+        np.testing.assert_allclose([r[2] for r in got], want["sum"],
+                                   rtol=1e-9)
+        assert [r[3] for r in got] == want["count"].tolist()
+        assert [r[7] for r in got] == want["size"].tolist()
+        np.testing.assert_allclose([r[4:7] for r in got],
+                                   want[["mean", "min", "max"]], rtol=1e-9)
+
+
+def test_grouped_aggregate_timestamp_key_with_nulls(monkeypatch):
+    """Timestamp key with null keys (their own group, sorted last) and
+    null values: both plans agree, row for row in sort order."""
+    import datetime as dt
+
+    rng = np.random.RandomState(13)
+    n = 2000
+    base = dt.datetime(2024, 5, 1)
+    ts = [None if j % 23 == 0 else base + dt.timedelta(hours=int(h))
+          for j, h in enumerate(rng.randint(0, 40, n))]
+    v = rng.uniform(0, 1, n)
+    v[rng.rand(n) < 0.05] = np.nan
+    ds = rd.from_arrow(pa.table({
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "v": pa.array(v, pa.float64(), from_pandas=True)})).repartition(6)
+    collapsed, distributed = _aggregate_both_plans(
+        ds, ["ts"], ["ts"], monkeypatch)
+    keys = [r[0] for r in distributed]
+    assert keys == sorted(set(ts), key=_null_last)
+    assert keys[-1] is None
+    for a, b in zip(collapsed, distributed):
+        assert a[0] == b[0] and a[2] == b[2] and a[6] == b[6]
+        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-12)
+    assert distributed[-1][6] == sum(t is None for t in ts)
+
+
+def test_grouped_aggregate_bit_identical_under_block_order(monkeypatch):
+    """Float sums whose value depends on summation order (1e16 + 1 ==
+    1e16) come out bit-identical whatever order the input blocks, and
+    so the partials, arrive in, on both plans: a resumed job must
+    rebuild the same tiles as a clean one."""
+    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    vals = [1e16, 1.0, -1e16, 3.0, 0.5, -7.25, 2e15, -2e15]
+    blocks = [pa.table({"g": pa.array([g], pa.int64()),
+                        "v": pa.array([v])})
+              for v in vals for g in (1, 2)]
+    specs = [("v", "sum", "s"), ("v", "mean", "m")]
+    for distributed in (False, True):
+        with monkeypatch.context() as m:
+            if distributed:
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            got = [grouped_aggregate(rd.from_arrow(bs), ["g"], specs,
+                                     sort_keys=["g"]).take_all()
+                   for bs in (blocks, blocks[::-1], blocks[3:] + blocks[:3])]
+        assert got[0] == got[1] == got[2], distributed

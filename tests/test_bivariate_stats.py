@@ -1,11 +1,14 @@
 """grouped_bivariate_stats (stages/aggregates.py): numpy-oracle parity
-on both merge plans, and DuckDB-style NULLs for zero-variance groups."""
+on both merge plans (collapsed one task, and the bucket exchange forced
+by ``SMALL_COLLAPSE_BYTES = 0``), and DuckDB-style NULLs for
+zero-variance groups."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray
 
+import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.stages.aggregates import grouped_bivariate_stats
 
 
@@ -26,13 +29,14 @@ def world():
 
 
 @pytest.mark.parametrize("merge", ["single", "shuffle"])
-def test_matches_numpy(ray_session, world, merge):
+def test_matches_numpy(ray_session, world, merge, monkeypatch):
+    if merge == "shuffle":
+        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     g, x, y = world
     ds = ray.data.from_arrow(pa.table({
         "g": pa.array(g, pa.int64()),
         "x": pa.array(x), "y": pa.array(y)})).repartition(8)
-    got = _collect(grouped_bivariate_stats(ds, ["g"], "x", "y",
-                                           merge=merge))
+    got = _collect(grouped_bivariate_stats(ds, ["g"], "x", "y"))
     for i, gid in enumerate(got["g"].to_pylist()):
         m = g == gid
         xs, ys = x[m], y[m]
@@ -48,16 +52,20 @@ def test_matches_numpy(ray_session, world, merge):
             np.corrcoef(xs, ys)[0, 1], rel=1e-9)
 
 
-def test_zero_variance_yields_nulls(ray_session):
+def test_zero_variance_yields_nulls(ray_session, monkeypatch):
     t = pa.table({"g": pa.array([1, 1, 2, 2], pa.int64()),
                   "x": pa.array([5.0, 5.0, 1.0, 2.0]),
                   "y": pa.array([1.0, 2.0, 3.0, 3.0])})
-    got = _collect(grouped_bivariate_stats(
-        ray.data.from_arrow(t), ["g"], "x", "y", merge="single"))
-    # g=1: var(x)=0 -> slope/intercept/corr NULL; g=2: var(y)=0 -> corr
-    # NULL but slope defined (0.0)
-    assert got["slope"][0].as_py() is None
-    assert got["intercept"][0].as_py() is None
-    assert got["corr_yx"][0].as_py() is None
-    assert got["slope"][1].as_py() == pytest.approx(0.0)
-    assert got["corr_yx"][1].as_py() is None
+    for distributed in (False, True):
+        with monkeypatch.context() as m:
+            if distributed:
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            got = _collect(grouped_bivariate_stats(
+                ray.data.from_arrow(t), ["g"], "x", "y"))
+        # g=1: var(x)=0 -> slope/intercept/corr NULL; g=2: var(y)=0 ->
+        # corr NULL but slope defined (0.0)
+        assert got["slope"][0].as_py() is None
+        assert got["intercept"][0].as_py() is None
+        assert got["corr_yx"][0].as_py() is None
+        assert got["slope"][1].as_py() == pytest.approx(0.0)
+        assert got["corr_yx"][1].as_py() is None

@@ -1,14 +1,18 @@
 """dedup.bucket_exchange: the one keyed shuffle.
 
 Pins (a) the collapsed one-task plan and the forced distributed plan
-give the same rows for integer, string and large_string keys, (b) an
-unsupported key type raises TypeError naming the column on both plans,
-(c) the group fn never sees the ``_bucket`` column, (d) forcing
-``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, and (e) no
-module outside ``stages/dedup.py`` hand-writes a ``_bucket`` exchange.
+give the same rows for integer, string, large_string, timestamp and
+multi-column keys, (b) an unsupported key type raises TypeError naming
+the column on both plans, (c) the group fn never sees the exchange's
+bucket column, also when the rows carry their own ``_bucket``, (d)
+forcing ``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, (e) no
+module outside ``stages/dedup.py`` hand-writes a ``_bucket`` exchange,
+and (f) no function in the package takes or passes a ``merge`` plan
+option: every grouped merge measures its input through the exchange.
 """
 
 import ast
+import datetime as dt
 import pathlib
 
 import numpy as np
@@ -27,6 +31,11 @@ def per_key(g: pa.Table) -> pa.Table:
         "seen", pa.array([",".join(g.column_names)] * out.num_rows))
 
 
+def null_first(row):
+    """Sort key for rows whose first field may be null."""
+    return (row[0] is not None,) + tuple(row)
+
+
 def run(ds, monkeypatch, distributed: bool):
     """Rows of ``bucket_exchange(ds, "k", per_key)`` and whether the
     run sized a shuffle."""
@@ -41,9 +50,9 @@ def run(ds, monkeypatch, distributed: bool):
         m.setattr(dd, "adaptive_bucket_count", spy)
         if distributed:
             m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
-        rows = sorted((r["k"], r["v_sum"], r["v_count"], r["seen"])
-                      for r in dd.bucket_exchange(ds, "k", per_key)
-                      .take_all())
+        rows = sorted(((r["k"], r["v_sum"], r["v_count"], r["seen"])
+                       for r in dd.bucket_exchange(ds, "k", per_key)
+                       .take_all()), key=null_first)
     return rows, bool(calls)
 
 
@@ -65,7 +74,7 @@ def _check_both_plans(keys, key_type, monkeypatch):
         s, c = want.get(k, (0, 0))
         want[k] = (s + x, c + 1)
     assert [(k, s, c) for k, s, c, _ in distributed] == \
-        sorted((k, s, c) for k, (s, c) in want.items())
+        sorted(((k, s, c) for k, (s, c) in want.items()), key=null_first)
     assert {seen for *_, seen in collapsed + distributed} == {"k,v"}
 
 
@@ -81,6 +90,47 @@ def test_string_keys_both_plans(key_type, monkeypatch):
     words = ["en", "de", "fr", "", "ja", "a longer key", "zz"]
     keys = [words[(i * 5) % len(words)] for i in range(200)]
     _check_both_plans(keys, key_type, monkeypatch)
+
+
+def test_timestamp_keys_both_plans(monkeypatch):
+    base = dt.datetime(2024, 3, 1)
+    keys = [None if i % 11 == 0 else base + dt.timedelta(minutes=15 * (i % 9))
+            for i in range(250)]
+    _check_both_plans(keys, pa.timestamp("us"), monkeypatch)
+
+
+def per_pair(g: pa.Table) -> pa.Table:
+    out = g.group_by(["a", "_bucket"]).aggregate([("v", "sum")])
+    return out.append_column(
+        "seen", pa.array([",".join(g.column_names)] * out.num_rows))
+
+
+def test_list_key_both_plans(monkeypatch):
+    """A (string, int64) key co-locates each PAIR, also when the rows
+    carry their own ``_bucket`` column (the Blelloch scans' layout)."""
+    rng = np.random.RandomState(8)
+    a = rng.choice(["x", "y", "z"], 400)
+    bk = rng.randint(0, 5, 400)
+    v = rng.randint(0, 50, 400)
+    ds = rd.from_arrow(pa.table({
+        "a": pa.array(a), "_bucket": pa.array(bk, pa.int64()),
+        "v": pa.array(v, pa.int64())})).repartition(6)
+
+    def rows(distributed):
+        with monkeypatch.context() as m:
+            if distributed:
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            return sorted(tuple(r.values()) for r in dd.bucket_exchange(
+                ds, ["a", "_bucket"], per_pair).take_all())
+
+    collapsed, distributed = rows(False), rows(True)
+    assert collapsed == distributed
+    want = {}
+    for x, y, z in zip(a.tolist(), bk.tolist(), v.tolist()):
+        want[(x, y)] = want.get((x, y), 0) + z
+    assert [(x, y, s) for x, y, s, _ in distributed] == \
+        sorted((x, y, s) for (x, y), s in want.items())
+    assert {seen for *_, seen in distributed} == {"a,_bucket,v"}
 
 
 @pytest.mark.parametrize("distributed", [False, True])
@@ -114,15 +164,23 @@ ALLOWED = {
 
 
 def _is_bucket(node) -> bool:
+    """A ``"_bucket"`` literal, or the exchange's own bucket column
+    (``EXCHANGE_BUCKET`` by name or by value)."""
     if isinstance(node, (ast.List, ast.Tuple)):
         return any(_is_bucket(e) for e in node.elts)
-    return isinstance(node, ast.Constant) and node.value == "_bucket"
+    if isinstance(node, ast.Name):
+        return node.id == "EXCHANGE_BUCKET"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "EXCHANGE_BUCKET"
+    return isinstance(node, ast.Constant) and node.value in (
+        "_bucket", dd.EXCHANGE_BUCKET)
 
 
 def _bucket_sites(tree: ast.Module):
-    """(top-level function, line) of every `_bucket` column append —
+    """(top-level function, line) of every bucket column append —
     ``append_column("_bucket", ...)`` or a ``"_bucket"`` dict key —
-    and every ``groupby("_bucket")``."""
+    and every ``groupby("_bucket")``, the exchange's own bucket column
+    included."""
     for top in tree.body:
         for node in ast.walk(top):
             hit = False
@@ -151,7 +209,28 @@ def test_only_dedup_writes_bucket_exchanges():
 
 
 def test_guard_detects_the_exchange_itself():
-    """The detector is not vacuous: it finds bucket_exchange's own
-    append + groupby in dedup.py."""
+    """The detector is not vacuous: it finds the exchange's own
+    append + groupby in dedup.py (``_exchange``, the body of
+    ``bucket_exchange``)."""
     tree = ast.parse((PKG / "stages/dedup.py").read_text())
-    assert {fn for fn, _ in _bucket_sites(tree)} == {"bucket_exchange"}
+    assert {fn for fn, _ in _bucket_sites(tree)} == {"_exchange"}
+
+
+def test_no_merge_plan_option():
+    """No function in the package declares a ``merge`` parameter and no
+    call passes ``merge=``: grouped merges measure their input through
+    ``bucket_exchange`` instead of taking a hand-set plan."""
+    offenders = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                if "merge" in names:
+                    offenders.append(f"{rel}:{node.lineno} declares merge")
+            elif isinstance(node, ast.Call) and any(
+                    k.arg == "merge" for k in node.keywords):
+                offenders.append(f"{rel}:{node.lineno} passes merge=")
+    assert offenders == [], ", ".join(offenders)

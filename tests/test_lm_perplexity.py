@@ -1,11 +1,13 @@
 """bigram_lm_perplexity (stages/lm.py): hand-computed smoothing math,
-both merge plans, and short-document exclusion."""
+both merge plans (collapsed, and distributed by ``SMALL_COLLAPSE_BYTES
+= 0``), and short-document exclusion."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray
 
+import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.stages.lm import bigram_lm_perplexity
 
 
@@ -41,16 +43,15 @@ def test_short_docs_emit_no_row(ray_session):
     assert set(got) == {3}
 
 
-def test_merge_plans_agree(ray_session):
+def test_merge_plans_agree(ray_session, monkeypatch):
     rng = np.random.RandomState(11)
     vocab = ["alpha", "beta", "gamma", "delta", "eps"]
     texts = [" ".join(rng.choice(vocab, size=rng.randint(2, 30)))
              for _ in range(200)]
     ds = _mkds(list(range(200)), texts).repartition(8)
-    single = _collect(bigram_lm_perplexity(ds, "doc_id", "text",
-                                           merge="single"))
-    shuffle = _collect(bigram_lm_perplexity(ds, "doc_id", "text",
-                                            merge="shuffle"))
+    single = _collect(bigram_lm_perplexity(ds, "doc_id", "text"))
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    shuffle = _collect(bigram_lm_perplexity(ds, "doc_id", "text"))
     assert single.keys() == shuffle.keys()
     for d in single:
         assert single[d][0] == shuffle[d][0]

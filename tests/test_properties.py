@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from batch_geocode_ray.functions.cells import (
@@ -86,7 +87,7 @@ def test_extract_arbitrary_bytes(raw):
     assert vec == extract_text_py(raw)
 
 
-# --- grouped_aggregate (both merge plans) == pandas on random tables --------
+# --- grouped_aggregate (collapsed and forced-distributed) == pandas --------
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(
@@ -97,6 +98,7 @@ def test_grouped_aggregate_matches_pandas(rows):
     import pandas as pd
     import ray.data as rd
 
+    import batch_geocode_ray.stages.dedup as dd
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     t = pa.table({
@@ -108,13 +110,17 @@ def test_grouped_aggregate_matches_pandas(rows):
             .sort_values("k").reset_index(drop=True))
     for merge in ("single", "shuffle"):
         ds = rd.from_arrow(t).repartition(3)
-        got = grouped_aggregate(
-            ds, ["k"],
-            [("v", "sum", "sum"), ("v", "min", "min"), ("v", "max", "max"),
-             ("v", "mean", "mean"), ("v", "count", "count")],
-            merge=merge,
-            sort_keys=["k"] if merge == "single" else None,
-        ).to_pandas().sort_values("k").reset_index(drop=True)
+        with pytest.MonkeyPatch.context() as m:
+            if merge == "shuffle":
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            got = grouped_aggregate(
+                ds, ["k"],
+                [("v", "sum", "sum"), ("v", "min", "min"),
+                 ("v", "max", "max"), ("v", "mean", "mean"),
+                 ("v", "count", "count")],
+                sort_keys=["k"],
+            ).to_pandas()
+        # unsorted comparison: sort_keys holds on both plans
         assert got["k"].tolist() == want["k"].tolist(), merge
         for c in ("sum", "min", "max", "mean"):
             np.testing.assert_allclose(got[c], want[c], rtol=1e-9,

@@ -117,3 +117,77 @@ def test_int64_beyond_2_53_at_integer_rank(ray_session):
         [float(x) for x in big]
     assert int(got["p50"][0].as_py()) == big[1]
     assert got["p50"][1].as_py() == float(2 ** 53 + 1)
+
+
+# --- one value->count kernel for disc and cont, on both exchange plans ----
+
+def _both_plans(make, monkeypatch):
+    """Rows of ``make()`` collapsed and with the exchange forced
+    distributed (``SMALL_COLLAPSE_BYTES = 0``)."""
+    import batch_geocode_ray.stages.dedup as dd
+
+    out = []
+    for distributed in (False, True):
+        with monkeypatch.context() as m:
+            if distributed:
+                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            t = pa.concat_tables(make().iter_batches(batch_format="pyarrow"))
+        out.append(sorted(tuple(r.values()) for r in t.to_pylist()))
+    return out
+
+
+def test_grouped_quantiles_matches_duckdb_quantile_disc(ray_session,
+                                                         monkeypatch):
+    """Float values with heavy ties (and one null, which SQL ignores)
+    against DuckDB quantile_disc, on both exchange plans."""
+    import duckdb
+
+    from batch_geocode_ray.stages.aggregates import grouped_quantiles
+
+    rng = np.random.RandomState(4)
+    n = 2500
+    g = rng.choice(["A", "N", "R"], n)
+    v = np.round(rng.uniform(0, 50, n), 1)     # ~500 distinct: many ties
+    v[:300] = 12.5                             # one value dominates
+    t = pa.table({"g": pa.array(g),
+                  "v": pa.array(np.where(np.arange(n) == 7, np.nan, v),
+                                from_pandas=True)})
+    ds = ray.data.from_arrow(t).repartition(7)
+    qs = [0.0, 0.1, 0.5, 0.95, 1.0]
+    names = ["q0", "q10", "q50", "q95", "q100"]
+    collapsed, distributed = _both_plans(
+        lambda: grouped_quantiles(ds, "g", "v", qs, names), monkeypatch)
+    assert collapsed == distributed
+    sel = ", ".join(f"quantile_disc(v, {q}) AS {nm}"
+                    for q, nm in zip(qs, names))
+    want = duckdb.sql(f"SELECT g, {sel} FROM t GROUP BY g ORDER BY g") \
+        .fetchall()
+    assert collapsed == [tuple(r) for r in want]
+
+
+def test_multi_key_all_null_group_both_plans(ray_session, monkeypatch):
+    """(string, int64) groups, one of them all-null: its quantile row is
+    NULL on both plans, the others match numpy."""
+    rng = np.random.RandomState(9)
+    n = 1200
+    s = rng.choice(["en", "de"], n)
+    k = rng.randint(0, 3, n)
+    v = rng.randint(0, 90, n).astype(object)
+    v[(s == "de") & (k == 2)] = None           # the all-null group
+    ds = ray.data.from_arrow(pa.table({
+        "s": pa.array(s), "k": pa.array(k, pa.int64()),
+        "v": pa.array(list(v), pa.int64())})).repartition(5)
+    collapsed, distributed = _both_plans(
+        lambda: grouped_quantile_cont(ds, ["s", "k"], "v", [0.25, 0.5]),
+        monkeypatch)
+    assert collapsed == distributed
+    assert [r[:2] for r in collapsed] == [
+        (a, b) for a in ("de", "en") for b in range(3)]
+    for si, ki, p25, p50 in collapsed:
+        vs = np.array([x for x in v[(s == si) & (k == ki)] if x is not None],
+                      dtype=np.int64)
+        if not len(vs):
+            assert (si, ki, p25, p50) == ("de", 2, None, None)
+            continue
+        assert p25 == pytest.approx(np.percentile(vs, 25), abs=1e-9)
+        assert p50 == pytest.approx(np.percentile(vs, 50), abs=1e-9)
