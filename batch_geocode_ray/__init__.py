@@ -6,8 +6,8 @@ distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
 
     read_parquet(pages)
       -> map_batches(GeocodeFusedStage)        # ONE fused stage, worker-cached tasks:
-           extract_text                        #   Arrow zero-copy HTML -> text
-           GazetteerMatcher                    #   vectorized phrase-key lookup
+           html_token_runs                     #   html bytes -> token runs (no text)
+           GazetteerMatcher                    #   vocab codes -> phrase windows
            resolve + vet                       #   vectorized NumPy, reference parity
            encode cells                        #   S2 / hex (H3-style) indices
            PIPJoin                             #   broadcast grid point-in-polygon

@@ -2,8 +2,8 @@
 
     read_parquet(pages)
       -> GeocodeFusedStage, per batch:
-           extract_text (drops html early)
-           -> GazetteerMatcher (vectorized phrase-key lookup)
+           html_token_runs (html bytes -> token runs; no text column)
+           -> GazetteerMatcher.mentions (vocab codes -> phrase windows)
            -> MentionResolver (vet + wide columns)
            -> cell encode (s2_cell + h3-style hex res 7/8/9)
            -> PIPJoin (broadcast polygon index)
@@ -32,9 +32,10 @@ from ray.data import Dataset
 
 from batch_geocode_ray.config import PipelineConfig
 from batch_geocode_ray.functions.cells import hex_cell, s2_cell
+from batch_geocode_ray.functions.text import html_token_runs
 from batch_geocode_ray.sources.fixtures import LANG_CC_PRIOR
 from batch_geocode_ray.stages.aggregates import tile_aggregate
-from batch_geocode_ray.stages.extract import extract_text_stage
+from batch_geocode_ray.stages.extract import verify_html_tokens
 from batch_geocode_ray.stages.knn import FacilityIndex, KNNFacilities
 from batch_geocode_ray.stages.matcher import GazetteerMatcher
 from batch_geocode_ray.stages.pip import PIPJoin, PolygonIndex
@@ -68,7 +69,15 @@ def _get(x):
 
 class GeocodeFusedStage:
     """The whole per-page chain as one callable:
-    extract -> match -> resolve/vet -> cells -> PIP -> kNN.
+    extract + match -> resolve/vet -> cells -> PIP -> kNN.
+
+    Extract and match are one pass: the html bytes become token runs
+    and then gazetteer codes (``html_token_runs`` ->
+    ``GazetteerMatcher.mentions``), equal to matching the extracted
+    ``text`` but without building it. ``verify_extraction=True`` also
+    extracts ``text`` and checks it against the input's and the html
+    tokens against its tokens (``stages/extract.verify_html_tokens``);
+    the output is the same either way.
 
     Fusing matters for throughput: with one operator per layer the
     streaming executor juggles six operators and none reaches high
@@ -98,8 +107,11 @@ class GeocodeFusedStage:
                     if with_knn and facilities is not None else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        b = extract_text_stage(batch, verify_against_input=self.verify_extraction)
-        b = self.matcher(b)
+        runs = html_token_runs(batch["html"])
+        if self.verify_extraction:
+            verify_html_tokens(batch, runs)
+        b = batch.drop_columns(["html"]).append_column(
+            "mentions", self.matcher.mentions(runs))
         b = self.resolver(b)
         b = encode_cells_stage(b, self.cfg.hex_resolutions, self.cfg.s2_level)
         if self.pip is not None:

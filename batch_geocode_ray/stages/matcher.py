@@ -3,17 +3,30 @@ inside the fused flagship stage; see pipelines/geocode).
 
 Replaces the reference's per-row HTTP geocoding fan-out
 (query_funcs.py:178-191) with offline matching of gazetteer phrases
-against page text. Tokens are lowercased [a-z0-9]+ runs from a NumPy
-byte scan over the Arrow buffers; each token maps to a vocab code via
-``pc.index_in`` (C++); for every phrase length L present in the
-gazetteer, all length-L windows whose tokens are all in-vocab get a
-rolling splitmix key, binary-searched against the phrase-key table;
-hits are verified code-by-code (hash collisions cannot emit). Python
-touches only the (rare) verified hits.
+against page tokens. One kernel, :meth:`GazetteerMatcher.mentions`,
+takes the token runs of a batch (``functions/text.TokenRuns``: byte
+offsets into the Arrow data buffer, no token strings) from either
+
+  * ``token_runs(text)`` — :meth:`GazetteerMatcher.__call__`, over a
+    text column (q14, the traced chain in perfbench), or
+  * ``html_token_runs(html)`` — the fused flagship stage, straight from
+    the html bytes with no ``text`` column.
+
+Runs whose length is a vocab token length are read as folded 8-byte
+words, hashed, binary-searched against the sorted vocab hashes and
+verified word by word, which gives each in-vocab run its code. For
+every phrase length L, the windows of L consecutive in-vocab tokens of
+one row get a key (the code itself for L = 1, else a splitmix chain),
+binary-searched against the sorted keys of the gazetteer's distinct
+code tuples and verified code by code (hash collisions cannot emit); a
+match emits every entry with that phrase. Only ~15% of tokens are in
+the vocab, so the window loop runs over those alone.
 
 Every occurrence of every phrase is emitted (duplicates across sources
 included); mention start/end are TOKEN indices within the document.
-The result equals a naive all-occurrence token-window scan
+Tokens are ASCII-folded on both sides (gazetteer phrases through
+``state/gazetteer.normalize_phrase``), and the result equals a naive
+all-occurrence scan over the same tokens
 (``tests/oracle.py:naive_find_all``), spans included.
 """
 
@@ -24,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from batch_geocode_ray.functions.hashing import splitmix64
+from batch_geocode_ray.functions.text import TokenRuns, token_runs, word_view
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
 
 MENTION_TYPE = pa.struct([
@@ -33,60 +47,52 @@ MENTION_TYPE = pa.struct([
     ("end", pa.int32()),
 ])
 
+_FOLD = np.uint64(0x2020202020202020)
+# _LOW[k]: the low k bytes of a word
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
 
 def _phrase_key(codes: np.ndarray) -> np.ndarray:
-    """Rolling combine over (L, n) code windows -> uint64 keys."""
-    k = splitmix64(codes[0].astype(np.uint64))
+    """uint64 key of (L, n) code windows: the code itself for L = 1,
+    else a splitmix chain (order-sensitive)."""
+    k = codes[0].astype(np.uint64)
     for j in range(1, len(codes)):
-        k = splitmix64(k ^ codes[j].astype(np.uint64))
+        k = splitmix64(k) ^ codes[j].astype(np.uint64)
     return k
 
 
-def _ascii_tokens(col: pa.Array) -> tuple[pa.Array, np.ndarray]:
-    """Byte-level [a-z0-9]+ tokenizer over a lowered string column —
-    pure NumPy over the Arrow buffers, no regex (an RE2 split measured
-    6.4 us/page; this runs ~1 us/page and was the matcher's hottest
-    kernel). Returns (flat token StringArray, parent row indices).
+def _run_words(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+               n_words: int) -> list[np.ndarray]:
+    """Each run as ``n_words`` folded little-endian words, zero past its
+    end. Run bytes are nonzero, so the words alone pin the bytes."""
+    view = word_view(buf)
+    out = [(view[starts] | _FOLD) & _LOW[np.minimum(lens, 8)]]
+    for k in range(1, n_words):
+        # a run shorter than 8k bytes reads word k as 0: clip its index
+        w = view[np.minimum(starts + 8 * k, len(view) - 1)]
+        out.append((w | _FOLD) & _LOW[np.clip(lens - 8 * k, 0, 8)])
+    return out
 
-    Lowercasing is ``ascii_lower``: every non-[a-z0-9] byte is a
-    separator either way, so the only divergence from a Unicode lower
-    is exotic codepoints whose lowercase IS ascii (e.g. the Kelvin
-    sign); gazetteer phrases are ascii, so match results are identical.
-    """
-    low = pc.ascii_lower(col)
-    if low.null_count:
-        low = low.fill_null("")
-    offs_all = np.frombuffer(low.buffers()[1], dtype=np.int32)
-    offs = offs_all[low.offset:low.offset + len(low) + 1]
-    data = np.frombuffer(low.buffers()[2], dtype=np.uint8)
-    a = data[offs[0]:offs[-1]]
-    offs0 = (offs - offs[0]).astype(np.int64)
-    is_tok = ((a >= 97) & (a <= 122)) | ((a >= 48) & (a <= 57))
-    m = len(a)
-    if m == 0:
-        return pa.array([], pa.string()), np.empty(0, dtype=np.int64)
-    prev = np.empty(m, dtype=bool)
-    prev[0] = False
-    prev[1:] = is_tok[:-1]
-    nxt = np.empty(m, dtype=bool)
-    nxt[-1] = False
-    nxt[:-1] = is_tok[1:]
-    inner = offs0[1:-1]  # row starts: token runs may not cross them
-    prev[inner[inner < m]] = False
-    before = inner - 1
-    nxt[before[before >= 0]] = False
-    starts = np.nonzero(is_tok & ~prev)[0]
-    ends = np.nonzero(is_tok & ~nxt)[0] + 1
-    lengths = ends - starts
-    tok_offsets = np.concatenate(
-        [[0], np.cumsum(lengths)]).astype(np.int32)
-    compact = a[is_tok]  # token bytes in order; len == lengths.sum()
-    tokens = pa.Array.from_buffers(
-        pa.utf8(), len(starts),
-        [None, pa.py_buffer(tok_offsets.tobytes()),
-         pa.py_buffer(compact.tobytes())])
-    parents = np.searchsorted(offs0, starts, side="right") - 1
-    return tokens, parents
+
+def _run_keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+              n_words: int) -> np.ndarray:
+    """uint64 lookup key per run: its one word when it fits in 8 bytes
+    (exact), else a splitmix hash of its words."""
+    key = _run_words(buf, starts, lens, 1)[0]
+    long = np.flatnonzero(lens > 8)
+    if len(long):
+        words = _run_words(buf, starts[long], lens[long], n_words)
+        h = splitmix64(words[0])
+        for w in words[1:]:
+            h = splitmix64(h ^ w)
+        key[long] = h
+    return key
+
+
+def _row_of(row_first: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row of each sorted run index: one search per row, not per run."""
+    counts = np.diff(np.searchsorted(idx, row_first))
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 class GazetteerMatcher:
@@ -105,119 +111,128 @@ class GazetteerMatcher:
         for ph in gaz.phrases:
             for tok in ph:
                 vocab.setdefault(tok, len(vocab))
-        self.vocab_arr = pa.array(list(vocab), pa.string())
-        # per phrase length: sorted key table -> entry-group offsets
+        # vocab tokens as runs over one buffer: the same key/word path
+        # the page runs take
+        vbytes = [t.encode() for t in vocab]
+        vlens = np.array([len(b) for b in vbytes], dtype=np.int64)
+        max_len = int(vlens.max()) if len(vlens) else 0
+        self.n_words = max(1, -(-max_len // 8))
+        self.len_ok = np.zeros(max_len + 2, dtype=bool)
+        self.len_ok[vlens] = True
+        vbuf = np.frombuffer(b"".join(vbytes) + bytes(16), dtype=np.uint8)
+        vstarts = np.concatenate([[0], np.cumsum(vlens)[:-1]]).astype(np.int64)
+        vkeys = _run_keys(vbuf, vstarts, vlens, self.n_words)
+        if len(np.unique(vkeys)) < len(vkeys):
+            raise ValueError("vocab token key collision")
+        self.vocab_keys = pa.array(vkeys, pa.uint64())   # index = vocab code
+        self.vocab_words = _run_words(vbuf, vstarts, vlens, self.n_words)
+        # per phrase length: the distinct code tuples, sorted by key,
+        # each with its entries (one phrase in several sources)
         by_len: dict[int, list[int]] = {}
         for e, ph in enumerate(gaz.phrases):
             if ph:
                 by_len.setdefault(len(ph), []).append(e)
         self.tables: dict[int, tuple] = {}
         for L, entries in by_len.items():
-            codes = np.array(
-                [[vocab[t] for t in gaz.phrases[e]] for e in entries],
-                dtype=np.uint64).T            # (L, n_phrases)
-            keys = _phrase_key(codes)
-            order = np.argsort(keys, kind="stable")
-            keys_s = keys[order]
-            entries_s = np.array(entries, dtype=np.int64)[order]
-            codes_s = codes[:, order]
-            # group duplicates (same key: identical phrase in several
-            # sources, or a rare hash collision — verification decides)
-            bounds = np.concatenate(
-                [[0], np.nonzero(np.diff(keys_s))[0] + 1, [len(keys_s)]])
-            self.tables[L] = (keys_s[bounds[:-1]],   # unique keys
-                              bounds,                # group offsets
-                              entries_s,             # entry per slot
-                              codes_s)               # codes per slot
-        self.names_arr = np.array(gaz.names, dtype=object)
+            codes = np.array([[vocab[t] for t in gaz.phrases[e]] for e in entries],
+                             dtype=np.int64)
+            tuples, inv = np.unique(codes, axis=0, return_inverse=True)
+            keys = _phrase_key(tuples.T)
+            order = np.argsort(keys)
+            if (np.diff(keys[order]) == 0).any():
+                raise ValueError("phrase key collision")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            inv = rank[inv.ravel()]                  # tuple id = key rank
+            self.tables[L] = (
+                keys[order],                         # sorted tuple keys
+                tuples[order].T,                     # (L, n_tuples) codes
+                np.concatenate([[0], np.cumsum(np.bincount(inv))]),
+                np.array(entries, dtype=np.int64)[np.argsort(inv, kind="stable")])
+        self.names = pa.array(gaz.names, pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        gaz = self.gaz
-        n = batch.num_rows
-        col = batch[self.text_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat, parents = _ascii_tokens(col)
-        codes = np.asarray(
-            pc.index_in(flat, value_set=self.vocab_arr).fill_null(-1)
-            .cast(pa.int64()).to_numpy(zero_copy_only=False))
-        m = len(codes)
-        # token index within each doc (for mention start/end)
-        doc_counts = np.zeros(n, dtype=np.int64)
-        np.add.at(doc_counts, parents, 1)
-        doc_starts = np.concatenate([[0], np.cumsum(doc_counts)])[:-1]
-        tok_idx = np.arange(m) - doc_starts[parents] if m else np.empty(0, np.int64)
+        """Append ``mentions`` for the batch's text column."""
+        return batch.append_column(
+            "mentions", self.mentions(token_runs(batch[self.text_col])))
 
-        hit_rows: list[np.ndarray] = []
+    def _vocab_codes(self, runs: TokenRuns) -> tuple[np.ndarray, np.ndarray]:
+        """(run index, vocab code) of the in-vocab runs, in run order:
+        runs of a vocab length are keyed, probed in Arrow's hash set
+        of the vocab keys and verified word by word."""
+        cand = np.flatnonzero(
+            self.len_ok[np.minimum(runs.lens, len(self.len_ok) - 1)])
+        starts, lens = runs.starts[cand], runs.lens[cand]
+        keys = _run_keys(runs.buf, starts, lens, self.n_words)
+        codes = np.asarray(pc.index_in(keys, value_set=self.vocab_keys)
+                           .fill_null(-1).to_numpy(zero_copy_only=False))
+        hit = np.flatnonzero(codes >= 0)
+        codes = codes[hit].astype(np.int64)
+        ok = np.ones(len(hit), dtype=bool)
+        words = _run_words(runs.buf, starts[hit], lens[hit], self.n_words)
+        for w, vw in zip(words, self.vocab_words):
+            ok &= w == vw[codes]
+        return cand[hit[ok]], codes[ok]
+
+    def mentions(self, runs: TokenRuns) -> pa.Array:
+        """The ``mentions`` column (``list<MENTION_TYPE>``, one list per
+        row, never null) for a batch's token runs."""
+        gaz = self.gaz
+        n = len(runs.row_first) - 1
+        pos, codes = self._vocab_codes(runs)
+        m = len(pos)
+        rows = _row_of(runs.row_first, pos)
+
+        hit_first: list[np.ndarray] = []
         hit_entry: list[np.ndarray] = []
-        hit_start: list[np.ndarray] = []
-        hit_end: list[np.ndarray] = []
-        for L, (ukeys, bounds, entries_s, codes_s) in self.tables.items():
+        hit_len: list[np.ndarray] = []
+        for L, (tkeys, tcodes, toff, tent) in self.tables.items():
             if m < L:
                 continue
+            # windows of L in-vocab tokens, consecutive within one row
             nwin = m - L + 1
-            valid = parents[:nwin] == parents[L - 1:]
-            win = codes[:nwin] >= 0
-            for j in range(1, L):
-                win = win & (codes[j:j + nwin] >= 0)
-            valid &= win
-            if not valid.any():
-                continue
-            pos0 = np.nonzero(valid)[0]
-            wc = np.stack([codes[pos0 + j] for j in range(L)]).astype(np.uint64)
+            pos0 = np.flatnonzero((pos[L - 1:] - pos[:nwin] == L - 1)
+                                  & (rows[L - 1:] == rows[:nwin]))
+            wc = np.stack([codes[pos0 + j] for j in range(L)])
             keys = _phrase_key(wc)
-            lookup = np.searchsorted(ukeys, keys)
-            lookup_c = np.clip(lookup, 0, len(ukeys) - 1)
-            cand = ukeys[lookup_c] == keys
-            if not cand.any():
-                continue
-            cpos = np.nonzero(cand)[0]
-            g = lookup_c[cpos]
-            wc_c = wc[:, cpos]                      # (L, C)
-            rows_c = parents[pos0[cpos]]
-            starts_c = tok_idx[pos0[cpos]]
-            gsize = bounds[g + 1] - bounds[g]
-            # verify each candidate against its key-group's slots,
-            # vectorized per slot offset (groups are tiny: duplicates
-            # of one phrase across sources)
-            for o in range(int(gsize.max())):
-                has = o < gsize
-                idxs = np.nonzero(has)[0]
-                slot = bounds[g[idxs]] + o
-                ok = (codes_s[:, slot] == wc_c[:, idxs]).all(axis=0)
-                sel = idxs[ok]
-                if len(sel):
-                    hit_rows.append(rows_c[sel])
-                    hit_entry.append(entries_s[slot[ok]])
-                    hit_start.append(starts_c[sel])
-                    hit_end.append(starts_c[sel] + L)
+            t = np.minimum(np.searchsorted(tkeys, keys), len(tkeys) - 1)
+            hit = np.flatnonzero(tkeys[t] == keys)
+            t = t[hit]
+            ok = (tcodes[:, t] == wc[:, hit]).all(axis=0)   # exact codes
+            t, first = t[ok], pos[pos0[hit[ok]]]
+            # every entry of each matched tuple
+            n_ent = toff[t + 1] - toff[t]
+            total = int(n_ent.sum())
+            hit_first.append(np.repeat(first, n_ent))
+            hit_entry.append(tent[np.repeat(toff[t] - np.cumsum(n_ent) + n_ent, n_ent)
+                                  + np.arange(total)])
+            hit_len.append(np.full(total, L))
 
-        if hit_rows:
-            rows = np.concatenate(hit_rows).astype(np.int64)
-            entry = np.concatenate(hit_entry).astype(np.int64)
-            starts = np.concatenate(hit_start).astype(np.int64)
-            ends = np.concatenate(hit_end).astype(np.int64)
-            # stable order: by (row, start, entry) like a scan would emit
-            order = np.lexsort((entry, starts, rows))
-            rows, entry = rows[order], entry[order]
-            starts, ends = starts[order], ends[order]
+        if hit_first:
+            first = np.concatenate(hit_first)
+            entry = np.concatenate(hit_entry)
+            # order by (row, start, entry) like a scan would emit: the
+            # run index orders (row, start), and each hit list is already
+            # sorted by it, so the stable (merge) sort only merges runs
+            order = np.argsort(first * len(gaz.ids) + entry, kind="stable")
+            first, entry = first[order], entry[order]
+            lens = np.concatenate(hit_len)[order]
+            rows = _row_of(runs.row_first, first)
+            starts = first - runs.row_first[rows]
+            ends = starts + lens
         else:
             rows = entry = starts = ends = np.empty(0, dtype=np.int64)
 
-        counts = np.zeros(n, dtype=np.int64)
-        np.add.at(counts, rows, 1)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        mentions = pa.ListArray.from_arrays(
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()),
             pa.StructArray.from_arrays(
                 [
                     pa.array(gaz.ids[entry], pa.int64()),
-                    pa.array(self.names_arr[entry].tolist()
-                             if len(entry) else [], pa.string()),
+                    pc.take(self.names, pa.array(entry)),
                     pa.array(starts.astype(np.int32), pa.int32()),
                     pa.array(ends.astype(np.int32), pa.int32()),
                 ],
                 fields=list(MENTION_TYPE),
             ),
         )
-        return batch.append_column("mentions", mentions)

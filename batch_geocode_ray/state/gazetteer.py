@@ -18,12 +18,16 @@ import pyarrow as pa
 
 from batch_geocode_ray.functions.geo import diag_buffer_km
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 def normalize_phrase(name: str) -> tuple[str, ...]:
-    """Canonical token form shared by gazetteer names and page text."""
-    return tuple(_TOKEN_RE.findall(name.lower()))
+    """Canonical token form shared by gazetteer names and page text:
+    [A-Za-z0-9] runs, ASCII-folded like the engine's page tokens
+    (``functions/text``), so a non-ASCII letter is a separator on both
+    sides even where its Unicode lower case is ASCII ("İzmir" ->
+    ``("zmir",)``, never ``("i", "zmir")``)."""
+    return tuple(t.lower() for t in _TOKEN_RE.findall(name))
 
 
 @dataclass

@@ -15,8 +15,13 @@ import pyarrow as pa
 from batch_geocode_ray.config import GEOCODING_SUFFIXES, PipelineConfig
 from batch_geocode_ray.functions.cells import hex_cell, s2_cell
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 EARTH_R = 6371.0088
+
+
+def ascii_tokens(text: str) -> list[str]:
+    """The engine's token rule: [A-Za-z0-9] runs, ASCII-folded."""
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 def hav(lon1, lat1, lon2, lat2):
@@ -40,12 +45,12 @@ class OracleGazetteer:
                 r["buffer"] = 0.0
                 r["clon"], r["clat"] = r["lon"], r["lat"]
                 r["points"] = [(r["lon"], r["lat"])]
-            r["tokens"] = tuple(_TOKEN_RE.findall(r["name"].lower()))
+            r["tokens"] = tuple(ascii_tokens(r["name"]))
         self.sources = sorted({r["source"] for r in self.rows})
 
 
 def find_mentions(text: str, gaz: OracleGazetteer):
-    toks = _TOKEN_RE.findall(text.lower())
+    toks = ascii_tokens(text)
     hit = []
     for r in gaz.rows:
         ph = list(r["tokens"])
@@ -77,7 +82,7 @@ def naive_mentions(texts: list[str | None], gaz) -> list[list[dict]]:
     ``GazetteerIndex``, from :func:`naive_find_all` (token-index spans)."""
     out = []
     for text in texts:
-        toks = _TOKEN_RE.findall((text or "").lower())
+        toks = ascii_tokens(text or "")
         out.append([{"gazetteer_id": int(gaz.ids[e]), "name": gaz.names[e],
                      "start": s, "end": t}
                     for s, t, e in naive_find_all(toks, gaz.phrases)])

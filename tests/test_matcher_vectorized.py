@@ -67,3 +67,38 @@ def test_vectorized_handcrafted_cases():
     # token-index spans
     echo_city = [m for m in got_ms[0] if m["gazetteer_id"] == 0][0]
     assert (echo_city["start"], echo_city["end"]) == (1, 3)
+
+
+def test_ascii_fold_on_both_sides():
+    """Gazetteer names and page text share one token rule, the ASCII
+    fold: U+0130, U+0131 and the Kelvin sign U+212A are separators on
+    both sides, though Unicode lowers two of them to ASCII. A
+    Unicode-lowered gazetteer made U+0130 "zmir" ('i', 'zmir'), which no
+    page could match."""
+    from batch_geocode_ray.functions.text import html_token_runs
+
+    names = ["\u0130zmir", "\u212aIEL", "Kiel", "izmir"]
+    n = len(names)
+    gaz = pa.table({
+        "gazetteer_id": pa.array(range(n), pa.int64()),
+        "name": pa.array(names),
+        "lat": pa.array([0.0] * n), "lon": pa.array([0.0] * n),
+        "bb_n": pa.array([None] * n, pa.float64()),
+        "bb_s": pa.array([None] * n, pa.float64()),
+        "bb_e": pa.array([None] * n, pa.float64()),
+        "bb_w": pa.array([None] * n, pa.float64()),
+        "cc": pa.array([None] * n, pa.string()),
+        "type": pa.array(["t"] * n),
+        "population": pa.array([1] * n, pa.int64()),
+        "source": pa.array(["GM"] * n),
+    })
+    idx = GazetteerIndex.from_table(gaz)
+    assert idx.phrases == [("zmir",), ("iel",), ("kiel",), ("izmir",)]
+    texts = ["\u0130zmir", "\u0131zmir", "IZMIR", "\u212aIEL", "KIEL", "kiel"]
+    matcher = GazetteerMatcher(idx)
+    got = matcher(pa.table({"text": pa.array(texts)}))["mentions"].to_pylist()
+    assert got == naive_mentions(texts, idx)
+    assert [[m["gazetteer_id"] for m in ms] for ms in got] == \
+        [[0], [0], [3], [1], [2], [2]]
+    html = pa.array([f"<p>{t}</p>".encode() for t in texts], pa.binary())
+    assert matcher.mentions(html_token_runs(html)).to_pylist() == got

@@ -66,6 +66,12 @@ html_piece = st.one_of(
         "<b>", "</b>", "<script>var x=1<2;</script>", "<style>p{}</style>",
         "<!-- c -->", "&amp;", "&lt;", "&gt;", "&nbsp;", "&#39;", "&amp;lt;",
         "<p class='x'>", "</p>", "  ", "\t\n",
+        # the html token kernel's hostile pieces (tests/test_html_kernel.py)
+        "\u017f", "\u0130", "\u0131", "\u212a", "<\u017fcript>x</script>",
+        "<scr\u0130pt>x</script>", "<scr\u0131pt>x</script>", "<SCRIPT>",
+        "</ScRiPt>", "<scriptx>", "<script", "</script>", "<style>",
+        "</style>", "<!--", "-->", "<!-->", "<!--->", "&AMP;", "&NBSP;",
+        "\x00", "\ufffd",
     ]),
 )
 

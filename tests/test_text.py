@@ -28,6 +28,11 @@ TRICKY_HTML = [
     "",
     "<b>nested <i>tags</i> close</b><br/>line",
     "<SCRIPT>UPPER case script</SCRIPT>kept",
+    # non-ASCII letters never fold into a tag name (Python's (?i) folded
+    # U+0130/U+0131 to i, RE2's did not)
+    "a<scr\u0130pt>x</script>b",
+    "a<scr\u0131pt>x</script>b",
+    "a<\u017fcript>x</script>b",
 ]
 
 
@@ -44,6 +49,12 @@ def test_extract_invalid_utf8_matches_oracle():
     vec = extract_text_column(col).to_pylist()
     oracle = [extract_text_py(b) for b in raw]
     assert vec == oracle
+
+
+def test_tag_names_fold_ascii_only():
+    assert extract_text_py("a<SCRIPT>x</Script>b") == "a b"
+    for html in TRICKY_HTML[-3:]:
+        assert extract_text_py(html) == "a x b"
 
 
 def test_entity_decode_order():
