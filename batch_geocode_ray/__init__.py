@@ -13,15 +13,15 @@ distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
            PIPJoin                             #   broadcast grid point-in-polygon
            KNNFacilities                       #   optional nearest facilities
       -> write_parquet (per-partition lineage, resumable)
-      -> groupby(cell).aggregate(...)          # pre-combined tile stats
+      -> grouped_aggregate(cell)               # tile stats: per-batch partials merged
+                                               #   through dedup.bucket_exchange
 
 The reference geocodes one row at a time through four live HTTP APIs
 (reference geocode/batch_geocode.py:173-182); this engine replaces the
 HTTP calls with an offline gazetteer (north_star in BASELINE.json) and
 keeps the reference's *semantics*: buffer vetting with composite best
 (query_funcs.py:193-219), wide ``{prefix}_{suffix}`` output columns
-(batch_geocode.py:23-38), top-N results per source (query_funcs.py:376),
-and the ISO2 whitelist (utilities.py:85-118).
+(batch_geocode.py:23-38), and top-N results per source (query_funcs.py:376).
 """
 
 from batch_geocode_ray.config import PipelineConfig

@@ -23,7 +23,7 @@ Hex (``hex_cell``)
   sqrt(7) per resolution, so res 7-9 sizes track real H3's). Exact H3
   icosahedral bit-parity is NOT claimed (the sandbox has no h3 library
   to verify 122-base-cell tables against); what the engine relies on —
-  deterministic encode, multi-resolution rollup, k-ring neighbors,
+  deterministic encode at any resolution, k-ring neighbors,
   hot-cell salting keys — is provided and invariant-tested. Known
   tradeoff: equal-angle, not equal-area (cells shrink toward the
   poles), irrelevant for bucketing/aggregation semantics.
@@ -251,29 +251,6 @@ def hex_decode(cell: np.ndarray):
     x = size * (_SQRT3 * q + _SQRT3 / 2.0 * r)
     y = size * (1.5 * r)
     return res, x, y
-
-
-def hex_parent(cell: np.ndarray, parent_res: int) -> np.ndarray:
-    """Coarser cell containing this cell's center (like H3's
-    center-containment parent: children straddle parent borders in real
-    H3 too, so rollups always re-encode centers).
-    """
-    _, x, y = hex_decode(cell)
-    return hex_cell(x, y, parent_res)
-
-
-def hex_kring_array(cells: np.ndarray, k: int = 1) -> np.ndarray:
-    """(n, m) k-ring cells for an ARRAY of cells — vectorized: the
-    axial (q, r) fields are separate bit ranges, so a ring neighbor is
-    the packed cell plus ``(dq << 24) + dr`` (|dq|,|dr| <= k never
-    crosses a field boundary at 24-bit offsets)."""
-    deltas = np.array(
-        [(dq << 24) + dr
-         for dq in range(-k, k + 1)
-         for dr in range(max(-k, -dq - k), min(k, -dq + k) + 1)],
-        dtype=np.int64)
-    base = np.asarray(cells, dtype=np.uint64).astype(np.int64)
-    return base[:, None] + deltas[None, :]
 
 
 def hex_kring(cell: int, k: int = 1) -> list[int]:

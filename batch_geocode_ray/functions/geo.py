@@ -4,7 +4,6 @@ Numerical parity targets (reference /root/reference/geocode/query_funcs.py):
   - ``haversine_km``      ~ calc_haversine_distance (:247-252), which wraps the
     ``haversine`` PyPI package: great-circle distance on a sphere of
     mean earth radius 6371.0088 km, in km.
-  - ``bbox / centroid``   ~ get_bounding_box (:259-266) / get_centroid (:254-257)
   - ``diag_buffer_km``    ~ get_diag_buffer (:272-278): haversine distance
     across the bbox diagonal (SW corner -> NE corner), the reference's
     "buffer" used by the vetting rule.
@@ -43,48 +42,3 @@ def diag_buffer_km(min_lon, min_lat, max_lon, max_lat):
     (query_funcs.py:272-278). A degenerate bbox (a point) has buffer 0.
     """
     return haversine_km(min_lon, min_lat, max_lon, max_lat)
-
-
-def segmented_bbox(lons: np.ndarray, lats: np.ndarray, segment_ids: np.ndarray, n_segments: int):
-    """Per-segment bounding boxes over flattened point lists.
-
-    ``segment_ids`` maps each point to its owning row (non-decreasing not
-    required). Returns (min_lon, min_lat, max_lon, max_lat) float64 arrays
-    of length ``n_segments``; segments with no points come back NaN.
-    Mirrors get_bounding_box (query_funcs.py:259-266) across many rows at
-    once.
-    """
-    min_lon = np.full(n_segments, np.inf)
-    min_lat = np.full(n_segments, np.inf)
-    max_lon = np.full(n_segments, -np.inf)
-    max_lat = np.full(n_segments, -np.inf)
-    np.minimum.at(min_lon, segment_ids, lons)
-    np.minimum.at(min_lat, segment_ids, lats)
-    np.maximum.at(max_lon, segment_ids, lons)
-    np.maximum.at(max_lat, segment_ids, lats)
-    empty = np.isinf(min_lon) & np.isinf(max_lon)
-    for arr in (min_lon, min_lat, max_lon, max_lat):
-        arr[empty] = np.nan
-    return min_lon, min_lat, max_lon, max_lat
-
-
-def segmented_centroid(lons: np.ndarray, lats: np.ndarray, segment_ids: np.ndarray, n_segments: int):
-    """Per-segment mean of point lons/lats (reference get_centroid,
-    query_funcs.py:254-257 — np.nanmean over the points list). NaN points
-    are ignored; empty segments yield NaN.
-    """
-    sum_lon = np.zeros(n_segments)
-    sum_lat = np.zeros(n_segments)
-    cnt_lon = np.zeros(n_segments)
-    cnt_lat = np.zeros(n_segments)
-    ok_lon = ~np.isnan(lons)
-    ok_lat = ~np.isnan(lats)
-    np.add.at(sum_lon, segment_ids[ok_lon], lons[ok_lon])
-    np.add.at(sum_lat, segment_ids[ok_lat], lats[ok_lat])
-    np.add.at(cnt_lon, segment_ids[ok_lon], 1.0)
-    np.add.at(cnt_lat, segment_ids[ok_lat], 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (
-            np.where(cnt_lon > 0, sum_lon / cnt_lon, np.nan),
-            np.where(cnt_lat > 0, sum_lat / cnt_lat, np.nan),
-        )

@@ -1,6 +1,7 @@
 """Mergeable sketches for web-scale aggregation (SURVEY mandate's
-"novel sketch" slot): HyperLogLog distinct counting, Count-Min
-frequency estimation, and Misra-Gries heavy hitters.
+"novel sketch" slot): HyperLogLog distinct counting, a rank-spaced
+quantile summary, and Misra-Gries heavy hitters (q37 and q67, q44,
+q38).
 
 All three are classic streaming summaries with the property that makes
 them Ray-Data-shaped: per-batch partials merge associatively, so a
@@ -11,10 +12,8 @@ all-to-all distinct/groupby over 10^12 rows.
     rank per register; standard bias-corrected estimate with small- and
     large-range corrections. Registers are 2^p bytes — a 4 KB summary
     of any number of rows. Merge = elementwise max.
-  * Count-Min (Cormode & Muthukrishnan 2005): depth x width counter
-    matrix; frequency queries take the min over depth rows — never
-    under-counts, over-counts by ~n/width whp. Merge = addition
-    (linear sketch).
+  * quantile summary: k sorted (value, weight) pairs at mid-rank
+    targets. Merge = concatenate + re-compress.
   * Misra-Gries (1982): k-counter frequent-items summary; every item
     with true frequency > n/k survives; counts under-estimate by at
     most n/k. Merge = counter addition + decrement by the (k+1)-th
@@ -92,93 +91,6 @@ def hll_estimate(regs: np.ndarray) -> float:
     return float(est)
 
 
-def hll_count_distinct(ds, col: str, p: int = 12) -> float:
-    """Distributed approximate COUNT(DISTINCT col): per-block 2^p-byte
-    partials, merged on the driver (the merge input is n_blocks x 4 KB
-    regardless of row count)."""
-    import ray
-
-    def partial(b: pa.Table) -> pa.Table:
-        regs = hll_partial(b[col], p)
-        return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    regs = [np.frombuffer(r, dtype=np.uint8)
-            for t in (ray.get(ref) for ref in parts.to_arrow_refs())
-            for r in t["regs"].to_pylist()]
-    if not regs:
-        return 0.0
-    return hll_estimate(hll_merge(regs))
-
-
-# ---------------------------------------------------------------------------
-# Count-Min
-# ---------------------------------------------------------------------------
-
-def cms_partial(values, depth: int = 4, width: int = 2048,
-                seed: int = 99) -> np.ndarray:
-    """(depth, width) int64 Count-Min partial for this batch.
-    Row hashes are independent splitmix streams of the stable value
-    hash; merge = elementwise addition (linear sketch)."""
-    from batch_geocode_ray.functions.hashing import splitmix64
-
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        h = stable_hash64_array(values)
-    else:
-        h = np.asarray(values, dtype=np.uint64)
-    sk = np.zeros((depth, width), dtype=np.int64)
-    for d in range(depth):
-        hd = splitmix64(h ^ np.uint64((seed + d * 0x9E3779B97F4A7C15) % (1 << 64)))
-        idx = (hd % np.uint64(width)).astype(np.int64)
-        np.add.at(sk[d], idx, 1)
-    return sk
-
-
-def cms_merge(partials: list[np.ndarray]) -> np.ndarray:
-    out = partials[0].copy()
-    for p_ in partials[1:]:
-        out += p_
-    return out
-
-
-def cms_query(sketch: np.ndarray, values, seed: int = 99) -> np.ndarray:
-    """Frequency upper bounds for ``values`` (never under-counts; over-
-    counts by at most ~e*n/width with prob 1-e^-depth)."""
-    from batch_geocode_ray.functions.hashing import splitmix64
-
-    depth, width = sketch.shape
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        h = stable_hash64_array(values)
-    else:
-        h = np.asarray(values, dtype=np.uint64)
-    est = np.full(len(h), np.iinfo(np.int64).max, dtype=np.int64)
-    for d in range(depth):
-        hd = splitmix64(h ^ np.uint64((seed + d * 0x9E3779B97F4A7C15) % (1 << 64)))
-        idx = (hd % np.uint64(width)).astype(np.int64)
-        est = np.minimum(est, sketch[d, idx])
-    return est
-
-
-def cms_count(ds, col: str, query_values, depth: int = 4,
-              width: int = 2048) -> np.ndarray:
-    """Distributed frequency estimation: per-block Count-Min partials
-    (depth x width ints each) summed on the driver, then queried for
-    ``query_values``."""
-    import ray
-
-    def partial(b: pa.Table) -> pa.Table:
-        sk = cms_partial(b[col], depth, width)
-        return pa.table({"sk": pa.array([sk.tobytes()], pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    sketches = [np.frombuffer(r, dtype=np.int64).reshape(depth, width)
-                for t in (ray.get(ref) for ref in parts.to_arrow_refs())
-                for r in t["sk"].to_pylist()]
-    if not sketches:
-        return np.zeros(len(query_values), dtype=np.int64)
-    return cms_query(cms_merge(sketches), query_values)
-
-
 # ---------------------------------------------------------------------------
 # Mergeable quantile summary
 # ---------------------------------------------------------------------------
@@ -239,16 +151,6 @@ def quantile_query(summary: tuple[np.ndarray, np.ndarray],
     cumw = np.cumsum(weights)
     pos = int(np.searchsorted(cumw, q * cumw[-1]))
     return float(vals[min(pos, len(vals) - 1)])
-
-
-def quantile_sketch(ds, col: str, qs: list[float],
-                    k: int = 512) -> list[float]:
-    """Distributed approximate quantiles: one k-entry summary per block
-    (map_batches partial), merged on the driver (n_blocks x k floats,
-    independent of row count), then queried. The scale path for
-    quantiles over groups too large for exact per-group sorting."""
-    out = grouped_quantile_sketch(ds, None, col, qs, k)
-    return out[None]
 
 
 def grouped_quantile_sketch(ds, group_col: str | None, col: str,
@@ -333,13 +235,6 @@ def mg_merge(partials: list[dict], k: int) -> dict:
         for it, c in p_.items():
             merged[it] = merged.get(it, 0) + c
     return _mg_reduce(merged, k)
-
-
-def heavy_hitters(ds, col: str, k: int = 16) -> list[tuple]:
-    """Distributed Misra-Gries: items with frequency > n/k are
-    guaranteed present; reported counts under-count by at most n/k.
-    Returns [(item, lower_bound_count)] sorted by count desc."""
-    return heavy_hitters_with_total(ds, col, k)[0]
 
 
 def heavy_hitters_with_total(ds, col: str, k: int = 16) -> tuple[list, int]:

@@ -390,10 +390,6 @@ LANG_MARKERS: dict[str, tuple[str, ...]] = {
 }
 STOPWORDS = ("the", "a", "of", "and", "to")
 
-# BPE-ish subword splitter: letter runs, digit runs, single punctuation.
-_BPE_RE = r"[a-z]+|[0-9]+|[^a-z0-9 \t\n\r\f\v]"
-
-
 def tokens_column(text_col: pa.Array | pa.ChunkedArray) -> pa.Array:
     """Lowercased word tokens ([a-z0-9]+ runs) per document as a
     list<string> column. NOTE: a document with no tokens yields a
@@ -424,13 +420,6 @@ def token_count_column(text_col) -> np.ndarray:
     out = np.zeros(len(toks), dtype=np.int64)
     np.add.at(out, parents, 1)
     return out
-
-
-def bpe_token_count_column(text_col) -> pa.Array:
-    """Count of BPE-ish subword tokens per document."""
-    if isinstance(text_col, pa.ChunkedArray):
-        text_col = text_col.combine_chunks()
-    return pc.count_substring_regex(pc.utf8_lower(text_col), pattern=_BPE_RE).cast(pa.int64())
 
 
 def _marker_hits(tokens: pa.Array, markers: tuple[str, ...]) -> np.ndarray:

@@ -29,7 +29,6 @@ from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import (
     _one_task,
     exact_dedup,
-    fingerprint_dedup,
     minhash_lsh_pairs,
     ngram_jaccard_pairs,
     simhash_pairs,
@@ -678,9 +677,7 @@ def q20_fingerprint_dedup(sf_dir: str) -> Dataset:
     text-equality self-join. The testdata corpus has no exact dups, so
     both engines augment it the same way (a doc_id+100000 copy of
     every 7th document) — the gate then checks the planted pairs are
-    all found and nothing else survives verification. The raw
-    fingerprint grouping stays available as
-    stages/dedup.fingerprint_dedup (pytest-pinned)."""
+    all found and nothing else survives verification."""
     from batch_geocode_ray.stages.dedup import fingerprint_dup_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])

@@ -1,69 +1,12 @@
-"""Vetting-workflow data plumbing (SURVEY §1.1 vetting split model,
-§2.5 J1).
-
-The reference's human-vetting flow splits the geocoded wide table into
-pass-through ``meta`` columns and ``geo`` columns keyed by a synthetic
-``__index`` (reference geocode/vet_geocode.py:35-81), ships the geo
-side to a browser, then LEFT-joins the edited geo rows back
-(vet_geocode.py:106-111). The engine keeps the same contract so
-downstream vetting UIs keep working, but both sides are Datasets and
-the merge is a distributed join:
-
-  * ``vet_split``  — meta/geo column partition + deterministic
-    ``__index`` derived from (block, row) position when no natural key
-    exists; with a ``key_col`` (e.g. ``url``) the natural key is used.
-  * ``vet_merge``  — left join of (possibly human-edited) geo rows back
-    onto meta by key; rows absent from the edited side keep null geo
-    columns, exactly like the reference's ``pd.merge(..., how='left')``.
+"""The vet UI's "mark best" rule (reference app/templates/vet.html), as
+a vectorized kernel that q45 drives.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from ray.data import Dataset
-
 from batch_geocode_ray.config import GEOCODING_SUFFIXES
-
-
-def geo_column_names(columns: list[str], address_col: str | None = None,
-                     iso_col: str | None = None) -> list[str]:
-    """The reference's geo-side selection (vet_geocode.py:56-64): every
-    column whose name ends in a geocoding suffix, plus the address/iso
-    columns when present."""
-    suffix_set = set(GEOCODING_SUFFIXES)
-    geo = [c for c in columns
-           if "_" in c and c.rsplit("_", 1)[1] in suffix_set]
-    for c in (address_col, iso_col):
-        if c and c in columns and c not in geo:
-            geo.append(c)
-    return geo
-
-
-def vet_split(ds: Dataset, key_col: str,
-              address_col: str | None = None,
-              iso_col: str | None = None) -> tuple[Dataset, Dataset]:
-    """(meta, geo) Datasets, both carrying ``key_col``. Pure columnar
-    projection — no data movement."""
-    names = ds.schema().names
-    geo_cols = geo_column_names(names, address_col, iso_col)
-    meta_cols = [c for c in names if c not in geo_cols]
-    if key_col not in meta_cols:
-        meta_cols = [key_col] + meta_cols
-    geo_sel = [key_col] + [c for c in geo_cols if c != key_col]
-    return ds.select_columns(meta_cols), ds.select_columns(geo_sel)
-
-
-def vet_merge(meta: Dataset, geo_edited: pa.Table, key_col: str) -> Dataset:
-    """LEFT join of edited geo rows back onto the meta side by key
-    (reference vet_geocode.py:106-111 semantics: meta rows with no
-    edited geo row keep nulls). The edited side is human-scale
-    (whatever a vetting session touched) -> broadcast join; the meta
-    side streams."""
-    from batch_geocode_ray.stages.joins import broadcast_join
-
-    value_cols = [c for c in geo_edited.column_names if c != key_col]
-    return broadcast_join(meta, geo_edited, key_col, value_cols, how="left")
 
 
 def mark_best(batch: pa.Table, source: str | pa.Array,
@@ -129,9 +72,3 @@ def mark_best(batch: pa.Table, source: str | pa.Array,
             batch = batch.append_column(col_name, arr)
     return batch
 
-
-# The reference also synthesizes a ``__index`` row id (vet_geocode.py:49)
-# because its CSV inputs have no key. The engine's page table has a
-# natural content-addressed key (``url``), which is what vet_split /
-# vet_merge use — a synthetic global row index would not survive
-# distributed re-execution and is deliberately NOT provided.

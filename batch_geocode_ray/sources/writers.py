@@ -11,7 +11,6 @@ user of the reference can consume this engine's output unchanged.
 from __future__ import annotations
 
 import os
-import re
 
 import pyarrow as pa
 import pyarrow.csv as pacsv
@@ -37,19 +36,6 @@ def reference_column_order(columns: list[str]) -> list[str]:
     prefixes = ["best"] + prefixes
     ordered = [f"{p}_{sfx}" for p in prefixes for sfx in GEOCODING_SUFFIXES]
     return meta + ordered
-
-
-def strip_index_prefix(values: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """The reference's vet-save address cleanup: strip a leading
-    '"<digits>: "' (utilities.py:62, ``re.sub('\\d: ','',...)`` — note
-    the reference matches ONE digit plus ': ' anywhere; we anchor the
-    commonly intended leading-index form while preserving the single
-    digit+': ' semantics for parity)."""
-    import pyarrow.compute as pc
-
-    if isinstance(values, pa.ChunkedArray):
-        values = values.combine_chunks()
-    return pc.replace_substring_regex(values, pattern=r"\d: ", replacement="")
 
 
 def write_reference_csv(ds: Dataset, out_path: str,

@@ -356,27 +356,6 @@ def exact_dedup(ds: Dataset, text_col: str, id_col: str,
                         size_hint_bytes=size_hint_bytes)
 
 
-def fingerprint_dedup(ds: Dataset, text_col: str, id_col: str,
-                      k: int = 3,
-                      size_hint_bytes: int | None = None) -> Dataset:
-    """Near-dup prefilter by winnowing fingerprint (min rolling k-gram
-    hash): groups of documents sharing the fingerprint keep the smallest
-    id. Output: (fingerprint, ``id_col``, n_members).
-    ``size_hint_bytes`` as in :func:`exact_dedup`."""
-    from batch_geocode_ray.functions.text import fingerprint_column
-
-    def to_fp(b: pa.Table) -> pa.Table:
-        fp = fingerprint_column(b[text_col], k=k).astype(np.int64)
-        return pa.table({
-            "fingerprint": pa.array(fp, pa.int64()),
-            id_col: b[id_col],
-        })
-
-    return _keyed_first(ds.map_batches(to_fp, batch_format="pyarrow"),
-                        "fingerprint", id_col, "n_members", keep_key=True,
-                        size_hint_bytes=size_hint_bytes)
-
-
 def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
                           k: int = 3,
                           size_hint_bytes: int | None = None) -> Dataset:

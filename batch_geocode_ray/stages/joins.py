@@ -74,27 +74,6 @@ class _Lookup:
         return pos, found
 
 
-class BroadcastJoiner:
-    """map_batches callable appending small-side columns by key.
-
-    ``how="inner"`` drops unmatched rows; ``"left"`` keeps them with
-    nulls. Constructed from a ray.ObjectRef so actors/tasks share one
-    object-store copy of the lookup.
-    """
-
-    def __init__(self, lookup, key: str, how: str = "inner",
-                 rename: dict[str, str] | None = None):
-        self.lookup: _Lookup = (
-            ray.get(lookup) if isinstance(lookup, ray.ObjectRef) else lookup)
-        self.key = key
-        self.how = how
-        self.rename = rename or {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _probe_and_append(self.lookup, batch, self.key, self.how,
-                                 self.rename)
-
-
 def _probe_and_append(lk: _Lookup, batch: pa.Table, key: str, how: str,
                       rename: dict[str, str]) -> pa.Table:
     pos, found = lk.probe(batch[key])

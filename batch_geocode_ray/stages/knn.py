@@ -1,21 +1,18 @@
 """kNN nearest-facility lookup (SURVEY §2.5 J4, §2.7 T4).
 
-Two physical plans, same semantics (k nearest facilities by haversine
-distance, ties broken by smaller facility_id):
+``KNNFacilities`` appends the k nearest facilities by haversine
+distance, ties broken by smaller facility_id. The facility table rides
+`ray.put` into per-worker cached state (the fused geocode stage runs as
+tasks through ``stages/stateful.stateful_map_batches``, built once per
+worker process), so no shuffle runs. Two per-batch plans, same answer:
 
-  * ``KNNFacilities`` (broadcast): the facility table rides `ray.put`
-    into per-worker cached state (the fused geocode stage runs as
-    tasks through ``stages/stateful.stateful_map_batches``, built once
-    per worker process); each batch computes a vectorized
-    points x facilities haversine matrix and partial top-k with
-    argpartition. Right plan while facilities fit in worker memory
-    (≤ ~1e6 rows) — no shuffle at all.
-  * grid-probe path (``use_grid=True``): facilities pre-bucketed into
+  * brute force (default): a points x facilities chord matmul and a
+    partial top-k with argpartition. Right while facilities fit in
+    worker memory (≤ ~1e6 rows).
+  * grid probe (``use_grid=True``): facilities pre-bucketed into
     coarse hex cells; each point probes its cell's k-ring first and
-    falls back to brute force only when the neighborhood has fewer
-    than k facilities. The scale path for very large facility tables,
-    and the per-tile shape the north rule asks for after an H3-prefix
-    repartition.
+    falls back to brute force only when the neighborhood cannot
+    guarantee the exact answer.
 """
 
 from __future__ import annotations
@@ -54,119 +51,6 @@ class FacilityIndex:
         for chunk in np.split(order, bounds):
             if len(chunk):
                 self.buckets[int(cells[chunk[0]])] = chunk
-
-
-def knn_partitioned(points: "Dataset", facilities: "Dataset", k: int = 3,
-                    grid_res: int = 2, id_col: str = "url",
-                    lon_col: str = "best_long", lat_col: str = "best_lat") -> "Dataset":
-    """Co-partitioned kNN for facility tables too big to broadcast
-    (SURVEY J4's scale path; the north rule's "repartition by cell
-    prefix" shape).
-
-    Physical plan: facilities replicate into their own cell plus its
-    k-ring-1 neighbors (x7 halo); points go to their own cell; one
-    groupby(cell) co-locates each point with every facility within one
-    ring. Per-point exactness is guaranteed when the k-th hit lies
-    inside the ring's covered radius — rows where it does not are
-    flagged ``knn_exact = false`` (the caller re-runs those few through
-    the broadcast path or a wider halo).
-
-    PARTITIONING ASSUMPTION: one cell's points + haloed facilities fit
-    in a worker's memory — pick ``grid_res`` so the densest cell does.
-    Points with null coordinates are dropped (no cell).
-    """
-    size_deg = 10.0 / (np.sqrt(7.0) ** grid_res)
-
-    def fac_explode(b: pa.Table) -> pa.Table:
-        from batch_geocode_ray.functions.cells import hex_kring_array
-
-        lat = np.asarray(b["lat"].to_numpy(zero_copy_only=False), np.float64)
-        lon = np.asarray(b["lon"].to_numpy(zero_copy_only=False), np.float64)
-        ids = np.asarray(b["facility_id"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        ring = hex_kring_array(hex_cell(lon, lat, grid_res), 1)  # (n, 7)
-        m = ring.shape[1] if len(ids) else 0
-        total = len(ids) * m
-        return pa.table({
-            "_cell": pa.array(ring.ravel(), pa.int64()),
-            "_fid": pa.array(np.repeat(ids, m), pa.int64()),
-            "_flon": pa.array(np.repeat(lon, m), pa.float64()),
-            "_flat": pa.array(np.repeat(lat, m), pa.float64()),
-            "_side": pa.array(["f"] * total, pa.string()),
-            id_col: pa.array([None] * total, pa.string()),
-            "_plon": pa.array([None] * total, pa.float64()),
-            "_plat": pa.array([None] * total, pa.float64()),
-        })
-
-    def point_rows(b: pa.Table) -> pa.Table:
-        lon = np.asarray(b[lon_col].to_numpy(zero_copy_only=False), np.float64)
-        lat = np.asarray(b[lat_col].to_numpy(zero_copy_only=False), np.float64)
-        ok = ~(np.isnan(lon) | np.isnan(lat))
-        ids = np.asarray(b[id_col].to_pylist(), dtype=object)[ok]
-        lon, lat = lon[ok], lat[ok]
-        cells = hex_cell(lon, lat, grid_res).astype(np.int64)
-        n = len(lon)
-        return pa.table({
-            "_cell": pa.array(cells, pa.int64()),
-            "_fid": pa.array([None] * n, pa.int64()),
-            "_flon": pa.array([None] * n, pa.float64()),
-            "_flat": pa.array([None] * n, pa.float64()),
-            "_side": pa.array(["p"] * n, pa.string()),
-            id_col: pa.array(ids.tolist(), pa.string()),
-            "_plon": pa.array(lon, pa.float64()),
-            "_plat": pa.array(lat, pa.float64()),
-        })
-
-    both = facilities.map_batches(fac_explode, batch_format="pyarrow").union(
-        points.map_batches(point_rows, batch_format="pyarrow"))
-
-    def local_knn(group: pa.Table) -> pa.Table:
-        side = np.asarray(group["_side"].to_numpy(zero_copy_only=False))
-        is_f = side == "f"
-        f_ids = np.asarray(group["_fid"].to_numpy(zero_copy_only=False)
-                           )[is_f].astype(np.int64)
-        f_lon = np.asarray(group["_flon"].to_numpy(zero_copy_only=False)
-                           )[is_f].astype(np.float64)
-        f_lat = np.asarray(group["_flat"].to_numpy(zero_copy_only=False)
-                           )[is_f].astype(np.float64)
-        p_mask = ~is_f
-        p_ids = np.asarray(group[id_col].to_pylist(), dtype=object)[p_mask]
-        p_lon = np.asarray(group["_plon"].to_numpy(zero_copy_only=False)
-                           )[p_mask].astype(np.float64)
-        p_lat = np.asarray(group["_plat"].to_numpy(zero_copy_only=False)
-                           )[p_mask].astype(np.float64)
-        n = len(p_ids)
-        if n == 0:
-            return pa.table({
-                id_col: pa.array([], pa.string()),
-                "knn_ids": pa.array([], pa.list_(pa.int64())),
-                "knn_dists": pa.array([], pa.list_(pa.float64())),
-                "knn_exact": pa.array([], pa.bool_()),
-            })
-        kk = min(k, len(f_ids))
-        out_ids, out_d, out_exact = [], [], []
-        guarantee = (0.7 * size_deg * 111.0
-                     * np.maximum(np.cos(np.radians(np.abs(p_lat))), 0.0))
-        for i in range(n):
-            if kk == 0:
-                out_ids.append([])
-                out_d.append([])
-                out_exact.append(False)
-                continue
-            d = haversine_km(p_lon[i], p_lat[i], f_lon, f_lat)
-            order = np.lexsort((f_ids, d))[:kk]
-            out_ids.append(f_ids[order].tolist())
-            out_d.append(d[order].tolist())
-            out_exact.append(bool(len(f_ids) >= k and
-                                  d[order[-1]] <= guarantee[i]))
-        return pa.table({
-            id_col: pa.array(p_ids.tolist(), pa.string()),
-            "knn_ids": pa.array(out_ids, pa.list_(pa.int64())),
-            "knn_dists": pa.array(out_d, pa.list_(pa.float64())),
-            "knn_exact": pa.array(out_exact, pa.bool_()),
-        })
-
-    return both.groupby("_cell").map_groups(local_knn, batch_format="pyarrow")
 
 
 class KNNFacilities:

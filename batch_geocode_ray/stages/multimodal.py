@@ -1,4 +1,4 @@
-"""Multimodal (image/audio/video) column plumbing.
+"""Multimodal (image/audio) column plumbing.
 
 Media ride as opaque ``binary`` columns with typed metadata, processed
 by actor-pool ``map_batches`` stages sized for large payloads (small
@@ -342,62 +342,6 @@ class ImageFeatures:
         out = out.append_column(
             "features", pa.FixedSizeListArray.from_arrays(
                 pa.array(feats.ravel(), pa.float64()), self.feature_dim))
-        return out
-
-
-class VideoFrameSample:
-    """Actor-pool stage: video binary -> uniformly sampled frame
-    features. The container/codec work is the only stub left in the
-    multimodal family (there is no stdlib video decoder): with
-    ``decode="fake"`` each sampled frame is a deterministic
-    payload-hash-derived pseudo-frame; ``decode="real"`` raises naming
-    the needed codec (ffmpeg). The Ray-side plumbing — frame-index
-    selection, per-frame feature layout, payload drop — is real and
-    tested, so swapping in ffmpeg touches ONLY ``_decode_frame``.
-
-    Output per row: ``frame_idx: list<int64>`` (the sampled frame
-    indices) and ``frame_mean: list<float64>`` (one feature per sampled
-    frame), heavy payload dropped.
-    """
-
-    def __init__(self, video_col: str = "video", decode: str = "fake",
-                 n_sample: int = 4, thumb: int = 16):
-        self.video_col = video_col
-        self.decode = decode
-        self.n_sample = n_sample
-        self.thumb = thumb
-
-    def _decode_frame(self, payload: bytes, frame_idx: int) -> np.ndarray:
-        if self.decode != "fake":
-            raise NotImplementedError(
-                "video decode requires ffmpeg/pyav (not in this "
-                "container); run with decode='fake' for plumbing tests")
-        return _fake_pixels(payload + frame_idx.to_bytes(4, "little"),
-                            self.thumb, self.thumb)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.video_col].to_pylist()
-        n_frames = batch["n_frames"].to_pylist()
-        idx_out = np.zeros((batch.num_rows, self.n_sample), dtype=np.int64)
-        mean_out = np.zeros((batch.num_rows, self.n_sample), dtype=np.float64)
-        for i, (p, nf) in enumerate(zip(payloads, n_frames)):
-            if p is None or not nf:
-                continue
-            # uniform temporal sampling: frame at (j + 0.5)/n of the clip
-            sel = ((np.arange(self.n_sample) + 0.5) / self.n_sample
-                   * int(nf)).astype(np.int64)
-            idx_out[i] = sel
-            for j, fi in enumerate(sel):
-                mean_out[i, j] = float(
-                    self._decode_frame(p, int(fi)).mean())
-        keep = [c for c in batch.column_names if c != self.video_col]
-        out = batch.select(keep)  # drop the heavy payload ASAP
-        out = out.append_column(
-            "frame_idx", pa.FixedSizeListArray.from_arrays(
-                pa.array(idx_out.ravel(), pa.int64()), self.n_sample))
-        out = out.append_column(
-            "frame_mean", pa.FixedSizeListArray.from_arrays(
-                pa.array(mean_out.ravel(), pa.float64()), self.n_sample))
         return out
 
 

@@ -48,8 +48,11 @@ class PolygonIndex:
     ``last_leaf_visits`` is the number of distinct non-empty grid
     cells the most recent :meth:`assign` probed (observability for the
     sublinearity pytest). Rings with fewer than 3 vertices can contain
-    no point under even-odd and are dropped; a NaN/inf vertex raises
-    ``ValueError`` naming its ``admin_id``."""
+    no point under even-odd and are dropped; a NaN/inf vertex, or an
+    edge (the closing edge included) spanning more than 180 degrees of
+    longitude, raises ``ValueError`` naming its ``admin_id``: rings are
+    planar in lon/lat, so an antimeridian-crossing ring would contain
+    the wrong side of the globe."""
 
     def __init__(self, admin_table: pa.Table):
         aid = np.asarray(admin_table["admin_id"].to_numpy(zero_copy_only=False), np.int64)
@@ -73,6 +76,13 @@ class PolygonIndex:
         self.offsets = np.concatenate([[0], np.cumsum(n_vert[keep])]).astype(np.int64)
         self.xs, self.ys = xs, ys
         self.admin_id = aid[keep]
+        prev = np.arange(len(xs)) - 1
+        prev[self.offsets[:-1]] = self.offsets[1:] - 1
+        wide = np.abs(xs - xs[prev]) > 180
+        if wide.any():
+            bad = np.searchsorted(self.offsets, np.argmax(wide), "right") - 1
+            raise ValueError(f"PolygonIndex: admin_id {self.admin_id[bad]} crosses the "
+                             "antimeridian (an edge spans > 180 degrees of longitude)")
         self.admin_level = np.asarray(admin_table["admin_level"].to_numpy(
             zero_copy_only=False), np.int64)[keep]
         cc = pc.dictionary_encode(admin_table["cc"].combine_chunks().cast(pa.string()))

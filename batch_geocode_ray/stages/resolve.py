@@ -60,10 +60,9 @@ class MentionResolver:
         self.gaz: GazetteerIndex = gaz
         self.cfg = config or PipelineConfig(sources=gaz.sources)
         self.keep_columns = keep_columns
-        self.entry_of_gid = gaz.entry_of_gid()
-        self.gid_lookup_keys = np.array(sorted(self.entry_of_gid), dtype=np.int64)
-        self.gid_lookup_vals = np.array(
-            [self.entry_of_gid[k] for k in self.gid_lookup_keys], dtype=np.int64)
+        # gazetteer ids are unique (GazetteerIndex.from_table checks)
+        self.gid_lookup_vals = np.argsort(gaz.ids)
+        self.gid_lookup_keys = gaz.ids[self.gid_lookup_vals]
 
         # cc prior as a dense bool matrix (n_langs x n_ccs)
         if lang_cc_prior is None:

@@ -34,6 +34,12 @@ def normalize_phrase(name: str) -> tuple[str, ...]:
 class GazetteerIndex:
     """Columnar gazetteer keyed by dense entry index (== gazetteer_id in
     the fixtures; arbitrary ids are remapped).
+
+    :meth:`from_table` raises ``ValueError`` naming the offending
+    ``gazetteer_id``s for a rule the resolver would otherwise break
+    silently: a NaN/inf ``lat``/``lon`` (its NaN buffer fails vetting),
+    a bbox that is neither all null nor all finite, or a duplicate
+    ``gazetteer_id`` (one entry would shadow the other).
     """
 
     ids: np.ndarray            # int64 original gazetteer_id per entry
@@ -64,6 +70,18 @@ class GazetteerIndex:
             return np.asarray(table[col].to_numpy(zero_copy_only=False), dtype=np.float64)
 
         bb_n, bb_s, bb_e, bb_w = f64("bb_n"), f64("bb_s"), f64("bb_e"), f64("bb_w")
+
+        def reject(bad, what):
+            if bad.any():
+                raise ValueError(f"GazetteerIndex: gazetteer_id "
+                                 f"{np.unique(ids[bad]).tolist()} {what}")
+
+        reject(~(np.isfinite(lat) & np.isfinite(lon)), "has a NaN/inf lat/lon")
+        box = np.stack([bb_n, bb_s, bb_e, bb_w])
+        reject(~np.isnan(box).all(axis=0) & ~np.isfinite(box).all(axis=0),
+               "has a bbox that is neither all null nor all finite")
+        srt = np.sort(ids)
+        reject(np.isin(ids, srt[1:][srt[1:] == srt[:-1]]), "is duplicated")
         ccs = table["cc"].to_pylist()
         cc_vocab = sorted({c for c in ccs if c is not None})
         cc_map = {c: i for i, c in enumerate(cc_vocab)}
@@ -92,9 +110,6 @@ class GazetteerIndex:
             buffer_km=buffer_km,
             phrases=[normalize_phrase(n) for n in names],
         )
-
-    def entry_of_gid(self) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.ids)}
 
     def bbox_arrays(self):
         """(min_lon, min_lat, max_lon, max_lat) with point entries

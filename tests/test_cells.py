@@ -7,7 +7,6 @@ from batch_geocode_ray.functions.cells import (
     hex_cell,
     hex_decode,
     hex_kring,
-    hex_parent,
     s2_cell,
     s2_cell_center,
     s2_level_of,
@@ -63,17 +62,6 @@ def test_hex_roundtrip_and_containment():
         size = 10.0 / (np.sqrt(7.0) ** res)
         d = np.hypot(clon - LONS, (clat - LATS))
         assert (d <= size * 2.5).all()
-
-
-def test_hex_parent_consistency():
-    cells = hex_cell(LONS, LATS, 9)
-    parents = hex_parent(cells, 7)
-    dres, _, _ = hex_decode(parents)
-    assert (dres == 7).all()
-    # parenting the center point directly gives cells near the rollup
-    # parent (center-containment semantics; equality holds for centers)
-    _, clon, clat = hex_decode(cells)
-    assert (hex_parent(hex_cell(clon, clat, 9), 7) == parents).all()
 
 
 def test_hex_kring_sizes():

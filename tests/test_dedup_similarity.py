@@ -8,7 +8,6 @@ import ray.data as rd
 
 from batch_geocode_ray.stages.dedup import (
     exact_dedup,
-    fingerprint_dedup,
     minhash_lsh_pairs,
     ngram_jaccard_pairs,
     simhash_pairs,
@@ -90,14 +89,6 @@ def test_simhash_pairs(docs_ds):
     assert got[(0, 3)] == 0
     assert got[(0, 5)] == 0
     assert (0, 2) not in got
-
-
-def test_fingerprint_dedup(docs_ds):
-    rows = fingerprint_dedup(docs_ds, "text", "doc_id").take_all()
-    by_id = {r["doc_id"]: r["n_members"] for r in rows}
-    # 0, 1, 3, 5 share the winnowing fingerprint (1 shares 0's min window)
-    assert by_id[0] == 4
-    assert by_id[2] == 1
 
 
 def test_shuffle_plan_equals_collapsed_plan(docs_ds, monkeypatch):
@@ -437,33 +428,6 @@ def test_fingerprint_dup_pairs_both_plans(monkeypatch):
     assert run() == want
     monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want
-
-
-def test_video_frame_sample_plumbing():
-    from batch_geocode_ray.stages.multimodal import VideoFrameSample
-
-    rng = np.random.RandomState(8)
-    n = 12
-    t = pa.table({
-        "media_id": pa.array(range(n), pa.int64()),
-        "video": pa.array([rng.bytes(1024) for _ in range(n)], pa.binary()),
-        "mime": pa.array(["video/mp4"] * n, pa.string()),
-        "n_frames": pa.array([240] * n, pa.int64()),
-        "fps": pa.array([24.0] * n, pa.float64()),
-    })
-    out = rd.from_arrow(t).map_batches(
-        VideoFrameSample, batch_size=4, batch_format="pyarrow",
-        concurrency=(1, 2), num_cpus=0.5).sort("media_id").take_all()
-    assert len(out) == 12
-    assert out[0]["frame_idx"] == [30, 90, 150, 210]  # uniform sampling
-    assert "video" not in out[0]  # payload dropped
-    # deterministic across runs
-    out2 = rd.from_arrow(t).map_batches(
-        VideoFrameSample, batch_size=4, batch_format="pyarrow",
-        concurrency=(1, 2), num_cpus=0.5).sort("media_id").take_all()
-    assert out[3]["frame_mean"] == out2[3]["frame_mean"]
-    with pytest.raises(NotImplementedError):
-        VideoFrameSample(decode="real")._decode_frame(b"x", 0)
 
 
 # ---------------------------------------------------------------------------

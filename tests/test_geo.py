@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from batch_geocode_ray.functions.geo import (
-    diag_buffer_km,
-    haversine_km,
-    segmented_bbox,
-    segmented_centroid,
-)
+from batch_geocode_ray.functions.geo import diag_buffer_km, haversine_km
 
 
 def test_haversine_known_values():
@@ -34,27 +29,3 @@ def test_haversine_vectorized_broadcast():
 
 def test_diag_buffer_degenerate_bbox_is_zero():
     assert diag_buffer_km(5.0, 5.0, 5.0, 5.0) == 0.0
-
-
-def test_segmented_bbox_and_centroid():
-    # two segments: seg0 = {(0,0),(2,4)}, seg1 = {(10,10)}
-    lons = np.array([0.0, 2.0, 10.0])
-    lats = np.array([0.0, 4.0, 10.0])
-    seg = np.array([0, 0, 1])
-    mn_lon, mn_lat, mx_lon, mx_lat = segmented_bbox(lons, lats, seg, 3)
-    assert (mn_lon[0], mn_lat[0], mx_lon[0], mx_lat[0]) == (0.0, 0.0, 2.0, 4.0)
-    assert (mn_lon[1], mx_lat[1]) == (10.0, 10.0)
-    assert np.isnan(mn_lon[2])  # empty segment
-    c_lon, c_lat = segmented_centroid(lons, lats, seg, 3)
-    assert c_lon[0] == 1.0 and c_lat[0] == 2.0
-    assert np.isnan(c_lon[2])
-
-
-def test_segmented_centroid_nanmean_semantics():
-    # reference uses np.nanmean (query_funcs.py:254-257): NaN points skipped
-    lons = np.array([1.0, np.nan, 3.0])
-    lats = np.array([np.nan, 2.0, 4.0])
-    seg = np.zeros(3, dtype=np.int64)
-    c_lon, c_lat = segmented_centroid(lons, lats, seg, 1)
-    assert c_lon[0] == 2.0  # mean of 1,3
-    assert c_lat[0] == 3.0  # mean of 2,4

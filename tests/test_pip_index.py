@@ -131,6 +131,18 @@ def test_non_finite_vertex_raises(bad):
         PolygonIndex(_table([_SQUARE, ring[::-1]], ids=[7, 42]))
 
 
+@pytest.mark.parametrize("lons", [
+    [175.0, -175.0, -175.0, 175.0],     # a box across lon 180
+    [-179.0, -90.0, 90.0, 179.0],       # only the closing edge is wide
+], ids=["box", "closing_edge"])
+def test_antimeridian_ring_raises(lons):
+    # planar in lon/lat, the box would contain lon 0 and 100 and miss
+    # +-178, the side it means
+    ring = (lons, [-20.0, -20.0, -15.0, -15.0])
+    with pytest.raises(ValueError, match="admin_id 42 crosses the antimeridian"):
+        PolygonIndex(_table([_SQUARE, ring], ids=[7, 42]))
+
+
 def _squares(n):
     side = int(np.sqrt(n))
     return _table([([i, i + 1.0, i + 1.0, i], [j, j, j + 1.0, j + 1.0])

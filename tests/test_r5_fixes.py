@@ -228,7 +228,6 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
     from batch_geocode_ray.stages.dedup import (
         edit_distance_pairs,
         exact_dedup,
-        fingerprint_dedup,
         fingerprint_dup_pairs,
         simhash_pairs,
     )
@@ -248,8 +247,6 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
     plans = {
         "exact_dedup": lambda: exact_dedup(
             docs, "text", "doc_id", size_hint_bytes=H),
-        "fingerprint_dedup": lambda: fingerprint_dedup(
-            docs, "text", "doc_id", size_hint_bytes=H),
         "fingerprint_dup_pairs": lambda: fingerprint_dup_pairs(
             docs, "text", "doc_id", size_hint_bytes=H),
         "simhash_pairs": lambda: simhash_pairs(
@@ -264,8 +261,6 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
     }
     unhinted = {
         "exact_dedup": lambda: exact_dedup(docs, "text", "doc_id"),
-        "fingerprint_dedup": lambda: fingerprint_dedup(
-            docs, "text", "doc_id"),
         "fingerprint_dup_pairs": lambda: fingerprint_dup_pairs(
             docs, "text", "doc_id"),
         "simhash_pairs": lambda: simhash_pairs(docs, "text", "doc_id"),

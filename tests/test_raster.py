@@ -1,16 +1,10 @@
-"""Raster <-> vector operators."""
+"""Points -> sparse raster."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from batch_geocode_ray.stages.raster import (
-    GridSpec,
-    raster_to_tiles,
-    rasterize_points,
-    vectorize_raster,
-    zonal_stats,
-)
+from batch_geocode_ray.stages.raster import GridSpec, rasterize_points
 
 GRID = GridSpec(nx=360, ny=180)
 
@@ -47,70 +41,3 @@ def test_rasterize_drops_nulls_and_out_of_bounds():
     })
     out = rasterize_points(rd.from_arrow(t), GRID, "lon", "lat").take_all()
     assert len(out) == 1 and out[0]["n_points"] == 1
-
-
-def test_raster_to_tiles_dense_roundtrip():
-    long = pa.table({
-        "cell_x": pa.array([0, 1, 64, 65], pa.int64()),
-        "cell_y": pa.array([0, 1, 64, 0], pa.int64()),
-        "n_points": pa.array([3, 5, 7, 9], pa.int64()),
-    })
-    tiles = raster_to_tiles(long, GRID, tile=64)
-    assert tiles.num_rows == 3  # (0,0), (1,1), (1,0)
-    by_tile = {(r["tile_x"], r["tile_y"]): np.array(r["pixels"]).reshape(64, 64)
-               for r in tiles.to_pylist()}
-    assert by_tile[(0, 0)][0, 0] == 3 and by_tile[(0, 0)][1, 1] == 5
-    assert by_tile[(1, 1)][0, 0] == 7
-    assert by_tile[(1, 0)][0, 1] == 9
-
-
-def test_vectorize_components():
-    # two clusters: an L-shaped 3-cell component and a distant single cell
-    long = pa.table({
-        "cell_x": pa.array([10, 11, 10, 200], pa.int64()),
-        "cell_y": pa.array([10, 10, 11, 100], pa.int64()),
-        "n_points": pa.array([2.0, 3.0, 4.0, 9.0], pa.float64()),
-    })
-    comps = vectorize_raster(long, GRID, threshold=1.0).to_pylist()
-    assert len(comps) == 2
-    big = max(comps, key=lambda c: c["n_cells"])
-    assert big["n_cells"] == 3 and abs(big["value_sum"] - 9.0) < 1e-12
-    # bbox ring covers cells 10-11 x 10-11 in grid degrees
-    assert big["ring_lons"][0] == GRID.x0 + 10 * GRID.dx
-    assert big["ring_lons"][1] == GRID.x0 + 12 * GRID.dx
-    small = min(comps, key=lambda c: c["n_cells"])
-    assert small["n_cells"] == 1 and small["value_sum"] == 9.0
-
-
-def test_vectorize_threshold_filters():
-    long = pa.table({
-        "cell_x": pa.array([0, 1], pa.int64()),
-        "cell_y": pa.array([0, 0], pa.int64()),
-        "n_points": pa.array([0.5, 2.0], pa.float64()),
-    })
-    comps = vectorize_raster(long, GRID, threshold=1.0).to_pylist()
-    assert len(comps) == 1 and comps[0]["n_cells"] == 1
-
-
-def test_zonal_stats_with_pip_index():
-    from batch_geocode_ray.stages.pip import PolygonIndex
-
-    # one square polygon covering lon 0..10, lat 0..10
-    polys = pa.table({
-        "admin_id": pa.array([7], pa.int64()),
-        "admin_level": pa.array([0], pa.int32()),
-        "parent_id": pa.array([None], pa.int64()),
-        "cc": pa.array(["US"]),
-        "ring_lons": pa.array([[0.0, 10.0, 10.0, 0.0]], pa.list_(pa.float64())),
-        "ring_lats": pa.array([[0.0, 0.0, 10.0, 10.0]], pa.list_(pa.float64())),
-    })
-    idx = PolygonIndex(polys)
-    long = pa.table({
-        "cell_x": pa.array([185, 186, 0], pa.int64()),   # centers 5.5, 6.5, -179.5
-        "cell_y": pa.array([95, 95, 0], pa.int64()),     # centers 5.5, 5.5, -89.5
-        "n_points": pa.array([4.0, 6.0, 1.0], pa.float64()),
-    })
-    out = {r["admin_id"]: r for r in
-           zonal_stats(long, GRID, idx).to_pylist()}
-    assert out[7]["n_cells"] == 2 and abs(out[7]["value_sum"] - 10.0) < 1e-12
-    assert out[-1]["n_cells"] == 1  # outside every polygon

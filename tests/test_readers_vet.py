@@ -1,77 +1,10 @@
-"""CSV encoding-sweep reader, column validation, vet split/merge, and
-the CLI runner (in-process, resumable)."""
+"""The CLI runner (in-process, resumable), the vet UI's mark-best rule,
+and the xlsx writer with its round-trip reader."""
 
 import os
 
 import pyarrow as pa
-import pytest
 import ray.data as rd
-
-from batch_geocode_ray.pipelines.vet import geo_column_names, vet_merge, vet_split
-from batch_geocode_ray.sources.readers import read_csv_auto, validate_columns
-
-
-def test_read_csv_auto_utf8():
-    t, enc, err = read_csv_auto(b"a,b\n1,caf\xc3\xa9\n")
-    assert err is None and enc == "utf-8"
-    assert t["b"].to_pylist() == ["café"]
-
-
-def test_read_csv_auto_latin1_fallback():
-    # invalid utf-8 byte sequence, valid latin1
-    t, enc, err = read_csv_auto(b"a,b\n1,caf\xe9\n")
-    assert err is None and enc == "latin1"
-    assert t["b"].to_pylist() == ["café"]
-
-
-def test_read_csv_auto_preferred_encoding():
-    t, enc, err = read_csv_auto("a,b\n1,x\n".encode("utf-16"), encoding="utf-16")
-    assert err is None and enc == "utf-16"
-    assert t["a"].to_pylist() == [1]
-
-
-def test_read_csv_auto_parse_error():
-    t, enc, err = read_csv_auto(b"a,b\n1,2,3\n")  # ragged row
-    assert t is None and err is not None and "parse" in err.lower()
-
-
-def test_validate_columns():
-    t = pa.table({"for_geocoding": pa.array(["x"]), "iso2": pa.array(["us"])})
-    assert validate_columns(t, "for_geocoding", "iso2") is None
-    msg = validate_columns(t, "address", "country")
-    assert "address" in msg and "country" in msg
-
-
-def test_geo_column_names():
-    cols = ["url", "lang", "GM1_name", "GM1_lat", "best_buffer", "other"]
-    geo = geo_column_names(cols, address_col="lang")
-    assert set(geo) == {"GM1_name", "GM1_lat", "best_buffer", "lang"}
-
-
-def test_vet_split_merge_roundtrip():
-    wide = pa.table({
-        "url": pa.array(["u1", "u2", "u3"]),
-        "warc_ts": pa.array([1, 2, 3], pa.int64()),
-        "best_name": pa.array(["Vetted", None, "Vetted"]),
-        "best_lat": pa.array([1.0, None, 3.0]),
-    })
-    ds = rd.from_arrow(wide)
-    meta, geo = vet_split(ds, "url")
-    assert set(meta.schema().names) == {"url", "warc_ts"}
-    assert set(geo.schema().names) == {"url", "best_name", "best_lat"}
-
-    # human edits u1's geo row, drops u3 entirely (left-join nulls)
-    edited = pa.table({
-        "url": pa.array(["u1", "u2"]),
-        "best_name": pa.array(["Vetted (from GM1)", "Manual"]),
-        "best_lat": pa.array([1.5, 2.5]),
-    })
-    merged = {r["url"]: r for r in vet_merge(meta, edited, "url").take_all()}
-    assert merged["u1"]["best_name"] == "Vetted (from GM1)"
-    assert merged["u1"]["best_lat"] == 1.5
-    assert merged["u2"]["best_lat"] == 2.5
-    assert merged["u3"]["best_name"] is None  # left join kept the row
-    assert merged["u3"]["warc_ts"] == 3
 
 
 def test_cli_runner_resume(tmp_path):
@@ -140,11 +73,9 @@ def test_mark_best_matches_reference_js():
 
 def test_xlsx_round_trip_and_dispatch(tmp_path):
     """Stdlib OOXML subset: write -> read round-trips values and types;
-    the intake dispatches by extension like the reference
-    (utilities.py:174); sharedStrings + sparse rows parse."""
+    sharedStrings + sparse rows parse."""
     import pyarrow as pa
 
-    from batch_geocode_ray.sources.readers import read_table_auto
     from batch_geocode_ray.sources.xlsx import read_xlsx, write_xlsx
 
     t = pa.table({
@@ -160,9 +91,6 @@ def test_xlsx_round_trip_and_dispatch(tmp_path):
     assert back["iso2"].to_pylist() == ["rw", "br", "pe"]
     assert back["best_lat"].to_pylist() == [-1.95, -23.55, None]
     assert back["n"].to_pylist() == [1.0, 2.0, 3.0]  # numbers -> float64
-
-    tbl, enc, err = read_table_auto(path)
-    assert err is None and tbl.num_rows == 3 and enc == "utf-8"
 
     # a foreign-producer shape: sharedStrings + r-addressed sparse cells
     import io
@@ -260,19 +188,3 @@ def test_xlsx_property_round_trip():
             assert g is not None and (g == w or math.isclose(g, w))
 
     roundtrip()
-
-
-def test_read_table_auto_jsonl(tmp_path):
-    from batch_geocode_ray.sources.readers import read_table_auto
-
-    p = tmp_path / "docs.jsonl"
-    p.write_text('{"id": 1, "addr": "x"}\n{"id": 2, "addr": "y"}\n')
-    t, enc, err = read_table_auto(str(p))
-    assert err is None and enc == "utf-8"
-    assert t.column("id").to_pylist() == [1, 2]
-    # bytes input with filename hint
-    t2, _, err2 = read_table_auto(p.read_bytes(), filename="u.ndjson")
-    assert err2 is None and t2.num_rows == 2
-    # malformed -> reference-style (None, None, error)
-    bad, _, err3 = read_table_auto(b'{"id": ', filename="bad.json")
-    assert bad is None and "json" in err3

@@ -5,7 +5,6 @@ import numpy as np
 import pyarrow as pa
 
 from batch_geocode_ray.functions.text import (
-    bpe_token_count_column,
     extract_text_column,
     extract_text_py,
     fingerprint_column,
@@ -68,13 +67,6 @@ def test_token_counts():
     col = pa.array(["one two three", "", "a-b_c", "UPPER lower 123"])
     counts = token_count_column(col)
     assert counts.tolist() == [3, 0, 3, 3]
-
-
-def test_bpe_token_count():
-    col = pa.array(["abc 123 x!y", ""])
-    counts = bpe_token_count_column(col).to_pylist()
-    # abc / 123 / x / ! / y  -> 5 ; empty -> 0
-    assert counts == [5, 0]
 
 
 def test_langid():

@@ -4,6 +4,7 @@ inputs where the expected answer is computed by hand."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from batch_geocode_ray.config import PipelineConfig
 from batch_geocode_ray.functions.geo import haversine_km
@@ -159,3 +160,55 @@ def test_multiple_occurrences_resolve_once():
     assert row["GM1_name"] == "Echo City"
     assert row["GM2_name"] is None  # not duplicated into rank 2
     assert row["best_type"] == "Composite of 1 geocoded locations"
+
+
+# --- gazetteer rows the resolver would mis-answer silently -------------------
+
+_ALPHA = (0, "Alpha", 10.0, 10.0, None, None, None, None, "US", "populated_place", 100, "GM")
+
+
+@pytest.mark.parametrize("col,bad", [(2, np.nan), (2, np.inf), (3, -np.inf), (3, np.nan)],
+                         ids=["nan_lat", "inf_lat", "inf_lon", "nan_lon"])
+def test_non_finite_coordinate_raises(col, bad):
+    # a NaN buffer fails vetting, so the entry would drop out unnoticed
+    # and the page would gain a composite best of the others
+    row = list(_ALPHA)
+    row[0], row[col] = 3, bad
+    with pytest.raises(ValueError, match=r"gazetteer_id \[3\] has a NaN/inf lat/lon"):
+        GazetteerIndex.from_table(gaz_table([_ALPHA, tuple(row)]))
+
+
+@pytest.mark.parametrize("box", [
+    (10.1, 9.9, 10.1, None),                # partly null
+    (10.1, 9.9, np.inf, 9.9),               # non-finite
+    (np.inf, None, None, None),             # non-finite, rest null
+], ids=["partly_null", "inf", "inf_rest_null"])
+def test_inconsistent_bbox_raises(box):
+    row = (5, "Boxed", 10.0, 10.0, *box, "US", "admin_area", 100, "GM")
+    with pytest.raises(ValueError, match=r"gazetteer_id \[5\] has a bbox"):
+        GazetteerIndex.from_table(gaz_table([_ALPHA, row]))
+
+
+def test_duplicate_gazetteer_id_raises():
+    # one id -> entry map would keep only the last: "Alpha" would vanish
+    gaz = gaz_table([
+        (7, "Alpha", 10.0, 10.0, None, None, None, None, "US", "populated_place", 100, "GM"),
+        (7, "Beta", 10.01, 10.01, None, None, None, None, "US", "populated_place", 50, "GM"),
+        (8, "Gamma", 11.0, 11.0, None, None, None, None, "US", "populated_place", 10, "GM"),
+    ])
+    with pytest.raises(ValueError, match=r"gazetteer_id \[7\] is duplicated"):
+        GazetteerIndex.from_table(gaz)
+
+
+def test_empty_gazetteer_yields_null_rows():
+    from batch_geocode_ray.pipelines.geocode import GeocodeFusedStage
+
+    cfg = PipelineConfig(sources=["GM"])
+    stage = GeocodeFusedStage(gaz_table([]), cfg)
+    out = stage(pa.table({
+        "url": ["u0", "u1"], "warc_ts": ["t", "t"], "lang": ["en", None],
+        "html": ["<p>We visited Alpha and Beta</p>", ""],
+    }))
+    assert out.num_rows == 2
+    for col in cfg.wide_columns() + ["hex_cell_r7", "s2_cell"]:
+        assert out[col].null_count == 2, col

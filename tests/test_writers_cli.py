@@ -10,7 +10,6 @@ import ray.data as rd
 
 from batch_geocode_ray.sources.writers import (
     reference_column_order,
-    strip_index_prefix,
     write_reference_csv,
 )
 
@@ -32,11 +31,6 @@ def test_reference_column_order_adds_missing():
     order = reference_column_order(["url", "GM1_name"])
     assert [c for c in order if c.startswith("GM1")] == [
         "GM1_name", "GM1_type", "GM1_lat", "GM1_long", "GM1_buffer"]
-
-
-def test_strip_index_prefix():
-    got = strip_index_prefix(pa.array(["3: Paris", "nochange", "7: X 1: Y"]))
-    assert got.to_pylist() == ["Paris", "nochange", "X Y"]
 
 
 def test_write_reference_csv(tmp_path):
