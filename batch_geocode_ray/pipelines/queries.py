@@ -454,8 +454,10 @@ FROM h ORDER BY doc_id
 def q12_dedup_exact(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     # hashed stream is 16 B/row vs ~0.5-1 KB/row of compressed input
-    return exact_dedup(docs, "text", "doc_id",
-                       size_hint_bytes=_table_bytes(sf_dir, "documents") // 32)
+    hint = _table_bytes(sf_dir, "documents") // 32
+    return _sort_adaptive(
+        exact_dedup(docs, "text", "doc_id", size_hint_bytes=hint),
+        "doc_id", size_hint_bytes=hint)
 
 
 SQL_Q12 = """
@@ -665,8 +667,11 @@ SQL_Q18 = SQL_Q15
 
 def q19_simhash_neardup(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_pairs(docs, "text", "doc_id", max_hamming=3,
-                         size_hint_bytes=_table_bytes(sf_dir, "documents") // 32)
+    hint = _table_bytes(sf_dir, "documents") // 32
+    return _sort_adaptive(
+        simhash_pairs(docs, "text", "doc_id", max_hamming=3,
+                      size_hint_bytes=hint),
+        ["d1", "d2"], size_hint_bytes=hint)
 
 
 def q20_fingerprint_dedup(sf_dir: str) -> Dataset:
@@ -1249,16 +1254,14 @@ FROM u GROUP BY domain ORDER BY domain
 def _distinct_exact_and_hll(ds: Dataset, col: str, p: int = 12
                             ) -> tuple[int, float]:
     """Exact COUNT(DISTINCT col) AND the HLL estimate from ONE input
-    scan: per-batch unique 64-bit hashes shuffle into a groupby(hash);
-    each post-shuffle block of distinct hashes then emits (its row
-    count, its HLL register partial) — the driver sums the disjoint
-    counts and max-merges n_blocks x 4 KB of registers. Integer keys go
-    through the bijective splitmix64 finalizer so the registers see
-    uniform bits while the distinct count is unchanged; strings use the
-    same stable 64-bit hash as before (collisions ~n^2/2^64,
-    negligible)."""
-    from ray.data.aggregate import Count as _Count
-
+    scan: per-batch unique 64-bit hashes merge through the
+    :func:`grouped_aggregate` distinct; each block of distinct hashes
+    then emits (its row count, its HLL register partial) — the calling
+    process sums the disjoint counts and max-merges n_blocks x 4 KB of
+    registers. Integer keys go through the bijective splitmix64
+    finalizer so the registers see uniform bits while the distinct
+    count is unchanged; strings use the same stable 64-bit hash as
+    before (collisions ~n^2/2^64, negligible)."""
     from batch_geocode_ray.functions.hashing import (
         splitmix64,
         stable_hash64_array,
@@ -1289,26 +1292,9 @@ def _distinct_exact_and_hll(ds: Dataset, col: str, p: int = 12
             "regs": pa.array([regs.tobytes()], pa.binary()),
         })
 
-    from batch_geocode_ray.stages.dedup import _one_task, _probe_small
-
-    hashed, small, _ = _probe_small(
-        ds.map_batches(to_h, batch_format="pyarrow"))
-    if small:
-        # skip the groupby all-to-all (~1-2s fixed): one task unions the
-        # per-batch-unique hashes and emits count + registers directly
-        def union_summary(b: pa.Table) -> pa.Table:
-            h = np.unique(np.asarray(b["_h"].to_numpy(zero_copy_only=False),
-                                     dtype=np.int64))
-            regs = hll_partial(h.astype(np.uint64), p, pre_hashed=True)
-            return pa.table({
-                "n": pa.array([len(h)], pa.int64()),
-                "regs": pa.array([regs.tobytes()], pa.binary()),
-            })
-
-        parts = _one_task(hashed, union_summary)
-    else:
-        parts = (hashed.groupby("_h").aggregate(_Count(alias_name="_c"))
-                 .map_batches(block_summary, batch_format="pyarrow"))
+    distinct = grouped_aggregate(
+        ds.map_batches(to_h, batch_format="pyarrow"), ["_h"], [])
+    parts = distinct.map_batches(block_summary, batch_format="pyarrow")
     exact = 0
     regs: list[np.ndarray] = []
     for t in (ray.get(r) for r in parts.to_arrow_refs()):

@@ -11,6 +11,10 @@ group keys. The exchange measures the partials: below
 coarse bucket. The all-to-all only ever carries ~n_groups x n_blocks
 rows, not the input rows. Exact quantiles use the same shape with
 (group, value) -> count partials.
+
+:func:`grouped_aggregate` is that shape and the package's one keyed
+combine: the dedup and similarity ops' pair distincts (``specs=[]``),
+copy counts and per-pair min/max go through it too.
 """
 
 from __future__ import annotations

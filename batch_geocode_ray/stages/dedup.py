@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 
 
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min
 
 from batch_geocode_ray.functions.hashing import (
     hamming64,
@@ -311,26 +310,6 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
 # exact & fingerprint dedup
 # ---------------------------------------------------------------------------
 
-def _keyed_first(ds: Dataset, key: str, id_col: str, count_name: str,
-                 keep_key: bool,
-                 size_hint_bytes: int | None = None) -> Dataset:
-    """min(id) + count per key — shuffle plan for big key spaces, single
-    task when the (key, id) projection measures small. A size hint
-    (~16 B x rows) >= the collapse threshold skips the probe so the
-    projection streams straight into the groupby."""
-    proj, small, _ = _probe_small(ds, size_hint_bytes=size_hint_bytes)
-    if small:
-        def one(b: pa.Table) -> pa.Table:
-            g = b.group_by(key).aggregate([(id_col, "min"), (key, "count")])
-            g = g.rename_columns([key, id_col, count_name])
-            cols = [key, id_col, count_name] if keep_key else [id_col, count_name]
-            return g.select(cols)
-        return _one_task(proj, one)
-    g = proj.groupby(key).aggregate(Min(id_col, alias_name=id_col),
-                                    Count(alias_name=count_name))
-    return g if keep_key else g.select_columns([id_col, count_name])
-
-
 def exact_dedup(ds: Dataset, text_col: str, id_col: str,
                 size_hint_bytes: int | None = None) -> Dataset:
     """Exact dedup: one surviving row per distinct ``text_col`` value —
@@ -339,10 +318,11 @@ def exact_dedup(ds: Dataset, text_col: str, id_col: str,
     Shuffles (hash, id) only — the document payload never moves;
     equivalent to SQL ``SELECT min(id), count(*) GROUP BY text`` (64-bit
     hash collisions are the usual negligible caveat).
-    Output: (``id_col``, n_copies), one row per distinct value.
-    ``size_hint_bytes`` (~16 B x rows): pass at real scale so the
-    fingerprint stream is never materialized for the plan probe.
+    Output: (``id_col``, n_copies), one row per distinct value, in no
+    promised order. ``size_hint_bytes`` (~16 B x rows): pass at real
+    scale so the hash stream is never materialized for the plan probe.
     """
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     def to_hash(b: pa.Table) -> pa.Table:
         h = stable_hash64_array(b[text_col]).astype(np.int64)
@@ -351,9 +331,10 @@ def exact_dedup(ds: Dataset, text_col: str, id_col: str,
             id_col: b[id_col],
         })
 
-    return _keyed_first(ds.map_batches(to_hash, batch_format="pyarrow"),
-                        "_h", id_col, "n_copies", keep_key=False,
-                        size_hint_bytes=size_hint_bytes)
+    return grouped_aggregate(
+        ds.map_batches(to_hash, batch_format="pyarrow"), ["_h"],
+        [(id_col, "min", id_col), (id_col, "count_rows", "n_copies")],
+        size_hint_bytes=size_hint_bytes).select_columns([id_col, "n_copies"])
 
 
 def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
@@ -365,7 +346,7 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
     fingerprint (same token stream -> same min window), so recall is
     1.0 BY CONSTRUCTION — the output equals the SQL self-join on text
     equality while the pair space shrinks from O(N^2) to the bucket
-    sums. Output: (d1, d2) sorted. ``size_hint_bytes`` (~24 B x rows)
+    sums. Output: (d1, d2). ``size_hint_bytes`` (~24 B x rows)
     skips the plan-probe materialization at real scale.
     """
     from batch_geocode_ray.functions.text import fingerprint_column
@@ -378,10 +359,6 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
             "_th": pa.array(th, pa.int64()),
             id_col: b[id_col],
         })
-
-    hashed, small, probed_bytes = _probe_small(
-        ds.map_batches(to_fp, batch_format="pyarrow"),
-        size_hint_bytes=size_hint_bytes)
 
     def pairs_of(fp: np.ndarray, th: np.ndarray,
                  ids: np.ndarray) -> pa.Table:
@@ -414,11 +391,9 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
             np.asarray(b["_th"].to_numpy(zero_copy_only=False)),
             np.asarray(b[id_col].to_numpy(zero_copy_only=False)))
 
-    if small:
-        return _one_task(hashed, one)
-    # shuffle plan: co-locate each fingerprint, emit inside
-    return bucket_exchange(hashed, "fingerprint", one,
-                           size_hint_bytes=probed_bytes)
+    # co-locate each fingerprint, emit inside
+    return bucket_exchange(ds.map_batches(to_fp, batch_format="pyarrow"),
+                           "fingerprint", one, size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +439,11 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     """EXACT k-token-gram Jaccard similarity join: all (d1 < d2) pairs
     with ``J = |∩| / |∪| >= threshold``.
 
-    Pipeline: explode distinct grams -> groupby(gram) -> pairwise
-    co-occurrence per posting list -> groupby(pair) count -> finalize
-    with the per-doc gram-count Dataset.
-    Output: (d1, d2, jaccard) sorted by (d1, d2).
+    Pipeline: explode distinct grams -> exchange on the gram ->
+    pairwise co-occurrence per posting list -> per-pair count through
+    :func:`grouped_aggregate` -> finalize with the per-doc gram counts.
+    Output: (d1, d2, jaccard); the one-task plan emits it sorted by
+    (d1, d2), the distributed plan in no promised order.
 
     **Hot-gram governor** (``max_posting``, default on): a gram shared
     by P documents emits P(P-1)/2 pair rows — one boilerplate trigram
@@ -622,8 +598,11 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
 
     # both doc sizes ride each pair row, so |∩|/|∪| finalizes straight
     # off the (d1, d2) count — no sizes join, no join-skew surface
-    pair_counts = (pair_rows.groupby(["d1", "d2", "_n1", "_n2"])
-                   .aggregate(Count(alias_name="shared")))
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    pair_counts = grouped_aggregate(
+        pair_rows, ["d1", "d2", "_n1", "_n2"],
+        [("d1", "count_rows", "shared")], size_hint_bytes=probed_bytes)
 
     if n_hot:
         # drop hot×hot pairs from the counting path (their shared-count
@@ -1129,12 +1108,13 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
 
     # exchange rows = bands x docs; sigs bytes upper-bound the per-doc
     # row width, so the probed size over- rather than under-buckets
-    cand = (bucket_exchange(sigs.map_batches(band_keys,
-                                             batch_format="pyarrow"),
-                            "bkey", emit_pairs_bucket,
-                            size_hint_bytes=probed_bytes)
-            .groupby(["d1", "d2"])
-            .aggregate(Count(alias_name="_dup")))  # distinct pairs
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    cand = grouped_aggregate(  # distinct pairs
+        bucket_exchange(sigs.map_batches(band_keys, batch_format="pyarrow"),
+                        "bkey", emit_pairs_bucket,
+                        size_hint_bytes=probed_bytes),
+        ["d1", "d2"], [], size_hint_bytes=probed_bytes)
 
     if with_text:
         # exact-verify: attach each candidate side's doc text via the
@@ -1238,9 +1218,10 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
 
     4x16-bit block banding: any pair differing in <= 3 bits shares at
     least one clean 16-bit block (pigeonhole), so recall is EXACT for
-    max_hamming <= 3. Output: (d1, d2, hamming) sorted.
-    ``size_hint_bytes`` (~16 B x rows, the simhash-table width) skips
-    the plan-probe materialization at real scale.
+    max_hamming <= 3. Output: (d1, d2, hamming), one row per pair, in
+    no promised order. ``size_hint_bytes`` (~16 B x rows, the
+    simhash-table width) skips the plan-probe materialization at real
+    scale.
     """
 
     def to_simhash(b: pa.Table) -> pa.Table:
@@ -1254,52 +1235,6 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
             id_col: b[id_col],
             "simhash": pa.array(out.astype(np.int64), pa.int64()),
         })
-
-    hashed, small, probed_bytes = _probe_small(
-        ds.map_batches(to_simhash, batch_format="pyarrow"),
-        size_hint_bytes=size_hint_bytes)
-
-    if small:
-        def simhash_one(b: pa.Table) -> pa.Table:
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-            hs = np.asarray(b["simhash"].to_numpy(zero_copy_only=False)
-                            ).astype(np.uint64)
-            pair_min: dict[tuple[int, int], int] = {}
-            for band in range(4):
-                block = ((hs >> np.uint64(16 * band)) & np.uint64(0xFFFF))
-                order = np.argsort(block, kind="stable")
-                sb, sids, shs = block[order], ids[order], hs[order]
-                bounds = np.concatenate(
-                    [[0], np.nonzero(np.diff(sb))[0] + 1, [len(sb)]])
-                for si in np.nonzero(np.diff(bounds) > 1)[0]:
-                    seg_ids = sids[bounds[si]:bounds[si + 1]]
-                    seg_hs = shs[bounds[si]:bounds[si + 1]]
-                    _, first = np.unique(seg_ids, return_index=True)
-                    seg_ids, seg_hs = seg_ids[first], seg_hs[first]
-                    a_, b_ = np.triu_indices(len(seg_ids), k=1)
-                    if len(a_) == 0:
-                        continue
-                    hd = hamming64(seg_hs[a_], seg_hs[b_])
-                    keep = hd <= max_hamming
-                    for x, y, d in zip(seg_ids[a_][keep].tolist(),
-                                       seg_ids[b_][keep].tolist(),
-                                       hd[keep].tolist()):
-                        prev = pair_min.get((x, y))
-                        if prev is None or d < prev:
-                            pair_min[(x, y)] = d
-            if not pair_min:
-                return pa.table({"d1": pa.array([], pa.int64()),
-                                 "d2": pa.array([], pa.int64()),
-                                 "hamming": pa.array([], pa.int64())})
-            items = sorted(pair_min.items())
-            return pa.table({
-                "d1": pa.array([p[0] for p, _ in items], pa.int64()),
-                "d2": pa.array([p[1] for p, _ in items], pa.int64()),
-                "hamming": pa.array([d for _, d in items], pa.int64()),
-            })
-
-        return _one_task(hashed, simhash_one)
 
     def band_rows(b: pa.Table) -> pa.Table:
         h = np.asarray(b["simhash"].to_numpy(zero_copy_only=False)).astype(np.uint64)
@@ -1355,13 +1290,19 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
             "hamming": pa.array(np.concatenate(hds), pa.int64()),
         })
 
-    # 4 banded copies of each (id, simhash) row ride the exchange
-    return (bucket_exchange(hashed.map_batches(band_rows,
-                                               batch_format="pyarrow"),
-                            "bkey", emit_pairs_bucket,
-                            size_hint_bytes=4 * probed_bytes)
-            .groupby(["d1", "d2"])
-            .aggregate(Min("hamming", alias_name="hamming")))
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    # 4 banded copies of each (id, simhash) row ride the exchange; a
+    # pair sharing several clean blocks surfaces once per block
+    banded = (ds.map_batches(to_simhash, batch_format="pyarrow")
+              .map_batches(band_rows, batch_format="pyarrow"))
+    pairs = bucket_exchange(
+        banded, "bkey", emit_pairs_bucket,
+        size_hint_bytes=None if size_hint_bytes is None
+        else 4 * size_hint_bytes)
+    return grouped_aggregate(pairs, ["d1", "d2"],
+                             [("hamming", "min", "hamming")],
+                             size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -1422,8 +1363,8 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
     Scale shape: variants shuffle as (variant-hash bucket, id, text) —
     O(rows * (L choose <=k)) short rows; pairs are emitted and verified
     INSIDE the bucket group fn (texts are co-located there, no second
-    join), then distinct-ed by a (d1, d2) groupby. Below the
-    small-collapse threshold the whole plan runs as one task.
+    join), then distinct-ed by :func:`grouped_aggregate` on (d1, d2).
+    Below the small-collapse threshold each exchange is one task.
     Assumes ``max_dist`` small (1-2) and strings short (names, titles);
     for long documents use minhash/ngram ops instead.
     ``size_hint_bytes`` (~rows x L x (L choose <=k) variant-stream
@@ -1501,15 +1442,11 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": pa.array(d1s, pa.int64()),
                          "d2": pa.array(d2s, pa.int64())})
 
-    variants = ds.map_batches(emit_variants, batch_format="pyarrow")
-    m, small, probed_bytes = _probe_small(variants,
-                                          size_hint_bytes=size_hint_bytes)
-    if small:
-        # in-task `seen` already de-dupes; no distinct stage needed
-        return _one_task(m, pairs_in_bucket)
-    pairs = bucket_exchange(m, "vkey", pairs_in_bucket,
-                            size_hint_bytes=probed_bytes)
+    from batch_geocode_ray.stages.aggregates import grouped_aggregate
+
+    pairs = bucket_exchange(
+        ds.map_batches(emit_variants, batch_format="pyarrow"), "vkey",
+        pairs_in_bucket, size_hint_bytes=size_hint_bytes)
     # the same pair can verify in several buckets -> global distinct
-    return (pairs.groupby(["d1", "d2"]).aggregate(Count(alias_name="_c"))
-            .map_batches(lambda b: pa.table({"d1": b["d1"], "d2": b["d2"]}),
-                         batch_format="pyarrow"))
+    return grouped_aggregate(pairs, ["d1", "d2"], [],
+                             size_hint_bytes=size_hint_bytes)

@@ -18,6 +18,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import (
     _one_task,
     _probe_small,
@@ -216,7 +217,8 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
       * ``method="lsh"`` -> random-hyperplane LSH: sign bits of
         ``bands*rows`` fixed projections, banded into ``bands`` bucket
         keys; one ``bucket_exchange`` on the band key, within-bucket
-        exact cosine verify, then a pair-distinct groupby. Linear
+        exact cosine verify, then a pair distinct through
+        :func:`grouped_aggregate`. Linear
         shuffle, no false positives; recall follows the banding
         S-curve — right for true near-dup thresholds (>= ~0.7; at 0.4
         the hyperplane collision rate barely prunes, use exact).
@@ -318,14 +320,14 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
 
     # the exchange carries `bands` copies of each (id, vec) row; the
     # hint is floored at the threshold because this plan never collapses
+    hint = max(bands * probed_bytes, _dd.SMALL_COLLAPSE_BYTES)
     pairs = _dd.bucket_exchange(
         proj.map_batches(band_rows, batch_format="pyarrow"), "bkey",
-        verify_bucket,
-        size_hint_bytes=max(bands * probed_bytes, _dd.SMALL_COLLAPSE_BYTES))
-    # same pair can surface from several bands -> distinct via groupby
-    from ray.data.aggregate import Max
-    return pairs.groupby(["d1", "d2"]).aggregate(
-        Max("cosine", alias_name="cosine"))
+        verify_bucket, size_hint_bytes=hint)
+    # same pair can surface from several bands -> one row per pair
+    return grouped_aggregate(pairs, ["d1", "d2"],
+                             [("cosine", "max", "cosine")],
+                             size_hint_bytes=hint)
 
 
 def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:

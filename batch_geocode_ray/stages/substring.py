@@ -56,8 +56,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Count
 
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import bucket_exchange
 
 # odd bases => invertible mod 2^64, so rolling hashes come from O(n)
@@ -189,8 +189,6 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     ``size_hint_bytes``: pass ~32 x corpus_chars (the gram-stream
     width) at real scale so the exchange streams instead of
     materializing the corpus-sized stream for the plan probe."""
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     def emit_counts(g: pa.Table) -> pa.Table:
         h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
@@ -259,9 +257,9 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
                          "d2": pa.array(np.concatenate(d2s), pa.int64())})
 
-    cand = (bucket_exchange(_stream(ds, text_col, id_col, L), "h",
-                            emit_pairs)
-            .groupby(["d1", "d2"]).aggregate(Count(alias_name="_c")))
+    cand = grouped_aggregate(  # distinct pairs
+        bucket_exchange(_stream(ds, text_col, id_col, L), "h", emit_pairs),
+        ["d1", "d2"], [])
 
     # exact verify: attach both texts, confirm a shared L-gram by
     # direct byte comparison (hash-set intersection per pair)

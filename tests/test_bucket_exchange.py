@@ -7,8 +7,10 @@ the column on both plans, (c) the group fn never sees the exchange's
 bucket column, also when the rows carry their own ``_bucket``, (d)
 forcing ``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, (e) no
 module outside ``stages/dedup.py`` hand-writes a ``_bucket`` exchange,
-and (f) no function in the package takes or passes a ``merge`` plan
-option: every grouped merge measures its input through the exchange.
+(f) no function in the package takes or passes a ``merge`` plan
+option: every grouped merge measures its input through the exchange,
+and (g) no Ray sort-based aggregate remains: keyed combines go through
+``aggregates.grouped_aggregate``.
 """
 
 import ast
@@ -234,3 +236,54 @@ def test_no_merge_plan_option():
                     k.arg == "merge" for k in node.keywords):
                 offenders.append(f"{rel}:{node.lineno} passes merge=")
     assert offenders == [], ", ".join(offenders)
+
+
+# Ray Dataset aggregations a ``.groupby(...)`` may not chain into;
+# pyarrow's ``Table.group_by`` is a different spelling and stays allowed
+RAY_AGGREGATES = {"aggregate", "count", "sum", "min", "max", "mean", "std"}
+
+
+def _ray_aggregate_sites(tree: ast.Module):
+    """Line numbers of every ``ray.data.aggregate`` import and every
+    ``.groupby(...).<aggregation>(`` chain."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("ray.data.aggregate"):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("ray.data.aggregate")
+                   for a in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in RAY_AGGREGATES
+              and isinstance(node.func.value, ast.Call)
+              and isinstance(node.func.value.func, ast.Attribute)
+              and node.func.value.func.attr == "groupby"):
+            yield node.lineno
+
+
+def test_no_ray_groupby_aggregate():
+    """Every keyed combine goes through ``grouped_aggregate``: no Ray
+    ``groupby(...).aggregate(...)`` (or its shorthands) and no
+    ``ray.data.aggregate`` import anywhere in the package."""
+    offenders = [f"{path.relative_to(PKG).as_posix()}:{line}"
+                 for path in sorted(PKG.rglob("*.py"))
+                 for line in _ray_aggregate_sites(
+                     ast.parse(path.read_text()))]
+    assert offenders == [], (
+        "Ray sort-based aggregate; use aggregates.grouped_aggregate: "
+        + ", ".join(offenders))
+
+
+def test_ray_aggregate_guard_is_not_vacuous():
+    snippet = """
+from ray.data.aggregate import Count
+import ray.data.aggregate
+ds.groupby("k").aggregate(Count())
+ds.groupby(["a", "b"]).count()
+ds.groupby("k").max("v")
+t.group_by("k").aggregate([("v", "max")])
+ds.groupby("_bucket").map_groups(fn)
+"""
+    assert sorted(_ray_aggregate_sites(ast.parse(snippet))) == [2, 3, 4, 5, 6]

@@ -95,6 +95,10 @@ def test_shuffle_plan_equals_collapsed_plan(docs_ds, monkeypatch):
     """The adaptive small-side collapse is a physical-plan choice only:
     forcing the shuffle plan must give identical answers."""
     import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages.dedup import edit_distance_pairs
+    from batch_geocode_ray.stages.substring import duplicate_substring_pairs
+
+    emb, _ = embeddings_ds()
 
     def run_all():
         return (
@@ -109,12 +113,54 @@ def test_shuffle_plan_equals_collapsed_plan(docs_ds, monkeypatch):
             sorted((r["d1"], r["d2"], r["hamming"])
                    for r in simhash_pairs(docs_ds, "text", "doc_id",
                                           max_hamming=3).take_all()),
+            sorted((r["d1"], r["d2"])
+                   for r in edit_distance_pairs(docs_ds, "text", "doc_id",
+                                                max_dist=1).take_all()),
+            sorted((r["d1"], r["d2"])
+                   for r in duplicate_substring_pairs(
+                       docs_ds, "text", "doc_id", L=40).take_all()),
+            sorted((r["d1"], r["d2"], round(r["cosine"], 12))
+                   for r in cosine_neardup_pairs(
+                       emb, "embedding", "vec_id", threshold=0.7,
+                       method="lsh").take_all()),
         )
 
     collapsed = run_all()
+    assert all(collapsed), [len(rows) for rows in collapsed]
     monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     shuffled = run_all()
     assert collapsed == shuffled
+
+
+def _row_order_hash(ds) -> str:
+    """Row-order-sensitive hash of a Dataset's rows."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        for row in b.to_pylist():
+            h.update(repr(sorted(row.items())).encode())
+    return h.hexdigest()
+
+
+def test_q12_q19_row_order_is_deterministic(monkeypatch):
+    """q12 (exact dedup, ORDER BY doc_id) and q19 (simhash pairs,
+    ordered by (d1, d2)) give one row order on every run, with the
+    collapsed plan and with the distributed plan forced."""
+    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.pipelines.queries import (
+        q12_dedup_exact,
+        q19_simhash_neardup,
+    )
+    from tests.test_r3_new_ops import SF as sf
+
+    hashes = {"q12": set(), "q19": set()}
+    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+        for _ in range(3):
+            hashes["q12"].add(_row_order_hash(q12_dedup_exact(sf)))
+            hashes["q19"].add(_row_order_hash(q19_simhash_neardup(sf)))
+    assert {q: len(h) for q, h in hashes.items()} == {"q12": 1, "q19": 1}
 
 
 def test_broadcast_join_inner_and_left():

@@ -229,6 +229,7 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         edit_distance_pairs,
         exact_dedup,
         fingerprint_dup_pairs,
+        minhash_lsh_pairs,
         simhash_pairs,
     )
     from batch_geocode_ray.stages.similarity import cosine_neardup_pairs
@@ -253,6 +254,8 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
             docs, "text", "doc_id", size_hint_bytes=H),
         "edit_distance_pairs": lambda: edit_distance_pairs(
             docs, "text", "doc_id", max_dist=1, size_hint_bytes=H),
+        "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
+            docs, "text", "doc_id", verify="signature", size_hint_bytes=H),
         "cosine_lsh": lambda: cosine_neardup_pairs(
             emb, "embedding", "vec_id", threshold=0.7, method="lsh",
             size_hint_bytes=H),
@@ -266,6 +269,8 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         "simhash_pairs": lambda: simhash_pairs(docs, "text", "doc_id"),
         "edit_distance_pairs": lambda: edit_distance_pairs(
             docs, "text", "doc_id", max_dist=1),
+        "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
+            docs, "text", "doc_id", verify="signature"),
         "cosine_lsh": lambda: cosine_neardup_pairs(
             emb, "embedding", "vec_id", threshold=0.7, method="lsh"),
         "sort_adaptive": lambda: _sort_adaptive(docs, "doc_id"),
