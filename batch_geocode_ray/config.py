@@ -13,6 +13,7 @@ Mirrors the reference's tunables and their defaults:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 # Suffixes kept in the final wide output (reference utilities.py:42-45,
@@ -29,13 +30,13 @@ class PipelineConfig:
     results_per_app: int = 2
     max_buffer: float = 15.0  # km, bbox-diagonal cutoff
 
-    # kNN
-    knn_k: int = 3
-
+    # engine constants, not settable per run
+    # kNN neighbours per point
+    knn_k: ClassVar[int] = 3
     # Tile aggregation resolutions (H3-style res 7-9 per the north rule;
     # s2 level used for prefix repartitioning).
-    hex_resolutions: tuple[int, ...] = (7, 8, 9)
-    s2_level: int = 12
+    hex_resolutions: ClassVar[tuple[int, ...]] = (7, 8, 9)
+    s2_level: ClassVar[int] = 12
 
     def wide_prefixes(self) -> list[str]:
         """All result-key prefixes: ``{source}{rank}`` for every source and

@@ -37,11 +37,11 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-def minhash_permutation_params(num_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
+def minhash_permutation_params(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) coefficient vectors for the universal-hash family
-    ``h_i(x) = (a_i * x + b_i) mod (2^61 - 1)``.
+    ``h_i(x) = (a_i * x + b_i) mod (2^61 - 1)``, from seed 7.
     """
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(7)
     a = rng.randint(1, (1 << 61) - 1, size=num_perm, dtype=np.uint64)
     b = rng.randint(0, (1 << 61) - 1, size=num_perm, dtype=np.uint64)
     return a, b
@@ -157,10 +157,13 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.unpackbits(bytes_view, axis=1).sum(axis=1).astype(np.int64).reshape(shape)
 
 
-def knuth_sample_mask(keys, rate_pct: int,
-                      mult: int = 2654435761) -> "np.ndarray":
+# Knuth's multiplicative-hash constant (2^32 / golden ratio)
+KNUTH_MULT = 2654435761
+
+
+def knuth_sample_mask(keys, rate_pct: int) -> "np.ndarray":
     """Deterministic, SQL-recomputable sample mask over integer keys:
-    ``((key * mult) % 2^32) % 100 < rate_pct`` (Knuth multiplicative
+    ``((key * KNUTH_MULT) % 2^32) % 100 < rate_pct`` (Knuth multiplicative
     hashing). Unlike :func:`splitmix64`-based sampling this is plain
     BIGINT arithmetic an oracle can recompute verbatim — the point is
     reproducible sampling that two independent engines agree on
@@ -169,16 +172,16 @@ def knuth_sample_mask(keys, rate_pct: int,
     key — no silent int64-overflow divergence); an oracle matching
     keys past ~3.5e9 must widen, e.g. DuckDB
     ``(key::HUGEINT * 2654435761) % 4294967296``."""
-    return (knuth_bucket100(keys, mult) < np.int64(rate_pct))
+    return (knuth_bucket100(keys) < np.int64(rate_pct))
 
 
-def knuth_bucket100(keys, mult: int = 2654435761) -> "np.ndarray":
+def knuth_bucket100(keys) -> "np.ndarray":
     """The percent bucket behind :func:`knuth_sample_mask` —
-    ``((key * mult) % 2^32) % 100`` — exposed so callers can compare
+    ``((key * KNUTH_MULT) % 2^32) % 100`` — exposed so callers can compare
     against a PER-ROW rate (stratified sampling, q61). uint64
     arithmetic: exact mod-2^32 product for any non-negative key."""
     k = np.asarray(keys, dtype=np.int64)
     if (k < 0).any():
         raise ValueError("knuth_bucket100: keys must be non-negative")
-    h = (k.astype(np.uint64) * np.uint64(mult)) % np.uint64(4294967296)
+    h = (k.astype(np.uint64) * np.uint64(KNUTH_MULT)) % np.uint64(4294967296)
     return (h % np.uint64(100)).astype(np.int64)

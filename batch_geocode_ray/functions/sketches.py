@@ -32,8 +32,12 @@ from batch_geocode_ray.functions.hashing import stable_hash64_array
 # HyperLogLog
 # ---------------------------------------------------------------------------
 
-def hll_partial(values, p: int = 12, *, pre_hashed: bool = False) -> np.ndarray:
-    """(2^p,) uint8 register array summarizing this batch's values.
+# HLL register-index bits: 2^12 one-byte registers
+HLL_P = 12
+
+
+def hll_partial(values, *, pre_hashed: bool = False) -> np.ndarray:
+    """(2^HLL_P,) uint8 register array summarizing this batch's values.
 
     Arrow inputs are hashed here (stable 64-bit). Raw ndarrays are
     AMBIGUOUS — a caller passing unhashed ints would silently build a
@@ -48,6 +52,7 @@ def hll_partial(values, p: int = 12, *, pre_hashed: bool = False) -> np.ndarray:
             "hll_partial: ndarray input is ambiguous — pass an Arrow "
             "array to have values hashed, or pre_hashed=True if they "
             "are already uniform uint64 hashes")
+    p = HLL_P
     m = 1 << p
     regs = np.zeros(m, dtype=np.uint8)
     if len(h) == 0:
@@ -95,12 +100,16 @@ def hll_estimate(regs: np.ndarray) -> float:
 # Mergeable quantile summary
 # ---------------------------------------------------------------------------
 
-def quantile_partial(values, k: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted rank-spaced quantile summary of this batch: ``k`` sorted
-    (value, weight) pairs whose cumulative weights approximate the
-    batch's rank distribution to ~W/k. The compression is deterministic
-    (no sampling): sort, then take the elements at the k mid-rank
-    targets, each carrying W/k mass."""
+# summary size: entries per quantile summary
+QUANTILE_K = 512
+
+
+def quantile_partial(values) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted rank-spaced quantile summary of this batch:
+    ``QUANTILE_K`` (= k) sorted (value, weight) pairs whose cumulative
+    weights approximate the batch's rank distribution to ~W/k. The
+    compression is deterministic (no sampling): sort, then take the
+    elements at the k mid-rank targets, each carrying W/k mass."""
     if isinstance(values, (pa.Array, pa.ChunkedArray)):
         v = np.asarray((values.combine_chunks()
                         if isinstance(values, pa.ChunkedArray)
@@ -111,12 +120,13 @@ def quantile_partial(values, k: int = 512) -> tuple[np.ndarray, np.ndarray]:
     v = v[~np.isnan(v)]
     if len(v) == 0:
         return np.empty(0), np.empty(0)
-    return _quantile_compress(np.sort(v), np.ones(len(v)), k)
+    return _quantile_compress(np.sort(v), np.ones(len(v)))
 
 
-def _quantile_compress(vals: np.ndarray, weights: np.ndarray,
-                       k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted vals, weights) -> at most k rank-spaced entries."""
+def _quantile_compress(vals: np.ndarray,
+                       weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted vals, weights) -> at most QUANTILE_K rank-spaced entries."""
+    k = QUANTILE_K
     if len(vals) <= k:
         return vals, weights
     cumw = np.cumsum(weights)
@@ -127,18 +137,18 @@ def _quantile_compress(vals: np.ndarray, weights: np.ndarray,
     return vals[idx], np.full(k, total / k)
 
 
-def quantile_merge(partials: list[tuple[np.ndarray, np.ndarray]],
-                   k: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def quantile_merge(partials: list[tuple[np.ndarray, np.ndarray]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Merge summaries: concatenate, sort by value (weights follow),
-    recompress to k. Each merge level adds ~1/k rank error — with one
-    partial per block and a single merge, total error ~2/k of the rank
-    space (k=512 -> ~0.4%)."""
+    recompress to k = ``QUANTILE_K``. Each merge level adds ~1/k rank
+    error — with one partial per block and a single merge, total error
+    ~2/k of the rank space (k=512 -> ~0.4%)."""
     vs = np.concatenate([p[0] for p in partials]) if partials else np.empty(0)
     ws = np.concatenate([p[1] for p in partials]) if partials else np.empty(0)
     if len(vs) == 0:
         return vs, ws
     order = np.argsort(vs, kind="stable")
-    return _quantile_compress(vs[order], ws[order], k)
+    return _quantile_compress(vs[order], ws[order])
 
 
 def quantile_query(summary: tuple[np.ndarray, np.ndarray],
@@ -154,10 +164,10 @@ def quantile_query(summary: tuple[np.ndarray, np.ndarray],
 
 
 def grouped_quantile_sketch(ds, group_col: str | None, col: str,
-                            qs: list[float], k: int = 512) -> dict:
+                            qs: list[float]) -> dict:
     """Per-group approximate quantiles in ONE pass: each block emits a
-    k-entry summary per group it saw (one row per (group, block) — the
-    same skew-collapsing shape as the tile aggregates), the driver
+    ``QUANTILE_K``-entry summary per group it saw (one row per (group,
+    block) — the same skew-collapsing shape as the tile aggregates), the driver
     merges per group and queries. Returns {group: [quantile per q]}.
     ``group_col=None`` sketches the whole column as one group."""
     import ray
@@ -177,7 +187,7 @@ def grouped_quantile_sketch(ds, group_col: str | None, col: str,
                        dtype=np.float64)
         gs, vs, ws = [], [], []
         for g, rows in groups.items():
-            vals, weights = quantile_partial(v[rows], k)
+            vals, weights = quantile_partial(v[rows])
             gs.append("" if g is None else str(g))
             vs.append(vals.tobytes())
             ws.append(weights.tobytes())
@@ -195,7 +205,7 @@ def grouped_quantile_sketch(ds, group_col: str | None, col: str,
             by_group.setdefault(key, []).append(
                 (np.frombuffer(r["v"], dtype=np.float64),
                  np.frombuffer(r["w"], dtype=np.float64)))
-    return {g: [quantile_query(quantile_merge(ps, k), q) for q in qs]
+    return {g: [quantile_query(quantile_merge(ps), q) for q in qs]
             for g, ps in by_group.items()}
 
 

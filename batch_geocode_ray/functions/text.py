@@ -433,16 +433,15 @@ def _marker_hits(tokens: pa.Array, markers: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def langid_table(text_col, langs: dict[str, tuple[str, ...]] | None = None) -> dict[str, np.ndarray]:
-    """Language-ID by marker-stopword counts. Returns dict with
-    ``pred_lang`` (string array) and per-language hit counts
+def langid_table(text_col) -> dict[str, np.ndarray]:
+    """Language-ID by ``LANG_MARKERS`` stopword counts. Returns dict
+    with ``pred_lang`` (string array) and per-language hit counts
     ``hits_{lang}``. Argmax with alphabetical tie-break; all-zero ->
     'und'.
     """
-    langs = langs or LANG_MARKERS
     toks = tokens_column(text_col)
-    names = sorted(langs)  # alphabetical => tie-break = first max
-    counts = np.stack([_marker_hits(toks, langs[n]) for n in names])  # (L, n)
+    names = sorted(LANG_MARKERS)  # alphabetical => tie-break = first max
+    counts = np.stack([_marker_hits(toks, LANG_MARKERS[n]) for n in names])  # (L, n)
     best = np.argmax(counts, axis=0)  # first max wins
     total = counts.max(axis=0)
     pred = np.where(total > 0, np.array(names, dtype=object)[best], "und")
@@ -477,10 +476,10 @@ def quality_table(text_col) -> dict[str, np.ndarray]:
         }
 
 
-def fingerprint_column(text_col, k: int = 3) -> np.ndarray:
+def fingerprint_column(text_col) -> np.ndarray:
     """Document fingerprint: minimum of the Rabin-Karp rolling hashes of
-    all k-token windows (a 1-value winnowing sketch). Documents sharing
-    any k-gram region often collide -> cheap near-dup prefilter. Returns
+    all 3-token windows (a 1-value winnowing sketch). Documents sharing
+    any 3-gram region often collide -> cheap near-dup prefilter. Returns
     uint64; empty/short docs fingerprint to the hash of their full token
     tuple.
     """
@@ -500,8 +499,8 @@ def fingerprint_column(text_col, k: int = 3) -> np.ndarray:
             if len(h) == 0:
                 out[i] = np.uint64(0)
                 continue
-            n = max(len(h) - k + 1, 1)
-            kk = min(k, len(h))
+            n = max(len(h) - 2, 1)
+            kk = min(3, len(h))
             acc = np.zeros(n, dtype=np.uint64)
             for j in range(kk):
                 acc = acc * B + h[j:j + n]

@@ -75,7 +75,7 @@ def registered_domain_of(url_col) -> pa.Array:
     return pc.if_else(pc.is_valid(dom), dom, host)
 
 
-def deterministic_sample_mask(key_col, rate: float, seed: int = 0) -> np.ndarray:
+def deterministic_sample_mask(key_col, rate: float) -> np.ndarray:
     """Stable Bernoulli(rate) sample by key hash: same key -> same
     decision on every run, machine, and worker (the reproducible-sample
     primitive for experiments on 10^12-row tables). Accepts string or
@@ -83,7 +83,7 @@ def deterministic_sample_mask(key_col, rate: float, seed: int = 0) -> np.ndarray
     col = _chunked(key_col)
     if pa.types.is_integer(col.type):
         h = splitmix64(np.asarray(col.to_numpy(zero_copy_only=False),
-                                  dtype=np.uint64) ^ np.uint64(seed))
+                                  dtype=np.uint64))
     else:
-        h = splitmix64(stable_hash64_array(col) ^ np.uint64(seed))
+        h = splitmix64(stable_hash64_array(col))
     return (h.astype(np.float64) / 2.0 ** 64) < rate

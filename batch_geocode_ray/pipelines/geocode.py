@@ -23,6 +23,8 @@ None of them call ray.init().
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pyarrow as pa
 
@@ -44,12 +46,13 @@ from batch_geocode_ray.stages.stateful import stateful_map_batches
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
 
 
-def encode_cells_stage(batch: pa.Table, resolutions=(7, 8, 9), s2_level: int = 12,
-                       lon_col: str = "best_long", lat_col: str = "best_lat") -> pa.Table:
-    """Stateless cell encoding of the vetted best point; rows without a
-    best point get null cells."""
-    lon = np.asarray(batch[lon_col].to_numpy(zero_copy_only=False), dtype=np.float64)
-    lat = np.asarray(batch[lat_col].to_numpy(zero_copy_only=False), dtype=np.float64)
+def encode_cells_stage(batch: pa.Table, resolutions=(7, 8, 9),
+                       s2_level: int = 12) -> pa.Table:
+    """Stateless cell encoding of the vetted best point
+    (``best_long``/``best_lat``); rows without a best point get null
+    cells."""
+    lon = np.asarray(batch["best_long"].to_numpy(zero_copy_only=False), dtype=np.float64)
+    lat = np.asarray(batch["best_lat"].to_numpy(zero_copy_only=False), dtype=np.float64)
     ok = ~(np.isnan(lon) | np.isnan(lat))
     safe_lon = np.where(ok, lon, 0.0)
     safe_lat = np.where(ok, lat, 0.0)
@@ -85,20 +88,21 @@ class GeocodeFusedStage:
     gets near-linear scaling and no intermediate object-store round
     trips. Each layer's callable is still usable on its own.
 
-    Broadcast inputs (gazetteer, config, prior, polygons, facilities)
-    may be ObjectRefs; they are fetched once at construction.
+    Broadcast inputs (gazetteer index, config, prior, polygon index,
+    facility index) may be ObjectRefs; they are fetched once at
+    construction. The page columns passed through are ``url``,
+    ``warc_ts`` and ``lang``.
     """
 
-    def __init__(self, gazetteer, config: PipelineConfig,
-                 lang_cc_prior=None, polygons=None, facilities=None,
-                 verify_extraction: bool = False, with_knn: bool = False,
-                 keep_columns: list[str] | None = None):
+    def __init__(self, gazetteer, config: PipelineConfig, lang_cc_prior,
+                 polygons=None, facilities=None,
+                 verify_extraction: bool = False, with_knn: bool = False):
         self.cfg = config = _get(config)
         self.verify_extraction = verify_extraction
         self.matcher = GazetteerMatcher(gazetteer)
         self.resolver = MentionResolver(
             self.matcher.gaz, config=config, lang_cc_prior=_get(lang_cc_prior),
-            keep_columns=keep_columns or ["url", "warc_ts", "lang"])
+            keep_columns=["url", "warc_ts", "lang"])
         self.pip = PIPJoin(polygons) if polygons is not None else None
         # grid probe: vectorized per-cell candidate rings with exact
         # brute-force fallback — same output as brute force (pinned in
@@ -165,16 +169,18 @@ def build_geocode_pipeline(pages_path: str | list[str],
                            admin_polygons: pa.Table | None = None,
                            facilities: pa.Table | None = None,
                            cfg: PipelineConfig | None = None,
-                           lang_cc_prior=None,
                            verify_extraction: bool = False,
                            with_knn: bool = False) -> Dataset:
     """Page-level geocode Dataset: url/lang + wide geocode columns +
     cells + admin assignment (+ optional kNN), from one fused stage
-    (:class:`GeocodeFusedStage`) run as worker-cached tasks."""
+    (:class:`GeocodeFusedStage`) run as worker-cached tasks, with the
+    ``LANG_CC_PRIOR`` country filter. The wide columns cover the
+    gazetteer's own sources whatever ``cfg.sources`` says: the resolver
+    ranks by them, so every source that pools into ``best`` also gets
+    its ``{source}{rank}_*`` columns."""
     gaz_index = GazetteerIndex.from_table(gazetteer)
-    cfg = cfg or PipelineConfig(sources=gaz_index.sources)
-    if lang_cc_prior is None:
-        lang_cc_prior = LANG_CC_PRIOR
+    cfg = dataclasses.replace(cfg or PipelineConfig(),
+                              sources=list(gaz_index.sources))
 
     # prune at the read: the oracle `text` column is recomputed from
     # `html` and only needed when verifying extraction — skipping it
@@ -203,7 +209,7 @@ def build_geocode_pipeline(pages_path: str | list[str],
     kwargs = {
         "gazetteer": ray.put(gaz_index),
         "config": ray.put(cfg),
-        "lang_cc_prior": ray.put(lang_cc_prior),
+        "lang_cc_prior": ray.put(LANG_CC_PRIOR),
         "polygons": (ray.put(PolygonIndex(admin_polygons))
                      if admin_polygons is not None else None),
         "facilities": (ray.put(FacilityIndex(facilities))

@@ -656,7 +656,6 @@ def q18_minhash_neardup(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     # signature stream ~1 KB/doc vs ~0.5-1 KB/doc of compressed input
     out = minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.8,
-                            verify="trigram",
                             size_hint_bytes=_table_bytes(sf_dir,
                                                          "documents"))
     return _sort_single(out, ["d1", "d2"])
@@ -752,7 +751,7 @@ def q23_tile_aggregates(sf_dir: str) -> Dataset:
     return build_tile_aggregates(ds, res=7)
 
 
-def _media_table(n: int = 64) -> pa.Table:
+def _media_table() -> pa.Table:
     """Deterministic REAL media fixtures: per-id gradient pattern, even
     ids as uncompressed 8-bit BMP, odd ids as zlib-compressed PNG
     cycling through all five scanline filter types — both decode paths
@@ -760,7 +759,7 @@ def _media_table(n: int = 64) -> pa.Table:
     query."""
     from batch_geocode_ray.stages.multimodal import make_bmp, make_png
 
-    h, w = 48, 64
+    n, h, w = 64, 48, 64
     yy, xx = np.mgrid[0:h, 0:w]
     payloads, mimes = [], []
     for i in range(n):
@@ -797,8 +796,7 @@ def q24_image_features(sf_dir: str) -> Dataset:
         batch_size=16, batch_format="pyarrow",
         concurrency=(1, 2), num_cpus=0.5)
     return resized.map_batches(
-        ImageFeatures, fn_constructor_kwargs={"decode": "real"},
-        batch_size=16, batch_format="pyarrow",
+        ImageFeatures, batch_size=16, batch_format="pyarrow",
         concurrency=(1, 2), num_cpus=0.5).sort("media_id")
 
 
@@ -821,8 +819,7 @@ def q25_audio_frames(sf_dir: str) -> Dataset:
         "n_samples": pa.array([n_samples] * n, pa.int64()),
     })
     return rd.from_arrow(t).map_batches(
-        AudioFrameSample, fn_constructor_kwargs={"decode": "real"},
-        batch_size=16, batch_format="pyarrow",
+        AudioFrameSample, batch_size=16, batch_format="pyarrow",
         concurrency=(1, 2), num_cpus=0.5).sort("media_id")
 
 
@@ -1251,8 +1248,7 @@ FROM u GROUP BY domain ORDER BY domain
 """
 
 
-def _distinct_exact_and_hll(ds: Dataset, col: str, p: int = 12
-                            ) -> tuple[int, float]:
+def _distinct_exact_and_hll(ds: Dataset, col: str) -> tuple[int, float]:
     """Exact COUNT(DISTINCT col) AND the HLL estimate from ONE input
     scan: per-batch unique 64-bit hashes merge through the
     :func:`grouped_aggregate` distinct; each block of distinct hashes
@@ -1286,7 +1282,7 @@ def _distinct_exact_and_hll(ds: Dataset, col: str, p: int = 12
     def block_summary(b: pa.Table) -> pa.Table:
         h = np.asarray(b["_h"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
-        regs = hll_partial(h.astype(np.uint64), p, pre_hashed=True)
+        regs = hll_partial(h.astype(np.uint64), pre_hashed=True)
         return pa.table({
             "n": pa.array([len(h)], pa.int64()),
             "regs": pa.array([regs.tobytes()], pa.binary()),

@@ -9,11 +9,11 @@ import pyarrow as pa
 from batch_geocode_ray.config import GEOCODING_SUFFIXES
 
 
-def mark_best(batch: pa.Table, source: str | pa.Array,
-              suffixes: list[str] | None = None) -> pa.Table:
+def mark_best(batch: pa.Table, source: str | pa.Array) -> pa.Table:
     """The vet UI's "mark best" rule as a vectorized kernel (reference
     app/templates/vet.html:131-147): copy the chosen source's
-    ``{source}_{suffix}`` fields into ``best_{suffix}``, rewriting
+    ``{source}_{suffix}`` fields (every ``GEOCODING_SUFFIXES`` suffix)
+    into ``best_{suffix}``, rewriting
     ``best_name`` to ``'{name} (from {source})'`` — or just
     ``'{source}'`` when the source has no name (vet.html:139-143).
 
@@ -25,7 +25,6 @@ def mark_best(batch: pa.Table, source: str | pa.Array,
     """
     import pyarrow.compute as pc
 
-    suffixes = suffixes or list(GEOCODING_SUFFIXES)
     n = batch.num_rows
     if isinstance(source, str):
         src_arr = pa.array([source] * n, pa.string())
@@ -36,7 +35,7 @@ def mark_best(batch: pa.Table, source: str | pa.Array,
         prefixes = sorted(set(src_arr.to_pylist()) - {None})
 
     out = {}
-    for suf in suffixes:
+    for suf in GEOCODING_SUFFIXES:
         # per-row select from the chosen prefix's column
         acc = None
         for p in prefixes:
@@ -52,17 +51,16 @@ def mark_best(batch: pa.Table, source: str | pa.Array,
             acc = picked
         out[suf] = acc
     # name rewrite: '{name} (from {src})' else '{src}'
-    name = out.get("name")
-    if name is not None:
-        suffixed = pc.binary_join_element_wise(
-            pc.cast(name, pa.string()), pa.array([" (from "] * n),
-            src_arr, pa.array([")"] * n), "",
-            null_handling="emit_null")
-        # binary_join_element_wise with the separator trick puts the
-        # pieces in argument order: name + " (from " + src + ")"
-        out["name"] = pc.if_else(pc.is_valid(name), suffixed, src_arr)
+    name = out["name"]
+    suffixed = pc.binary_join_element_wise(
+        pc.cast(name, pa.string()), pa.array([" (from "] * n),
+        src_arr, pa.array([")"] * n), "",
+        null_handling="emit_null")
+    # binary_join_element_wise with the separator trick puts the
+    # pieces in argument order: name + " (from " + src + ")"
+    out["name"] = pc.if_else(pc.is_valid(name), suffixed, src_arr)
 
-    for suf in suffixes:
+    for suf in GEOCODING_SUFFIXES:
         col_name = f"best_{suf}"
         arr = out[suf]
         if col_name in batch.column_names:

@@ -308,28 +308,26 @@ def generate_pages(out_dir: str, n_pages: int, seed: int = 42,
 _FIXTURE_VERSION = "v2"  # v2: 5k-row shards (read parallelism), parallel gen
 
 
-def fixture_dir_path(n_pages: int, seed: int = 42,
-                     base: str = "/tmp/bgr_fixtures") -> str:
+def fixture_dir_path(n_pages: int, base: str = "/tmp/bgr_fixtures") -> str:
     """Deterministic fixture directory path WITHOUT generating — used to
     bake parquet paths into static oracle SQL strings."""
-    return os.path.join(base, f"{_FIXTURE_VERSION}-seed{seed}-n{n_pages}")
+    return os.path.join(base, f"{_FIXTURE_VERSION}-seed42-n{n_pages}")
 
 
-def ensure_fixture_dir(n_pages: int, seed: int = 42,
-                       base: str = "/tmp/bgr_fixtures") -> str:
+def ensure_fixture_dir(n_pages: int, base: str = "/tmp/bgr_fixtures") -> str:
     """Generate (once, cached) a fixture directory with pages/ shards and
-    the world tables; keyed by (n_pages, seed, generator version).
+    the world tables of seed 42; keyed by (n_pages, generator version).
     """
-    d = fixture_dir_path(n_pages, seed, base)
+    d = fixture_dir_path(n_pages, base)
     marker = os.path.join(d, "_COMPLETE")
     if os.path.exists(marker):
         return d
     os.makedirs(os.path.join(d, "pages"), exist_ok=True)
-    world = generate_world(seed)
+    world = generate_world(42)
     pq.write_table(world.gazetteer, os.path.join(d, "gazetteer.parquet"))
     pq.write_table(world.admin_polygons, os.path.join(d, "admin_polygons.parquet"))
     pq.write_table(world.facilities, os.path.join(d, "facilities.parquet"))
-    generate_pages(os.path.join(d, "pages"), n_pages, seed=seed, world=world)
+    generate_pages(os.path.join(d, "pages"), n_pages, seed=42, world=world)
     with open(marker, "w") as f:
         f.write("ok\n")
     return d

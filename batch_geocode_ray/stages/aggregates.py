@@ -29,17 +29,16 @@ from ray.data import Dataset
 from batch_geocode_ray.stages.dedup import _exchange, _one_task, bucket_exchange
 
 
-def tile_aggregate(ds: Dataset, cell_col: str,
-                   buffer_col: str = "best_buffer") -> Dataset:
-    """Full two-stage tile aggregate: partial per batch, merged per
-    cell, finalize mean, sorted by cell. Output columns:
-    (cell_col, pages, mean_buffer, min_buffer, max_buffer)."""
+def tile_aggregate(ds: Dataset, cell_col: str) -> Dataset:
+    """Full two-stage tile aggregate of ``best_buffer``: partial per
+    batch, merged per cell, finalize mean, sorted by cell. Output
+    columns: (cell_col, pages, mean_buffer, min_buffer, max_buffer)."""
     return grouped_aggregate(
         ds, [cell_col],
         [(cell_col, "count", "pages"),
-         (buffer_col, "mean", "mean_buffer"),
-         (buffer_col, "min", "min_buffer"),
-         (buffer_col, "max", "max_buffer")],
+         ("best_buffer", "mean", "mean_buffer"),
+         ("best_buffer", "min", "min_buffer"),
+         ("best_buffer", "max", "max_buffer")],
         sort_keys=[cell_col])
 
 
@@ -121,10 +120,10 @@ def grouped_aggregate(ds: Dataset, keys: list[str],
 
 
 def pivot_counts(ds: Dataset, group_col: str, type_col: str,
-                 categories: list[str], out_prefix: str = "n_") -> Dataset:
+                 categories: list[str]) -> Dataset:
     """PIVOT: one output row per ``group_col`` value, sorted by it, with
-    a count column per category of ``type_col`` (SQL: ``count(*) FILTER
-    (WHERE type = c) AS n_c``). Unknown categories are dropped (SQL
+    a count column ``n_{c}`` per category of ``type_col`` (SQL:
+    ``count(*) FILTER (WHERE type = c) AS n_c``). Unknown categories are dropped (SQL
     IN-list semantics).
 
     Vectorized per batch as 0/1 indicator columns summed by the same
@@ -135,12 +134,11 @@ def pivot_counts(ds: Dataset, group_col: str, type_col: str,
     def indicators(b: pa.Table) -> pa.Table:
         cols = {group_col: b[group_col]}
         for c in categories:
-            cols[f"{out_prefix}{c}"] = pc.cast(
+            cols[f"n_{c}"] = pc.cast(
                 pc.equal(b[type_col], pa.scalar(c)), pa.int64())
         return pa.table(cols)
 
-    specs = [(f"{out_prefix}{c}", "sum", f"{out_prefix}{c}")
-             for c in categories]
+    specs = [(f"n_{c}", "sum", f"n_{c}") for c in categories]
     return grouped_aggregate(ds.map_batches(indicators,
                                             batch_format="pyarrow"),
                              [group_col], specs, sort_keys=[group_col])
@@ -148,11 +146,10 @@ def pivot_counts(ds: Dataset, group_col: str, type_col: str,
 
 def grouping_sets_aggregate(ds: Dataset, keys: list[str],
                             specs: list[tuple[str, str, str]],
-                            sets: list[list[str]],
-                            sentinel: str = "ALL") -> Dataset:
+                            sets: list[list[str]]) -> Dataset:
     """GROUP BY GROUPING SETS: one output level per key subset in
-    ``sets``, absent key columns holding ``sentinel`` (SQL mirrors with
-    ``coalesce(k, sentinel)``). ROLLUP and CUBE are the prefix/powerset
+    ``sets``, absent key columns holding ``'ALL'`` (SQL mirrors with
+    ``coalesce(k, 'ALL')``). ROLLUP and CUBE are the prefix/powerset
     specializations below. Ops are re-aggregable only
     (sum/min/max/count/count_rows — mean must be derived from
     sum+count by the caller).
@@ -162,7 +159,7 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
     level re-aggregates the already-reduced fine table — the fine
     result is materialized ONCE and shared by all levels instead of
     re-scanning the input per level. Key columns must be strings (the
-    sentinel needs a slot in the same type).
+    ``'ALL'`` sentinel needs a slot in the same type).
     """
     for _, op, _ in specs:
         if op not in ("sum", "min", "max", "count", "count_rows"):
@@ -179,7 +176,7 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
             cols = {}
             for k in keys:
                 cols[k] = (b[k] if k in level_keys
-                           else pa.array([sentinel] * n, pa.string()))
+                           else pa.array(["ALL"] * n, pa.string()))
             for o in out_names:
                 cols[o] = b[o]
             return pa.table(cols)
@@ -207,26 +204,22 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
 
 
 def rollup_aggregate(ds: Dataset, keys: list[str],
-                     specs: list[tuple[str, str, str]],
-                     sentinel: str = "ALL") -> Dataset:
+                     specs: list[tuple[str, str, str]]) -> Dataset:
     """GROUP BY ROLLUP(keys...): fine level + one subtotal per key
     prefix + grand total (see :func:`grouping_sets_aggregate`)."""
     sets = [keys[:w] for w in range(len(keys), -1, -1)]
-    return grouping_sets_aggregate(ds, keys, specs, sets,
-                                   sentinel=sentinel)
+    return grouping_sets_aggregate(ds, keys, specs, sets)
 
 
 def cube_aggregate(ds: Dataset, keys: list[str],
-                   specs: list[tuple[str, str, str]],
-                   sentinel: str = "ALL") -> Dataset:
+                   specs: list[tuple[str, str, str]]) -> Dataset:
     """GROUP BY CUBE(keys...): every key subset
     (see :func:`grouping_sets_aggregate`)."""
     import itertools
 
     sets = [list(c) for w in range(len(keys), -1, -1)
             for c in itertools.combinations(keys, w)]
-    return grouping_sets_aggregate(ds, keys, specs, sets,
-                                   sentinel=sentinel)
+    return grouping_sets_aggregate(ds, keys, specs, sets)
 
 
 def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
@@ -248,10 +241,9 @@ def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
 
 
 def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
-                                    out_name: str,
-                                    sep: str = ",") -> Dataset:
+                                    out_name: str) -> Dataset:
     """collect_set + sorted string_agg per key: one row per key with
-    its DISTINCT ``val`` strings joined by ``sep`` in lexicographic
+    its DISTINCT ``val`` strings joined by ``,`` in lexicographic
     order. Per-batch distinct-pair combiner shrinks the shuffle to one
     row per (batch, key, val); the assembly runs under
     :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` (never one
@@ -292,7 +284,7 @@ def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
         lst = pa.ListArray.from_arrays(pa.array(offs, pa.int32()), vs)
         return pa.table({
             key: ks.take(pa.array(np.nonzero(starts)[0], pa.int64())),
-            out_name: pc.binary_join(lst, sep),
+            out_name: pc.binary_join(lst, ","),
         })
 
     pairs = ds.map_batches(distinct_pairs, batch_format="pyarrow")

@@ -62,18 +62,15 @@ SMALL_COLLAPSE_BYTES = 256 << 20
 TARGET_BUCKET_BYTES = 32 << 20
 
 
-def adaptive_bucket_count(size_bytes: int, floor: int = 1024,
-                          target_bytes: int | None = None) -> int:
+def adaptive_bucket_count(size_bytes: int) -> int:
     """Bucket count for a coarse-bucket exchange over ``size_bytes`` of
     shuffled rows: grows linearly with input so per-bucket residency
-    stays ~``target_bytes`` at any scale."""
-    if target_bytes is None:
-        target_bytes = TARGET_BUCKET_BYTES  # read at call time (testable)
-    return max(floor, int(size_bytes or 0) // target_bytes + 1)
+    stays ~``TARGET_BUCKET_BYTES`` at any scale (read at call time, so
+    tests can patch it)."""
+    return max(1024, int(size_bytes or 0) // TARGET_BUCKET_BYTES + 1)
 
 
-def _probe_small(ds: Dataset, small_bytes: int | None = None,
-                 size_hint_bytes: int | None = None):
+def _probe_small(ds: Dataset, size_hint_bytes: int | None = None):
     """Adaptive-plan probe: report ``(ds, fits_one_task, approx_bytes)``.
 
     With ``size_hint_bytes`` >= the threshold the input is NOT
@@ -82,14 +79,14 @@ def _probe_small(ds: Dataset, small_bytes: int | None = None,
     derived stream in the object store just to learn it isn't small
     (VERDICT r4 "What's wrong" #1). Without a hint (or when the hint
     is below the threshold — then the true size could still be above
-    it), the input materializes and its measured size decides."""
-    if small_bytes is None:
-        small_bytes = SMALL_COLLAPSE_BYTES  # read at call time (testable)
-    if size_hint_bytes is not None and size_hint_bytes >= small_bytes:
+    it), the input materializes and its measured size decides.
+    ``SMALL_COLLAPSE_BYTES`` is read at call time, so tests can patch
+    it."""
+    if size_hint_bytes is not None and size_hint_bytes >= SMALL_COLLAPSE_BYTES:
         return ds, False, int(size_hint_bytes)
     m = ds.materialize()
     size = m.size_bytes() or 0
-    return m, size < small_bytes, size
+    return m, size < SMALL_COLLAPSE_BYTES, size
 
 
 def _one_task(ds: Dataset, fn) -> Dataset:
@@ -191,20 +188,20 @@ def bucket_exchange(ds: Dataset, key: str | list[str], fn,
     return _exchange(ds, key, fn, size_hint_bytes)[0]
 
 
-def join_partitions(cap: int = 64) -> int:
+def join_partitions() -> int:
     """Partition count for Ray's hash-shuffle join, sized to the
     cluster: each join partition reserves 0.125 CPU of aggregator actor
     (Ray default), so chaining two unbounded 32-partition joins on a
     small test cluster (4 CPUs) would reserve EVERY core for aggregators
     and deadlock the map stages. On a real cluster, scale with cores up
-    to ``cap``."""
+    to 64."""
     import ray as _ray
 
     try:
         cpus = int(_ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    return max(2, min(cap, cpus))
+    return max(2, min(64, cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +335,6 @@ def exact_dedup(ds: Dataset, text_col: str, id_col: str,
 
 
 def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
-                          k: int = 3,
                           size_hint_bytes: int | None = None) -> Dataset:
     """Exact-duplicate pairs via the winnowing-fingerprint PREFILTER:
     candidate pairs form only inside a fingerprint bucket, then verify
@@ -352,7 +348,7 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
     from batch_geocode_ray.functions.text import fingerprint_column
 
     def to_fp(b: pa.Table) -> pa.Table:
-        fp = fingerprint_column(b[text_col], k=k).astype(np.int64)
+        fp = fingerprint_column(b[text_col]).astype(np.int64)
         th = stable_hash64_array(b[text_col]).astype(np.int64)
         return pa.table({
             "fingerprint": pa.array(fp, pa.int64()),
@@ -455,8 +451,8 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         semantics — every gram such a pair shares lives in an uncapped
         posting (both docs carry it; a capped gram would make both
         hot), so its shared-count is complete;
-      * hot×hot pairs are re-discovered by the MinHash LSH path with
-        ``verify="trigram"`` (exact Jaccard recomputed per candidate —
+      * hot×hot pairs are re-discovered by the MinHash LSH path
+        (exact Jaccard recomputed per candidate —
         the q18-vs-q15 equivalence), so values stay exact and recall
         follows the LSH S-curve. The banding is chosen FROM the
         requested threshold (:func:`lsh_banding_for_threshold`), so
@@ -642,7 +638,7 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     hot_docs = _saj(ds.select_columns([id_col, text_col]), hot_ids,
                     id_col, right_key="_hot_id", anti=False)
     escalated = minhash_lsh_pairs(hot_docs, text_col, id_col, k=k,
-                                  threshold=threshold, verify="trigram")
+                                  threshold=threshold)
     return counted.union(escalated)
 
 
@@ -686,8 +682,7 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     ~10^8 colliding gram pairs — i.e. a ~1e-6 relative inflation of hit
     counts, harmless for a flag-then-drop filter (same framing as
     ``stages/substring.py``; add a text-verify pass like
-    ``minhash_lsh_pairs(verify=...)`` if exact counts at that scale
-    matter).
+    :func:`minhash_lsh_pairs`' if exact counts at that scale matter).
 
     Docs with fewer than k tokens have no k-grams and are never
     flagged (SQL parity: ``len(t) >= k``).
@@ -832,18 +827,23 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
 # MinHash + LSH
 # ---------------------------------------------------------------------------
 
-class MinHashSignatures:
-    """Stateful stage: per-doc MinHash signature over k-token shingles.
-    Permutation params are built once per instance (deterministic
-    seed); ``stateful_map_batches`` caches one per worker process."""
+# MinHash signature width: permutations per document
+NUM_PERM = 128
 
-    def __init__(self, text_col: str, id_col: str, num_perm: int = 128,
-                 k: int = 3, seed: int = 7, include_text: bool = False):
+
+class MinHashSignatures:
+    """Stateful stage: per-doc ``NUM_PERM``-wide MinHash signature over
+    k-token shingles. Permutation params are built once per instance
+    (deterministic seed); ``stateful_map_batches`` caches one per
+    worker process."""
+
+    def __init__(self, text_col: str, id_col: str, k: int = 3,
+                 include_text: bool = False):
         self.text_col = text_col
         self.id_col = id_col
         self.k = k
         self.include_text = include_text
-        self.a, self.b = minhash_permutation_params(num_perm, seed)
+        self.a, self.b = minhash_permutation_params(NUM_PERM)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from batch_geocode_ray.functions.hashing import _MERSENNE61
@@ -930,95 +930,76 @@ def _pair_jaccard(g1: np.ndarray, g2: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def lsh_banding_for_threshold(threshold: float, num_perm: int = 128,
-                              target_miss: float = 1e-4) -> tuple[int, int]:
+def lsh_banding_for_threshold(threshold: float) -> tuple[int, int]:
     """Pick (bands, rows_per_band) for banded MinHash LSH so a pair at
     exactly ``threshold`` Jaccard is missed with probability at most
-    ``target_miss``: miss = (1 - J^r)^(num_perm // r). Chooses the
+    1e-4: miss = (1 - J^r)^(NUM_PERM // r). Chooses the
     LARGEST rows-per-band meeting the target (fewer, more selective
     bands = fewer false candidates = cheaper verify stage). A fixed
     32x4 banding only holds above J ≈ 0.75 — at J=0.5 it misses ~13%
     of pairs and at 0.4 ~44%; this scales r down (0.5 and 0.4 → r=2:
     miss ~1e-8 and ~1.4e-5) so recall tracks the caller's threshold.
-    The 1e-4 default keeps the classic 32x4 at thresholds ≥ 0.75 and
+    The 1e-4 target keeps the classic 32x4 at thresholds ≥ 0.75 and
     avoids degenerating to single-row bands (huge candidate buckets)
     at low thresholds."""
     t = min(max(float(threshold), 0.05), 1.0)
     for r in (16, 8, 4, 2, 1):
-        if num_perm % r:
-            continue
-        b = num_perm // r
-        if (1.0 - t ** r) ** b <= target_miss:
+        b = NUM_PERM // r
+        if (1.0 - t ** r) ** b <= 1e-4:
             return b, r
-    return num_perm, 1  # r=1: miss = (1-t)^num_perm, the floor
+    return NUM_PERM, 1  # r=1: miss = (1-t)^NUM_PERM, the floor
 
 
 def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
-                      num_perm: int = 128, bands: int | None = None,
                       k: int = 3, threshold: float = 0.8,
-                      verify: str = "signature",
                       size_hint_bytes: int | None = None) -> Dataset:
-    """Near-dup pairs via banded MinHash LSH.
+    """Near-dup pairs via banded MinHash LSH with EXACT verification.
 
     signatures -> per-band bucket keys -> groupby(bucket) -> candidate
-    pairs -> distinct -> verify. ``bands=None`` (default) picks the
-    banding from ``threshold`` via :func:`lsh_banding_for_threshold`
-    so recall holds at ANY requested threshold (0.8 resolves to the
-    classic 32x4: P(miss) ≈ 5e-8 at J=0.8, ≈ 1.5e-15 at J=0.9; 0.5
-    resolves to 64x2: P(miss) ≈ 1e-8 at J=0.5). Pass ``bands``
-    explicitly to pin it. The verify mode sets precision semantics:
+    pairs -> distinct -> verify. The banding comes from ``threshold``
+    via :func:`lsh_banding_for_threshold`, so recall holds at ANY
+    requested threshold (0.8 resolves to the classic 32x4: P(miss) ≈
+    5e-8 at J=0.8, ≈ 1.5e-15 at J=0.9; 0.5 resolves to 64x2: P(miss) ≈
+    1e-8 at J=0.5). Verification recomputes the exact k-token-gram
+    Jaccard of each candidate (the same gram hashes the inverted-index
+    join uses), so the surviving pairs equal the exact similarity
+    join's output whenever banding recall holds. Output (d1, d2,
+    jaccard) — SQL-oracle-comparable against the exact join.
 
-      * ``verify="signature"`` — estimated Jaccard as the
-        signature-agreement fraction (128 perms ≈ ±0.04); output
-        (d1, d2, est_jaccard).
-      * ``verify="trigram"`` — EXACT k-token-gram Jaccard of each
-        candidate (the same gram hashes the inverted-index join uses),
-        so the surviving pairs equal the exact similarity join's output
-        whenever banding recall holds. Output (d1, d2, jaccard) —
-        SQL-oracle-comparable against the exact join.
-
-    ``size_hint_bytes`` (~1 KB x rows signature width, + text width
-    for trigram mode): when it clears the collapse threshold the
-    signature table is NEVER materialized — banding consumes the
-    signature stream once, trigram-verify texts come from a second
-    pruned read of ``ds`` (text then never rides the signature
-    exchange at all), and signature-verify re-derives signatures for
-    the candidate lookup (recompute-over-pin: at 10^9 docs the
-    signature table is ~1 TB of object store the plan doesn't need to
-    hold). Without a hint the probe materializes and measures —
-    right at test scale, where re-reading beats nothing.
+    ``size_hint_bytes`` (~1 KB x rows signature width + text width):
+    when it clears the collapse threshold the signature table is NEVER
+    materialized — banding consumes the signature stream once, and the
+    verify texts come from a second pruned read of ``ds`` (text then
+    never rides the signature exchange at all). Without a hint the
+    probe materializes and measures — right at test scale, where
+    re-reading beats nothing.
     """
-    if bands is None:
-        bands, _ = lsh_banding_for_threshold(threshold, num_perm)
-    rows_per_band = num_perm // bands
-    with_text = verify == "trigram"
+    bands, rows_per_band = lsh_banding_for_threshold(threshold)
     streaming = (size_hint_bytes is not None
                  and size_hint_bytes >= SMALL_COLLAPSE_BYTES)
     from batch_geocode_ray.stages.stateful import stateful_map_batches
 
     sig_stream = stateful_map_batches(
         ds, MinHashSignatures,
-        {"text_col": text_col, "id_col": id_col,
-         "num_perm": num_perm, "k": k,
+        {"text_col": text_col, "id_col": id_col, "k": k,
          # streaming sources verify texts from ds, so the signature
          # exchange never carries the corpus text
-         "include_text": with_text and not streaming},
+         "include_text": not streaming},
         batch_format="pyarrow")
     sigs, small, probed_bytes = _probe_small(
         sig_stream, size_hint_bytes=size_hint_bytes)
-    est_name = "jaccard" if with_text else "est_jaccard"
 
     def _empty() -> pa.Table:
         return pa.table({"d1": pa.array([], pa.int64()),
                          "d2": pa.array([], pa.int64()),
-                         est_name: pa.array([], pa.float64())})
+                         "jaccard": pa.array([], pa.float64())})
 
     if small:
         def lsh_one(b: pa.Table) -> pa.Table:
             n = b.num_rows
             sig = np.asarray(
                 b["signature"].combine_chunks().flatten().to_numpy(
-                    zero_copy_only=False)).reshape(n, num_perm).astype(np.uint64)
+                    zero_copy_only=False)).reshape(n, NUM_PERM).astype(np.uint64)
             ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                              dtype=np.int64)
             B = np.uint64(1099511628211)
@@ -1042,20 +1023,15 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
             pairs = np.array(sorted(pair_set), dtype=np.int64)
             id_order = np.argsort(ids, kind="stable")
             pos = np.searchsorted(ids[id_order], pairs)
-            if with_text:
-                grams = _gram_arrays(b[text_col], k)
-                row_of = id_order[pos]
-                vals = np.array([_pair_jaccard(grams[r1], grams[r2])
-                                 for r1, r2 in row_of], dtype=np.float64)
-            else:
-                s1 = sig[id_order][pos[:, 0]]
-                s2 = sig[id_order][pos[:, 1]]
-                vals = (s1 == s2).mean(axis=1)
+            grams = _gram_arrays(b[text_col], k)
+            row_of = id_order[pos]
+            vals = np.array([_pair_jaccard(grams[r1], grams[r2])
+                             for r1, r2 in row_of], dtype=np.float64)
             keep = vals >= threshold
             return pa.table({
                 "d1": pa.array(pairs[keep, 0], pa.int64()),
                 "d2": pa.array(pairs[keep, 1], pa.int64()),
-                est_name: pa.array(vals[keep], pa.float64()),
+                "jaccard": pa.array(vals[keep], pa.float64()),
             })
 
         return _one_task(sigs, lsh_one)
@@ -1064,7 +1040,7 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
         n = b.num_rows
         sig = np.asarray(
             b["signature"].combine_chunks().flatten().to_numpy(
-                zero_copy_only=False)).reshape(n, num_perm).astype(np.uint64)
+                zero_copy_only=False)).reshape(n, NUM_PERM).astype(np.uint64)
         ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
         out_band: list[np.ndarray] = []
         out_key: list[np.ndarray] = []
@@ -1116,95 +1092,42 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
                         size_hint_bytes=probed_bytes),
         ["d1", "d2"], [], size_hint_bytes=probed_bytes)
 
-    if with_text:
-        # exact-verify: attach each candidate side's doc text via the
-        # bucket-exchange lookup join (Ray's hash join crashes on the
-        # low-cardinality candidate side — see _bucket_lookup_join),
-        # recompute the true k-gram Jaccard per pair — exact output
-        # semantics. Streaming plan re-reads ds (pruned) for texts;
-        # the probed plan reuses the already-materialized sigs table.
-        text_src = (ds.select_columns([id_col, text_col])
-                    if streaming else sigs)
-        texts = text_src.map_batches(
-            lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),
-            batch_format="pyarrow")
-        join_hint = size_hint_bytes if streaming else None
-        joined = _bucket_lookup_join(cand, "d1", texts, id_col,
-                                     {"_t": "_t1"},
-                                     size_hint_bytes=join_hint)
-        joined = _bucket_lookup_join(joined, "d2", texts, id_col,
-                                     {"_t": "_t2"},
-                                     size_hint_bytes=join_hint)
-
-        def verify_tri(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return _empty()
-            g1 = _gram_arrays(b["_t1"], k)
-            g2 = _gram_arrays(b["_t2"], k)
-            vals = np.array([_pair_jaccard(a_, b_)
-                             for a_, b_ in zip(g1, g2)], dtype=np.float64)
-            keep = vals >= threshold
-            d1 = np.asarray(b["d1"].to_numpy(zero_copy_only=False), np.int64)
-            d2 = np.asarray(b["d2"].to_numpy(zero_copy_only=False), np.int64)
-            return pa.table({
-                "d1": pa.array(d1[keep], pa.int64()),
-                "d2": pa.array(d2[keep], pa.int64()),
-                est_name: pa.array(vals[keep], pa.float64()),
-            })
-
-        return joined.map_batches(verify_tri, batch_format="pyarrow")
-
-    # verify by signature agreement: attach each side's signature via
-    # the bucket-exchange lookup join (not Ray's hash join — see
-    # _bucket_lookup_join). The signatures move through the exchange
-    # ONCE per side (~1 KB/doc of shuffle traffic) — broadcasting the
-    # full signature matrix via the driver would be petabytes of
-    # per-node memory at 10^12 docs. The signature rides as a packed
-    # binary blob (fixed-size lists don't survive generic exchanges).
-    def sig_to_bin(b: pa.Table, name: str, key_name: str) -> pa.Table:
-        n = b.num_rows
-        mat = np.ascontiguousarray(np.asarray(
-            b["signature"].combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False)).reshape(n, num_perm))
-        width = num_perm * 8
-        offsets = pa.array(np.arange(n + 1, dtype=np.int32) * width,
-                           pa.int32())
-        blob = pa.Array.from_buffers(
-            pa.binary(), n,
-            [None, offsets.buffers()[1], pa.py_buffer(mat.tobytes())])
-        return pa.table({key_name: b[id_col], name: blob})
-
-    sig_bin = sigs.map_batches(lambda b: sig_to_bin(b, "_sig", id_col),
-                               batch_format="pyarrow")
+    # exact-verify: attach each candidate side's doc text via the
+    # bucket-exchange lookup join (Ray's hash join crashes on the
+    # low-cardinality candidate side — see _bucket_lookup_join),
+    # recompute the true k-gram Jaccard per pair — exact output
+    # semantics. Streaming plan re-reads ds (pruned) for texts;
+    # the probed plan reuses the already-materialized sigs table.
+    text_src = (ds.select_columns([id_col, text_col])
+                if streaming else sigs)
+    texts = text_src.map_batches(
+        lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),
+        batch_format="pyarrow")
     join_hint = size_hint_bytes if streaming else None
-    joined = _bucket_lookup_join(cand, "d1", sig_bin, id_col,
-                                 {"_sig": "_sig1"},
+    joined = _bucket_lookup_join(cand, "d1", texts, id_col,
+                                 {"_t": "_t1"},
                                  size_hint_bytes=join_hint)
-    joined = _bucket_lookup_join(joined, "d2", sig_bin, id_col,
-                                 {"_sig": "_sig2"},
+    joined = _bucket_lookup_join(joined, "d2", texts, id_col,
+                                 {"_t": "_t2"},
                                  size_hint_bytes=join_hint)
 
-    def verify(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        if n == 0:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64()),
-                             "est_jaccard": pa.array([], pa.float64())})
-        d1 = np.asarray(b["d1"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        d2 = np.asarray(b["d2"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        s1 = np.stack([np.frombuffer(x, dtype=np.int64)
-                       for x in b["_sig1"].to_pylist()])
-        s2 = np.stack([np.frombuffer(x, dtype=np.int64)
-                       for x in b["_sig2"].to_pylist()])
-        est = (s1 == s2).mean(axis=1)
-        keep = est >= threshold
+    def verify_tri(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return _empty()
+        g1 = _gram_arrays(b["_t1"], k)
+        g2 = _gram_arrays(b["_t2"], k)
+        vals = np.array([_pair_jaccard(a_, b_)
+                         for a_, b_ in zip(g1, g2)], dtype=np.float64)
+        keep = vals >= threshold
+        d1 = np.asarray(b["d1"].to_numpy(zero_copy_only=False), np.int64)
+        d2 = np.asarray(b["d2"].to_numpy(zero_copy_only=False), np.int64)
         return pa.table({
             "d1": pa.array(d1[keep], pa.int64()),
             "d2": pa.array(d2[keep], pa.int64()),
-            "est_jaccard": pa.array(est[keep], pa.float64()),
+            "jaccard": pa.array(vals[keep], pa.float64()),
         })
 
-    return joined.map_batches(verify, batch_format="pyarrow")
+    return joined.map_batches(verify_tri, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ class _Lookup:
         return pos, found
 
 
-def _probe_and_append(lk: _Lookup, batch: pa.Table, key: str, how: str,
-                      rename: dict[str, str]) -> pa.Table:
+def _probe_and_append(lk: _Lookup, batch: pa.Table, key: str,
+                      how: str) -> pa.Table:
     pos, found = lk.probe(batch[key])
     if how == "inner" and not found.all():
         batch = batch.filter(pa.array(found))
@@ -86,8 +86,7 @@ def _probe_and_append(lk: _Lookup, batch: pa.Table, key: str, how: str,
     idx = (pa.array(pos, pa.int64()) if found.all()
            else pa.array(pos, pa.int64(), mask=~found))
     for c in lk.value_cols:
-        batch = batch.append_column(rename.get(c, c),
-                                    lk.values[c].take(idx))
+        batch = batch.append_column(c, lk.values[c].take(idx))
     return batch
 
 
@@ -110,10 +109,9 @@ def _bj_lookup(ref) -> _Lookup:
     return lk
 
 
-def _broadcast_join_fn(batch: pa.Table, *, lookup, key: str, how: str,
-                       rename) -> pa.Table:
-    return _probe_and_append(_bj_lookup(lookup), batch, key, how,
-                             rename or {})
+def _broadcast_join_fn(batch: pa.Table, *, lookup, key: str,
+                       how: str) -> pa.Table:
+    return _probe_and_append(_bj_lookup(lookup), batch, key, how)
 
 
 def broadcast_semi_anti(ds: Dataset, small_keys, key: str,
@@ -227,9 +225,13 @@ def semi_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
             "semi_anti_join requires integer or string keys (got "
             f"{key_type} for {right_key!r})")
     if not streaming and (keys_m.size_bytes() or 0) < _dd.SMALL_COLLAPSE_BYTES:
-        tbl = pa.concat_tables(ray.get(r) for r in keys_m.to_arrow_refs())
-        return broadcast_semi_anti(ds, tbl[right_key].combine_chunks(),
-                                   key, anti=anti)
+        # an empty block may carry no schema at all (Ray passes a
+        # 0-row block through map_batches as-is): skip, don't concat it
+        parts = [t for t in (ray.get(r) for r in keys_m.to_arrow_refs())
+                 if t.num_columns]
+        keys = (pa.concat_tables(parts)[right_key].combine_chunks()
+                if parts else pa.array([], key_type))
+        return broadcast_semi_anti(ds, keys, key, anti=anti)
     flagged = keys_m.map_batches(
         lambda b: pa.table({
             right_key: b[right_key],
@@ -397,8 +399,7 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
 
 
 def broadcast_join(ds: Dataset, small: pa.Table, key: str,
-                   value_cols: list[str], how: str = "inner",
-                   rename: dict[str, str] | None = None) -> Dataset:
+                   value_cols: list[str], how: str = "inner") -> Dataset:
     """Join ``small``'s ``value_cols`` onto ``ds`` by ``key`` without
     shuffling ``ds``. The small side is put into the object store ONCE
     (not re-shipped per batch/task).
@@ -411,8 +412,7 @@ def broadcast_join(ds: Dataset, small: pa.Table, key: str,
     ref = ray.put(_Lookup(small, key, value_cols))
     return ds.map_batches(
         _broadcast_join_fn,
-        fn_kwargs={"lookup": ref, "key": key, "how": how,
-                   "rename": rename},
+        fn_kwargs={"lookup": ref, "key": key, "how": how},
         batch_format="pyarrow",
     )
 

@@ -1,8 +1,8 @@
 """kNN nearest-facility lookup (SURVEY §2.5 J4, §2.7 T4).
 
 ``KNNFacilities`` appends the k nearest facilities by haversine
-distance, ties broken by smaller facility_id. The facility table rides
-`ray.put` into per-worker cached state (the fused geocode stage runs as
+distance, ties broken by smaller facility_id. The built
+``FacilityIndex`` rides `ray.put` into per-worker cached state (the fused geocode stage runs as
 tasks through ``stages/stateful.stateful_map_batches``, built once per
 worker process), so no shuffle runs. Two per-batch plans, same answer:
 
@@ -36,11 +36,19 @@ def _unit_xyz(lon_deg: np.ndarray, lat_deg: np.ndarray) -> np.ndarray:
 
 
 class FacilityIndex:
+    """Facility ids and points, bucketed by coarse hex cell. A NaN/inf
+    ``lat``/``lon`` raises ``ValueError`` naming its ``facility_id``."""
+
     def __init__(self, facilities: pa.Table, grid_res: int = 2):
         self.ids = np.asarray(facilities["facility_id"].to_numpy(zero_copy_only=False),
                               dtype=np.int64)
         self.lat = np.asarray(facilities["lat"].to_numpy(zero_copy_only=False), dtype=np.float64)
         self.lon = np.asarray(facilities["lon"].to_numpy(zero_copy_only=False), dtype=np.float64)
+        bad = ~(np.isfinite(self.lat) & np.isfinite(self.lon))
+        if bad.any():
+            raise ValueError(f"FacilityIndex: facility_id "
+                             f"{np.unique(self.ids[bad]).tolist()} has a "
+                             "NaN/inf lat/lon")
         self.xyz = _unit_xyz(self.lon, self.lat)  # for the matmul plan
         self.grid_res = grid_res
         cells = hex_cell(self.lon, self.lat, grid_res)
@@ -55,24 +63,20 @@ class FacilityIndex:
 
 class KNNFacilities:
     """Per-batch callable appending ``knn_ids``/``knn_dists``
-    (list<int64> / list<float64>, distance-ordered, id tie-break).
-    Rows with null coordinates get empty lists. The fused geocode
-    stage builds it once per worker process (worker-cached tasks via
-    ``stateful_map_batches``, no actor pool).
+    (list<int64> / list<float64>, distance-ordered, id tie-break) of
+    each row's (best_long, best_lat) point. Rows with null coordinates,
+    and every row when there are no facilities, get empty lists.
+    ``facilities`` is a :class:`FacilityIndex` or its ObjectRef. The
+    fused geocode stage builds it once per worker process
+    (worker-cached tasks via ``stateful_map_batches``, no actor pool).
     """
 
-    def __init__(self, facilities, k: int = 3,
-                 lon_col: str = "best_long", lat_col: str = "best_lat",
-                 use_grid: bool = False):
+    def __init__(self, facilities, k: int = 3, use_grid: bool = False):
         import ray
 
         idx = ray.get(facilities) if isinstance(facilities, ray.ObjectRef) else facilities
-        if isinstance(idx, pa.Table):
-            idx = FacilityIndex(idx)
         self.index: FacilityIndex = idx
         self.k = k
-        self.lon_col = lon_col
-        self.lat_col = lat_col
         self.use_grid = use_grid
 
     def _topk_bruteforce(self, lon: np.ndarray, lat: np.ndarray):
@@ -167,11 +171,10 @@ class KNNFacilities:
         return out_ids, out_d
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = np.asarray(batch[self.lon_col].to_numpy(zero_copy_only=False), dtype=np.float64)
-        lat = np.asarray(batch[self.lat_col].to_numpy(zero_copy_only=False), dtype=np.float64)
-        ok = ~(np.isnan(lon) | np.isnan(lat))
-        n = len(lon)
+        lon = np.asarray(batch["best_long"].to_numpy(zero_copy_only=False), dtype=np.float64)
+        lat = np.asarray(batch["best_lat"].to_numpy(zero_copy_only=False), dtype=np.float64)
         k = min(self.k, len(self.index.ids))
+        ok = ~(np.isnan(lon) | np.isnan(lat)) & (k > 0)
         if ok.any():
             fn = self._topk_grid if self.use_grid else self._topk_bruteforce
             ids_ok, d_ok = fn(lon[ok], lat[ok])

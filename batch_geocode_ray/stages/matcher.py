@@ -98,14 +98,12 @@ def _row_of(row_first: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class GazetteerMatcher:
     """Callable class for ``map_batches`` (cached task)."""
 
-    def __init__(self, gazetteer, text_col: str = "text"):
+    def __init__(self, gazetteer):
+        """``gazetteer``: a :class:`GazetteerIndex` or its ObjectRef."""
         import ray
 
         gaz = ray.get(gazetteer) if isinstance(gazetteer, ray.ObjectRef) else gazetteer
-        if isinstance(gaz, pa.Table):
-            gaz = GazetteerIndex.from_table(gaz)
         self.gaz: GazetteerIndex = gaz
-        self.text_col = text_col
 
         vocab: dict[str, int] = {}
         for ph in gaz.phrases:
@@ -154,7 +152,7 @@ class GazetteerMatcher:
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Append ``mentions`` for the batch's text column."""
         return batch.append_column(
-            "mentions", self.mentions(token_runs(batch[self.text_col])))
+            "mentions", self.mentions(token_runs(batch["text"])))
 
     def _vocab_codes(self, runs: TokenRuns) -> tuple[np.ndarray, np.ndarray]:
         """(run index, vocab code) of the in-vocab runs, in run order:

@@ -2,21 +2,14 @@
 
 Media ride as opaque ``binary`` columns with typed metadata, processed
 by actor-pool ``map_batches`` stages sized for large payloads (small
-``batch_size``, fractional CPU). Decode modes:
-
-  * ``decode="real"`` — ACTUAL decoders for the container-friendly
-    formats: uncompressed BMP (pure struct/NumPy over the DIB layout),
-    PNG (stdlib ``zlib`` inflate + NumPy scanline unfiltering — 8-bit
-    gray/RGB/RGBA, all five filter types, non-interlaced; see
-    :func:`decode_png`), and PCM WAV (stdlib ``wave``). The remaining
-    compressed formats (jpeg/mp3, palette/interlaced/16-bit PNG) still
-    need external codecs and raise ``NotImplementedError`` with the
-    exact library to install.
-  * ``decode="fake"`` (default) — deterministic payload-hash-derived
-    pseudo-decode so plumbing tests pin end-to-end behavior with any
-    byte payload;
-  * ``decode="strict"`` — raises at the decoder callsite
-    unconditionally (asserts the stub boundary in tests).
+``batch_size``, fractional CPU). The decoders are real, for the
+container-friendly formats: uncompressed BMP (pure struct/NumPy over
+the DIB layout), PNG (stdlib ``zlib`` inflate + NumPy scanline
+unfiltering — 8-bit gray/RGB/RGBA, all five filter types,
+non-interlaced; see :func:`decode_png`), and PCM WAV (stdlib
+``wave``). The remaining compressed formats (jpeg/mp3,
+palette/interlaced/16-bit PNG) need external codecs and raise
+``NotImplementedError`` with the exact library to install.
 
 ``make_bmp`` / ``make_wav`` encode NumPy arrays into real files for
 fixtures, so the real path is round-trip-tested in-sandbox.
@@ -30,8 +23,6 @@ import io
 
 import numpy as np
 import pyarrow as pa
-
-from batch_geocode_ray.functions.hashing import splitmix64
 
 
 def make_bmp(gray: np.ndarray) -> bytes:
@@ -284,109 +275,67 @@ AUDIO_SCHEMA = pa.schema([
 ])
 
 
-def _fake_pixels(payload: bytes, h: int, w: int) -> np.ndarray:
-    """Deterministic stand-in decode: seeds a splitmix64 stream from the
-    payload bytes -> (h, w) uint8 'pixels'. Stable across workers."""
-    seed = np.frombuffer(payload[:8].ljust(8, b"\0"), dtype=np.uint64)[0]
-    n = h * w
-    vals = splitmix64(np.arange(n, dtype=np.uint64) + seed)
-    return (vals & np.uint64(0xFF)).astype(np.uint8).reshape(h, w)
+def _decode_image(payload: bytes, keep_channels: bool) -> np.ndarray:
+    """Decode an uncompressed BMP or 8-bit gray/RGB/RGBA PNG; any other
+    codec raises ``NotImplementedError`` naming what it needs."""
+    if payload[:2] == b"BM":
+        return decode_bmp(payload)
+    if payload[:8] == _PNG_SIG:
+        return decode_png(payload, keep_channels=keep_channels)
+    raise NotImplementedError(
+        "image decode supports uncompressed BMP and 8-bit "
+        "gray/RGB/RGBA PNG in this container; jpeg needs Pillow")
 
 
 class ImageFeatures:
-    """Actor-pool stage: image binary -> fixed-size feature vector +
-    thumbnail stats. Use small batch_size (payloads are big):
+    """Actor-pool stage: image binary -> 16-bin pixel histogram feature
+    vector + pixel mean. Use small batch_size (payloads are big):
         ds.map_batches(ImageFeatures, batch_size=32,
                        concurrency=(1, 8), num_cpus=0.5)
     """
 
-    def __init__(self, image_col: str = "image", decode: str = "fake",
-                 feature_dim: int = 16, thumb: int = 8):
-        self.image_col = image_col
-        self.decode = decode
-        self.feature_dim = feature_dim
-        self.thumb = thumb
-        # a real impl would load the model / codec tables here, once per actor
-
-    def _decode_image(self, payload: bytes, w: int, h: int) -> np.ndarray:
-        if self.decode == "strict":
-            raise NotImplementedError(
-                "image decode requires Pillow/opencv (not in this container); "
-                "run with decode='fake' for deterministic plumbing tests")
-        if self.decode == "real":
-            if payload[:2] == b"BM":
-                return decode_bmp(payload)
-            if payload[:8] == _PNG_SIG:
-                return decode_png(payload)
-            raise NotImplementedError(
-                "decode='real' supports uncompressed BMP and 8-bit "
-                "gray/RGB/RGBA PNG in this container; jpeg needs Pillow")
-        return _fake_pixels(payload, min(h, 64), min(w, 64))
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.image_col].to_pylist()
-        widths = batch["width"].to_pylist()
-        heights = batch["height"].to_pylist()
-        feats = np.zeros((batch.num_rows, self.feature_dim), dtype=np.float64)
+        payloads = batch["image"].to_pylist()
+        feats = np.zeros((batch.num_rows, 16), dtype=np.float64)
         means = np.zeros(batch.num_rows)
-        for i, (p, w, h) in enumerate(zip(payloads, widths, heights)):
+        for i, p in enumerate(payloads):
             if p is None:
                 continue
-            px = self._decode_image(p, w or 64, h or 64)
+            px = _decode_image(p, keep_channels=False)
             means[i] = float(px.mean())
-            hist, _ = np.histogram(px, bins=self.feature_dim, range=(0, 256))
+            hist, _ = np.histogram(px, bins=16, range=(0, 256))
             feats[i] = hist / max(px.size, 1)
-        keep = [c for c in batch.column_names if c != self.image_col]
+        keep = [c for c in batch.column_names if c != "image"]
         out = batch.select(keep)  # drop the heavy payload ASAP
         out = out.append_column("pixel_mean", pa.array(means, pa.float64()))
         out = out.append_column(
             "features", pa.FixedSizeListArray.from_arrays(
-                pa.array(feats.ravel(), pa.float64()), self.feature_dim))
+                pa.array(feats.ravel(), pa.float64()), 16))
         return out
 
 
 class AudioFrameSample:
-    """Actor-pool stage: audio binary -> sampled 'frame' energies.
-    Same stub contract as :class:`ImageFeatures`."""
-
-    def __init__(self, audio_col: str = "audio", decode: str = "fake",
-                 n_frames: int = 8):
-        self.audio_col = audio_col
-        self.decode = decode
-        self.n_frames = n_frames
-
-    def _decode_audio(self, payload: bytes, n_samples: int) -> np.ndarray:
-        if self.decode == "strict":
-            raise NotImplementedError(
-                "audio decode requires libsndfile/ffmpeg (not in this "
-                "container); run with decode='fake'")
-        if self.decode == "real":
-            if payload[:4] == b"RIFF":
-                return decode_wav(payload)[0]
-            raise NotImplementedError(
-                "decode='real' supports 16-bit PCM WAV only in this "
-                "container; mp3/ogg need ffmpeg/libsndfile")
-        seed = np.frombuffer(payload[:8].ljust(8, b"\0"), dtype=np.uint64)[0]
-        n = min(n_samples, 4096)
-        vals = splitmix64(np.arange(n, dtype=np.uint64) + seed)
-        return ((vals & np.uint64(0xFFFF)).astype(np.float64) - 32768.0) / 32768.0
+    """Actor-pool stage: audio binary -> 8 sampled 'frame' energies.
+    Decodes 16-bit PCM WAV; other codecs raise ``NotImplementedError``."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.audio_col].to_pylist()
-        counts = batch["n_samples"].to_pylist()
-        energies = np.zeros((batch.num_rows, self.n_frames), dtype=np.float64)
-        for i, (p, n) in enumerate(zip(payloads, counts)):
+        payloads = batch["audio"].to_pylist()
+        energies = np.zeros((batch.num_rows, 8), dtype=np.float64)
+        for i, p in enumerate(payloads):
             if p is None:
                 continue
-            wave = self._decode_audio(p, int(n or 4096))
-            frames = np.array_split(wave, self.n_frames)
+            if p[:4] != b"RIFF":
+                raise NotImplementedError(
+                    "audio decode supports 16-bit PCM WAV only in this "
+                    "container; mp3/ogg need ffmpeg/libsndfile")
+            frames = np.array_split(decode_wav(p)[0], 8)
             energies[i] = [float((f * f).mean()) if len(f) else 0.0
                            for f in frames]
-        keep = [c for c in batch.column_names if c != self.audio_col]
+        keep = [c for c in batch.column_names if c != "audio"]
         out = batch.select(keep)
         out = out.append_column(
             "frame_energy", pa.FixedSizeListArray.from_arrays(
-                pa.array(energies.ravel(), pa.float64()), self.n_frames))
+                pa.array(energies.ravel(), pa.float64()), 8))
         return out
 
 
@@ -434,47 +383,22 @@ class ImageResize:
                        concurrency=(1, 8), num_cpus=0.5)
     """
 
-    def __init__(self, out_h: int, out_w: int, image_col: str = "image",
-                 decode: str = "real", encode: str = "png"):
-        if encode not in ("png", "bmp"):
-            raise ValueError(f"ImageResize: unknown encode {encode!r}")
+    def __init__(self, out_h: int, out_w: int):
         self.out_h, self.out_w = out_h, out_w
-        self.image_col = image_col
-        self.decode = decode
-        self.encode = encode
-
-    def _decode(self, payload: bytes, w: int, h: int) -> np.ndarray:
-        if self.decode == "real":
-            if payload[:2] == b"BM":
-                return decode_bmp(payload)
-            if payload[:8] == _PNG_SIG:
-                return decode_png(payload, keep_channels=True)
-            raise NotImplementedError(
-                "ImageResize decode='real' supports uncompressed BMP "
-                "and 8-bit gray/RGB/RGBA PNG in this container; jpeg "
-                "needs Pillow")
-        return _fake_pixels(payload, min(h, 64), min(w, 64))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.image_col].to_pylist()
+        payloads = batch["image"].to_pylist()
         widths = batch["width"].to_pylist()
         heights = batch["height"].to_pylist()
         out_payloads: list[bytes | None] = []
-        for p, w, h in zip(payloads, widths, heights):
+        for p in payloads:
             if p is None:
                 out_payloads.append(None)
                 continue
-            px = resize_bilinear(self._decode(p, w or 64, h or 64),
+            px = resize_bilinear(_decode_image(p, keep_channels=True),
                                  self.out_h, self.out_w)
-            if self.encode == "png":
-                out_payloads.append(make_png(px))
-            else:
-                if px.ndim != 2:
-                    px = np.clip(np.rint(px.mean(axis=2)),
-                                 0, 255).astype(np.uint8)
-                out_payloads.append(make_bmp(px))
-        idx = batch.column_names.index(self.image_col)
-        out = batch.set_column(idx, self.image_col,
+            out_payloads.append(make_png(px))
+        out = batch.set_column(batch.column_names.index("image"), "image",
                                pa.array(out_payloads, pa.binary()))
         # null-payload rows keep their ORIGINAL metadata — claiming the
         # target dims for an image that doesn't exist would mislabel it

@@ -197,22 +197,19 @@ class PolygonIndex:
 
 class PIPJoin:
     """Fused-stage layer: append admin assignment of each row's
-    (lon_col, lat_col) point. Null coordinates -> null assignment.
+    (best_long, best_lat) point. Null coordinates -> null assignment.
+    ``polygons`` is a :class:`PolygonIndex` or its ObjectRef.
     """
 
-    def __init__(self, polygons, lon_col: str = "best_long", lat_col: str = "best_lat"):
+    def __init__(self, polygons):
         import ray
 
         idx = ray.get(polygons) if isinstance(polygons, ray.ObjectRef) else polygons
-        if isinstance(idx, pa.Table):
-            idx = PolygonIndex(idx)
         self.index: PolygonIndex = idx
-        self.lon_col = lon_col
-        self.lat_col = lat_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
+        lon = batch["best_long"].to_numpy(zero_copy_only=False)
+        lat = batch["best_lat"].to_numpy(zero_copy_only=False)
         admin_id, admin_level, cc = self.index.assign(lon, lat)
         batch = batch.append_column("admin_id", pa.array(admin_id, pa.int64()))
         batch = batch.append_column("admin_level", pa.array(admin_level, pa.int64()))

@@ -44,37 +44,30 @@ class MentionResolver:
     """Resolve layer of the fused stage: mentions -> vetted wide
     geocode columns (the ``mentions`` column is dropped).
 
-    ``lang_cc_prior``: optional dict lang -> frozenset of ISO2 codes; a
+    ``lang_cc_prior``: dict lang -> frozenset of ISO2 codes; a
     candidate passes when its cc is missing, the page lang has no
-    prior, or cc ∈ prior[lang]. None disables the country filter.
+    prior, or cc ∈ prior[lang] (``{}`` keeps every candidate).
+    ``keep_columns`` are the input columns passed through.
     """
 
-    def __init__(self, gazetteer, config: PipelineConfig | None = None,
-                 lang_cc_prior: dict[str, frozenset[str]] | None = None,
-                 keep_columns: list[str] | None = None):
-        import ray
-
-        gaz = ray.get(gazetteer) if isinstance(gazetteer, ray.ObjectRef) else gazetteer
-        if isinstance(gaz, pa.Table):
-            gaz = GazetteerIndex.from_table(gaz)
-        self.gaz: GazetteerIndex = gaz
-        self.cfg = config or PipelineConfig(sources=gaz.sources)
+    def __init__(self, gazetteer: GazetteerIndex, config: PipelineConfig,
+                 lang_cc_prior: dict[str, frozenset[str]],
+                 keep_columns: list[str]):
+        self.gaz = gaz = gazetteer
+        self.cfg = config
         self.keep_columns = keep_columns
         # gazetteer ids are unique (GazetteerIndex.from_table checks)
         self.gid_lookup_vals = np.argsort(gaz.ids)
         self.gid_lookup_keys = gaz.ids[self.gid_lookup_vals]
 
         # cc prior as a dense bool matrix (n_langs x n_ccs)
-        if lang_cc_prior is None:
-            self.prior_langs = None
-        else:
-            self.prior_langs = sorted(lang_cc_prior)
-            self.prior_matrix = np.zeros((len(self.prior_langs), len(gaz.cc_vocab)), dtype=bool)
-            cc_pos = {c: i for i, c in enumerate(gaz.cc_vocab)}
-            for li, lang in enumerate(self.prior_langs):
-                for cc in lang_cc_prior[lang]:
-                    if cc in cc_pos:
-                        self.prior_matrix[li, cc_pos[cc]] = True
+        self.prior_langs = sorted(lang_cc_prior)
+        self.prior_matrix = np.zeros((len(self.prior_langs), len(gaz.cc_vocab)), dtype=bool)
+        cc_pos = {c: i for i, c in enumerate(gaz.cc_vocab)}
+        for li, lang in enumerate(self.prior_langs):
+            for cc in lang_cc_prior[lang]:
+                if cc in cc_pos:
+                    self.prior_matrix[li, cc_pos[cc]] = True
 
         # Static wide layout: prefixes from config (sources x ranks +
         # best), ordered exactly like reference batch_geocode.py:29-34.
@@ -110,7 +103,7 @@ class MentionResolver:
         cand = (uniq_key % np.int64(len(gaz.ids) + 1)).astype(np.int64)
 
         # --- country filter (J2)
-        if self.prior_langs is not None and n > 0:
+        if n > 0:
             langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * n
             lang_idx = np.array(
                 [self.prior_langs.index(l) if l in self.prior_langs else -1 for l in langs],
@@ -222,10 +215,7 @@ class MentionResolver:
         out_cols["best_buffer"] = _masked_f64(np.where(best_mask, pooled_buffer, np.nan))
 
         # assemble: passthrough columns + wide columns in reference order
-        keep = self.keep_columns
-        if keep is None:
-            keep = [c for c in batch.column_names if c != "mentions"]
-        result = {c: batch[c] for c in keep}
+        result = {c: batch[c] for c in self.keep_columns}
         for prefix in self.prefixes:
             for suffix in GEOCODING_SUFFIXES:
                 col = f"{prefix}_{suffix}"

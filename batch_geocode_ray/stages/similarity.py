@@ -6,8 +6,8 @@ partial top-k keeps only k rows per (query, block) so the shuffle to
 the final per-query merge is tiny.
 
 Scale path: IVF — deterministic k-means centroids from a sample, vectors
-bucketed by nearest centroid, queries probe the ``nprobe`` nearest
-buckets only. Approximate by design; the baseline is the oracle.
+bucketed by nearest centroid, queries probe the nearest few buckets
+only. Approximate by design; the baseline is the oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import (
     _one_task,
     _probe_small,
@@ -59,8 +58,9 @@ def _partial_topk_ties(s: np.ndarray, cand_ids: np.ndarray, kk: int):
 
 def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
                queries: np.ndarray, query_ids: np.ndarray,
-               k: int = 5, exclude_self: bool = True) -> Dataset:
-    """Exact cosine top-k of every query against the whole dataset.
+               k: int = 5) -> Dataset:
+    """Exact cosine top-k of every query against the whole dataset,
+    excluding the query's own id.
 
     Per batch: one (B x Q) float64 matmul + argpartition partial top-k
     -> shuffle carries k rows per (query, block) -> groupby(query_id)
@@ -82,11 +82,8 @@ def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
         sims = m @ qmat.T  # (B, Q)
         out_q, out_n, out_s = [], [], []
         for qi in range(qmat.shape[0]):
-            s = sims[:, qi]
-            cand_ids = ids
-            if exclude_self:
-                mask = ids != qids[qi]
-                s, cand_ids = s[mask], ids[mask]
+            mask = ids != qids[qi]
+            s, cand_ids = sims[mask, qi], ids[mask]
             kk = min(k, len(cand_ids))
             if kk == 0:
                 continue
@@ -194,54 +191,27 @@ def _block_pair_sims(t1: pa.Table, t2: pa.Table | None, vec_col: str,
 
 
 def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
-                         threshold: float = 0.4,
-                         method: str = "exact",
-                         bands: int = 16, rows: int = 8,
-                         seed: int = 23,
-                         size_hint_bytes: int | None = None) -> Dataset:
-    """All (a < b) vector pairs with cosine >= threshold.
+                         threshold: float = 0.4) -> Dataset:
+    """All (a < b) vector pairs with cosine >= threshold, exact.
     Output: (d1, d2, cosine).
 
     Physical plans (nothing O(N) ever concentrates on the driver):
       * small input (the (id, vec) projection measures under the dedup
         small-collapse threshold) -> the whole exact join runs in ONE
         task.
-      * ``method="exact"`` at scale -> block-pair tiling: the dataset's
-        blocks stay in the object store (the projection MUST
-        materialize here — the triangular tiling addresses blocks by
-        ref); one Ray task per block pair (i <= j) fetches exactly two
-        blocks and emits its above-threshold pairs. Exact at ANY
-        threshold; the quadratic compute is inherent to an exact
-        similarity join (raw tasks used because a triangular self-join
-        has no Dataset-API shape).
-      * ``method="lsh"`` -> random-hyperplane LSH: sign bits of
-        ``bands*rows`` fixed projections, banded into ``bands`` bucket
-        keys; one ``bucket_exchange`` on the band key, within-bucket
-        exact cosine verify, then a pair distinct through
-        :func:`grouped_aggregate`. Linear
-        shuffle, no false positives; recall follows the banding
-        S-curve — right for true near-dup thresholds (>= ~0.7; at 0.4
-        the hyperplane collision rate barely prunes, use exact).
-        The LSH path STREAMS: it needs one ``take_batch(1)`` for the
-        vector dim, never the whole projection — pass
-        ``size_hint_bytes`` (~vec bytes x rows) and the (id, vec)
-        projection is never pinned in the object store (at 10^9
-        embeddings x 1 KB the old unconditional materialize pinned
-        ~1 TB the plan didn't need).
+      * at scale -> block-pair tiling: the dataset's blocks stay in the
+        object store (the projection MUST materialize here — the
+        triangular tiling addresses blocks by ref); one Ray task per
+        block pair (i <= j) fetches exactly two blocks and emits its
+        above-threshold pairs. Exact at ANY threshold; the quadratic
+        compute is inherent to an exact similarity join (raw tasks used
+        because a triangular self-join has no Dataset-API shape).
     """
     from batch_geocode_ray.stages import dedup as _dd  # shared knob
 
-    if method == "lsh":
-        proj, small, probed_bytes = _dd._probe_small(
-            ds.select_columns([id_col, vec_col]),
-            size_hint_bytes=size_hint_bytes)
-    else:
-        # block-pair tiling is ref-addressed: materialization inherent
-        proj = ds.select_columns([id_col, vec_col]).materialize()
-        probed_bytes = proj.size_bytes() or 0
-        small = probed_bytes < _dd.SMALL_COLLAPSE_BYTES
-
-    if small and method != "lsh":
+    # block-pair tiling is ref-addressed: materialization inherent
+    proj = ds.select_columns([id_col, vec_col]).materialize()
+    if (proj.size_bytes() or 0) < _dd.SMALL_COLLAPSE_BYTES:
         def one(b: pa.Table) -> pa.Table:
             ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                              np.int64)
@@ -251,83 +221,16 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
 
         return _one_task(proj, one)
 
-    if method == "exact":
-        refs = proj.to_arrow_refs()  # O(blocks) refs; data stays put
-        tiles = []
-        for i in range(len(refs)):
+    refs = proj.to_arrow_refs()  # O(blocks) refs; data stays put
+    tiles = []
+    for i in range(len(refs)):
+        tiles.append(_block_pair_sims.remote(
+            refs[i], None, vec_col, id_col, threshold))
+        for j in range(i + 1, len(refs)):
             tiles.append(_block_pair_sims.remote(
-                refs[i], None, vec_col, id_col, threshold))
-            for j in range(i + 1, len(refs)):
-                tiles.append(_block_pair_sims.remote(
-                    refs[i], refs[j], vec_col, id_col, threshold))
-        import ray.data as rd
-        return rd.from_arrow_refs(tiles)
-
-    # ---- LSH plan (streams: only one batch is ever pulled eagerly) ----
-    n_planes = bands * rows
-    first = proj.take_batch(1, batch_format="pyarrow")
-    dim = _matrix_of(first, vec_col).shape[1]
-    planes = np.random.RandomState(seed).randn(n_planes, dim)
-    planes_ref = ray.put(planes)
-
-    def band_rows(b: pa.Table) -> pa.Table:
-        from batch_geocode_ray.functions.hashing import splitmix64
-        pl = ray.get(planes_ref)
-        m = _normalize(_matrix_of(b, vec_col))
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), np.int64)
-        n = len(ids)
-        if n == 0:
-            return pa.table({"bkey": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             vec_col: b[vec_col]})
-        bits = (m @ pl.T) >= 0.0                      # (n, planes)
-        weights = (np.uint64(1) << np.arange(rows, dtype=np.uint64))
-        keys = []
-        bnds = []
-        for band in range(bands):
-            block = bits[:, band * rows:(band + 1) * rows].astype(np.uint64)
-            keys.append(block @ weights)
-            bnds.append(np.full(n, band, dtype=np.int64))
-        combined = (np.concatenate(keys).astype(np.uint64)
-                    ^ splitmix64(np.concatenate(bnds)))
-        vec = b[vec_col].combine_chunks()
-        idx = pa.array(np.tile(np.arange(n), bands), pa.int64())
-        return pa.table({
-            "bkey": pa.array(combined.astype(np.int64), pa.int64()),
-            id_col: pa.array(np.tile(ids, bands), pa.int64()),
-            vec_col: vec.take(idx),
-        })
-
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        bk = np.asarray(group["bkey"].to_numpy(zero_copy_only=False), np.int64)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False), np.int64)
-        m = _normalize(_matrix_of(group, vec_col))
-        order = np.lexsort((ids, bk))
-        bk, ids, m = bk[order], ids[order], m[order]
-        bounds = np.concatenate([[0], np.nonzero(np.diff(bk))[0] + 1, [len(bk)]])
-        outs = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            seg_ids, first_idx = np.unique(ids[s:e], return_index=True)
-            if len(seg_ids) < 2:
-                continue
-            seg_m = m[s:e][first_idx]
-            outs.append(_upper_pairs(seg_ids, seg_m, seg_ids, seg_m, threshold))
-        if not outs:
-            return _pair_table([], [], [])
-        return pa.concat_tables(outs)
-
-    # the exchange carries `bands` copies of each (id, vec) row; the
-    # hint is floored at the threshold because this plan never collapses
-    hint = max(bands * probed_bytes, _dd.SMALL_COLLAPSE_BYTES)
-    pairs = _dd.bucket_exchange(
-        proj.map_batches(band_rows, batch_format="pyarrow"), "bkey",
-        verify_bucket, size_hint_bytes=hint)
-    # same pair can surface from several bands -> one row per pair
-    return grouped_aggregate(pairs, ["d1", "d2"],
-                             [("cosine", "max", "cosine")],
-                             size_hint_bytes=hint)
+                refs[i], refs[j], vec_col, id_col, threshold))
+    import ray.data as rd
+    return rd.from_arrow_refs(tiles)
 
 
 def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -354,10 +257,11 @@ def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def kmeans_fit(ds: Dataset, vec_col: str, k: int = 8, iters: int = 10,
-               seed: int = 11, sample_size: int = 2048) -> np.ndarray:
+               seed: int = 11) -> np.ndarray:
     """Distributed Lloyd's k-means over an embedding column.
 
-    Init: deterministic sample -> local k-means (cheap, seeds quality).
+    Init: deterministic 2048-row sample -> local k-means (cheap, seeds
+    quality).
     Each iteration: broadcast centroids, every batch computes assignments
     and PARTIAL per-cluster (sum, count); the driver merges k x d
     numbers and updates. The full dataset streams once per iteration;
@@ -365,7 +269,7 @@ def kmeans_fit(ds: Dataset, vec_col: str, k: int = 8, iters: int = 10,
     """
     sample_t = pa.concat_tables(
         [ray.get(r) for r in
-         ds.select_columns([vec_col]).limit(sample_size).to_arrow_refs()])
+         ds.select_columns([vec_col]).limit(2048).to_arrow_refs()])
     cent = _kmeans(_matrix_of(sample_t, vec_col), k, seed=seed)
 
     for _ in range(iters):
@@ -435,13 +339,13 @@ def kmeans_assign(ds: Dataset, vec_col: str, id_col: str,
 # IVF (scale path, approximate)
 # ---------------------------------------------------------------------------
 
-def _kmeans(sample: np.ndarray, n_clusters: int, iters: int = 10,
+def _kmeans(sample: np.ndarray, n_clusters: int,
             seed: int = 11) -> np.ndarray:
     rng = np.random.RandomState(seed)
     idx = rng.choice(len(sample), size=min(n_clusters, len(sample)),
                      replace=False)
     cent = sample[idx].copy()
-    for _ in range(iters):
+    for _ in range(10):
         d = ((sample[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
         assign = d.argmin(axis=1)
         for c in range(len(cent)):
@@ -453,19 +357,19 @@ def _kmeans(sample: np.ndarray, n_clusters: int, iters: int = 10,
 
 def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
             queries: np.ndarray, query_ids: np.ndarray,
-            k: int = 5, n_clusters: int = 16, nprobe: int = 4,
-            sample_size: int = 2048, exclude_self: bool = True) -> Dataset:
-    """Approximate top-k: vectors are assigned to their nearest k-means
-    centroid in one pass; each query searches only its ``nprobe``
-    nearest clusters. Same output schema as :func:`knn_cosine` —
-    approximate where cluster boundaries cut true neighborhoods."""
+            k: int = 5) -> Dataset:
+    """Approximate top-k: vectors are assigned to their nearest of 16
+    k-means centroids (fit on a 2048-row sample) in one pass; each
+    query searches only its 4 nearest clusters, excluding its own id.
+    Same output schema as :func:`knn_cosine` — approximate where
+    cluster boundaries cut true neighborhoods."""
     sample_t = pa.concat_tables(
         [ray.get(r) for r in
-         ds.select_columns([vec_col]).limit(sample_size).to_arrow_refs()])
+         ds.select_columns([vec_col]).limit(2048).to_arrow_refs()])
     cent = _normalize(_kmeans(_normalize(_matrix_of(sample_t, vec_col)),
-                              n_clusters))
+                              16))
     qm = _normalize(np.asarray(queries, dtype=np.float64))
-    q_assign = np.argsort(-(qm @ cent.T), axis=1)[:, :nprobe]
+    q_assign = np.argsort(-(qm @ cent.T), axis=1)[:, :4]
     ref = ray.put((cent, qm, np.asarray(query_ids, dtype=np.int64), q_assign))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -480,9 +384,7 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
         v_assign = (m @ cent_.T).argmax(axis=1)
         out_q, out_n, out_s = [], [], []
         for qi in range(qmat.shape[0]):
-            in_probe = np.isin(v_assign, probes[qi])
-            if exclude_self:
-                in_probe &= ids != qids[qi]
+            in_probe = np.isin(v_assign, probes[qi]) & (ids != qids[qi])
             if not in_probe.any():
                 continue
             s = m[in_probe] @ qmat[qi]
@@ -594,7 +496,6 @@ def pca_project(ds: Dataset, vec_col: str, id_col: str,
 def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                    threshold: float = 0.9,
                    centroids: np.ndarray | None = None,
-                   k: int = 8, kmeans_iters: int = 10, seed: int = 11,
                    size_hint_bytes: int | None = None) -> Dataset:
     """SemDeDup-class semantic deduplication (Abbas et al. 2023,
     arXiv:2303.09540): cluster the embedding space with k-means, then
@@ -609,7 +510,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     O(n^2) pairwise matmul is confined to within-cluster blocks. One
     narrow assign pass appends (cluster, centroid_sim) and packs the
     NORMALIZED vector into a fixed-width binary blob (list<float>
-    cannot ride an exchange — see the MinHash verify note); then ONE
+    cannot ride an exchange); then ONE
     :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
     cluster delivers whole clusters to tasks that lexsort, segment, and
     matmul per cluster. Below the
@@ -628,8 +529,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     Output: one row per input — (id_col, cluster, centroid_sim, kept).
     """
     if centroids is None:
-        centroids = kmeans_fit(ds, vec_col, k=k, iters=kmeans_iters,
-                               seed=seed)
+        centroids = kmeans_fit(ds, vec_col)
     cn = _normalize(np.asarray(centroids, dtype=np.float64))
     cref = ray.put(cn)
 

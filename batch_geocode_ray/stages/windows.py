@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
+from batch_geocode_ray.functions.hashing import KNUTH_MULT
 from batch_geocode_ray.stages.dedup import (
     _one_task,
     _probe_small,
@@ -88,8 +89,7 @@ def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
 
 def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
                        order_col: str, value_col: str,
-                       window_rows: int = 7,
-                       out_name: str = "mov_avg") -> Dataset:
+                       window_rows: int = 7) -> Dataset:
     """Per-key moving average over the ``window_rows`` preceding rows
     (inclusive), ordered by (``ts_col``, ``order_col``) — the
     ROWS-window aggregate Ray Data lacks (SQL: AVG(v) OVER (PARTITION
@@ -99,7 +99,7 @@ def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
     Same partitioning shape as :func:`sessionize`: one
     :func:`bucket_exchange` keyed on ``key_col``, lexsort inside the
     bucket, vectorized windowed sums via per-segment cumsum.
-    Output: (``order_col``, ``out_name``) — one row per input row.
+    Output: (``order_col``, ``mov_avg``) — one row per input row.
     """
 
     def avg_in_bucket(g: pa.Table) -> pa.Table:
@@ -133,7 +133,7 @@ def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
         avg = acc / cnt
         return pa.table({
             order_col: pa.array(oid, pa.int64()),
-            out_name: pa.array(avg, pa.float64()),
+            "mov_avg": pa.array(avg, pa.float64()),
         })
 
     return bucket_exchange(ds, key_col, avg_in_bucket)
@@ -170,8 +170,7 @@ def hopping_window_rows(ds: Dataset, ts_col: str, value_cols: list[str],
 
 
 def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
-                 tie_col: str, k: int,
-                 extra_cols: list[str] | None = None) -> Dataset:
+                 tie_col: str, k: int) -> Dataset:
     """Top-k rows per group by ``sort_col`` DESC (ties: ``tie_col``
     ASC), with a 1-based ``rank`` column — the distributed form of the
     reference's per-source top-N (query_funcs.py:376).
@@ -184,8 +183,7 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
     inside the bucket ranked vectorized. ``group_col`` must be an
     integer, temporal, string or binary column.
     """
-    cols = [group_col, sort_col, tie_col] + (extra_cols or [])
-    cols = list(dict.fromkeys(cols))
+    cols = list(dict.fromkeys([group_col, sort_col, tie_col]))
 
     def partial(b: pa.Table) -> pa.Table:
         b = b.select(cols)
@@ -372,12 +370,12 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
 
 
 def _shuffle_narrow_tokens(b: pa.Table, id_col: str, text_col: str,
-                           mult: int, op_name: str,
+                           op_name: str,
                            group_col: str | None = None) -> pa.Table:
     """Shared narrow pass behind the Blelloch-scan operators
     (:func:`sequence_pack_offsets`, :func:`grouped_token_budget_sample`):
     (id, [group,] shuffle_key, n_tokens) — the Knuth shuffle key
-    ``(id * mult) mod 2^32`` and the whitespace token count
+    ``(id * KNUTH_MULT) mod 2^32`` and the whitespace token count
     (``count(' ') + 1``; SQL parity: ``len(string_split(text, ' '))``).
     ONE definition: both operators' SQL oracles depend on the exact
     same key formula and tokenization."""
@@ -385,7 +383,7 @@ def _shuffle_narrow_tokens(b: pa.Table, id_col: str, text_col: str,
                      dtype=np.int64)
     if len(ids) and ids.min() < 0:
         raise ValueError(f"{op_name}: ids must be >= 0")
-    key = (ids.astype(np.uint64) * np.uint64(mult)) \
+    key = (ids.astype(np.uint64) * np.uint64(KNUTH_MULT)) \
         & np.uint64(0xFFFFFFFF)
     toks = pc.add(pc.count_substring(
         b[text_col].combine_chunks(), " "), 1).cast(pa.int64())
@@ -413,7 +411,6 @@ def _range_bucket_fn(nb: int):
 
 def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
                           seq_len: int = 1024,
-                          mult: int = 2654435761,
                           size_hint_bytes: int | None = None) -> Dataset:
     """GPT-style training-sequence packing: a DISTRIBUTED ORDERED PREFIX
     SUM over token counts in a deterministic shuffle order.
@@ -423,8 +420,8 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     prep). This operator computes, per document:
 
     * ``shuffle_key`` — the deterministic shuffle position,
-      ``(id * mult) mod 2^32`` (Knuth multiplicative hash; same family
-      as :func:`~batch_geocode_ray.functions.hashing.knuth_bucket100`),
+      ``(id * KNUTH_MULT) mod 2^32`` (Knuth multiplicative hash; same
+      family as :func:`~batch_geocode_ray.functions.hashing.knuth_bucket100`),
       total order with ``id_col`` as tie-break;
     * ``n_tokens`` — whitespace token count (``count(' ') + 1``;
       SQL parity: ``len(string_split(text, ' '))``);
@@ -459,7 +456,7 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     headroom).
     """
     def narrow(b: pa.Table) -> pa.Table:
-        return _shuffle_narrow_tokens(b, id_col, text_col, mult,
+        return _shuffle_narrow_tokens(b, id_col, text_col,
                                       "sequence_pack_offsets")
 
     def pack(t: pa.Table, base: int) -> pa.Table:
@@ -526,7 +523,6 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
 
 def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
                                 group_col: str, budget_tokens: int,
-                                mult: int = 2654435761,
                                 size_hint_bytes: int | None = None
                                 ) -> Dataset:
     """Data-mixture curation: cap every group (source / domain) at a
@@ -552,7 +548,7 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     also makes no sense as a mixture axis).
     """
     def narrow(b: pa.Table) -> pa.Table:
-        return _shuffle_narrow_tokens(b, id_col, text_col, mult,
+        return _shuffle_narrow_tokens(b, id_col, text_col,
                                       "grouped_token_budget_sample",
                                       group_col=group_col)
 

@@ -168,7 +168,7 @@ def test_pickle_is_a_fixed_set_of_buffers():
 def test_pipjoin_columns_and_null_points():
     batch = pa.table({"best_long": pa.array([0.5, None, np.nan, 5.0, 0.5]),
                       "best_lat": pa.array([0.5, 0.5, 0.5, 5.0, None])})
-    out = PIPJoin(_table([_SQUARE], ccs=["US"]))(batch)
+    out = PIPJoin(PolygonIndex(_table([_SQUARE], ccs=["US"])))(batch)
     assert out.schema.field("admin_id").type == pa.int64()
     assert out.schema.field("admin_level").type == pa.int64()
     assert out.schema.field("admin_cc").type == pa.string()

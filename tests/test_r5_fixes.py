@@ -63,8 +63,7 @@ def test_minhash_low_threshold_recall():
     })).repartition(4)
     got = {(r["d1"], r["d2"])
            for r in minhash_lsh_pairs(ds, "text", "doc_id", k=3,
-                                      threshold=0.45,
-                                      verify="trigram").take_all()}
+                                      threshold=0.45).take_all()}
     assert want <= got
 
 
@@ -232,17 +231,9 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         minhash_lsh_pairs,
         simhash_pairs,
     )
-    from batch_geocode_ray.stages.similarity import cosine_neardup_pairs
     from batch_geocode_ray.pipelines.queries import _sort_adaptive
 
     docs = _docs_ds()
-    rng = np.random.default_rng(7)
-    emb = rd.from_arrow(pa.table({
-        "vec_id": pa.array(range(40), pa.int64()),
-        "embedding": pa.array(
-            [r.tolist() for r in rng.normal(size=(40, 8))],
-            pa.list_(pa.float32())),
-    })).repartition(4)
     H = 1 << 40
 
     plans = {
@@ -255,10 +246,7 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         "edit_distance_pairs": lambda: edit_distance_pairs(
             docs, "text", "doc_id", max_dist=1, size_hint_bytes=H),
         "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
-            docs, "text", "doc_id", verify="signature", size_hint_bytes=H),
-        "cosine_lsh": lambda: cosine_neardup_pairs(
-            emb, "embedding", "vec_id", threshold=0.7, method="lsh",
-            size_hint_bytes=H),
+            docs, "text", "doc_id", size_hint_bytes=H),
         "sort_adaptive": lambda: _sort_adaptive(
             docs, "doc_id", size_hint_bytes=H),
     }
@@ -270,9 +258,7 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         "edit_distance_pairs": lambda: edit_distance_pairs(
             docs, "text", "doc_id", max_dist=1),
         "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
-            docs, "text", "doc_id", verify="signature"),
-        "cosine_lsh": lambda: cosine_neardup_pairs(
-            emb, "embedding", "vec_id", threshold=0.7, method="lsh"),
+            docs, "text", "doc_id"),
         "sort_adaptive": lambda: _sort_adaptive(docs, "doc_id"),
     }
 
@@ -495,30 +481,28 @@ def test_image_features_real_decodes_png():
         "width": pa.array([48], pa.int32()),
         "height": pa.array([64], pa.int32()),
     })
-    out = ImageFeatures(decode="real")(batch)
+    out = ImageFeatures()(batch)
     assert abs(out["pixel_mean"][0].as_py() - img.mean()) < 1e-9
     assert "image" not in out.column_names  # payload dropped
     with pytest.raises(NotImplementedError, match="jpeg"):
-        ImageFeatures(decode="real")(batch.set_column(
+        ImageFeatures()(batch.set_column(
             1, "image", pa.array([b"\xff\xd8\xff\xe0JFIF"], pa.binary())))
 
 
 def test_minhash_hint_streams_and_matches(monkeypatch):
     """With a size hint the signature table is never materialized (the
-    probe AND the verify-text source are stream-only) and both verify
-    modes return exactly the probed plan's pairs."""
+    probe AND the verify-text source are stream-only) and the pairs
+    are exactly the probed plan's."""
     from ray.data import Dataset
 
     docs = _docs_ds()
 
-    def run(verify, hint):
+    def run(hint):
         out = minhash_lsh_pairs(docs, "text", "doc_id", k=3,
-                                threshold=0.8, verify=verify,
-                                size_hint_bytes=hint)
+                                threshold=0.8, size_hint_bytes=hint)
         return sorted((r["d1"], r["d2"]) for r in out.take_all())
 
-    want_tri = run("trigram", None)
-    want_sig = run("signature", None)
+    want_tri = run(None)
     assert want_tri  # planted dups exist in _docs_ds
 
     real = Dataset.materialize
@@ -528,12 +512,10 @@ def test_minhash_hint_streams_and_matches(monkeypatch):
 
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
-        got_tri = run("trigram", 1 << 40)
-        got_sig = run("signature", 1 << 40)
+        got_tri = run(1 << 40)
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert got_tri == want_tri
-    assert got_sig == want_sig
 
 
 def test_semi_anti_join_hint_streams(monkeypatch):
@@ -630,7 +612,7 @@ def test_minhash_signatures_batch_equals_per_row():
         shingle_hashes,
         stable_hash64_array,
     )
-    from batch_geocode_ray.stages.dedup import MinHashSignatures
+    from batch_geocode_ray.stages.dedup import NUM_PERM, MinHashSignatures
     from batch_geocode_ray.functions.text import tokens_column
     import pyarrow.compute as pc_
 
@@ -641,12 +623,12 @@ def test_minhash_signatures_batch_equals_per_row():
         "doc_id": pa.array(range(len(texts)), pa.int64()),
         "text": pa.array(texts, pa.string()),
     })
-    got = MinHashSignatures("text", "doc_id", num_perm=32, k=3)(batch)
+    got = MinHashSignatures("text", "doc_id", k=3)(batch)
     sig = np.asarray(got["signature"].combine_chunks().flatten()
                      .to_numpy(zero_copy_only=False)) \
-        .reshape(len(texts), 32).astype(np.uint64)
+        .reshape(len(texts), NUM_PERM).astype(np.uint64)
 
-    a, b = minhash_permutation_params(32, seed=7)
+    a, b = minhash_permutation_params(NUM_PERM)
     toks = tokens_column(batch["text"])
     flat = toks.flatten()
     parents = np.asarray(toks.value_parent_indices())

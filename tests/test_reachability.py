@@ -1,4 +1,5 @@
-"""Every top-level def in the package is reachable from a real entry point.
+"""Every top-level def in the package is reachable from a real entry
+point, and every defaulted parameter is passed by one.
 
 A pure-ast scan (no Ray). Roots are every module-level statement in
 ``batch_geocode_ray/`` (this covers the ``QUERIES``/``ORACLE_SQL``
@@ -17,8 +18,12 @@ A reached def or class is itself a region, so a reachable class keeps all
 of its methods. Code that only tests reach is deleted with its tests,
 except the reference implementations in ``EXEMPT``.
 
+The parameter scan (below) uses the same roots. A defaulted parameter
+that no root call passes is a constant: inline it, or exempt it in
+``EXEMPT_PARAMS`` with a reason.
+
 ``python tests/test_reachability.py`` prints the unreachable defs with a
-line total.
+line total, then the unpassed parameters.
 """
 
 from __future__ import annotations
@@ -194,6 +199,219 @@ def test_exemptions_are_current():
     assert stale == [], "stale exemptions:\n" + "\n".join(stale)
 
 
+# -- parameters ---------------------------------------------------------
+#
+# One level down: a defaulted parameter of a reachable def that no root
+# call passes has one value in use, so it is a constant. A call matches a
+# def by its terminal name (the class name for ``__init__``), through
+# ``import ... as`` aliases. A call with ``*args``/``**kw`` passes every
+# parameter. ``stateful_map_batches(ds, Cls, kwargs)`` passes the keys of
+# ``kwargs`` (a dict literal, or a name bound to one in the same
+# function) to ``Cls``; ``map_batches(Cls, fn_constructor_args=...,
+# fn_constructor_kwargs=...)`` passes those. Nested closures are not
+# scanned (their defaults bind loop variables), nor are ``EXEMPT`` defs.
+
+# (file, def, parameter) -> why a defaulted parameter no root call passes
+# stays; ``def`` is ``Class.method`` for a method. A parameter stays only
+# as a correctness check, a resource guard, a path, or when a test sets
+# it to reach at fixture scale a path the default reaches at corpus scale.
+_HINT = ("corpus-scale no-materialize hint "
+         "(test_size_hint_skips_materialize_everywhere)")
+EXEMPT_PARAMS = {
+    ("batch_geocode_ray/stages/dedup.py", "fingerprint_dup_pairs",
+     "size_hint_bytes"): _HINT,
+    ("batch_geocode_ray/stages/dedup.py", "edit_distance_pairs",
+     "size_hint_bytes"): _HINT,
+    ("batch_geocode_ray/stages/graph.py", "connected_components",
+     "size_hint_bytes"): _HINT,
+    ("batch_geocode_ray/stages/graph.py", "label_all_nodes",
+     "size_hint_bytes"): _HINT,
+    ("batch_geocode_ray/stages/similarity.py", "semantic_dedup",
+     "size_hint_bytes"): _HINT,
+    ("batch_geocode_ray/pipelines/geocode.py", "build_geocode_pipeline",
+     "verify_extraction"):
+        "correctness check: html kernel against the extracted text",
+    ("batch_geocode_ray/sources/writers.py", "write_reference_csv",
+     "max_driver_rows"): "driver-memory guard",
+    ("batch_geocode_ray/sources/fixtures.py", "ensure_fixture_dir",
+     "base"): "a path",
+    ("batch_geocode_ray/stages/dedup.py", "ngram_jaccard_pairs",
+     "max_posting"):
+        "tests cap it to reach the hot-gram governor at fixture scale",
+    ("batch_geocode_ray/stages/knn.py", "FacilityIndex.__init__",
+     "grid_res"):
+        "tests refine it to reach the grid probe's fallback at fixture scale",
+    ("batch_geocode_ray/stages/joins.py", "bloom_anti_join", "m_bits"):
+        "tests shrink it to reach Bloom false positives at fixture scale",
+    ("batch_geocode_ray/stages/joins.py", "bloom_anti_join", "k_hashes"):
+        "tests shrink it to reach Bloom false positives at fixture scale",
+}
+
+_FN = (ast.FunctionDef, ast.AsyncFunctionDef)
+_ALL = "*"
+
+
+def _defaulted(fn, skip: int):
+    """(name, positional index or None) of each defaulted parameter;
+    ``skip`` leading positionals are bound implicitly (self/cls)."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    for i, a in enumerate(pos):
+        if i >= first:
+            yield a.arg, i - skip
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield a.arg, None
+
+
+def _param_defs(tree: ast.Module, rel: str):
+    """(file, owner, call name, node, implicit positionals) of each
+    module-level def and class method in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, _FN):
+            if (rel, node.name) not in EXEMPT:
+                yield rel, node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and (rel, node.name) not in EXEMPT:
+            for fn in node.body:
+                if not isinstance(fn, _FN):
+                    continue
+                static = any(_dotted(d) == "staticmethod"
+                             for d in fn.decorator_list)
+                call = node.name if fn.name == "__init__" else fn.name
+                yield (rel, f"{node.name}.{fn.name}", call, fn,
+                       0 if static else 1)
+
+
+def _aliases(tree: ast.Module) -> dict[str, str]:
+    """``import x as y`` local name -> imported terminal name."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                if a.asname:
+                    out[a.asname] = a.name.rpartition(".")[2]
+    return out
+
+
+def _terminal(node, aliases) -> str | None:
+    name = (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+    return aliases.get(name, name)
+
+
+def _dict_keys(node, scope):
+    """Keys a kwargs expression passes: a set of names, or ``_ALL``."""
+    if isinstance(node, ast.Name):
+        bound = [s.value for s in ast.walk(scope)
+                 if isinstance(s, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == node.id
+                         for t in s.targets)]
+        node = bound[0] if len(bound) == 1 else None
+    if not isinstance(node, ast.Dict) or None in node.keys or not all(
+            isinstance(k, ast.Constant) for k in node.keys):
+        return _ALL
+    return {k.value for k in node.keys}
+
+
+def _calls(tree: ast.Module):
+    """(call name, positional count, keyword names or ``_ALL``) of every
+    call in ``tree``, constructor calls through Ray's kwargs included."""
+    aliases = _aliases(tree)
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, _FN)]
+    owner = {}
+    for scope in scopes:  # innermost function wins: walked last
+        for n in ast.walk(scope):
+            owner[n] = scope
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _terminal(node.func, aliases)
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            yield name, 0, _ALL
+        else:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+        kw = {k.arg: k.value for k in node.keywords}
+        if name == "stateful_map_batches" and len(node.args) >= 2:
+            arg = node.args[2] if len(node.args) > 2 else kw.get("kwargs")
+            yield (_terminal(node.args[1], aliases), 0,
+                   _dict_keys(arg, owner[node]) if arg else set())
+        elif name == "map_batches" and node.args and (
+                "fn_constructor_args" in kw
+                or "fn_constructor_kwargs" in kw):
+            args = kw.get("fn_constructor_args")
+            kwargs = kw.get("fn_constructor_kwargs")
+            yield (_terminal(node.args[0], aliases),
+                   len(args.elts) if isinstance(args, ast.Tuple) else
+                   (1 << 30) if args else 0,
+                   _dict_keys(kwargs, owner[node]) if kwargs else set())
+
+
+def _unpassed(def_trees, call_trees):
+    """Defaulted parameters of the defs in ``def_trees`` ((file, tree)
+    pairs) that no call in ``call_trees`` passes, as sorted
+    (file, line, owner, parameter)."""
+    calls: dict[str, list] = {}
+    for tree in call_trees:
+        for name, n, kws in _calls(tree):
+            calls.setdefault(name, []).append((n, kws))
+    out = []
+    for rel, tree in def_trees:
+        for _, owner, call, fn, skip in _param_defs(tree, rel):
+            for param, i in _defaulted(fn, skip):
+                if not any(kws is _ALL or param in kws
+                           or (i is not None and n > i)
+                           for n, kws in calls.get(call, ())):
+                    out.append((rel, fn.lineno, owner, param))
+    return sorted(out)
+
+
+def param_scan():
+    """Defaulted parameters of the package that no root call passes."""
+    pkg = [(path.relative_to(ROOT).as_posix(), ast.parse(path.read_text()))
+           for path in sorted((ROOT / PKG).rglob("*.py"))]
+    roots = [ast.parse(path.read_text()) for path in _root_files()]
+    return _unpassed(pkg, [tree for _, tree in pkg] + roots)
+
+
+def _fmt_params(rows) -> list[str]:
+    return [f"{f}:{line} {owner}({param})" for f, line, owner, param in rows]
+
+
+def test_every_defaulted_parameter_is_passed():
+    dead = [r for r in param_scan()
+            if (r[0], r[2], r[3]) not in EXEMPT_PARAMS]
+    assert dead == [], (
+        "defaulted parameters no entry point passes (inline the default "
+        "and delete the branches only another value selects, or exempt "
+        "with a reason):\n" + "\n".join(_fmt_params(dead)))
+
+
+def test_param_scan_flags_unpassed_defaults():
+    """Non-vacuity: a default no call passes is flagged; one passed
+    through a ``stateful_map_batches`` kwargs dict is not."""
+    tree = ast.parse(
+        "class Stage:\n"
+        "    def __init__(self, a, b=1, c=2):\n"
+        "        pass\n"
+        "def f(x, y=0):\n"
+        "    pass\n"
+        "def build(ds):\n"
+        "    kwargs = {'b': 3}\n"
+        "    f(1)\n"
+        "    return stateful_map_batches(ds, Stage, kwargs)\n")
+    got = {(owner, p) for _, _, owner, p in _unpassed([("m.py", tree)], [tree])}
+    assert got == {("Stage.__init__", "c"), ("f", "y")}
+
+
+def test_param_exemptions_are_current():
+    """An exemption names a defaulted parameter that no root call passes."""
+    unpassed = {(f, owner, p) for f, _, owner, p in param_scan()}
+    stale = [f"{f} {owner}({p})" for f, owner, p in EXEMPT_PARAMS
+             if (f, owner, p) not in unpassed]
+    assert stale == [], "stale parameter exemptions:\n" + "\n".join(stale)
+
+
 if __name__ == "__main__":
     rows = scan()
     dead = [r for r in rows if (r[0], r[2]) not in EXEMPT]
@@ -201,3 +419,8 @@ if __name__ == "__main__":
     print("\n".join(_fmt(dead)))
     print(f"unreachable: {len(dead)} defs, {sum(r[3] for r in dead)} lines")
     print(f"exempt: {len(exempt)} defs, {sum(r[3] for r in exempt)} lines")
+    prows = param_scan()
+    pdead = [r for r in prows if (r[0], r[2], r[3]) not in EXEMPT_PARAMS]
+    print("\n".join(_fmt_params(pdead)))
+    print(f"unpassed: {len(pdead)} parameters, "
+          f"exempt: {len(prows) - len(pdead)}")

@@ -81,9 +81,9 @@ def test_quantile_sketch_bounds_and_merge():
     rng = np.random.RandomState(3)
     data = rng.lognormal(3.0, 1.0, 200_000)
     chunks = np.array_split(data, 37)
-    parts = [quantile_partial(c, k=512) for c in chunks]
-    merged = quantile_merge(parts, k=512)
-    merged_rev = quantile_merge(parts[::-1], k=512)
+    parts = [quantile_partial(c) for c in chunks]
+    merged = quantile_merge(parts)
+    merged_rev = quantile_merge(parts[::-1])
     s = np.sort(data)
     for q in (0.1, 0.5, 0.9, 0.99):
         est = quantile_query(merged, q)

@@ -40,7 +40,7 @@ def run(pages_text, gaz, langs=None, prior=None, cfg=None):
         "lang": pa.array(langs or ["en"] * len(pages_text)),
     })
     matched = GazetteerMatcher(idx)(batch)
-    return MentionResolver(idx, config=cfg, lang_cc_prior=prior,
+    return MentionResolver(idx, config=cfg, lang_cc_prior=prior or {},
                            keep_columns=["url"])(matched).to_pylist()
 
 
@@ -204,7 +204,8 @@ def test_empty_gazetteer_yields_null_rows():
     from batch_geocode_ray.pipelines.geocode import GeocodeFusedStage
 
     cfg = PipelineConfig(sources=["GM"])
-    stage = GeocodeFusedStage(gaz_table([]), cfg)
+    stage = GeocodeFusedStage(GazetteerIndex.from_table(gaz_table([])), cfg,
+                              lang_cc_prior={})
     out = stage(pa.table({
         "url": ["u0", "u1"], "warc_ts": ["t", "t"], "lang": ["en", None],
         "html": ["<p>We visited Alpha and Beta</p>", ""],
@@ -212,3 +213,30 @@ def test_empty_gazetteer_yields_null_rows():
     assert out.num_rows == 2
     for col in cfg.wide_columns() + ["hex_cell_r7", "s2_cell"]:
         assert out[col].null_count == 2, col
+
+
+def test_pipeline_wide_columns_follow_gazetteer_sources(tmp_path):
+    """The CLI passes a config built from -r/-b only, so its sources are
+    the defaults; a gazetteer source outside them still gets its
+    ``{src}{rank}_*`` columns, as it pools into ``best``."""
+    import pyarrow.parquet as pq
+
+    from batch_geocode_ray.pipelines.geocode import build_geocode_pipeline
+
+    gaz = gaz_table([
+        (1, "Alpha", 10.0, 10.0, None, None, None, None, None,
+         "populated_place", 100, "WOF"),
+        (2, "Beta", 10.01, 10.01, None, None, None, None, None,
+         "populated_place", 50, "GN"),
+    ])
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.table({
+        "url": ["u0"], "warc_ts": ["t"], "lang": ["en"],
+        "html": ["<p>Alpha and Beta</p>"],
+    }), path)
+    cfg = PipelineConfig(results_per_app=2, max_buffer=15.0)  # as run.py
+    (row,) = build_geocode_pipeline(path, gaz, cfg=cfg).take_all()
+    named = {c for c, v in row.items()
+             if c.endswith("_name") and c != "best_name" and v is not None}
+    assert named == {"GN1_name", "WOF1_name"}
+    assert row["best_name"] == "Vetted"

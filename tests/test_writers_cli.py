@@ -103,3 +103,34 @@ def test_knn_grid_exact_under_sparsity_and_high_latitude():
     brute = KNNFacilities(idx, k=5)(batch)
     grid = KNNFacilities(idx, k=5, use_grid=True)(batch)
     assert brute["knn_ids"].to_pylist() == grid["knn_ids"].to_pylist()
+
+
+def _facilities(lat, lon):
+    n = len(lat)
+    return pa.table({
+        "facility_id": pa.array(range(1, n + 1), pa.int64()),
+        "name": pa.array([f"f{i}" for i in range(n)], pa.string()),
+        "lat": pa.array(lat, pa.float64()),
+        "lon": pa.array(lon, pa.float64()),
+        "facility_type": pa.array(["c"] * n, pa.string()),
+    })
+
+
+def test_knn_empty_facilities_gives_empty_lists():
+    from batch_geocode_ray.stages.knn import FacilityIndex, KNNFacilities
+
+    idx = FacilityIndex(_facilities([], []))
+    batch = pa.table({"best_long": pa.array([10.0, None, -3.0]),
+                      "best_lat": pa.array([50.0, None, 40.0])})
+    for use_grid in (False, True):
+        out = KNNFacilities(idx, k=3, use_grid=use_grid)(batch)
+        assert out["knn_ids"].to_pylist() == [[], [], []], use_grid
+        assert out["knn_dists"].to_pylist() == [[], [], []], use_grid
+
+
+def test_facility_index_rejects_non_finite_coordinates():
+    from batch_geocode_ray.stages.knn import FacilityIndex
+
+    fac = _facilities([50.0, np.nan, 51.0, 52.0], [10.0, 10.0, np.inf, 11.0])
+    with pytest.raises(ValueError, match=r"facility_id \[2, 3\]"):
+        FacilityIndex(fac)
