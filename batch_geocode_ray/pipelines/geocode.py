@@ -66,10 +66,6 @@ def encode_cells_stage(batch: pa.Table, resolutions=(7, 8, 9),
     return batch
 
 
-def _get(x):
-    return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
-
 class GeocodeFusedStage:
     """The whole per-page chain as one callable:
     extract + match -> resolve/vet -> cells -> PIP -> kNN.
@@ -89,19 +85,19 @@ class GeocodeFusedStage:
     trips. Each layer's callable is still usable on its own.
 
     Broadcast inputs (gazetteer index, config, prior, polygon index,
-    facility index) may be ObjectRefs; they are fetched once at
-    construction. The page columns passed through are ``url``,
-    ``warc_ts`` and ``lang``.
+    facility index) arrive built: ``stateful_map_batches`` fetches
+    their ObjectRefs once per worker when it constructs the stage. The
+    page columns passed through are ``url``, ``warc_ts`` and ``lang``.
     """
 
     def __init__(self, gazetteer, config: PipelineConfig, lang_cc_prior,
                  polygons=None, facilities=None,
                  verify_extraction: bool = False, with_knn: bool = False):
-        self.cfg = config = _get(config)
+        self.cfg = config
         self.verify_extraction = verify_extraction
         self.matcher = GazetteerMatcher(gazetteer)
         self.resolver = MentionResolver(
-            self.matcher.gaz, config=config, lang_cc_prior=_get(lang_cc_prior),
+            gazetteer, config=config, lang_cc_prior=lang_cc_prior,
             keep_columns=["url", "warc_ts", "lang"])
         self.pip = PIPJoin(polygons) if polygons is not None else None
         # grid probe: vectorized per-cell candidate rings with exact

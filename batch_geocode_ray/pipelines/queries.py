@@ -39,6 +39,7 @@ from batch_geocode_ray.stages.similarity import (
     ivf_knn,
     knn_cosine,
 )
+from batch_geocode_ray.stages.stateful import stateful_map_batches
 
 _ROUND_MODE = "half_towards_infinity"  # DuckDB ROUND tie behavior
 
@@ -505,8 +506,6 @@ def q14_gazetteer_mentions(sf_dir: str) -> Dataset:
     })
     gaz_ref = ray.put(GazetteerIndex.from_table(gaz))
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    from batch_geocode_ray.stages.stateful import stateful_map_batches
-
     matched = stateful_map_batches(docs, GazetteerMatcher,
                                    {"gazetteer": gaz_ref},
                                    batch_format="pyarrow")
@@ -2343,36 +2342,43 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
                        dtype=np.float64)
     ref = ray.put((vocab_tokens, df_np))
 
-    def score(b: pa.Table, *, lookup, n_total: int) -> pa.Table:
-        from batch_geocode_ray.stages.joins import _bj_lookup
-        vtok, vdf = _bj_lookup(lookup)
-        flat, parents = _flat_tokens(tokens_column(b["text"]))
-        doc = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)[parents]
-        tfs = (pa.table({"tok": pc.index_in(flat, value_set=vtok),
-                         "doc_id": pa.array(doc, pa.int64())})
-               .group_by(["tok", "doc_id"]).aggregate([("doc_id", "count")]))
-        tok = np.asarray(tfs["tok"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        d = np.asarray(tfs["doc_id"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        tf = np.asarray(tfs.column(2).to_numpy(zero_copy_only=False),
-                        dtype=np.float64)
-        # fixed-point half-up (scores are >= 0), matching _sql_fixed
-        si = np.floor(tf * np.log(n_total / vdf[tok]) * 1e4 + 0.5)
-        order = np.lexsort((tok, -si, d))
-        first = np.ones(len(order), dtype=bool)
-        ds_ = d[order]
-        first[1:] = ds_[1:] != ds_[:-1]
-        sel = order[first]
-        return pa.table({
-            "doc_id": pa.array(d[sel], pa.int64()),
-            "top_token": vtok.take(pa.array(tok[sel], pa.int64())),
-            "tfidf": pa.array(si[sel] / 1e4, pa.float64()),
-        })
+    class _Score:
+        """Per-worker cached scorer over the broadcast vocabulary."""
 
-    out = docs.map_batches(score, batch_format="pyarrow",
-                           fn_kwargs={"lookup": ref, "n_total": n_docs})
+        def __init__(self, lookup, n_total: int):
+            self.vtok, self.vdf = lookup
+            self.n_total = n_total
+
+        def __call__(self, b: pa.Table) -> pa.Table:
+            vtok, vdf, n_total = self.vtok, self.vdf, self.n_total
+            flat, parents = _flat_tokens(tokens_column(b["text"]))
+            doc = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False),
+                             dtype=np.int64)[parents]
+            tfs = (pa.table({"tok": pc.index_in(flat, value_set=vtok),
+                             "doc_id": pa.array(doc, pa.int64())})
+                   .group_by(["tok", "doc_id"]).aggregate([("doc_id", "count")]))
+            tok = np.asarray(tfs["tok"].to_numpy(zero_copy_only=False),
+                             dtype=np.int64)
+            d = np.asarray(tfs["doc_id"].to_numpy(zero_copy_only=False),
+                           dtype=np.int64)
+            tf = np.asarray(tfs.column(2).to_numpy(zero_copy_only=False),
+                            dtype=np.float64)
+            # fixed-point half-up (scores are >= 0), matching _sql_fixed
+            si = np.floor(tf * np.log(n_total / vdf[tok]) * 1e4 + 0.5)
+            order = np.lexsort((tok, -si, d))
+            first = np.ones(len(order), dtype=bool)
+            ds_ = d[order]
+            first[1:] = ds_[1:] != ds_[:-1]
+            sel = order[first]
+            return pa.table({
+                "doc_id": pa.array(d[sel], pa.int64()),
+                "top_token": vtok.take(pa.array(tok[sel], pa.int64())),
+                "tfidf": pa.array(si[sel] / 1e4, pa.float64()),
+            })
+
+    out = stateful_map_batches(docs, _Score,
+                               {"lookup": ref, "n_total": n_docs},
+                               batch_format="pyarrow")
     return _sort_adaptive(out, "doc_id")
 
 

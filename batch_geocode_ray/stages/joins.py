@@ -20,6 +20,7 @@ import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.stages.dedup import _one_task
+from batch_geocode_ray.stages.stateful import stateful_map_batches
 
 
 class _Lookup:
@@ -74,44 +75,26 @@ class _Lookup:
         return pos, found
 
 
-def _probe_and_append(lk: _Lookup, batch: pa.Table, key: str,
-                      how: str) -> pa.Table:
-    pos, found = lk.probe(batch[key])
-    if how == "inner" and not found.all():
-        batch = batch.filter(pa.array(found))
-        pos = pos[found]
-        found = np.ones(len(pos), dtype=bool)
-    # positions with a null mask -> Arrow take emits typed nulls for
-    # unmatched rows, preserving each value column's source type
-    idx = (pa.array(pos, pa.int64()) if found.all()
-           else pa.array(pos, pa.int64(), mask=~found))
-    for c in lk.value_cols:
-        batch = batch.append_column(c, lk.values[c].take(idx))
-    return batch
+class _BroadcastProbe:
+    """Per-worker cached probe of one broadcast :class:`_Lookup`."""
 
+    def __init__(self, lookup: _Lookup, key: str, how: str):
+        self.lookup, self.key, self.how = lookup, key, how
 
-# Per-worker lookup cache for the task-mode broadcast join: ray.get of
-# an in-plasma object is cheap but re-unpickles the _Lookup wrapper per
-# task; caching by ObjectRef makes every task after the first on a
-# worker free. Small LRU — a long session touches many different
-# broadcast tables (one per query) and must not pin them all in heap.
-_BJ_CACHE: "dict" = {}
-_BJ_CACHE_MAX = 8
-
-
-def _bj_lookup(ref) -> _Lookup:
-    lk = _BJ_CACHE.get(ref)
-    if lk is None:
-        lk = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        if len(_BJ_CACHE) >= _BJ_CACHE_MAX:
-            _BJ_CACHE.pop(next(iter(_BJ_CACHE)))
-        _BJ_CACHE[ref] = lk
-    return lk
-
-
-def _broadcast_join_fn(batch: pa.Table, *, lookup, key: str,
-                       how: str) -> pa.Table:
-    return _probe_and_append(_bj_lookup(lookup), batch, key, how)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        lk = self.lookup
+        pos, found = lk.probe(batch[self.key])
+        if self.how == "inner" and not found.all():
+            batch = batch.filter(pa.array(found))
+            pos = pos[found]
+            found = np.ones(len(pos), dtype=bool)
+        # positions with a null mask -> Arrow take emits typed nulls for
+        # unmatched rows, preserving each value column's source type
+        idx = (pa.array(pos, pa.int64()) if found.all()
+               else pa.array(pos, pa.int64(), mask=~found))
+        for c in lk.value_cols:
+            batch = batch.append_column(c, lk.values[c].take(idx))
+        return batch
 
 
 def broadcast_semi_anti(ds: Dataset, small_keys, key: str,
@@ -404,17 +387,15 @@ def broadcast_join(ds: Dataset, small: pa.Table, key: str,
     shuffling ``ds``. The small side is put into the object store ONCE
     (not re-shipped per batch/task).
 
-    Runs as a plain TASK map with a per-worker lookup cache rather than
+    Runs as worker-cached TASKS (``stateful_map_batches``) rather than
     an actor pool: actor spin-up is ~1-2 s that short queries pay in
     full, while tasks reach full parallelism instantly and fuse with
     the upstream read (the same lesson as the fused flagship stage).
     State cost per worker is one zero-copy plasma read."""
     ref = ray.put(_Lookup(small, key, value_cols))
-    return ds.map_batches(
-        _broadcast_join_fn,
-        fn_kwargs={"lookup": ref, "key": key, "how": how},
-        batch_format="pyarrow",
-    )
+    return stateful_map_batches(ds, _BroadcastProbe,
+                                {"lookup": ref, "key": key, "how": how},
+                                batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +446,27 @@ def build_bloom(keys_ds: Dataset, key: str, m_bits: int = 1 << 23,
     return np.frombuffer(row["bm"], np.uint8).copy()
 
 
-def _bloom_split_fn(batch: pa.Table, *, lookup, key: str, m_bits: int,
-                    k_hashes: int, want_possible: bool) -> pa.Table:
-    bm = _bj_lookup(lookup)
-    v = np.asarray(batch[key].to_numpy(zero_copy_only=False),
-                   dtype=np.int64)
-    if not len(v):
-        return batch
-    p = _bloom_positions(v, m_bits, k_hashes)
-    bits = (bm[(p >> np.uint64(3)).astype(np.int64)]
-            >> (p & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
-    possible = bits.all(axis=1)
-    return batch.filter(pa.array(possible if want_possible
-                                 else ~possible))
+class _BloomSplit:
+    """Per-worker cached Bloom probe: keeps the rows whose key is a
+    possible hit (``want_possible``) or a definite miss."""
+
+    def __init__(self, lookup: np.ndarray, key: str, m_bits: int,
+                 k_hashes: int, want_possible: bool):
+        self.bm, self.key = lookup, key
+        self.m_bits, self.k_hashes = m_bits, k_hashes
+        self.want_possible = want_possible
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        v = np.asarray(batch[self.key].to_numpy(zero_copy_only=False),
+                       dtype=np.int64)
+        if not len(v):
+            return batch
+        p = _bloom_positions(v, self.m_bits, self.k_hashes)
+        bits = (self.bm[(p >> np.uint64(3)).astype(np.int64)]
+                >> (p & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+        possible = bits.all(axis=1)
+        return batch.filter(pa.array(possible if self.want_possible
+                                     else ~possible))
 
 
 def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
@@ -500,10 +489,12 @@ def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
     ref = ray.put(bm)
     common = {"lookup": ref, "key": key, "m_bits": m_bits,
               "k_hashes": k_hashes}
-    miss = ds.map_batches(_bloom_split_fn, batch_format="pyarrow",
-                          fn_kwargs={**common, "want_possible": False})
-    poss = ds.map_batches(_bloom_split_fn, batch_format="pyarrow",
-                          fn_kwargs={**common, "want_possible": True})
+    miss = stateful_map_batches(ds, _BloomSplit,
+                                {**common, "want_possible": False},
+                                batch_format="pyarrow")
+    poss = stateful_map_batches(ds, _BloomSplit,
+                                {**common, "want_possible": True},
+                                batch_format="pyarrow")
     exact = semi_anti_join(poss, keys_ds, key, right_key=right_key,
                            anti=True)
     return miss.union(exact)

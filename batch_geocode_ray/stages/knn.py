@@ -66,16 +66,12 @@ class KNNFacilities:
     (list<int64> / list<float64>, distance-ordered, id tie-break) of
     each row's (best_long, best_lat) point. Rows with null coordinates,
     and every row when there are no facilities, get empty lists.
-    ``facilities`` is a :class:`FacilityIndex` or its ObjectRef. The
-    fused geocode stage builds it once per worker process
+    The fused geocode stage builds it once per worker process
     (worker-cached tasks via ``stateful_map_batches``, no actor pool).
     """
 
-    def __init__(self, facilities, k: int = 3, use_grid: bool = False):
-        import ray
-
-        idx = ray.get(facilities) if isinstance(facilities, ray.ObjectRef) else facilities
-        self.index: FacilityIndex = idx
+    def __init__(self, facilities: FacilityIndex, k: int = 3, use_grid: bool = False):
+        self.index = facilities
         self.k = k
         self.use_grid = use_grid
 

@@ -12,22 +12,24 @@ offsets into the Arrow data buffer, no token strings) from either
   * ``html_token_runs(html)`` — the fused flagship stage, straight from
     the html bytes with no ``text`` column.
 
-Runs whose length is a vocab token length are read as folded 8-byte
-words, hashed, binary-searched against the sorted vocab hashes and
-verified word by word, which gives each in-vocab run its code. For
-every phrase length L, the windows of L consecutive in-vocab tokens of
-one row get a key (the code itself for L = 1, else a splitmix chain),
-binary-searched against the sorted keys of the gazetteer's distinct
-code tuples and verified code by code (hash collisions cannot emit); a
-match emits every entry with that phrase. Only ~15% of tokens are in
-the vocab, so the window loop runs over those alone.
+The gazetteer's names take the same path: ``token_runs`` over the
+``name`` column, keyed by the same ``_run_keys``/``_run_words``. The
+vocab is the distinct keys of the names' runs, and each name is a row of
+vocab codes. Page runs whose length is a vocab token length are read as
+folded 8-byte words, keyed, probed in Arrow's hash set of the vocab
+keys and verified word by word, which gives each in-vocab run its code.
+For every phrase length L, the windows of L consecutive in-vocab tokens
+of one row get a key (the code itself for L = 1, else a splitmix
+chain), binary-searched against the sorted keys of the gazetteer's
+distinct code tuples and verified code by code (hash collisions cannot
+emit); a match emits every entry with that phrase. Only ~15% of tokens
+are in the vocab, so the window loop runs over those alone.
 
 Every occurrence of every phrase is emitted (duplicates across sources
 included); mention start/end are TOKEN indices within the document.
-Tokens are ASCII-folded on both sides (gazetteer phrases through
-``state/gazetteer.normalize_phrase``), and the result equals a naive
-all-occurrence scan over the same tokens
-(``tests/oracle.py:naive_find_all``), spans included.
+The result equals a scan of each token position against a dict of the
+names' token tuples (``tests/oracle.py:naive_mentions``, which
+tokenizes names and text with its own regex), spans included.
 """
 
 from __future__ import annotations
@@ -89,6 +91,16 @@ def _run_keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     return key
 
 
+def _key_groups(keys: np.ndarray):
+    """(sorted distinct keys, one member index of each, key index of
+    every element); a quicksort unique, half the cost of asking
+    ``np.unique`` for first indices."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    rep = np.empty(len(uniq), dtype=np.int64)
+    rep[inv] = np.arange(len(keys))
+    return uniq, rep, inv
+
+
 def _row_of(row_first: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row of each sorted run index: one search per row, not per run."""
     counts = np.diff(np.searchsorted(idx, row_first))
@@ -98,56 +110,40 @@ def _row_of(row_first: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class GazetteerMatcher:
     """Callable class for ``map_batches`` (cached task)."""
 
-    def __init__(self, gazetteer):
-        """``gazetteer``: a :class:`GazetteerIndex` or its ObjectRef."""
-        import ray
-
-        gaz = ray.get(gazetteer) if isinstance(gazetteer, ray.ObjectRef) else gazetteer
-        self.gaz: GazetteerIndex = gaz
-
-        vocab: dict[str, int] = {}
-        for ph in gaz.phrases:
-            for tok in ph:
-                vocab.setdefault(tok, len(vocab))
-        # vocab tokens as runs over one buffer: the same key/word path
-        # the page runs take
-        vbytes = [t.encode() for t in vocab]
-        vlens = np.array([len(b) for b in vbytes], dtype=np.int64)
-        max_len = int(vlens.max()) if len(vlens) else 0
+    def __init__(self, gazetteer: GazetteerIndex):
+        self.gaz = gaz = gazetteer
+        # the names' token runs, keyed like page runs: the vocab is the
+        # distinct run keys (code = key rank), verified word by word
+        runs = token_runs(gaz.name)
+        lens = runs.lens
+        max_len = int(lens.max()) if len(lens) else 0
         self.n_words = max(1, -(-max_len // 8))
         self.len_ok = np.zeros(max_len + 2, dtype=bool)
-        self.len_ok[vlens] = True
-        vbuf = np.frombuffer(b"".join(vbytes) + bytes(16), dtype=np.uint8)
-        vstarts = np.concatenate([[0], np.cumsum(vlens)[:-1]]).astype(np.int64)
-        vkeys = _run_keys(vbuf, vstarts, vlens, self.n_words)
-        if len(np.unique(vkeys)) < len(vkeys):
+        self.len_ok[lens] = True
+        keys = _run_keys(runs.buf, runs.starts, lens, self.n_words)
+        vkeys, rep, code = _key_groups(keys)
+        words = _run_words(runs.buf, runs.starts, lens, self.n_words)
+        if any((w != w[rep][code]).any() for w in words):
             raise ValueError("vocab token key collision")
         self.vocab_keys = pa.array(vkeys, pa.uint64())   # index = vocab code
-        self.vocab_words = _run_words(vbuf, vstarts, vlens, self.n_words)
-        # per phrase length: the distinct code tuples, sorted by key,
-        # each with its entries (one phrase in several sources)
-        by_len: dict[int, list[int]] = {}
-        for e, ph in enumerate(gaz.phrases):
-            if ph:
-                by_len.setdefault(len(ph), []).append(e)
+        self.vocab_words = [w[rep] for w in words]
+        # per phrase length L (an entry's run count): the distinct code
+        # tuples, sorted by key, each with its entries (one phrase in
+        # several sources)
+        n_tok = np.diff(runs.row_first)
         self.tables: dict[int, tuple] = {}
-        for L, entries in by_len.items():
-            codes = np.array([[vocab[t] for t in gaz.phrases[e]] for e in entries],
-                             dtype=np.int64)
-            tuples, inv = np.unique(codes, axis=0, return_inverse=True)
-            keys = _phrase_key(tuples.T)
-            order = np.argsort(keys)
-            if (np.diff(keys[order]) == 0).any():
+        for L in np.unique(n_tok):
+            entries = np.flatnonzero(n_tok == L)
+            codes = code[runs.row_first[entries, None] + np.arange(L)]
+            # tuple id = key rank; one key must mean one code tuple
+            keys, first, inv = _key_groups(_phrase_key(codes.T))
+            if (codes != codes[first][inv]).any():
                 raise ValueError("phrase key collision")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            inv = rank[inv.ravel()]                  # tuple id = key rank
-            self.tables[L] = (
-                keys[order],                         # sorted tuple keys
-                tuples[order].T,                     # (L, n_tuples) codes
+            self.tables[int(L)] = (
+                keys,                                # sorted tuple keys
+                codes[first].T,                      # (L, n_tuples) codes
                 np.concatenate([[0], np.cumsum(np.bincount(inv))]),
-                np.array(entries, dtype=np.int64)[np.argsort(inv, kind="stable")])
-        self.names = pa.array(gaz.names, pa.string())
+                entries[np.argsort(inv, kind="stable")])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Append ``mentions`` for the batch's text column."""
@@ -227,7 +223,7 @@ class GazetteerMatcher:
             pa.StructArray.from_arrays(
                 [
                     pa.array(gaz.ids[entry], pa.int64()),
-                    pc.take(self.names, pa.array(entry)),
+                    pc.take(gaz.name, pa.array(entry)),
                     pa.array(starts.astype(np.int32), pa.int32()),
                     pa.array(ends.astype(np.int32), pa.int32()),
                 ],

@@ -198,14 +198,10 @@ class PolygonIndex:
 class PIPJoin:
     """Fused-stage layer: append admin assignment of each row's
     (best_long, best_lat) point. Null coordinates -> null assignment.
-    ``polygons`` is a :class:`PolygonIndex` or its ObjectRef.
     """
 
-    def __init__(self, polygons):
-        import ray
-
-        idx = ray.get(polygons) if isinstance(polygons, ray.ObjectRef) else polygons
-        self.index: PolygonIndex = idx
+    def __init__(self, polygons: PolygonIndex):
+        self.index = polygons
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch["best_long"].to_numpy(zero_copy_only=False)

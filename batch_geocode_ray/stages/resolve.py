@@ -25,7 +25,12 @@ Semantics ported (NOT code) from the reference:
     the intermediate bb_n/bb_s/bb_e/bb_w never reach the output.
 
 Everything below is NumPy over flattened Arrow list columns — there is
-no per-row Python in this stage. Rows keep their original ``{source}{rank}``
+no per-row Python in this stage. The per-entry arrays (pooled-point
+sums, and one ``{name, type, lat, long, buffer}`` record batch) are
+built once in ``__init__``; a call maps ``lang`` to its prior row with
+one ``pc.index_in`` and fills each ``{source}{rank}`` prefix with one
+``take`` of the entry batch, so its cost follows the batch's candidates,
+not the gazetteer's size. Rows keep their original ``{source}{rank}``
 key even when a higher-ranked result is vetted out (the reference nulls
 GM1 but keeps GM2's key, it does not renumber).
 """
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from batch_geocode_ray.config import GEOCODING_SUFFIXES, PipelineConfig
 from batch_geocode_ray.functions.geo import diag_buffer_km
@@ -61,13 +67,26 @@ class MentionResolver:
         self.gid_lookup_keys = gaz.ids[self.gid_lookup_vals]
 
         # cc prior as a dense bool matrix (n_langs x n_ccs)
-        self.prior_langs = sorted(lang_cc_prior)
-        self.prior_matrix = np.zeros((len(self.prior_langs), len(gaz.cc_vocab)), dtype=bool)
-        cc_pos = {c: i for i, c in enumerate(gaz.cc_vocab)}
-        for li, lang in enumerate(self.prior_langs):
-            for cc in lang_cc_prior[lang]:
-                if cc in cc_pos:
-                    self.prior_matrix[li, cc_pos[cc]] = True
+        langs = sorted(lang_cc_prior)
+        self.prior_langs = pa.array(langs, pa.string())
+        self.prior_matrix = np.zeros((len(langs), len(gaz.cc_vocab)), dtype=bool)
+        for li, lang in enumerate(langs):
+            cc = pc.index_in(pa.array(sorted(lang_cc_prior[lang]), pa.string()),
+                             value_set=gaz.cc_vocab).drop_null()
+            self.prior_matrix[li, np.asarray(cc, dtype=np.int64)] = True
+
+        # Pooled points (reference pools raw points_list then nanmean /
+        # min / max, query_funcs.py:211-217): a bbox entry contributes
+        # its two corners, a point entry the point. The candidate
+        # centroid is their mean (bbox centroid, or the point).
+        two = gaz.n_pts == 2
+        self.sum_lon = np.where(two, gaz.min_lon + gaz.max_lon, gaz.lon)
+        self.sum_lat = np.where(two, gaz.min_lat + gaz.max_lat, gaz.lat)
+        # one row per entry, one column per wide suffix
+        self.entries = pa.RecordBatch.from_arrays(
+            [gaz.name, gaz.type, pa.array(self.sum_lat / gaz.n_pts),
+             pa.array(self.sum_lon / gaz.n_pts), pa.array(gaz.buffer_km)],
+            names=GEOCODING_SUFFIXES)
 
         # Static wide layout: prefixes from config (sources x ranks +
         # best), ordered exactly like reference batch_geocode.py:29-34.
@@ -104,11 +123,11 @@ class MentionResolver:
 
         # --- country filter (J2)
         if n > 0:
-            langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [None] * n
-            lang_idx = np.array(
-                [self.prior_langs.index(l) if l in self.prior_langs else -1 for l in langs],
-                dtype=np.int64,
-            )
+            lang_idx = np.full(n, -1, dtype=np.int64)
+            if "lang" in batch.column_names:
+                lang_idx = np.asarray(
+                    pc.index_in(batch["lang"], value_set=self.prior_langs)
+                    .fill_null(-1).to_numpy(zero_copy_only=False), dtype=np.int64)
             cand_cc = gaz.cc_code[cand]
             li = lang_idx[row_idx]
             keep = (cand_cc < 0) | (li < 0)
@@ -133,27 +152,18 @@ class MentionResolver:
         valid = buf_t <= cfg.max_buffer
 
         # --- pooled composite best over surviving candidates' POINTS
-        min_lon_e, min_lat_e, max_lon_e, max_lat_e = gaz.bbox_arrays()
         v_cand = cand_t[valid]
         v_row = row_t[valid]
-        has_box = ~np.isnan(gaz.bb_n[v_cand])
-        # point contributions to the pooled centroid: bbox entries = the
-        # two corners, point entries = the point (reference pools raw
-        # points_list then nanmean / min / max, query_funcs.py:211-217)
         p_min_lon = np.full(n, np.inf); p_min_lat = np.full(n, np.inf)
         p_max_lon = np.full(n, -np.inf); p_max_lat = np.full(n, -np.inf)
         sum_lon = np.zeros(n); sum_lat = np.zeros(n); n_pts = np.zeros(n)
-        np.minimum.at(p_min_lon, v_row, min_lon_e[v_cand])
-        np.minimum.at(p_min_lat, v_row, min_lat_e[v_cand])
-        np.maximum.at(p_max_lon, v_row, max_lon_e[v_cand])
-        np.maximum.at(p_max_lat, v_row, max_lat_e[v_cand])
-        corner_lon_sum = np.where(has_box, min_lon_e[v_cand] + max_lon_e[v_cand],
-                                  gaz.lon[v_cand])
-        corner_lat_sum = np.where(has_box, min_lat_e[v_cand] + max_lat_e[v_cand],
-                                  gaz.lat[v_cand])
-        np.add.at(sum_lon, v_row, corner_lon_sum)
-        np.add.at(sum_lat, v_row, corner_lat_sum)
-        np.add.at(n_pts, v_row, np.where(has_box, 2.0, 1.0))
+        np.minimum.at(p_min_lon, v_row, gaz.min_lon[v_cand])
+        np.minimum.at(p_min_lat, v_row, gaz.min_lat[v_cand])
+        np.maximum.at(p_max_lon, v_row, gaz.max_lon[v_cand])
+        np.maximum.at(p_max_lat, v_row, gaz.max_lat[v_cand])
+        np.add.at(sum_lon, v_row, self.sum_lon[v_cand])
+        np.add.at(sum_lat, v_row, self.sum_lat[v_cand])
+        np.add.at(n_pts, v_row, gaz.n_pts[v_cand])
         num_valid = np.zeros(n, dtype=np.int64)
         np.add.at(num_valid, v_row, 1)
 
@@ -167,52 +177,29 @@ class MentionResolver:
             p_max_lon[pooled_rows], p_max_lat[pooled_rows])
         best_mask = pooled_rows & (pooled_buffer <= cfg.max_buffer)
 
-        # --- wide scatter
+        # --- wide columns: one take of the entry table per prefix,
+        # through a row -> entry index that is null without a candidate
         out_cols: dict[str, pa.Array] = {}
-        # candidate centroid: bbox entries -> bbox centroid (= mean of the
-        # two corners); point entries -> the point
-        cand_centroid_lon = np.where(~np.isnan(gaz.bb_n), (gaz.bb_w + gaz.bb_e) / 2.0, gaz.lon)
-        cand_centroid_lat = np.where(~np.isnan(gaz.bb_n), (gaz.bb_s + gaz.bb_n) / 2.0, gaz.lat)
-        names_arr = np.array(gaz.names, dtype=object)
-        types_arr = np.array(gaz.types, dtype=object)
-
         for (si, r), prefix in self.source_rank_prefix.items():
             m = (src_t == si) & (rank_t == r) & valid
-            rows = row_t[m]
-            c = cand_t[m]
-            name_col = np.full(n, None, dtype=object)
-            type_col = np.full(n, None, dtype=object)
-            lat_col = np.full(n, np.nan)
-            lon_col = np.full(n, np.nan)
-            buf_col = np.full(n, np.nan)
-            name_col[rows] = names_arr[c]
-            type_col[rows] = types_arr[c]
-            lat_col[rows] = cand_centroid_lat[c]
-            lon_col[rows] = cand_centroid_lon[c]
-            buf_col[rows] = gaz.buffer_km[c]
-            out_cols[f"{prefix}_name"] = pa.array(name_col, pa.string())
-            out_cols[f"{prefix}_type"] = pa.array(type_col, pa.string())
-            out_cols[f"{prefix}_lat"] = _masked_f64(lat_col)
-            out_cols[f"{prefix}_long"] = _masked_f64(lon_col)
-            out_cols[f"{prefix}_buffer"] = _masked_f64(buf_col)
+            pick = np.full(n, -1, dtype=np.int64)
+            pick[row_t[m]] = cand_t[m]
+            cols = self.entries.take(pa.array(pick, mask=pick < 0))
+            for suffix, col in zip(GEOCODING_SUFFIXES, cols.columns):
+                out_cols[f"{prefix}_{suffix}"] = col
 
-        best_name = np.full(n, None, dtype=object)
-        best_type = np.full(n, None, dtype=object)
-        best_name[best_mask] = "Vetted"
-        # vectorized format: num_valid takes a handful of distinct small
-        # values, so format each ONCE and scatter by index (the naive
-        # per-row f-string was the last per-row Python in the hot path)
-        nv = num_valid[best_mask]
-        if len(nv):
-            uniq, inv = np.unique(nv, return_inverse=True)
-            strs = np.array([f"Composite of {int(v)} geocoded locations"
-                             for v in uniq], dtype=object)
-            best_type[best_mask] = strs[inv]
-        out_cols["best_name"] = pa.array(best_name, pa.string())
-        out_cols["best_type"] = pa.array(best_type, pa.string())
-        out_cols["best_lat"] = _masked_f64(np.where(best_mask, best_lat, np.nan))
-        out_cols["best_long"] = _masked_f64(np.where(best_mask, best_lon, np.nan))
-        out_cols["best_buffer"] = _masked_f64(np.where(best_mask, pooled_buffer, np.nan))
+        # best_type: one "Composite of {n} ..." string per distinct count
+        uniq, inv = np.unique(num_valid[best_mask], return_inverse=True)
+        composite = pa.array([f"Composite of {int(v)} geocoded locations" for v in uniq],
+                             pa.string())
+        pick = np.full(n, -1, dtype=np.int64)
+        pick[best_mask] = inv
+        no_best = ~best_mask
+        out_cols["best_name"] = pc.if_else(best_mask, "Vetted", pa.scalar(None, pa.string()))
+        out_cols["best_type"] = composite.take(pa.array(pick, mask=pick < 0))
+        out_cols["best_lat"] = pa.array(best_lat, pa.float64(), mask=no_best)
+        out_cols["best_long"] = pa.array(best_lon, pa.float64(), mask=no_best)
+        out_cols["best_buffer"] = pa.array(pooled_buffer, pa.float64(), mask=no_best)
 
         # assemble: passthrough columns + wide columns in reference order
         result = {c: batch[c] for c in self.keep_columns}
@@ -221,10 +208,6 @@ class MentionResolver:
                 col = f"{prefix}_{suffix}"
                 result[col] = out_cols.get(col, _null_col(n, suffix))
         return pa.table(result)
-
-
-def _masked_f64(values: np.ndarray) -> pa.Array:
-    return pa.array(values, pa.float64(), from_pandas=True)  # NaN -> null
 
 
 def _null_col(n: int, suffix: str) -> pa.Array:

@@ -13,13 +13,16 @@ The cache holds at most ``_STATE_CACHE_MAX`` instances per worker and
 evicts the oldest first: each pipeline build puts fresh ObjectRefs into
 its key, so an unbounded cache would keep one state copy per build.
 
-Broadcast state should still arrive as a ``ray.put`` ObjectRef inside
+Broadcast state should arrive as a ``ray.put`` ObjectRef inside
 ``kwargs`` so each worker reads it zero-copy from plasma instead of
-shipping it with every task spec.
+shipping it with every task spec. The cache is the one place that
+unwraps it: every ObjectRef kwarg is fetched once, when the instance is
+built, so constructors take plain values; the key keeps the refs.
 """
 
 from __future__ import annotations
 
+import ray
 from ray.data import Dataset
 
 _STATE_CACHE: dict = {}
@@ -29,7 +32,8 @@ _STATE_CACHE_MAX = 8
 def _cached_call(batch, *, _cls, _key, _kwargs):
     inst = _STATE_CACHE.get(_key)
     if inst is None:
-        inst = _cls(**_kwargs)
+        inst = _cls(**{k: ray.get(v) if isinstance(v, ray.ObjectRef) else v
+                       for k, v in _kwargs.items()})
         if len(_STATE_CACHE) >= _STATE_CACHE_MAX:
             _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
         _STATE_CACHE[_key] = inst

@@ -45,47 +45,47 @@ class OracleGazetteer:
                 r["buffer"] = 0.0
                 r["clon"], r["clat"] = r["lon"], r["lat"]
                 r["points"] = [(r["lon"], r["lat"])]
-            r["tokens"] = tuple(ascii_tokens(r["name"]))
         self.sources = sorted({r["source"] for r in self.rows})
+        # token tuple of each name -> its rows
+        self.phrases: dict[tuple[str, ...], list[dict]] = {}
+        for r in self.rows:
+            self.phrases.setdefault(tuple(ascii_tokens(r["name"])), []).append(r)
+        self.lengths = sorted({len(ph) for ph in self.phrases} - {0})
 
 
 def find_mentions(text: str, gaz: OracleGazetteer):
+    """The distinct rows whose name occurs in ``text``."""
     toks = ascii_tokens(text)
-    hit = []
-    for r in gaz.rows:
-        ph = list(r["tokens"])
-        L = len(ph)
-        if L == 0:
-            continue
+    hit = {}
+    for L in gaz.lengths:
         for i in range(len(toks) - L + 1):
-            if toks[i:i + L] == ph:
-                hit.append(r)
-                break  # distinct entries only
-    return hit
-
-
-def naive_find_all(tokens: list[str], phrases) -> list[tuple[int, int, int]]:
-    """Every occurrence ``(start, end, phrase index)`` of every non-empty
-    phrase in ``tokens``, by a plain scan over all token windows; in
-    (start, phrase index) order, duplicates included."""
-    phrases = [list(ph) for ph in phrases]
-    out = []
-    for i in range(len(tokens)):
-        for pid, ph in enumerate(phrases):
-            if ph and tokens[i:i + len(ph)] == ph:
-                out.append((i, i + len(ph), pid))
-    return out
+            for r in gaz.phrases.get(tuple(toks[i:i + L]), ()):
+                hit[r["gazetteer_id"]] = r
+    return list(hit.values())
 
 
 def naive_mentions(texts: list[str | None], gaz) -> list[list[dict]]:
     """The matcher's ``mentions`` column for ``texts`` over a
-    ``GazetteerIndex``, from :func:`naive_find_all` (token-index spans)."""
+    ``GazetteerIndex``: the names are tokenized here by
+    :func:`ascii_tokens` (not by the engine), kept in a dict from token
+    tuple to entries, and every token position of a text is looked up
+    once per distinct phrase length. Every occurrence is emitted
+    (token-index spans), in (start, entry) order."""
+    names = gaz.name.to_pylist()
+    phrases: dict[tuple[str, ...], list[int]] = {}
+    for e, name in enumerate(names):
+        phrases.setdefault(tuple(ascii_tokens(name)), []).append(e)
+    lengths = sorted({len(ph) for ph in phrases})
     out = []
     for text in texts:
         toks = ascii_tokens(text or "")
-        out.append([{"gazetteer_id": int(gaz.ids[e]), "name": gaz.names[e],
-                     "start": s, "end": t}
-                    for s, t, e in naive_find_all(toks, gaz.phrases)])
+        row = []
+        for i in range(len(toks)):
+            hits = sorted((e, L) for L in lengths if i + L <= len(toks)
+                          for e in phrases.get(tuple(toks[i:i + L]), ()))
+            row += [{"gazetteer_id": int(gaz.ids[e]), "name": names[e],
+                     "start": i, "end": i + L} for e, L in hits]
+        out.append(row)
     return out
 
 
