@@ -114,6 +114,31 @@ def shingle_hashes_batch(token_hashes: np.ndarray, parents: np.ndarray,
     return acc[keep], par[keep]
 
 
+def shingle_sets_batch(token_hashes: np.ndarray, parents: np.ndarray,
+                       n_docs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shingle_hashes` of every document of a batch:
+    :func:`shingle_hashes_batch`, plus one hash of the full token run of
+    each document with 0 < tokens < k. Returns ``(gram_hash, parent)``
+    sorted by (parent, hash); token-less documents emit nothing."""
+    gram, par = shingle_hashes_batch(token_hashes, parents, k)
+    counts = np.bincount(parents, minlength=n_docs)
+    rows = np.flatnonzero((counts > 0) & (counts < k))
+    if not len(rows):
+        return gram, par
+    h = np.asarray(token_hashes, dtype=np.uint64)
+    first = np.concatenate([[0], np.cumsum(counts)])[rows]
+    lens = counts[rows]
+    acc = np.zeros(len(rows), dtype=np.uint64)
+    B = np.uint64(1099511628211)
+    with np.errstate(over="ignore"):
+        for j in range(k - 1):
+            more = j < lens
+            acc[more] = acc[more] * B + h[first[more] + j]
+    par = np.concatenate([par, rows])
+    order = np.argsort(par, kind="stable")
+    return np.concatenate([gram, acc])[order], par[order]
+
+
 def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
     """64-bit SimHash of one document: per-bit weighted majority vote of
     token hashes.

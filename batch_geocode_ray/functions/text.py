@@ -22,6 +22,9 @@ The flagship matches without extracting: :func:`html_token_runs` gives
 the tokens of ``extract_text_column(html)`` straight from the html bytes
 in one NumPy pass, and :func:`token_runs` the tokens of a text column;
 both feed the one matcher kernel (``stages/matcher.py``).
+:func:`token_runs` is the package's only tokenizer: the text-analysis
+functions below, dedup, the bigram LM and the text queries all take its
+tokens through :func:`flat_tokens`.
 
 The reference has no HTML handling (it reads CSVs of addresses —
 utilities.py:170-197); extraction is new surface implied by the
@@ -363,17 +366,31 @@ def html_token_runs(html_col) -> TokenRuns:
     return _runs(tok, offs, buf)
 
 
-def run_tokens(runs: TokenRuns) -> pa.ListArray:
-    """The folded tokens per row, as ``list<binary>``."""
+def _folded(runs: TokenRuns, typ: pa.DataType) -> pa.Array:
+    """Every run's bytes, ASCII-folded, as one flat ``typ`` array."""
     total = int(runs.lens.sum())
     tok_offs = np.concatenate([[0], np.cumsum(runs.lens)])
     idx = np.arange(total) + np.repeat(runs.starts - tok_offs[:-1], runs.lens)
-    flat = pa.Array.from_buffers(
-        pa.binary(), len(runs.starts),
+    return pa.Array.from_buffers(
+        typ, len(runs.starts),
         [None, pa.py_buffer(tok_offs.astype(np.int32).tobytes()),
          pa.py_buffer((runs.buf[idx] | 0x20).tobytes())])
+
+
+def run_tokens(runs: TokenRuns) -> pa.ListArray:
+    """The folded tokens per row, as ``list<binary>``."""
     return pa.ListArray.from_arrays(
-        pa.array(runs.row_first, pa.int32()), flat)
+        pa.array(runs.row_first, pa.int32()), _folded(runs, pa.binary()))
+
+
+def flat_tokens(text_col) -> tuple[pa.StringArray, np.ndarray]:
+    """(every row's tokens in row order as one flat ``pa.string()``
+    array, the int64 row of each token): the :func:`token_runs` rule,
+    ASCII-folded. Null and token-less rows own no tokens."""
+    runs = token_runs(text_col)
+    n = len(runs.row_first) - 1
+    return (_folded(runs, pa.string()),
+            np.repeat(np.arange(n, dtype=np.int64), np.diff(runs.row_first)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,47 +407,16 @@ LANG_MARKERS: dict[str, tuple[str, ...]] = {
 }
 STOPWORDS = ("the", "a", "of", "and", "to")
 
-def tokens_column(text_col: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Lowercased word tokens ([a-z0-9]+ runs) per document as a
-    list<string> column. NOTE: a document with no tokens yields a
-    1-element list containing "" (an artifact of split); every consumer
-    below masks empty tokens out via :func:`_flat_tokens`.
-    """
-    if isinstance(text_col, pa.ChunkedArray):
-        text_col = text_col.combine_chunks()
-    normalized = pc.utf8_trim(
-        pc.replace_substring_regex(pc.utf8_lower(text_col), pattern="[^a-z0-9]+", replacement=" "),
-        characters=" ",
-    )
-    return pc.split_pattern(normalized, pattern=" ")
-
-
-def _flat_tokens(tokens: pa.Array):
-    """(flat_token_array, parent_row_indices) with empty tokens removed."""
-    flat = tokens.flatten()
-    parents = np.asarray(tokens.value_parent_indices())
-    nonempty = np.asarray(pc.utf8_length(flat)) > 0
-    return flat.filter(pa.array(nonempty)), parents[nonempty]
-
-
 def token_count_column(text_col) -> np.ndarray:
     """Number of word tokens per document (vectorized)."""
-    toks = tokens_column(text_col)
-    _, parents = _flat_tokens(toks)
-    out = np.zeros(len(toks), dtype=np.int64)
-    np.add.at(out, parents, 1)
-    return out
+    return np.diff(token_runs(text_col).row_first)
 
 
-def _marker_hits(tokens: pa.Array, markers: tuple[str, ...]) -> np.ndarray:
-    """Per-document count of tokens that are in ``markers`` — segmented
-    numpy over the flattened list column (no Python loop over rows).
-    """
-    flat, parents = _flat_tokens(tokens)
-    hit = np.asarray(pc.is_in(flat, value_set=pa.array(list(markers))).fill_null(False))
-    out = np.zeros(len(tokens), dtype=np.int64)
-    np.add.at(out, parents[hit], 1)
-    return out
+def _marker_hits(flat: pa.Array, parents: np.ndarray, n: int,
+                 markers: tuple[str, ...]) -> np.ndarray:
+    """Per-document count of tokens that are in ``markers``."""
+    hit = np.asarray(pc.is_in(flat, value_set=pa.array(markers)))
+    return np.bincount(parents[hit], minlength=n)
 
 
 def langid_table(text_col) -> dict[str, np.ndarray]:
@@ -439,15 +425,17 @@ def langid_table(text_col) -> dict[str, np.ndarray]:
     ``hits_{lang}``. Argmax with alphabetical tie-break; all-zero ->
     'und'.
     """
-    toks = tokens_column(text_col)
+    flat, parents = flat_tokens(text_col)
+    n = len(text_col)
     names = sorted(LANG_MARKERS)  # alphabetical => tie-break = first max
-    counts = np.stack([_marker_hits(toks, LANG_MARKERS[n]) for n in names])  # (L, n)
+    counts = np.stack([_marker_hits(flat, parents, n, LANG_MARKERS[m])
+                       for m in names])  # (L, n)
     best = np.argmax(counts, axis=0)  # first max wins
     total = counts.max(axis=0)
     pred = np.where(total > 0, np.array(names, dtype=object)[best], "und")
     out = {"pred_lang": pred}
-    for i, n in enumerate(names):
-        out[f"hits_{n}"] = counts[i]
+    for i, m in enumerate(names):
+        out[f"hits_{m}"] = counts[i]
     return out
 
 
@@ -455,16 +443,12 @@ def quality_table(text_col) -> dict[str, np.ndarray]:
     """Quality-scoring features: token count, average token length,
     stopword ratio, alpha-character ratio. All vectorized.
     """
-    if isinstance(text_col, pa.ChunkedArray):
-        text_col = text_col.combine_chunks()
-    toks = tokens_column(text_col)
-    flat, parents = _flat_tokens(toks)
-    n_tok = np.zeros(len(toks), dtype=np.int64)
-    np.add.at(n_tok, parents, 1)
-    tok_lens = np.asarray(pc.utf8_length(flat).cast(pa.int64()))
-    sum_len = np.zeros(len(toks), dtype=np.int64)
-    np.add.at(sum_len, parents, tok_lens)
-    stop_hits = _marker_hits(toks, STOPWORDS)
+    flat, parents = flat_tokens(text_col)
+    n = len(text_col)
+    n_tok = np.bincount(parents, minlength=n)
+    sum_len = np.bincount(parents, weights=np.asarray(pc.utf8_length(flat)),
+                          minlength=n)
+    stop_hits = _marker_hits(flat, parents, n, STOPWORDS)
     n_chars = np.asarray(pc.utf8_length(text_col).cast(pa.int64()))
     alpha = np.asarray(pc.count_substring_regex(pc.utf8_lower(text_col), pattern="[a-z]"))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -480,29 +464,19 @@ def fingerprint_column(text_col) -> np.ndarray:
     """Document fingerprint: minimum of the Rabin-Karp rolling hashes of
     all 3-token windows (a 1-value winnowing sketch). Documents sharing
     any 3-gram region often collide -> cheap near-dup prefilter. Returns
-    uint64; empty/short docs fingerprint to the hash of their full token
-    tuple.
+    uint64; short docs fingerprint to the hash of their full token
+    tuple, token-less ones to 0.
     """
-    from batch_geocode_ray.functions.hashing import stable_hash64_array
+    from batch_geocode_ray.functions.hashing import (
+        shingle_sets_batch,
+        stable_hash64_array,
+    )
 
-    toks = tokens_column(text_col)
-    flat, parents = _flat_tokens(toks)
-    flat_hashes = stable_hash64_array(flat)
-    counts = np.zeros(len(toks), dtype=np.int64)
-    np.add.at(counts, parents, 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    B = np.uint64(1099511628211)
-    out = np.empty(len(toks), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for i in range(len(toks)):  # windows vectorized inside each doc
-            h = flat_hashes[offsets[i]:offsets[i + 1]]
-            if len(h) == 0:
-                out[i] = np.uint64(0)
-                continue
-            n = max(len(h) - 2, 1)
-            kk = min(3, len(h))
-            acc = np.zeros(n, dtype=np.uint64)
-            for j in range(kk):
-                acc = acc * B + h[j:j + n]
-            out[i] = acc.min()
+    flat, parents = flat_tokens(text_col)
+    out = np.zeros(len(text_col), dtype=np.uint64)
+    gram, par = shingle_sets_batch(stable_hash64_array(flat), parents,
+                                   len(text_col), 3)
+    if len(gram):
+        present, first = np.unique(par, return_index=True)
+        out[present] = np.minimum.reduceat(gram, first)
     return out

@@ -352,8 +352,14 @@ def q09_doc_tokens(sf_dir: str) -> Dataset:
                           "doc_id")
 
 
-_SQL_TOKS = ("list_filter(string_split_regex(lower(text), '[^a-z0-9]+'), "
-             "x -> x <> '')")
+def _sql_words(x: str) -> str:
+    """The engine's token rule (``token_runs``) in DuckDB: each run of
+    non-[A-Za-z0-9] characters becomes one space, then the ASCII-only
+    text is lower-cased."""
+    return f"lower(regexp_replace({x}, '[^A-Za-z0-9]+', ' ', 'g'))"
+
+
+_SQL_TOKS = f"list_filter(string_split({_sql_words('text')}, ' '), x -> x <> '')"
 
 SQL_Q09 = f"""
 SELECT doc_id, len({_SQL_TOKS}) AS n_tokens
@@ -533,7 +539,7 @@ SQL_Q14 = f"""
 WITH g(name) AS (VALUES {_GAZ_VALUES}),
 t AS (
   SELECT doc_id,
-         regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g') AS norm
+         {_sql_words('text')} AS norm
   FROM documents
 )
 SELECT t.doc_id, g.name,
@@ -1868,13 +1874,13 @@ def _flagship_cte() -> str:
     return f"""
 WITH pages AS (
   SELECT url, lang,
-         ' ' || regexp_replace(lower(text), '[^a-z0-9]+', ' ', 'g') || ' '
+         ' ' || {_sql_words('text')} || ' '
              AS norm
   FROM '{d}/pages/*.parquet'
 ), gaz AS (
   SELECT gazetteer_id, lat, lon, bb_n, bb_s, bb_e, bb_w, cc,
          population, source,
-         trim(regexp_replace(lower(name), '[^a-z0-9]+', ' ', 'g')) AS phrase,
+         trim({_sql_words('name')}) AS phrase,
          (bb_n IS NOT NULL) AS has_box,
          CASE WHEN bb_n IS NOT NULL THEN {entry_buf} ELSE 0.0 END AS buffer
   FROM '{d}/gazetteer.parquet'
@@ -2211,13 +2217,13 @@ def q57_corpus_vocab(sf_dir: str) -> Dataset:
     counts via the partial-merge aggregate, then
     aggregates.global_topk (per-block partial top-k -> one bounded
     merge; no full sort)."""
-    from batch_geocode_ray.functions.text import _flat_tokens, tokens_column
+    from batch_geocode_ray.functions.text import flat_tokens
     from batch_geocode_ray.stages.aggregates import global_topk
 
     docs = _read(sf_dir, "documents", ["text"])
 
     def partial(b: pa.Table) -> pa.Table:
-        flat, _ = _flat_tokens(tokens_column(b["text"]))
+        flat, _ = flat_tokens(b["text"])
         g = pa.table({"token": flat}).group_by("token").aggregate(
             [("token", "count")])
         return g.rename_columns(["token", "n"])
@@ -2246,12 +2252,12 @@ def q58_token_postings(sf_dir: str) -> Dataset:
     counts are exact with NO shuffle — only the final ordering moves
     data (adaptive: single task below the collapse threshold, Ray sort
     above)."""
-    from batch_geocode_ray.functions.text import _flat_tokens, tokens_column
+    from batch_geocode_ray.functions.text import flat_tokens
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
-        flat, parents = _flat_tokens(tokens_column(b["text"]))
+        flat, parents = flat_tokens(b["text"])
         doc = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False),
                          dtype=np.int64)[parents]
         g = (pa.table({"token": flat, "doc_id": pa.array(doc, pa.int64())})
@@ -2318,13 +2324,13 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
     Partitioning assumption: the vocabulary table fits worker memory
     (true even for web corpora: ~1e8 terms x 16B). The unbounded-vocab
     alternative is the q58 postings Dataset hash-joined on token."""
-    from batch_geocode_ray.functions.text import _flat_tokens, tokens_column
+    from batch_geocode_ray.functions.text import flat_tokens
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = docs.count()
 
     def df_partial(b: pa.Table) -> pa.Table:
-        flat, parents = _flat_tokens(tokens_column(b["text"]))
+        flat, parents = flat_tokens(b["text"])
         per_doc = (pa.table({"token": flat,
                              "doc": pa.array(parents, pa.int64())})
                    .group_by(["token", "doc"]).aggregate([]))
@@ -2351,7 +2357,7 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
 
         def __call__(self, b: pa.Table) -> pa.Table:
             vtok, vdf, n_total = self.vtok, self.vdf, self.n_total
-            flat, parents = _flat_tokens(tokens_column(b["text"]))
+            flat, parents = flat_tokens(b["text"])
             doc = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False),
                              dtype=np.int64)[parents]
             tfs = (pa.table({"tok": pc.index_in(flat, value_set=vtok),
@@ -2834,15 +2840,12 @@ def q71_doc_repetition(sf_dir: str) -> Dataset:
     Entirely in-batch: gram strings assembled with the C++
     binary_join_element_wise kernel over shifted flat-token views, then
     one Arrow hash group-by per batch — no shuffle, no Python loop."""
+    from batch_geocode_ray.functions.text import flat_tokens
+
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def f(b: pa.Table) -> pa.Table:
-        from batch_geocode_ray.functions.text import (
-            _flat_tokens,
-            tokens_column,
-        )
-
-        flat, parents = _flat_tokens(tokens_column(b["text"]))
+        flat, parents = flat_tokens(b["text"])
         n = len(flat)
         empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "n_grams": pa.array([], pa.int64()),

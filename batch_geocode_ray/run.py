@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
@@ -32,6 +34,18 @@ import ray
 from batch_geocode_ray.pipelines.geocode import (
     build_tile_aggregates as build_tile_aggregates_from_pages,
 )
+
+
+def _digest(table: pa.Table | None) -> str:
+    """Content digest of a broadcast input table (its Arrow IPC stream),
+    so a checkpoint built over other gazetteer, polygon or facility rows
+    never resumes."""
+    if table is None:
+        return "none"
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table.combine_chunks())
+    return hashlib.sha256(sink.getvalue()).hexdigest()[:16]
 
 
 def main(argv=None):
@@ -135,7 +149,8 @@ def main(argv=None):
             partition_files, gaz, admin_polygons=polys, facilities=fac,
             cfg=cfg, with_knn=args.knn)
 
-    tag = f"geocode-v1-r{args.results_per_app}-b{args.max_buffer}-knn{args.knn}"
+    tag = (f"geocode-v1-r{args.results_per_app}-b{args.max_buffer}-knn{args.knn}"
+           f"-g{_digest(gaz)}-p{_digest(polys)}-f{_digest(fac)}")
     page_out = os.path.join(args.out, "pages")
     results = run_resumable(build, files, page_out, tag,
                             files_per_partition=args.files_per_partition)

@@ -1,6 +1,9 @@
 """Deduplication operators over a documents table (SURVEY mandate:
 exact, MinHash+LSH, SimHash, n-gram Jaccard, fingerprint).
 
+Every token-based operator takes a batch's tokens with their parent rows
+from ``functions/text.flat_tokens`` (the engine's one token rule).
+
 Scale shapes:
   * exact / fingerprint dedup — hash the key in ``map_batches``, shuffle
     only (hash, id) pairs, per-group first. The document payload never
@@ -36,11 +39,12 @@ from batch_geocode_ray.functions.hashing import (
     minhash_permutation_params,
     shingle_hashes,
     shingle_hashes_batch,
+    shingle_sets_batch,
     simhash64_batch,
     splitmix64,
     stable_hash64_array,
 )
-from batch_geocode_ray.functions.text import tokens_column
+from batch_geocode_ray.functions.text import flat_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +412,8 @@ def _doc_grams(b: pa.Table, text_col: str, id_col: str, k: int) -> pa.Table:
     exchange width buys removing two all-to-all joins — and Ray 2.49's
     hash join crashes outright on an empty/low-cardinality side, which
     a zero-pair corpus produces)."""
-    toks = tokens_column(b[text_col])
-    flat = toks.flatten()
-    parents = np.asarray(toks.value_parent_indices())
-    nonempty = np.asarray(pc.utf8_length(flat)) > 0
-    hashes = stable_hash64_array(flat.filter(pa.array(nonempty)))
-    gram, par = shingle_hashes_batch(hashes, parents[nonempty], k)
+    flat, parents = flat_tokens(b[text_col])
+    gram, par = shingle_hashes_batch(stable_hash64_array(flat), parents, k)
     if len(gram) == 0:
         return pa.table({id_col: pa.array([], pa.int64()),
                          "gram": pa.array([], pa.int64()),
@@ -848,38 +848,10 @@ class MinHashSignatures:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from batch_geocode_ray.functions.hashing import _MERSENNE61
 
-        toks = tokens_column(batch[self.text_col])
-        flat = toks.flatten()
-        parents = np.asarray(toks.value_parent_indices())
-        nonempty = np.asarray(pc.utf8_length(flat)) > 0
-        hashes = stable_hash64_array(flat.filter(pa.array(nonempty)))
-        parents = parents[nonempty]
+        flat, parents = flat_tokens(batch[self.text_col])
         n_rows = batch.num_rows
-        # distinct k-grams of every doc in ONE batch-wide Horner pass
-        gram, par = shingle_hashes_batch(hashes, parents, self.k)
-        # parity with per-row shingle_hashes: docs with 0 < tokens < k
-        # hash their full token run once (one vectorized Horner per
-        # possible short length — k is small)
-        counts = np.bincount(parents, minlength=n_rows)
-        short = (counts > 0) & (counts < self.k)
-        if short.any():
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            B = np.uint64(1099511628211)
-            extra_g, extra_p = [], []
-            with np.errstate(over="ignore"):
-                for L in range(1, self.k):
-                    rows = np.nonzero(short & (counts == L))[0]
-                    if not len(rows):
-                        continue
-                    acc = np.zeros(len(rows), dtype=np.uint64)
-                    for j in range(L):
-                        acc = acc * B + hashes[offsets[rows] + j]
-                    extra_g.append(acc)
-                    extra_p.append(rows)
-            gram = np.concatenate([gram] + extra_g)
-            par = np.concatenate([par] + extra_p)
-            order = np.argsort(par, kind="stable")
-            gram, par = gram[order], par[order]
+        gram, par = shingle_sets_batch(stable_hash64_array(flat), parents,
+                                       n_rows, self.k)
         # per-(doc, permutation) min over the doc's gram segment —
         # 128 vector passes over the flat gram array instead of one
         # Python iteration per document; empty docs sign all-max
@@ -907,17 +879,10 @@ def _gram_arrays(text_col, k: int) -> list[np.ndarray]:
     """Per-row array of DISTINCT k-token-gram rolling hashes (the same
     hashes the inverted-index join shuffles), for exact Jaccard
     verification of candidate pairs."""
-    col = (text_col.combine_chunks()
-           if isinstance(text_col, pa.ChunkedArray) else text_col)
-    n = len(col)
-    toks = tokens_column(col)
-    flat = toks.flatten()
-    parents = np.asarray(toks.value_parent_indices())
-    nonempty = np.asarray(pc.utf8_length(flat)) > 0
-    hashes = stable_hash64_array(flat.filter(pa.array(nonempty)))
-    parents = parents[nonempty]
-    counts = np.zeros(n, dtype=np.int64)
-    np.add.at(counts, parents, 1)
+    n = len(text_col)
+    flat, parents = flat_tokens(text_col)
+    hashes = stable_hash64_array(flat)
+    counts = np.bincount(parents, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return [shingle_hashes(hashes[offsets[i]:offsets[i + 1]], k)
             if counts[i] >= k else np.empty(0, dtype=np.uint64)
@@ -1148,12 +1113,8 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
     """
 
     def to_simhash(b: pa.Table) -> pa.Table:
-        toks = tokens_column(b[text_col])
-        flat = toks.flatten()
-        parents = np.asarray(toks.value_parent_indices())
-        nonempty = np.asarray(pc.utf8_length(flat)) > 0
-        hashes = stable_hash64_array(flat.filter(pa.array(nonempty)))
-        out = simhash64_batch(hashes, parents[nonempty], b.num_rows)
+        flat, parents = flat_tokens(b[text_col])
+        out = simhash64_batch(stable_hash64_array(flat), parents, b.num_rows)
         return pa.table({
             id_col: b[id_col],
             "simhash": pa.array(out.astype(np.int64), pa.int64()),

@@ -234,6 +234,61 @@ def semi_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
     return marked.map_batches(keep, batch_format="pyarrow")
 
 
+def _int64(col) -> np.ndarray:
+    """An integer or timestamp column as int64 (timestamps in µs)."""
+    v = np.asarray(col.to_numpy(zero_copy_only=False))
+    return (v.astype("datetime64[us]") if v.dtype.kind == "M" else v) \
+        .astype(np.int64)
+
+
+class _KeyedTimes:
+    """The small side of a keyed interval probe: its rows sorted by
+    (key, ts), so each key owns one run of ascending timestamps."""
+
+    def __init__(self, small: pa.Table, key: str, ts_col: str):
+        keys, ts = _int64(small[key]), _int64(small[ts_col])
+        self.order = np.lexsort((ts, keys))
+        self.ts = ts[self.order]
+        self.ukeys, self.starts = np.unique(keys[self.order], return_index=True)
+        self.ends = np.append(self.starts[1:], len(keys))
+
+    def search(self, keys: np.ndarray, ts: np.ndarray):
+        """(start of each query row's key run, -1 where the key is
+        absent; the right insertion point of ``ts`` in that run, as an
+        index into the sorted side). One bisection of all rows at once,
+        a vector step per halving of the longest run."""
+        if not len(self.ukeys):
+            return np.full(len(keys), -1), np.zeros(len(keys), np.int64)
+        u = np.minimum(np.searchsorted(self.ukeys, keys), len(self.ukeys) - 1)
+        found = self.ukeys[u] == keys
+        lo = np.where(found, self.starts[u], 0)
+        hi = np.where(found, self.ends[u], 0)
+        while (active := lo < hi).any():
+            mid = (lo + hi) // 2
+            le = active & (self.ts[np.minimum(mid, len(self.ts) - 1)] <= ts)
+            lo = np.where(le, mid + 1, lo)
+            hi = np.where(active & ~le, mid, hi)
+        return np.where(found, self.starts[u], -1), lo
+
+
+class _AsofProbe:
+    """Per-worker cached as-of probe of one broadcast small side."""
+
+    def __init__(self, side, key: str, ts_col: str, out_names: tuple):
+        self.times, self.values = side
+        self.key, self.ts_col, self.out_names = key, ts_col, out_names
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        start, pos = self.times.search(_int64(batch[self.key]),
+                                       _int64(batch[self.ts_col]))
+        found = (start >= 0) & (pos > start)
+        safe = np.where(found, pos - 1, 0)
+        for c, name in self.out_names:
+            batch = batch.append_column(name, pa.array(
+                self.values[c][safe], from_pandas=True, mask=~found))
+        return batch
+
+
 def broadcast_asof(ds: Dataset, small: pa.Table, key: str, ts_col: str,
                    small_key: str, small_ts: str,
                    value_cols: list[str],
@@ -243,70 +298,56 @@ def broadcast_asof(ds: Dataset, small: pa.Table, key: str, ts_col: str,
     (left-join semantics: no match -> nulls).
 
     The small side is sorted once by (key, ts) and broadcast; each batch
-    segments its rows by key and binary-searches the key's timestamp
-    run — vectorized within each key segment, never per row. Among
+    bisects all its rows at once, each inside its key's timestamp run
+    (no per-row or per-key Python). Among
     small-side ties on (key, ts) the last row in (key, ts) sort order
     wins; emit only tie-unambiguous value columns (e.g. the matched
-    timestamp) when the small side can hold duplicates.
+    timestamp) when the small side can hold duplicates. Value columns
+    are numeric or timestamp; any other type raises ``TypeError``.
     """
-    out_names = out_names or {}
-    sk = np.asarray(small[small_key].to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    sts = np.asarray(small[small_ts].to_numpy(zero_copy_only=False))
-    sts_i = sts.astype("datetime64[us]").astype(np.int64) \
-        if sts.dtype.kind == "M" else sts.astype(np.int64)
-    order = np.lexsort((sts_i, sk))
-    sk, sts_i = sk[order], sts_i[order]
-    uniq_keys = np.unique(sk)
-    key_starts = np.searchsorted(sk, uniq_keys)
-    key_ends = np.searchsorted(sk, uniq_keys, side="right")
-    values = {}
     for c in value_cols:
-        col = small[c]
-        if pa.types.is_timestamp(col.type):
-            values[c] = np.asarray(col.to_numpy(zero_copy_only=False))[order]
-        elif pa.types.is_floating(col.type) or pa.types.is_integer(col.type):
-            values[c] = np.asarray(col.to_numpy(zero_copy_only=False))[order]
-        else:
-            values[c] = np.array(col.to_pylist(), dtype=object)[order]
-    ref = ray.put((uniq_keys, key_starts, key_ends, sts_i, values))
+        t = small.schema.field(c).type
+        if not (pa.types.is_timestamp(t) or pa.types.is_integer(t)
+                or pa.types.is_floating(t)):
+            raise TypeError(
+                f"broadcast_asof value column {c!r} is {t}; only numeric "
+                "and timestamp columns are supported")
+    times = _KeyedTimes(small, small_key, small_ts)
+    values = {c: np.asarray(small[c].to_numpy(zero_copy_only=False))[times.order]
+              for c in value_cols}
+    names = tuple((c, (out_names or {}).get(c, c)) for c in value_cols)
+    return stateful_map_batches(
+        ds, _AsofProbe, {"side": ray.put((times, values)), "key": key,
+                         "ts_col": ts_col, "out_names": names},
+        batch_format="pyarrow")
 
-    def probe(batch: pa.Table) -> pa.Table:
-        ukeys, kstart, kend, s_ts, vals = ray.get(ref)
-        bk = np.asarray(batch[key].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        bts = np.asarray(batch[ts_col].to_numpy(zero_copy_only=False))
-        bts_i = bts.astype("datetime64[us]").astype(np.int64) \
-            if bts.dtype.kind == "M" else bts.astype(np.int64)
-        n = len(bk)
-        match = np.full(n, -1, dtype=np.int64)
-        row_order = np.lexsort((bts_i, bk))
-        bk_s = bk[row_order]
-        seg_bounds = np.concatenate(
-            [[0], np.nonzero(np.diff(bk_s))[0] + 1, [n]]) if n else [0]
-        for s, e in zip(seg_bounds[:-1], seg_bounds[1:]):
-            kpos = np.searchsorted(ukeys, bk_s[s])
-            if kpos >= len(ukeys) or ukeys[kpos] != bk_s[s]:
-                continue
-            i0, i1 = kstart[kpos], kend[kpos]
-            rows = row_order[s:e]
-            idx = np.searchsorted(s_ts[i0:i1], bts_i[rows], side="right") - 1
-            ok = idx >= 0
-            match[rows[ok]] = i0 + idx[ok]
-        found = match >= 0
-        safe = np.clip(match, 0, None)
-        for c in value_cols:
-            v = vals[c][safe]
-            name = out_names.get(c, c)
-            if v.dtype == object:
-                batch = batch.append_column(name, pa.array(
-                    [x if f else None for x, f in zip(v, found)], pa.string()))
-            else:
-                batch = batch.append_column(
-                    name, pa.array(v, from_pandas=True, mask=~found))
-        return batch
 
-    return ds.map_batches(probe, batch_format="pyarrow")
+class _RangeCounts:
+    """Per-worker cached partial range counts against one broadcast
+    small side."""
+
+    def __init__(self, side, key: str, ts_col: str, small_id: str,
+                 window_us: int, count_name: str):
+        self.times, self.ids = side
+        self.key, self.ts_col, self.small_id = key, ts_col, small_id
+        self.window_us, self.count_name = window_us, count_name
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        bk, ts = _int64(batch[self.key]), _int64(batch[self.ts_col])
+        # interval i matches event t iff s_ts[i] <= t < s_ts[i]+w
+        # <=> t - w < s_ts[i] <= t
+        start, lo = self.times.search(bk, ts - self.window_us)
+        _, hi = self.times.search(bk, ts)
+        hit = start >= 0
+        delta = np.zeros(len(self.ids) + 1, dtype=np.int64)
+        np.add.at(delta, lo[hit], 1)
+        np.add.at(delta, hi[hit], -1)
+        counts = np.cumsum(delta[:-1])
+        nz = counts > 0
+        return pa.table({
+            self.small_id: pa.array(self.ids[nz], pa.int64()),
+            self.count_name: pa.array(counts[nz], pa.int64()),
+        })
 
 
 def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
@@ -325,57 +366,17 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
     O(intervals x blocks), never O(events). Only intervals with >= 1
     match appear (inner-join semantics).
     """
-    import numpy as np
-
-    sk = np.asarray(small[small_key].to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    sts = np.asarray(small[small_ts].to_numpy(zero_copy_only=False))
-    sts_i = sts.astype("datetime64[us]").astype(np.int64) \
-        if sts.dtype.kind == "M" else sts.astype(np.int64)
-    sid = np.asarray(small[small_id].to_numpy(zero_copy_only=False),
-                     dtype=np.int64)
-    order = np.lexsort((sts_i, sk))
-    sk, sts_i, sid = sk[order], sts_i[order], sid[order]
-    uniq_keys = np.unique(sk)
-    key_starts = np.searchsorted(sk, uniq_keys)
-    key_ends = np.searchsorted(sk, uniq_keys, side="right")
-    ref = ray.put((uniq_keys, key_starts, key_ends, sts_i, sid))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ukeys, kstart, kend, s_ts, s_id = ray.get(ref)
-        bk = np.asarray(batch[key].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        bts = np.asarray(batch[ts_col].to_numpy(zero_copy_only=False))
-        bts_i = bts.astype("datetime64[us]").astype(np.int64) \
-            if bts.dtype.kind == "M" else bts.astype(np.int64)
-        n = len(bk)
-        delta = np.zeros(len(s_id) + 1, dtype=np.int64)
-        row_order = np.lexsort((bts_i, bk))
-        bk_s = bk[row_order]
-        seg_bounds = np.concatenate(
-            [[0], np.nonzero(np.diff(bk_s))[0] + 1, [n]]) if n else [0]
-        for s, e in zip(seg_bounds[:-1], seg_bounds[1:]):
-            kpos = np.searchsorted(ukeys, bk_s[s])
-            if kpos >= len(ukeys) or ukeys[kpos] != bk_s[s]:
-                continue
-            i0, i1 = kstart[kpos], kend[kpos]
-            ev_ts = bts_i[row_order[s:e]]
-            # interval i matches event t iff s_ts[i] <= t < s_ts[i]+w
-            # <=> t - w < s_ts[i] <= t
-            lo = i0 + np.searchsorted(s_ts[i0:i1], ev_ts - window_us,
-                                      side="right")
-            hi = i0 + np.searchsorted(s_ts[i0:i1], ev_ts, side="right")
-            np.add.at(delta, lo, 1)
-            np.add.at(delta, hi, -1)
-        counts = np.cumsum(delta[:-1])
-        nz = counts > 0
-        return pa.table({
-            small_id: pa.array(s_id[nz], pa.int64()),
-            count_name: pa.array(counts[nz], pa.int64()),
-        })
-
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+
+    times = _KeyedTimes(small, small_key, small_ts)
+    ids = np.asarray(small[small_id].to_numpy(zero_copy_only=False),
+                     dtype=np.int64)[times.order]
+    partials = stateful_map_batches(
+        ds, _RangeCounts,
+        {"side": ray.put((times, ids)), "key": key, "ts_col": ts_col,
+         "small_id": small_id, "window_us": window_us,
+         "count_name": count_name},
+        batch_format="pyarrow")
     return grouped_aggregate(partials, [small_id],
                              [(count_name, "sum", count_name)],
                              sort_keys=[small_id])

@@ -37,7 +37,7 @@ from batch_geocode_ray.functions.hashing import (
     splitmix64,
     stable_hash64_array,
 )
-from batch_geocode_ray.functions.text import _flat_tokens, tokens_column
+from batch_geocode_ray.functions.text import flat_tokens
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -51,8 +51,7 @@ def _pair_hash(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 def _doc_pairs(b: pa.Table, text_col: str):
     """(w1_tokens, w2_tokens, parent_row_idx) for every adjacent
     same-document token pair in the batch — all Arrow/NumPy slices."""
-    toks = tokens_column(b[text_col])
-    flat, parents = _flat_tokens(toks)
+    flat, parents = flat_tokens(b[text_col])
     if len(flat) < 2:
         return None
     same = parents[1:] == parents[:-1]

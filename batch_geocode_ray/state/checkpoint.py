@@ -1,9 +1,9 @@
 """Per-partition lineage + checkpoint/resume (SURVEY §4, north rule:
 "resumable from checkpoint with per-partition lineage + metrics").
 
-Partition identity derives from the INPUT (file list hash + partition
-index), never from Ray task ids — Ray's block assignment is
-non-deterministic, input sharding is not. Each completed partition
+Partition identity derives from the INPUT (each file's path, size and
+mtime, plus the partition index), never from Ray task ids — Ray's block
+assignment is non-deterministic, input sharding is not. Each completed partition
 leaves two artifacts next to each other:
 
     part-{pid:05d}/           parquet output of that partition
@@ -41,8 +41,8 @@ def _fingerprint(files: list[str], pipeline_tag: str) -> str:
     h = hashlib.sha256()
     h.update(pipeline_tag.encode())
     for f in sorted(files):
-        h.update(f.encode())
-        h.update(str(os.path.getsize(f)).encode())
+        st = os.stat(f)
+        h.update(f"{f}\0{st.st_size}\0{st.st_mtime_ns}\0".encode())
     return h.hexdigest()[:16]
 
 
@@ -72,9 +72,11 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
     writing partitioned parquet + lineage; completed partitions are
     skipped on re-run.
 
-    ``pipeline_tag`` should change whenever pipeline semantics change
-    (e.g. a version string + config hash) so stale checkpoints never
-    masquerade as current output.
+    ``pipeline_tag`` should change whenever pipeline semantics or a
+    non-partitioned input change (e.g. a version string + config hash +
+    a digest of the broadcast tables) so stale checkpoints never
+    masquerade as current output; a rewritten input file changes its
+    mtime and re-runs its partition.
     """
     os.makedirs(out_dir, exist_ok=True)
     results: list[PartitionResult] = []

@@ -117,3 +117,59 @@ def test_corrupt_lineage_recovers(inputs, tmp_path):
     res = run_resumable(build, inputs, out, "v1", files_per_partition=2)
     assert [r.skipped for r in res] == [False, True]
     assert len(read_all(out)) == 40
+
+
+
+def test_rewritten_input_file_recomputes_its_partition(inputs, tmp_path):
+    """A page file rewritten in place with the same size (so its path
+    and size alone cannot tell) re-runs its partition, and only that
+    one."""
+    out = str(tmp_path / "run")
+    run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    size, mtime = os.path.getsize(inputs[1]), os.stat(inputs[1]).st_mtime_ns
+    pq.write_table(pa.table({"x": pa.array(range(50, 60), pa.int64())}),
+                   inputs[1])
+    assert os.path.getsize(inputs[1]) == size
+    os.utime(inputs[1], ns=(mtime + 10**9, mtime + 10**9))
+    res = run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    assert [r.skipped for r in res] == [True, False, True, True]
+    assert [r["x"] for r in read_all(out)] == [
+        *range(0, 10), *range(20, 40), *range(50, 60)]
+
+
+
+@pytest.mark.parametrize("changed", ["gazetteer", "polygons", "facilities"])
+def test_cli_rerun_recomputes_changed_broadcast_input(changed, tmp_path):
+    """The CLI's checkpoint tag carries a content digest of the
+    gazetteer, polygon and facility tables: rerunning into the same
+    --out after one of them changes recomputes every partition, and the
+    result equals a clean run. An unchanged rerun skips them all."""
+    import glob
+
+    from batch_geocode_ray.run import main
+    from batch_geocode_ray.sources.fixtures import generate_pages, generate_world
+
+    world = generate_world(42)
+    generate_pages(str(tmp_path / "pages"), 400, rows_per_file=200,
+                   world=world)
+    tables = {"gazetteer": world.gazetteer, "polygons": world.admin_polygons,
+              "facilities": world.facilities}
+    args = ["--pages", str(tmp_path / "pages"), "--knn", "--tiles", "",
+            "--files-per-partition", "1"]
+    for name, t in tables.items():
+        pq.write_table(t, str(tmp_path / f"{name}.parquet"))
+        args += [f"--{name}", str(tmp_path / f"{name}.parquet")]
+
+    def pages(out):
+        parts = sorted(glob.glob(os.path.join(out, "pages", "part-*", "*.parquet")))
+        return pa.concat_tables([pq.read_table(p) for p in parts]).sort_by("url")
+
+    out = str(tmp_path / "out")
+    assert main(args + ["--out", out])["computed"] == 2
+    assert main(args + ["--out", out])["skipped_resume"] == 2
+    pq.write_table(tables[changed].slice(1), str(tmp_path / f"{changed}.parquet"))
+    s = main(args + ["--out", out])
+    assert (s["computed"], s["skipped_resume"]) == (2, 0)
+    clean = str(tmp_path / "clean")
+    main(args + ["--out", clean])
+    assert pages(out).equals(pages(clean))

@@ -5,13 +5,13 @@ Pins (1) counts against a naive per-doc set-intersection oracle,
 flagged, (4) empty eval side flags nothing.
 """
 
-import re
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
 from batch_geocode_ray.stages.dedup import ngram_decontaminate
+
+from .oracle import ascii_tokens
 
 K = 4  # small k so the fixture stays readable; the operator is k-generic
 
@@ -32,18 +32,14 @@ TRAIN_DOCS = [
 ]
 
 
-def _tokens(s):
-    return [t for t in re.split(r"[^a-z0-9]+", s.lower()) if t]
-
-
 def _naive():
     ev = set()
     for _, t in EVAL_DOCS:
-        toks = _tokens(t)
+        toks = ascii_tokens(t)
         ev |= {tuple(toks[i:i + K]) for i in range(len(toks) - K + 1)}
     out = {}
     for did, t in TRAIN_DOCS:
-        toks = _tokens(t)
+        toks = ascii_tokens(t)
         grams = {tuple(toks[i:i + K]) for i in range(len(toks) - K + 1)}
         hits = len(grams & ev)
         if hits:

@@ -367,6 +367,34 @@ def test_broadcast_range_count_matches_naive():
         assert got.get(sid, 0) == want
 
 
+
+def test_broadcast_asof_matches_naive():
+    from batch_geocode_ray.stages.joins import broadcast_asof
+
+    rng = np.random.RandomState(5)
+    n_big, n_small = 300, 40
+    big = pa.table({
+        "i": pa.array(range(n_big), pa.int64()),
+        "k": pa.array(rng.randint(0, 6, n_big), pa.int64()),
+        "t": pa.array(rng.randint(0, 1000, n_big), pa.int64()),
+    })
+    small = pa.table({
+        "k": pa.array(rng.randint(0, 5, n_small), pa.int64()),
+        "t": pa.array(rng.randint(0, 1000, n_small), pa.int64()),
+        "v": pa.array(rng.rand(n_small), pa.float64()),
+    })
+    got = {r["i"]: r["last_t"] for r in broadcast_asof(
+        rd.from_arrow(big).repartition(3), small, "k", "t", "k", "t",
+        ["t"], out_names={"t": "last_t"}).take_all()}
+    sk, st_ = small["k"].to_numpy(), small["t"].to_numpy()
+    for i, k_, t_ in zip(big["i"].to_numpy(), big["k"].to_numpy(),
+                         big["t"].to_numpy()):
+        before = st_[(sk == k_) & (st_ <= t_)]
+        assert got[i] == (before.max() if len(before) else None)
+    with pytest.raises(TypeError, match="'name'"):
+        broadcast_asof(rd.from_arrow(big), small.append_column(
+            "name", pa.array(["x"] * n_small)), "k", "t", "k", "t", ["name"])
+
 def test_multimodal_stub_plumbing():
     from batch_geocode_ray.pipelines.queries import q24_image_features, q25_audio_frames
 

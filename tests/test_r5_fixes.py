@@ -613,8 +613,8 @@ def test_minhash_signatures_batch_equals_per_row():
         stable_hash64_array,
     )
     from batch_geocode_ray.stages.dedup import NUM_PERM, MinHashSignatures
-    from batch_geocode_ray.functions.text import tokens_column
-    import pyarrow.compute as pc_
+
+    from .oracle import ascii_tokens
 
     texts = ["", "one", "two tokens", "exactly three tokens",
              "a longer document with many more tokens inside it",
@@ -629,13 +629,7 @@ def test_minhash_signatures_batch_equals_per_row():
         .reshape(len(texts), NUM_PERM).astype(np.uint64)
 
     a, b = minhash_permutation_params(NUM_PERM)
-    toks = tokens_column(batch["text"])
-    flat = toks.flatten()
-    parents = np.asarray(toks.value_parent_indices())
-    ne = np.asarray(pc_.utf8_length(flat)) > 0
-    hashes = stable_hash64_array(flat.filter(pa.array(ne)))
-    parents = parents[ne]
-    for d in range(len(texts)):
-        want = minhash_signature(
-            shingle_hashes(hashes[parents == d], 3), a, b)
+    for d, text in enumerate(texts):
+        hashes = stable_hash64_array(pa.array(ascii_tokens(text), pa.string()))
+        want = minhash_signature(shingle_hashes(hashes, 3), a, b)
         assert np.array_equal(sig[d], want), d
