@@ -15,7 +15,7 @@ S2 (``s2_cell``)
   engine's canonical shuffle key for tiled stages. Bit-level parity
   with Google's library is intended but cannot be verified in-sandbox
   (no s2 lib); round-trip, containment, and neighborhood invariants are
-  unit-tested instead.
+  unit-tested instead (the decoders live in ``tests/reference.py``).
 
 Hex (``hex_cell``)
   A multi-resolution pointy-top hexagonal grid in equirectangular
@@ -95,12 +95,6 @@ def _uv_to_st(u):
         return np.where(u >= 0.0, 0.5 * np.sqrt(1.0 + 3.0 * u), 1.0 - 0.5 * np.sqrt(1.0 - 3.0 * u))
 
 
-def _st_to_uv(s):
-    return np.where(
-        s >= 0.5, (4.0 * s * s - 1.0) / 3.0, (1.0 - 4.0 * (1.0 - s) * (1.0 - s)) / 3.0
-    )
-
-
 def s2_cell(lon_deg, lat_deg, level: int = S2_MAX_LEVEL) -> np.ndarray:
     """Encode lon/lat arrays to uint64 S2 cell ids at ``level``.
 
@@ -135,63 +129,6 @@ def s2_parent(cell: np.ndarray, level: int) -> np.ndarray:
     lsb = np.uint64(1) << np.uint64(2 * (S2_MAX_LEVEL - level))
     # (id & -lsb) | lsb: drop position bits below the new sentinel, set it.
     return (cell & ~(lsb - np.uint64(1))) | lsb
-
-
-def s2_level_of(cell: np.ndarray) -> np.ndarray:
-    """Level from the trailing-1 sentinel position."""
-    cell = np.asarray(cell, dtype=np.uint64)
-    lsb_index = np.zeros(cell.shape, dtype=np.int64)
-    c = cell.copy()
-    # count trailing zeros via binary chunks
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = (c & ((np.uint64(1) << np.uint64(shift)) - np.uint64(1))) == 0
-        lsb_index += np.where(mask, shift, 0)
-        c = np.where(mask, c >> np.uint64(shift), c)
-    return S2_MAX_LEVEL - lsb_index // 2
-
-
-def s2_cell_center(cell: np.ndarray):
-    """Decode cell ids to their center lon/lat (for tests / rollups)."""
-    cell = np.asarray(cell, dtype=np.uint64)
-    level = s2_level_of(cell)
-    face = (cell >> np.uint64(_S2_POS_BITS)).astype(np.int64)
-    pos = (cell & ((np.uint64(1) << np.uint64(_S2_POS_BITS)) - np.uint64(1))) >> np.uint64(1)
-
-    i = np.zeros(cell.shape, dtype=np.uint64)
-    j = np.zeros(cell.shape, dtype=np.uint64)
-    orient = (face & 1).astype(np.uint64)
-    for k in range(S2_MAX_LEVEL - 1, -1, -1):
-        active = (S2_MAX_LEVEL - 1 - k) < level  # only levels above the cell's level carry bits
-        shift = np.uint64(2 * k)
-        p = np.where(active, (pos >> shift) & np.uint64(3), np.uint64(0))
-        ij2 = _POS_TO_IJ[orient, p]
-        i = i | (np.where(active, (ij2 >> np.uint64(1)) & np.uint64(1), np.uint64(0)) << np.uint64(k))
-        j = j | (np.where(active, ij2 & np.uint64(1), np.uint64(0)) << np.uint64(k))
-        orient = np.where(active, orient ^ _POS_TO_ORIENT[p], orient)
-
-    # center of the cell's ij range
-    size = np.uint64(1) << (np.uint64(S2_MAX_LEVEL) - level.astype(np.uint64))
-    si = i.astype(np.float64) + size.astype(np.float64) * 0.5
-    sj = j.astype(np.float64) + size.astype(np.float64) * 0.5
-    scale = float(1 << S2_MAX_LEVEL)
-    u = _st_to_uv(si / scale)
-    v = _st_to_uv(sj / scale)
-
-    x = np.empty_like(u); y = np.empty_like(u); z = np.empty_like(u)
-    for f, (fx, fy, fz) in enumerate([
-        (lambda u, v: np.ones_like(u), lambda u, v: u, lambda u, v: v),      # +x
-        (lambda u, v: -u, lambda u, v: np.ones_like(u), lambda u, v: v),     # +y
-        (lambda u, v: -u, lambda u, v: -v, lambda u, v: np.ones_like(u)),    # +z
-        (lambda u, v: -np.ones_like(u), lambda u, v: -v, lambda u, v: -u),   # -x
-        (lambda u, v: v, lambda u, v: -np.ones_like(u), lambda u, v: -u),    # -y
-        (lambda u, v: v, lambda u, v: u, lambda u, v: -np.ones_like(u)),     # -z
-    ]):
-        m = face == f
-        x[m] = fx(u[m], v[m]); y[m] = fy(u[m], v[m]); z[m] = fz(u[m], v[m])
-    norm = np.sqrt(x * x + y * y + z * z)
-    lat = np.degrees(np.arcsin(np.clip(z / norm, -1, 1)))
-    lon = np.degrees(np.arctan2(y, x))
-    return lon, lat
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +176,6 @@ def hex_cell(lon_deg, lat_deg, res: int) -> np.ndarray:
         | ((q + _HEX_OFFSET).astype(np.uint64) << np.uint64(24))
         | (r + _HEX_OFFSET).astype(np.uint64)
     )
-
-
-def hex_decode(cell: np.ndarray):
-    """cell -> (res, center_lon, center_lat)."""
-    cell = np.asarray(cell, dtype=np.uint64)
-    res = ((cell >> np.uint64(56)) & np.uint64(0xF)).astype(np.int64)
-    q = ((cell >> np.uint64(24)) & np.uint64(0xFFFFFF)).astype(np.int64) - _HEX_OFFSET
-    r = (cell & np.uint64(0xFFFFFF)).astype(np.int64) - _HEX_OFFSET
-    size = _HEX_BASE_SIZE_DEG / (_HEX_APERTURE ** res.astype(np.float64))
-    x = size * (_SQRT3 * q + _SQRT3 / 2.0 * r)
-    y = size * (1.5 * r)
-    return res, x, y
 
 
 def hex_kring(cell: int, k: int = 1) -> list[int]:

@@ -47,43 +47,11 @@ def minhash_permutation_params(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def minhash_signature(shingle_hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """MinHash signature (num_perm,) of one document's shingle-hash set.
-
-    Vectorized outer product over (num_perm, n_shingles); empty docs
-    sign as all-max.
-    """
-    num_perm = len(a)
-    if len(shingle_hashes) == 0:
-        return np.full(num_perm, _MERSENNE61, dtype=np.uint64)
-    x = (np.asarray(shingle_hashes, dtype=np.uint64) >> np.uint64(3)) & _MERSENNE61
-    with np.errstate(over="ignore"):
-        hv = (a[:, None] * x[None, :] + b[:, None]) % _MERSENNE61
-    return hv.min(axis=1)
-
-
-def shingle_hashes(token_hashes: np.ndarray, k: int) -> np.ndarray:
-    """Rolling k-token shingle hashes of one document (Rabin-Karp style
-    polynomial combine of the per-token hashes). len<k docs hash their
-    full token run once.
-    """
-    h = np.asarray(token_hashes, dtype=np.uint64)
-    if len(h) == 0:
-        return h
-    n = max(len(h) - k + 1, 1)
-    kk = min(k, len(h))
-    acc = np.zeros(n, dtype=np.uint64)
-    B = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for j in range(kk):
-            acc = acc * B + h[j:j + n]
-    return np.unique(acc)
-
-
 def shingle_hashes_batch(token_hashes: np.ndarray, parents: np.ndarray,
                          k: int) -> tuple[np.ndarray, np.ndarray]:
     """DISTINCT rolling k-gram hashes of MANY documents in one shot —
-    the row-loop-free form of :func:`shingle_hashes` over a batch's
+    the row-loop-free form of ``shingle_hashes`` (the per-document
+    reference in ``tests/reference.py``) over a batch's
     flat token-hash array (``parents[i]`` = document row of token i,
     nondecreasing). One Horner pass of k vector ops over the whole
     array; windows crossing a document boundary are masked out.
@@ -116,7 +84,7 @@ def shingle_hashes_batch(token_hashes: np.ndarray, parents: np.ndarray,
 
 def shingle_sets_batch(token_hashes: np.ndarray, parents: np.ndarray,
                        n_docs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shingle_hashes` of every document of a batch:
+    """``shingle_hashes`` of every document of a batch:
     :func:`shingle_hashes_batch`, plus one hash of the full token run of
     each document with 0 < tokens < k. Returns ``(gram_hash, parent)``
     sorted by (parent, hash); token-less documents emit nothing."""
@@ -139,23 +107,11 @@ def shingle_sets_batch(token_hashes: np.ndarray, parents: np.ndarray,
     return np.concatenate([gram, acc])[order], par[order]
 
 
-def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
-    """64-bit SimHash of one document: per-bit weighted majority vote of
-    token hashes.
-    """
-    h = np.asarray(token_hashes, dtype=np.uint64)
-    if len(h) == 0:
-        return 0
-    bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
-    w = np.ones(len(h)) if weights is None else np.asarray(weights, dtype=np.float64)
-    votes = (w[:, None] * (2 * bits - 1)).sum(axis=0)
-    return int(np.uint64(((votes > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum()))
-
-
 def simhash64_batch(token_hashes: np.ndarray, parents: np.ndarray,
                     n_docs: int) -> np.ndarray:
     """SimHash of MANY documents in one shot — the row-loop-free form
-    of :func:`simhash64` (unweighted): ``token_hashes`` is the flat
+    of the per-row ``simhash64`` in ``tests/reference.py``
+    (unweighted): ``token_hashes`` is the flat
     uint64 token-hash array of the whole batch, ``parents[i]`` the
     document row of token ``i``. One ``unpackbits`` over the hash
     bytes + one ``np.add.at`` scatter of ±1 votes; docs with no tokens

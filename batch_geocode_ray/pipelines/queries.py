@@ -33,7 +33,7 @@ from batch_geocode_ray.stages.dedup import (
     ngram_jaccard_pairs,
     simhash_pairs,
 )
-from batch_geocode_ray.stages.joins import broadcast_join
+from batch_geocode_ray.stages.joins import broadcast_join, equi_join
 from batch_geocode_ray.stages.similarity import (
     cosine_neardup_pairs,
     ivf_knn,
@@ -87,13 +87,13 @@ def _sort_adaptive(ds: Dataset, keys: list[str] | str,
     ``size_hint_bytes`` >= the collapse threshold skips the probe and
     feeds the stream straight into the distributed sort — pass it for
     O(corpus)-sized outputs so the result is never pinned twice."""
-    from batch_geocode_ray.stages.dedup import _probe_small
+    from batch_geocode_ray.stages.dedup import _probe_small, distributed_sort
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     m, small, _ = _probe_small(ds, size_hint_bytes=size_hint_bytes)
     if small:
         return _sort_single(m, keys)
-    return m.sort(keys)
+    return distributed_sort(m, keys)
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
@@ -896,14 +896,14 @@ ORDER BY c_mktsegment, rank
 
 
 def q26_hashjoin_revenue(sf_dir: str) -> Dataset:
-    """Big-big shuffle hash join via Ray Data's native ``Dataset.join``
-    (the engine's broadcast join is the preferred plan whenever one side
-    fits in memory — see q03 — but the native hash join is exercised
-    here for the case where neither side does)."""
+    """q03's revenue by segment with the customer side as a Dataset:
+    ``joins.equi_join`` measures it and picks the plan — the broadcast
+    probe when it fits in memory (as here), the bucket exchange on the
+    key when it does not."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(cust, "inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
+    joined = equi_join(orders, cust, "o_custkey", "inner", ["c_mktsegment"],
+                       right_key="c_custkey")
     agg = grouped_aggregate(
         joined, ["c_mktsegment"],
         [("o_totalprice", "sum", "total_revenue"),
@@ -919,14 +919,13 @@ def q29_customers_without_urgent(sf_dir: str) -> Dataset:
     """Broadcast ANTI join: customers with no urgent-priority order."""
     import pyarrow.compute as pc_
 
-    from batch_geocode_ray.stages.joins import broadcast_semi_anti
-
     o = pq.read_table(f"{sf_dir}/orders.parquet",
                       columns=["o_custkey", "o_orderpriority"])
-    urgent = o.filter(pc_.equal(o["o_orderpriority"], "1-URGENT"))["o_custkey"]
+    urgent = o.filter(pc_.equal(o["o_orderpriority"], "1-URGENT"))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
-    return broadcast_semi_anti(cust, urgent.combine_chunks(),
-                               "c_custkey", anti=True)
+    return broadcast_join(
+        cust, urgent.select(["o_custkey"]).rename_columns(["c_custkey"]),
+        "c_custkey", [], how="anti")
 
 
 SQL_Q29 = """
@@ -1063,7 +1062,6 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
       4. its marker-stopword language id is 'en' (language gate).
     Output: surviving (doc_id, n_tokens)."""
     from batch_geocode_ray.functions.text import langid_table, quality_table
-    from batch_geocode_ray.stages.joins import semi_anti_join
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1099,8 +1097,8 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
     id_hint = _table_bytes(sf_dir, "documents") // 32
     survivors = exact_dedup(gated, "text", "doc_id",
                             size_hint_bytes=id_hint)
-    step1 = semi_anti_join(slim, survivors, "doc_id",
-                           size_hint_bytes=id_hint)
+    step1 = equi_join(slim, survivors, "doc_id", "semi",
+                      size_hint_bytes=id_hint)
 
     # gate 2: drop the larger-id side of near-dup pairs (anti join
     # against the pairs Dataset's d2 column, same adaptive plan; no
@@ -1108,8 +1106,7 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
     pairs = ngram_jaccard_pairs(
         gated, "text", "doc_id", k=3, threshold=0.8,
         size_hint_bytes=2 * _table_bytes(sf_dir, "documents"))
-    cleaned = semi_anti_join(step1, pairs, "doc_id", right_key="d2",
-                             anti=True)
+    cleaned = equi_join(step1, pairs, "doc_id", "anti", right_key="d2")
     # survivors are O(docs): size-probed final sort (distributed at scale)
     return _sort_adaptive(cleaned.select_columns(["doc_id", "n_tokens"]),
                           "doc_id")
@@ -1352,14 +1349,14 @@ def q38_heavy_hitters(sf_dir: str) -> Dataset:
     exactness. Two input scans total: MG summary + row count come from
     one fused pass; the candidate recount is the second."""
     from batch_geocode_ray.functions.sketches import heavy_hitters_with_total
-    from batch_geocode_ray.stages.joins import broadcast_semi_anti
 
     k = 16
     ev = _read(sf_dir, "events", ["event_type"])
     hh, n_total = heavy_hitters_with_total(ev, "event_type", k=k)
     cand = [item for item, _ in hh]
-    filtered = broadcast_semi_anti(ev, pa.array(cand, pa.string()),
-                                   "event_type")
+    filtered = broadcast_join(
+        ev, pa.table({"event_type": pa.array(cand, pa.string())}),
+        "event_type", [], how="semi")
     agg = grouped_aggregate(
         filtered, ["event_type"],
         [("event_type", "count", "n_events")])
@@ -2448,7 +2445,7 @@ def q62_bloom_blocklist(sf_dir: str) -> Dataset:
     the urgent-order blocklist. The bitmap is built distributed
     (mergeable OR partials, two-level fold) and broadcast once;
     definite misses never shuffle — only possible hits pay the exact
-    semi_anti_join. Aggregated per return flag."""
+    anti join. Aggregated per return flag."""
     from batch_geocode_ray.stages.joins import bloom_anti_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
@@ -2483,8 +2480,7 @@ def q63_engaged_users(sf_dir: str) -> Dataset:
     """INTERSECT: distinct users with BOTH a signup and a purchase
     event. Each side reduces to its distinct key set via the
     partial-combining aggregate; the intersection is the size-probed
-    distributed semi join (broadcast small / hash-shuffle big)."""
-    from batch_geocode_ray.stages.joins import semi_anti_join
+    semi join (broadcast small / bucket exchange big)."""
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -2503,7 +2499,7 @@ def q63_engaged_users(sf_dir: str) -> Dataset:
                                      batch_format="pyarrow"))
     purchase = distinct(ev.map_batches(only("purchase"),
                                        batch_format="pyarrow"))
-    return _sort_adaptive(semi_anti_join(signup, purchase, "user_id"),
+    return _sort_adaptive(equi_join(signup, purchase, "user_id", "semi"),
                           "user_id")
 
 

@@ -1,33 +1,21 @@
-"""Minimal Excel (.xlsx) reader/writer on the stdlib only.
+"""Minimal Excel (.xlsx) writer on the stdlib only.
 
-The reference's intake picks ``pd.read_excel`` vs ``pd.read_csv`` by
-file extension (reference geocode/utilities.py:174) and writes .xlsx
-output (utilities.py:26-28, safe_save_vet_output :68-82). This sandbox
-has no openpyxl/xlrd, so the engine implements the needed OOXML
-SpreadsheetML subset directly — an .xlsx file is a zip of XML parts:
+The reference writes .xlsx output (utilities.py:26-28,
+safe_save_vet_output :68-82). This sandbox has no openpyxl, so the
+engine emits the needed OOXML SpreadsheetML subset directly — an .xlsx
+file is a zip of XML parts: [Content_Types].xml, _rels/.rels,
+xl/workbook.xml, xl/_rels/workbook.xml.rels, xl/styles.xml and one
+xl/worksheets/sheet1.xml using inline strings (``t="inlineStr"``) and
+plain numeric cells — the minimal conforming document.
 
-  * writer emits [Content_Types].xml, _rels/.rels, xl/workbook.xml,
-    xl/_rels/workbook.xml.rels, xl/styles.xml and one
-    xl/worksheets/sheet1.xml using inline strings (``t="inlineStr"``)
-    and plain numeric cells — the minimal conforming document;
-  * reader resolves the first sheet through the workbook relationships,
-    honors sharedStrings.xml (``t="s"``), inline strings
-    (``t="inlineStr"``), formula-string cells (``t="str"``), booleans
-    (``t="b"``) and numeric cells, and maps ``A1``-style references to
-    column indices so sparse rows land in the right columns.
-
-Round-trip (write -> read) is pinned in tests; files produced by
-openpyxl/pandas/Excel parse as long as they stick to these core cell
-types (dates are surfaced as their raw serial numbers — the caller
-decides the epoch, exactly like pandas without a date parser).
+The round trip (write -> read) is pinned in tests, through a reader in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-import io
 import re
 import zipfile
-import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pyarrow as pa
@@ -154,103 +142,3 @@ def write_xlsx(table: pa.Table, path_or_buf) -> None:
         if not hasattr(path_or_buf, "write"):
             buf.close()
 
-
-# ---------------------------------------------------------------------------
-# reader
-# ---------------------------------------------------------------------------
-
-_CELL_REF = re.compile(r"^([A-Z]+)(\d+)$")
-
-
-def _ref_to_col(ref: str) -> int:
-    m = _CELL_REF.match(ref)
-    if not m:
-        return -1
-    acc = 0
-    for ch in m.group(1):
-        acc = acc * 26 + (ord(ch) - ord("A") + 1)
-    return acc - 1
-
-
-def read_xlsx(path_or_bytes) -> pa.Table:
-    """Parse the FIRST worksheet of an .xlsx into a pyarrow Table.
-    Row 1 is the header; a column whose every non-empty cell parses as
-    a number becomes float64, otherwise string."""
-    raw = (path_or_bytes if isinstance(path_or_bytes, (bytes, bytearray))
-           else open(path_or_bytes, "rb").read())
-    z = zipfile.ZipFile(io.BytesIO(raw))
-
-    # first sheet via workbook -> relationships
-    wb = ET.fromstring(z.read("xl/workbook.xml"))
-    sheet_el = wb.find(f"{{{_NS_MAIN}}}sheets/{{{_NS_MAIN}}}sheet")
-    rid = sheet_el.get(f"{{{_NS_REL_DOC}}}id")
-    rels = ET.fromstring(z.read("xl/_rels/workbook.xml.rels"))
-    target = None
-    for rel in rels:
-        if rel.get("Id") == rid:
-            target = rel.get("Target")
-    if target is None:
-        raise ValueError("xlsx: no worksheet relationship found")
-    sheet_path = target if target.startswith("xl/") else f"xl/{target}"
-
-    shared: list[str] = []
-    if "xl/sharedStrings.xml" in z.namelist():
-        sst = ET.fromstring(z.read("xl/sharedStrings.xml"))
-        for si in sst:
-            shared.append("".join(t.text or "" for t in
-                                  si.iter(f"{{{_NS_MAIN}}}t")))
-
-    sheet = ET.fromstring(z.read(sheet_path))
-    rows: list[dict[int, str]] = []
-    max_col = -1
-    for row in sheet.iter(f"{{{_NS_MAIN}}}row"):
-        cells: dict[int, str] = {}
-        auto_col = 0
-        for c in row.iter(f"{{{_NS_MAIN}}}c"):
-            ref = c.get("r")
-            col = _ref_to_col(ref) if ref else auto_col
-            auto_col = col + 1
-            t = c.get("t", "n")
-            if t == "inlineStr":
-                is_el = c.find(f"{{{_NS_MAIN}}}is")
-                val = "".join(x.text or "" for x in
-                              is_el.iter(f"{{{_NS_MAIN}}}t")) \
-                    if is_el is not None else ""
-            else:
-                v_el = c.find(f"{{{_NS_MAIN}}}v")
-                v = v_el.text if v_el is not None and v_el.text else ""
-                if t == "s":
-                    val = shared[int(v)] if v else ""
-                elif t == "b":
-                    val = "TRUE" if v == "1" else "FALSE"
-                else:  # "n" numeric or "str" formula-string
-                    val = v
-            if val != "":
-                cells[col] = val
-                max_col = max(max_col, col)
-        rows.append(cells)
-
-    if not rows:
-        return pa.table({})
-    header = rows[0]
-    n_cols = max_col + 1
-    names = [header.get(j, f"col{j}") for j in range(n_cols)]
-    data = rows[1:]
-    arrays = {}
-    for j, name in enumerate(names):
-        vals = [r.get(j) for r in data]
-        present = [v for v in vals if v is not None]
-        as_num = True
-        for v in present:
-            try:
-                float(v)
-            except ValueError:
-                as_num = False
-                break
-        if as_num and present:
-            arrays[name] = pa.array(
-                [float(v) if v is not None else None for v in vals],
-                pa.float64())
-        else:
-            arrays[name] = pa.array(vals, pa.string())
-    return pa.table(arrays)

@@ -26,7 +26,12 @@ import ray
 
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import _exchange, _one_task, bucket_exchange
+from batch_geocode_ray.stages.dedup import (
+    _exchange,
+    _one_task,
+    bucket_exchange,
+    distributed_sort,
+)
 
 
 def tile_aggregate(ds: Dataset, cell_col: str) -> Dataset:
@@ -118,22 +123,7 @@ def grouped_aggregate(ds: Dataset, keys: list[str],
         size_hint_bytes)
     if collapsed or not sort_keys:
         return out
-    # Ray's sort takes only numeric NaN for null when it orders its
-    # sampled range bounds: a sampled null timestamp leaves them out of
-    # order, and the range partition then emits some rows twice. Sort on
-    # integer views of temporal keys, whose nulls Ray handles.
-    views = [f"__sort_{k}" for k in sort_keys]
-
-    def add_views(b: pa.Table) -> pa.Table:
-        for k, v in zip(sort_keys, views):
-            c = b[k]
-            if pa.types.is_temporal(c.type):
-                c = c.cast(pa.int64() if c.type.bit_width == 64 else pa.int32())
-            b = b.append_column(v, c)
-        return b
-
-    return (out.map_batches(add_views, batch_format="pyarrow").sort(views)
-            .map_batches(lambda b: b.drop_columns(views), batch_format="pyarrow"))
+    return distributed_sort(out, sort_keys)
 
 
 def pivot_counts(ds: Dataset, group_col: str, type_col: str,

@@ -37,7 +37,6 @@ from ray.data import Dataset
 from batch_geocode_ray.functions.hashing import (
     hamming64,
     minhash_permutation_params,
-    shingle_hashes,
     shingle_hashes_batch,
     shingle_sets_batch,
     simhash64_batch,
@@ -99,6 +98,27 @@ def _one_task(ds: Dataset, fn) -> Dataset:
                                          batch_size=None)
 
 
+def distributed_sort(ds: Dataset, keys: list[str]) -> Dataset:
+    """Ray's range-partitioned ``sort`` by ``keys``, safe for temporal
+    keys. Ray takes only numeric NaN for null when it orders its
+    sampled range bounds: a sampled null timestamp leaves them out of
+    order, and the range partition then emits some rows twice. So sort
+    on integer views of temporal keys, whose nulls Ray handles, and drop
+    the views after."""
+    views = [f"__sort_{k}" for k in keys]
+
+    def add_views(b: pa.Table) -> pa.Table:
+        for k, v in zip(keys, views):
+            c = b[k]
+            if pa.types.is_temporal(c.type):
+                c = c.cast(pa.int64() if c.type.bit_width == 64 else pa.int32())
+            b = b.append_column(v, c)
+        return b
+
+    return (ds.map_batches(add_views, batch_format="pyarrow").sort(views)
+            .map_batches(lambda b: b.drop_columns(views), batch_format="pyarrow"))
+
+
 # ---------------------------------------------------------------------------
 # the coarse-bucket exchange
 # ---------------------------------------------------------------------------
@@ -135,6 +155,19 @@ def key_hash64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
         k = np.asarray(pc.fill_null(col, 0).to_numpy(zero_copy_only=False))
         return splitmix64(k.astype(np.int64, copy=False).view(np.uint64))
     return stable_hash64_array(col)
+
+
+def join_key64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
+    """Equi-join key column ``name`` as int64: integers as themselves,
+    strings by their stable 64-bit hash (a ~2^-64 per-pair false
+    match). Other types raise ``TypeError`` naming the column."""
+    t = col.type
+    if pa.types.is_integer(t):
+        return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.int64)
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return stable_hash64_array(col).view(np.int64)
+    raise TypeError(f"join key column {name!r} has type {t}; expected an "
+                    "integer or string column")
 
 
 def _keys_hash64(b: pa.Table, keys: list[str]) -> np.ndarray:
@@ -192,22 +225,6 @@ def bucket_exchange(ds: Dataset, key: str | list[str], fn,
     return _exchange(ds, key, fn, size_hint_bytes)[0]
 
 
-def join_partitions() -> int:
-    """Partition count for Ray's hash-shuffle join, sized to the
-    cluster: each join partition reserves 0.125 CPU of aggregator actor
-    (Ray default), so chaining two unbounded 32-partition joins on a
-    small test cluster (4 CPUs) would reserve EVERY core for aggregators
-    and deadlock the map stages. On a real cluster, scale with cores up
-    to 64."""
-    import ray as _ray
-
-    try:
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(64, cpus))
-
-
 # ---------------------------------------------------------------------------
 # bucket-exchange lookup join
 # ---------------------------------------------------------------------------
@@ -225,28 +242,31 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     Why not the native join: Ray 2.49's hash-shuffle join feeds acero
     per partition and CRASHES ('No match for FieldRef') whenever one
     side delivers zero blocks to a partition — guaranteed for the
-    low-cardinality candidate sides these verify steps produce
-    (CLAUDE.md). The exchange here shuffles the same O(source +
-    requests) rows once, collapses to one task below the small probe,
-    and is empty-safe.
+    low-cardinality candidate sides these verify steps produce. The
+    exchange here shuffles the same O(source + requests) rows once,
+    collapses to one task below the small probe, and is empty-safe.
 
-    Requirements: int64 keys; a request key should appear ONCE in
-    ``source`` for 1:1 payload semantics (with duplicate source keys an
-    arbitrary one attaches — fine for membership flags). Source rows
-    without requests emit nothing. ``missing``: "error" raises on a
-    request key absent from source; "null" attaches typed nulls (left
-    semantics)."""
+    Keys follow :func:`join_key64` (integers exactly, strings by stable
+    hash). A request key should appear ONCE in ``source`` for 1:1
+    payload semantics (with duplicate source keys an arbitrary one
+    attaches — fine for membership flags). Source rows without requests
+    emit nothing. ``missing``: "error" raises on a request key absent
+    from source; "null" attaches typed nulls (left semantics)."""
     req_schema = requests.schema()
+    if req_schema is None:  # Ray keeps no schema for empty blocks
+        return requests
     req_names = list(req_schema.names)
     req_types = dict(zip(req_schema.names, req_schema.types))
     src_schema = source.schema()
-    src_types = dict(zip(src_schema.names, src_schema.types))
+    # an empty source may have no schema: its payload attaches as nulls
+    src_types = (dict(zip(src_schema.names, src_schema.types))
+                 if src_schema is not None else {})
     out_payload = [(sc, oc) for sc, oc in payload.items()]
     all_cols = req_names + [oc for _, oc in out_payload]
 
     def as_carrier(b: pa.Table) -> pa.Table:
         n = b.num_rows
-        cols = {"__lk_k": pc.cast(b[source_key], pa.int64()),
+        cols = {"__lk_k": pa.array(join_key64(b[source_key], source_key)),
                 "__lk_r": pa.array(np.zeros(n, np.int8))}
         for c in req_names:
             cols[c] = pa.nulls(n, req_types[c])
@@ -256,12 +276,12 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
 
     def as_request(b: pa.Table) -> pa.Table:
         n = b.num_rows
-        cols = {"__lk_k": pc.cast(b[req_key], pa.int64()),
+        cols = {"__lk_k": pa.array(join_key64(b[req_key], req_key)),
                 "__lk_r": pa.array(np.ones(n, np.int8))}
         for c in req_names:
             cols[c] = b[c]
         for sc, oc in out_payload:
-            cols[oc] = pa.nulls(n, src_types[sc])
+            cols[oc] = pa.nulls(n, src_types.get(sc, pa.null()))
         return pa.table(cols)
 
     rows = (source.map_batches(as_carrier, batch_format="pyarrow")
@@ -604,14 +624,14 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         # drop hot×hot pairs from the counting path (their shared-count
         # may be missing capped grams); pairs with <= 1 hot member are
         # complete — see docstring
-        from batch_geocode_ray.stages.joins import semi_anti_join
+        from batch_geocode_ray.stages.joins import equi_join
 
-        d1_cold = semi_anti_join(pair_counts, hot_ids, "d1",
-                                 right_key="_hot_id", anti=True)
-        d1_hot = semi_anti_join(pair_counts, hot_ids, "d1",
-                                right_key="_hot_id", anti=False)
-        d2_cold = semi_anti_join(d1_hot, hot_ids, "d2",
-                                 right_key="_hot_id", anti=True)
+        d1_cold = equi_join(pair_counts, hot_ids, "d1", "anti",
+                            right_key="_hot_id")
+        d1_hot = equi_join(pair_counts, hot_ids, "d1", "semi",
+                           right_key="_hot_id")
+        d2_cold = equi_join(d1_hot, hot_ids, "d2", "anti",
+                            right_key="_hot_id")
         pair_counts = d1_cold.union(d2_cold)
 
     def finalize(b: pa.Table) -> pa.Table:
@@ -633,10 +653,10 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         return counted
 
     # escalation: hot×hot pairs via MinHash LSH + exact trigram verify
-    from batch_geocode_ray.stages.joins import semi_anti_join as _saj
+    from batch_geocode_ray.stages.joins import equi_join
 
-    hot_docs = _saj(ds.select_columns([id_col, text_col]), hot_ids,
-                    id_col, right_key="_hot_id", anti=False)
+    hot_docs = equi_join(ds.select_columns([id_col, text_col]), hot_ids,
+                         id_col, "semi", right_key="_hot_id")
     escalated = minhash_lsh_pairs(hot_docs, text_col, id_col, k=k,
                                   threshold=threshold)
     return counted.union(escalated)
@@ -855,7 +875,7 @@ class MinHashSignatures:
         # per-(doc, permutation) min over the doc's gram segment —
         # 128 vector passes over the flat gram array instead of one
         # Python iteration per document; empty docs sign all-max
-        # (identical elementwise ops to minhash_signature)
+        # (identical elementwise ops to tests/reference.minhash_signature)
         sigs = np.full((n_rows, len(self.a)), _MERSENNE61, dtype=np.uint64)
         if len(gram):
             present, first_idx = np.unique(par, return_index=True)
@@ -878,15 +898,14 @@ class MinHashSignatures:
 def _gram_arrays(text_col, k: int) -> list[np.ndarray]:
     """Per-row array of DISTINCT k-token-gram rolling hashes (the same
     hashes the inverted-index join shuffles), for exact Jaccard
-    verification of candidate pairs."""
+    verification of candidate pairs; rows with fewer than k tokens get
+    an empty array."""
     n = len(text_col)
+    if not n:
+        return []
     flat, parents = flat_tokens(text_col)
-    hashes = stable_hash64_array(flat)
-    counts = np.bincount(parents, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return [shingle_hashes(hashes[offsets[i]:offsets[i + 1]], k)
-            if counts[i] >= k else np.empty(0, dtype=np.uint64)
-            for i in range(n)]
+    gram, par = shingle_hashes_batch(stable_hash64_array(flat), parents, k)
+    return np.split(gram, np.searchsorted(par, np.arange(1, n)))
 
 
 def _pair_jaccard(g1: np.ndarray, g2: np.ndarray) -> float:

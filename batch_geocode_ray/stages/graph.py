@@ -16,9 +16,8 @@ Two physical plans behind one API (the repo-wide adaptive pattern):
   vectorized NumPy min-label fixpoint (no Python loop over edges).
 * **distributed** — hash-to-min label propagation with pointer
   jumping, expressed as a coarse-bucket ``groupby(_bucket).map_groups``
-  + vectorized-segment exchange (NOT ``Dataset.join``: a label-keyed
-  self-join both concentrates skew and trips Ray's hash-join on
-  degenerate key distributions). It hashes keys with
+  + vectorized-segment exchange (not a label-keyed self-join, which
+  concentrates skew on the big components' labels). It hashes keys with
   ``dedup.key_hash64`` like ``dedup.bucket_exchange`` does, but stays
   hand-built for the hot-key salting below. Each round
   is exactly TWO all-to-alls — one bucket shuffle that answers every
@@ -51,12 +50,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import (
-    _one_task,
-    _probe_small,
-    join_partitions,
-    key_hash64,
-)
+from batch_geocode_ray.stages.dedup import _one_task, _probe_small, key_hash64
 
 _MAX_ROUNDS = 40  # pointer jumping ⇒ ≥ 2^40 node chains before this binds
 
@@ -251,8 +245,9 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
     # groupby/aggregate preserve input block counts — left unchecked the
     # label table's block count TRIPLES per round (3 -> 363 blocks in 4
     # rounds, scheduling overhead swamping the tiny shuffles). Cap at a
-    # graph-proportional count.
-    part_cap = max(join_partitions(), sym.num_blocks())
+    # graph-proportional count, floored at the cluster's CPUs (2 to 64).
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    part_cap = max(2, min(64, cpus), sym.num_blocks())
 
     def bounded(ds: Dataset) -> Dataset:
         m = ds.materialize()
@@ -312,37 +307,20 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
 def label_all_nodes(nodes: Dataset, node_col: str,
                     labels: Dataset,
                     size_hint_bytes: int | None = None) -> Dataset:
-    """Left-join component labels onto the FULL node table; nodes
-    outside any edge keep their own id as the label. Size-probed: the
-    label table broadcasts when small, hash-joins when not (pass
-    ``size_hint_bytes`` ~16 B x labeled nodes to skip the probe)."""
-    from batch_geocode_ray.stages.joins import broadcast_join
+    """Left-join component labels (``node``/``label``) onto the FULL
+    node table as ``cluster_id``; nodes outside any edge keep their own
+    id as the label. One :func:`~batch_geocode_ray.stages.joins.equi_join`,
+    so the label table broadcasts when small and goes through the bucket
+    exchange when not (pass ``size_hint_bytes`` ~16 B x labeled nodes to
+    skip the probe)."""
+    from batch_geocode_ray.stages.joins import equi_join
 
-    m, small, _ = _probe_small(labels, size_hint_bytes=size_hint_bytes)
-    if small:
-        parts = list(
-            m.map_batches(
-                lambda b: b.rename_columns([node_col, "cluster_id"]),
-                batch_format="pyarrow").iter_batches(
-                    batch_size=None, batch_format="pyarrow"))
-        empty = pa.table({node_col: pa.array([], pa.int64()),
-                          "cluster_id": pa.array([], pa.int64())})
-        tbl = pa.concat_tables(parts) if parts else empty
-        out = broadcast_join(nodes, tbl, node_col, ["cluster_id"],
-                             how="left")
-    else:
-        out = nodes.join(
-            m.map_batches(
-                lambda b: b.rename_columns([node_col, "cluster_id"]),
-                batch_format="pyarrow"),
-            "left_outer", num_partitions=join_partitions(),
-            on=(node_col,))
+    out = equi_join(nodes, labels, node_col, "left", ["label"],
+                    right_key="node", size_hint_bytes=size_hint_bytes)
 
     def fill(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        cid = pc.coalesce(pc.cast(b["cluster_id"], pa.int64()),
+        cid = pc.coalesce(pc.cast(b["label"], pa.int64()),
                           pc.cast(b[node_col], pa.int64()))
-        return b.set_column(b.column_names.index("cluster_id"),
-                            "cluster_id", cid)
+        return b.drop_columns(["label"]).append_column("cluster_id", cid)
 
     return out.map_batches(fill, batch_format="pyarrow")

@@ -1,13 +1,24 @@
-"""Broadcast (map-side) joins — the engine's default join strategy.
+"""Joins: one equi-join with two plans, plus as-of, range and Bloom
+joins.
 
-SURVEY §2.5: the reference's only join is a small left-join
+SURVEY §2.5: the reference's only join is a small left join
 (vet_geocode.py:106-111). At 10^12-row scale the rule is: when one side
-fits in memory, `ray.put` it once and probe it inside ``map_batches`` —
-the big side never shuffles. Shuffle joins exist in Ray Data
-(``Dataset.join``) but every query here keeps the big side streaming.
+fits in memory, ``ray.put`` it once and probe it inside ``map_batches``
+— the big side never shuffles. :func:`equi_join` (inner, left, semi,
+anti) has exactly two plans:
 
-Lookup structure: sorted key array + ``np.searchsorted`` for integer
-keys (zero-copy, cache-friendly), dict fallback for strings.
+* **broadcast** — the right side measures below
+  ``dedup.SMALL_COLLAPSE_BYTES``: it is gathered into one table and
+  probed by :func:`broadcast_join`, the entry point for a right side
+  that is already a ``pa.Table``;
+* **exchange** — otherwise: ``dedup._bucket_lookup_join`` co-locates
+  both sides' keys in one bucket exchange.
+
+There is no Ray ``Dataset.join``: its hash-shuffle partitions crash
+when one side delivers them no blocks, as an empty or low-cardinality
+side does. Keys are integers (matched exactly) or strings (matched by
+stable int64 hash) on both plans, through ``dedup.join_key64``; the
+broadcast lookup is a sorted int64 array probed by ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -19,60 +30,47 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import _one_task
+from batch_geocode_ray.stages.dedup import (
+    _bucket_lookup_join,
+    _one_task,
+    _probe_small,
+    join_key64,
+)
 from batch_geocode_ray.stages.stateful import stateful_map_batches
+
+_HOW = ("inner", "left", "semi", "anti")
 
 
 class _Lookup:
-    """Immutable small-side lookup, built once, broadcast via ray.put.
+    """Immutable right-side lookup, built once, broadcast via ray.put:
+    the distinct keys (:func:`join_key64`) sorted, and each value
+    column in that order.
 
-    Precondition (enforced): the small side has UNIQUE keys — dimension
-    semantics, one row per key. A duplicate-keyed small side would need
-    row multiplication (a real 1:N join); use ``Dataset.join`` there.
-    Value columns keep their source Arrow type (probe output is a C++
-    ``take``, no string coercion).
+    With value columns the keys must be UNIQUE (one row per key); a
+    key set with none (semi/anti) may repeat them. Value columns keep
+    their source Arrow type (probe output is a C++ ``take``).
     """
 
     def __init__(self, table: pa.Table, key: str, value_cols: list[str]):
-        keys = table[key].combine_chunks() if isinstance(
-            table[key], pa.ChunkedArray) else table[key]
-        n = table.num_rows
-        if n and pc.count_distinct(keys).as_py() != n:
+        k = join_key64(table[key], key)
+        self.keys, first = np.unique(k, return_index=True)
+        if value_cols and len(self.keys) != len(k):
             raise ValueError(
-                f"broadcast join small side has duplicate '{key}' keys; "
-                "use a shuffle join (Dataset.join) for 1:N semantics")
-        self.value_cols = value_cols
-        if pa.types.is_integer(keys.type):
-            k = np.asarray(keys.to_numpy(zero_copy_only=False), dtype=np.int64)
-            order = np.argsort(k, kind="stable")
-            self.int_keys = k[order]
-            self.set_keys = None
-        else:
-            order = np.arange(n)
-            self.int_keys = None
-            self.set_keys = keys  # pc.index_in value set (C++ hash probe)
-        take_idx = pa.array(order, pa.int64())
-        self.values = {c: (table[c].combine_chunks()
-                           if isinstance(table[c], pa.ChunkedArray)
-                           else table[c]).take(take_idx)
+                f"join right side has duplicate {key!r} keys; an inner or "
+                "left join attaches at most one right row per key")
+        self.key, self.value_cols = key, value_cols
+        idx = pa.array(first, pa.int64())
+        self.values = {c: table[c].combine_chunks().take(idx)
                        for c in value_cols}
 
     def probe(self, key_arr: pa.Array | pa.ChunkedArray):
         """Returns (positions, found_mask) into the value arrays."""
-        if self.int_keys is not None:
-            k = np.asarray(
-                key_arr.to_numpy(zero_copy_only=False), dtype=np.int64)
-            if len(self.int_keys) == 0:
-                return np.zeros(len(k), dtype=np.int64), np.zeros(len(k), bool)
-            pos = np.searchsorted(self.int_keys, k)
-            pos_c = np.clip(pos, 0, len(self.int_keys) - 1)
-            found = self.int_keys[pos_c] == k
-            return pos_c, found
-        idx = pc.index_in(key_arr, value_set=self.set_keys)
-        found = np.asarray(pc.is_valid(idx))
-        pos = np.asarray(idx.fill_null(0).to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        return pos, found
+        if not len(self.keys):
+            return (np.zeros(len(key_arr), np.int64),
+                    np.zeros(len(key_arr), bool))
+        k = join_key64(key_arr, self.key)
+        pos = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
+        return pos, self.keys[pos] == k
 
 
 class _BroadcastProbe:
@@ -84,6 +82,9 @@ class _BroadcastProbe:
     def __call__(self, batch: pa.Table) -> pa.Table:
         lk = self.lookup
         pos, found = lk.probe(batch[self.key])
+        if self.how in ("semi", "anti"):
+            return batch.filter(pa.array(found if self.how == "semi"
+                                         else ~found))
         if self.how == "inner" and not found.all():
             batch = batch.filter(pa.array(found))
             pos = pos[found]
@@ -97,141 +98,64 @@ class _BroadcastProbe:
         return batch
 
 
-def broadcast_semi_anti(ds: Dataset, small_keys, key: str,
-                        anti: bool = False) -> Dataset:
-    """Semi (keep rows whose key IS in the small set) or anti (keep rows
-    whose key is NOT in it) join against a broadcast key set — the
-    filter-shaped joins, no columns added, big side never shuffles.
-    ``small_keys``: pa.Array / ChunkedArray / numpy of keys (integer or
-    string — strings probe via the C++ ``is_in`` kernel).
-    """
-    if isinstance(small_keys, pa.ChunkedArray):
-        small_keys = small_keys.combine_chunks()
-    if isinstance(small_keys, pa.Array) and not pa.types.is_integer(
-            small_keys.type):
-        ref = ray.put(small_keys.unique())
+def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
+              value_cols: list[str] | tuple = (),
+              right_key: str | None = None,
+              size_hint_bytes: int | None = None) -> Dataset:
+    """Join ``right`` onto ``ds`` where ``ds[key] == right[right_key]``
+    (``right_key`` defaults to ``key``). ``how``:
 
-        def f_str(batch: pa.Table) -> pa.Table:
-            found = pc.is_in(batch[key], value_set=ray.get(ref))
-            return batch.filter(pc.invert(found) if anti else found)
+    * ``inner``/``left`` attach ``value_cols`` (right keys unique; a
+      left join's unmatched rows get typed nulls);
+    * ``semi``/``anti`` keep the rows whose key is / is not in
+      ``right`` and add no columns (right keys may repeat).
 
-        return ds.map_batches(f_str, batch_format="pyarrow")
-
-    if isinstance(small_keys, pa.Array):
-        small_keys = small_keys.to_numpy(zero_copy_only=False)
-    keys_sorted = np.unique(np.asarray(small_keys, dtype=np.int64))
-    ref = ray.put(keys_sorted)
-
-    def f(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        k = np.asarray(batch[key].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        pos = np.searchsorted(ks, k)
-        pos_c = np.clip(pos, 0, len(ks) - 1)
-        found = (ks[pos_c] == k) if len(ks) else np.zeros(len(k), dtype=bool)
-        return batch.filter(pa.array(~found if anti else found))
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def semi_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
-                   right_key: str | None = None, anti: bool = False,
-                   num_partitions: int | None = None,
-                   size_hint_bytes: int | None = None) -> Dataset:
-    """Distributed semi (keep matching) / anti (keep non-matching) join
-    of ``ds`` against a KEY DATASET — the scale-safe form of
-    :func:`broadcast_semi_anti` for keep-sets that are themselves
-    dataset-sized (e.g. dedup survivor ids over 10^12 docs).
-
-    Adaptive plan (size-probed, same knob as dedup's small-collapse):
-    a small materialized key set broadcasts — the big side never
-    shuffles; a large one marks membership through the coarse-bucket
-    lookup exchange (``dedup._bucket_lookup_join``; NOT Ray's
-    hash-shuffle join, which crashes when a partition receives zero
-    blocks for one side — an outcome any low-cardinality/empty side
-    produces) and filters on the mark, so the keep-set never
-    concentrates on the driver or any single node.
-
-    Key types are validated BEFORE the plan choice (plan-independent
-    semantics): integer keys match exactly on both plans; string keys
-    are hashed to stable int64 on both sides, so membership is
-    hash-equality (~2^-64 per-pair false match) on EITHER plan; any
-    other type raises TypeError regardless of input size.
-
-    ``size_hint_bytes`` (~8-16 B x keep-set rows): at/above the
-    collapse threshold the key projection is NEVER materialized — the
-    exchange plan is chosen directly, the hint flows into the lookup
-    join's bucket sizing, and a 10^12-row survivor set streams
-    straight through. Without a hint the probe materializes the
-    (narrow) key projection and measures, as before.
-    """
-    from batch_geocode_ray.stages import dedup as _dd  # single knob
-
+    The right side's size picks the plan (module doc): measured by
+    ``dedup._probe_small``, or said by ``size_hint_bytes`` — at or
+    above the collapse threshold the right side is never materialized
+    and the exchange streams. The key type is checked
+    before the plan runs, so a bad key fails at any size. An empty
+    right side (with or without a schema) gives the empty join on both
+    plans. Output columns: ``ds``'s, then ``value_cols``."""
+    if how not in _HOW:
+        raise ValueError(f"equi_join how={how!r}; expected one of {_HOW}")
     right_key = right_key or key
-    streaming = (size_hint_bytes is not None
-                 and size_hint_bytes >= _dd.SMALL_COLLAPSE_BYTES)
-    keys_m = keys_ds.select_columns([right_key])
-    if not streaming:
-        keys_m = keys_m.materialize()
-    # validate the key type UP FRONT, before any plan choice — otherwise
-    # the same call would pass on a small fixture (broadcast path) and
-    # fail only at scale when the probe picks the exchange plan
-    sch = keys_m.schema()  # ray Schema: parallel .names/.types lists
-    key_type = dict(zip(sch.names, sch.types))[right_key]
-    if pa.types.is_string(key_type) or pa.types.is_large_string(key_type):
-        # hash string keys to stable int64 on BOTH sides so the
-        # broadcast and exchange plans accept identical inputs with
-        # identical (hash-equality) semantics: ~2^-64 per-pair false
-        # match, plan-independent, instead of a TypeError that only
-        # fires past SMALL_COLLAPSE_BYTES
-        from batch_geocode_ray.functions.hashing import stable_hash64_array
+    value_cols = list(value_cols)
+    m, small, _ = _probe_small(
+        right.select_columns([right_key] + value_cols), size_hint_bytes)
+    schema = m.schema()
+    # Ray keeps no schema for an empty block: such a right side is
+    # empty, its key matches nothing and its values come out null-typed
+    types = dict(zip(schema.names, schema.types)) if schema else {}
+    key_type = types.get(right_key, pa.int64())
+    join_key64(pa.nulls(0, key_type), right_key)  # TypeError on a bad key
+    if small:
+        parts = [b for b in m.iter_batches(batch_size=None,
+                                           batch_format="pyarrow")
+                 if b.num_columns]
+        table = (pa.concat_tables(parts) if parts else pa.schema(
+            [(right_key, key_type)]
+            + [(c, types.get(c, pa.null())) for c in value_cols]
+        ).empty_table())
+        return broadcast_join(ds, table.rename_columns([key] + value_cols),
+                              key, value_cols, how)
+    # the right key rides along as the match flag: non-null exactly
+    # where a right row matched
+    hit = "__join_hit"
+    marked = _bucket_lookup_join(
+        ds, key, m, right_key,
+        {right_key: hit, **{c: c for c in value_cols}}, missing="null",
+        size_hint_bytes=size_hint_bytes)
 
-        def _hash_keys(b: pa.Table, col: str) -> pa.Table:
-            h = stable_hash64_array(b[col]).view(np.int64)
-            return pa.table({"__sa_hkey": pa.array(h, pa.int64())})
+    def finish(b: pa.Table) -> pa.Table:
+        found = pc.is_valid(b[hit])
+        if how == "anti":
+            b = b.filter(pc.invert(found))
+        elif how != "left":
+            b = b.filter(found)
+        return b.drop_columns([hit])
 
-        hashed_keys = keys_m.map_batches(
-            lambda b: _hash_keys(b, right_key), batch_format="pyarrow")
-        with_h = ds.map_batches(
-            lambda b: b.append_column(
-                "__sa_hkey",
-                pa.array(stable_hash64_array(b[key]).view(np.int64),
-                         pa.int64())),
-            batch_format="pyarrow")
-        out = semi_anti_join(with_h, hashed_keys, "__sa_hkey", anti=anti,
-                             num_partitions=num_partitions,
-                             size_hint_bytes=size_hint_bytes)
-        return out.map_batches(lambda b: b.drop_columns(["__sa_hkey"]),
-                               batch_format="pyarrow")
-    if not pa.types.is_integer(key_type):
-        raise TypeError(
-            "semi_anti_join requires integer or string keys (got "
-            f"{key_type} for {right_key!r})")
-    if not streaming and (keys_m.size_bytes() or 0) < _dd.SMALL_COLLAPSE_BYTES:
-        # an empty block may carry no schema at all (Ray passes a
-        # 0-row block through map_batches as-is): skip, don't concat it
-        parts = [t for t in (ray.get(r) for r in keys_m.to_arrow_refs())
-                 if t.num_columns]
-        keys = (pa.concat_tables(parts)[right_key].combine_chunks()
-                if parts else pa.array([], key_type))
-        return broadcast_semi_anti(ds, keys, key, anti=anti)
-    flagged = keys_m.map_batches(
-        lambda b: pa.table({
-            right_key: b[right_key],
-            "__sa_flag": pa.array(np.ones(b.num_rows, np.int8)),
-        }), batch_format="pyarrow")
-    marked = _dd._bucket_lookup_join(ds, key, flagged, right_key,
-                                     {"__sa_flag": "__sa_flag"},
-                                     missing="null",
-                                     size_hint_bytes=size_hint_bytes
-                                     if streaming else None)
-
-    def keep(b: pa.Table) -> pa.Table:
-        found = pc.is_valid(b["__sa_flag"])
-        return b.filter(pc.invert(found) if anti else found) \
-                .drop_columns(["__sa_flag"])
-
-    return marked.map_batches(keep, batch_format="pyarrow")
+    return marked.map_batches(finish, batch_format="pyarrow")
 
 
 def _int64(col) -> np.ndarray:
@@ -384,15 +308,18 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
 
 def broadcast_join(ds: Dataset, small: pa.Table, key: str,
                    value_cols: list[str], how: str = "inner") -> Dataset:
-    """Join ``small``'s ``value_cols`` onto ``ds`` by ``key`` without
-    shuffling ``ds``. The small side is put into the object store ONCE
-    (not re-shipped per batch/task).
+    """:func:`equi_join`'s broadcast plan for a right side that is
+    already a table: ``small[key]`` against ``ds[key]``, ``how`` one of
+    inner/left/semi/anti, without shuffling ``ds``. The lookup is put
+    into the object store ONCE (not re-shipped per batch/task).
 
     Runs as worker-cached TASKS (``stateful_map_batches``) rather than
     an actor pool: actor spin-up is ~1-2 s that short queries pay in
     full, while tasks reach full parallelism instantly and fuse with
     the upstream read (the same lesson as the fused flagship stage).
     State cost per worker is one zero-copy plasma read."""
+    if how not in _HOW:
+        raise ValueError(f"broadcast_join how={how!r}; expected one of {_HOW}")
     ref = ray.put(_Lookup(small, key, value_cols))
     return stateful_map_batches(ds, _BroadcastProbe,
                                 {"lookup": ref, "key": key, "how": how},
@@ -478,8 +405,8 @@ def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
     (``ray.put`` + per-worker cache), definite misses stream straight
     through (a Bloom filter has no false negatives), and only the
     possible-hit slice — a few % of rows at the default 1 MiB / 4-hash
-    sizing — pays the exact :func:`semi_anti_join`. The big side is
-    never shuffled for the misses.
+    sizing — pays the exact :func:`equi_join` anti join. The big side
+    is never shuffled for the misses.
 
     The prefilter map runs twice over the (pruned, columnar) read — one
     pass per branch; at corpus scale that is cheaper than materializing
@@ -496,6 +423,5 @@ def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
     poss = stateful_map_batches(ds, _BloomSplit,
                                 {**common, "want_possible": True},
                                 batch_format="pyarrow")
-    exact = semi_anti_join(poss, keys_ds, key, right_key=right_key,
-                           anti=True)
+    exact = equi_join(poss, keys_ds, key, "anti", right_key=right_key)
     return miss.union(exact)

@@ -400,14 +400,14 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     2. the blobs (one narrow row per FLAGGED doc) join their text via
        the bucket lookup join, and a map emits the cut text;
     3. unflagged docs — the overwhelming majority of a real corpus —
-       take the :func:`semi_anti_join` anti path (membership mark
-       against the flagged-id set) and stream through untouched.
+       take the :func:`~batch_geocode_ray.stages.joins.equi_join` anti
+       path against the flagged-id set and stream through untouched.
 
     ``size_hint_bytes``: same meaning as
     :func:`duplicate_span_coverage` (the per-position gram stream,
     ~32 x corpus chars)."""
     from batch_geocode_ray.stages.dedup import _bucket_lookup_join
-    from batch_geocode_ray.stages.joins import semi_anti_join
+    from batch_geocode_ray.stages.joins import equi_join
 
     dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
                                     size_hint_bytes)
@@ -506,10 +506,10 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
 
     cut_docs = joined.map_batches(cut, batch_format="pyarrow")
 
-    clean = semi_anti_join(
+    clean = equi_join(
         ds.select_columns([id_col, text_col]),
-        spans.select_columns(["doc"]), id_col, right_key="doc",
-        anti=True).map_batches(
+        spans.select_columns(["doc"]), id_col, "anti",
+        right_key="doc").map_batches(
             lambda b: pa.table({id_col: b[id_col],
                                 "text_cut": b[text_col]}),
             batch_format="pyarrow")

@@ -222,6 +222,33 @@ def test_grouped_aggregate_timestamp_key_with_nulls(monkeypatch):
     assert distributed[-1][6] == sum(t is None for t in ts)
 
 
+def test_sort_adaptive_timestamp_key_with_nulls(monkeypatch):
+    """The distributed final sort (``queries._sort_adaptive`` forced
+    past the probe) over a timestamp key that holds nulls returns each
+    row exactly once, non-null keys ascending. Ray's own sort emitted
+    some rows twice whenever it sampled a null key, so repeat it."""
+    import datetime as dt
+
+    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.pipelines.queries import _sort_adaptive
+
+    rng = np.random.RandomState(5)
+    n = 400
+    base = dt.datetime(2024, 5, 1)
+    ts = [None if j % 4 == 0 else base + dt.timedelta(minutes=int(m))
+          for j, m in enumerate(rng.randint(0, 10000, n))]
+    ds = rd.from_arrow(pa.table({
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "i": pa.array(range(n), pa.int64())})).repartition(6)
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    for _ in range(6):
+        got = _sort_adaptive(ds, "ts").take_all()
+        assert sorted(r["i"] for r in got) == list(range(n))
+        keys = [r["ts"] for r in got if r["ts"] is not None]
+        assert keys == sorted(keys)
+        assert list(got[0]) == ["ts", "i"]
+
+
 def test_grouped_aggregate_bit_identical_under_block_order(monkeypatch):
     """Float sums whose value depends on summation order (1e16 + 1 ==
     1e16) come out bit-identical whatever order the input blocks, and

@@ -9,7 +9,7 @@ from batch_geocode_ray.stages.aggregates import (
     global_topk,
     grouped_collect_distinct_sorted,
 )
-from batch_geocode_ray.stages.joins import bloom_anti_join, semi_anti_join
+from batch_geocode_ray.stages.joins import bloom_anti_join, equi_join
 
 
 def _keys_ds(vals):
@@ -25,8 +25,8 @@ def test_bloom_anti_join_exact_vs_plain():
         "v": pa.array(rng.normal(size=len(big_keys))),
     })).repartition(6)
     want = sorted((r["k"], round(r["v"], 9)) for r in
-                  semi_anti_join(big, _keys_ds(block), "k",
-                                 anti=True).take_all())
+                  equi_join(big, _keys_ds(block), "k",
+                            "anti").take_all())
     got = sorted((r["k"], round(r["v"], 9)) for r in
                  bloom_anti_join(big, _keys_ds(block), "k").take_all())
     assert got == want

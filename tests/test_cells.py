@@ -5,13 +5,12 @@ import numpy as np
 from batch_geocode_ray.functions.cells import (
     S2_MAX_LEVEL,
     hex_cell,
-    hex_decode,
     hex_kring,
     s2_cell,
-    s2_cell_center,
-    s2_level_of,
     s2_parent,
 )
+
+from .reference import hex_decode, s2_cell_center, s2_level_of
 
 RNG = np.random.RandomState(7)
 LONS = RNG.uniform(-179, 179, size=500)

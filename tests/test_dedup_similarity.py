@@ -241,7 +241,7 @@ def test_cosine_neardup_block_pair_plan_matches_one_task(monkeypatch):
 
 
 def test_semi_anti_join_both_plans(monkeypatch):
-    from batch_geocode_ray.stages.joins import semi_anti_join
+    from batch_geocode_ray.stages.joins import equi_join
 
     big = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
@@ -250,28 +250,28 @@ def test_semi_anti_join_both_plans(monkeypatch):
     keys = rd.from_arrow(pa.table({"kk": pa.array([2, 4, 4, 6], pa.int64())}))
 
     def run():
-        semi = sorted(r["k"] for r in semi_anti_join(
-            big, keys, "k", right_key="kk").take_all())
-        anti = sorted(r["k"] for r in semi_anti_join(
-            big, keys, "k", right_key="kk", anti=True).take_all())
+        semi = sorted(r["k"] for r in equi_join(
+            big, keys, "k", "semi", right_key="kk").take_all())
+        anti = sorted(r["k"] for r in equi_join(
+            big, keys, "k", "anti", right_key="kk").take_all())
         return semi, anti
 
     assert run() == ([2, 4, 6], [1, 3, 5])
     import batch_geocode_ray.stages.dedup as dd
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # force shuffle join
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # force the exchange
     assert run() == ([2, 4, 6], [1, 3, 5])
 
 
 def test_semi_anti_join_skips_schemaless_empty_key_block():
     """A 0-row key block with no schema (what Ray leaves of an empty
     block) must not break the broadcast plan's key concat."""
-    from batch_geocode_ray.stages.joins import semi_anti_join
+    from batch_geocode_ray.stages.joins import equi_join
 
     big = rd.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
     keys = rd.from_arrow([pa.table({"kk": pa.array([1, 3], pa.int64())}),
                           pa.table({})])
-    got = sorted(r["k"] for r in semi_anti_join(
-        big, keys, "k", right_key="kk").take_all())
+    got = sorted(r["k"] for r in equi_join(
+        big, keys, "k", "semi", right_key="kk").take_all())
     assert got == [1, 3]
 
 

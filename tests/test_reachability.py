@@ -15,8 +15,9 @@ non-test ``.py`` file of the repo (``bench.py``, ``__ray_entry__.py``,
   registry keys and ``getattr``.
 
 A reached def or class is itself a region, so a reachable class keeps all
-of its methods. Code that only tests reach is deleted with its tests,
-except the reference implementations in ``EXEMPT``.
+of its methods. Code that only tests reach is deleted with its tests; a
+per-row or inverse reference that tests check a kernel against lives in
+``tests/reference.py``, so ``EXEMPT`` is empty.
 
 The parameter scan (below) uses the same roots. A defaulted parameter
 that no root call passes is a constant: inline it, or exempt it in
@@ -35,24 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PKG = "batch_geocode_ray"
 
 # (file, def) -> why a def no entry point reaches stays
-EXEMPT = {
-    ("batch_geocode_ray/functions/hashing.py", "minhash_signature"):
-        "per-row reference for MinHashSignatures' batch kernel",
-    ("batch_geocode_ray/functions/hashing.py", "simhash64"):
-        "per-row reference for simhash64_batch",
-    ("batch_geocode_ray/functions/cells.py", "s2_cell_center"):
-        "inverse of s2_cell: the encoder's round-trip oracle",
-    ("batch_geocode_ray/functions/cells.py", "_st_to_uv"):
-        "s2_cell_center's projection step",
-    ("batch_geocode_ray/functions/cells.py", "s2_level_of"):
-        "inverse of s2_parent's level: the encoder's round-trip oracle",
-    ("batch_geocode_ray/functions/cells.py", "hex_decode"):
-        "inverse of hex_cell: the encoder's round-trip oracle",
-    ("batch_geocode_ray/sources/xlsx.py", "read_xlsx"):
-        "reader that checks write_xlsx's round trip",
-    ("batch_geocode_ray/sources/xlsx.py", "_ref_to_col"):
-        "read_xlsx's cell-reference decoder",
-}
+EXEMPT: dict[tuple[str, str], str] = {}
 
 _DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -208,8 +192,10 @@ def test_exemptions_are_current():
 # parameter. ``stateful_map_batches(ds, Cls, kwargs)`` passes the keys of
 # ``kwargs`` (a dict literal, or a name bound to one in the same
 # function) to ``Cls``; ``map_batches(Cls, fn_constructor_args=...,
-# fn_constructor_kwargs=...)`` passes those. Nested closures are not
-# scanned (their defaults bind loop variables), nor are ``EXEMPT`` defs.
+# fn_constructor_kwargs=...)`` passes those. A def's calls to itself do
+# not count: a recursive call only forwards what a root call passed.
+# Nested closures are not scanned (their defaults bind loop variables),
+# nor are ``EXEMPT`` defs.
 
 # (file, def, parameter) -> why a defaulted parameter no root call passes
 # stays; ``def`` is ``Class.method`` for a method. A parameter stays only
@@ -322,8 +308,11 @@ def _calls(tree: ast.Module):
     for scope in scopes:  # innermost function wins: walked last
         for n in ast.walk(scope):
             owner[n] = scope
+    recursive = {n for f in scopes[1:] for n in ast.walk(f)
+                 if isinstance(n, ast.Call)
+                 and _terminal(n.func, aliases) == f.name}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or node in recursive:
             continue
         name = _terminal(node.func, aliases)
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
@@ -389,19 +378,25 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_param_scan_flags_unpassed_defaults():
     """Non-vacuity: a default no call passes is flagged; one passed
-    through a ``stateful_map_batches`` kwargs dict is not."""
+    through a ``stateful_map_batches`` kwargs dict is not; one only a
+    recursive forwarder passes is flagged."""
     tree = ast.parse(
         "class Stage:\n"
         "    def __init__(self, a, b=1, c=2):\n"
         "        pass\n"
         "def f(x, y=0):\n"
         "    pass\n"
+        "def g(x, parts=None):\n"
+        "    def inner(b):\n"
+        "        return g(b, parts=parts)\n"
+        "    return inner(x) if x else g(x, parts=parts)\n"
         "def build(ds):\n"
         "    kwargs = {'b': 3}\n"
         "    f(1)\n"
+        "    g(ds)\n"
         "    return stateful_map_batches(ds, Stage, kwargs)\n")
     got = {(owner, p) for _, _, owner, p in _unpassed([("m.py", tree)], [tree])}
-    assert got == {("Stage.__init__", "c"), ("f", "y")}
+    assert got == {("Stage.__init__", "c"), ("f", "y"), ("g", "parts")}
 
 
 def test_param_exemptions_are_current():

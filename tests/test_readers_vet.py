@@ -76,7 +76,9 @@ def test_xlsx_round_trip_and_dispatch(tmp_path):
     sharedStrings + sparse rows parse."""
     import pyarrow as pa
 
-    from batch_geocode_ray.sources.xlsx import read_xlsx, write_xlsx
+    from batch_geocode_ray.sources.xlsx import write_xlsx
+
+    from .reference import read_xlsx
 
     t = pa.table({
         "address": pa.array(["Kigali, Rwanda", "São Paulo", None]),
@@ -128,7 +130,8 @@ def test_write_reference_output_xlsx(tmp_path):
     import ray.data as rd
 
     from batch_geocode_ray.sources.writers import write_reference_csv
-    from batch_geocode_ray.sources.xlsx import read_xlsx
+
+    from .reference import read_xlsx
 
     ds = rd.from_arrow(pa.table({
         "url": pa.array(["u1"]),
@@ -155,7 +158,9 @@ def test_xlsx_property_round_trip():
 
     import pyarrow as pa
 
-    from batch_geocode_ray.sources.xlsx import read_xlsx, write_xlsx
+    from batch_geocode_ray.sources.xlsx import write_xlsx
+
+    from .reference import read_xlsx
 
     _invalid = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\x7f￾￿]")
 

@@ -117,10 +117,9 @@ def test_fingerprint_detects_shared_regions():
 def test_fingerprint_equals_per_row_reference():
     """Per document: the min of its :func:`shingle_hashes` (3-gram
     windows, or the full run of a shorter doc); 0 with no token."""
-    from batch_geocode_ray.functions.hashing import (
-        shingle_hashes,
-        stable_hash64_array,
-    )
+    from batch_geocode_ray.functions.hashing import stable_hash64_array
+
+    from .reference import shingle_hashes
 
     texts = ["", None, "one", "two tokens", "exactly three tokens", ",;",
              "a longer document, with many more tokens inside it a longer"]
