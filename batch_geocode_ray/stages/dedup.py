@@ -653,8 +653,6 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         return counted
 
     # escalation: hot×hot pairs via MinHash LSH + exact trigram verify
-    from batch_geocode_ray.stages.joins import equi_join
-
     hot_docs = equi_join(ds.select_columns([id_col, text_col]), hot_ids,
                          id_col, "semi", right_key="_hot_id")
     escalated = minhash_lsh_pairs(hot_docs, text_col, id_col, k=k,

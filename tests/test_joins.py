@@ -81,6 +81,18 @@ def test_equi_join_plans_match_naive(how, key_type, side, monkeypatch):
         assert _rows(got) == want, (how, key_type, side, collapse)
 
 
+def test_equi_join_empty_left_side(monkeypatch):
+    """A left side emptied by a filter carries no schema; each ``how``
+    gives no rows on both plans."""
+    left = _left("int").filter(lambda r: False)
+    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+        for how in ("inner", "left", "semi", "anti"):
+            right = _right("int", "rows", how)
+            assert equi_join(left, right, "k", how, right_key="rk") \
+                .take_all() == []
+
+
 def test_equi_join_rejects_bad_how_and_key_type(monkeypatch):
     left = rd.from_arrow(pa.table({"k": pa.array([1.5, 2.5])}))
     right = rd.from_arrow(pa.table({"k": pa.array([1.5])}))
