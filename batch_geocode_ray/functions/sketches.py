@@ -170,7 +170,7 @@ def grouped_quantile_sketch(ds, group_col: str | None, col: str,
     block) — the same skew-collapsing shape as the tile aggregates), the driver
     merges per group and queries. Returns {group: [quantile per q]}.
     ``group_col=None`` sketches the whole column as one group."""
-    import ray
+    from batch_geocode_ray.stages.stateful import gather
 
     def partial(b: pa.Table) -> pa.Table:
         if group_col is None:
@@ -199,12 +199,11 @@ def grouped_quantile_sketch(ds, group_col: str | None, col: str,
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
     by_group: dict = {}
-    for t in (ray.get(ref) for ref in parts.to_arrow_refs()):
-        for r in t.to_pylist():
-            key = None if group_col is None else r["g"]
-            by_group.setdefault(key, []).append(
-                (np.frombuffer(r["v"], dtype=np.float64),
-                 np.frombuffer(r["w"], dtype=np.float64)))
+    for r in gather(parts).to_pylist():
+        key = None if group_col is None else r["g"]
+        by_group.setdefault(key, []).append(
+            (np.frombuffer(r["v"], dtype=np.float64),
+             np.frombuffer(r["w"], dtype=np.float64)))
     return {g: [quantile_query(quantile_merge(ps), q) for q in qs]
             for g, ps in by_group.items()}
 
@@ -254,7 +253,7 @@ def heavy_hitters_with_total(ds, col: str, k: int = 16) -> tuple[list, int]:
     pass). Returns ([(item, lower_bound_count)] sorted desc, n_total)."""
     import json
 
-    import ray
+    from batch_geocode_ray.stages.stateful import gather
 
     def partial(b: pa.Table) -> pa.Table:
         summ = mg_partial(b[col], k)
@@ -263,11 +262,8 @@ def heavy_hitters_with_total(ds, col: str, k: int = 16) -> tuple[list, int]:
             "n": pa.array([b.num_rows], pa.int64()),
         })
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    summaries: list[dict] = []
-    n_total = 0
-    for t in (ray.get(r) for r in parts.to_arrow_refs()):
-        summaries.extend(json.loads(s) for s in t["summ"].to_pylist())
-        n_total += sum(t["n"].to_pylist())
+    rows = gather(ds.map_batches(partial, batch_format="pyarrow")).to_pylist()
+    summaries = [json.loads(r["summ"]) for r in rows]
+    n_total = sum(r["n"] for r in rows)
     merged = mg_merge(summaries, k) if summaries else {}
     return (sorted(merged.items(), key=lambda kv: (-kv[1], kv[0])), n_total)

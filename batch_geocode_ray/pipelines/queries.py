@@ -39,7 +39,7 @@ from batch_geocode_ray.stages.similarity import (
     ivf_knn,
     knn_cosine,
 )
-from batch_geocode_ray.stages.stateful import stateful_map_batches
+from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 _ROUND_MODE = "half_towards_infinity"  # DuckDB ROUND tie behavior
 
@@ -1293,14 +1293,10 @@ def _distinct_exact_and_hll(ds: Dataset, col: str) -> tuple[int, float]:
     distinct = grouped_aggregate(
         ds.map_batches(to_h, batch_format="pyarrow"), ["_h"], [])
     parts = distinct.map_batches(block_summary, batch_format="pyarrow")
-    exact = 0
-    regs: list[np.ndarray] = []
-    for t in (ray.get(r) for r in parts.to_arrow_refs()):
-        exact += sum(t["n"].to_pylist())
-        regs.extend(np.frombuffer(r, dtype=np.uint8)
-                    for r in t["regs"].to_pylist())
-    est = hll_estimate(hll_merge(regs)) if regs else 0.0
-    return exact, est
+    rows = gather(parts).to_pylist()
+    regs = [np.frombuffer(r["regs"], dtype=np.uint8) for r in rows]
+    return (sum(r["n"] for r in rows),
+            hll_estimate(hll_merge(regs)) if regs else 0.0)
 
 
 def q37_distinct_urls_hll(sf_dir: str) -> Dataset:
@@ -1367,8 +1363,7 @@ def q38_heavy_hitters(sf_dir: str) -> Dataset:
         return b.sort_by([("n_events", "descending"),
                           ("event_type", "ascending")])
 
-    return agg.map_batches(finalize, batch_format="pyarrow",
-                           batch_size=None)
+    return _one_task(agg, finalize)  # <= k rows, in one global order
 
 
 SQL_Q38 = """
@@ -1598,11 +1593,11 @@ def q44_price_quantile_sketch(sf_dir: str) -> Dataset:
     # ONE exact pass (the gate bands p-1%/p+1% ride along) + ONE
     # grouped sketch pass — no per-group re-scans
     exact = {r["l_returnflag"]: r
-             for r in grouped_quantiles(
+             for r in gather(grouped_quantiles(
                  li, "l_returnflag", "l_extendedprice",
                  [0.5, 0.95, 0.49, 0.51, 0.94, 0.96],
                  ["p50_price", "p95_price", "lo50", "hi50",
-                  "lo95", "hi95"]).take_all()}
+                  "lo95", "hi95"])).to_pylist()}
     est = grouped_quantile_sketch(li, "l_returnflag", "l_extendedprice",
                                   [0.5, 0.95])
     rows = []
@@ -2337,9 +2332,7 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
     df = grouped_aggregate(docs.map_batches(df_partial,
                                             batch_format="pyarrow"),
                            ["token"], [("df", "sum", "df")])
-    vocab = pa.concat_tables(df.iter_batches(batch_size=None,
-                                             batch_format="pyarrow"))
-    vocab = vocab.sort_by("token")  # index order == lexicographic order
+    vocab = gather(df).sort_by("token")  # index order == lexicographic order
     vocab_tokens = vocab["token"].combine_chunks()
     df_np = np.asarray(vocab["df"].to_numpy(zero_copy_only=False),
                        dtype=np.float64)
@@ -2674,8 +2667,7 @@ def q67_grouped_distinct_hll(sf_dir: str) -> Dataset:
     exact = grouped_aggregate(pairs, ["event_type"],
                               [("user_id", "count", "exact_distinct")],
                               sort_keys=["event_type"])
-    exact_tbl = pa.concat_tables(exact.iter_batches(
-        batch_size=None, batch_format="pyarrow"))
+    exact_tbl = gather(exact)
 
     # sketch: per-(group, batch) registers, merged by register-wise max
     def sketch_partial(b: pa.Table) -> pa.Table:
@@ -2706,7 +2698,7 @@ def q67_grouped_distinct_hll(sf_dir: str) -> Dataset:
 
     est = _one_task(ev.map_batches(sketch_partial, batch_format="pyarrow"),
                     merge_regs)
-    est_map = {r["event_type"]: r["est"] for r in est.take_all()}
+    est_map = {r["event_type"]: r["est"] for r in gather(est).to_pylist()}
 
     types = exact_tbl["event_type"].to_pylist()
     exacts = exact_tbl["exact_distinct"].to_pylist()

@@ -18,6 +18,7 @@ import pyarrow.csv as pacsv
 from ray.data import Dataset
 
 from batch_geocode_ray.config import GEOCODING_SUFFIXES
+from batch_geocode_ray.stages.stateful import gather
 
 
 def reference_column_order(columns: list[str]) -> list[str]:
@@ -49,8 +50,7 @@ def write_reference_csv(ds: Dataset, out_path: str,
     combinations materialize as empty (null) columns, matching the
     reference's ``reindex`` NaN columns. Returns rows written.
     """
-    tables = list(ds.iter_batches(batch_format="pyarrow"))
-    table = pa.concat_tables(tables) if tables else pa.table({})
+    table = gather(ds)
     if table.num_rows > max_driver_rows:
         raise ValueError(
             f"{table.num_rows} rows exceed single-CSV limit "

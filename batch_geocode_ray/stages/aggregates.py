@@ -32,6 +32,7 @@ from batch_geocode_ray.stages.dedup import (
     bucket_exchange,
     distributed_sort,
 )
+from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 
 def tile_aggregate(ds: Dataset, cell_col: str) -> Dataset:
@@ -316,25 +317,23 @@ def int_quantile_threshold(ds: Dataset, value_col: str, q: float) -> int:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"int_quantile_threshold: q={q} outside [0, 1]")
-    counts = grouped_aggregate(
-        ds.select_columns([value_col]), [value_col],
-        [(value_col, "count", "_n")])
-    vs, ns = [], []
-    for b in counts.iter_batches(batch_format="pyarrow"):
-        vs.append(np.asarray(b[value_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64))
-        ns.append(np.asarray(b["_n"].to_numpy(zero_copy_only=False),
-                             dtype=np.int64))
-    if not vs or not sum(len(v) for v in vs):
-        raise ValueError("int_quantile_threshold: empty input")
-    v = np.concatenate(vs)
-    n = np.concatenate(ns)
-    order = np.argsort(v, kind="stable")
-    v, n = v[order], n[order]
+    t = _value_counts(ds, value_col, "int_quantile_threshold")
+    n = t["_n"].to_numpy()
     total = int(n.sum())
     rank = min(max(int(np.ceil(q * total)) - 1, 0), total - 1)
-    cum = np.cumsum(n)
-    return int(v[np.searchsorted(cum, rank + 1)])
+    return t[value_col][int(np.searchsorted(np.cumsum(n), rank + 1))].as_py()
+
+
+def _value_counts(ds: Dataset, value_col: str, who: str) -> pa.Table:
+    """``(value_col, _n)``: one row per distinct value of an integer
+    column with its count of non-null rows, sorted by value (a null
+    last); ValueError naming ``who`` on empty input."""
+    t = gather(grouped_aggregate(
+        ds.select_columns([value_col]), [value_col],
+        [(value_col, "count", "_n")]))
+    if not t.num_rows:
+        raise ValueError(f"{who}: empty input")
+    return t.sort_by(value_col)
 
 
 def global_percent_rank(ds: Dataset, value_col: str,
@@ -363,40 +362,37 @@ def global_percent_rank(ds: Dataset, value_col: str,
         raise TypeError(
             f"global_percent_rank: {value_col!r} is {vt}, not an integer "
             "type; the value->count table would truncate it")
-    counts = grouped_aggregate(
-        ds.select_columns([value_col]), [value_col],
-        [(value_col, "count", "_n")])
-    vs, ns = [], []
-    for b in counts.iter_batches(batch_format="pyarrow"):
-        col = b[value_col]
-        if col.null_count:
-            raise ValueError(
-                f"global_percent_rank: null values in {value_col!r}; "
-                "filter nulls first (SQL windows order them instead)")
-        vs.append(np.asarray(col.to_numpy(zero_copy_only=False),
-                             dtype=np.int64))
-        ns.append(np.asarray(b["_n"].to_numpy(zero_copy_only=False),
-                             dtype=np.int64))
-    if not vs or not sum(len(v) for v in vs):
-        raise ValueError("global_percent_rank: empty input")
-    v = np.concatenate(vs)
-    n = np.concatenate(ns)
-    order = np.argsort(v, kind="stable")
-    v, n = v[order], n[order]
+    t = _value_counts(ds, value_col, "global_percent_rank")
+    if t[value_col].null_count:
+        raise ValueError(
+            f"global_percent_rank: null values in {value_col!r}; "
+            "filter nulls first (SQL windows order them instead)")
+    v = t[value_col].to_numpy().astype(np.int64)
+    n = t["_n"].to_numpy()
     total = int(n.sum())
     below = np.concatenate([[0], np.cumsum(n)[:-1]])
     pct = (below / float(total - 1) if total > 1
            else np.zeros(len(v), dtype=np.float64))
-    ref = ray.put((v, pct))
+    return stateful_map_batches(
+        ds, _PercentRank, {"table": ray.put((v, pct)),
+                           "value_col": value_col, "out_col": out_col},
+        batch_format="pyarrow")
 
-    def score(b: pa.Table) -> pa.Table:
-        v_sorted, p = ray.get(ref)  # plasma-cached after first fetch
-        x = np.asarray(b[value_col].to_numpy(zero_copy_only=False),
+
+class _PercentRank:
+    """Per-worker cached probe of the sorted value -> percent-rank
+    table: one ``searchsorted`` per batch."""
+
+    def __init__(self, table, value_col: str, out_col: str):
+        self.v, self.pct = table
+        self.value_col, self.out_col = value_col, out_col
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        x = np.asarray(b[self.value_col].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
-        idx = np.searchsorted(v_sorted, x)  # exact: every value is in v
-        return b.append_column(out_col, pa.array(p[idx], pa.float64()))
-
-    return ds.map_batches(score, batch_format="pyarrow")
+        idx = np.searchsorted(self.v, x)  # exact: every value is in v
+        return b.append_column(self.out_col,
+                               pa.array(self.pct[idx], pa.float64()))
 
 
 def _segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
+import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.functions.hashing import (
@@ -44,6 +44,7 @@ from batch_geocode_ray.functions.hashing import (
     stable_hash64_array,
 )
 from batch_geocode_ray.functions.text import flat_tokens
+from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +161,12 @@ def key_hash64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
 def join_key64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
     """Equi-join key column ``name`` as int64: integers as themselves,
     strings by their stable 64-bit hash (a ~2^-64 per-pair false
-    match). Other types raise ``TypeError`` naming the column."""
+    match). Other types raise ``TypeError`` naming the column. A null
+    gets an arbitrary value: callers mask null keys out."""
     t = col.type
     if pa.types.is_integer(t):
-        return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.int64)
+        return np.asarray(col.fill_null(0).to_numpy(zero_copy_only=False),
+                          dtype=np.int64)
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         return stable_hash64_array(col).view(np.int64)
     raise TypeError(f"join key column {name!r} has type {t}; expected an "
@@ -247,11 +250,12 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     collapses to one task below the small probe, and is empty-safe.
 
     Keys follow :func:`join_key64` (integers exactly, strings by stable
-    hash). A request key should appear ONCE in ``source`` for 1:1
-    payload semantics (with duplicate source keys an arbitrary one
-    attaches — fine for membership flags). Source rows without requests
-    emit nothing. ``missing``: "error" raises on a request key absent
-    from source; "null" attaches typed nulls (left semantics)."""
+    hash); a null key matches nothing. A request key should appear ONCE
+    in ``source`` for 1:1 payload semantics (with duplicate source keys
+    an arbitrary one attaches — fine for membership flags). Source rows
+    without requests emit nothing. ``missing``: "error" raises on a
+    request key absent from source; "null" attaches typed nulls (left
+    semantics)."""
     req_schema = requests.schema()
     if req_schema is None:  # Ray keeps no schema for empty blocks
         return requests
@@ -265,6 +269,8 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     all_cols = req_names + [oc for _, oc in out_payload]
 
     def as_carrier(b: pa.Table) -> pa.Table:
+        if b[source_key].null_count:
+            b = b.filter(pc.is_valid(b[source_key]))
         n = b.num_rows
         cols = {"__lk_k": pa.array(join_key64(b[source_key], source_key)),
                 "__lk_r": pa.array(np.zeros(n, np.int8))}
@@ -276,8 +282,10 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
 
     def as_request(b: pa.Table) -> pa.Table:
         n = b.num_rows
+        # 1 marks a request, 2 a request with a null key (never matched)
+        valid = pc.is_valid(b[req_key]).to_numpy(zero_copy_only=False)
         cols = {"__lk_k": pa.array(join_key64(b[req_key], req_key)),
-                "__lk_r": pa.array(np.ones(n, np.int8))}
+                "__lk_r": pa.array(np.where(valid, 1, 2).astype(np.int8))}
         for c in req_names:
             cols[c] = b[c]
         for sc, oc in out_payload:
@@ -299,18 +307,18 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
         seg_start = np.ones(len(ks), dtype=bool)
         seg_start[1:] = ks[1:] != ks[:-1]
         starts = np.nonzero(seg_start)[0]
-        req_mask = rs == 1
-        bad = rs[starts] != 0  # segment's first row must be its carrier
-        if bad.any() and missing == "error":
-            raise ValueError(
-                f"lookup-join request key(s) {ks[starts[bad]][:5].tolist()} "
-                "have no source row")
+        req_mask = rs != 0
         seg_id = np.cumsum(seg_start) - 1
         carrier_of = starts[seg_id]
         has_carrier = (rs[starts] == 0)[seg_id]
         req_idx = np.nonzero(req_mask)[0]
         car_idx = carrier_of[req_mask]
-        car_ok = has_carrier[req_mask]
+        car_ok = has_carrier[req_mask] & (rs[req_mask] == 1)
+        if missing == "error" and not car_ok.all():
+            raise ValueError(
+                "lookup-join request key(s) "
+                f"{np.unique(ks[req_idx[~car_ok]])[:5].tolist()} "
+                "have no source row")
         out = {c: g2[c].take(pa.array(req_idx, pa.int64()))
                for c in req_names}
         idx = (pa.array(car_idx, pa.int64()) if car_ok.all()
@@ -664,6 +672,44 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
 # train/eval n-gram decontamination
 # ---------------------------------------------------------------------------
 
+class _GramFlag:
+    """Per-worker cached membership test of each train document's
+    k-grams against the sorted eval gram set (the broadcast plan of
+    :func:`ngram_decontaminate`)."""
+
+    def __init__(self, eval_set: np.ndarray, id_col: str, text_col: str,
+                 k: int):
+        self.ev, self.k = eval_set, k
+        self.id_col, self.text_col = id_col, text_col
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        # per-doc counts are final because the gram table is built HERE
+        # from one text batch: a doc's grams are contiguous by
+        # construction. A separate gram stage would NOT guarantee this —
+        # Ray 2.49 splits a UDF output block exceeding
+        # target_max_block_size at an arbitrary row (reproduced), so a
+        # doc straddling the split would emit two partial rows.
+        b = _doc_grams(b, self.text_col, self.id_col, self.k)
+        ev = self.ev
+        g = np.asarray(b["gram"].to_numpy(zero_copy_only=False),
+                       dtype=np.int64)
+        pos = np.searchsorted(ev, g)
+        pos[pos == len(ev)] = 0
+        hit = (ev[pos] == g) if len(ev) else np.zeros(len(g), bool)
+        ids = np.asarray(b[self.id_col].to_numpy(zero_copy_only=False),
+                         dtype=np.int64)
+        ns = np.asarray(b["n"].to_numpy(zero_copy_only=False),
+                        dtype=np.int64)
+        hid, hcnt = np.unique(ids[hit], return_counts=True)
+        uids, uidx = np.unique(ids, return_index=True)
+        first = uidx[np.searchsorted(uids, hid)]
+        return pa.table({
+            self.id_col: pa.array(hid, pa.int64()),
+            "n_hit_grams": pa.array(hcnt, pa.int64()),
+            "n_grams": pa.array(ns[first], pa.int64()),
+        })
+
+
 def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
                         id_col: str, k: int = 13,
                         eval_size_hint_bytes: int | None = None,
@@ -711,57 +757,17 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     eval_m, eval_small, eval_bytes = _probe_small(
         eval_grams, size_hint_bytes=eval_size_hint_bytes)
 
-    def _empty() -> pa.Table:
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "n_hit_grams": pa.array([], pa.int64()),
-                         "n_grams": pa.array([], pa.int64())})
-
     if eval_small:
         # ---- broadcast plan: eval grams -> one sorted array ----------
-        import ray as _ray
-
-        parts = [np.asarray(b["gram"].to_numpy(zero_copy_only=False),
-                            dtype=np.int64)
-                 for b in eval_m.iter_batches(batch_format="pyarrow")]
-        eval_set = np.unique(np.concatenate(parts)) if parts \
-            else np.empty(0, np.int64)
-        eval_ref = _ray.put(eval_set)
-
-        def flag(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return _empty()
-            ev = _ray.get(eval_ref)
-            g = np.asarray(b["gram"].to_numpy(zero_copy_only=False),
-                           dtype=np.int64)
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-            ns = np.asarray(b["n"].to_numpy(zero_copy_only=False),
-                            dtype=np.int64)
-            pos = np.searchsorted(ev, g)
-            pos[pos == len(ev)] = 0
-            hit = (ev[pos] == g) if len(ev) else np.zeros(len(g), bool)
-            if not hit.any():
-                return _empty()
-            # per-doc counts are final because the gram table was built
-            # INSIDE this UDF from one text batch (see flag_text): a
-            # doc's grams are contiguous by construction. A separate
-            # gram stage would NOT guarantee this — Ray 2.49 splits a
-            # UDF output block exceeding target_max_block_size at an
-            # arbitrary row (reproduced), so a doc straddling the split
-            # would emit two partial rows.
-            hid, hcnt = np.unique(ids[hit], return_counts=True)
-            uids, uidx = np.unique(ids, return_index=True)
-            first = uidx[np.searchsorted(uids, hid)]
-            return pa.table({
-                id_col: pa.array(hid, pa.int64()),
-                "n_hit_grams": pa.array(hcnt, pa.int64()),
-                "n_grams": pa.array(ns[first], pa.int64()),
-            })
-
-        def flag_text(b: pa.Table) -> pa.Table:
-            return flag(_doc_grams(b, text_col, id_col, k))
-
-        return train.map_batches(flag_text, batch_format="pyarrow")
+        grams = gather(eval_m)
+        eval_set = (np.unique(np.asarray(
+            grams["gram"].to_numpy(zero_copy_only=False), dtype=np.int64))
+            if grams.num_rows else np.empty(0, np.int64))
+        return stateful_map_batches(
+            train, _GramFlag,
+            {"eval_set": ray.put(eval_set), "id_col": id_col,
+             "text_col": text_col, "k": k},
+            batch_format="pyarrow")
 
     # ---- distributed plan: bucket exchange on the gram hash ----------
     # (block-split-safe: the per-doc finalize below AGGREGATES partial
@@ -959,8 +965,6 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
     bands, rows_per_band = lsh_banding_for_threshold(threshold)
     streaming = (size_hint_bytes is not None
                  and size_hint_bytes >= SMALL_COLLAPSE_BYTES)
-    from batch_geocode_ray.stages.stateful import stateful_map_batches
-
     sig_stream = stateful_map_batches(
         ds, MinHashSignatures,
         {"text_col": text_col, "id_col": id_col, "k": k,

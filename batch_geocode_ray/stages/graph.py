@@ -51,6 +51,7 @@ import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.stages.dedup import _one_task, _probe_small, key_hash64
+from batch_geocode_ray.stages.stateful import gather
 
 _MAX_ROUNDS = 40  # pointer jumping ⇒ ≥ 2^40 node chains before this binds
 
@@ -172,10 +173,7 @@ def _hot_request_keys(reqs: Dataset, cap: int):
     hot = counts.map_batches(
         lambda t: t.filter(pc.greater(t["cnt"], cap)),
         batch_format="pyarrow")
-    tbls = list(hot.iter_batches(batch_size=None, batch_format="pyarrow"))
-    t = (pa.concat_tables(tbls) if tbls
-         else pa.table({"key": pa.array([], pa.int64()),
-                        "cnt": pa.array([], pa.int64())}))
+    t = gather(hot)
     if t.num_rows == 0:
         return None
     ks = np.asarray(t["key"].to_numpy(zero_copy_only=False), dtype=np.int64)
@@ -200,13 +198,13 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         return b.append_column("_bucket", pa.array(
             (key_hash64(b["key"], "key") % n_buckets).astype(np.int64)))
 
-    def bucket_salted(b: pa.Table, *, hot_ref) -> pa.Table:
+    def bucket_salted(b: pa.Table, *, hot) -> pa.Table:
         """Bucket assignment with hot keys fanned across sub-buckets:
         request rows salt by requester id; hot label carriers replicate
         into every sub-bucket so each (key, salt) cell is self-contained
         for ``_propagate_bucket`` (duplicate carriers are harmless —
         identical (key, lab) rows)."""
-        hk, hs = ray.get(hot_ref)  # sorted hot keys, splits per key
+        hk, hs = hot  # sorted hot keys, splits per key
         k = np.asarray(b["key"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         kh = key_hash64(b["key"], "key")
@@ -290,7 +288,7 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         else:
             bucketed = rows.map_batches(
                 bucket_salted, batch_format="pyarrow",
-                fn_kwargs={"hot_ref": ray.put(hot)})
+                fn_kwargs={"hot": hot})
         cands = (bucketed.groupby("_bucket")
                  .map_groups(_propagate_bucket, batch_format="pyarrow"))
         labels = bounded(min_by_node(labels.union(cands)))

@@ -19,6 +19,8 @@ when one side delivers them no blocks, as an empty or low-cardinality
 side does. Keys are integers (matched exactly) or strings (matched by
 stable int64 hash) on both plans, through ``dedup.join_key64``; the
 broadcast lookup is a sorted int64 array probed by ``np.searchsorted``.
+A null key matches nothing on either plan, as in SQL: inner and semi
+drop its row, left keeps it with null values, anti keeps it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from batch_geocode_ray.stages.dedup import (
     _probe_small,
     join_key64,
 )
-from batch_geocode_ray.stages.stateful import stateful_map_batches
+from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 _HOW = ("inner", "left", "semi", "anti")
 
@@ -47,11 +49,13 @@ class _Lookup:
     column in that order.
 
     With value columns the keys must be UNIQUE (one row per key); a
-    key set with none (semi/anti) may repeat them. Value columns keep
-    their source Arrow type (probe output is a C++ ``take``).
+    key set with none (semi/anti) may repeat them. A null key matches
+    nothing, on either side. Value columns keep their source Arrow type
+    (probe output is a C++ ``take``).
     """
 
     def __init__(self, table: pa.Table, key: str, value_cols: list[str]):
+        table = table.filter(pc.is_valid(table[key]))
         k = join_key64(table[key], key)
         self.keys, first = np.unique(k, return_index=True)
         if value_cols and len(self.keys) != len(k):
@@ -70,7 +74,8 @@ class _Lookup:
                     np.zeros(len(key_arr), bool))
         k = join_key64(key_arr, self.key)
         pos = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
-        return pos, self.keys[pos] == k
+        valid = pc.is_valid(key_arr).to_numpy(zero_copy_only=False)
+        return pos, (self.keys[pos] == k) & valid
 
 
 class _BroadcastProbe:
@@ -130,13 +135,12 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
     key_type = types.get(right_key, pa.int64())
     join_key64(pa.nulls(0, key_type), right_key)  # TypeError on a bad key
     if small:
-        parts = [b for b in m.iter_batches(batch_size=None,
-                                           batch_format="pyarrow")
-                 if b.num_columns]
-        table = (pa.concat_tables(parts) if parts else pa.schema(
-            [(right_key, key_type)]
-            + [(c, types.get(c, pa.null())) for c in value_cols]
-        ).empty_table())
+        # Ray's select_columns passes an empty block through whole
+        table = gather(m)
+        table = (table.select([right_key] + value_cols) if table.num_columns
+                 else pa.schema([(right_key, key_type)]
+                                + [(c, types.get(c, pa.null()))
+                                   for c in value_cols]).empty_table())
         return broadcast_join(ds, table.rename_columns([key] + value_cols),
                               key, value_cols, how)
     # the right key rides along as the match flag: non-null exactly
@@ -370,8 +374,8 @@ def build_bloom(keys_ds: Dataset, key: str, m_bits: int = 1 << 23,
     parts = keys_ds.map_batches(partial, batch_format="pyarrow")
     lvl1 = parts.repartition(32).map_batches(
         orfold, batch_format="pyarrow", batch_size=None)
-    [row] = _one_task(lvl1, orfold).take_all()
-    return np.frombuffer(row["bm"], np.uint8).copy()
+    bm = gather(_one_task(lvl1, orfold))["bm"][0].as_py()
+    return np.frombuffer(bm, np.uint8).copy()
 
 
 class _BloomSplit:

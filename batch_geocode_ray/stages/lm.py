@@ -38,6 +38,7 @@ from batch_geocode_ray.functions.hashing import (
     stable_hash64_array,
 )
 from batch_geocode_ray.functions.text import flat_tokens
+from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -91,10 +92,9 @@ def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
     model_t = grouped_aggregate(
         ds.map_batches(pair_counts, batch_format="pyarrow"),
         ["w1", "w2"], [("cb", "sum", "cb")])
-    batches = list(model_t.iter_batches(batch_format="pyarrow"))
-    if not batches or not sum(t.num_rows for t in batches):
+    m = gather(model_t)
+    if not m.num_rows:
         raise ValueError("bigram_lm_perplexity: no token pairs in input")
-    m = pa.concat_tables(batches)
     h1 = stable_hash64_array(m["w1"])
     h2 = stable_hash64_array(m["w2"])
     cb = np.asarray(m["cb"].to_numpy(zero_copy_only=False),
@@ -107,33 +107,40 @@ def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
     ctx, start = np.unique(h1s, return_index=True)
     cu = np.add.reduceat(cb[o1], start)
     vocab_v = len(ctx)
-    model = ray.put((phs, cbs, ctx, cu, vocab_v, float(k)))
+    return stateful_map_batches(
+        ds, _BigramScore,
+        {"model": ray.put((phs, cbs, ctx, cu, vocab_v, float(k))),
+         "id_col": id_col, "text_col": text_col},
+        batch_format="pyarrow")
 
-    def score(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "n_pairs": pa.array([], pa.int64()),
-                          "ppl": pa.array([], pa.float64())})
-        got = _doc_pairs(b, text_col)
+
+class _BigramScore:
+    """Per-worker cached scorer over the broadcast bigram model."""
+
+    def __init__(self, model, id_col: str, text_col: str):
+        self.phs, self.cbs, self.ctx, self.cu, self.v, self.k = model
+        self.id_col, self.text_col = id_col, text_col
+
+    def __call__(self, b: pa.Table) -> pa.Table:
+        got = _doc_pairs(b, self.text_col)
         if got is None:
-            return empty
+            return pa.table({self.id_col: pa.array([], pa.int64()),
+                             "n_pairs": pa.array([], pa.int64()),
+                             "ppl": pa.array([], pa.float64())})
         w1, w2, pdoc = got
-        phs_, cbs_, ctx_, cu_, v_, k_ = ray.get(model)
         b1 = stable_hash64_array(w1)
         pb = _pair_hash(b1, stable_hash64_array(w2))
-        cb_v = cbs_[np.searchsorted(phs_, pb)]     # guaranteed hit:
-        cu_v = cu_[np.searchsorted(ctx_, b1)]      # model trained on ds
-        lp = np.log((cb_v + k_) / (cu_v + k_ * v_))
-        sums = np.bincount(pdoc, weights=lp, minlength=n)
-        npairs = np.bincount(pdoc, minlength=n)
+        cb_v = self.cbs[np.searchsorted(self.phs, pb)]  # guaranteed hit:
+        cu_v = self.cu[np.searchsorted(self.ctx, b1)]   # model trained on ds
+        lp = np.log((cb_v + self.k) / (cu_v + self.k * self.v))
+        sums = np.bincount(pdoc, weights=lp, minlength=b.num_rows)
+        npairs = np.bincount(pdoc, minlength=b.num_rows)
         keep = npairs > 0
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
+        ids = np.asarray(b[self.id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)[keep]
         return pa.table({
-            id_col: pa.array(ids, pa.int64()),
+            self.id_col: pa.array(ids, pa.int64()),
             "n_pairs": pa.array(npairs[keep], pa.int64()),
             "ppl": pa.array(np.exp(-sums[keep] / npairs[keep]),
                             pa.float64()),
         })
-
-    return ds.map_batches(score, batch_format="pyarrow")

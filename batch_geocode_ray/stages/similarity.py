@@ -1,7 +1,8 @@
 """Similarity search over an embedding column (list<float>).
 
-Baseline: brute-force cosine top-k — the query matrix is ``ray.put``
-ONCE and every batch does one float64 matmul against it; per-batch
+Baseline: brute-force cosine top-k — the query matrix rides the UDF
+(put into the object store once per operator) and every batch does one
+float64 matmul against it; per-batch
 partial top-k keeps only k rows per (query, block) so the shuffle to
 the final per-query merge is tiny.
 
@@ -23,6 +24,7 @@ from batch_geocode_ray.stages.dedup import (
     _probe_small,
     bucket_exchange,
 )
+from batch_geocode_ray.stages.stateful import gather
 
 
 def _matrix_of(batch: pa.Table, vec_col: str) -> np.ndarray:
@@ -67,11 +69,10 @@ def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
     final merge. Ties break on smaller neighbor id (deterministic).
     Output: (query_id, neighbor_id, rank) with rank 1..k.
     """
-    qm = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put((qm, np.asarray(query_ids, dtype=np.int64)))
+    qmat = _normalize(np.asarray(queries, dtype=np.float64))
+    qids = np.asarray(query_ids, dtype=np.int64)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        qmat, qids = ray.get(q_ref)
         m = _normalize(_matrix_of(batch, vec_col))
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
@@ -103,7 +104,7 @@ def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
 
     return _merge_partial_topk(
         ds.map_batches(partial_topk, batch_format="pyarrow"), k,
-        n_queries=qm.shape[0])
+        n_queries=qmat.shape[0])
 
 
 # Above this many queries, the partials (k x Q x n_blocks rows) stop
@@ -267,35 +268,29 @@ def kmeans_fit(ds: Dataset, vec_col: str, k: int = 8, iters: int = 10,
     numbers and updates. The full dataset streams once per iteration;
     nothing big ever concentrates. Returns (k, d) float64 centroids.
     """
-    sample_t = pa.concat_tables(
-        [ray.get(r) for r in
-         ds.select_columns([vec_col]).limit(2048).to_arrow_refs()])
+    sample_t = gather(ds.select_columns([vec_col]).limit(2048))
     cent = _kmeans(_matrix_of(sample_t, vec_col), k, seed=seed)
 
+    def partial(batch: pa.Table, *, c: np.ndarray) -> pa.Table:
+        m = _matrix_of(batch, vec_col)
+        if m.shape[0] == 0:
+            return pa.table({"cluster": pa.array([], pa.int64()),
+                             "vsum": pa.array([], pa.list_(pa.float64())),
+                             "n": pa.array([], pa.int64())})
+        assign = _nearest_centroid(m, c)
+        sums = np.zeros_like(c)
+        np.add.at(sums, assign, m)
+        counts = np.bincount(assign, minlength=len(c))
+        live = counts > 0
+        return pa.table({
+            "cluster": pa.array(np.nonzero(live)[0], pa.int64()),
+            "vsum": pa.array(list(sums[live]), pa.list_(pa.float64())),
+            "n": pa.array(counts[live], pa.int64()),
+        })
+
     for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
-            m = _matrix_of(batch, vec_col)
-            if m.shape[0] == 0:
-                return pa.table({"cluster": pa.array([], pa.int64()),
-                                 "vsum": pa.array([], pa.list_(pa.float64())),
-                                 "n": pa.array([], pa.int64())})
-            assign = _nearest_centroid(m, c)
-            sums = np.zeros_like(c)
-            np.add.at(sums, assign, m)
-            counts = np.bincount(assign, minlength=len(c))
-            live = counts > 0
-            return pa.table({
-                "cluster": pa.array(np.nonzero(live)[0], pa.int64()),
-                "vsum": pa.array(list(sums[live]), pa.list_(pa.float64())),
-                "n": pa.array(counts[live], pa.int64()),
-            })
-
-        parts = pa.concat_tables(
-            [ray.get(r) for r in
-             ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()])
+        parts = gather(ds.map_batches(partial, batch_format="pyarrow",
+                                      fn_kwargs={"c": cent}))
         new_cent = cent.copy()
         cl = np.asarray(parts["cluster"].to_numpy(zero_copy_only=False),
                         dtype=np.int64)
@@ -319,10 +314,9 @@ def kmeans_fit(ds: Dataset, vec_col: str, k: int = 8, iters: int = 10,
 def kmeans_assign(ds: Dataset, vec_col: str, id_col: str,
                   centroids: np.ndarray) -> Dataset:
     """Append each vector's nearest-centroid ``cluster`` (int64)."""
-    ref = ray.put(np.asarray(centroids, dtype=np.float64))
+    c = np.asarray(centroids, dtype=np.float64)
 
     def f(batch: pa.Table) -> pa.Table:
-        c = ray.get(ref)
         m = _matrix_of(batch, vec_col)
         if m.shape[0] == 0:
             return pa.table({id_col: batch[id_col],
@@ -363,17 +357,14 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
     query searches only its 4 nearest clusters, excluding its own id.
     Same output schema as :func:`knn_cosine` — approximate where
     cluster boundaries cut true neighborhoods."""
-    sample_t = pa.concat_tables(
-        [ray.get(r) for r in
-         ds.select_columns([vec_col]).limit(2048).to_arrow_refs()])
+    sample_t = gather(ds.select_columns([vec_col]).limit(2048))
     cent = _normalize(_kmeans(_normalize(_matrix_of(sample_t, vec_col)),
                               16))
-    qm = _normalize(np.asarray(queries, dtype=np.float64))
-    q_assign = np.argsort(-(qm @ cent.T), axis=1)[:, :4]
-    ref = ray.put((cent, qm, np.asarray(query_ids, dtype=np.int64), q_assign))
+    qmat = _normalize(np.asarray(queries, dtype=np.float64))
+    qids = np.asarray(query_ids, dtype=np.int64)
+    probes = np.argsort(-(qmat @ cent.T), axis=1)[:, :4]
 
     def partial(batch: pa.Table) -> pa.Table:
-        cent_, qmat, qids, probes = ray.get(ref)
         m = _normalize(_matrix_of(batch, vec_col))
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
@@ -381,7 +372,7 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
             return pa.table({"query_id": pa.array([], pa.int64()),
                              "neighbor_id": pa.array([], pa.int64()),
                              "sim": pa.array([], pa.float64())})
-        v_assign = (m @ cent_.T).argmax(axis=1)
+        v_assign = (m @ cent.T).argmax(axis=1)
         out_q, out_n, out_s = [], [], []
         for qi in range(qmat.shape[0]):
             in_probe = np.isin(v_assign, probes[qi]) & (ids != qids[qi])
@@ -406,7 +397,7 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
 
     return _merge_partial_topk(
         ds.map_batches(partial, batch_format="pyarrow"), k,
-        n_queries=qm.shape[0])
+        n_queries=qmat.shape[0])
 
 
 def pca_project(ds: Dataset, vec_col: str, id_col: str,
@@ -463,8 +454,9 @@ def pca_project(ds: Dataset, vec_col: str, id_col: str,
                          "s": pa.array([s.tobytes()], pa.binary()),
                          "g": pa.array([g.tobytes()], pa.binary())})
 
-    merged = _one_task(ds.map_batches(partial, batch_format="pyarrow"),
-                       merge_one).take_all()
+    merged = gather(_one_task(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        merge_one)).to_pylist()
     if not merged or merged[0]["n"] == 0:
         raise ValueError("pca_project: empty input")
     n_total = merged[0]["n"]
@@ -477,14 +469,10 @@ def pca_project(ds: Dataset, vec_col: str, id_col: str,
     comps = v[:, ::-1][:, :k]           # top-k columns
     flip = comps[np.abs(comps).argmax(axis=0), np.arange(k)] < 0
     comps = comps * np.where(flip, -1.0, 1.0)
-    mean_ref = ray.put(mean)
-    comps_ref = ray.put(comps)
 
     def project(b: pa.Table) -> pa.Table:
-        m = ray.get(mean_ref)
-        c = ray.get(comps_ref)
         x = _matrix_of(b, vec_col)
-        p = (x - m) @ c if x.shape[0] else np.zeros((0, k))
+        p = (x - mean) @ comps if x.shape[0] else np.zeros((0, k))
         out = {id_col: b[id_col]}
         for j in range(k):
             out[f"pc{j + 1}"] = pa.array(p[:, j], pa.float64())
@@ -530,11 +518,9 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     """
     if centroids is None:
         centroids = kmeans_fit(ds, vec_col)
-    cn = _normalize(np.asarray(centroids, dtype=np.float64))
-    cref = ray.put(cn)
+    cent = _normalize(np.asarray(centroids, dtype=np.float64))
 
     def assign(b: pa.Table) -> pa.Table:
-        c = ray.get(cref)
         mn = _normalize(_matrix_of(b, vec_col))
         n = b.num_rows
         if n == 0:
@@ -542,7 +528,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                              "cluster": pa.array([], pa.int64()),
                              "centroid_sim": pa.array([], pa.float64()),
                              "_vec": pa.array([], pa.large_binary())})
-        sims = mn @ c.T
+        sims = mn @ cent.T
         cl = sims.argmax(axis=1).astype(np.int64)
         cs = sims[np.arange(n), cl]
         width = mn.shape[1] * 8

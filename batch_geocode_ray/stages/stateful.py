@@ -1,29 +1,36 @@
-"""Task-mode stateful stages: per-worker construction cache.
+"""The driver/task boundary: one collect and one per-worker state cache.
 
-Ray Data runs a CLASS callable as an actor pool — correct for state
-that is expensive to build AND long pipelines that amortize the
-~1-2 s-per-actor spin-up. For short queries the spin-up dominates;
-plain tasks reach full parallelism instantly and fuse with the
-upstream read. This module gives class-based stages the task path:
-the instance is constructed once per WORKER PROCESS (memoized by
-cache key) and reused by every task the worker runs. The fused
-flagship stage runs this way too.
+* **Collects** — a Dataset comes back to the driver only through
+  :func:`gather`, as one ``pa.Table``.
+* **Bounded constants** going out (range-bucket bases, centroids, a
+  PCA basis, query vectors, hot keys) are captured by the UDF or passed
+  in ``fn_kwargs``: Ray Data puts each operator's UDF into the object
+  store once, so nothing is re-shipped per batch.
+* **Input-sized state** going out (a rank table, an eval gram set, an
+  LM, a join's right side) is a ``ray.put`` ObjectRef in the
+  ``kwargs`` of :func:`stateful_map_batches`. Its cache is the one
+  place that unwraps refs: each is fetched once per worker, when the
+  instance is built, so constructors take plain values.
 
-The cache holds at most ``_STATE_CACHE_MAX`` instances per worker and
-evicts the oldest first: each pipeline build puts fresh ObjectRefs into
-its key, so an unbounded cache would keep one state copy per build.
+No UDF calls ``ray.get`` itself.
 
-Broadcast state should arrive as a ``ray.put`` ObjectRef inside
-``kwargs`` so each worker reads it zero-copy from plasma instead of
-shipping it with every task spec. The cache is the one place that
-unwraps it: every ObjectRef kwarg is fetched once, when the instance is
-built, so constructors take plain values; the key keeps the refs.
+:func:`stateful_map_batches` gives class-based stages the task path
+instead of Ray Data's actor pool, whose ~1-2 s-per-actor spin-up
+dominates short queries: the instance is constructed once per WORKER
+PROCESS (memoized by cache key) and reused by every task the worker
+runs. The fused flagship stage runs this way too. The cache holds at
+most ``_STATE_CACHE_MAX`` instances per worker and evicts the oldest
+first: each pipeline build puts fresh ObjectRefs into its key, so an
+unbounded cache would keep one state copy per build.
 """
 
 from __future__ import annotations
 
+import pyarrow as pa
+
 import ray
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 _STATE_CACHE: dict = {}
 _STATE_CACHE_MAX = 8
@@ -52,3 +59,17 @@ def stateful_map_batches(ds: Dataset, cls, kwargs: dict,
         _cached_call,
         fn_kwargs={"_cls": cls, "_key": key, "_kwargs": kwargs},
         **map_batches_kwargs)
+
+
+def gather(ds: Dataset) -> pa.Table:
+    """Run ``ds`` once and collect it on the driver as one table. Ray
+    keeps no schema for a block a ``filter`` emptied; such blocks are
+    skipped. With no rows left the result is a typed empty table when
+    a schema survived, else a table with no columns."""
+    # not to_arrow_refs: on a lazy Dataset it runs the plan twice
+    refs = [r for b in ds.iter_internal_ref_bundles() for r, _ in b.blocks]
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    parts = [t for t in tables if t.num_columns]
+    rows = [t for t in parts if t.num_rows] or parts[:1]
+    return (pa.concat_tables(rows, promote_options="default") if rows
+            else pa.table({}))

@@ -30,6 +30,7 @@ from batch_geocode_ray.stages.dedup import (
     _probe_small,
     bucket_exchange,
 )
+from batch_geocode_ray.stages.stateful import gather
 
 
 def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
@@ -440,7 +441,7 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     2. per-bucket token TOTALS (one tiny partial row per batch x
        bucket via :func:`grouped_aggregate`) come back to the driver —
        a bounded ``nb``-row table — where an exclusive scan yields
-       per-bucket BASE offsets, broadcast once via ``ray.put``;
+       per-bucket BASE offsets, which the pass-2 UDF captures;
     3. one coarse-bucket exchange co-locates each key slice; inside a
        bucket the rows lexsort by (key, id) and a local cumsum + the
        bucket base gives exact global offsets.
@@ -484,8 +485,6 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     if small:
         return _one_task(m, lambda t: pack(t, 0))
 
-    import ray as _ray
-
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
     from batch_geocode_ray.stages.dedup import adaptive_bucket_count
 
@@ -502,20 +501,19 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
         bucketed.select_columns(["_bucket", "n_tokens"]),
         ["_bucket"], [("n_tokens", "sum", "tok_sum")],
         size_hint_bytes=size_hint_bytes)
+    tb = gather(totals)
     per_bucket = np.zeros(nb, dtype=np.int64)
-    for tb in totals.iter_batches(batch_format="pyarrow"):
+    if tb.num_rows:
         per_bucket[np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),
                               dtype=np.int64)] = \
             np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
     bases = np.concatenate([[0], np.cumsum(per_bucket)[:-1]]).astype(np.int64)
-    bases_ref = _ray.put(bases)
 
     # pass 2: co-locate each contiguous key slice, scan locally
     def pack_in_bucket(g: pa.Table) -> pa.Table:
         bkt = int(g["_bucket"][0].as_py())
-        base = int(_ray.get(bases_ref)[bkt])
-        return pack(g.drop_columns(["_bucket"]), base)
+        return pack(g.drop_columns(["_bucket"]), int(bases[bkt]))
 
     return (bucketed.groupby("_bucket")
             .map_groups(pack_in_bucket, batch_format="pyarrow"))
@@ -599,8 +597,6 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     if small:
         return _one_task(m, lambda t: scan(t, lambda _g: 0))
 
-    import ray as _ray
-
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
     from batch_geocode_ray.stages.dedup import adaptive_bucket_count
 
@@ -617,24 +613,22 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
         bucketed.select_columns(["_bucket", group_col, "n_tokens"]),
         ["_bucket", group_col], [("n_tokens", "sum", "tok_sum")],
         size_hint_bytes=size_hint_bytes)
+    tb = gather(totals)
     per: dict[str, np.ndarray] = {}
-    for tb in totals.iter_batches(batch_format="pyarrow"):
+    if tb.num_rows:
         bks = np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
-        gs = tb[group_col].to_pylist()
         ts = np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
                         dtype=np.int64)
-        for bk, gname, tv in zip(bks, gs, ts):
+        for bk, gname, tv in zip(bks, tb[group_col].to_pylist(), ts):
             per.setdefault(gname, np.zeros(nb, np.int64))[bk] = tv
     bases = {gname: np.concatenate([[0], np.cumsum(v)[:-1]]).astype(np.int64)
              for gname, v in per.items()}
-    bases_ref = _ray.put(bases)
 
     def scan_in_bucket(g: pa.Table) -> pa.Table:
         bkt = int(g["_bucket"][0].as_py())
-        b = _ray.get(bases_ref)
         return scan(g.drop_columns(["_bucket"]),
-                    lambda gname: int(b[gname][bkt]))
+                    lambda gname: int(bases[gname][bkt]))
 
     return (bucketed.groupby("_bucket")
             .map_groups(scan_in_bucket, batch_format="pyarrow"))

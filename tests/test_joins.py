@@ -1,24 +1,34 @@
-"""equi_join: both plans against a naive oracle, empty right sides
-included, and an ast guard that keeps the package to those two plans."""
+"""equi_join: both plans against a naive oracle, empty right sides and
+null keys included, and an ast guard that keeps the package to those
+two plans; ``stateful.gather`` and the guard that keeps every collect
+and broadcast read on the one driver/task boundary."""
 
 import ast
+import uuid
 from pathlib import Path
 
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.stages.graph import label_all_nodes
 from batch_geocode_ray.stages.joins import equi_join
+from batch_geocode_ray.stages.stateful import gather
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LEFT_K = [1, 2, 2, 3, 5, 8, 8, 13, 21, 34, 55, 3]
+LEFT_K = [1, 2, 2, 3, 5, 8, 8, 13, 21, 34, 55, 3, None]
+
+
+def _keys(keys, key_type):
+    return keys if key_type == "int" else [
+        None if k is None else f"u{k}" for k in keys]
 
 
 def _left(key_type):
-    keys = LEFT_K if key_type == "int" else [f"u{k}" for k in LEFT_K]
+    keys = _keys(LEFT_K, key_type)
     return rd.from_arrow(pa.table({
         "k": pa.array(keys),
         "v": pa.array(range(len(LEFT_K)), pa.int64()),
@@ -27,9 +37,10 @@ def _left(key_type):
 
 def _right(key_type, side, how):
     # a key set (semi/anti) may repeat keys; a value side may not
-    keys = [2, 3, 8, 13, 99] + ([3, 99] if how in ("semi", "anti") else [])
+    keys = [2, 3, 8, 13, 99, None] + (
+        [3, 99, None] if how in ("semi", "anti") else [])
     t = pa.table({
-        "rk": pa.array(keys if key_type == "int" else [f"u{k}" for k in keys]),
+        "rk": pa.array(_keys(keys, key_type)),
         "name": pa.array([f"n{k}" for k in keys], pa.string()),
     })
     if side == "rows":
@@ -40,7 +51,8 @@ def _right(key_type, side, how):
 
 
 def _naive(left, right, how):
-    names = {r["rk"]: r["name"] for r in right}
+    """SQL semantics: a null key matches nothing."""
+    names = {r["rk"]: r["name"] for r in right if r["rk"] is not None}
     out = []
     for row in left:
         hit = row["k"] in names
@@ -132,18 +144,14 @@ _NATIVE_JOIN_KWARGS = {"on", "right_on", "num_partitions"}
 
 def second_join_sites(tree: ast.Module, rel: str) -> list[str]:
     """Sites in ``tree`` (file ``rel``) that go round :func:`equi_join`:
-    a ``.join(`` call with a native-join keyword, a name of the deleted
-    join APIs, and any ``ray.get(`` in ``stages/joins.py``."""
+    a ``.join(`` call with a native-join keyword, and a name of the
+    deleted join APIs."""
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "join" and any(
-                    k.arg in _NATIVE_JOIN_KWARGS for k in node.keywords):
-                out.append(f"{rel}:{node.lineno} native Dataset.join")
-            if (rel.endswith("stages/joins.py") and node.func.attr == "get"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "ray"):
-                out.append(f"{rel}:{node.lineno} ray.get in joins.py")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join" and any(
+                    k.arg in _NATIVE_JOIN_KWARGS for k in node.keywords)):
+            out.append(f"{rel}:{node.lineno} native Dataset.join")
         names = []
         if isinstance(node, ast.Name):
             names = [node.id]
@@ -158,6 +166,89 @@ def second_join_sites(tree: ast.Module, rel: str) -> list[str]:
     return out
 
 
+# -- the package keeps one driver/task boundary ----------------------------
+
+def _nine():
+    return pa.table({"k": pa.array(range(9), pa.int64())})
+
+
+def test_gather_skips_a_filter_emptied_block():
+    """A ``filter`` that empties one block leaves a block with no
+    schema among typed ones; ``gather`` skips it."""
+    ds = rd.from_arrow(_nine()).repartition(3).filter(lambda r: r["k"] >= 3)
+    blocks = ray.get(ds.materialize().to_arrow_refs())
+    assert [b.num_columns for b in blocks].count(0) == 1  # the case exists
+    got = gather(ds)
+    assert got.schema == _nine().schema
+    assert sorted(got["k"].to_pylist()) == list(range(3, 9))
+
+
+def test_gather_no_rows_left():
+    """Every row filtered out: a typed empty table when Ray kept a
+    schema, a table with no columns when it kept none."""
+    for ds in (rd.from_arrow(_nine().slice(0, 0)),
+               rd.from_arrow(_nine()).map_batches(
+                   lambda b: b.slice(0, 0), batch_format="pyarrow")):
+        got = gather(ds)
+        assert (got.num_rows, got.schema) == (0, _nine().schema)
+    got = gather(rd.from_arrow(_nine()).filter(lambda r: False))
+    assert (got.num_rows, got.num_columns) == (0, 0)
+
+
+def test_gather_runs_its_input_once(tmp_path):
+    def mark(b: pa.Table) -> pa.Table:
+        (tmp_path / uuid.uuid4().hex).touch()
+        return b
+
+    ds = rd.from_arrow(_nine()).repartition(3).map_batches(
+        mark, batch_format="pyarrow", batch_size=None)
+    assert sorted(gather(ds)["k"].to_pylist()) == list(range(9))
+    assert len(list(tmp_path.iterdir())) == 3  # one call per block
+
+
+_COLLECTS = {"to_arrow_refs", "iter_batches", "take_all"}
+# (file, enclosing def, call) pairs allowed outside stages/stateful.py
+_BOUNDARY_EXCEPTIONS = {
+    # the triangular block-pair tiling addresses blocks by ref
+    ("batch_geocode_ray/stages/similarity.py", "cosine_neardup_pairs",
+     "to_arrow_refs"),
+    # fixture shards are generated by plain Ray tasks, not a Dataset
+    ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.get"),
+}
+
+
+def boundary_sites(tree: ast.Module, rel: str) -> list[str]:
+    """Sites in ``tree`` (file ``rel``) that cross the driver/task
+    boundary outside ``stages/stateful.py``: a ``ray.get`` (under any
+    alias of ``ray``) and a Dataset collect other than ``gather``."""
+    if rel.endswith("stages/stateful.py"):
+        return []
+    ray_names = {a.asname or a.name for n in ast.walk(tree)
+                 if isinstance(n, ast.Import) for a in n.names
+                 if a.name == "ray"}
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and fn is None:
+            fn = node.name  # the top-level def names the site
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            call = None
+            if f.attr in _COLLECTS:
+                call = f.attr
+            elif (f.attr == "get" and isinstance(f.value, ast.Name)
+                  and f.value.id in ray_names):
+                call = "ray.get"
+            if call and (rel, fn, call) not in _BOUNDARY_EXCEPTIONS:
+                out.append(f"{rel}:{node.lineno} {call} in {fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return out
+
+
 def test_package_has_one_equi_join():
     sites = []
     for path in sorted((ROOT / "batch_geocode_ray").rglob("*.py")):
@@ -166,20 +257,46 @@ def test_package_has_one_equi_join():
     assert sites == [], "\n".join(sites)
 
 
+def test_package_has_one_driver_task_boundary():
+    """Collects go through ``stateful.gather`` and no UDF ``ray.get``s:
+    ``ray.get``, ``.to_arrow_refs(``, ``.iter_batches(`` and
+    ``.take_all(`` occur only in ``stages/stateful.py`` and the two
+    named exceptions."""
+    sites = []
+    for path in sorted((ROOT / "batch_geocode_ray").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        sites += boundary_sites(ast.parse(path.read_text()), rel)
+    assert sites == [], "\n".join(sites)
+
+
 def test_second_join_guard_is_not_vacuous():
     src = (
-        "import ray\n"
+        "import ray as _ray\n"
+        "import pyarrow as pa\n"
         "from batch_geocode_ray.stages.joins import semi_anti_join as s\n"
         "def join_partitions():\n"
         "    return 8\n"
-        "def f(a, b, keys):\n"
+        "def f(a, b, keys, ds):\n"
         "    a.join(b, 'inner', on=('k',))\n"
         "    a.join(b, 'left_outer', num_partitions=4)\n"
         "    a.join(b, right_on=('k',))\n"
         "    ', '.join(keys)\n"
         "    dd.broadcast_semi_anti(a, keys, 'k')\n"
-        "    return ray.get(keys)\n")
+        "    ref = _ray.put(keys)\n"
+        "    def per_batch(batch):\n"
+        "        return batch.filter(_ray.get(ref))\n"
+        "    a.map_batches(per_batch)\n"
+        "    return pa.concat_tables(ds.iter_batches(batch_format='pyarrow'))\n"
+        "def cosine_neardup_pairs(ds):\n"
+        "    return ds.to_arrow_refs()\n")
     tree = ast.parse(src)
-    got = second_join_sites(tree, "batch_geocode_ray/stages/joins.py")
-    assert len(got) == 7, got
     assert len(second_join_sites(tree, "batch_geocode_ray/stages/x.py")) == 6
+    got = boundary_sites(tree, "batch_geocode_ray/stages/x.py")
+    assert [g.split(" ", 1)[1] for g in got] == [
+        "ray.get in f", "iter_batches in f",
+        "to_arrow_refs in cosine_neardup_pairs"], got
+    # the named exception holds in its own file only
+    got = boundary_sites(tree, "batch_geocode_ray/stages/similarity.py")
+    assert [g.split(" ", 1)[1] for g in got] == [
+        "ray.get in f", "iter_batches in f"], got
+    assert boundary_sites(tree, "batch_geocode_ray/stages/stateful.py") == []

@@ -4,6 +4,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.functions.sketches import (
     heavy_hitters_with_total,
     hll_estimate,
@@ -12,6 +13,7 @@ from batch_geocode_ray.functions.sketches import (
     mg_merge,
     mg_partial,
 )
+from batch_geocode_ray.pipelines.queries import QUERIES
 
 
 def test_hll_accuracy_and_merge():
@@ -113,3 +115,15 @@ def test_hll_partial_rejects_ambiguous_ndarray():
     est = hll_estimate(hll_partial(splitmix64(raw.astype(np.uint64)),
                                    pre_hashed=True))
     assert abs(est - 1000) / 1000 < 0.1
+
+
+def test_q38_one_global_order_on_both_plans(monkeypatch):
+    """q38's (at most k) rows come out in one global order: the
+    exchange plan (``SMALL_COLLAPSE_BYTES = 0``) gives the default
+    plan's rows in the default plan's order."""
+    q38 = QUERIES["q38_heavy_hitters"]
+    sf = "/root/testdata/sf0.01"
+    want = q38(sf).take_all()
+    assert len(want) > 1  # an order to keep
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    assert q38(sf).take_all() == want
