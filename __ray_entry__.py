@@ -20,9 +20,9 @@ from typing import Any
 
 
 def entry() -> Any:
-    from batch_geocode_ray.pipelines.queries import q22_geocode_pages
+    from batch_geocode_ray.pipelines.queries import QUERIES
 
-    return q22_geocode_pages("/root/testdata/sf0.001")
+    return QUERIES["q22_geocode_pages"]("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -11,10 +11,23 @@ Conventions (driver contract):
     to fixed-point on BOTH sides — ``round(x * 1e4) / 1e4`` — which is
     bit-identical across engines (see ``_round_cols``); per-row
     arithmetic that is bit-identical by construction (exact int
-    division etc.) is left unrounded.
+    division etc.) is left unrounded;
+  * ONE order contract — the driver's value hash is row-order-sensitive,
+    and output order is decided once, in the registry: each ``QUERIES``
+    entry declares its order keys (an oracled entry copies its oracle's
+    outer ``ORDER BY``, a total order; a rows-only entry names the order
+    its op emits), and ``_ordered`` applies one ``_sort_adaptive`` to
+    the result, on the collapsed and the distributed plan alike. A query
+    function returns its rows in any order: it calls no
+    ``_sort_adaptive``, no ``.sort(`` and passes no ``sort_keys=``
+    (ast-guarded in tests/test_order_contract.py). A top-k keeps its
+    selection (q02, q57: ``LIMIT`` is their semantics); a size hint for
+    an O(corpus)-row result rides in its entry (q12, q19, q73).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -66,33 +79,26 @@ def _sql_fixed(expr: str, nd: int = 4) -> str:
     return f"round(({expr}) * {10 ** nd}) / {10 ** nd}.0"
 
 
-def _sort_single(ds: Dataset, keys: list[str]) -> Dataset:
-    """Deterministic final ordering for a SMALL result in one task —
-    the driver's value hash is row-order-sensitive, and a Ray ``sort``
-    is an all-to-all (~1-2 s fixed) that tiny results don't need."""
-
-    def f(b: pa.Table) -> pa.Table:
-        return b.sort_by([(k, "ascending") for k in keys])
-
-    return _one_task(ds, f)
-
-
-def _sort_adaptive(ds: Dataset, keys: list[str] | str,
+def _sort_adaptive(ds: Dataset, keys: list | str,
                    size_hint_bytes: int | None = None) -> Dataset:
-    """Final ordering with the same adaptive shape as the dedup ops: a
-    Ray ``sort`` is an all-to-all with a ~1-2 s fixed floor that small
-    results (gate outputs, per-row projections at test scale) don't
-    need — probe the materialized size and sort in ONE task below the
-    collapse threshold, distributed above it (the 10^12-row plan).
-    ``size_hint_bytes`` >= the collapse threshold skips the probe and
-    feeds the stream straight into the distributed sort — pass it for
-    O(corpus)-sized outputs so the result is never pinned twice."""
+    """Final ordering by ``keys`` (pyarrow-style: a bare name sorts
+    ascending, ``(name, "descending")`` descending) with the same
+    adaptive shape as the dedup ops: a Ray ``sort`` is an all-to-all
+    with a ~1-2 s fixed floor that small results (gate outputs, per-row
+    projections at test scale) don't need — probe the materialized size
+    and sort in ONE task below the collapse threshold, distributed above
+    it (the 10^12-row plan). ``size_hint_bytes`` >= the collapse
+    threshold skips the probe and feeds the stream straight into the
+    distributed sort — pass it for O(corpus)-sized outputs so the result
+    is never pinned twice. The registry (:func:`_ordered`) is its one
+    caller in this module."""
     from batch_geocode_ray.stages.dedup import _probe_small, distributed_sort
 
-    keys = [keys] if isinstance(keys, str) else list(keys)
+    keys = [(k, "ascending") if isinstance(k, str) else k
+            for k in ([keys] if isinstance(keys, str) else keys)]
     m, small, _ = _probe_small(ds, size_hint_bytes=size_hint_bytes)
     if small:
-        return _sort_single(m, keys)
+        return _one_task(m, lambda b: b.sort_by(keys))
     return distributed_sort(m, keys)
 
 
@@ -141,8 +147,7 @@ def q01_pricing_summary(sf_dir: str) -> Dataset:
         [("l_quantity", "sum", "sum_qty"),
          ("l_extendedprice", "sum", "sum_base_price"),
          ("l_discount", "mean", "avg_disc"),
-         ("l_quantity", "count", "count_order")],
-        sort_keys=["l_returnflag", "l_linestatus"])
+         ("l_quantity", "count", "count_order")])
     return _round_cols(agg, {"sum_qty": 4, "sum_base_price": 4, "avg_disc": 4})
 
 
@@ -160,23 +165,17 @@ ORDER BY l_returnflag, l_linestatus
 
 
 def q02_top_revenue_items(sf_dir: str) -> Dataset:
+    from batch_geocode_ray.stages.aggregates import global_topk
+
     ds = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_linenumber", "l_extendedprice", "l_discount"])
 
-    def partial_topk(b: pa.Table) -> pa.Table:
+    def flt(b: pa.Table) -> pa.Table:
         b = b.filter(pc.greater(b["l_discount"], 0.05))
-        b = b.select(["l_orderkey", "l_linenumber", "l_extendedprice"])
-        idx = pc.sort_indices(
-            b, sort_keys=[("l_extendedprice", "descending"),
-                          ("l_orderkey", "ascending"),
-                          ("l_linenumber", "ascending")])[:10]
-        return b.take(idx)
+        return b.select(["l_orderkey", "l_linenumber", "l_extendedprice"])
 
-    # per-block top-10 partials, then a tiny global sort+limit
-    return (ds.map_batches(partial_topk, batch_format="pyarrow")
-            .sort(["l_extendedprice", "l_orderkey", "l_linenumber"],
-                  descending=[True, False, False])
-            .limit(10))
+    return global_topk(ds.map_batches(flt, batch_format="pyarrow"),
+                       "l_extendedprice", ["l_orderkey", "l_linenumber"], 10)
 
 
 SQL_Q02 = """
@@ -197,8 +196,7 @@ def q03_segment_revenue(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         joined, ["c_mktsegment"],
         [("o_totalprice", "sum", "total_revenue"),
-         ("o_totalprice", "count", "n_orders")],
-        sort_keys=["c_mktsegment"])
+         ("o_totalprice", "count", "n_orders")])
     return _round_cols(agg, {"total_revenue": 4})
 
 
@@ -221,8 +219,7 @@ def q04_brand_volume(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         joined, ["p_brand"],
         [("l_quantity", "sum", "sum_qty"),
-         ("l_quantity", "count", "n_items")],
-        sort_keys=["p_brand"])
+         ("l_quantity", "count", "n_items")])
     return _round_cols(agg, {"sum_qty": 4})
 
 
@@ -253,8 +250,7 @@ def q05_region_nation_customers(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         joined, ["r_name", "n_name"],
         [("c_acctbal", "sum", "acctbal_sum"),
-         ("c_custkey", "count", "n_customers")],
-        sort_keys=["r_name", "n_name"])
+         ("c_custkey", "count", "n_customers")])
     return _round_cols(agg, {"acctbal_sum": 4})
 
 
@@ -274,8 +270,7 @@ def q06_order_priorities(sf_dir: str) -> Dataset:
     orders = _read(sf_dir, "orders", ["o_orderpriority"])
     return grouped_aggregate(
         orders, ["o_orderpriority"],
-        [("o_orderpriority", "count", "n_orders")],
-        sort_keys=["o_orderpriority"])
+        [("o_orderpriority", "count", "n_orders")])
 
 
 SQL_Q06 = """
@@ -296,8 +291,7 @@ def q07_events_hourly(sf_dir: str) -> Dataset:
     ds = ev.map_batches(add_hour, batch_format="pyarrow")
     agg = grouped_aggregate(
         ds, ["hour"],
-        [("value", "sum", "sum_value"), ("value", "count", "n_events")],
-        sort_keys=["hour"])
+        [("value", "sum", "sum_value"), ("value", "count", "n_events")])
     return _round_cols(agg, {"sum_value": 4})
 
 
@@ -319,8 +313,7 @@ def q08_user_event_stats(sf_dir: str) -> Dataset:
         stage1, ["user_id"],
         [("_s", "sum", "sum_value"),
          ("_n", "sum", "n_events"),
-         ("_s", "count", "n_event_types")],
-        sort_keys=["user_id"])
+         ("_s", "count", "n_event_types")])
     return _round_cols(stage2, {"sum_value": 4})
 
 
@@ -348,8 +341,7 @@ def q09_doc_tokens(sf_dir: str) -> Dataset:
             "n_tokens": pa.array(token_count_column(b["text"]), pa.int64()),
         })
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 def _sql_words(x: str) -> str:
@@ -382,8 +374,7 @@ def q10_doc_quality(sf_dir: str) -> Dataset:
             "alpha_ratio": pa.array(q["alpha_ratio"], pa.float64()),
         })
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 SQL_Q10 = f"""
@@ -421,8 +412,7 @@ def q11_doc_langid(sf_dir: str) -> Dataset:
             cols[f"hits_{lang}"] = pa.array(out[f"hits_{lang}"], pa.int64())
         return pa.table(cols)
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 _LANG_MARKERS_SQL = {
@@ -458,13 +448,16 @@ FROM h ORDER BY doc_id
 # dedup
 # ---------------------------------------------------------------------------
 
+def _doc_ids_bytes(sf_dir: str) -> int:
+    """Size hint of a stream of O(documents) narrow rows (hashes, ids):
+    ~16 B/row vs ~0.5-1 KB/row of compressed input."""
+    return _table_bytes(sf_dir, "documents") // 32
+
+
 def q12_dedup_exact(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    # hashed stream is 16 B/row vs ~0.5-1 KB/row of compressed input
-    hint = _table_bytes(sf_dir, "documents") // 32
-    return _sort_adaptive(
-        exact_dedup(docs, "text", "doc_id", size_hint_bytes=hint),
-        "doc_id", size_hint_bytes=hint)
+    return exact_dedup(docs, "text", "doc_id",
+                       size_hint_bytes=_doc_ids_bytes(sf_dir))
 
 
 SQL_Q12 = """
@@ -476,8 +469,7 @@ FROM documents GROUP BY text ORDER BY doc_id
 def q13_doc_langs(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["lang"])
     return grouped_aggregate(
-        docs, ["lang"], [("lang", "count", "n_docs")],
-        sort_keys=["lang"])
+        docs, ["lang"], [("lang", "count", "n_docs")])
 
 
 SQL_Q13 = """
@@ -529,8 +521,7 @@ def q14_gazetteer_mentions(sf_dir: str) -> Dataset:
 
     return grouped_aggregate(
         matched.map_batches(explode, batch_format="pyarrow"),
-        ["doc_id", "name"], [("name", "count", "n_mentions")],
-        sort_keys=["doc_id", "name"])
+        ["doc_id", "name"], [("name", "count", "n_mentions")])
 
 
 _GAZ_VALUES = ", ".join(f"('{n}')" for n in _DOC_GAZETTEER)
@@ -660,10 +651,9 @@ def q18_minhash_neardup(sf_dir: str) -> Dataset:
     different physical plan — like q26 vs q03)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     # signature stream ~1 KB/doc vs ~0.5-1 KB/doc of compressed input
-    out = minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.8,
-                            size_hint_bytes=_table_bytes(sf_dir,
-                                                         "documents"))
-    return _sort_single(out, ["d1", "d2"])
+    return minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.8,
+                             size_hint_bytes=_table_bytes(sf_dir,
+                                                          "documents"))
 
 
 SQL_Q18 = SQL_Q15
@@ -671,11 +661,8 @@ SQL_Q18 = SQL_Q15
 
 def q19_simhash_neardup(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    hint = _table_bytes(sf_dir, "documents") // 32
-    return _sort_adaptive(
-        simhash_pairs(docs, "text", "doc_id", max_hamming=3,
-                      size_hint_bytes=hint),
-        ["d1", "d2"], size_hint_bytes=hint)
+    return simhash_pairs(docs, "text", "doc_id", max_hamming=3,
+                         size_hint_bytes=_doc_ids_bytes(sf_dir))
 
 
 def q20_fingerprint_dedup(sf_dir: str) -> Dataset:
@@ -701,8 +688,7 @@ def q20_fingerprint_dedup(sf_dir: str) -> Dataset:
         return pa.concat_tables([b, dup])
 
     aug = docs.map_batches(augment, batch_format="pyarrow")
-    return _sort_single(fingerprint_dup_pairs(aug, "text", "doc_id"),
-                        ["d1", "d2"])
+    return fingerprint_dup_pairs(aug, "text", "doc_id")
 
 
 SQL_Q20 = """
@@ -802,7 +788,7 @@ def q24_image_features(sf_dir: str) -> Dataset:
         concurrency=(1, 2), num_cpus=0.5)
     return resized.map_batches(
         ImageFeatures, batch_size=16, batch_format="pyarrow",
-        concurrency=(1, 2), num_cpus=0.5).sort("media_id")
+        concurrency=(1, 2), num_cpus=0.5)
 
 
 def q25_audio_frames(sf_dir: str) -> Dataset:
@@ -825,7 +811,7 @@ def q25_audio_frames(sf_dir: str) -> Dataset:
     })
     return rd.from_arrow(t).map_batches(
         AudioFrameSample, batch_size=16, batch_format="pyarrow",
-        concurrency=(1, 2), num_cpus=0.5).sort("media_id")
+        concurrency=(1, 2), num_cpus=0.5)
 
 
 def q27_event_sessions(sf_dir: str) -> Dataset:
@@ -836,12 +822,7 @@ def q27_event_sessions(sf_dir: str) -> Dataset:
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     out = sessionize(ev, "user_id", "ts", "value", "event_id",
                      gap_seconds=1800.0)
-    # sessionize emits rows grouped by the coarse user bucket; the
-    # oracle ends ORDER BY user_id, session_n and the driver hash is
-    # row-order-sensitive. Sessions are O(events) worst-case, so the
-    # ordering is a distributed sort, not a single-task merge.
-    return _sort_adaptive(_round_cols(out, {"sum_value": 4}),
-                          ["user_id", "session_n"])
+    return _round_cols(out, {"sum_value": 4})
 
 
 SQL_Q27 = """
@@ -907,8 +888,7 @@ def q26_hashjoin_revenue(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         joined, ["c_mktsegment"],
         [("o_totalprice", "sum", "total_revenue"),
-         ("o_totalprice", "count", "n_orders")],
-        sort_keys=["c_mktsegment"])
+         ("o_totalprice", "count", "n_orders")])
     return _round_cols(agg, {"total_revenue": 4})
 
 
@@ -951,8 +931,7 @@ def q30_nations_with_presence(sf_dir: str) -> Dataset:
         batch_format="pyarrow")
     both = cust.union(supp)
     return grouped_aggregate(
-        both, ["nationkey", "side"], [("side", "count", "n_rows")],
-        sort_keys=["nationkey", "side"])
+        both, ["nationkey", "side"], [("side", "count", "n_rows")])
 
 
 SQL_Q30 = """
@@ -1094,7 +1073,7 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
     # scale; never an O(N) driver collect). Survivor ids are O(docs),
     # so the hint (~16 B/row of a ~0.5-1 KB/row input) keeps the whole
     # dedup+membership path probe-free at corpus scale.
-    id_hint = _table_bytes(sf_dir, "documents") // 32
+    id_hint = _doc_ids_bytes(sf_dir)
     survivors = exact_dedup(gated, "text", "doc_id",
                             size_hint_bytes=id_hint)
     step1 = equi_join(slim, survivors, "doc_id", "semi",
@@ -1107,9 +1086,7 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
         gated, "text", "doc_id", k=3, threshold=0.8,
         size_hint_bytes=2 * _table_bytes(sf_dir, "documents"))
     cleaned = equi_join(step1, pairs, "doc_id", "anti", right_key="d2")
-    # survivors are O(docs): size-probed final sort (distributed at scale)
-    return _sort_adaptive(cleaned.select_columns(["doc_id", "n_tokens"]),
-                          "doc_id")
+    return cleaned.select_columns(["doc_id", "n_tokens"])
 
 
 SQL_Q34 = f"""
@@ -1182,8 +1159,7 @@ def q35_embedding_clusters(sf_dir: str) -> Dataset:
     cent = kmeans_fit(emb, "embedding", k=8, iters=8)
     assigned = kmeans_assign(emb, "embedding", "vec_id", cent)
     return grouped_aggregate(
-        assigned, ["cluster"], [("vec_id", "count", "n_vectors")],
-        sort_keys=["cluster"])
+        assigned, ["cluster"], [("vec_id", "count", "n_vectors")])
 
 
 def q36_domain_stats(sf_dir: str) -> Dataset:
@@ -1219,21 +1195,27 @@ def q36_domain_stats(sf_dir: str) -> Dataset:
 
     agg = grouped_aggregate(
         docs.map_batches(f, batch_format="pyarrow"), ["domain"],
-        [("_one", "count", "n_pages"), ("_samp", "sum", "n_sampled")],
-        sort_keys=["domain"])
+        [("_one", "count", "n_pages"), ("_samp", "sum", "n_sampled")]
+    ).materialize()  # O(domains) rows, read twice below
+
+    # the flag is GLOBAL: sum the per-block totals, on either plan
+    def block_totals(b: pa.Table) -> pa.Table:
+        return pa.table({"n": [pc.sum(b["n_pages"]).as_py() or 0],
+                         "s": [pc.sum(b["n_sampled"]).as_py() or 0]})
+
+    tot = gather(agg.map_batches(block_totals, batch_format="pyarrow"))
+    total = sum(tot["n"].to_pylist()) if tot.num_columns else 0
+    sampled = sum(tot["s"].to_pylist()) if tot.num_columns else 0
+    ok = total > 0 and abs(sampled / total - 0.1) <= 0.04
 
     def finalize(b: pa.Table) -> pa.Table:
-        total = float(pc.sum(b["n_pages"]).as_py() or 0)
-        sampled = float(pc.sum(b["n_sampled"]).as_py() or 0)
-        ok = total > 0 and abs(sampled / total - 0.1) <= 0.04
         return pa.table({
             "domain": b["domain"],
             "n_pages": b["n_pages"],
             "sample_ok": pa.array([ok] * b.num_rows, pa.bool_()),
         })
 
-    return agg.map_batches(finalize, batch_format="pyarrow",
-                           batch_size=None)
+    return agg.map_batches(finalize, batch_format="pyarrow")
 
 
 SQL_Q36 = """
@@ -1357,13 +1339,9 @@ def q38_heavy_hitters(sf_dir: str) -> Dataset:
         filtered, ["event_type"],
         [("event_type", "count", "n_events")])
     thresh = n_total / k
-
-    def finalize(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.greater(b["n_events"], pa.scalar(thresh)))
-        return b.sort_by([("n_events", "descending"),
-                          ("event_type", "ascending")])
-
-    return _one_task(agg, finalize)  # <= k rows, in one global order
+    return agg.map_batches(
+        lambda b: b.filter(pc.greater(b["n_events"], pa.scalar(thresh))),
+        batch_format="pyarrow")
 
 
 SQL_Q38 = """
@@ -1384,8 +1362,7 @@ def q39_hopping_windows(sf_dir: str) -> Dataset:
                               size_minutes=60, hop_minutes=15)
     agg = grouped_aggregate(
         win, ["window_start"],
-        [("value", "count", "n_events"), ("value", "sum", "sum_value")],
-        sort_keys=["window_start"])
+        [("value", "count", "n_events"), ("value", "sum", "sum_value")])
     return _round_cols(agg, {"sum_value": 4})
 
 
@@ -1409,8 +1386,7 @@ def q40_price_quantiles(sf_dir: str) -> Dataset:
 
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
     return grouped_quantiles(li, "l_returnflag", "l_extendedprice",
-                             [0.5, 0.95], ["p50_price", "p95_price"]
-                             ).sort("l_returnflag")
+                             [0.5, 0.95], ["p50_price", "p95_price"])
 
 
 SQL_Q40 = """
@@ -1465,10 +1441,7 @@ def q41_url_canonical(sf_dir: str) -> Dataset:
             "domain": registered_domain_of(url),
         })
 
-    # one output row per document -> distributed sort (a single-task
-    # sort would concentrate O(N) rows at 10^12 docs)
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 # the same regex ladder as functions/urls.py, spelled in DuckDB (RE2;
@@ -1562,8 +1535,7 @@ def q43_user_moving_avg(sf_dir: str) -> Dataset:
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     out = grouped_moving_avg(ev, "user_id", "ts", "event_id", "value",
                              window_rows=7)
-    # one output row per event -> distributed sort, not a 1-task merge
-    return _sort_adaptive(_round_cols(out, {"mov_avg": 4}), "event_id")
+    return _round_cols(out, {"mov_avg": 4})
 
 
 SQL_Q43 = f"""
@@ -1733,8 +1705,7 @@ def q46_geocode_best(sf_dir: str) -> Dataset:
     ds = _flagship_pipeline().select_columns(
         ["url", "lang", "best_name", "best_type",
          "best_lat", "best_long", "best_buffer"])
-    return _sort_adaptive(_round_cols(ds, {"best_lat": 4, "best_long": 4,
-                                           "best_buffer": 4}), "url")
+    return _round_cols(ds, {"best_lat": 4, "best_long": 4, "best_buffer": 4})
 
 
 def q47_geocode_knn(sf_dir: str) -> Dataset:
@@ -1754,7 +1725,7 @@ def q47_geocode_knn(sf_dir: str) -> Dataset:
 
     ds = _flagship_pipeline(with_knn=True).map_batches(
         first_nn, batch_format="pyarrow")
-    return _sort_adaptive(_round_cols(ds, {"nn_km": 4}), "url")
+    return _round_cols(ds, {"nn_km": 4})
 
 
 def q48_tile_raster(sf_dir: str) -> Dataset:
@@ -1790,8 +1761,7 @@ def q49_geocode_admin(sf_dir: str) -> Dataset:
     world = generate_world()
     ds = build_geocode_pipeline(f"{d}/pages", world.gazetteer,
                                 admin_polygons=world.admin_polygons)
-    return _sort_adaptive(ds.select_columns(
-        ["url", "admin_id", "admin_level", "admin_cc"]), "url")
+    return ds.select_columns(["url", "admin_id", "admin_level", "admin_cc"])
 
 
 def _sql_q49() -> str:
@@ -1972,9 +1942,8 @@ def q50_event_rank_windows(sf_dir: str) -> Dataset:
         return pa.table({"event_id": b["event_id"], "ts": b["ts"],
                          "user_id": b["user_id"], "vb": vb})
 
-    out = grouped_rank(ev.map_batches(bucketize, batch_format="pyarrow"),
-                       "user_id", "vb", ["ts", "event_id"], "event_id")
-    return _sort_adaptive(out, "event_id")
+    return grouped_rank(ev.map_batches(bucketize, batch_format="pyarrow"),
+                        "user_id", "vb", ["ts", "event_id"], "event_id")
 
 
 SQL_Q50 = """
@@ -2000,8 +1969,7 @@ def q51_user_interarrival(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.windows import interarrival_stats
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-    return _sort_adaptive(
-        interarrival_stats(ev, "user_id", "ts", "event_id"), "user_id")
+    return interarrival_stats(ev, "user_id", "ts", "event_id")
 
 
 SQL_Q51 = """
@@ -2039,8 +2007,7 @@ def q52_order_sample_stats(sf_dir: str) -> Dataset:
         orders.map_batches(sample, batch_format="pyarrow"),
         ["o_orderpriority"],
         [("o_orderkey", "count", "n_orders"),
-         ("o_totalprice", "sum", "sum_price")],
-        sort_keys=["o_orderpriority"])
+         ("o_totalprice", "sum", "sum_price")])
     return _round_cols(agg, {"sum_price": 4})
 
 
@@ -2093,9 +2060,7 @@ def q54_fuzzy_supplier_pairs(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.dedup import edit_distance_pairs
 
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    return _sort_adaptive(
-        edit_distance_pairs(sup, "s_name", "s_suppkey", max_dist=1),
-        ["d1", "d2"])
+    return edit_distance_pairs(sup, "s_name", "s_suppkey", max_dist=1)
 
 
 SQL_Q54 = """
@@ -2128,8 +2093,7 @@ def q55_customer_rollup(sf_dir: str) -> Dataset:
     out = rollup_aggregate(joined, ["r_name", "n_name"],
                            [("c_custkey", "count", "n_cust"),
                             ("c_acctbal", "sum", "sum_bal")])
-    return _sort_adaptive(_round_cols(out, {"sum_bal": 4}),
-                          ["r_name", "n_name"])
+    return _round_cols(out, {"sum_bal": 4})
 
 
 SQL_Q55 = f"""
@@ -2165,9 +2129,8 @@ def q56_dedup_clusters(sf_dir: str) -> Dataset:
     # edge count is output-dependent (no hint — its probe is O(pairs),
     # bounded by the dedup rate, not the corpus)
     labels = connected_components(pairs, "d1", "d2")
-    out = label_all_nodes(_read(sf_dir, "documents", ["doc_id"]),
-                          "doc_id", labels)
-    return _sort_adaptive(out, "doc_id")
+    return label_all_nodes(_read(sf_dir, "documents", ["doc_id"]),
+                           "doc_id", labels)
 
 
 SQL_Q56 = f"""
@@ -2241,9 +2204,8 @@ def q58_token_postings(sf_dir: str) -> Dataset:
     """Inverted-index postings (token, doc_id, tf): flat_map explode of
     each document's token list + in-batch pyarrow group_by. A document
     lives entirely inside one row/batch, so the per-batch (doc, token)
-    counts are exact with NO shuffle — only the final ordering moves
-    data (adaptive: single task below the collapse threshold, Ray sort
-    above)."""
+    counts are exact with NO shuffle — only the registry's final
+    ordering moves data."""
     from batch_geocode_ray.functions.text import flat_tokens
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -2256,8 +2218,7 @@ def q58_token_postings(sf_dir: str) -> Dataset:
              .group_by(["token", "doc_id"]).aggregate([("doc_id", "count")]))
         return g.rename_columns(["token", "doc_id", "tf"])
 
-    return _sort_adaptive(docs.map_batches(explode, batch_format="pyarrow"),
-                          ["token", "doc_id"])
+    return docs.map_batches(explode, batch_format="pyarrow")
 
 
 SQL_Q58 = f"""
@@ -2290,8 +2251,7 @@ def q59_text_redact(sf_dir: str) -> Dataset:
         return pa.table({"doc_id": b["doc_id"], "n_hits": n,
                          "red_text": red})
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 SQL_Q59 = rf"""
@@ -2372,10 +2332,9 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
                 "tfidf": pa.array(si[sel] / 1e4, pa.float64()),
             })
 
-    out = stateful_map_batches(docs, _Score,
-                               {"lookup": ref, "n_total": n_docs},
-                               batch_format="pyarrow")
-    return _sort_adaptive(out, "doc_id")
+    return stateful_map_batches(docs, _Score,
+                                {"lookup": ref, "n_total": n_docs},
+                                batch_format="pyarrow")
 
 
 SQL_Q60 = f"""
@@ -2420,8 +2379,7 @@ def q61_stratified_sample(sf_dir: str) -> Dataset:
         rate = np.where(is_en, 10, 50)
         return b.filter(pa.array(bkt < rate))
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 SQL_Q61 = """
@@ -2453,8 +2411,7 @@ def q62_bloom_blocklist(sf_dir: str) -> Dataset:
     agg = grouped_aggregate(
         kept, ["l_returnflag"],
         [("l_quantity", "sum", "sum_qty"),
-         ("l_orderkey", "count", "n_items")],
-        sort_keys=["l_returnflag"])
+         ("l_orderkey", "count", "n_items")])
     return _round_cols(agg, {"sum_qty": 4})
 
 
@@ -2492,8 +2449,7 @@ def q63_engaged_users(sf_dir: str) -> Dataset:
                                      batch_format="pyarrow"))
     purchase = distinct(ev.map_batches(only("purchase"),
                                        batch_format="pyarrow"))
-    return _sort_adaptive(equi_join(signup, purchase, "user_id", "semi"),
-                          "user_id")
+    return equi_join(signup, purchase, "user_id", "semi")
 
 
 SQL_Q63 = """
@@ -2516,9 +2472,8 @@ def q64_user_event_type_sets(sf_dir: str) -> Dataset:
     )
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    out = grouped_collect_distinct_sorted(ev, "user_id", "event_type",
-                                          "event_types")
-    return _sort_adaptive(out, "user_id")
+    return grouped_collect_distinct_sorted(ev, "user_id", "event_type",
+                                           "event_types")
 
 
 SQL_Q64 = """
@@ -2620,14 +2575,13 @@ def q66_daily_reconciliation(sf_dir: str) -> Dataset:
                              for k in ("day", "n_orders", "n_events")})
         return f
 
-    merged = grouped_aggregate(
+    return grouped_aggregate(
         o.map_batches(pad("n_orders", "n_events"),
                       batch_format="pyarrow")
         .union(e.map_batches(pad("n_events", "n_orders"),
                              batch_format="pyarrow")),
         ["day"],
         [("n_orders", "sum", "n_orders"), ("n_events", "sum", "n_events")])
-    return _sort_adaptive(merged, "day")
 
 
 SQL_Q66 = """
@@ -2665,8 +2619,7 @@ def q67_grouped_distinct_hll(sf_dir: str) -> Dataset:
     pairs = grouped_aggregate(ev, ["event_type", "user_id"],
                               [("user_id", "count", "_c")])
     exact = grouped_aggregate(pairs, ["event_type"],
-                              [("user_id", "count", "exact_distinct")],
-                              sort_keys=["event_type"])
+                              [("user_id", "count", "exact_distinct")])
     exact_tbl = gather(exact)
 
     # sketch: per-(group, batch) registers, merged by register-wise max
@@ -2736,8 +2689,7 @@ def q68_segment_priority_cube(sf_dir: str) -> Dataset:
     out = cube_aggregate(joined, ["c_mktsegment", "o_orderpriority"],
                          [("o_orderkey", "count", "n_orders"),
                           ("o_totalprice", "sum", "sum_price")])
-    return _sort_adaptive(_round_cols(out, {"sum_price": 4}),
-                          ["c_mktsegment", "o_orderpriority"])
+    return _round_cols(out, {"sum_price": 4})
 
 
 SQL_Q68 = f"""
@@ -2874,8 +2826,7 @@ def q71_doc_repetition(sf_dir: str) -> Dataset:
             "rep_ratio": pa.array(1.0 - uni / tot, pa.float64()),
         })
 
-    return _sort_adaptive(docs.map_batches(f, batch_format="pyarrow"),
-                          "doc_id")
+    return docs.map_batches(f, batch_format="pyarrow")
 
 
 SQL_Q71 = f"""
@@ -2918,6 +2869,12 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+def _doc_grams_bytes(sf_dir: str) -> int:
+    """Size hint of the L-gram stream of the documents: ~32 B/char over
+    ~2x-compressed text, x8 conservative."""
+    return 8 * _table_bytes(sf_dir, "documents")
+
+
 def q73_dup_substring_positions(sf_dir: str) -> Dataset:
     """Substring-level exact dedup, span-removal form: per document,
     how many character positions start a 40-char gram that appears
@@ -2927,10 +2884,8 @@ def q73_dup_substring_positions(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.substring import duplicate_position_counts
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    # gram stream ~32 B/char over ~2x-compressed text: x8 conservative
-    return duplicate_position_counts(
-        docs, "text", "doc_id", L=40,
-        size_hint_bytes=8 * _table_bytes(sf_dir, "documents"))
+    return duplicate_position_counts(docs, "text", "doc_id", L=40,
+                                     size_hint_bytes=_doc_grams_bytes(sf_dir))
 
 
 SQL_Q73 = """
@@ -2958,7 +2913,7 @@ def q74_dup_span_coverage(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return duplicate_span_coverage(
         docs, "text", "doc_id", L=40,
-        size_hint_bytes=8 * _table_bytes(sf_dir, "documents"))
+        size_hint_bytes=_doc_grams_bytes(sf_dir))
 
 
 SQL_Q74 = """
@@ -2989,8 +2944,7 @@ def q75_embedding_pca(sf_dir: str) -> Dataset:
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     out = pca_project(emb, "embedding", "vec_id", k=2)
-    return _round_cols(_sort_adaptive(out, "vec_id"),
-                       {"pc1": 4, "pc2": 4})
+    return _round_cols(out, {"pc1": 4, "pc2": 4})
 
 
 def q76_decontaminate(sf_dir: str) -> Dataset:
@@ -3023,11 +2977,10 @@ def q76_decontaminate(sf_dir: str) -> Dataset:
     # (at gate scale the hint stays under the threshold and the cheap
     # broadcast plan is kept)
     doc_bytes = _table_bytes(sf_dir, "documents")
-    out = ngram_decontaminate(
+    return ngram_decontaminate(
         train, ev, "text", "doc_id", k=13,
         size_hint_bytes=8 * doc_bytes,
         eval_size_hint_bytes=8 * doc_bytes // 17)
-    return _sort_adaptive(out, "doc_id")
 
 
 def q77_cut_dup_spans(sf_dir: str) -> Dataset:
@@ -3039,10 +2992,9 @@ def q77_cut_dup_spans(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.substring import cut_duplicate_spans
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = cut_duplicate_spans(
+    return cut_duplicate_spans(
         docs, "text", "doc_id", L=40,
-        size_hint_bytes=8 * _table_bytes(sf_dir, "documents"))
-    return _sort_adaptive(out, "doc_id")
+        size_hint_bytes=_doc_grams_bytes(sf_dir))
 
 
 SQL_Q77 = """
@@ -3084,10 +3036,9 @@ def q78_pack_sequences(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.windows import sequence_pack_offsets
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = sequence_pack_offsets(
+    return sequence_pack_offsets(
         docs, "doc_id", "text", seq_len=1024,
         size_hint_bytes=_table_bytes(sf_dir, "documents"))
-    return _sort_adaptive(out, "doc_id")
 
 
 SQL_Q78 = """
@@ -3120,10 +3071,9 @@ def q79_mixture_budget(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.windows import grouped_token_budget_sample
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-    out = grouped_token_budget_sample(
+    return grouped_token_budget_sample(
         docs, "doc_id", "text", "source", budget_tokens=700,
         size_hint_bytes=_table_bytes(sf_dir, "documents"))
-    return _sort_adaptive(out, "doc_id")
 
 
 SQL_Q79 = """
@@ -3159,8 +3109,7 @@ def q80_quantile_select(sf_dir: str) -> Dataset:
     def keep(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater_equal(b["n_chars"], pa.scalar(th)))
 
-    return _sort_adaptive(
-        docs.map_batches(keep, batch_format="pyarrow"), "doc_id")
+    return docs.map_batches(keep, batch_format="pyarrow")
 
 
 SQL_Q80 = """
@@ -3194,8 +3143,7 @@ def q82_source_lang_regression(sf_dir: str) -> Dataset:
 
     feats = docs.map_batches(tok, batch_format="pyarrow")
     out = grouped_bivariate_stats(feats, ["lang", "source"],
-                                  "n_tokens", "n_chars",
-                                  sort_keys=["lang", "source"])
+                                  "n_tokens", "n_chars")
     # covar/intercept are large-magnitude (~1e6 / ~1e3): the two
     # engines' different summation orders disagree at the 1e-9-absolute
     # level, which crosses a 4-decimal grain — round those at 2
@@ -3231,7 +3179,7 @@ def q83_lm_perplexity(sf_dir: str) -> Dataset:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     out = bigram_lm_perplexity(docs, "doc_id", "text", k=0.5)
-    return _round_cols(_sort_adaptive(out, "doc_id"), {"ppl": 4})
+    return _round_cols(out, {"ppl": 4})
 
 
 SQL_Q83 = f"""
@@ -3271,8 +3219,7 @@ def q84_source_length_quantiles(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["source", "n_chars"])
     out = grouped_quantile_cont(docs, ["source"], "n_chars",
                                 [0.25, 0.5, 0.75], ["p25", "p50", "p75"])
-    return _round_cols(_sort_adaptive(out, "source"),
-                       {"p25": 4, "p50": 4, "p75": 4})
+    return _round_cols(out, {"p25": 4, "p50": 4, "p75": 4})
 
 
 SQL_Q84 = f"""
@@ -3297,7 +3244,7 @@ def q85_length_percent_rank(sf_dir: str) -> Dataset:
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     out = global_percent_rank(docs, "n_chars", "pct_rank")
-    return _round_cols(_sort_adaptive(out, "doc_id"), {"pct_rank": 4})
+    return _round_cols(out, {"pct_rank": 4})
 
 
 SQL_Q85 = f"""
@@ -3325,8 +3272,7 @@ def q81_semantic_dedup(sf_dir: str) -> Dataset:
     cent = kmeans_fit(emb, "embedding", k=8, iters=5, seed=11)
     out = semantic_dedup(emb, "embedding", "vec_id", threshold=0.4,
                          centroids=cent)
-    return _round_cols(_sort_adaptive(out, "vec_id"),
-                       {"centroid_sim": 4})
+    return _round_cols(out, {"centroid_sim": 4})
 
 
 _Q76_K = 13
@@ -3359,6 +3305,26 @@ ORDER BY tr.doc_id
 # registry
 # ---------------------------------------------------------------------------
 
+def _ordered(fn, keys: list, size_hint=None):
+    """The registry entry of query ``fn``: its result ordered by
+    ``keys`` through one :func:`_sort_adaptive`. ``size_hint(sf_dir)``
+    sizes an O(corpus)-row result, so its sort streams instead of
+    materializing it to probe."""
+
+    @functools.wraps(fn)
+    def run(sf_dir: str) -> Dataset:
+        return _sort_adaptive(fn(sf_dir), keys,
+                              size_hint(sf_dir) if size_hint else None)
+
+    return run
+
+
+_DESC = "descending"
+
+# Each entry declares its output order: an oracled entry copies its
+# oracle's outer ORDER BY (a total order), a rows-only entry the order
+# its op emits. Query functions never order their own results.
+#
 # Registry ORDER is a gating surface, not cosmetics: the driver's
 # correctness gate records the first ~50 entries only, so the rotation
 # is least-recently-verified (VERDICT r4 "Next round" #1):
@@ -3371,52 +3337,53 @@ ORDER BY tr.doc_id
 #            first and final round.
 #   Tier 3 — q38/q40/q42/q43/q44 (displaced anchors, r4-green +
 #            selfcheck-verified) then q51–q75: gated most recently (r4).
-QUERIES = {
+QUERIES = {fn.__name__: _ordered(fn, *order) for fn, *order in [
     # --- tier 1: least-recently gated (r1–r3 only) ---
-    "q01_pricing_summary": q01_pricing_summary,
-    "q02_top_revenue_items": q02_top_revenue_items,
-    "q03_segment_revenue": q03_segment_revenue,
-    "q04_brand_volume": q04_brand_volume,
-    "q05_region_nation_customers": q05_region_nation_customers,
-    "q06_order_priorities": q06_order_priorities,
-    "q07_events_hourly": q07_events_hourly,
-    "q08_user_event_stats": q08_user_event_stats,
-    "q09_doc_tokens": q09_doc_tokens,
-    "q10_doc_quality": q10_doc_quality,
-    "q11_doc_langid": q11_doc_langid,
-    "q13_doc_langs": q13_doc_langs,
-    "q14_gazetteer_mentions": q14_gazetteer_mentions,
-    "q19_simhash_neardup": q19_simhash_neardup,
-    "q21_ivf_knn": q21_ivf_knn,
-    "q24_image_features": q24_image_features,
-    "q25_audio_frames": q25_audio_frames,
-    "q29_customers_without_urgent": q29_customers_without_urgent,
-    "q30_nations_with_presence": q30_nations_with_presence,
-    "q31_event_props": q31_event_props,
-    "q32_rasterize_events": q32_rasterize_events,
-    "q35_embedding_clusters": q35_embedding_clusters,
-    "q36_domain_stats": q36_domain_stats,
-    "q39_hopping_windows": q39_hopping_windows,
-    "q50_event_rank_windows": q50_event_rank_windows,
+    (q01_pricing_summary, ["l_returnflag", "l_linestatus"]),
+    (q02_top_revenue_items,
+     [("l_extendedprice", _DESC), "l_orderkey", "l_linenumber"]),
+    (q03_segment_revenue, ["c_mktsegment"]),
+    (q04_brand_volume, ["p_brand"]),
+    (q05_region_nation_customers, ["r_name", "n_name"]),
+    (q06_order_priorities, ["o_orderpriority"]),
+    (q07_events_hourly, ["hour"]),
+    (q08_user_event_stats, ["user_id"]),
+    (q09_doc_tokens, ["doc_id"]),
+    (q10_doc_quality, ["doc_id"]),
+    (q11_doc_langid, ["doc_id"]),
+    (q13_doc_langs, ["lang"]),
+    (q14_gazetteer_mentions, ["doc_id", "name"]),
+    (q19_simhash_neardup, ["d1", "d2"], _doc_ids_bytes),
+    (q21_ivf_knn, ["query_id", "rank"]),
+    (q24_image_features, ["media_id"]),
+    (q25_audio_frames, ["media_id"]),
+    (q29_customers_without_urgent, ["c_custkey"]),
+    (q30_nations_with_presence, ["nationkey", "side"]),
+    (q31_event_props, ["event_id"]),
+    (q32_rasterize_events, ["cell_x", "cell_y"]),
+    (q35_embedding_clusters, ["cluster"]),
+    (q36_domain_stats, ["domain"]),
+    (q39_hopping_windows, ["window_start"]),
+    (q50_event_rank_windows, ["event_id"]),
     # --- tier 2: flagship gates + operator-family anchors ---
-    "q45_vet_mark_best": q45_vet_mark_best,
-    "q46_geocode_best": q46_geocode_best,
-    "q47_geocode_knn": q47_geocode_knn,
-    "q48_tile_raster": q48_tile_raster,
-    "q49_geocode_admin": q49_geocode_admin,
-    "q22_geocode_pages": q22_geocode_pages,
-    "q23_tile_aggregates": q23_tile_aggregates,
-    "q12_dedup_exact": q12_dedup_exact,
-    "q15_ngram_dup_pairs": q15_ngram_dup_pairs,
-    "q16_embed_knn": q16_embed_knn,
-    "q17_embed_neardup": q17_embed_neardup,
-    "q18_minhash_neardup": q18_minhash_neardup,
-    "q20_fingerprint_dedup": q20_fingerprint_dedup,
-    "q27_event_sessions": q27_event_sessions,
-    "q28_top_orders_per_segment": q28_top_orders_per_segment,
-    "q33_events_last_order": q33_events_last_order,
-    "q34_corpus_curation": q34_corpus_curation,
-    "q37_distinct_urls_hll": q37_distinct_urls_hll,
+    (q45_vet_mark_best, ["c_custkey"]),
+    (q46_geocode_best, ["url"]),
+    (q47_geocode_knn, ["url"]),
+    (q48_tile_raster, ["raster_cell"]),
+    (q49_geocode_admin, ["url"]),
+    (q22_geocode_pages, ["warc_ts", "url"]),
+    (q23_tile_aggregates, ["hex_cell_r7"]),
+    (q12_dedup_exact, ["doc_id"], _doc_ids_bytes),
+    (q15_ngram_dup_pairs, ["d1", "d2"]),
+    (q16_embed_knn, ["query_id", "rank"]),
+    (q17_embed_neardup, ["d1", "d2"]),
+    (q18_minhash_neardup, ["d1", "d2"]),
+    (q20_fingerprint_dedup, ["d1", "d2"]),
+    (q27_event_sessions, ["user_id", "session_n"]),
+    (q28_top_orders_per_segment, ["c_mktsegment", "rank"]),
+    (q33_events_last_order, ["event_id"]),
+    (q34_corpus_curation, ["doc_id"]),
+    (q37_distinct_urls_hll, ["metric"]),
     # --- NEW this round (q76-q80, q82, q83): inside the 50-row gate
     # window so each new operator gets an authoritative driver row in
     # its first (and final) round; the anchors they displace (q38,
@@ -3424,55 +3391,56 @@ QUERIES = {
     # are driver-green in r4 AND selfcheck-verified this round — the
     # same evidence standard the r4 judge accepted for rotated-out
     # queries.
-    "q76_decontaminate": q76_decontaminate,
-    "q77_cut_dup_spans": q77_cut_dup_spans,
-    "q78_pack_sequences": q78_pack_sequences,
-    "q79_mixture_budget": q79_mixture_budget,
-    "q80_quantile_select": q80_quantile_select,
-    "q82_source_lang_regression": q82_source_lang_regression,
-    "q83_lm_perplexity": q83_lm_perplexity,
+    (q76_decontaminate, ["doc_id"]),
+    (q77_cut_dup_spans, ["doc_id"]),
+    (q78_pack_sequences, ["doc_id"]),
+    (q79_mixture_budget, ["doc_id"]),
+    (q80_quantile_select, ["doc_id"]),
+    (q82_source_lang_regression, ["lang", "source"]),
+    (q83_lm_perplexity, ["doc_id"]),
     # --- tier 3: gated in r4, rotated out this round. q81 (new,
     # rows-only) stays here deliberately: with exactly 50 gate slots,
     # a rows-only driver row (rows>0 + schema) is weaker evidence than
     # the oracled anchor it would displace; q81's authoritative gate is
     # its naive-numpy-oracle pytest (tests/test_semantic_dedup.py) +
     # selfcheck rows-ok, the q75-PCA standard. ---
-    "q26_hashjoin_revenue": q26_hashjoin_revenue,
-    "q41_url_canonical": q41_url_canonical,
-    "q38_heavy_hitters": q38_heavy_hitters,
-    "q40_price_quantiles": q40_price_quantiles,
-    "q42_signup_followup_counts": q42_signup_followup_counts,
-    "q43_user_moving_avg": q43_user_moving_avg,
-    "q44_price_quantile_sketch": q44_price_quantile_sketch,
-    "q51_user_interarrival": q51_user_interarrival,
-    "q52_order_sample_stats": q52_order_sample_stats,
-    "q53_event_type_pivot": q53_event_type_pivot,
-    "q54_fuzzy_supplier_pairs": q54_fuzzy_supplier_pairs,
-    "q55_customer_rollup": q55_customer_rollup,
-    "q56_dedup_clusters": q56_dedup_clusters,
-    "q57_corpus_vocab": q57_corpus_vocab,
-    "q58_token_postings": q58_token_postings,
-    "q59_text_redact": q59_text_redact,
-    "q60_tfidf_top_terms": q60_tfidf_top_terms,
-    "q61_stratified_sample": q61_stratified_sample,
-    "q62_bloom_blocklist": q62_bloom_blocklist,
-    "q63_engaged_users": q63_engaged_users,
-    "q64_user_event_type_sets": q64_user_event_type_sets,
-    "q65_embedding_gram": q65_embedding_gram,
-    "q66_daily_reconciliation": q66_daily_reconciliation,
-    "q67_grouped_distinct_hll": q67_grouped_distinct_hll,
-    "q68_segment_priority_cube": q68_segment_priority_cube,
-    "q69_source_lang_entropy": q69_source_lang_entropy,
-    "q70_event_transitions": q70_event_transitions,
-    "q71_doc_repetition": q71_doc_repetition,
-    "q72_dup_substring_pairs": q72_dup_substring_pairs,
-    "q73_dup_substring_positions": q73_dup_substring_positions,
-    "q74_dup_span_coverage": q74_dup_span_coverage,
-    "q75_embedding_pca": q75_embedding_pca,
-    "q81_semantic_dedup": q81_semantic_dedup,
-    "q84_source_length_quantiles": q84_source_length_quantiles,
-    "q85_length_percent_rank": q85_length_percent_rank,
-}
+    (q26_hashjoin_revenue, ["c_mktsegment"]),
+    (q41_url_canonical, ["doc_id"]),
+    (q38_heavy_hitters, [("n_events", _DESC), "event_type"]),
+    (q40_price_quantiles, ["l_returnflag"]),
+    (q42_signup_followup_counts, ["event_id"]),
+    (q43_user_moving_avg, ["event_id"]),
+    (q44_price_quantile_sketch, ["l_returnflag"]),
+    (q51_user_interarrival, ["user_id"]),
+    (q52_order_sample_stats, ["o_orderpriority"]),
+    (q53_event_type_pivot, ["day"]),
+    (q54_fuzzy_supplier_pairs, ["d1", "d2"]),
+    (q55_customer_rollup, ["r_name", "n_name"]),
+    (q56_dedup_clusters, ["doc_id"]),
+    (q57_corpus_vocab, [("n", _DESC), "token"]),
+    (q58_token_postings, ["token", "doc_id"]),
+    (q59_text_redact, ["doc_id"]),
+    (q60_tfidf_top_terms, ["doc_id"]),
+    (q61_stratified_sample, ["doc_id"]),
+    (q62_bloom_blocklist, ["l_returnflag"]),
+    (q63_engaged_users, ["user_id"]),
+    (q64_user_event_type_sets, ["user_id"]),
+    (q65_embedding_gram, ["i", "j"]),
+    (q66_daily_reconciliation, ["day"]),
+    (q67_grouped_distinct_hll, ["event_type"]),
+    (q68_segment_priority_cube, ["c_mktsegment", "o_orderpriority"]),
+    (q69_source_lang_entropy, ["source"]),
+    (q70_event_transitions, ["from_type", "to_type"]),
+    (q71_doc_repetition, ["doc_id"]),
+    (q72_dup_substring_pairs, ["d1", "d2"]),
+    # its aggregate streams at corpus scale on this hint, so its sort does
+    (q73_dup_substring_positions, ["doc_id"], _doc_grams_bytes),
+    (q74_dup_span_coverage, ["doc_id"]),
+    (q75_embedding_pca, ["vec_id"]),
+    (q81_semantic_dedup, ["vec_id"]),
+    (q84_source_length_quantiles, ["source"]),
+    (q85_length_percent_rank, ["doc_id"]),
+]}
 
 ORACLE_SQL = {
     "q01_pricing_summary": SQL_Q01,

@@ -48,6 +48,23 @@ def _digest(table: pa.Table | None) -> str:
     return hashlib.sha256(sink.getvalue()).hexdigest()[:16]
 
 
+# the package whose sources make up the engine digest
+_ENGINE_ROOT = os.path.dirname(os.path.abspath(__file__))
+
+
+def _engine_digest() -> str:
+    """Digest of the engine that computes the pages: one sha256 over
+    every ``.py`` source of the package (path and bytes, in sorted path
+    order), so a checkpoint built by other engine code never resumes."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(_ENGINE_ROOT, "**", "*.py"),
+                                 recursive=True)):
+        h.update(os.path.relpath(path, _ENGINE_ROOT).encode() + b"\0")
+        with open(path, "rb") as f:
+            h.update(f.read() + b"\0")
+    return h.hexdigest()[:16]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--pages", help="directory or glob of page parquet shards")
@@ -150,7 +167,8 @@ def main(argv=None):
             cfg=cfg, with_knn=args.knn)
 
     tag = (f"geocode-v1-r{args.results_per_app}-b{args.max_buffer}-knn{args.knn}"
-           f"-g{_digest(gaz)}-p{_digest(polys)}-f{_digest(fac)}")
+           f"-g{_digest(gaz)}-p{_digest(polys)}-f{_digest(fac)}"
+           f"-e{_engine_digest()}")
     page_out = os.path.join(args.out, "pages")
     results = run_resumable(build, files, page_out, tag,
                             files_per_partition=args.files_per_partition)

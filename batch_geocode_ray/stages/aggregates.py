@@ -129,7 +129,7 @@ def grouped_aggregate(ds: Dataset, keys: list[str],
 
 def pivot_counts(ds: Dataset, group_col: str, type_col: str,
                  categories: list[str]) -> Dataset:
-    """PIVOT: one output row per ``group_col`` value, sorted by it, with
+    """PIVOT: one output row per ``group_col`` value (in no set order), with
     a count column ``n_{c}`` per category of ``type_col`` (SQL:
     ``count(*) FILTER (WHERE type = c) AS n_c``). Unknown categories are dropped (SQL
     IN-list semantics).
@@ -149,7 +149,7 @@ def pivot_counts(ds: Dataset, group_col: str, type_col: str,
     specs = [(f"n_{c}", "sum", f"n_{c}") for c in categories]
     return grouped_aggregate(ds.map_batches(indicators,
                                             batch_format="pyarrow"),
-                             [group_col], specs, sort_keys=[group_col])
+                             [group_col], specs)
 
 
 def grouping_sets_aggregate(ds: Dataset, keys: list[str],
@@ -230,8 +230,10 @@ def cube_aggregate(ds: Dataset, keys: list[str],
     return grouping_sets_aggregate(ds, keys, specs, sets)
 
 
-def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
-    """Global top-k rows by ``sort_col`` DESC (ties: ``tie_col`` ASC).
+def global_topk(ds: Dataset, sort_col: str, tie_col: str | list[str],
+                k: int) -> Dataset:
+    """Global top-k rows by ``sort_col`` DESC (ties: ``tie_col`` ASC, one
+    column or a list).
 
     Per-block partial top-k bounds what the single final merge sees to
     k x n_blocks rows — no all-to-all sort of the full table, and the
@@ -239,10 +241,11 @@ def global_topk(ds: Dataset, sort_col: str, tie_col: str, k: int) -> Dataset:
     same shape as the reference's per-source top-N, query_funcs.py:376,
     lifted to a whole-corpus ranking)."""
 
+    ties = [tie_col] if isinstance(tie_col, str) else tie_col
+    order = [(sort_col, "descending")] + [(c, "ascending") for c in ties]
+
     def take_top(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=[(sort_col, "descending"),
-                                            (tie_col, "ascending")])
-        return b.take(idx[:k])
+        return b.take(pc.sort_indices(b, sort_keys=order)[:k])
 
     return _one_task(ds.map_batches(take_top, batch_format="pyarrow"),
                      take_top)
@@ -523,8 +526,7 @@ def grouped_quantile_cont(ds: Dataset, keys: list[str], value_col: str,
 
 
 def grouped_bivariate_stats(ds: Dataset, keys: list[str],
-                            x_col: str, y_col: str,
-                            sort_keys: list[str] | None = None) -> Dataset:
+                            x_col: str, y_col: str) -> Dataset:
     """Per-group bivariate statistics — covariance, Pearson
     correlation, and the simple least-squares fit of y on x
     (``covar_yx``, ``corr_yx``, ``slope``, ``intercept``, plus
@@ -558,8 +560,7 @@ def grouped_bivariate_stats(ds: Dataset, keys: list[str],
         ds.map_batches(widen, batch_format="pyarrow"), keys,
         [(xt, "sum", "_sx"), (yt, "sum", "_sy"),
          ("__bxy", "sum", "_sxy"), ("__bxx", "sum", "_sxx"),
-         ("__byy", "sum", "_syy"), (xt, "count", "n_rows")],
-        sort_keys=sort_keys)
+         ("__byy", "sum", "_syy"), (xt, "count", "n_rows")])
 
     def finalize(b: pa.Table) -> pa.Table:
         n = np.asarray(b["n_rows"].to_numpy(zero_copy_only=False),

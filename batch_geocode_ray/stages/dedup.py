@@ -99,24 +99,27 @@ def _one_task(ds: Dataset, fn) -> Dataset:
                                          batch_size=None)
 
 
-def distributed_sort(ds: Dataset, keys: list[str]) -> Dataset:
-    """Ray's range-partitioned ``sort`` by ``keys``, safe for temporal
-    keys. Ray takes only numeric NaN for null when it orders its
-    sampled range bounds: a sampled null timestamp leaves them out of
-    order, and the range partition then emits some rows twice. So sort
-    on integer views of temporal keys, whose nulls Ray handles, and drop
-    the views after."""
-    views = [f"__sort_{k}" for k in keys]
+def distributed_sort(ds: Dataset, keys: list) -> Dataset:
+    """Ray's range-partitioned ``sort`` by ``keys`` (pyarrow-style: a
+    bare name or a ``(name, "ascending" | "descending")`` pair), safe
+    for temporal keys. Ray takes only numeric NaN for null when it
+    orders its sampled range bounds: a sampled null timestamp leaves
+    them out of order, and the range partition then emits some rows
+    twice. So sort on integer views of temporal keys, whose nulls Ray
+    handles, and drop the views after."""
+    keys = [(k, "ascending") if isinstance(k, str) else k for k in keys]
+    views = [f"__sort_{k}" for k, _ in keys]
 
     def add_views(b: pa.Table) -> pa.Table:
-        for k, v in zip(keys, views):
+        for (k, _), v in zip(keys, views):
             c = b[k]
             if pa.types.is_temporal(c.type):
                 c = c.cast(pa.int64() if c.type.bit_width == 64 else pa.int32())
             b = b.append_column(v, c)
         return b
 
-    return (ds.map_batches(add_views, batch_format="pyarrow").sort(views)
+    return (ds.map_batches(add_views, batch_format="pyarrow")
+            .sort(views, descending=[o == "descending" for _, o in keys])
             .map_batches(lambda b: b.drop_columns(views), batch_format="pyarrow"))
 
 

@@ -306,8 +306,7 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
          "count_name": count_name},
         batch_format="pyarrow")
     return grouped_aggregate(partials, [small_id],
-                             [(count_name, "sum", count_name)],
-                             sort_keys=[small_id])
+                             [(count_name, "sum", count_name)])
 
 
 def broadcast_join(ds: Dataset, small: pa.Table, key: str,

@@ -51,7 +51,7 @@ def rasterize_points(ds: Dataset, grid: GridSpec,
                      lon_col: str, lat_col: str,
                      weight_col: str | None = None) -> Dataset:
     """Point stream -> sparse raster: (cell_x, cell_y, n_points[,
-    weight_sum]) for every non-empty cell, sorted by cell. Out-of-bounds
+    weight_sum]) for every non-empty cell, in no set order. Out-of-bounds
     and null coordinates are dropped."""
 
     def partial(b: pa.Table) -> pa.Table:
@@ -75,5 +75,4 @@ def rasterize_points(ds: Dataset, grid: GridSpec,
     specs = [("cell_x", "count", "n_points")]
     if weight_col is not None:
         specs.append(("_w", "sum", "weight_sum"))
-    return grouped_aggregate(
-        cells, ["cell_x", "cell_y"], specs, sort_keys=["cell_x", "cell_y"])
+    return grouped_aggregate(cells, ["cell_x", "cell_y"], specs)

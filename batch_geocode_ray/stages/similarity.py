@@ -217,8 +217,7 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                              np.int64)
             m = _normalize(_matrix_of(b, vec_col))
-            out = _upper_pairs(ids, m, ids, m, threshold)
-            return out.sort_by([("d1", "ascending"), ("d2", "ascending")])
+            return _upper_pairs(ids, m, ids, m, threshold)
 
         return _one_task(proj, one)
 

@@ -183,8 +183,8 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     """Per-document duplicated-position counts: for each document with
     at least one, the number of byte positions whose length-``L`` gram
     occurs in ≥ 2 distinct documents. Output: (``id_col``,
-    n_dup_positions), only documents with a positive count, sorted by
-    ``id_col``.
+    n_dup_positions), only documents with a positive count, in no set
+    order.
 
     ``size_hint_bytes``: pass ~32 x corpus_chars (the gram-stream
     width) at real scale so the exchange streams instead of
@@ -217,7 +217,6 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
                                emit_counts, size_hint_bytes=size_hint_bytes)
     return grouped_aggregate(partials, [id_col],
                              [("cnt", "sum", "n_dup_positions")],
-                             sort_keys=[id_col],
                              size_hint_bytes=size_hint_bytes)
 
 

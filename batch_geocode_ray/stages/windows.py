@@ -366,8 +366,7 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
 
     partials = bucket_exchange(ds, key_col, trans_in_bucket)
     return grouped_aggregate(partials, ["from_type", "to_type"],
-                             [("n", "sum", "n")],
-                             sort_keys=["from_type", "to_type"])
+                             [("n", "sum", "n")])
 
 
 def _shuffle_narrow_tokens(b: pa.Table, id_col: str, text_col: str,

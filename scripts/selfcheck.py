@@ -1,7 +1,9 @@
 """Local stand-in for the driver's correctness gate: run every
 ``queries()`` entry at a given sf and diff against ``oracle_sql()`` via
 DuckDB (row count, column names, exact values for ints/strings, bit
-closeness for floats).
+closeness for floats), then check that the rows come in the oracle's
+order (the driver's value hash is row-order-sensitive; ``compare``
+sorts both sides).
 
 Usage: python scripts/selfcheck.py [sf_dir] [query ...]
 """
@@ -9,6 +11,7 @@ Usage: python scripts/selfcheck.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import duckdb
 import numpy as np
@@ -89,6 +92,16 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
     return problems
 
 
+def row_order_problems(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
+    """``compare`` in row order: the same checks with ``canon``'s row
+    sort switched off, so a row that sits elsewhere is a diff."""
+    def keep_rows(df: pd.DataFrame) -> pd.DataFrame:
+        return df[sorted(df.columns)].reset_index(drop=True)
+
+    with mock.patch.object(sys.modules[__name__], "canon", keep_rows):
+        return compare(name, got, want)
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -127,6 +140,9 @@ def main():
         if problems:
             n_fail += 1
             print(f"FAIL {name}: " + "; ".join(problems))
+        elif row_order_problems(name, got, want):
+            n_fail += 1
+            print(f"FAIL {name}: row order differs from the oracle")
         else:
             print(f"ok   {name}: rows={len(got)} MATCH")
     ray.shutdown()

@@ -173,3 +173,32 @@ def test_cli_rerun_recomputes_changed_broadcast_input(changed, tmp_path):
     clean = str(tmp_path / "clean")
     main(args + ["--out", clean])
     assert pages(out).equals(pages(clean))
+
+
+def test_cli_rerun_recomputes_after_an_engine_change(tmp_path, monkeypatch):
+    """The CLI's checkpoint tag carries a digest of the package's ``.py``
+    sources: the same sources at another path resume, and one changed
+    source byte recomputes every partition."""
+    import shutil
+
+    from batch_geocode_ray import run
+    from batch_geocode_ray.sources.fixtures import generate_pages, generate_world
+
+    world = generate_world(42)
+    generate_pages(str(tmp_path / "pages"), 400, rows_per_file=200,
+                   world=world)
+    pq.write_table(world.gazetteer, str(tmp_path / "gazetteer.parquet"))
+    args = ["--pages", str(tmp_path / "pages"),
+            "--gazetteer", str(tmp_path / "gazetteer.parquet"),
+            "--tiles", "", "--files-per-partition", "1",
+            "--out", str(tmp_path / "out")]
+    assert run.main(args)["computed"] == 2
+    engine = tmp_path / "engine"
+    shutil.copytree(run._ENGINE_ROOT, engine,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(run, "_ENGINE_ROOT", str(engine))
+    assert run.main(args)["skipped_resume"] == 2
+    with open(engine / "stages" / "pip.py", "a") as f:
+        f.write("\n")
+    s = run.main(args)
+    assert (s["computed"], s["skipped_resume"]) == (2, 0)

@@ -142,11 +142,11 @@ def test_q12_q19_row_order_is_deterministic(monkeypatch):
     ordered by (d1, d2)) give one row order on every run, with the
     collapsed plan and with the distributed plan forced."""
     import batch_geocode_ray.stages.dedup as dd
-    from batch_geocode_ray.pipelines.queries import (
-        q12_dedup_exact,
-        q19_simhash_neardup,
-    )
+    from batch_geocode_ray.pipelines.queries import QUERIES
     from tests.test_r3_new_ops import SF as sf
+
+    q12_dedup_exact = QUERIES["q12_dedup_exact"]
+    q19_simhash_neardup = QUERIES["q19_simhash_neardup"]
 
     hashes = {"q12": set(), "q19": set()}
     for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
@@ -396,7 +396,10 @@ def test_broadcast_asof_matches_naive():
             "name", pa.array(["x"] * n_small)), "k", "t", "k", "t", ["name"])
 
 def test_multimodal_stub_plumbing():
-    from batch_geocode_ray.pipelines.queries import q24_image_features, q25_audio_frames
+    from batch_geocode_ray.pipelines.queries import QUERIES
+
+    q24_image_features = QUERIES["q24_image_features"]
+    q25_audio_frames = QUERIES["q25_audio_frames"]
 
     img = q24_image_features("unused").take_all()
     assert len(img) == 64
@@ -441,10 +444,10 @@ def test_bmp_wav_codecs_round_trip():
 
 
 def test_media_queries_real_decode():
-    from batch_geocode_ray.pipelines.queries import (
-        q24_image_features,
-        q25_audio_frames,
-    )
+    from batch_geocode_ray.pipelines.queries import QUERIES
+
+    q24_image_features = QUERIES["q24_image_features"]
+    q25_audio_frames = QUERIES["q25_audio_frames"]
 
     img = q24_image_features("unused").take_all()
     assert len(img) == 64 and len(img[0]["features"]) == 16
