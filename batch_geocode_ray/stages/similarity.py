@@ -9,6 +9,12 @@ the final per-query merge is tiny.
 Scale path: IVF — deterministic k-means centroids from a sample, vectors
 bucketed by nearest centroid, queries probe the nearest few buckets
 only. Approximate by design; the baseline is the oracle.
+
+Exact near-duplicate pairs (``cosine_neardup_pairs``) and SemDeDup
+(``semantic_dedup``) are keyed self-joins: each runs one
+``dedup.bucket_exchange``, with the normalized vectors riding it as a
+fixed_size_list column. No plan here addresses blocks by ref or starts
+a raw Ray task.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
 from ray.data import Dataset
 
+from batch_geocode_ray.stages import dedup
 from batch_geocode_ray.stages.dedup import (
     _one_task,
     _probe_small,
     bucket_exchange,
+    key_hash64,
 )
 from batch_geocode_ray.stages.stateful import gather
 
@@ -58,6 +65,28 @@ def _partial_topk_ties(s: np.ndarray, cand_ids: np.ndarray, kk: int):
     return at_or_above[sel]
 
 
+def _topk_table(candidates, k: int) -> pa.Table:
+    """Partial top-k rows (query_id, neighbor_id, sim) of one batch:
+    up to ``k`` per query, from ``candidates``, an iterable of (query
+    id, candidate sims, candidate ids)."""
+    out_q = [np.empty(0, np.int64)]
+    out_n = [np.empty(0, np.int64)]
+    out_s = [np.empty(0, np.float64)]
+    for qid, s, cand_ids in candidates:
+        kk = min(k, len(cand_ids))
+        if kk == 0:
+            continue
+        part = _partial_topk_ties(s, cand_ids, kk)
+        out_q.append(np.full(kk, qid, dtype=np.int64))
+        out_n.append(cand_ids[part])
+        out_s.append(s[part])
+    return pa.table({
+        "query_id": pa.array(np.concatenate(out_q), pa.int64()),
+        "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
+        "sim": pa.array(np.concatenate(out_s), pa.float64()),
+    })
+
+
 def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
                queries: np.ndarray, query_ids: np.ndarray,
                k: int = 5) -> Dataset:
@@ -73,34 +102,18 @@ def knn_cosine(ds: Dataset, vec_col: str, id_col: str,
     qids = np.asarray(query_ids, dtype=np.int64)
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        m = _normalize(_matrix_of(batch, vec_col))
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        sims = m @ qmat.T  # (B, Q)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(qmat.shape[0]):
-            mask = ids != qids[qi]
-            s, cand_ids = sims[mask, qi], ids[mask]
-            kk = min(k, len(cand_ids))
-            if kk == 0:
-                continue
-            part = _partial_topk_ties(s, cand_ids, kk)
-            out_q.append(np.full(kk, qids[qi], dtype=np.int64))
-            out_n.append(cand_ids[part])
-            out_s.append(s[part])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
-            "sim": pa.array(np.concatenate(out_s), pa.float64()),
-        })
+            return _topk_table((), k)
+        sims = _normalize(_matrix_of(batch, vec_col)) @ qmat.T  # (B, Q)
+
+        def candidates():
+            for qi, qid in enumerate(qids):
+                other = ids != qid
+                yield qid, sims[other, qi], ids[other]
+
+        return _topk_table(candidates(), k)
 
     return _merge_partial_topk(
         ds.map_batches(partial_topk, batch_format="pyarrow"), k,
@@ -159,78 +172,85 @@ def _merge_partial_topk(partials: Dataset, k: int,
     return _one_task(partials, merge_one)
 
 
-def _pair_table(d1, d2, cos) -> pa.Table:
-    return pa.table({
-        "d1": pa.array(d1, pa.int64()),
-        "d2": pa.array(d2, pa.int64()),
-        "cosine": pa.array(cos, pa.float64()),
-    })
-
-
-def _upper_pairs(ids_a, m_a, ids_b, m_b, threshold) -> pa.Table:
-    """Above-threshold (a < b) cosine pairs between two id/vector sets
-    (inputs pre-normalized)."""
-    if len(ids_a) == 0 or len(ids_b) == 0:
-        return _pair_table([], [], [])
-    sims = m_a @ m_b.T
-    keep = (sims >= threshold) & (ids_a[:, None] < ids_b[None, :])
-    r, c = np.nonzero(keep)
-    return _pair_table(ids_a[r], ids_b[c], sims[r, c])
-
-
-@ray.remote
-def _block_pair_sims(t1: pa.Table, t2: pa.Table | None, vec_col: str,
-                     id_col: str, threshold: float) -> pa.Table:
-    """One exact block-vs-block similarity tile (t2 None = t1 vs t1)."""
-    ids1 = np.asarray(t1[id_col].to_numpy(zero_copy_only=False), np.int64)
-    m1 = _normalize(_matrix_of(t1, vec_col))
-    if t2 is None:
-        return _upper_pairs(ids1, m1, ids1, m1, threshold)
-    ids2 = np.asarray(t2[id_col].to_numpy(zero_copy_only=False), np.int64)
-    m2 = _normalize(_matrix_of(t2, vec_col))
-    return _upper_pairs(ids1, m1, ids2, m2, threshold)
+def _vector_column(m: np.ndarray) -> pa.Array:
+    """An (n, d) matrix as a fixed_size_list<double>[d] column."""
+    return pa.FixedSizeListArray.from_arrays(pa.array(m.ravel()), m.shape[1])
 
 
 def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
                          threshold: float = 0.4) -> Dataset:
     """All (a < b) vector pairs with cosine >= threshold, exact.
-    Output: (d1, d2, cosine).
+    Output: (d1, d2, cosine), d1 < d2.
 
-    Physical plans (nothing O(N) ever concentrates on the driver):
-      * small input (the (id, vec) projection measures under the dedup
-        small-collapse threshold) -> the whole exact join runs in ONE
-        task.
-      * at scale -> block-pair tiling: the dataset's blocks stay in the
-        object store (the projection MUST materialize here — the
-        triangular tiling addresses blocks by ref); one Ray task per
-        block pair (i <= j) fetches exactly two blocks and emits its
-        above-threshold pairs. Exact at ANY threshold; the quadratic
-        compute is inherent to an exact similarity join (raw tasks used
-        because a triangular self-join has no Dataset-API shape).
+    One keyed exchange tiles the triangular self-join. The (id,
+    normalized vector) projection is measured: it is one block when it
+    fits one task, else ``B = ceil(size / TARGET_BUCKET_BYTES)`` blocks,
+    a row's block being ``key_hash64(id) mod B``. Each row is copied
+    once per tile ``(min(b, j), max(b, j))``, j = 0..B-1, and
+    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` co-locates
+    each tile. A diagonal tile emits its in-block pairs, an off-diagonal
+    tile its cross pairs, so every pair is scored exactly once in
+    whatever order the blocks arrive. ``B = 1`` is one diagonal tile,
+    which the exchange runs as one task when the input is small. Each
+    vector moves B times; the quadratic compute is inherent to an exact
+    similarity join.
     """
-    from batch_geocode_ray.stages import dedup as _dd  # shared knob
 
-    # block-pair tiling is ref-addressed: materialization inherent
-    proj = ds.select_columns([id_col, vec_col]).materialize()
-    if (proj.size_bytes() or 0) < _dd.SMALL_COLLAPSE_BYTES:
-        def one(b: pa.Table) -> pa.Table:
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             np.int64)
-            m = _normalize(_matrix_of(b, vec_col))
-            return _upper_pairs(ids, m, ids, m, threshold)
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "_id": b[id_col].combine_chunks().cast(pa.int64()),
+            "_vec": _vector_column(_normalize(_matrix_of(b, vec_col))),
+        })
 
-        return _one_task(proj, one)
+    proj, small, size = _probe_small(
+        ds.map_batches(project, batch_format="pyarrow"))
+    n_blocks = 1 if small else max(1, -(-size // dedup.TARGET_BUCKET_BYTES))
 
-    refs = proj.to_arrow_refs()  # O(blocks) refs; data stays put
-    tiles = []
-    for i in range(len(refs)):
-        tiles.append(_block_pair_sims.remote(
-            refs[i], None, vec_col, id_col, threshold))
-        for j in range(i + 1, len(refs)):
-            tiles.append(_block_pair_sims.remote(
-                refs[i], refs[j], vec_col, id_col, threshold))
-    import ray.data as rd
-    return rd.from_arrow_refs(tiles)
+    def to_tiles(b: pa.Table) -> pa.Table:
+        blk = (key_hash64(b["_id"], "_id") % np.uint64(n_blocks)).astype(
+            np.int64)
+        rows = np.repeat(np.arange(b.num_rows), n_blocks)
+        other = np.tile(np.arange(n_blocks), b.num_rows)
+        own = blk[rows]
+        tile = np.minimum(own, other) * n_blocks + np.maximum(own, other)
+        return (b.take(pa.array(rows, pa.int64()))
+                .append_column("_blk", pa.array(own))
+                .append_column("_tile", pa.array(tile)))
+
+    def tile_pairs(g: pa.Table) -> pa.Table:
+        ids = np.asarray(g["_id"].to_numpy(zero_copy_only=False), np.int64)
+        blk = np.asarray(g["_blk"].to_numpy(zero_copy_only=False), np.int64)
+        tile = np.asarray(g["_tile"].to_numpy(zero_copy_only=False),
+                          np.int64)
+        m = _matrix_of(g, "_vec")
+        # id order within a tile: the same matmul in any arrival order
+        order = np.lexsort((ids, tile))
+        starts = np.flatnonzero(np.diff(tile[order], prepend=-1))
+        d1 = [np.empty(0, np.int64)]
+        d2 = [np.empty(0, np.int64)]
+        cos = [np.empty(0, np.float64)]
+        for s, e in zip(starts, np.append(starts[1:], len(order))):
+            rows = order[s:e]
+            lo, hi = divmod(int(tile[rows[0]]), n_blocks)
+            a = rows[blk[rows] == lo]
+            b = a if lo == hi else rows[blk[rows] == hi]
+            sims = m[a] @ m[b].T
+            keep = sims >= threshold
+            if lo == hi:
+                keep &= ids[a][:, None] < ids[b][None, :]
+            r, c = np.nonzero(keep)
+            d1.append(np.minimum(ids[a][r], ids[b][c]))
+            d2.append(np.maximum(ids[a][r], ids[b][c]))
+            cos.append(sims[r, c])
+        return pa.table({
+            "d1": pa.array(np.concatenate(d1), pa.int64()),
+            "d2": pa.array(np.concatenate(d2), pa.int64()),
+            "cosine": pa.array(np.concatenate(cos), pa.float64()),
+        })
+
+    return bucket_exchange(proj.map_batches(to_tiles, batch_format="pyarrow"),
+                           "_tile", tile_pairs,
+                           size_hint_bytes=size * n_blocks)
 
 
 def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -364,35 +384,19 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
     probes = np.argsort(-(qmat @ cent.T), axis=1)[:, :4]
 
     def partial(batch: pa.Table) -> pa.Table:
-        m = _normalize(_matrix_of(batch, vec_col))
         ids = np.asarray(batch[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
+            return _topk_table((), k)
+        m = _normalize(_matrix_of(batch, vec_col))
         v_assign = (m @ cent.T).argmax(axis=1)
-        out_q, out_n, out_s = [], [], []
-        for qi in range(qmat.shape[0]):
-            in_probe = np.isin(v_assign, probes[qi]) & (ids != qids[qi])
-            if not in_probe.any():
-                continue
-            s = m[in_probe] @ qmat[qi]
-            cand = ids[in_probe]
-            kk = min(k, len(cand))
-            part = _partial_topk_ties(s, cand, kk)
-            out_q.append(np.full(kk, qids[qi], dtype=np.int64))
-            out_n.append(cand[part])
-            out_s.append(s[part])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "neighbor_id": pa.array(np.concatenate(out_n), pa.int64()),
-            "sim": pa.array(np.concatenate(out_s), pa.float64()),
-        })
+
+        def candidates():
+            for qi, qid in enumerate(qids):
+                in_probe = np.isin(v_assign, probes[qi]) & (ids != qid)
+                yield qid, m[in_probe] @ qmat[qi], ids[in_probe]
+
+        return _topk_table(candidates(), k)
 
     return _merge_partial_topk(
         ds.map_batches(partial, batch_format="pyarrow"), k,
@@ -495,9 +499,8 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
 
     Distributed shape (the paper's reason for clustering first): the
     O(n^2) pairwise matmul is confined to within-cluster blocks. One
-    narrow assign pass appends (cluster, centroid_sim) and packs the
-    NORMALIZED vector into a fixed-width binary blob (list<float>
-    cannot ride an exchange); then ONE
+    narrow assign pass appends (cluster, centroid_sim) and the
+    NORMALIZED vector as a fixed_size_list column; then ONE
     :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
     cluster delivers whole clusters to tasks that lexsort, segment, and
     matmul per cluster. Below the
@@ -521,25 +524,13 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
 
     def assign(b: pa.Table) -> pa.Table:
         mn = _normalize(_matrix_of(b, vec_col))
-        n = b.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "cluster": pa.array([], pa.int64()),
-                             "centroid_sim": pa.array([], pa.float64()),
-                             "_vec": pa.array([], pa.large_binary())})
-        sims = mn @ cent.T
+        sims = mn @ cent.T if b.num_rows else np.empty((0, len(cent)))
         cl = sims.argmax(axis=1).astype(np.int64)
-        cs = sims[np.arange(n), cl]
-        width = mn.shape[1] * 8
-        offsets = (np.arange(n + 1, dtype=np.int64) * width)
-        vec_arr = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), n,
-            [None, pa.py_buffer(offsets.tobytes()),
-             pa.py_buffer(np.ascontiguousarray(mn).tobytes())])
         return pa.table({id_col: b[id_col].combine_chunks().cast(pa.int64()),
                          "cluster": pa.array(cl),
-                         "centroid_sim": pa.array(cs, pa.float64()),
-                         "_vec": vec_arr})
+                         "centroid_sim": pa.array(
+                             sims[np.arange(len(cl)), cl], pa.float64()),
+                         "_vec": _vector_column(mn)})
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       "cluster": pa.array([], pa.int64()),
@@ -556,13 +547,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                         dtype=np.int64)
         cs = np.asarray(g["centroid_sim"].to_numpy(zero_copy_only=False),
                         dtype=np.float64)
-        vcol = g["_vec"].combine_chunks().cast(pa.large_binary())
-        bufs = vcol.buffers()
-        offs = np.frombuffer(bufs[1], dtype=np.int64)[
-            vcol.offset:vcol.offset + n + 1]
-        flat = np.frombuffer(bufs[2], dtype=np.float64)
-        d = (offs[1] - offs[0]) // 8
-        mat = flat[offs[0] // 8: offs[-1] // 8].reshape(n, d)
+        mat = _matrix_of(g, "_vec")
         # canonical order: (cluster, centroid_sim ASC, id ASC)
         order = np.lexsort((ids, cs, cl))
         ids, cl, cs, mat = ids[order], cl[order], cs[order], mat[order]

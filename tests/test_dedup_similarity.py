@@ -240,6 +240,37 @@ def test_cosine_neardup_block_pair_plan_matches_one_task(monkeypatch):
     assert got == want and len(want) > 0
 
 
+def test_cosine_neardup_blocks_out_of_id_order(monkeypatch):
+    """Blocks whose ids descend block by block: both plans give every
+    above-threshold pair, each once, as a NumPy all-pairs oracle."""
+    import batch_geocode_ray.stages.dedup as dd
+
+    _, m = embeddings_ds()
+    ids = np.arange(len(m))
+    t = pa.table({
+        "vec_id": pa.array(ids, pa.int64()),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(m.ravel(), pa.float64()), m.shape[1]),
+    })
+    ds = rd.from_arrow([t.slice(s, 10) for s in (30, 20, 10, 0)])
+    norm = m / np.linalg.norm(m, axis=1, keepdims=True)
+    sims = norm @ norm.T
+    r, c = np.nonzero(np.triu(sims >= 0.3, k=1))
+    want = sorted(zip(ids[r].tolist(), ids[c].tolist(),
+                      np.round(sims[r, c], 12).tolist()))
+
+    def run():
+        return sorted((p["d1"], p["d2"], round(p["cosine"], 12))
+                      for p in cosine_neardup_pairs(
+                          ds, "embedding", "vec_id", threshold=0.3).take_all())
+
+    assert run() == want and len(want) > 40
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    # the projection holds at least 40 x (8 + 8 x 8) bytes: >= 3 blocks
+    monkeypatch.setattr(dd, "TARGET_BUCKET_BYTES", 960)
+    assert run() == want
+
+
 def test_semi_anti_join_both_plans(monkeypatch):
     from batch_geocode_ray.stages.joins import equi_join
 

@@ -209,18 +209,17 @@ def test_gather_runs_its_input_once(tmp_path):
 _COLLECTS = {"to_arrow_refs", "iter_batches", "take_all"}
 # (file, enclosing def, call) pairs allowed outside stages/stateful.py
 _BOUNDARY_EXCEPTIONS = {
-    # the triangular block-pair tiling addresses blocks by ref
-    ("batch_geocode_ray/stages/similarity.py", "cosine_neardup_pairs",
-     "to_arrow_refs"),
     # fixture shards are generated by plain Ray tasks, not a Dataset
     ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.get"),
+    ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.remote"),
 }
 
 
 def boundary_sites(tree: ast.Module, rel: str) -> list[str]:
     """Sites in ``tree`` (file ``rel``) that cross the driver/task
-    boundary outside ``stages/stateful.py``: a ``ray.get`` (under any
-    alias of ``ray``) and a Dataset collect other than ``gather``."""
+    boundary outside ``stages/stateful.py``: a ``ray.get`` or a
+    ``ray.remote`` (as a decorator or a call, under any alias of
+    ``ray``) and a Dataset collect other than ``gather``."""
     if rel.endswith("stages/stateful.py"):
         return []
     ray_names = {a.asname or a.name for n in ast.walk(tree)
@@ -232,16 +231,20 @@ def boundary_sites(tree: ast.Module, rel: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 and fn is None:
             fn = node.name  # the top-level def names the site
+        call = None
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             f = node.func
-            call = None
             if f.attr in _COLLECTS:
                 call = f.attr
             elif (f.attr == "get" and isinstance(f.value, ast.Name)
                   and f.value.id in ray_names):
                 call = "ray.get"
-            if call and (rel, fn, call) not in _BOUNDARY_EXCEPTIONS:
-                out.append(f"{rel}:{node.lineno} {call} in {fn}")
+        elif (isinstance(node, ast.Attribute) and node.attr == "remote"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ray_names):
+            call = "ray.remote"  # bare, called, or as a decorator
+        if call and (rel, fn, call) not in _BOUNDARY_EXCEPTIONS:
+            out.append(f"{rel}:{node.lineno} {call} in {fn}")
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
 
@@ -258,10 +261,11 @@ def test_package_has_one_equi_join():
 
 
 def test_package_has_one_driver_task_boundary():
-    """Collects go through ``stateful.gather`` and no UDF ``ray.get``s:
-    ``ray.get``, ``.to_arrow_refs(``, ``.iter_batches(`` and
-    ``.take_all(`` occur only in ``stages/stateful.py`` and the two
-    named exceptions."""
+    """Collects go through ``stateful.gather``, no UDF ``ray.get``s and
+    no plan starts raw tasks: ``ray.get``, ``.to_arrow_refs(``,
+    ``.iter_batches(`` and ``.take_all(`` occur only in
+    ``stages/stateful.py`` and ``ray.remote`` nowhere, except in the
+    fixture fan-out."""
     sites = []
     for path in sorted((ROOT / "batch_geocode_ray").rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
@@ -288,15 +292,30 @@ def test_second_join_guard_is_not_vacuous():
         "    a.map_batches(per_batch)\n"
         "    return pa.concat_tables(ds.iter_batches(batch_format='pyarrow'))\n"
         "def cosine_neardup_pairs(ds):\n"
-        "    return ds.to_arrow_refs()\n")
+        "    return ds.to_arrow_refs()\n"
+        "@_ray.remote\n"
+        "def tile(a, b):\n"
+        "    return _ray.remote(num_cpus=1)(f)\n"
+        "def generate_pages(fn):\n"
+        "    return _ray.get(_ray.remote(fn).remote())\n")
     tree = ast.parse(src)
     assert len(second_join_sites(tree, "batch_geocode_ray/stages/x.py")) == 6
     got = boundary_sites(tree, "batch_geocode_ray/stages/x.py")
     assert [g.split(" ", 1)[1] for g in got] == [
         "ray.get in f", "iter_batches in f",
-        "to_arrow_refs in cosine_neardup_pairs"], got
-    # the named exception holds in its own file only
+        "to_arrow_refs in cosine_neardup_pairs",
+        "ray.remote in tile", "ray.remote in tile",
+        "ray.get in generate_pages", "ray.remote in generate_pages"], got
     got = boundary_sites(tree, "batch_geocode_ray/stages/similarity.py")
     assert [g.split(" ", 1)[1] for g in got] == [
-        "ray.get in f", "iter_batches in f"], got
+        "ray.get in f", "iter_batches in f",
+        "to_arrow_refs in cosine_neardup_pairs",
+        "ray.remote in tile", "ray.remote in tile",
+        "ray.get in generate_pages", "ray.remote in generate_pages"], got
+    # the named exception holds in its own file only
+    got = boundary_sites(tree, "batch_geocode_ray/sources/fixtures.py")
+    assert [g.split(" ", 1)[1] for g in got] == [
+        "ray.get in f", "iter_batches in f",
+        "to_arrow_refs in cosine_neardup_pairs",
+        "ray.remote in tile", "ray.remote in tile"], got
     assert boundary_sites(tree, "batch_geocode_ray/stages/stateful.py") == []
