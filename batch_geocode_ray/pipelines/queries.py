@@ -1156,7 +1156,7 @@ def q35_embedding_clusters(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.similarity import kmeans_assign, kmeans_fit
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    cent = kmeans_fit(emb, "embedding", k=8, iters=8)
+    cent = kmeans_fit(emb, "embedding", "vec_id", k=8, iters=8)
     assigned = kmeans_assign(emb, "embedding", "vec_id", cent)
     return grouped_aggregate(
         assigned, ["cluster"], [("vec_id", "count", "n_vectors")])
@@ -3269,7 +3269,7 @@ def q81_semantic_dedup(sf_dir: str) -> Dataset:
                                                      semantic_dedup)
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    cent = kmeans_fit(emb, "embedding", k=8, iters=5, seed=11)
+    cent = kmeans_fit(emb, "embedding", "vec_id", k=8, iters=5, seed=11)
     out = semantic_dedup(emb, "embedding", "vec_id", threshold=0.4,
                          centroids=cent)
     return _round_cols(out, {"centroid_sim": 4})

@@ -2,7 +2,9 @@
 exact, MinHash+LSH, SimHash, n-gram Jaccard, fingerprint).
 
 Every token-based operator takes a batch's tokens with their parent rows
-from ``functions/text.flat_tokens`` (the engine's one token rule).
+from ``functions/text.flat_tokens`` (the engine's one token rule), and
+every pair operator here and in ``stages/substring.py`` enumerates its
+candidate pairs with the one kernel :func:`_run_pairs`.
 
 Scale shapes:
   * exact / fingerprint dedup — hash the key in ``map_batches``, shuffle
@@ -339,6 +341,51 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
 
 
 # ---------------------------------------------------------------------------
+# the candidate-pair kernel
+# ---------------------------------------------------------------------------
+
+def _i64(t: pa.Table, name: str) -> np.ndarray:
+    """Column ``name`` of ``t`` as an int64 NumPy array."""
+    return np.asarray(t[name].to_numpy(zero_copy_only=False), dtype=np.int64)
+
+
+def _run_pairs(keys: tuple[np.ndarray, ...], ids: np.ndarray,
+               cap: int | None = None):
+    """The dedup family's one candidate-pair kernel. Rows sharing equal
+    values of every array in ``keys`` form a run; the kernel returns
+    index arrays ``(ia, ib)`` into ``ids`` for every pair of distinct
+    ids in a run, with ``ids[ia] < ids[ib]``, plus ``hot``: the rows of
+    every run of more than ``cap`` distinct ids, which emit no pairs. A
+    repeated (key, id) row counts once, so a pair comes once per run it
+    shares.
+
+    NumPy only, O(rows log rows + pairs), no Python loop per run: each
+    row repeats once per later member of its run (``np.repeat``), and
+    an in-group ``arange`` names the partner."""
+    order = np.lexsort((ids,) + tuple(keys)[::-1])
+    new_run = np.zeros(len(order), dtype=bool)
+    new_run[:1] = True
+    for k in keys:
+        k = k[order]
+        new_run[1:] |= k[1:] != k[:-1]
+    sid = ids[order]
+    first = new_run.copy()
+    first[1:] |= sid[1:] != sid[:-1]
+    rows, new_run = order[first], new_run[first]
+    starts = np.flatnonzero(new_run)
+    run_of = np.cumsum(new_run) - 1
+    run_len = np.diff(np.append(starts, len(rows)))[run_of]
+    capped = (np.zeros(len(rows), dtype=bool) if cap is None
+              else (run_len > cap) & (run_len > 1))
+    later = np.where(capped, 0, run_len - 1 - (np.arange(len(rows))
+                                               - starts[run_of]))
+    ia = np.repeat(np.arange(len(rows)), later)
+    ib = ia + 1 + np.arange(len(ia)) - np.repeat(np.cumsum(later) - later,
+                                                 later)
+    return rows[ia], rows[ib], rows[capped]
+
+
+# ---------------------------------------------------------------------------
 # exact & fingerprint dedup
 # ---------------------------------------------------------------------------
 
@@ -391,40 +438,17 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
             id_col: b[id_col],
         })
 
-    def pairs_of(fp: np.ndarray, th: np.ndarray,
-                 ids: np.ndarray) -> pa.Table:
-        order = np.lexsort((ids, th, fp))
-        fp, th, ids = fp[order], th[order], ids[order]
+    def pairs_of(b: pa.Table) -> pa.Table:
         # candidates share the fingerprint; verified pairs also share
-        # the text hash -> segment on (fp, th) runs
-        same = (fp[1:] == fp[:-1]) & (th[1:] == th[:-1])
-        bounds = np.concatenate([[0], np.nonzero(~same)[0] + 1, [len(fp)]])
-        d1s, d2s = [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            seg = ids[s:e]
-            a, b_ = np.triu_indices(len(seg), k=1)
-            d1s.append(seg[a])
-            d2s.append(seg[b_])
-        if not d1s:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64())})
-        d1 = np.concatenate(d1s)
-        d2 = np.concatenate(d2s)
-        order2 = np.lexsort((d2, d1))
-        return pa.table({"d1": pa.array(d1[order2], pa.int64()),
-                         "d2": pa.array(d2[order2], pa.int64())})
-
-    def one(b: pa.Table) -> pa.Table:
-        return pairs_of(
-            np.asarray(b["fingerprint"].to_numpy(zero_copy_only=False)),
-            np.asarray(b["_th"].to_numpy(zero_copy_only=False)),
-            np.asarray(b[id_col].to_numpy(zero_copy_only=False)))
+        # the text hash -> pair on (fp, th) runs
+        ids = _i64(b, id_col)
+        ia, ib, _ = _run_pairs((_i64(b, "fingerprint"), _i64(b, "_th")), ids)
+        return pa.table({"d1": ids[ia], "d2": ids[ib]})
 
     # co-locate each fingerprint, emit inside
     return bucket_exchange(ds.map_batches(to_fp, batch_format="pyarrow"),
-                           "fingerprint", one, size_hint_bytes=size_hint_bytes)
+                           "fingerprint", pairs_of,
+                           size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +493,14 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     Pipeline: explode distinct grams -> exchange on the gram ->
     pairwise co-occurrence per posting list -> per-pair count through
     :func:`grouped_aggregate` -> finalize with the per-doc gram counts.
-    Output: (d1, d2, jaccard); the one-task plan emits it sorted by
-    (d1, d2), the distributed plan in no promised order.
+    Output: (d1, d2, jaccard), in no promised order.
+
+    Both plans share the kernels: which rows pair is the one pair
+    kernel :func:`_run_pairs` over each posting list, and a pair is
+    counted and scored by the same ``finalize``. Below
+    ``SMALL_COLLAPSE_BYTES`` the emit, the per-pair count and
+    ``finalize`` run back to back in one task; above it the exchange
+    and :func:`grouped_aggregate` run between them.
 
     **Hot-gram governor** (``max_posting``, default on): a gram shared
     by P documents emits P(P-1)/2 pair rows — one boilerplate trigram
@@ -492,8 +522,8 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         at J=0.9), 64x2 at 0.5 (miss ≈ 1e-8). A fixed 32x4 would miss
         ~13% of J=0.5 pairs — hence the threshold-scaled banding.
 
-    The governor binds in the DISTRIBUTED plan; the small-collapse
-    one-task plan is exact by brute force (bounded by the probe).
+    The governor binds in the DISTRIBUTED plan; the one-task plan
+    emits every posting uncapped (its input is bounded by the probe).
     ``max_posting=None`` disables it (the pre-round-4 behavior).
 
     ``size_hint_bytes`` (~24 B x corpus tokens, the gram-stream width):
@@ -508,99 +538,45 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     grams, small, probed_bytes = _probe_small(
         gram_stream, size_hint_bytes=size_hint_bytes)
 
+    def emit_pairs(b: pa.Table, cap: int | None) -> pa.Table:
+        """Pair rows (with both docs' gram counts) of every posting
+        list; a posting of more than ``cap`` docs emits its member docs
+        as hot markers (d2 == -1) instead of O(P^2) pairs. Assumes
+        nonnegative doc ids (true of every id column in this repo)."""
+        ids, ns = _i64(b, id_col), _i64(b, "n")
+        ia, ib, hot = _run_pairs((_i64(b, "gram"),), ids, cap)
+        hot = np.unique(ids[hot])
+        no_n = np.zeros(len(hot), dtype=np.int64)
+        return pa.table({"d1": np.concatenate([ids[ia], hot]),
+                         "d2": np.concatenate([ids[ib], no_n - 1]),
+                         "_n1": np.concatenate([ns[ia], no_n]),
+                         "_n2": np.concatenate([ns[ib], no_n])})
+
+    def finalize(b: pa.Table) -> pa.Table:
+        c = _i64(b, "shared")
+        j = c * 1.0 / (_i64(b, "_n1") + _i64(b, "_n2") - c)
+        keep = j >= threshold
+        return pa.table({"d1": _i64(b, "d1")[keep], "d2": _i64(b, "d2")[keep],
+                         "jaccard": j[keep]})
+
+    pair_keys = ["d1", "d2", "_n1", "_n2"]
     if small:
-        # whole similarity join in one task over the (id, gram) table;
-        # input measured < SMALL_COLLAPSE_BYTES so the quadratic emit
-        # is memory-bounded and the governor is unnecessary
+        # the exchange plan's kernels back to back in one task; the input
+        # measured < SMALL_COLLAPSE_BYTES, so the quadratic emit is
+        # memory-bounded and the governor is unnecessary
         def all_pairs(b: pa.Table) -> pa.Table:
-            g = np.asarray(b["gram"].to_numpy(zero_copy_only=False),
-                           dtype=np.int64)
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-            uid, ucnt = np.unique(ids, return_counts=True)  # per-doc sizes
-            order = np.lexsort((ids, g))
-            g, ids = g[order], ids[order]
-            bounds = np.concatenate(
-                [[0], np.nonzero(np.diff(g))[0] + 1, [len(g)]])
-            lens = np.diff(bounds)
-            d1s, d2s = [], []
-            for si in np.nonzero(lens > 1)[0]:
-                seg = ids[bounds[si]:bounds[si + 1]]
-                a, b_ = np.triu_indices(len(seg), k=1)
-                d1s.append(seg[a])
-                d2s.append(seg[b_])
-            if not d1s:
-                return pa.table({"d1": pa.array([], pa.int64()),
-                                 "d2": pa.array([], pa.int64()),
-                                 "jaccard": pa.array([], pa.float64())})
-            d1 = np.concatenate(d1s)
-            d2 = np.concatenate(d2s)
-            order2 = np.lexsort((d2, d1))
-            d1, d2 = d1[order2], d2[order2]
-            new = np.ones(len(d1), dtype=bool)
-            new[1:] = (d1[1:] != d1[:-1]) | (d2[1:] != d2[:-1])
-            starts = np.nonzero(new)[0]
-            shared = np.diff(np.concatenate([starts, [len(d1)]]))
-            pd1, pd2 = d1[starts], d2[starts]
-            n1 = ucnt[np.searchsorted(uid, pd1)]
-            n2 = ucnt[np.searchsorted(uid, pd2)]
-            j = shared * 1.0 / (n1 + n2 - shared)
-            keep = j >= threshold
-            return pa.table({
-                "d1": pa.array(pd1[keep], pa.int64()),
-                "d2": pa.array(pd2[keep], pa.int64()),
-                "jaccard": pa.array(j[keep], pa.float64()),
-            })
+            counts = (emit_pairs(b, None)
+                      .group_by(pair_keys, use_threads=False)
+                      .aggregate([([], "count_all")])
+                      .select(pair_keys + ["count_all"]))
+            return finalize(counts.rename_columns(pair_keys + ["shared"]))
 
         return _one_task(grams, all_pairs)
 
     # bucket_exchange on the gram runs the Python hook once per coarse
-    # bucket, NOT once per distinct gram (millions). Inside a bucket,
-    # segment boundaries over the sorted (gram, id) arrays find each
-    # gram's posting list vectorized; only multi-doc segments (the rare
-    # shared grams) loop.
-    def emit_pairs_bucket(group: pa.Table) -> pa.Table:
-        """Pair rows (with both docs' gram counts) for uncapped
-        postings; capped postings emit their member docs as hot markers
-        (d2 == -1) instead of O(P^2) pairs. Assumes nonnegative doc ids
-        (true of every id column in this repo)."""
-        g = np.asarray(group["gram"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        ns = np.asarray(group["n"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        order = np.lexsort((ids, g))
-        g, ids, ns = g[order], ids[order], ns[order]
-        bounds = np.concatenate([[0], np.nonzero(np.diff(g))[0] + 1, [len(g)]])
-        lens = np.diff(bounds)
-        d1s, d2s, n1s, n2s = [], [], [], []
-        for si in np.nonzero(lens > 1)[0]:
-            lo, hi = bounds[si], bounds[si + 1]
-            seg, seg_n = ids[lo:hi], ns[lo:hi]
-            if max_posting is not None and len(seg) > max_posting:
-                hot = np.unique(seg)
-                d1s.append(hot)
-                d2s.append(np.full(len(hot), -1, dtype=np.int64))
-                n1s.append(np.zeros(len(hot), dtype=np.int64))
-                n2s.append(np.zeros(len(hot), dtype=np.int64))
-                continue
-            a, b_ = np.triu_indices(len(seg), k=1)
-            d1s.append(seg[a])
-            d2s.append(seg[b_])
-            n1s.append(seg_n[a])
-            n2s.append(seg_n[b_])
-        if not d1s:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64()),
-                             "_n1": pa.array([], pa.int64()),
-                             "_n2": pa.array([], pa.int64())})
-        return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
-                         "d2": pa.array(np.concatenate(d2s), pa.int64()),
-                         "_n1": pa.array(np.concatenate(n1s), pa.int64()),
-                         "_n2": pa.array(np.concatenate(n2s), pa.int64())})
-
-    marked = bucket_exchange(grams, "gram", emit_pairs_bucket,
+    # bucket, NOT once per distinct gram (millions)
+    marked = bucket_exchange(grams, "gram",
+                             lambda g: emit_pairs(g, max_posting),
                              size_hint_bytes=probed_bytes)
 
     if max_posting is not None:
@@ -628,8 +604,8 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     pair_counts = grouped_aggregate(
-        pair_rows, ["d1", "d2", "_n1", "_n2"],
-        [("d1", "count_rows", "shared")], size_hint_bytes=probed_bytes)
+        pair_rows, pair_keys, [("d1", "count_rows", "shared")],
+        size_hint_bytes=probed_bytes)
 
     if n_hot:
         # drop hot×hot pairs from the counting path (their shared-count
@@ -644,20 +620,6 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         d2_cold = equi_join(d1_hot, hot_ids, "d2", "anti",
                             right_key="_hot_id")
         pair_counts = d1_cold.union(d2_cold)
-
-    def finalize(b: pa.Table) -> pa.Table:
-        d1 = np.asarray(b["d1"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        d2 = np.asarray(b["d2"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        c = np.asarray(b["shared"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        n1 = np.asarray(b["_n1"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        n2 = np.asarray(b["_n2"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        j = c * 1.0 / (n1 + n2 - c)
-        keep = j >= threshold
-        return pa.table({
-            "d1": pa.array(d1[keep], pa.int64()),
-            "d2": pa.array(d2[keep], pa.int64()),
-            "jaccard": pa.array(j[keep], pa.float64()),
-        })
 
     counted = pair_counts.map_batches(finalize, batch_format="pyarrow")
     if not n_hot:
@@ -957,6 +919,14 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
     join's output whenever banding recall holds. Output (d1, d2,
     jaccard) — SQL-oracle-comparable against the exact join.
 
+    Both plans share the kernels: ``band_keys``, the one pair kernel
+    :func:`_run_pairs` over each band bucket, and ``verify_tri``. Below
+    ``SMALL_COLLAPSE_BYTES`` they run back to back in one task, with a
+    distinct in between and each side's text attached by id from the
+    same signature table; above it the exchange, a
+    :func:`grouped_aggregate` distinct and two lookup joins run between
+    them.
+
     ``size_hint_bytes`` (~1 KB x rows signature width + text width):
     when it clears the collapse threshold the signature table is NEVER
     materialized — banding consumes the signature stream once, and the
@@ -983,54 +953,12 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
                          "d2": pa.array([], pa.int64()),
                          "jaccard": pa.array([], pa.float64())})
 
-    if small:
-        def lsh_one(b: pa.Table) -> pa.Table:
-            n = b.num_rows
-            sig = np.asarray(
-                b["signature"].combine_chunks().flatten().to_numpy(
-                    zero_copy_only=False)).reshape(n, NUM_PERM).astype(np.uint64)
-            ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-            B = np.uint64(1099511628211)
-            pair_set: set[tuple[int, int]] = set()
-            with np.errstate(over="ignore"):
-                for band in range(bands):
-                    block = sig[:, band * rows_per_band:(band + 1) * rows_per_band]
-                    acc = np.zeros(n, dtype=np.uint64)
-                    for j in range(rows_per_band):
-                        acc = acc * B + block[:, j]
-                    order = np.argsort(acc, kind="stable")
-                    sa, sids = acc[order], ids[order]
-                    bounds = np.concatenate(
-                        [[0], np.nonzero(np.diff(sa))[0] + 1, [n]])
-                    for si in np.nonzero(np.diff(bounds) > 1)[0]:
-                        seg = np.unique(sids[bounds[si]:bounds[si + 1]])
-                        a_, b_ = np.triu_indices(len(seg), k=1)
-                        pair_set.update(zip(seg[a_].tolist(), seg[b_].tolist()))
-            if not pair_set:
-                return _empty()
-            pairs = np.array(sorted(pair_set), dtype=np.int64)
-            id_order = np.argsort(ids, kind="stable")
-            pos = np.searchsorted(ids[id_order], pairs)
-            grams = _gram_arrays(b[text_col], k)
-            row_of = id_order[pos]
-            vals = np.array([_pair_jaccard(grams[r1], grams[r2])
-                             for r1, r2 in row_of], dtype=np.float64)
-            keep = vals >= threshold
-            return pa.table({
-                "d1": pa.array(pairs[keep, 0], pa.int64()),
-                "d2": pa.array(pairs[keep, 1], pa.int64()),
-                "jaccard": pa.array(vals[keep], pa.float64()),
-            })
-
-        return _one_task(sigs, lsh_one)
-
     def band_keys(b: pa.Table) -> pa.Table:
         n = b.num_rows
         sig = np.asarray(
             b["signature"].combine_chunks().flatten().to_numpy(
                 zero_copy_only=False)).reshape(n, NUM_PERM).astype(np.uint64)
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
+        ids = _i64(b, id_col)
         out_band: list[np.ndarray] = []
         out_key: list[np.ndarray] = []
         B = np.uint64(1099511628211)
@@ -1050,26 +978,37 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
             id_col: pa.array(np.tile(ids, bands), pa.int64()),
         })
 
-    def emit_pairs_bucket(group: pa.Table) -> pa.Table:
-        bk = np.asarray(group["bkey"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((ids, bk))
-        bk, ids = bk[order], ids[order]
-        bounds = np.concatenate([[0], np.nonzero(np.diff(bk))[0] + 1, [len(bk)]])
-        lens = np.diff(bounds)
-        d1s, d2s = [], []
-        for si in np.nonzero(lens > 1)[0]:
-            seg = np.unique(ids[bounds[si]:bounds[si + 1]])
-            a, b_ = np.triu_indices(len(seg), k=1)
-            d1s.append(seg[a])
-            d2s.append(seg[b_])
-        if not d1s:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64())})
-        return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
-                         "d2": pa.array(np.concatenate(d2s), pa.int64())})
+    def emit_pairs(g: pa.Table) -> pa.Table:
+        ids = _i64(g, id_col)
+        ia, ib, _ = _run_pairs((_i64(g, "bkey"),), ids)
+        return pa.table({"d1": ids[ia], "d2": ids[ib]})
+
+    def verify_tri(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return _empty()
+        g1 = _gram_arrays(b["_t1"], k)
+        g2 = _gram_arrays(b["_t2"], k)
+        vals = np.array([_pair_jaccard(a_, b_)
+                         for a_, b_ in zip(g1, g2)], dtype=np.float64)
+        keep = vals >= threshold
+        return pa.table({"d1": _i64(b, "d1")[keep], "d2": _i64(b, "d2")[keep],
+                         "jaccard": vals[keep]})
+
+    if small:
+        def lsh_one(b: pa.Table) -> pa.Table:
+            # the exchange plan's kernels back to back in one task:
+            # band keys -> pairs -> distinct -> verify, each side's text
+            # attached by id from this same table
+            cand = (emit_pairs(band_keys(b))
+                    .group_by(["d1", "d2"], use_threads=False).aggregate([]))
+            ids = _i64(b, id_col)
+            by_id = np.argsort(ids, kind="stable")
+            for d, t in (("d1", "_t1"), ("d2", "_t2")):
+                row = by_id[np.searchsorted(ids, _i64(cand, d), sorter=by_id)]
+                cand = cand.append_column(t, b[text_col].take(pa.array(row)))
+            return verify_tri(cand)
+
+        return _one_task(sigs, lsh_one)
 
     # exchange rows = bands x docs; sigs bytes upper-bound the per-doc
     # row width, so the probed size over- rather than under-buckets
@@ -1077,8 +1016,7 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
 
     cand = grouped_aggregate(  # distinct pairs
         bucket_exchange(sigs.map_batches(band_keys, batch_format="pyarrow"),
-                        "bkey", emit_pairs_bucket,
-                        size_hint_bytes=probed_bytes),
+                        "bkey", emit_pairs, size_hint_bytes=probed_bytes),
         ["d1", "d2"], [], size_hint_bytes=probed_bytes)
 
     # exact-verify: attach each candidate side's doc text via the
@@ -1099,22 +1037,6 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
     joined = _bucket_lookup_join(joined, "d2", texts, id_col,
                                  {"_t": "_t2"},
                                  size_hint_bytes=join_hint)
-
-    def verify_tri(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return _empty()
-        g1 = _gram_arrays(b["_t1"], k)
-        g2 = _gram_arrays(b["_t2"], k)
-        vals = np.array([_pair_jaccard(a_, b_)
-                         for a_, b_ in zip(g1, g2)], dtype=np.float64)
-        keep = vals >= threshold
-        d1 = np.asarray(b["d1"].to_numpy(zero_copy_only=False), np.int64)
-        d2 = np.asarray(b["d2"].to_numpy(zero_copy_only=False), np.int64)
-        return pa.table({
-            "d1": pa.array(d1[keep], pa.int64()),
-            "d2": pa.array(d2[keep], pa.int64()),
-            "jaccard": pa.array(vals[keep], pa.float64()),
-        })
 
     return joined.map_batches(verify_tri, batch_format="pyarrow")
 
@@ -1145,58 +1067,21 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
         })
 
     def band_rows(b: pa.Table) -> pa.Table:
-        h = np.asarray(b["simhash"].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False), dtype=np.int64)
-        bands_ = []
-        keys = []
-        for band in range(4):
-            block = (h >> np.uint64(16 * band)) & np.uint64(0xFFFF)
-            bands_.append(np.full(len(h), band, dtype=np.int64))
-            keys.append(block.astype(np.int64))
-        combined = (np.concatenate(keys).astype(np.uint64)
-                    ^ splitmix64(np.concatenate(bands_)))
-        return pa.table({
-            "bkey": pa.array(combined.astype(np.int64), pa.int64()),
-            id_col: pa.array(np.tile(ids, 4), pa.int64()),
-            "simhash": pa.array(np.tile(
-                np.asarray(b["simhash"].to_numpy(zero_copy_only=False)), 4),
-                pa.int64()),
-        })
+        h = _i64(b, "simhash").view(np.uint64)
+        band = np.repeat(np.arange(4, dtype=np.int64), len(h))
+        block = ((np.tile(h, 4) >> (band.astype(np.uint64) * np.uint64(16)))
+                 & np.uint64(0xFFFF))
+        return pa.table({"bkey": (block ^ splitmix64(band)).view(np.int64),
+                         id_col: np.tile(_i64(b, id_col), 4),
+                         "simhash": np.tile(h.view(np.int64), 4)})
 
-    def emit_pairs_bucket(group: pa.Table) -> pa.Table:
-        bk = np.asarray(group["bkey"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        hs = np.asarray(group["simhash"].to_numpy(zero_copy_only=False)
-                        ).astype(np.uint64)
-        order = np.lexsort((ids, bk))
-        bk, ids, hs = bk[order], ids[order], hs[order]
-        bounds = np.concatenate([[0], np.nonzero(np.diff(bk))[0] + 1, [len(bk)]])
-        lens = np.diff(bounds)
-        d1s, d2s, hds = [], [], []
-        for si in np.nonzero(lens > 1)[0]:
-            seg_ids = ids[bounds[si]:bounds[si + 1]]
-            seg_hs = hs[bounds[si]:bounds[si + 1]]
-            _, first = np.unique(seg_ids, return_index=True)
-            seg_ids, seg_hs = seg_ids[first], seg_hs[first]
-            a, b_ = np.triu_indices(len(seg_ids), k=1)
-            if len(a) == 0:
-                continue
-            hd = hamming64(seg_hs[a], seg_hs[b_])
-            keep = hd <= max_hamming
-            d1s.append(seg_ids[a][keep])
-            d2s.append(seg_ids[b_][keep])
-            hds.append(hd[keep])
-        if not d1s:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.int64())})
-        return pa.table({
-            "d1": pa.array(np.concatenate(d1s), pa.int64()),
-            "d2": pa.array(np.concatenate(d2s), pa.int64()),
-            "hamming": pa.array(np.concatenate(hds), pa.int64()),
-        })
+    def emit_pairs_bucket(g: pa.Table) -> pa.Table:
+        ids, hs = _i64(g, id_col), _i64(g, "simhash").view(np.uint64)
+        ia, ib, _ = _run_pairs((_i64(g, "bkey"),), ids)
+        hd = hamming64(hs[ia], hs[ib])
+        keep = hd <= max_hamming
+        return pa.table({"d1": ids[ia][keep], "d2": ids[ib][keep],
+                         "hamming": hd[keep]})
 
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
@@ -1294,12 +1179,12 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
         return out
 
     def emit_variants(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
+        ids = _i64(b, id_col)
         texts = b[text_col].to_pylist()
         v_ids: list[int] = []
         v_str: list[str] = []
         v_txt: list[str] = []
+        # per string: deletion variants have no vectorized form
         for i, t in zip(ids, texts):
             t = t or ""
             for v in variants_of(t):
@@ -1314,41 +1199,17 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
             "_t": pa.array(v_txt, pa.string()),
         })
 
-    def pairs_in_bucket(group: pa.Table) -> pa.Table:
-        vk = np.asarray(group["vkey"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        texts = group["_t"].to_pylist()
-        order = np.lexsort((ids, vk))
-        vk, ids = vk[order], ids[order]
-        texts = [texts[i] for i in order]
-        bounds = np.concatenate(
-            [[0], np.nonzero(np.diff(vk))[0] + 1, [len(vk)]])
-        seen: set[tuple[int, int]] = set()
-        d1s: list[int] = []
-        d2s: list[int] = []
-        for si in range(len(bounds) - 1):
-            lo, hi = bounds[si], bounds[si + 1]
-            if hi - lo < 2:
-                continue
-            seg_ids = ids[lo:hi]
-            # same id may appear via several variants in one run
-            uniq, first = np.unique(seg_ids, return_index=True)
-            if len(uniq) < 2:
-                continue
-            seg_txt = [texts[lo + j] for j in first]
-            for x in range(len(uniq)):
-                for y in range(x + 1, len(uniq)):
-                    p = (int(uniq[x]), int(uniq[y]))
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    if _lev_leq(seg_txt[x], seg_txt[y], max_dist):
-                        d1s.append(p[0])
-                        d2s.append(p[1])
-        return pa.table({"d1": pa.array(d1s, pa.int64()),
-                         "d2": pa.array(d2s, pa.int64())})
+    def pairs_in_bucket(g: pa.Table) -> pa.Table:
+        # candidates share a variant; each distinct pair verifies once
+        ids = _i64(g, id_col)
+        ia, ib, _ = _run_pairs((_i64(g, "vkey"),), ids)
+        first = np.unique(np.stack([ids[ia], ids[ib]]), axis=1,
+                          return_index=True)[1]
+        ia, ib = ia[first], ib[first]
+        ok = np.array([_lev_leq(x, y, max_dist) for x, y in zip(
+            g["_t"].take(ia).to_pylist(), g["_t"].take(ib).to_pylist())],
+            dtype=bool)
+        return pa.table({"d1": ids[ia][ok], "d2": ids[ib][ok]})
 
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 

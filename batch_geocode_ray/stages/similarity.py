@@ -191,9 +191,10 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
     each tile. A diagonal tile emits its in-block pairs, an off-diagonal
     tile its cross pairs, so every pair is scored exactly once in
     whatever order the blocks arrive. ``B = 1`` is one diagonal tile,
-    which the exchange runs as one task when the input is small. Each
-    vector moves B times; the quadratic compute is inherent to an exact
-    similarity join.
+    which the exchange runs as one task when the input is small. A tile
+    is scored in chunks of rows whose similarity matrix holds at most
+    ``TARGET_BUCKET_BYTES``. Each vector moves B times; the quadratic
+    compute is inherent to an exact similarity join.
     """
 
     def project(b: pa.Table) -> pa.Table:
@@ -232,16 +233,22 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
         for s, e in zip(starts, np.append(starts[1:], len(order))):
             rows = order[s:e]
             lo, hi = divmod(int(tile[rows[0]]), n_blocks)
-            a = rows[blk[rows] == lo]
-            b = a if lo == hi else rows[blk[rows] == hi]
-            sims = m[a] @ m[b].T
-            keep = sims >= threshold
-            if lo == hi:
-                keep &= ids[a][:, None] < ids[b][None, :]
-            r, c = np.nonzero(keep)
-            d1.append(np.minimum(ids[a][r], ids[b][c]))
-            d2.append(np.maximum(ids[a][r], ids[b][c]))
-            cos.append(sims[r, c])
+            a_all = rows[blk[rows] == lo]
+            b = a_all if lo == hi else rows[blk[rows] == hi]
+            mb = m[b].T
+            # score the tile in chunks of a-rows: one chunk's similarity
+            # matrix stays within a bucket's byte budget
+            step = max(1, dedup.TARGET_BUCKET_BYTES // (8 * max(1, len(b))))
+            for c0 in range(0, len(a_all), step):
+                a = a_all[c0:c0 + step]
+                sims = m[a] @ mb
+                keep = sims >= threshold
+                if lo == hi:
+                    keep &= ids[a][:, None] < ids[b][None, :]
+                r, c = np.nonzero(keep)
+                d1.append(np.minimum(ids[a][r], ids[b][c]))
+                d2.append(np.maximum(ids[a][r], ids[b][c]))
+                cos.append(sims[r, c])
         return pa.table({
             "d1": pa.array(np.concatenate(d1), pa.int64()),
             "d2": pa.array(np.concatenate(d2), pa.int64()),
@@ -276,19 +283,33 @@ def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(take1, cand[:, 1], cand[:, 0]).astype(np.int64)
 
 
-def kmeans_fit(ds: Dataset, vec_col: str, k: int = 8, iters: int = 10,
-               seed: int = 11) -> np.ndarray:
+def _kmeans_sample(ds: Dataset, vec_col: str, id_col: str) -> np.ndarray:
+    """The k-means init sample: the vectors of the 2048 rows with the
+    smallest ``key_hash64(id)``, in id order. Its rows and their order
+    depend on the data only, never on which block finishes first."""
+    from batch_geocode_ray.stages.aggregates import global_topk
+
+    def ranked(b: pa.Table) -> pa.Table:
+        return pa.table({"_id": b[id_col], vec_col: b[vec_col],
+                         "_rank": ~key_hash64(b[id_col], id_col)})
+
+    top = gather(global_topk(ds.map_batches(ranked, batch_format="pyarrow"),
+                             "_rank", "_id", 2048))
+    return _matrix_of(top.sort_by("_id"), vec_col)
+
+
+def kmeans_fit(ds: Dataset, vec_col: str, id_col: str, k: int = 8,
+               iters: int = 10, seed: int = 11) -> np.ndarray:
     """Distributed Lloyd's k-means over an embedding column.
 
-    Init: deterministic 2048-row sample -> local k-means (cheap, seeds
-    quality).
+    Init: deterministic 2048-row sample (:func:`_kmeans_sample`) ->
+    local k-means (cheap, seeds quality).
     Each iteration: broadcast centroids, every batch computes assignments
     and PARTIAL per-cluster (sum, count); the driver merges k x d
     numbers and updates. The full dataset streams once per iteration;
     nothing big ever concentrates. Returns (k, d) float64 centroids.
     """
-    sample_t = gather(ds.select_columns([vec_col]).limit(2048))
-    cent = _kmeans(_matrix_of(sample_t, vec_col), k, seed=seed)
+    cent = _kmeans(_kmeans_sample(ds, vec_col, id_col), k, seed=seed)
 
     def partial(batch: pa.Table, *, c: np.ndarray) -> pa.Table:
         m = _matrix_of(batch, vec_col)
@@ -372,13 +393,12 @@ def ivf_knn(ds: Dataset, vec_col: str, id_col: str,
             queries: np.ndarray, query_ids: np.ndarray,
             k: int = 5) -> Dataset:
     """Approximate top-k: vectors are assigned to their nearest of 16
-    k-means centroids (fit on a 2048-row sample) in one pass; each
+    k-means centroids (fit on :func:`_kmeans_sample`) in one pass; each
     query searches only its 4 nearest clusters, excluding its own id.
     Same output schema as :func:`knn_cosine` — approximate where
     cluster boundaries cut true neighborhoods."""
-    sample_t = gather(ds.select_columns([vec_col]).limit(2048))
-    cent = _normalize(_kmeans(_normalize(_matrix_of(sample_t, vec_col)),
-                              16))
+    sample = _normalize(_kmeans_sample(ds, vec_col, id_col))
+    cent = _normalize(_kmeans(sample, 16))
     qmat = _normalize(np.asarray(queries, dtype=np.float64))
     qids = np.asarray(query_ids, dtype=np.int64)
     probes = np.argsort(-(qmat @ cent.T), axis=1)[:, :4]
@@ -519,7 +539,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     Output: one row per input — (id_col, cluster, centroid_sim, kept).
     """
     if centroids is None:
-        centroids = kmeans_fit(ds, vec_col)
+        centroids = kmeans_fit(ds, vec_col, id_col)
     cent = _normalize(np.asarray(centroids, dtype=np.float64))
 
     def assign(b: pa.Table) -> pa.Table:

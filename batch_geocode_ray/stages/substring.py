@@ -58,7 +58,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from batch_geocode_ray.stages.aggregates import grouped_aggregate
-from batch_geocode_ray.stages.dedup import bucket_exchange
+from batch_geocode_ray.stages.dedup import _i64, _run_pairs, bucket_exchange
 
 # odd bases => invertible mod 2^64, so rolling hashes come from O(n)
 # prefix sums instead of an O(n*L) sliding window. TWO independent
@@ -232,29 +232,9 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
     from batch_geocode_ray.stages.dedup import _bucket_lookup_join
 
     def emit_pairs(g: pa.Table) -> pa.Table:
-        h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        h2 = np.asarray(g["h2"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((doc, h2, h))
-        h, h2, doc = h[order], h2[order], doc[order]
-        bounds = np.concatenate(
-            [[0], np.nonzero((h[1:] != h[:-1])
-                             | (h2[1:] != h2[:-1]))[0] + 1, [len(h)]])
-        lens = np.diff(bounds)
-        d1s, d2s = [], []
-        for si in np.nonzero(lens > 1)[0]:
-            seg = doc[bounds[si]:bounds[si + 1]]
-            a, b_ = np.triu_indices(len(seg), k=1)
-            d1s.append(seg[a])
-            d2s.append(seg[b_])
-        if not d1s:
-            return pa.table({"d1": pa.array([], pa.int64()),
-                             "d2": pa.array([], pa.int64())})
-        return pa.table({"d1": pa.array(np.concatenate(d1s), pa.int64()),
-                         "d2": pa.array(np.concatenate(d2s), pa.int64())})
+        doc = _i64(g, "doc")
+        ia, ib, _ = _run_pairs((_i64(g, "h"), _i64(g, "h2")), doc)
+        return pa.table({"d1": doc[ia], "d2": doc[ib]})
 
     cand = grouped_aggregate(  # distinct pairs
         bucket_exchange(_stream(ds, text_col, id_col, L), "h", emit_pairs),

@@ -1,10 +1,11 @@
 """Per-partition lineage + checkpoint/resume (SURVEY §4, north rule:
 "resumable from checkpoint with per-partition lineage + metrics").
 
-Partition identity derives from the INPUT (each file's path, size and
-mtime, plus the partition index), never from Ray task ids — Ray's block
-assignment is non-deterministic, input sharding is not. Each completed partition
-leaves two artifacts next to each other:
+Partition identity derives from the INPUT (each file's path, size,
+mtime and parquet footer, plus the partition index), never from Ray
+task ids — Ray's block assignment is non-deterministic, input sharding
+is not. Each completed partition leaves two artifacts next to each
+other:
 
     part-{pid:05d}/           parquet output of that partition
     part-{pid:05d}.lineage.json   input files, row counts in/out,
@@ -37,12 +38,24 @@ import pyarrow.parquet as pq
 from ray.data import Dataset
 
 
+def _footer(path: str) -> bytes:
+    """A parquet file's footer: its metadata block (which holds every
+    column chunk's statistics and offsets), length and magic."""
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        f.seek(max(0, size - 8))
+        n = int.from_bytes(f.read(4), "little")
+        f.seek(max(0, size - 8 - n))
+        return f.read()
+
+
 def _fingerprint(files: list[str], pipeline_tag: str) -> str:
     h = hashlib.sha256()
     h.update(pipeline_tag.encode())
     for f in sorted(files):
         st = os.stat(f)
         h.update(f"{f}\0{st.st_size}\0{st.st_mtime_ns}\0".encode())
+        h.update(_footer(f))
     return h.hexdigest()[:16]
 
 
@@ -76,7 +89,9 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
     non-partitioned input change (e.g. a version string + config hash +
     a digest of the broadcast tables) so stale checkpoints never
     masquerade as current output; a rewritten input file changes its
-    mtime and re-runs its partition.
+    mtime or its parquet footer (a same-size copy that keeps the mtime,
+    as ``cp -p`` makes, still has other column statistics) and re-runs
+    its partition.
     """
     os.makedirs(out_dir, exist_ok=True)
     results: list[PartitionResult] = []

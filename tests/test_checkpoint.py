@@ -137,6 +137,25 @@ def test_rewritten_input_file_recomputes_its_partition(inputs, tmp_path):
         *range(0, 10), *range(20, 40), *range(50, 60)]
 
 
+def test_same_size_same_mtime_rewrite_recomputes_its_partition(inputs,
+                                                               tmp_path):
+    """A page file rewritten with other values at the same size, its
+    mtime then restored (what ``cp -p`` and ``rsync -t`` leave), re-runs
+    its partition, and only that one: the key carries the footer."""
+    out = str(tmp_path / "run")
+    run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    st = os.stat(inputs[2])
+    pq.write_table(pa.table({"x": pa.array(range(70, 80), pa.int64())}),
+                   inputs[2])
+    os.utime(inputs[2], ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.path.getsize(inputs[2]) == st.st_size
+    assert os.stat(inputs[2]).st_mtime_ns == st.st_mtime_ns
+    res = run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    assert [r.skipped for r in res] == [True, True, False, True]
+    assert [r["x"] for r in read_all(out)] == [
+        *range(0, 20), *range(30, 40), *range(70, 80)]
+
+
 
 @pytest.mark.parametrize("changed", ["gazetteer", "polygons", "facilities"])
 def test_cli_rerun_recomputes_changed_broadcast_input(changed, tmp_path):

@@ -3,6 +3,7 @@ exact join, and plumbing of the multimodal stubs."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -246,29 +247,70 @@ def test_cosine_neardup_blocks_out_of_id_order(monkeypatch):
     import batch_geocode_ray.stages.dedup as dd
 
     _, m = embeddings_ds()
-    ids = np.arange(len(m))
     t = pa.table({
-        "vec_id": pa.array(ids, pa.int64()),
+        "vec_id": pa.array(np.arange(len(m)), pa.int64()),
         "embedding": pa.FixedSizeListArray.from_arrays(
             pa.array(m.ravel(), pa.float64()), m.shape[1]),
     })
     ds = rd.from_arrow([t.slice(s, 10) for s in (30, 20, 10, 0)])
-    norm = m / np.linalg.norm(m, axis=1, keepdims=True)
-    sims = norm @ norm.T
-    r, c = np.nonzero(np.triu(sims >= 0.3, k=1))
-    want = sorted(zip(ids[r].tolist(), ids[c].tolist(),
-                      np.round(sims[r, c], 12).tolist()))
-
-    def run():
-        return sorted((p["d1"], p["d2"], round(p["cosine"], 12))
-                      for p in cosine_neardup_pairs(
-                          ds, "embedding", "vec_id", threshold=0.3).take_all())
-
-    assert run() == want and len(want) > 40
+    want = _cosine_pairs_oracle(m, 0.3)
+    assert _cosine_pairs(ds) == want and len(want) > 40
     monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
     # the projection holds at least 40 x (8 + 8 x 8) bytes: >= 3 blocks
     monkeypatch.setattr(dd, "TARGET_BUCKET_BYTES", 960)
-    assert run() == want
+    assert _cosine_pairs(ds) == want
+
+
+def _cosine_pairs_oracle(m: np.ndarray, threshold: float) -> list:
+    """NumPy all-pairs oracle: (i, j, cosine to 12 digits), i < j."""
+    norm = m / np.linalg.norm(m, axis=1, keepdims=True)
+    sims = norm @ norm.T
+    r, c = np.nonzero(np.triu(sims >= threshold, k=1))
+    return sorted(zip(r.tolist(), c.tolist(),
+                      np.round(sims[r, c], 12).tolist()))
+
+
+def _cosine_pairs(ds) -> list:
+    return sorted((p["d1"], p["d2"], round(p["cosine"], 12))
+                  for p in cosine_neardup_pairs(
+                      ds, "embedding", "vec_id", threshold=0.3).take_all())
+
+
+def test_cosine_neardup_scores_tiles_in_bounded_chunks(monkeypatch):
+    """With the bucket byte budget patched down to a few rows of
+    similarities, every tile is scored in many row chunks; both plans
+    still equal the NumPy all-pairs oracle."""
+    import batch_geocode_ray.stages.dedup as dd
+
+    ds, m = embeddings_ds()
+    want = _cosine_pairs_oracle(m, 0.3)
+    # 3 rows x 40 columns of float64 per chunk on the one-tile plan
+    monkeypatch.setattr(dd, "TARGET_BUCKET_BYTES", 3 * 40 * 8)
+    assert _cosine_pairs(ds) == want and len(want) > 40
+    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    assert _cosine_pairs(ds) == want
+
+
+def test_q21_rows_do_not_depend_on_block_order(tmp_path, monkeypatch):
+    """q21 over the same embeddings split into blocks in two different
+    orders gives identical rows: its k-means sample is chosen and
+    ordered by the data, not by which block finishes first."""
+    import batch_geocode_ray.pipelines.queries as qmod
+
+    _, m = embeddings_ds(n=600, d=16, seed=7)
+    t = pa.table({
+        "vec_id": pa.array(np.arange(len(m)), pa.int64()),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(m.ravel(), pa.float64()), m.shape[1]),
+    })
+    pq.write_table(t, str(tmp_path / "embeddings.parquet"))
+    runs = []
+    for starts in ((0, 150, 300, 450), (450, 300, 150, 0)):
+        blocks = [t.slice(s, 150) for s in starts]
+        monkeypatch.setattr(qmod, "_read",
+                            lambda *_, b=blocks, **__: rd.from_arrow(b))
+        runs.append(qmod.QUERIES["q21_ivf_knn"](str(tmp_path)).take_all())
+    assert runs[0] == runs[1] and len(runs[0]) == 50
 
 
 def test_semi_anti_join_both_plans(monkeypatch):

@@ -41,7 +41,7 @@ def naive_lloyd(pts, init, iters):
 def test_distributed_kmeans_matches_naive():
     t, pts, labels = clustered_data()
     ds = rd.from_arrow(t).repartition(4)
-    cent = kmeans_fit(ds, "embedding", k=3, iters=12)
+    cent = kmeans_fit(ds, "embedding", "vec_id", k=3, iters=12)
     # same init path (sample = whole table here), same update rule:
     from batch_geocode_ray.stages.similarity import _kmeans
 
