@@ -6,7 +6,8 @@ distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
 
     read_parquet(pages)
       -> map_batches(GeocodeFusedStage)        # ONE fused stage, worker-cached tasks:
-           html_token_runs                     #   html bytes -> token runs (no text)
+           html_token_runs                     #   html bytes -> token runs (no text),
+                                               #   per row slice of <= SLICE_BYTES
            GazetteerMatcher                    #   vocab codes -> phrase windows
            resolve + vet                       #   vectorized NumPy, reference parity
            encode cells                        #   S2 / hex (H3-style) indices

@@ -21,7 +21,10 @@ table, utf-8 only.
 The flagship matches without extracting: :func:`html_token_runs` gives
 the tokens of ``extract_text_column(html)`` straight from the html bytes
 in one NumPy pass, and :func:`token_runs` the tokens of a text column;
-both feed the one matcher kernel (``stages/matcher.py``).
+both feed the one matcher kernel (``stages/matcher.py``), one
+:func:`row_slices` slice at a time: zero-copy row slices of at most
+``SLICE_BYTES`` data bytes, so the kernel's working set (~9x the bytes
+it reads) stays cache-sized at any batch size.
 :func:`token_runs` is the package's only tokenizer: the text-analysis
 functions below, dedup, the bigram LM and the text queries all take its
 tokens through :func:`flat_tokens`.
@@ -152,6 +155,36 @@ class TokenRuns(NamedTuple):
 
 
 _PAD = 16
+# data bytes per byte-kernel slice: the kernel's working set (~9x its
+# bytes) then stays near one core's L2 cache, whatever the block size
+SLICE_BYTES = 384 << 10
+
+
+def _offsets(col: pa.Array) -> np.ndarray | None:
+    """int64 row offsets of a string/binary array (``len + 1``, not
+    rebased), or None when it is empty or has no offsets buffer."""
+    n = len(col)
+    off_buf = col.buffers()[1]
+    if n == 0 or off_buf is None:
+        return None
+    large = pa.types.is_large_binary(col.type) or pa.types.is_large_string(col.type)
+    offs = np.frombuffer(off_buf, np.int64 if large else np.int32)
+    return offs[col.offset:col.offset + n + 1].astype(np.int64)
+
+
+def row_slices(col):
+    """Zero-copy slices of consecutive rows of a string/binary column,
+    each within one chunk and holding at most ``SLICE_BYTES`` data
+    bytes (a larger row is a slice of its own), in row order. Rows are
+    never split: token runs and spans are row-local."""
+    for chunk in (col.chunks if isinstance(col, pa.ChunkedArray) else [col]):
+        offs = _offsets(chunk)
+        lo, n = 0, len(chunk)
+        while lo < n:
+            hi = int(np.searchsorted(offs, offs[lo] + SLICE_BYTES, "right")) - 1
+            hi = max(hi, lo + 1)
+            yield chunk.slice(lo, hi - lo)
+            lo = hi
 
 
 def _padded_bytes(col) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +195,10 @@ def _padded_bytes(col) -> tuple[np.ndarray, np.ndarray]:
     if col.null_count:
         col = col.fill_null(pa.scalar(b"", col.type))
     n = len(col)
-    large = pa.types.is_large_binary(col.type) or pa.types.is_large_string(col.type)
-    _, off_buf, data_buf = col.buffers()
-    if n == 0 or off_buf is None:
+    offs = _offsets(col)
+    if offs is None:
         return np.zeros(_PAD, np.uint8), np.zeros(n + 1, np.int64)
-    offs = np.frombuffer(off_buf, np.int64 if large else np.int32)
-    offs = offs[col.offset:col.offset + n + 1].astype(np.int64)
+    data_buf = col.buffers()[2]
     data = (np.frombuffer(data_buf, np.uint8) if data_buf is not None
             else np.zeros(0, np.uint8))
     m = int(offs[-1] - offs[0])

@@ -2,8 +2,9 @@
 
     read_parquet(pages)
       -> GeocodeFusedStage, per batch:
-           html_token_runs (html bytes -> token runs; no text column)
-           -> GazetteerMatcher.mentions (vocab codes -> phrase windows)
+           html_token_runs per row slice (html bytes -> token runs ->
+             vocab codes; no text column)
+           -> GazetteerMatcher.sliced_mentions (phrase windows, per batch)
            -> MentionResolver (vet + wide columns)
            -> cell encode (s2_cell + h3-style hex res 7/8/9)
            -> PIPJoin (broadcast polygon index)
@@ -34,7 +35,7 @@ from ray.data import Dataset
 
 from batch_geocode_ray.config import PipelineConfig
 from batch_geocode_ray.functions.cells import hex_cell, s2_cell
-from batch_geocode_ray.functions.text import html_token_runs
+from batch_geocode_ray.functions.text import html_token_runs, row_slices
 from batch_geocode_ray.sources.fixtures import LANG_CC_PRIOR
 from batch_geocode_ray.stages.aggregates import tile_aggregate
 from batch_geocode_ray.stages.extract import verify_html_tokens
@@ -49,21 +50,21 @@ from batch_geocode_ray.state.gazetteer import GazetteerIndex
 def encode_cells_stage(batch: pa.Table, resolutions=(7, 8, 9),
                        s2_level: int = 12) -> pa.Table:
     """Stateless cell encoding of the vetted best point
-    (``best_long``/``best_lat``); rows without a best point get null
-    cells."""
+    (``best_long``/``best_lat``). Only rows with a best point are
+    encoded; the others get null cells."""
     lon = np.asarray(batch["best_long"].to_numpy(zero_copy_only=False), dtype=np.float64)
     lat = np.asarray(batch["best_lat"].to_numpy(zero_copy_only=False), dtype=np.float64)
     ok = ~(np.isnan(lon) | np.isnan(lat))
-    safe_lon = np.where(ok, lon, 0.0)
-    safe_lat = np.where(ok, lat, 0.0)
+    lon, lat = lon[ok], lat[ok]
+
+    def column(cells: np.ndarray) -> pa.Array:
+        out = np.zeros(len(ok), np.int64)
+        out[ok] = cells
+        return pa.array(out, pa.int64(), mask=~ok)
+
     for res in resolutions:
-        cells = hex_cell(safe_lon, safe_lat, res).astype(np.int64)
-        batch = batch.append_column(
-            f"hex_cell_r{res}",
-            pa.array(np.where(ok, cells, 0), pa.int64(), mask=~ok))
-    s2 = s2_cell(safe_lon, safe_lat, s2_level).astype(np.int64)
-    batch = batch.append_column("s2_cell", pa.array(np.where(ok, s2, 0), pa.int64(), mask=~ok))
-    return batch
+        batch = batch.append_column(f"hex_cell_r{res}", column(hex_cell(lon, lat, res)))
+    return batch.append_column("s2_cell", column(s2_cell(lon, lat, s2_level)))
 
 
 class GeocodeFusedStage:
@@ -72,11 +73,17 @@ class GeocodeFusedStage:
 
     Extract and match are one pass: the html bytes become token runs
     and then gazetteer codes (``html_token_runs`` ->
-    ``GazetteerMatcher.mentions``), equal to matching the extracted
-    ``text`` but without building it. ``verify_extraction=True`` also
-    extracts ``text`` and checks it against the input's and the html
-    tokens against its tokens (``stages/extract.verify_html_tokens``);
-    the output is the same either way.
+    ``GazetteerMatcher.sliced_mentions``), equal to matching the
+    extracted ``text`` but without building it. That byte kernel runs
+    per zero-copy row slice of at most ``functions/text.SLICE_BYTES``
+    html bytes, keeping only each slice's in-vocab runs, so its working
+    set is cache-sized at any block size (tokenizing a block whole took
+    ~9.3x its html bytes of NumPy memory). The phrase windows and every
+    later layer run once per block: each call of them has a fixed cost.
+    ``verify_extraction=True`` also extracts ``text`` and checks it
+    against the input's and the html tokens against its tokens, slice
+    by slice (``stages/extract.verify_html_tokens``); the output is the
+    same either way.
 
     Fusing matters for throughput: with one operator per layer the
     streaming executor juggles six operators and none reaches high
@@ -107,11 +114,13 @@ class GeocodeFusedStage:
                     if with_knn and facilities is not None else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        runs = html_token_runs(batch["html"])
-        if self.verify_extraction:
-            verify_html_tokens(batch, runs)
+        # the byte kernel runs per row slice of at most SLICE_BYTES
+        slices = map(html_token_runs, row_slices(batch["html"]))
+        if self.verify_extraction:   # holds every slice's runs
+            slices = list(slices)
+            verify_html_tokens(batch, *slices)
         b = batch.drop_columns(["html"]).append_column(
-            "mentions", self.matcher.mentions(runs))
+            "mentions", self.matcher.sliced_mentions(slices))
         b = self.resolver(b)
         b = encode_cells_stage(b, self.cfg.hex_resolutions, self.cfg.s2_level)
         if self.pip is not None:

@@ -986,13 +986,16 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
     def verify_tri(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return _empty()
-        g1 = _gram_arrays(b["_t1"], k)
-        g2 = _gram_arrays(b["_t2"], k)
-        vals = np.array([_pair_jaccard(a_, b_)
-                         for a_, b_ in zip(g1, g2)], dtype=np.float64)
+        d1, d2 = _i64(b, "d1"), _i64(b, "d2")
+        # shingle each distinct document once, not once per pair
+        _, first, doc = np.unique(np.concatenate([d1, d2]),
+                                  return_index=True, return_inverse=True)
+        texts = pa.chunked_array(b["_t1"].chunks + b["_t2"].chunks)
+        grams = _gram_arrays(texts.take(pa.array(first)), k)
+        vals = np.array([_pair_jaccard(grams[i], grams[j]) for i, j
+                         in zip(doc[:len(d1)], doc[len(d1):])], dtype=np.float64)
         keep = vals >= threshold
-        return pa.table({"d1": _i64(b, "d1")[keep], "d2": _i64(b, "d2")[keep],
-                         "jaccard": vals[keep]})
+        return pa.table({"d1": d1[keep], "d2": d2[keep], "jaccard": vals[keep]})
 
     if small:
         def lsh_one(b: pa.Table) -> pa.Table:

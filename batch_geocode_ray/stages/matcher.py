@@ -3,21 +3,38 @@ inside the fused flagship stage; see pipelines/geocode).
 
 Replaces the reference's per-row HTTP geocoding fan-out
 (query_funcs.py:178-191) with offline matching of gazetteer phrases
-against page tokens. One kernel, :meth:`GazetteerMatcher.mentions`,
-takes the token runs of a batch (``functions/text.TokenRuns``: byte
-offsets into the Arrow data buffer, no token strings) from either
+against page tokens. One kernel,
+:meth:`GazetteerMatcher.sliced_mentions`, takes a batch as the token
+runs of its consecutive row slices (``functions/text.TokenRuns``: byte
+offsets into the Arrow data buffer, no token strings), each slice from
+``functions/text.row_slices`` (at most ``SLICE_BYTES`` data bytes),
+through either
 
   * ``token_runs(text)`` — :meth:`GazetteerMatcher.__call__`, over a
     text column (q14, the traced chain in perfbench), or
   * ``html_token_runs(html)`` — the fused flagship stage, straight from
     the html bytes with no ``text`` column.
 
+:meth:`GazetteerMatcher.mentions` is the same kernel over one batch's
+runs.
+
+The byte-level half runs per slice, so its working set stays
+cache-sized whatever the block size (it was ~9.3x the block's html bytes
+when a block was tokenized whole): page runs whose length is a vocab
+token length are read as folded 8-byte words, keyed, looked up in the
+vocab's hash table and verified word by word, which gives each in-vocab
+run its code. A slice keeps only its in-vocab run positions, their codes
+and its rows' first run index. The phrase windows and mention assembly
+run once per batch, like every later layer of the fused stage: their
+cost per call is fixed (a prototype that sliced the whole stage at
+1 MiB cost +15% CPU).
+
 The gazetteer's names take the same path: ``token_runs`` over the
 ``name`` column, keyed by the same ``_run_keys``/``_run_words``. The
 vocab is the distinct keys of the names' runs, and each name is a row of
-vocab codes. Page runs whose length is a vocab token length are read as
-folded 8-byte words, keyed, probed in Arrow's hash set of the vocab
-keys and verified word by word, which gives each in-vocab run its code.
+vocab codes. The vocab's hash table (a ``pd.Index`` of the keys) is
+built once, in ``__init__``, so a lookup costs the same at 321 keys as
+at 10^6 (Arrow's ``index_in`` rebuilds its hash set on every call).
 For every phrase length L, the windows of L consecutive in-vocab tokens
 of one row get a key (the code itself for L = 1, else a splitmix
 chain), binary-searched against the sorted keys of the gazetteer's
@@ -34,12 +51,20 @@ tokenizes names and text with its own regex), spans included.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from batch_geocode_ray.functions.hashing import splitmix64
-from batch_geocode_ray.functions.text import TokenRuns, token_runs, word_view
+from batch_geocode_ray.functions.text import (
+    TokenRuns,
+    row_slices,
+    token_runs,
+    word_view,
+)
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
 
 MENTION_TYPE = pa.struct([
@@ -108,7 +133,8 @@ def _row_of(row_first: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class GazetteerMatcher:
-    """Callable class for ``map_batches`` (cached task)."""
+    """Callable class for ``map_batches`` (cached task): appends the
+    ``mentions`` of a text column, tokenized per row slice."""
 
     def __init__(self, gazetteer: GazetteerIndex):
         self.gaz = gaz = gazetteer
@@ -125,7 +151,10 @@ class GazetteerMatcher:
         words = _run_words(runs.buf, runs.starts, lens, self.n_words)
         if any((w != w[rep][code]).any() for w in words):
             raise ValueError("vocab token key collision")
-        self.vocab_keys = pa.array(vkeys, pa.uint64())   # index = vocab code
+        # position = vocab code; pandas builds the index's hash table on
+        # its first lookup, here, so no call rebuilds it
+        self.vocab = pd.Index(vkeys)
+        self.vocab.get_indexer(vkeys[:1])
         self.vocab_words = [w[rep] for w in words]
         # per phrase length L (an entry's run count): the distinct code
         # tuples, sorted by key, each with its entries (one phrase in
@@ -147,19 +176,18 @@ class GazetteerMatcher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Append ``mentions`` for the batch's text column."""
-        return batch.append_column(
-            "mentions", self.mentions(token_runs(batch["text"])))
+        return batch.append_column("mentions", self.sliced_mentions(
+            token_runs(part) for part in row_slices(batch["text"])))
 
     def _vocab_codes(self, runs: TokenRuns) -> tuple[np.ndarray, np.ndarray]:
         """(run index, vocab code) of the in-vocab runs, in run order:
-        runs of a vocab length are keyed, probed in Arrow's hash set
-        of the vocab keys and verified word by word."""
+        runs of a vocab length are keyed, looked up in the vocab's
+        hash table and verified word by word."""
         cand = np.flatnonzero(
             self.len_ok[np.minimum(runs.lens, len(self.len_ok) - 1)])
         starts, lens = runs.starts[cand], runs.lens[cand]
         keys = _run_keys(runs.buf, starts, lens, self.n_words)
-        codes = np.asarray(pc.index_in(keys, value_set=self.vocab_keys)
-                           .fill_null(-1).to_numpy(zero_copy_only=False))
+        codes = self.vocab.get_indexer(keys)
         hit = np.flatnonzero(codes >= 0)
         codes = codes[hit].astype(np.int64)
         ok = np.ones(len(hit), dtype=bool)
@@ -171,11 +199,29 @@ class GazetteerMatcher:
     def mentions(self, runs: TokenRuns) -> pa.Array:
         """The ``mentions`` column (``list<MENTION_TYPE>``, one list per
         row, never null) for a batch's token runs."""
+        return self.sliced_mentions([runs])
+
+    def sliced_mentions(self, slices: Iterable[TokenRuns]) -> pa.Array:
+        """The ``mentions`` column of a batch given as the token runs of
+        consecutive row slices, in row order. Each slice keeps only its
+        in-vocab runs (run index offset by the earlier slices' runs) and
+        its rows' first run index, so a lazily made slice's byte buffer
+        is freed before the next one is read; the phrase windows run
+        once per batch."""
+        pos, codes, firsts, base = [], [], [], 0
+        for runs in slices:
+            p, c = self._vocab_codes(runs)
+            pos.append(p + base)
+            codes.append(c)
+            firsts.append(runs.row_first[:-1] + base)
+            base += len(runs.starts)
+        empty = [np.empty(0, np.int64)]
+        pos, codes = np.concatenate(empty + pos), np.concatenate(empty + codes)
+        row_first = np.concatenate(firsts + [[base]])
         gaz = self.gaz
-        n = len(runs.row_first) - 1
-        pos, codes = self._vocab_codes(runs)
+        n = len(row_first) - 1
         m = len(pos)
-        rows = _row_of(runs.row_first, pos)
+        rows = _row_of(row_first, pos)
 
         hit_first: list[np.ndarray] = []
         hit_entry: list[np.ndarray] = []
@@ -211,8 +257,8 @@ class GazetteerMatcher:
             order = np.argsort(first * len(gaz.ids) + entry, kind="stable")
             first, entry = first[order], entry[order]
             lens = np.concatenate(hit_len)[order]
-            rows = _row_of(runs.row_first, first)
-            starts = first - runs.row_first[rows]
+            rows = _row_of(row_first, first)
+            starts = first - row_first[rows]
             ends = starts + lens
         else:
             rows = entry = starts = ends = np.empty(0, dtype=np.int64)

@@ -388,6 +388,49 @@ def test_minhash_trigram_verify_equals_exact_join(docs_ds, monkeypatch):
     assert lsh() == exact
 
 
+def test_minhash_verify_shingles_each_document_once(tmp_path, monkeypatch):
+    """A planted clique of 30 near-duplicate documents makes 435
+    candidate pairs. The exact verify must shingle each document at most
+    once per task (it used to shingle both sides of every pair) and
+    still return every pair at its exact Jaccard, on both plans."""
+    import json
+
+    import batch_geocode_ray.stages.dedup as dd
+
+    texts = [f"{BASE} w{i}" for i in range(30)] + ["short text", "other words here"]
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts)})).repartition(3)
+    log = tmp_path / "gram_calls.jsonl"
+    real = dd._gram_arrays
+
+    def spy(text_col, k):
+        # runs in the worker: verify's closure carries the patched global
+        import ray
+
+        with open(log, "a") as f:
+            f.write(json.dumps([ray.get_runtime_context().get_task_id(),
+                                [str(t) for t in text_col.to_pylist()]]) + "\n")
+        return real(text_col, k)
+
+    monkeypatch.setattr(dd, "_gram_arrays", spy)
+    # 18 shared trigrams of 20: J = 0.9 for every clique pair
+    want = [(i, j, 0.9) for i in range(30) for j in range(i + 1, 30)]
+    for small in (dd.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", small)
+        log.unlink(missing_ok=True)
+        got = sorted((r["d1"], r["d2"], round(r["jaccard"], 12)) for r in
+                     minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.8).take_all())
+        assert got == want
+        per_task: dict[str, list[str]] = {}
+        for line in log.read_text().splitlines():
+            task, docs = json.loads(line)
+            per_task.setdefault(task, []).extend(docs)
+        assert per_task and sum(map(len, per_task.values())) >= 30
+        for docs in per_task.values():
+            assert len(docs) == len(set(docs)), "a document shingled twice"
+
+
 def test_grouped_moving_avg_matches_pandas():
     import pandas as pd
 
