@@ -15,7 +15,7 @@ distributed Ray Data pipeline over Common-Crawl-style web-page Parquet:
            KNNFacilities                       #   optional nearest facilities
       -> write_parquet (per-partition lineage, resumable)
       -> grouped_aggregate(cell)               # tile stats: per-batch partials merged
-                                               #   through dedup.bucket_exchange
+                                               #   through exchange.bucket_exchange
 
 The reference geocodes one row at a time through four live HTTP APIs
 (reference geocode/batch_geocode.py:173-182); this engine replaces the

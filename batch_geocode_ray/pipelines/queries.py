@@ -40,11 +40,15 @@ from ray.data import Dataset
 
 from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import (
-    _one_task,
     exact_dedup,
     minhash_lsh_pairs,
     ngram_jaccard_pairs,
     simhash_pairs,
+)
+from batch_geocode_ray.stages.exchange import (
+    _one_task,
+    _probe_small,
+    distributed_sort,
 )
 from batch_geocode_ray.stages.joins import broadcast_join, equi_join
 from batch_geocode_ray.stages.similarity import (
@@ -92,8 +96,6 @@ def _sort_adaptive(ds: Dataset, keys: list | str,
     distributed sort — pass it for O(corpus)-sized outputs so the result
     is never pinned twice. The registry (:func:`_ordered`) is its one
     caller in this module."""
-    from batch_geocode_ray.stages.dedup import _probe_small, distributed_sort
-
     keys = [(k, "ascending") if isinstance(k, str) else k
             for k in ([keys] if isinstance(keys, str) else keys)]
     m, small, _ = _probe_small(ds, size_hint_bytes=size_hint_bytes)

@@ -23,6 +23,7 @@ import glob
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -211,6 +212,8 @@ def main(argv=None):
         "csv_rows": csv_rows,
         "computed": done,
         "skipped_resume": skipped,
+        "recomputed_by_cause": dict(Counter(
+            r.cause for r in results if not r.skipped)),
         "rows_out": rows,
         "pages_out": page_out,
         "tiles_out": {str(k): v for k, v in tile_out.items()},

@@ -5,7 +5,7 @@ hash group-by collapses each batch to one row per group — a hot
 mega-city cell collapses to ONE partial row per batch, which is what
 kills skew), then ONE merge kernel over the partials (a pyarrow
 ``group_by`` re-merge plus the finalize, e.g. mean = sum/count) run
-through :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` on the
+through :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` on the
 group keys. The exchange measures the partials: below
 ``SMALL_COLLAPSE_BYTES`` the merge is one task, above it one task per
 coarse bucket. The all-to-all only ever carries ~n_groups x n_blocks
@@ -26,7 +26,7 @@ import ray
 
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import (
+from batch_geocode_ray.stages.exchange import (
     _exchange,
     _one_task,
     bucket_exchange,
@@ -257,7 +257,7 @@ def grouped_collect_distinct_sorted(ds: Dataset, key: str, val: str,
     its DISTINCT ``val`` strings joined by ``,`` in lexicographic
     order. Per-batch distinct-pair combiner shrinks the shuffle to one
     row per (batch, key, val); the assembly runs under
-    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` (never one
+    :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` (never one
     Python call per key) and builds the
     joined strings VECTORIZED — an Arrow ListArray from per-key offsets
     fed to the C++ ``binary_join`` kernel."""

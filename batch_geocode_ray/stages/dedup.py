@@ -45,299 +45,10 @@ from batch_geocode_ray.functions.hashing import (
     splitmix64,
     stable_hash64_array,
 )
-from batch_geocode_ray.functions.text import flat_tokens
+from batch_geocode_ray.functions.text import SLICE_BYTES, flat_tokens
+from batch_geocode_ray.stages import exchange, joins
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
-
-
-# ---------------------------------------------------------------------------
-# adaptive execution: small-side collapse
-# ---------------------------------------------------------------------------
-
-# Adaptive threshold (like Spark AQE's shuffle->broadcast conversion):
-# once an intermediate is materialized and measures below this, the rest
-# of the computation collapses into ONE task instead of paying 1-2s of
-# fixed cost per all-to-all operator. Above it, the shuffle plan runs.
-SMALL_COLLAPSE_BYTES = 256 << 20
-
-# One coarse bucket = one ``map_groups`` task = the whole bucket
-# resident in one worker's heap. A FIXED bucket count therefore puts
-# input_bytes / n_buckets in one task — ~100 GB/bucket at 100 TB with
-# the old constant 1024. Size the exchange instead: enough buckets that
-# a bucket holds ~TARGET_BUCKET_BYTES, floored at 1024 so small inputs
-# keep their cheap fan-out.
-TARGET_BUCKET_BYTES = 32 << 20
-
-
-def adaptive_bucket_count(size_bytes: int) -> int:
-    """Bucket count for a coarse-bucket exchange over ``size_bytes`` of
-    shuffled rows: grows linearly with input so per-bucket residency
-    stays ~``TARGET_BUCKET_BYTES`` at any scale (read at call time, so
-    tests can patch it)."""
-    return max(1024, int(size_bytes or 0) // TARGET_BUCKET_BYTES + 1)
-
-
-def _probe_small(ds: Dataset, size_hint_bytes: int | None = None):
-    """Adaptive-plan probe: report ``(ds, fits_one_task, approx_bytes)``.
-
-    With ``size_hint_bytes`` >= the threshold the input is NOT
-    materialized — the stream passes through untouched and the hint is
-    the reported size, so a 100 TB caller never pins a corpus-sized
-    derived stream in the object store just to learn it isn't small
-    (VERDICT r4 "What's wrong" #1). Without a hint (or when the hint
-    is below the threshold — then the true size could still be above
-    it), the input materializes and its measured size decides.
-    ``SMALL_COLLAPSE_BYTES`` is read at call time, so tests can patch
-    it."""
-    if size_hint_bytes is not None and size_hint_bytes >= SMALL_COLLAPSE_BYTES:
-        return ds, False, int(size_hint_bytes)
-    m = ds.materialize()
-    size = m.size_bytes() or 0
-    return m, size < SMALL_COLLAPSE_BYTES, size
-
-
-def _one_task(ds: Dataset, fn) -> Dataset:
-    """Run ``fn`` over the WHOLE (small) dataset as one task."""
-    return ds.repartition(1).map_batches(fn, batch_format="pyarrow",
-                                         batch_size=None)
-
-
-def distributed_sort(ds: Dataset, keys: list) -> Dataset:
-    """Ray's range-partitioned ``sort`` by ``keys`` (pyarrow-style: a
-    bare name or a ``(name, "ascending" | "descending")`` pair), safe
-    for temporal keys. Ray takes only numeric NaN for null when it
-    orders its sampled range bounds: a sampled null timestamp leaves
-    them out of order, and the range partition then emits some rows
-    twice. So sort on integer views of temporal keys, whose nulls Ray
-    handles, and drop the views after."""
-    keys = [(k, "ascending") if isinstance(k, str) else k for k in keys]
-    views = [f"__sort_{k}" for k, _ in keys]
-
-    def add_views(b: pa.Table) -> pa.Table:
-        for (k, _), v in zip(keys, views):
-            c = b[k]
-            if pa.types.is_temporal(c.type):
-                c = c.cast(pa.int64() if c.type.bit_width == 64 else pa.int32())
-            b = b.append_column(v, c)
-        return b
-
-    return (ds.map_batches(add_views, batch_format="pyarrow")
-            .sort(views, descending=[o == "descending" for _, o in keys])
-            .map_batches(lambda b: b.drop_columns(views), batch_format="pyarrow"))
-
-
-# ---------------------------------------------------------------------------
-# the coarse-bucket exchange
-# ---------------------------------------------------------------------------
-
-# the exchange's own bucket column: a reserved name, so callers may key
-# or carry a plain ``_bucket`` column (the range-bucket Blelloch scans
-# do) without colliding with it
-EXCHANGE_BUCKET = "__bucket_exchange"
-
-
-def _is_temporal(t: pa.DataType) -> bool:
-    return (pa.types.is_timestamp(t) or pa.types.is_date(t)
-            or pa.types.is_time(t) or pa.types.is_duration(t))
-
-
-def _check_key_type(t: pa.DataType, name: str) -> None:
-    if not (pa.types.is_integer(t) or _is_temporal(t)
-            or pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-        raise TypeError(f"bucket key column {name!r} has type {t}; expected "
-                        "an integer, temporal, string or binary column")
-
-
-def key_hash64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
-    """uint64 bucket hash of key column ``name``: ``splitmix64`` of the
-    integers' uint64 view (temporal columns: of their integer physical
-    value), ``stable_hash64_array`` of strings and binaries. Other
-    types raise ``TypeError`` naming the column."""
-    t = col.type
-    _check_key_type(t, name)
-    if _is_temporal(t):
-        col = pc.cast(col, pa.int32() if t.bit_width == 32 else pa.int64())
-    if pa.types.is_integer(col.type):
-        k = np.asarray(pc.fill_null(col, 0).to_numpy(zero_copy_only=False))
-        return splitmix64(k.astype(np.int64, copy=False).view(np.uint64))
-    return stable_hash64_array(col)
-
-
-def join_key64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
-    """Equi-join key column ``name`` as int64: integers as themselves,
-    strings by their stable 64-bit hash (a ~2^-64 per-pair false
-    match). Other types raise ``TypeError`` naming the column. A null
-    gets an arbitrary value: callers mask null keys out."""
-    t = col.type
-    if pa.types.is_integer(t):
-        return np.asarray(col.fill_null(0).to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return stable_hash64_array(col).view(np.int64)
-    raise TypeError(f"join key column {name!r} has type {t}; expected an "
-                    "integer or string column")
-
-
-def _keys_hash64(b: pa.Table, keys: list[str]) -> np.ndarray:
-    """Multi-column key hash: ``splitmix64`` combines of the per-column
-    :func:`key_hash64` (a one-column key hashes as that column)."""
-    h = key_hash64(b[keys[0]], keys[0])
-    for k in keys[1:]:
-        h = splitmix64(h ^ key_hash64(b[k], k))
-    return h
-
-
-def _exchange(ds: Dataset, key: str | list[str], fn,
-              size_hint_bytes: int | None = None) -> tuple[Dataset, bool]:
-    """:func:`bucket_exchange`, plus whether it collapsed to one task."""
-    keys = [key] if isinstance(key, str) else list(key)
-    m, small, probed_bytes = _probe_small(ds, size_hint_bytes=size_hint_bytes)
-    # a lazy (hinted) stream has no schema yet: its batches check instead
-    schema = m.schema(fetch_if_missing=False)
-    if schema is not None:
-        types = dict(zip(schema.names, schema.types))
-        for k in keys:
-            if k in types:
-                _check_key_type(types[k], k)
-    if small:
-        return _one_task(m, fn), True
-    nb = np.uint64(adaptive_bucket_count(probed_bytes))
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(EXCHANGE_BUCKET, pa.array(
-            (_keys_hash64(b, keys) % nb).astype(np.int64)))
-
-    return (m.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby(EXCHANGE_BUCKET)
-            .map_groups(lambda g: fn(g.drop_columns([EXCHANGE_BUCKET])),
-                        batch_format="pyarrow")), False
-
-
-def bucket_exchange(ds: Dataset, key: str | list[str], fn,
-                    size_hint_bytes: int | None = None) -> Dataset:
-    """Co-locate every row sharing a ``key`` value (one column or a
-    list of columns) and run ``fn`` over each co-located group of rows:
-    the repo's one keyed shuffle.
-
-    ``fn`` must be bucket-independent (it lexsorts and segments by key
-    internally): below ``SMALL_COLLAPSE_BYTES`` the whole input runs
-    through it as ONE task, skipping the all-to-all (~1-2 s fixed).
-    Above it, rows hash (:func:`key_hash64`, combined per column) into
-    :func:`adaptive_bucket_count` coarse buckets and
-    ``groupby(EXCHANGE_BUCKET).map_groups(fn)`` runs ``fn`` once per
-    bucket, never once per key. ``fn`` never sees the bucket column.
-
-    The probe materializes the input to measure it; a caller that
-    knows the input is big passes ``size_hint_bytes`` (>= the
-    threshold) and the exchange streams, bucket count from the hint."""
-    return _exchange(ds, key, fn, size_hint_bytes)[0]
-
-
-# ---------------------------------------------------------------------------
-# bucket-exchange lookup join
-# ---------------------------------------------------------------------------
-
-def _bucket_lookup_join(requests: Dataset, req_key: str,
-                        source: Dataset, source_key: str,
-                        payload: dict[str, str],
-                        missing: str = "error",
-                        size_hint_bytes: int | None = None) -> Dataset:
-    """Attach ``payload`` columns (``{source_col: out_col}``) from
-    ``source`` onto every ``requests`` row whose ``req_key`` equals the
-    source row's ``source_key`` — an equi-join expressed as one
-    :func:`bucket_exchange` on the key instead of ``Dataset.join``.
-
-    Why not the native join: Ray 2.49's hash-shuffle join feeds acero
-    per partition and CRASHES ('No match for FieldRef') whenever one
-    side delivers zero blocks to a partition — guaranteed for the
-    low-cardinality candidate sides these verify steps produce. The
-    exchange here shuffles the same O(source + requests) rows once,
-    collapses to one task below the small probe, and is empty-safe.
-
-    Keys follow :func:`join_key64` (integers exactly, strings by stable
-    hash); a null key matches nothing. A request key should appear ONCE
-    in ``source`` for 1:1 payload semantics (with duplicate source keys
-    an arbitrary one attaches — fine for membership flags). Source rows
-    without requests emit nothing. ``missing``: "error" raises on a
-    request key absent from source; "null" attaches typed nulls (left
-    semantics)."""
-    req_schema = requests.schema()
-    if req_schema is None:  # Ray keeps no schema for empty blocks
-        return requests
-    req_names = list(req_schema.names)
-    req_types = dict(zip(req_schema.names, req_schema.types))
-    src_schema = source.schema()
-    # an empty source may have no schema: its payload attaches as nulls
-    src_types = (dict(zip(src_schema.names, src_schema.types))
-                 if src_schema is not None else {})
-    out_payload = [(sc, oc) for sc, oc in payload.items()]
-    all_cols = req_names + [oc for _, oc in out_payload]
-
-    def as_carrier(b: pa.Table) -> pa.Table:
-        if b[source_key].null_count:
-            b = b.filter(pc.is_valid(b[source_key]))
-        n = b.num_rows
-        cols = {"__lk_k": pa.array(join_key64(b[source_key], source_key)),
-                "__lk_r": pa.array(np.zeros(n, np.int8))}
-        for c in req_names:
-            cols[c] = pa.nulls(n, req_types[c])
-        for sc, oc in out_payload:
-            cols[oc] = b[sc]
-        return pa.table(cols)
-
-    def as_request(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        # 1 marks a request, 2 a request with a null key (never matched)
-        valid = pc.is_valid(b[req_key]).to_numpy(zero_copy_only=False)
-        cols = {"__lk_k": pa.array(join_key64(b[req_key], req_key)),
-                "__lk_r": pa.array(np.where(valid, 1, 2).astype(np.int8))}
-        for c in req_names:
-            cols[c] = b[c]
-        for sc, oc in out_payload:
-            cols[oc] = pa.nulls(n, src_types.get(sc, pa.null()))
-        return pa.table(cols)
-
-    rows = (source.map_batches(as_carrier, batch_format="pyarrow")
-            .union(requests.map_batches(as_request,
-                                        batch_format="pyarrow")))
-
-    def attach(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["__lk_k"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        r = np.asarray(g["__lk_r"].to_numpy(zero_copy_only=False),
-                       dtype=np.int8)
-        order = np.lexsort((r, k))  # carriers (0) first per key segment
-        ks, rs = k[order], r[order]
-        g2 = g.take(pa.array(order, pa.int64()))
-        seg_start = np.ones(len(ks), dtype=bool)
-        seg_start[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(seg_start)[0]
-        req_mask = rs != 0
-        seg_id = np.cumsum(seg_start) - 1
-        carrier_of = starts[seg_id]
-        has_carrier = (rs[starts] == 0)[seg_id]
-        req_idx = np.nonzero(req_mask)[0]
-        car_idx = carrier_of[req_mask]
-        car_ok = has_carrier[req_mask] & (rs[req_mask] == 1)
-        if missing == "error" and not car_ok.all():
-            raise ValueError(
-                "lookup-join request key(s) "
-                f"{np.unique(ks[req_idx[~car_ok]])[:5].tolist()} "
-                "have no source row")
-        out = {c: g2[c].take(pa.array(req_idx, pa.int64()))
-               for c in req_names}
-        idx = (pa.array(car_idx, pa.int64()) if car_ok.all()
-               else pa.array(car_idx, pa.int64(), mask=~car_ok))
-        for _, oc in out_payload:
-            out[oc] = g2[oc].take(idx)
-        return pa.table(out).select(all_cols)
-
-    # size_hint_bytes: the exchange is O(source + requests) — when the
-    # source side is corpus-sized (e.g. verify joins attaching document
-    # text), pass the caller's hint so the union streams instead of
-    # materializing for the plan probe
-    return bucket_exchange(rows, "__lk_k", attach,
-                           size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +112,6 @@ def exact_dedup(ds: Dataset, text_col: str, id_col: str,
     promised order. ``size_hint_bytes`` (~16 B x rows): pass at real
     scale so the hash stream is never materialized for the plan probe.
     """
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     def to_hash(b: pa.Table) -> pa.Table:
         h = stable_hash64_array(b[text_col]).astype(np.int64)
         return pa.table({
@@ -446,9 +155,9 @@ def fingerprint_dup_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": ids[ia], "d2": ids[ib]})
 
     # co-locate each fingerprint, emit inside
-    return bucket_exchange(ds.map_batches(to_fp, batch_format="pyarrow"),
-                           "fingerprint", pairs_of,
-                           size_hint_bytes=size_hint_bytes)
+    return exchange.bucket_exchange(
+        ds.map_batches(to_fp, batch_format="pyarrow"), "fingerprint",
+        pairs_of, size_hint_bytes=size_hint_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +244,7 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
     gram_stream = ds.map_batches(
         lambda b: _doc_grams(b, text_col, id_col, k),
         batch_format="pyarrow")
-    grams, small, probed_bytes = _probe_small(
+    grams, small, probed_bytes = exchange._probe_small(
         gram_stream, size_hint_bytes=size_hint_bytes)
 
     def emit_pairs(b: pa.Table, cap: int | None) -> pa.Table:
@@ -571,13 +280,13 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
                       .select(pair_keys + ["count_all"]))
             return finalize(counts.rename_columns(pair_keys + ["shared"]))
 
-        return _one_task(grams, all_pairs)
+        return exchange._one_task(grams, all_pairs)
 
     # bucket_exchange on the gram runs the Python hook once per coarse
     # bucket, NOT once per distinct gram (millions)
-    marked = bucket_exchange(grams, "gram",
-                             lambda g: emit_pairs(g, max_posting),
-                             size_hint_bytes=probed_bytes)
+    marked = exchange.bucket_exchange(grams, "gram",
+                                      lambda g: emit_pairs(g, max_posting),
+                                      size_hint_bytes=probed_bytes)
 
     if max_posting is not None:
         marked = marked.materialize()  # consumed twice (hot split)
@@ -601,8 +310,6 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
 
     # both doc sizes ride each pair row, so |∩|/|∪| finalizes straight
     # off the (d1, d2) count — no sizes join, no join-skew surface
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     pair_counts = grouped_aggregate(
         pair_rows, pair_keys, [("d1", "count_rows", "shared")],
         size_hint_bytes=probed_bytes)
@@ -611,14 +318,12 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         # drop hot×hot pairs from the counting path (their shared-count
         # may be missing capped grams); pairs with <= 1 hot member are
         # complete — see docstring
-        from batch_geocode_ray.stages.joins import equi_join
-
-        d1_cold = equi_join(pair_counts, hot_ids, "d1", "anti",
-                            right_key="_hot_id")
-        d1_hot = equi_join(pair_counts, hot_ids, "d1", "semi",
-                           right_key="_hot_id")
-        d2_cold = equi_join(d1_hot, hot_ids, "d2", "anti",
-                            right_key="_hot_id")
+        d1_cold = joins.equi_join(pair_counts, hot_ids, "d1", "anti",
+                                  right_key="_hot_id")
+        d1_hot = joins.equi_join(pair_counts, hot_ids, "d1", "semi",
+                                 right_key="_hot_id")
+        d2_cold = joins.equi_join(d1_hot, hot_ids, "d2", "anti",
+                                  right_key="_hot_id")
         pair_counts = d1_cold.union(d2_cold)
 
     counted = pair_counts.map_batches(finalize, batch_format="pyarrow")
@@ -626,8 +331,8 @@ def ngram_jaccard_pairs(ds: Dataset, text_col: str, id_col: str,
         return counted
 
     # escalation: hot×hot pairs via MinHash LSH + exact trigram verify
-    hot_docs = equi_join(ds.select_columns([id_col, text_col]), hot_ids,
-                         id_col, "semi", right_key="_hot_id")
+    hot_docs = joins.equi_join(ds.select_columns([id_col, text_col]),
+                               hot_ids, id_col, "semi", right_key="_hot_id")
     escalated = minhash_lsh_pairs(hot_docs, text_col, id_col, k=k,
                                   threshold=threshold)
     return counted.union(escalated)
@@ -697,11 +402,10 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
       vectorized ``searchsorted`` membership test. ZERO shuffles; the
       train side is one map pass, exactly like :func:`bloom_anti_join`
       but with an exact membership set and per-doc hit counts.
-    * **distributed** (eval side too big to broadcast): one
-      :func:`bucket_exchange` keyed on the gram hash — eval gram rows
-      ride as carriers, train gram rows as requests; a bucket marks the
-      train rows whose gram segment contains an eval row, then a
-      per-doc sum over the (id, bucket-partial) table finalizes. The
+    * **distributed** (eval side too big to broadcast): the train
+      gram rows semi-join the eval grams on the gram hash
+      (``joins.equi_join``, whose exchange plan is one bucket
+      exchange), then a per-doc count of the hit rows finalizes. The
       per-doc gram totals ride each row (same trick as
       :func:`_doc_grams`' ``n``), so no sizes join.
 
@@ -719,7 +423,7 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     eval_grams = eval_ds.map_batches(
         lambda b: _doc_grams(b, text_col, id_col, k),
         batch_format="pyarrow")
-    eval_m, eval_small, eval_bytes = _probe_small(
+    eval_m, eval_small, eval_bytes = exchange._probe_small(
         eval_grams, size_hint_bytes=eval_size_hint_bytes)
 
     if eval_small:
@@ -734,81 +438,23 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
              "text_col": text_col, "k": k},
             batch_format="pyarrow")
 
-    # ---- distributed plan: bucket exchange on the gram hash ----------
-    # (block-split-safe: the per-doc finalize below AGGREGATES partial
+    # ---- distributed plan: semi-join on the gram hash ---------------
+    # (block-split-safe: the per-doc finalize below AGGREGATES the hit
     # rows, unlike the broadcast plan's in-UDF contiguity)
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     train_grams = train.map_batches(
         lambda b: _doc_grams(b, text_col, id_col, k),
         batch_format="pyarrow")
-
-    def as_eval(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "gram": b["gram"],
-            "__side": pa.array(np.zeros(b.num_rows, np.int8)),
-            id_col: pa.nulls(b.num_rows, pa.int64()),
-            "n": pa.nulls(b.num_rows, pa.int64()),
-        })
-
-    def as_train(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "gram": b["gram"],
-            "__side": pa.array(np.ones(b.num_rows, np.int8)),
-            id_col: b[id_col],
-            "n": b["n"],
-        })
-
-    rows = (eval_m.map_batches(as_eval, batch_format="pyarrow")
-            .union(train_grams.map_batches(as_train,
-                                           batch_format="pyarrow")))
-
-    def hits_in_bucket(group: pa.Table) -> pa.Table:
-        g = np.asarray(group["gram"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        side = np.asarray(group["__side"].to_numpy(zero_copy_only=False),
-                          dtype=np.int8)
-        ids = np.asarray(group[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        ns = np.asarray(group["n"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        order = np.lexsort((side, g))  # eval rows (0) first per segment
-        g, side, ids, ns = g[order], side[order], ids[order], ns[order]
-        seg_start = np.ones(len(g), dtype=bool)
-        seg_start[1:] = g[1:] != g[:-1]
-        seg_id = np.cumsum(seg_start) - 1
-        starts = np.nonzero(seg_start)[0]
-        seg_has_eval = side[starts] == 0  # sorted: eval leads its segment
-        hit = seg_has_eval[seg_id] & (side == 1)
-        if not hit.any():
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "_part": pa.array([], pa.int64()),
-                             "n_grams": pa.array([], pa.int64())})
-        hids, hns = ids[hit], ns[hit]
-        ho = np.argsort(hids, kind="stable")
-        hids, hns = hids[ho], hns[ho]
-        uid_start = np.ones(len(hids), dtype=bool)
-        uid_start[1:] = hids[1:] != hids[:-1]
-        ustarts = np.nonzero(uid_start)[0]
-        cnt = np.diff(np.concatenate([ustarts, [len(hids)]]))
-        return pa.table({
-            id_col: pa.array(hids[ustarts], pa.int64()),
-            "_part": pa.array(cnt, pa.int64()),
-            "n_grams": pa.array(hns[ustarts], pa.int64()),
-        })
-
-    # exchange size ~ eval grams + train grams (24 B/row each)
-    hint = None
-    if size_hint_bytes is not None:
-        hint = int(size_hint_bytes) + int(eval_bytes or 0)
-    partials = bucket_exchange(rows, "gram", hits_in_bucket,
-                               size_hint_bytes=hint)
-    # a doc's grams hash into many buckets -> sum the bucket partials;
+    # the exchange carries eval grams + train grams (24 B/row each)
+    hint = (None if size_hint_bytes is None
+            else int(size_hint_bytes) + int(eval_bytes))
+    hits = joins.equi_join(train_grams, eval_m, "gram", "semi",
+                           size_hint_bytes=hint or eval_bytes)
+    # a doc's grams hash into many buckets -> count its hit grams;
     # grouping key is the doc id (bounded by #contaminated docs);
-    # n_grams is constant per doc, so "max" just carries it through
+    # n is constant per doc, so "max" just carries it through
     return grouped_aggregate(
-        partials, [id_col],
-        [("_part", "sum", "n_hit_grams"), ("n_grams", "max", "n_grams")],
+        hits, [id_col],
+        [(id_col, "count_rows", "n_hit_grams"), ("n", "max", "n_grams")],
         size_hint_bytes=hint)
 
 
@@ -864,23 +510,53 @@ class MinHashSignatures:
         return pa.table(cols)
 
 
-def _gram_arrays(text_col, k: int) -> list[np.ndarray]:
-    """Per-row array of DISTINCT k-token-gram rolling hashes (the same
-    hashes the inverted-index join shuffles), for exact Jaccard
-    verification of candidate pairs; rows with fewer than k tokens get
-    an empty array."""
-    n = len(text_col)
-    if not n:
-        return []
+def _gram_arrays(text_col, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """DISTINCT k-token-gram rolling hashes of every row (the same
+    hashes the inverted-index join shuffles), flat and sorted by (row,
+    hash), with each gram's row, for exact Jaccard verification of
+    candidate pairs; rows with fewer than k tokens have none."""
     flat, parents = flat_tokens(text_col)
-    gram, par = shingle_hashes_batch(stable_hash64_array(flat), parents, k)
-    return np.split(gram, np.searchsorted(par, np.arange(1, n)))
+    return shingle_hashes_batch(stable_hash64_array(flat), parents, k)
 
 
-def _pair_jaccard(g1: np.ndarray, g2: np.ndarray) -> float:
-    inter = np.intersect1d(g1, g2).size
-    union = len(np.unique(g1)) + len(np.unique(g2)) - inter
-    return inter / union if union else 0.0
+def _pair_jaccard(gram: np.ndarray, row: np.ndarray, i: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+    """Exact Jaccard of the gram sets of rows ``i[p]`` and ``j[p]`` for
+    every pair p, from :func:`_gram_arrays`' flat ``(gram, row)``; a
+    pair of two gram-less rows scores 0.0.
+
+    No call per pair: grams rank densely, so ``row * n_ranks + rank`` is
+    one sorted int64 key; each pair's smaller row's grams are looked up
+    in the larger row's keys by ``searchsorted`` and the hits counted
+    per pair by ``bincount``. A slice of pairs probes at most
+    ``SLICE_BYTES // 8`` grams (a larger pair is a slice of its own),
+    so the probe arrays stay cache-sized for any clique."""
+    uniq, rank = np.unique(gram, return_inverse=True)
+    key = row * len(uniq) + rank
+    size = np.bincount(row, minlength=max(i.max(initial=-1),
+                                          j.max(initial=-1)) + 1)
+    start = np.cumsum(size) - size
+    small = np.where(size[i] <= size[j], i, j)
+    big = i + j - small
+    n = size[small]
+    cum = np.cumsum(n)
+    inter = np.zeros(len(i), np.int64)
+    lo = 0
+    while lo < len(i):
+        done = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, done + SLICE_BYTES // 8,
+                                             side="right")))
+        m = n[lo:hi]
+        pair = np.repeat(np.arange(hi - lo), m)
+        pos = (np.repeat(start[small[lo:hi]] - (np.cumsum(m) - m), m)
+               + np.arange(len(pair)))
+        probe = big[lo:hi][pair] * len(uniq) + rank[pos]
+        at = np.minimum(np.searchsorted(key, probe), len(key) - 1)
+        inter[lo:hi] = np.bincount(pair[key[at] == probe],
+                                   minlength=hi - lo)
+        lo = hi
+    union = size[i] + size[j] - inter
+    return np.divide(inter, union, out=np.zeros(len(i)), where=union > 0)
 
 
 def lsh_banding_for_threshold(threshold: float) -> tuple[int, int]:
@@ -937,7 +613,7 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
     """
     bands, rows_per_band = lsh_banding_for_threshold(threshold)
     streaming = (size_hint_bytes is not None
-                 and size_hint_bytes >= SMALL_COLLAPSE_BYTES)
+                 and size_hint_bytes >= exchange.SMALL_COLLAPSE_BYTES)
     sig_stream = stateful_map_batches(
         ds, MinHashSignatures,
         {"text_col": text_col, "id_col": id_col, "k": k,
@@ -945,7 +621,7 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
          # exchange never carries the corpus text
          "include_text": not streaming},
         batch_format="pyarrow")
-    sigs, small, probed_bytes = _probe_small(
+    sigs, small, probed_bytes = exchange._probe_small(
         sig_stream, size_hint_bytes=size_hint_bytes)
 
     def _empty() -> pa.Table:
@@ -991,9 +667,8 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
         _, first, doc = np.unique(np.concatenate([d1, d2]),
                                   return_index=True, return_inverse=True)
         texts = pa.chunked_array(b["_t1"].chunks + b["_t2"].chunks)
-        grams = _gram_arrays(texts.take(pa.array(first)), k)
-        vals = np.array([_pair_jaccard(grams[i], grams[j]) for i, j
-                         in zip(doc[:len(d1)], doc[len(d1):])], dtype=np.float64)
+        vals = _pair_jaccard(*_gram_arrays(texts.take(pa.array(first)), k),
+                             doc[:len(d1)], doc[len(d1):])
         keep = vals >= threshold
         return pa.table({"d1": d1[keep], "d2": d2[keep], "jaccard": vals[keep]})
 
@@ -1011,20 +686,19 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
                 cand = cand.append_column(t, b[text_col].take(pa.array(row)))
             return verify_tri(cand)
 
-        return _one_task(sigs, lsh_one)
+        return exchange._one_task(sigs, lsh_one)
 
     # exchange rows = bands x docs; sigs bytes upper-bound the per-doc
     # row width, so the probed size over- rather than under-buckets
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     cand = grouped_aggregate(  # distinct pairs
-        bucket_exchange(sigs.map_batches(band_keys, batch_format="pyarrow"),
-                        "bkey", emit_pairs, size_hint_bytes=probed_bytes),
+        exchange.bucket_exchange(
+            sigs.map_batches(band_keys, batch_format="pyarrow"), "bkey",
+            emit_pairs, size_hint_bytes=probed_bytes),
         ["d1", "d2"], [], size_hint_bytes=probed_bytes)
 
     # exact-verify: attach each candidate side's doc text via the
     # bucket-exchange lookup join (Ray's hash join crashes on the
-    # low-cardinality candidate side — see _bucket_lookup_join),
+    # low-cardinality candidate side — see joins._bucket_lookup_join),
     # recompute the true k-gram Jaccard per pair — exact output
     # semantics. Streaming plan re-reads ds (pruned) for texts;
     # the probed plan reuses the already-materialized sigs table.
@@ -1034,12 +708,12 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
         lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),
         batch_format="pyarrow")
     join_hint = size_hint_bytes if streaming else None
-    joined = _bucket_lookup_join(cand, "d1", texts, id_col,
-                                 {"_t": "_t1"},
-                                 size_hint_bytes=join_hint)
-    joined = _bucket_lookup_join(joined, "d2", texts, id_col,
-                                 {"_t": "_t2"},
-                                 size_hint_bytes=join_hint)
+    joined = joins._bucket_lookup_join(cand, "d1", texts, id_col,
+                                       {"_t": "_t1"},
+                                       size_hint_bytes=join_hint)
+    joined = joins._bucket_lookup_join(joined, "d2", texts, id_col,
+                                       {"_t": "_t2"},
+                                       size_hint_bytes=join_hint)
 
     return joined.map_batches(verify_tri, batch_format="pyarrow")
 
@@ -1086,13 +760,11 @@ def simhash_pairs(ds: Dataset, text_col: str, id_col: str,
         return pa.table({"d1": ids[ia][keep], "d2": ids[ib][keep],
                          "hamming": hd[keep]})
 
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     # 4 banded copies of each (id, simhash) row ride the exchange; a
     # pair sharing several clean blocks surfaces once per block
     banded = (ds.map_batches(to_simhash, batch_format="pyarrow")
               .map_batches(band_rows, batch_format="pyarrow"))
-    pairs = bucket_exchange(
+    pairs = exchange.bucket_exchange(
         banded, "bkey", emit_pairs_bucket,
         size_hint_bytes=None if size_hint_bytes is None
         else 4 * size_hint_bytes)
@@ -1214,9 +886,7 @@ def edit_distance_pairs(ds: Dataset, text_col: str, id_col: str,
             dtype=bool)
         return pa.table({"d1": ids[ia][ok], "d2": ids[ib][ok]})
 
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
-    pairs = bucket_exchange(
+    pairs = exchange.bucket_exchange(
         ds.map_batches(emit_variants, batch_format="pyarrow"), "vkey",
         pairs_in_bucket, size_hint_bytes=size_hint_bytes)
     # the same pair can verify in several buckets -> global distinct

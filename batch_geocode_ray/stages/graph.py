@@ -12,14 +12,13 @@ training-data scope.
 Two physical plans behind one API (the repo-wide adaptive pattern):
 
 * **collapsed** — when the edge list measures small
-  (``dedup.SMALL_COLLAPSE_BYTES`` probe), one task runs a fully
+  (``exchange.SMALL_COLLAPSE_BYTES`` probe), one task runs a fully
   vectorized NumPy min-label fixpoint (no Python loop over edges).
 * **distributed** — hash-to-min label propagation with pointer
-  jumping, expressed as a coarse-bucket ``groupby(_bucket).map_groups``
-  + vectorized-segment exchange (not a label-keyed self-join, which
-  concentrates skew on the big components' labels). It hashes keys with
-  ``dedup.key_hash64`` like ``dedup.bucket_exchange`` does, but stays
-  hand-built for the hot-key salting below. Each round
+  jumping, expressed as one ``exchange.bucket_exchange`` keyed on
+  (key, ``_salt``) + a vectorized-segment group fn (not a label-keyed
+  self-join, which concentrates skew on the big components' labels).
+  Each round
   is exactly TWO all-to-alls — one bucket shuffle that answers every
   "label of key k?" request (neighbor offers AND pointer jumps in the
   same exchange), and one partial-combining min-aggregate — shuffling
@@ -33,10 +32,12 @@ requests on the root's segment (the classic CC hot spot). Mitigated by
 **hot-key salting**: on large graphs each round first counts requests
 per key (per-batch combined partials -> one small aggregate, skew-free
 by construction), and any key with more than ``HOT_REQ_CAP`` requests
-has its requests salted across ``ceil(count / HOT_REQ_CAP)``
-sub-buckets with the label carrier REPLICATED into each — per-segment
-residency is bounded by the cap regardless of component size, at the
-cost of duplicating a handful of 24-byte carrier rows. (The
+has its requests spread by requester id over ``ceil(count /
+HOT_REQ_CAP)`` values of the ``_salt`` column (0 for every other row)
+with the label carrier REPLICATED once per salt — each (key, salt)
+cell hashes to its own bucket, so per-segment residency is bounded by
+the cap regardless of component size, at the cost of duplicating a
+handful of 24-byte carrier rows. (The
 large-star/small-star alternation is the textbook alternative; carrier
 replication preserves this file's 2-exchange round unchanged.)
 """
@@ -50,7 +51,14 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import _one_task, _probe_small, key_hash64
+from batch_geocode_ray.functions.hashing import splitmix64
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
+from batch_geocode_ray.stages.exchange import (
+    _one_task,
+    _probe_small,
+    bucket_exchange,
+)
+from batch_geocode_ray.stages.joins import equi_join
 from batch_geocode_ray.stages.stateful import gather
 
 _MAX_ROUNDS = 40  # pointer jumping ⇒ ≥ 2^40 node chains before this binds
@@ -158,8 +166,6 @@ def _hot_request_keys(reqs: Dataset, cap: int):
     even when one key owns every request. The driver-side collect is
     bounded by total_requests / cap entries (a few thousand at 100 TB
     with the default 1M cap)."""
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     def partial(b: pa.Table) -> pa.Table:
         k = np.asarray(b["key"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
@@ -184,56 +190,34 @@ def _hot_request_keys(reqs: Dataset, cap: int):
 
 
 def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
-    from batch_geocode_ray.functions.hashing import splitmix64
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     sym = edges.map_batches(
         lambda b: _sym(b, a_col, b_col), batch_format="pyarrow").materialize()
-    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
+    sym_bytes = sym.size_bytes() or 0
 
-    # custom exchange, not bucket_exchange: hot keys salt across buckets
-    n_buckets = np.uint64(adaptive_bucket_count(sym.size_bytes() or 0))
-
-    def bucket(b: pa.Table) -> pa.Table:
-        return b.append_column("_bucket", pa.array(
-            (key_hash64(b["key"], "key") % n_buckets).astype(np.int64)))
-
-    def bucket_salted(b: pa.Table, *, hot) -> pa.Table:
-        """Bucket assignment with hot keys fanned across sub-buckets:
-        request rows salt by requester id; hot label carriers replicate
-        into every sub-bucket so each (key, salt) cell is self-contained
-        for ``_propagate_bucket`` (duplicate carriers are harmless —
+    def add_salt(b: pa.Table, *, hot) -> pa.Table:
+        """Each row's ``_salt``: 0, except that a hot key's requests
+        salt by requester id and its label carriers replicate once per
+        salt, so each (key, salt) cell is self-contained for
+        ``_propagate_bucket`` (duplicate carriers are harmless —
         identical (key, lab) rows)."""
+        if hot is None:
+            return b.append_column(
+                "_salt", pa.array(np.zeros(b.num_rows, np.int64)))
         hk, hs = hot  # sorted hot keys, splits per key
         k = np.asarray(b["key"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
-        kh = key_hash64(b["key"], "key")
         q = np.asarray(b["q"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         pos = np.minimum(np.searchsorted(hk, k), len(hk) - 1)
         s_k = np.where(hk[pos] == k, hs[pos], 1)
-        salt = np.zeros(len(k), np.uint64)
-        req = q >= 0
-        salt[req] = (splitmix64(q[req].astype(np.uint64))
-                     % s_k[req].astype(np.uint64))
-
-        def cell(rows: np.ndarray, ss: np.ndarray) -> pa.Array:
-            return pa.array(((kh[rows] + ss) % n_buckets).astype(np.int64))
-
-        car_hot = (q == -1) & (s_k > 1)
-        keep = ~car_hot
-        base = b.filter(pa.array(keep)).append_column(
-            "_bucket", cell(keep, salt[keep]))
-        if not car_hot.any():
-            return base
-        reps = s_k[car_hot].astype(np.int64)
-        idx = np.repeat(np.nonzero(car_hot)[0], reps)
-        # per-carrier 0..reps-1 salt ramp, fully vectorized
-        ar = (np.arange(len(idx))
-              - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.uint64)
-        extra = b.take(pa.array(idx, pa.int64())).append_column(
-            "_bucket", cell(idx, ar))
-        return pa.concat_tables([base, extra])
+        reps = np.where(q == -1, s_k, 1)
+        idx = np.repeat(np.arange(len(k)), reps)
+        # per-row 0..reps-1 ramp: a carrier copy's salt
+        ramp = np.arange(len(idx)) - np.repeat(np.cumsum(reps) - reps, reps)
+        req_salt = (splitmix64(q[idx].astype(np.uint64))
+                    % s_k[idx].astype(np.uint64)).astype(np.int64)
+        return b.take(pa.array(idx, pa.int64())).append_column(
+            "_salt", pa.array(np.where(q[idx] >= 0, req_salt, ramp)))
 
     def min_by_node(ds: Dataset) -> Dataset:
         return grouped_aggregate(ds, ["node"],
@@ -283,14 +267,10 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         rows = carriers.union(edge_reqs).union(jump_reqs)
         hot = (_hot_request_keys(edge_reqs.union(jump_reqs), HOT_REQ_CAP)
                if detect_hot else None)
-        if hot is None:
-            bucketed = rows.map_batches(bucket, batch_format="pyarrow")
-        else:
-            bucketed = rows.map_batches(
-                bucket_salted, batch_format="pyarrow",
-                fn_kwargs={"hot": hot})
-        cands = (bucketed.groupby("_bucket")
-                 .map_groups(_propagate_bucket, batch_format="pyarrow"))
+        salted = rows.map_batches(add_salt, batch_format="pyarrow",
+                                  fn_kwargs={"hot": hot})
+        cands = bucket_exchange(salted, ["key", "_salt"], _propagate_bucket,
+                                size_hint_bytes=sym_bytes)
         labels = bounded(min_by_node(labels.union(cands)))
         s = labels.sum("label")
         if s == prev_sum:  # labels only decrease ⇒ fixpoint
@@ -311,8 +291,6 @@ def label_all_nodes(nodes: Dataset, node_col: str,
     so the label table broadcasts when small and goes through the bucket
     exchange when not (pass ``size_hint_bytes`` ~16 B x labeled nodes to
     skip the probe)."""
-    from batch_geocode_ray.stages.joins import equi_join
-
     out = equi_join(nodes, labels, node_col, "left", ["label"],
                     right_key="node", size_hint_bytes=size_hint_bytes)
 

@@ -8,16 +8,17 @@ fits in memory, ``ray.put`` it once and probe it inside ``map_batches``
 anti) has exactly two plans:
 
 * **broadcast** — the right side measures below
-  ``dedup.SMALL_COLLAPSE_BYTES``: it is gathered into one table and
+  ``exchange.SMALL_COLLAPSE_BYTES``: it is gathered into one table and
   probed by :func:`broadcast_join`, the entry point for a right side
   that is already a ``pa.Table``;
-* **exchange** — otherwise: ``dedup._bucket_lookup_join`` co-locates
-  both sides' keys in one bucket exchange.
+* **exchange** — otherwise: :func:`_bucket_lookup_join` co-locates
+  both sides' keys in one ``exchange.bucket_exchange``; MinHash
+  verify attaches each candidate's text with it too.
 
 There is no Ray ``Dataset.join``: its hash-shuffle partitions crash
 when one side delivers them no blocks, as an empty or low-cardinality
 side does. Keys are integers (matched exactly) or strings (matched by
-stable int64 hash) on both plans, through ``dedup.join_key64``; the
+stable int64 hash) on both plans, through :func:`join_key64`; the
 broadcast lookup is a sorted int64 array probed by ``np.searchsorted``.
 A null key matches nothing on either plan, as in SQL: inner and semi
 drop its row, left keeps it with null values, anti keeps it.
@@ -32,15 +33,31 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from batch_geocode_ray.stages.dedup import (
-    _bucket_lookup_join,
+from batch_geocode_ray.functions.hashing import splitmix64, stable_hash64_array
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
+from batch_geocode_ray.stages.exchange import (
     _one_task,
     _probe_small,
-    join_key64,
+    bucket_exchange,
 )
 from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
 
 _HOW = ("inner", "left", "semi", "anti")
+
+
+def join_key64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
+    """Equi-join key column ``name`` as int64: integers as themselves,
+    strings by their stable 64-bit hash (a ~2^-64 per-pair false
+    match). Other types raise ``TypeError`` naming the column. A null
+    gets an arbitrary value: callers mask null keys out."""
+    t = col.type
+    if pa.types.is_integer(t):
+        return np.asarray(col.fill_null(0).to_numpy(zero_copy_only=False),
+                          dtype=np.int64)
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return stable_hash64_array(col).view(np.int64)
+    raise TypeError(f"join key column {name!r} has type {t}; expected an "
+                    "integer or string column")
 
 
 class _Lookup:
@@ -116,7 +133,7 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
       ``right`` and add no columns (right keys may repeat).
 
     The right side's size picks the plan (module doc): measured by
-    ``dedup._probe_small``, or said by ``size_hint_bytes`` — at or
+    ``exchange._probe_small``, or said by ``size_hint_bytes`` — at or
     above the collapse threshold the right side is never materialized
     and the exchange streams. The key type is checked
     before the plan runs, so a bad key fails at any size. An empty
@@ -160,6 +177,113 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
         return b.drop_columns([hit])
 
     return marked.map_batches(finish, batch_format="pyarrow")
+
+
+# ---------------------------------------------------------------------------
+# bucket-exchange lookup join
+# ---------------------------------------------------------------------------
+
+def _bucket_lookup_join(requests: Dataset, req_key: str,
+                        source: Dataset, source_key: str,
+                        payload: dict[str, str],
+                        missing: str = "error",
+                        size_hint_bytes: int | None = None) -> Dataset:
+    """Attach ``payload`` columns (``{source_col: out_col}``) from
+    ``source`` onto every ``requests`` row whose ``req_key`` equals the
+    source row's ``source_key`` — an equi-join expressed as one
+    :func:`bucket_exchange` on the key instead of ``Dataset.join``.
+
+    Why not the native join: Ray 2.49's hash-shuffle join feeds acero
+    per partition and CRASHES ('No match for FieldRef') whenever one
+    side delivers zero blocks to a partition — guaranteed for the
+    low-cardinality candidate sides these verify steps produce. The
+    exchange here shuffles the same O(source + requests) rows once,
+    collapses to one task below the small probe, and is empty-safe.
+
+    Keys follow :func:`join_key64` (integers exactly, strings by stable
+    hash); a null key matches nothing. A request key should appear ONCE
+    in ``source`` for 1:1 payload semantics (with duplicate source keys
+    an arbitrary one attaches — fine for membership flags). Source rows
+    without requests emit nothing. ``missing``: "error" raises on a
+    request key absent from source; "null" attaches typed nulls (left
+    semantics)."""
+    req_schema = requests.schema()
+    if req_schema is None:  # Ray keeps no schema for empty blocks
+        return requests
+    req_names = list(req_schema.names)
+    req_types = dict(zip(req_schema.names, req_schema.types))
+    src_schema = source.schema()
+    # an empty source may have no schema: its payload attaches as nulls
+    src_types = (dict(zip(src_schema.names, src_schema.types))
+                 if src_schema is not None else {})
+    out_payload = [(sc, oc) for sc, oc in payload.items()]
+    all_cols = req_names + [oc for _, oc in out_payload]
+
+    def as_carrier(b: pa.Table) -> pa.Table:
+        if b[source_key].null_count:
+            b = b.filter(pc.is_valid(b[source_key]))
+        n = b.num_rows
+        cols = {"__lk_k": pa.array(join_key64(b[source_key], source_key)),
+                "__lk_r": pa.array(np.zeros(n, np.int8))}
+        for c in req_names:
+            cols[c] = pa.nulls(n, req_types[c])
+        for sc, oc in out_payload:
+            cols[oc] = b[sc]
+        return pa.table(cols)
+
+    def as_request(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        # 1 marks a request, 2 a request with a null key (never matched)
+        valid = pc.is_valid(b[req_key]).to_numpy(zero_copy_only=False)
+        cols = {"__lk_k": pa.array(join_key64(b[req_key], req_key)),
+                "__lk_r": pa.array(np.where(valid, 1, 2).astype(np.int8))}
+        for c in req_names:
+            cols[c] = b[c]
+        for sc, oc in out_payload:
+            cols[oc] = pa.nulls(n, src_types.get(sc, pa.null()))
+        return pa.table(cols)
+
+    rows = (source.map_batches(as_carrier, batch_format="pyarrow")
+            .union(requests.map_batches(as_request,
+                                        batch_format="pyarrow")))
+
+    def attach(g: pa.Table) -> pa.Table:
+        k = np.asarray(g["__lk_k"].to_numpy(zero_copy_only=False),
+                       dtype=np.int64)
+        r = np.asarray(g["__lk_r"].to_numpy(zero_copy_only=False),
+                       dtype=np.int8)
+        order = np.lexsort((r, k))  # carriers (0) first per key segment
+        ks, rs = k[order], r[order]
+        g2 = g.take(pa.array(order, pa.int64()))
+        seg_start = np.ones(len(ks), dtype=bool)
+        seg_start[1:] = ks[1:] != ks[:-1]
+        starts = np.nonzero(seg_start)[0]
+        req_mask = rs != 0
+        seg_id = np.cumsum(seg_start) - 1
+        carrier_of = starts[seg_id]
+        has_carrier = (rs[starts] == 0)[seg_id]
+        req_idx = np.nonzero(req_mask)[0]
+        car_idx = carrier_of[req_mask]
+        car_ok = has_carrier[req_mask] & (rs[req_mask] == 1)
+        if missing == "error" and not car_ok.all():
+            raise ValueError(
+                "lookup-join request key(s) "
+                f"{np.unique(ks[req_idx[~car_ok]])[:5].tolist()} "
+                "have no source row")
+        out = {c: g2[c].take(pa.array(req_idx, pa.int64()))
+               for c in req_names}
+        idx = (pa.array(car_idx, pa.int64()) if car_ok.all()
+               else pa.array(car_idx, pa.int64(), mask=~car_ok))
+        for _, oc in out_payload:
+            out[oc] = g2[oc].take(idx)
+        return pa.table(out).select(all_cols)
+
+    # size_hint_bytes: the exchange is O(source + requests) — when the
+    # source side is corpus-sized (e.g. verify joins attaching document
+    # text), pass the caller's hint so the union streams instead of
+    # materializing for the plan probe
+    return bucket_exchange(rows, "__lk_k", attach,
+                           size_hint_bytes=size_hint_bytes)
 
 
 def _int64(col) -> np.ndarray:
@@ -294,8 +418,6 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
     O(intervals x blocks), never O(events). Only intervals with >= 1
     match appear (inner-join semantics).
     """
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     times = _KeyedTimes(small, small_key, small_ts)
     ids = np.asarray(small[small_id].to_numpy(zero_copy_only=False),
                      dtype=np.int64)[times.order]
@@ -337,8 +459,6 @@ def _bloom_positions(vals: np.ndarray, m_bits: int,
                      k_hashes: int) -> np.ndarray:
     """(n, k) bit positions via splitmix64 double hashing (Kirsch-
     Mitzenmacher: pos_i = h1 + i*h2 mod m)."""
-    from batch_geocode_ray.functions.hashing import splitmix64
-
     h1 = splitmix64(vals.astype(np.uint64))
     h2 = splitmix64(h1 ^ np.uint64(0x9E3779B97F4A7C15))
     ks = np.arange(k_hashes, dtype=np.uint64)

@@ -12,7 +12,7 @@ only. Approximate by design; the baseline is the oracle.
 
 Exact near-duplicate pairs (``cosine_neardup_pairs``) and SemDeDup
 (``semantic_dedup``) are keyed self-joins: each runs one
-``dedup.bucket_exchange``, with the normalized vectors riding it as a
+``exchange.bucket_exchange``, with the normalized vectors riding it as a
 fixed_size_list column. No plan here addresses blocks by ref or starts
 a raw Ray task.
 """
@@ -24,8 +24,8 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from batch_geocode_ray.stages import dedup
-from batch_geocode_ray.stages.dedup import (
+from batch_geocode_ray.stages import exchange
+from batch_geocode_ray.stages.exchange import (
     _one_task,
     _probe_small,
     bucket_exchange,
@@ -138,7 +138,7 @@ def _merge_partial_topk(partials: Dataset, k: int,
 
     Large query sets (Q > SHUFFLE_MERGE_QUERIES, e.g. per-doc queries):
     unless the partials measure small enough for that same one task,
-    a :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+    a :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
     query_id merges per coarse bucket in parallel (never one task per
     query — see grouped-aggregate notes), then a distributed sort
     restores the (query_id, rank) order. No single worker ever holds
@@ -187,7 +187,7 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
     fits one task, else ``B = ceil(size / TARGET_BUCKET_BYTES)`` blocks,
     a row's block being ``key_hash64(id) mod B``. Each row is copied
     once per tile ``(min(b, j), max(b, j))``, j = 0..B-1, and
-    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` co-locates
+    :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` co-locates
     each tile. A diagonal tile emits its in-block pairs, an off-diagonal
     tile its cross pairs, so every pair is scored exactly once in
     whatever order the blocks arrive. ``B = 1`` is one diagonal tile,
@@ -205,7 +205,7 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
 
     proj, small, size = _probe_small(
         ds.map_batches(project, batch_format="pyarrow"))
-    n_blocks = 1 if small else max(1, -(-size // dedup.TARGET_BUCKET_BYTES))
+    n_blocks = 1 if small else max(1, -(-size // exchange.TARGET_BUCKET_BYTES))
 
     def to_tiles(b: pa.Table) -> pa.Table:
         blk = (key_hash64(b["_id"], "_id") % np.uint64(n_blocks)).astype(
@@ -238,7 +238,7 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             mb = m[b].T
             # score the tile in chunks of a-rows: one chunk's similarity
             # matrix stays within a bucket's byte budget
-            step = max(1, dedup.TARGET_BUCKET_BYTES // (8 * max(1, len(b))))
+            step = max(1, exchange.TARGET_BUCKET_BYTES // (8 * max(1, len(b))))
             for c0 in range(0, len(a_all), step):
                 a = a_all[c0:c0 + step]
                 sims = m[a] @ mb
@@ -521,7 +521,7 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     O(n^2) pairwise matmul is confined to within-cluster blocks. One
     narrow assign pass appends (cluster, centroid_sim) and the
     NORMALIZED vector as a fixed_size_list column; then ONE
-    :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+    :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
     cluster delivers whole clusters to tasks that lexsort, segment, and
     matmul per cluster. Below the
     small threshold (or under a small ``size_hint_bytes``) the exchange

@@ -15,7 +15,7 @@ is the hashed analogue of that suffix sort:
   each batch reduces its positions to distinct ``(gram_hash, doc,
   n_positions)`` rows before anything moves, so repeated grams within
   a document never widen the exchange;
-* ONE :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+* ONE :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
   the gram hash (size-probed bucket count, small-collapse to a single
   task below the probe) co-locates each gram hash's posting list; cross-document segments
   are found by vectorized lexsort + boundary diff.
@@ -58,7 +58,9 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from batch_geocode_ray.stages.aggregates import grouped_aggregate
-from batch_geocode_ray.stages.dedup import _i64, _run_pairs, bucket_exchange
+from batch_geocode_ray.stages.dedup import _i64, _run_pairs
+from batch_geocode_ray.stages.exchange import bucket_exchange
+from batch_geocode_ray.stages.joins import _bucket_lookup_join, equi_join
 
 # odd bases => invertible mod 2^64, so rolling hashes come from O(n)
 # prefix sums instead of an O(n*L) sliding window. TWO independent
@@ -229,8 +231,6 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
     Output size is the semantic's own: a P-document boilerplate clique
     legitimately contains P(P-1)/2 pairs — see the module docstring for
     why corpus-scale callers want :func:`duplicate_position_counts`."""
-    from batch_geocode_ray.stages.dedup import _bucket_lookup_join
-
     def emit_pairs(g: pa.Table) -> pa.Table:
         doc = _i64(g, "doc")
         ia, ib, _ = _run_pairs((_i64(g, "h"), _i64(g, "h2")), doc)
@@ -385,9 +385,6 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     ``size_hint_bytes``: same meaning as
     :func:`duplicate_span_coverage` (the per-position gram stream,
     ~32 x corpus chars)."""
-    from batch_geocode_ray.stages.dedup import _bucket_lookup_join
-    from batch_geocode_ray.stages.joins import equi_join
-
     dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
                                     size_hint_bytes)
 

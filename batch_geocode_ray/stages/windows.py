@@ -2,11 +2,14 @@
 sessionization and per-group top-k.
 
 Ray Data has no native session windows; ``sessionize`` expresses them
-as: :func:`~batch_geocode_ray.stages.dedup.bucket_exchange` keyed on
+as: :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
 the user (the Python group hook runs once per coarse bucket, not once
 per user) -> vectorized NumPy session assignment over the lexsorted
 (user, ts) arrays inside each bucket. The other per-key windows here
-(moving average, rank, LAG gaps, transitions) share that exchange.
+(moving average, rank, LAG gaps, transitions) share that exchange, and
+so do the two Blelloch scans (``sequence_pack_offsets``,
+``grouped_token_budget_sample``), keyed on a contiguous range bucket of
+the shuffle key.
 Partitioning assumption: one user's events fit in one group's memory
 (true even for pathological users at billions of events/user — then
 pre-split by day).
@@ -25,7 +28,9 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from batch_geocode_ray.functions.hashing import KNUTH_MULT
-from batch_geocode_ray.stages.dedup import (
+from batch_geocode_ray.stages import exchange
+from batch_geocode_ray.stages.aggregates import grouped_aggregate
+from batch_geocode_ray.stages.exchange import (
     _one_task,
     _probe_small,
     bucket_exchange,
@@ -336,8 +341,6 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
     BY. The pair extraction and a per-bucket count both happen inside
     the bucket group fn, so the final exchange carries one row per
     (bucket, from, to) — the transition matrix, not the events."""
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-
     def trans_in_bucket(g: pa.Table) -> pa.Table:
         empty = pa.table({"from_type": pa.array([], pa.string()),
                           "to_type": pa.array([], pa.string()),
@@ -397,16 +400,24 @@ def _shuffle_narrow_tokens(b: pa.Table, id_col: str, text_col: str,
 
 def _range_bucket_fn(nb: int):
     """Bucket the uniform 32-bit shuffle-key space into ``nb``
-    CONTIGUOUS slices (``(key * nb) >> 32``) — contiguity is what lets
-    a per-bucket local scan + broadcast base produce exact global
-    prefix sums."""
-    # not bucket_exchange: a hashed bucket would scatter the key order
+    CONTIGUOUS slices (``(key * nb) >> 32``), as a ``range_bucket``
+    column — contiguity is what lets a local scan + per-range-bucket
+    base produce exact global prefix sums. The exchange keys on the
+    column, so one coarse bucket may hold several range buckets."""
     def add_bucket(b: pa.Table) -> pa.Table:
         key = np.asarray(b["shuffle_key"].to_numpy(zero_copy_only=False),
                          dtype=np.int64).astype(np.uint64)
         bkt = ((key * np.uint64(nb)) >> np.uint64(32)).astype(np.int64)
-        return b.append_column("_bucket", pa.array(bkt, pa.int64()))
+        return b.append_column("range_bucket", pa.array(bkt, pa.int64()))
     return add_bucket
+
+
+def _exclusive_scan(tok: np.ndarray, new_seg: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of ``tok`` restarting at every row where
+    ``new_seg`` is set (row 0 starts a segment)."""
+    cum = np.cumsum(tok) - tok
+    seg = np.flatnonzero(new_seg)
+    return cum - np.repeat(cum[seg], np.diff(np.append(seg, len(tok))))
 
 
 def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
@@ -441,9 +452,10 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
        bucket via :func:`grouped_aggregate`) come back to the driver —
        a bounded ``nb``-row table — where an exclusive scan yields
        per-bucket BASE offsets, which the pass-2 UDF captures;
-    3. one coarse-bucket exchange co-locates each key slice; inside a
-       bucket the rows lexsort by (key, id) and a local cumsum + the
-       bucket base gives exact global offsets.
+    3. one :func:`bucket_exchange` keyed on the range bucket
+       co-locates each key slice; inside a group the rows lexsort by
+       (key, id) and a cumsum restarted per range bucket + that range
+       bucket's base gives exact global offsets.
 
     Below ``SMALL_COLLAPSE_BYTES`` (or without a qualifying
     ``size_hint_bytes``) the whole narrow table sorts and scans in ONE
@@ -459,7 +471,9 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
         return _shuffle_narrow_tokens(b, id_col, text_col,
                                       "sequence_pack_offsets")
 
-    def pack(t: pa.Table, base: int) -> pa.Table:
+    def pack(t: pa.Table, bases: np.ndarray | None = None) -> pa.Table:
+        """Offsets in (key, id) order; with ``bases``, each row's range
+        bucket adds its base (without, the table is one range)."""
         ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         key = np.asarray(t["shuffle_key"].to_numpy(zero_copy_only=False),
@@ -468,7 +482,13 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
                          dtype=np.int64)
         order = np.lexsort((ids, key))
         ids, key, tok = ids[order], key[order], tok[order]
-        start = base + np.cumsum(tok) - tok
+        start = np.cumsum(tok) - tok
+        if bases is not None:
+            # range buckets are contiguous key slices: sorted by key
+            rb = np.asarray(t["range_bucket"].to_numpy(
+                zero_copy_only=False), dtype=np.int64)[order]
+            start = bases[rb] + _exclusive_scan(
+                tok, np.diff(rb, prepend=np.int64(-1)) != 0)
         return pa.table({
             id_col: pa.array(ids, pa.int64()),
             "shuffle_key": pa.array(key, pa.int64()),
@@ -482,40 +502,32 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
     m, small, approx = _probe_small(narrow_ds,
                                     size_hint_bytes=size_hint_bytes)
     if small:
-        return _one_task(m, lambda t: pack(t, 0))
+        return _one_task(m, pack)
 
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
-
-    nb = adaptive_bucket_count(approx)
-
-    add_bucket = _range_bucket_fn(nb)
-
-    bucketed = m.map_batches(add_bucket, batch_format="pyarrow")
+    nb = exchange.adaptive_bucket_count(approx)
+    bucketed = m.map_batches(_range_bucket_fn(nb), batch_format="pyarrow")
 
     # pass 1: per-bucket token totals -> driver exclusive scan (nb rows,
     # bounded: nb grows ~linearly at 32 MB/bucket => ~12 MB of totals
     # even at a 10^12-doc corpus)
     totals = grouped_aggregate(
-        bucketed.select_columns(["_bucket", "n_tokens"]),
-        ["_bucket"], [("n_tokens", "sum", "tok_sum")],
+        bucketed.select_columns(["range_bucket", "n_tokens"]),
+        ["range_bucket"], [("n_tokens", "sum", "tok_sum")],
         size_hint_bytes=size_hint_bytes)
     tb = gather(totals)
     per_bucket = np.zeros(nb, dtype=np.int64)
     if tb.num_rows:
-        per_bucket[np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),
-                              dtype=np.int64)] = \
+        per_bucket[np.asarray(
+            tb["range_bucket"].to_numpy(zero_copy_only=False),
+            dtype=np.int64)] = \
             np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
     bases = np.concatenate([[0], np.cumsum(per_bucket)[:-1]]).astype(np.int64)
 
-    # pass 2: co-locate each contiguous key slice, scan locally
-    def pack_in_bucket(g: pa.Table) -> pa.Table:
-        bkt = int(g["_bucket"][0].as_py())
-        return pack(g.drop_columns(["_bucket"]), int(bases[bkt]))
-
-    return (bucketed.groupby("_bucket")
-            .map_groups(pack_in_bucket, batch_format="pyarrow"))
+    # pass 2: co-locate each contiguous key slice, scan locally (the
+    # size is >= the collapse threshold here, so nothing is probed)
+    return bucket_exchange(bucketed, "range_bucket",
+                           lambda g: pack(g, bases), size_hint_bytes=approx)
 
 
 def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
@@ -537,8 +549,9 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     (id, group, shuffle_key, n_tokens, src_off) — kept rows only.
 
     Same Blelloch-scan plan as :func:`sequence_pack_offsets` with the
-    pass-1 totals keyed on (range-bucket, group) and per-group base
-    offsets broadcast as a dict of arrays. Partitioning assumption:
+    pass-1 totals keyed on (range bucket, group) and per-group base
+    offsets broadcast as a dict of arrays; the scan restarts per
+    (group, range bucket). Partitioning assumption:
     GROUP CARDINALITY IS BOUNDED (mixture sources/domains, ~10^0-10^4)
     — the driver-side totals table is nb x n_groups rows; a
     high-cardinality group key (per-url) needs a different plan (it
@@ -549,10 +562,10 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
                                       "grouped_token_budget_sample",
                                       group_col=group_col)
 
-    def scan(t: pa.Table, base_for) -> pa.Table:
-        """Per-group exclusive scan in (key, id) order + budget filter.
-        ``base_for(group_name) -> int`` supplies this slice's per-group
-        base offset."""
+    def scan(t: pa.Table, bases: dict | None = None) -> pa.Table:
+        """Per-group exclusive scan in (key, id) order + budget filter;
+        with ``bases``, each (group, range bucket) segment starts at
+        ``bases[group][range_bucket]`` (without, at 0)."""
         ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         key = np.asarray(t["shuffle_key"].to_numpy(zero_copy_only=False),
@@ -573,14 +586,19 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
         g = rank[idx]
         order = np.lexsort((ids, key, g))   # group-major, shuffle order
         ids, key, tok, g = ids[order], key[order], tok[order], g[order]
-        cum = np.cumsum(tok)
-        seg = np.flatnonzero(np.diff(g, prepend=np.int64(-1)))
-        seg_base = np.repeat(cum[seg] - tok[seg],
-                             np.diff(np.append(seg, len(g))))
-        bases = np.array([base_for(uniq[c].as_py()) for c in g[seg]],
-                         dtype=np.int64)
-        base_row = np.repeat(bases, np.diff(np.append(seg, len(g))))
-        src_off = base_row + (cum - seg_base) - tok
+        new_seg = np.diff(g, prepend=np.int64(-1)) != 0
+        seg_base = np.zeros(len(g), np.int64)
+        if bases is not None:
+            # range buckets are contiguous key slices: sorted in a group
+            rb = np.asarray(t["range_bucket"].to_numpy(
+                zero_copy_only=False), dtype=np.int64)[order]
+            new_seg |= np.diff(rb, prepend=np.int64(-1)) != 0
+            seg = np.flatnonzero(new_seg)
+            seg_base = np.repeat(
+                np.array([bases[uniq[c].as_py()][r]
+                          for c, r in zip(g[seg], rb[seg])], dtype=np.int64),
+                np.diff(np.append(seg, len(g))))
+        src_off = seg_base + _exclusive_scan(tok, new_seg)
         keep = src_off + tok <= budget_tokens
         return pa.table({
             id_col: pa.array(ids[keep], pa.int64()),
@@ -594,28 +612,22 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     m, small, approx = _probe_small(narrow_ds,
                                     size_hint_bytes=size_hint_bytes)
     if small:
-        return _one_task(m, lambda t: scan(t, lambda _g: 0))
+        return _one_task(m, scan)
 
-    from batch_geocode_ray.stages.aggregates import grouped_aggregate
-    from batch_geocode_ray.stages.dedup import adaptive_bucket_count
-
-    nb = adaptive_bucket_count(approx)
-
-    add_bucket = _range_bucket_fn(nb)
-
-    bucketed = m.map_batches(add_bucket, batch_format="pyarrow")
+    nb = exchange.adaptive_bucket_count(approx)
+    bucketed = m.map_batches(_range_bucket_fn(nb), batch_format="pyarrow")
 
     # pass 1: (bucket, group) token totals -> driver per-group
     # exclusive scan over buckets (nb x n_groups rows, bounded by the
     # group-cardinality assumption above)
     totals = grouped_aggregate(
-        bucketed.select_columns(["_bucket", group_col, "n_tokens"]),
-        ["_bucket", group_col], [("n_tokens", "sum", "tok_sum")],
+        bucketed.select_columns(["range_bucket", group_col, "n_tokens"]),
+        ["range_bucket", group_col], [("n_tokens", "sum", "tok_sum")],
         size_hint_bytes=size_hint_bytes)
     tb = gather(totals)
     per: dict[str, np.ndarray] = {}
     if tb.num_rows:
-        bks = np.asarray(tb["_bucket"].to_numpy(zero_copy_only=False),
+        bks = np.asarray(tb["range_bucket"].to_numpy(zero_copy_only=False),
                          dtype=np.int64)
         ts = np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
                         dtype=np.int64)
@@ -624,10 +636,5 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     bases = {gname: np.concatenate([[0], np.cumsum(v)[:-1]]).astype(np.int64)
              for gname, v in per.items()}
 
-    def scan_in_bucket(g: pa.Table) -> pa.Table:
-        bkt = int(g["_bucket"][0].as_py())
-        return scan(g.drop_columns(["_bucket"]),
-                    lambda gname: int(bases[gname][bkt]))
-
-    return (bucketed.groupby("_bucket")
-            .map_groups(scan_in_bucket, batch_format="pyarrow"))
+    return bucket_exchange(bucketed, "range_bucket",
+                           lambda g: scan(g, bases), size_hint_bytes=approx)

@@ -10,12 +10,17 @@ other:
     part-{pid:05d}/           parquet output of that partition
     part-{pid:05d}.lineage.json   input files, row counts in/out,
                                   attempt count, wall seconds, bytes,
-                                  pipeline fingerprint
+                                  pipeline fingerprint and its parts
 
 Resume = skip every partition whose lineage exists, matches the current
 (input, pipeline) fingerprint, and whose output row count re-verifies.
 A crashed run therefore re-does only unfinished partitions; a changed
 pipeline or input invalidates the fingerprint and re-runs everything.
+The lineage also stores the fingerprint's parts (the tag, and each
+file's path, size, ``mtime_ns`` and footer sha256), so a recomputed
+partition names its cause: ``tag``, ``input:<file>``, ``rows`` (the
+output no longer holds the recorded rows) or ``missing`` (no readable
+lineage or no output).
 
 Each partition is one bounded Dataset execution (fully parallel across
 the cluster internally); partitions run in sequence on the driver. On
@@ -49,14 +54,30 @@ def _footer(path: str) -> bytes:
         return f.read()
 
 
-def _fingerprint(files: list[str], pipeline_tag: str) -> str:
+def _fingerprint(files: list[str], pipeline_tag: str) -> tuple[str, list]:
+    """The partition key's digest, and its per-file parts."""
     h = hashlib.sha256()
     h.update(pipeline_tag.encode())
+    inputs = []
     for f in sorted(files):
         st = os.stat(f)
+        footer = _footer(f)
         h.update(f"{f}\0{st.st_size}\0{st.st_mtime_ns}\0".encode())
-        h.update(_footer(f))
-    return h.hexdigest()[:16]
+        h.update(footer)
+        inputs.append({"path": f, "size": st.st_size,
+                       "mtime_ns": st.st_mtime_ns,
+                       "footer_sha256": hashlib.sha256(footer).hexdigest()})
+    return h.hexdigest()[:16], inputs
+
+
+def _changed_part(lin: dict, pipeline_tag: str, inputs: list) -> str:
+    """The first key part that differs from a lineage record's."""
+    if lin.get("pipeline_tag") != pipeline_tag:
+        return "tag"
+    old = {f["path"]: f for f in lin.get("inputs", [])}
+    new = {f["path"]: f for f in inputs}
+    return next((f"input:{p}" for p in sorted(old.keys() | new.keys())
+                 if old.get(p) != new.get(p)), "tag")
 
 
 def plan_partitions(input_files: list[str], files_per_partition: int) -> list[list[str]]:
@@ -74,6 +95,7 @@ class PartitionResult:
     rows_out: int
     wall_s: float
     attempt: int
+    cause: str | None  # why it was recomputed (module doc); None if skipped
 
 
 def run_resumable(build_fn: Callable[[list[str]], Dataset],
@@ -91,27 +113,31 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
     masquerade as current output; a rewritten input file changes its
     mtime or its parquet footer (a same-size copy that keeps the mtime,
     as ``cp -p`` makes, still has other column statistics) and re-runs
-    its partition.
+    its partition. Each recomputed partition's result names its
+    ``cause`` (module doc).
     """
     os.makedirs(out_dir, exist_ok=True)
     results: list[PartitionResult] = []
     for pid, files in enumerate(plan_partitions(input_files, files_per_partition)):
         part_dir = os.path.join(out_dir, f"part-{pid:05d}")
         lineage_path = os.path.join(out_dir, f"part-{pid:05d}.lineage.json")
-        fp = _fingerprint(files, pipeline_tag)
+        fp, inputs = _fingerprint(files, pipeline_tag)
 
-        prev_attempt = 0
+        prev_attempt, cause = 0, "missing"
         if os.path.exists(lineage_path):
             try:
                 with open(lineage_path) as f:
                     lin = json.load(f)
                 prev_attempt = int(lin.get("attempt", 0))
-                if lin.get("fingerprint") == fp and os.path.isdir(part_dir):
+                if lin.get("fingerprint") != fp:
+                    cause = _changed_part(lin, pipeline_tag, inputs)
+                elif os.path.isdir(part_dir):
                     actual = _count_rows(part_dir)
                     if actual == lin.get("rows_out"):
                         results.append(PartitionResult(
-                            pid, True, actual, 0.0, prev_attempt))
+                            pid, True, actual, 0.0, prev_attempt, None))
                         continue
+                    cause = "rows"
             except (json.JSONDecodeError, OSError):
                 pass  # corrupt lineage -> recompute
 
@@ -138,13 +164,14 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
             "wall_s": round(wall, 3),
             "attempt": prev_attempt + 1,
             "pipeline_tag": pipeline_tag,
+            "inputs": inputs,
         }
         tmp = lineage_path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(lineage, f, indent=1)
         os.replace(tmp, lineage_path)  # atomic: lineage appears only complete
         results.append(PartitionResult(pid, False, rows_out, wall,
-                                       prev_attempt + 1))
+                                       prev_attempt + 1, cause))
     return results
 
 

@@ -72,7 +72,7 @@ def test_grouped_topk_merge_plans_agree(monkeypatch):
     ``SMALL_COLLAPSE_BYTES = 0``) must give identical rows."""
     import ray.data as rd2
 
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.windows import grouped_topk
 
     rng = np.random.RandomState(11)
@@ -88,7 +88,7 @@ def test_grouped_topk_merge_plans_agree(monkeypatch):
             ds, "g", "v", "id", k=3).take_all())
 
     single = run()
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # reach the shuffle
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # reach the shuffle
     shuffle = run()
     assert single == shuffle and len(single) == 40 * 3
 
@@ -100,7 +100,7 @@ def test_sort_adaptive_shuffle_plan_equals_collapsed(monkeypatch):
     import pyarrow as pa
     import ray.data as rd
 
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.pipelines.queries import _sort_adaptive
 
     rng = np.random.RandomState(3)
@@ -108,7 +108,7 @@ def test_sort_adaptive_shuffle_plan_equals_collapsed(monkeypatch):
                   "v": pa.array(rng.rand(500))})
     ds = rd.from_arrow(t).repartition(4)
     want = _sort_adaptive(ds, "k").take_all()
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = _sort_adaptive(ds, "k").take_all()
     assert [r["k"] for r in got] == [r["k"] for r in want] == list(range(500))
 
@@ -148,7 +148,7 @@ def test_cube_aggregate_matches_pandas():
 def _aggregate_both_plans(ds, keys, sort_keys, monkeypatch):
     """grouped_aggregate rows (in output order) collapsed, then with
     the exchange forced distributed (``SMALL_COLLAPSE_BYTES = 0``)."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     specs = [("v", "sum", "sv"), ("v", "count", "nv"),
@@ -158,7 +158,7 @@ def _aggregate_both_plans(ds, keys, sort_keys, monkeypatch):
     for distributed in (False, True):
         with monkeypatch.context() as m:
             if distributed:
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
             out.append([tuple(r.values()) for r in grouped_aggregate(
                 ds, keys, specs, sort_keys=sort_keys).take_all()])
     return out
@@ -229,7 +229,7 @@ def test_sort_adaptive_timestamp_key_with_nulls(monkeypatch):
     some rows twice whenever it sampled a null key, so repeat it."""
     import datetime as dt
 
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.pipelines.queries import _sort_adaptive
 
     rng = np.random.RandomState(5)
@@ -240,7 +240,7 @@ def test_sort_adaptive_timestamp_key_with_nulls(monkeypatch):
     ds = rd.from_arrow(pa.table({
         "ts": pa.array(ts, pa.timestamp("us")),
         "i": pa.array(range(n), pa.int64())})).repartition(6)
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     for _ in range(6):
         got = _sort_adaptive(ds, "ts").take_all()
         assert sorted(r["i"] for r in got) == list(range(n))
@@ -254,7 +254,7 @@ def test_grouped_aggregate_bit_identical_under_block_order(monkeypatch):
     1e16) come out bit-identical whatever order the input blocks, and
     so the partials, arrive in, on both plans: a resumed job must
     rebuild the same tiles as a clean one."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     vals = [1e16, 1.0, -1e16, 3.0, 0.5, -7.25, 2e15, -2e15]
@@ -265,7 +265,7 @@ def test_grouped_aggregate_bit_identical_under_block_order(monkeypatch):
     for distributed in (False, True):
         with monkeypatch.context() as m:
             if distributed:
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
             got = [grouped_aggregate(rd.from_arrow(bs), ["g"], specs,
                                      sort_keys=["g"]).take_all()
                    for bs in (blocks, blocks[::-1], blocks[3:] + blocks[:3])]

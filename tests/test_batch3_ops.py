@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.aggregates import (
     global_topk,
     grouped_collect_distinct_sorted,
@@ -68,7 +68,7 @@ def test_grouped_collect_distinct_sorted_both_plans(monkeypatch):
                     "event_types").take_all()}
 
     assert run() == want                       # collapsed plan
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want                       # bucket-shuffle plan
 
 
@@ -134,7 +134,7 @@ def test_transition_counts_both_plans(monkeypatch):
                   .reset_index(name="n").itertuples())
 
     assert run() == want
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want
 
 
@@ -154,5 +154,5 @@ def test_grouped_collect_distinct_sorted_string_key(monkeypatch):
                     ds, "lang", "src", "srcs").take_all()}
 
     assert run() == want
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want

@@ -8,7 +8,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.aggregates import grouped_bivariate_stats
 
 
@@ -31,7 +31,7 @@ def world():
 @pytest.mark.parametrize("merge", ["single", "shuffle"])
 def test_matches_numpy(ray_session, world, merge, monkeypatch):
     if merge == "shuffle":
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     g, x, y = world
     ds = ray.data.from_arrow(pa.table({
         "g": pa.array(g, pa.int64()),
@@ -59,7 +59,7 @@ def test_zero_variance_yields_nulls(ray_session, monkeypatch):
     for distributed in (False, True):
         with monkeypatch.context() as m:
             if distributed:
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
             got = _collect(grouped_bivariate_stats(
                 ray.data.from_arrow(t), ["g"], "x", "y"))
         # g=1: var(x)=0 -> slope/intercept/corr NULL; g=2: var(y)=0 ->

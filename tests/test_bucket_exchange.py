@@ -1,15 +1,17 @@
-"""dedup.bucket_exchange: the one keyed shuffle.
+"""exchange.bucket_exchange: the one keyed shuffle.
 
 Pins (a) the collapsed one-task plan and the forced distributed plan
 give the same rows for integer, string, large_string, timestamp and
 multi-column keys, (b) an unsupported key type raises TypeError naming
 the column on both plans, (c) the group fn never sees the exchange's
 bucket column, also when the rows carry their own ``_bucket``, (d)
-forcing ``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, (e) no
-module outside ``stages/dedup.py`` hand-writes a ``_bucket`` exchange,
-(f) no function in the package takes or passes a ``merge`` plan
-option: every grouped merge measures its input through the exchange,
-and (g) no Ray sort-based aggregate remains: keyed combines go through
+forcing ``SMALL_COLLAPSE_BYTES = 0`` really reaches the shuffle, (e)
+``.groupby(`` and ``.map_groups(`` appear in the package only inside
+``exchange._exchange``, (f) no package module binds a copy of the
+exchange thresholds with ``from ... import``, (g) no function in the
+package takes or passes a ``merge`` plan option: every grouped merge
+measures its input through the exchange, and (h) no Ray sort-based
+aggregate remains: keyed combines go through
 ``aggregates.grouped_aggregate``.
 """
 
@@ -22,7 +24,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 
 
 def per_key(g: pa.Table) -> pa.Table:
@@ -42,18 +44,18 @@ def run(ds, monkeypatch, distributed: bool):
     """Rows of ``bucket_exchange(ds, "k", per_key)`` and whether the
     run sized a shuffle."""
     calls = []
-    real = dd.adaptive_bucket_count
+    real = exchange.adaptive_bucket_count
 
     def spy(size_bytes, *a, **kw):
         calls.append(size_bytes)
         return real(size_bytes, *a, **kw)
 
     with monkeypatch.context() as m:
-        m.setattr(dd, "adaptive_bucket_count", spy)
+        m.setattr(exchange, "adaptive_bucket_count", spy)
         if distributed:
-            m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+            m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
         rows = sorted(((r["k"], r["v_sum"], r["v_count"], r["seen"])
-                       for r in dd.bucket_exchange(ds, "k", per_key)
+                       for r in exchange.bucket_exchange(ds, "k", per_key)
                        .take_all()), key=null_first)
     return rows, bool(calls)
 
@@ -109,7 +111,7 @@ def per_pair(g: pa.Table) -> pa.Table:
 
 def test_list_key_both_plans(monkeypatch):
     """A (string, int64) key co-locates each PAIR, also when the rows
-    carry their own ``_bucket`` column (the Blelloch scans' layout)."""
+    carry a column of their own named ``_bucket``."""
     rng = np.random.RandomState(8)
     a = rng.choice(["x", "y", "z"], 400)
     bk = rng.randint(0, 5, 400)
@@ -121,8 +123,8 @@ def test_list_key_both_plans(monkeypatch):
     def rows(distributed):
         with monkeypatch.context() as m:
             if distributed:
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
-            return sorted(tuple(r.values()) for r in dd.bucket_exchange(
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
+            return sorted(tuple(r.values()) for r in exchange.bucket_exchange(
                 ds, ["a", "_bucket"], per_pair).take_all())
 
     collapsed, distributed = rows(False), rows(True)
@@ -142,80 +144,75 @@ def test_list_key_both_plans(monkeypatch):
 ])
 def test_unsupported_key_type_raises(col, distributed, monkeypatch):
     if distributed:
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     ds = rd.from_arrow(pa.table({"score": col, "v": [1, 2, 3]}))
     with pytest.raises(TypeError, match="'score'"):
-        dd.bucket_exchange(ds, "score", lambda g: g).take_all()
+        exchange.bucket_exchange(ds, "score", lambda g: g).take_all()
 
 
 # ---------------------------------------------------------------------------
-# structural guard: one exchange implementation
+# structural guards: one exchange implementation
 # ---------------------------------------------------------------------------
 
-PKG = pathlib.Path(dd.__file__).resolve().parents[1]
+PKG = pathlib.Path(exchange.__file__).resolve().parents[1]
 
-# (module, top-level function) pairs allowed their own `_bucket` column:
-# graph's salted hot-key exchange and the two range-bucket Blelloch
-# scans, which need contiguous key ranges rather than hashed buckets
-ALLOWED = {
-    ("stages/graph.py", "_cc_distributed"),
-    ("stages/windows.py", "_range_bucket_fn"),
-    ("stages/windows.py", "sequence_pack_offsets"),
-    ("stages/windows.py", "grouped_token_budget_sample"),
-}
+# the exchange's thresholds: read through the module, never bound
+THRESHOLDS = {"SMALL_COLLAPSE_BYTES", "TARGET_BUCKET_BYTES"}
 
 
-def _is_bucket(node) -> bool:
-    """A ``"_bucket"`` literal, or the exchange's own bucket column
-    (``EXCHANGE_BUCKET`` by name or by value)."""
-    if isinstance(node, (ast.List, ast.Tuple)):
-        return any(_is_bucket(e) for e in node.elts)
-    if isinstance(node, ast.Name):
-        return node.id == "EXCHANGE_BUCKET"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "EXCHANGE_BUCKET"
-    return isinstance(node, ast.Constant) and node.value in (
-        "_bucket", dd.EXCHANGE_BUCKET)
-
-
-def _bucket_sites(tree: ast.Module):
-    """(top-level function, line) of every bucket column append —
-    ``append_column("_bucket", ...)`` or a ``"_bucket"`` dict key —
-    and every ``groupby("_bucket")``, the exchange's own bucket column
-    included."""
+def _shuffle_sites(tree: ast.Module):
+    """(top-level function, line) of every ``.groupby(`` and
+    ``.map_groups(`` call."""
     for top in tree.body:
         for node in ast.walk(top):
-            hit = False
-            if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute) and node.args:
-                hit = (node.func.attr in ("append_column", "groupby")
-                       and _is_bucket(node.args[0]))
-            elif isinstance(node, ast.Dict):
-                hit = any(k is not None and _is_bucket(k) for k in node.keys)
-            if hit:
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("groupby", "map_groups")):
                 yield getattr(top, "name", "<module>"), node.lineno
 
 
-def test_only_dedup_writes_bucket_exchanges():
+def test_only_exchange_writes_bucket_exchanges():
     offenders = []
     for path in sorted(PKG.rglob("*.py")):
         rel = path.relative_to(PKG).as_posix()
-        if rel == "stages/dedup.py":
-            continue
-        for fn, line in _bucket_sites(ast.parse(path.read_text())):
-            if (rel, fn) not in ALLOWED:
+        for fn, line in _shuffle_sites(ast.parse(path.read_text())):
+            if (rel, fn) != ("stages/exchange.py", "_exchange"):
                 offenders.append(f"{rel}:{line} ({fn})")
     assert offenders == [], (
-        "hand-written bucket exchange; use dedup.bucket_exchange: "
+        "hand-written shuffle; use exchange.bucket_exchange: "
         + ", ".join(offenders))
 
 
 def test_guard_detects_the_exchange_itself():
     """The detector is not vacuous: it finds the exchange's own
-    append + groupby in dedup.py (``_exchange``, the body of
-    ``bucket_exchange``)."""
-    tree = ast.parse((PKG / "stages/dedup.py").read_text())
-    assert {fn for fn, _ in _bucket_sites(tree)} == {"_exchange"}
+    ``groupby`` + ``map_groups`` in ``exchange._exchange``."""
+    tree = ast.parse((PKG / "stages/exchange.py").read_text())
+    assert [fn for fn, _ in _shuffle_sites(tree)] == ["_exchange"] * 2
+
+
+def _bound_thresholds(tree: ast.Module):
+    """Line numbers of every ``from ... import`` of a threshold."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+                a.name in THRESHOLDS for a in node.names):
+            yield node.lineno
+
+
+def test_thresholds_are_read_through_the_module():
+    """A module that binds ``SMALL_COLLAPSE_BYTES`` or
+    ``TARGET_BUCKET_BYTES`` with ``from ... import`` keeps its own copy
+    and ignores a patched threshold: every package module reads them as
+    ``exchange.<name>`` at call time."""
+    offenders = [f"{path.relative_to(PKG).as_posix()}:{line}"
+                 for path in sorted(PKG.rglob("*.py"))
+                 for line in _bound_thresholds(ast.parse(path.read_text()))]
+    assert offenders == [], ", ".join(offenders)
+    snippet = """
+from batch_geocode_ray.stages.exchange import SMALL_COLLAPSE_BYTES
+from batch_geocode_ray.stages.exchange import _one_task
+from .exchange import (bucket_exchange, TARGET_BUCKET_BYTES)
+"""
+    assert list(_bound_thresholds(ast.parse(snippet))) == [2, 4]
 
 
 def test_no_merge_plan_option():

@@ -156,6 +156,36 @@ def test_same_size_same_mtime_rewrite_recomputes_its_partition(inputs,
         *range(0, 20), *range(30, 40), *range(70, 80)]
 
 
+def test_recomputed_partition_names_its_cause(inputs, tmp_path):
+    """The lineage stores the key's parts, so each recomputed partition
+    says why: a changed tag, a changed input file, an output that lost
+    rows, or a missing lineage."""
+    out = str(tmp_path / "run")
+    res = run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    assert [r.cause for r in res] == ["missing"] * 4
+    parts = load_lineage(out)[1]["inputs"]
+    st = os.stat(inputs[1])
+    assert [(p["path"], p["size"], p["mtime_ns"]) for p in parts] == [
+        (inputs[1], st.st_size, st.st_mtime_ns)]
+    assert len(parts[0]["footer_sha256"]) == 64
+    res = run_resumable(build, inputs, out, "v2", files_per_partition=1)
+    assert [r.cause for r in res] == ["tag"] * 4
+
+    # input: partition 1's file rewritten at the same size and mtime
+    pq.write_table(pa.table({"x": pa.array(range(50, 60), pa.int64())}),
+                   inputs[1])
+    os.utime(inputs[1], ns=(st.st_atime_ns, st.st_mtime_ns))
+    # rows: partition 2's output emptied; missing: partition 3's lineage
+    part2 = os.path.join(out, "part-00002")
+    for f in os.listdir(part2):
+        os.unlink(os.path.join(part2, f))
+    os.unlink(os.path.join(out, "part-00003.lineage.json"))
+    res = run_resumable(build, inputs, out, "v2", files_per_partition=1)
+    assert [r.cause for r in res] == [
+        None, f"input:{inputs[1]}", "rows", "missing"]
+    assert [r.skipped for r in res] == [True, False, False, False]
+
+
 
 @pytest.mark.parametrize("changed", ["gazetteer", "polygons", "facilities"])
 def test_cli_rerun_recomputes_changed_broadcast_input(changed, tmp_path):
@@ -211,7 +241,8 @@ def test_cli_rerun_recomputes_after_an_engine_change(tmp_path, monkeypatch):
             "--gazetteer", str(tmp_path / "gazetteer.parquet"),
             "--tiles", "", "--files-per-partition", "1",
             "--out", str(tmp_path / "out")]
-    assert run.main(args)["computed"] == 2
+    s = run.main(args)
+    assert s["computed"] == 2 and s["recomputed_by_cause"] == {"missing": 2}
     engine = tmp_path / "engine"
     shutil.copytree(run._ENGINE_ROOT, engine,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -221,3 +252,4 @@ def test_cli_rerun_recomputes_after_an_engine_change(tmp_path, monkeypatch):
         f.write("\n")
     s = run.main(args)
     assert (s["computed"], s["skipped_resume"]) == (2, 0)
+    assert s["recomputed_by_cause"] == {"tag": 2}

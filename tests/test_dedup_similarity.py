@@ -95,7 +95,7 @@ def test_simhash_pairs(docs_ds):
 def test_shuffle_plan_equals_collapsed_plan(docs_ds, monkeypatch):
     """The adaptive small-side collapse is a physical-plan choice only:
     forcing the shuffle plan must give identical answers."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.dedup import edit_distance_pairs
     from batch_geocode_ray.stages.substring import duplicate_substring_pairs
 
@@ -122,7 +122,7 @@ def test_shuffle_plan_equals_collapsed_plan(docs_ds, monkeypatch):
 
     collapsed = run_all()
     assert all(collapsed), [len(rows) for rows in collapsed]
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     shuffled = run_all()
     assert collapsed == shuffled
 
@@ -142,7 +142,7 @@ def test_q12_q19_row_order_is_deterministic(monkeypatch):
     """q12 (exact dedup, ORDER BY doc_id) and q19 (simhash pairs,
     ordered by (d1, d2)) give one row order on every run, with the
     collapsed plan and with the distributed plan forced."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.pipelines.queries import QUERIES
     from tests.test_r3_new_ops import SF as sf
 
@@ -150,8 +150,8 @@ def test_q12_q19_row_order_is_deterministic(monkeypatch):
     q19_simhash_neardup = QUERIES["q19_simhash_neardup"]
 
     hashes = {"q12": set(), "q19": set()}
-    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+    for collapse in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
         for _ in range(3):
             hashes["q12"].add(_row_order_hash(q12_dedup_exact(sf)))
             hashes["q19"].add(_row_order_hash(q19_simhash_neardup(sf)))
@@ -205,14 +205,14 @@ def test_knn_shuffle_merge_matches_single_task(monkeypatch):
     """Large-Q plan (bucketed shuffle merge + distributed sort) must
     return exactly the single-task merge's rows in the same order —
     and must not route all partials through one task."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     import batch_geocode_ray.stages.similarity as sim
 
     ds, m = embeddings_ds()
     q, qids = m[:7], np.arange(7)
     want = knn_cosine(ds, "embedding", "vec_id", q, qids, k=4).take_all()
     monkeypatch.setattr(sim, "SHUFFLE_MERGE_QUERIES", 3)  # force shuffle path
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = knn_cosine(ds, "embedding", "vec_id", q, qids, k=4).take_all()
     assert [tuple(sorted(r.items())) for r in got] == \
         [tuple(sorted(r.items())) for r in want]
@@ -228,13 +228,13 @@ def test_cosine_neardup_pairs():
 def test_cosine_neardup_block_pair_plan_matches_one_task(monkeypatch):
     """Forcing the at-scale exact plan (block-pair tiling over object
     store refs, no driver materialization) must give identical pairs."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     ds, _ = embeddings_ds()
     want = sorted((r["d1"], r["d2"], round(r["cosine"], 12))
                   for r in cosine_neardup_pairs(
                       ds, "embedding", "vec_id", threshold=0.3).take_all())
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = sorted((r["d1"], r["d2"], round(r["cosine"], 12))
                  for r in cosine_neardup_pairs(
                      ds, "embedding", "vec_id", threshold=0.3).take_all())
@@ -244,7 +244,7 @@ def test_cosine_neardup_block_pair_plan_matches_one_task(monkeypatch):
 def test_cosine_neardup_blocks_out_of_id_order(monkeypatch):
     """Blocks whose ids descend block by block: both plans give every
     above-threshold pair, each once, as a NumPy all-pairs oracle."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     _, m = embeddings_ds()
     t = pa.table({
@@ -255,9 +255,9 @@ def test_cosine_neardup_blocks_out_of_id_order(monkeypatch):
     ds = rd.from_arrow([t.slice(s, 10) for s in (30, 20, 10, 0)])
     want = _cosine_pairs_oracle(m, 0.3)
     assert _cosine_pairs(ds) == want and len(want) > 40
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     # the projection holds at least 40 x (8 + 8 x 8) bytes: >= 3 blocks
-    monkeypatch.setattr(dd, "TARGET_BUCKET_BYTES", 960)
+    monkeypatch.setattr(exchange, "TARGET_BUCKET_BYTES", 960)
     assert _cosine_pairs(ds) == want
 
 
@@ -280,14 +280,14 @@ def test_cosine_neardup_scores_tiles_in_bounded_chunks(monkeypatch):
     """With the bucket byte budget patched down to a few rows of
     similarities, every tile is scored in many row chunks; both plans
     still equal the NumPy all-pairs oracle."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     ds, m = embeddings_ds()
     want = _cosine_pairs_oracle(m, 0.3)
     # 3 rows x 40 columns of float64 per chunk on the one-tile plan
-    monkeypatch.setattr(dd, "TARGET_BUCKET_BYTES", 3 * 40 * 8)
+    monkeypatch.setattr(exchange, "TARGET_BUCKET_BYTES", 3 * 40 * 8)
     assert _cosine_pairs(ds) == want and len(want) > 40
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert _cosine_pairs(ds) == want
 
 
@@ -330,8 +330,8 @@ def test_semi_anti_join_both_plans(monkeypatch):
         return semi, anti
 
     assert run() == ([2, 4, 6], [1, 3, 5])
-    import batch_geocode_ray.stages.dedup as dd
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # force the exchange
+    from batch_geocode_ray.stages import exchange
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # force the exchange
     assert run() == ([2, 4, 6], [1, 3, 5])
 
 
@@ -370,7 +370,7 @@ def test_minhash_trigram_verify_equals_exact_join(docs_ds, monkeypatch):
     """The trigram verify must reproduce the exact n-gram join's pairs
     AND jaccard values (recall 1.0 at these similarities), in both the
     collapsed and the shuffle plan."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     exact = sorted((r["d1"], r["d2"], r["jaccard"])
                    for r in ngram_jaccard_pairs(
@@ -384,7 +384,7 @@ def test_minhash_trigram_verify_equals_exact_join(docs_ds, monkeypatch):
                           threshold=0.8).take_all())
 
     assert lsh() == exact
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert lsh() == exact
 
 
@@ -396,6 +396,7 @@ def test_minhash_verify_shingles_each_document_once(tmp_path, monkeypatch):
     import json
 
     import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     texts = [f"{BASE} w{i}" for i in range(30)] + ["short text", "other words here"]
     ds = rd.from_arrow(pa.table({
@@ -416,8 +417,8 @@ def test_minhash_verify_shingles_each_document_once(tmp_path, monkeypatch):
     monkeypatch.setattr(dd, "_gram_arrays", spy)
     # 18 shared trigrams of 20: J = 0.9 for every clique pair
     want = [(i, j, 0.9) for i in range(30) for j in range(i + 1, 30)]
-    for small in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", small)
+    for small in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", small)
         log.unlink(missing_ok=True)
         got = sorted((r["d1"], r["d2"], round(r["jaccard"], 12)) for r in
                      minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.8).take_all())
@@ -577,7 +578,7 @@ def test_media_queries_real_decode():
 def test_fingerprint_dup_pairs_both_plans(monkeypatch):
     """Fingerprint-prefilter exact-dup pairs: equals the naive
     text-equality join, in both the collapsed and shuffle plans."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.dedup import fingerprint_dup_pairs
 
     texts = ["same text here alpha beta gamma"] * 3 + [
@@ -598,7 +599,7 @@ def test_fingerprint_dup_pairs_both_plans(monkeypatch):
                       fingerprint_dup_pairs(ds, "text", "doc_id").take_all())
 
     assert run() == want
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want
 
 
@@ -666,7 +667,7 @@ def test_window_ops_shuffle_plan_equals_collapsed(monkeypatch):
     """sessionize / grouped_moving_avg: the adaptive collapse is a
     physical-plan choice only — forcing the bucketed shuffle plan must
     give identical rows."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.windows import (
         grouped_moving_avg,
         sessionize,
@@ -692,6 +693,6 @@ def test_window_ops_shuffle_plan_equals_collapsed(monkeypatch):
         return s, m
 
     collapsed = run()
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     shuffled = run()
     assert collapsed == shuffled

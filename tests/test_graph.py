@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.graph import (
     connected_components,
     label_all_nodes,
@@ -50,14 +50,14 @@ def test_cc_matches_union_find_both_plans(monkeypatch):
     edges = random_edges()
     want = naive_components(edges)
     assert run_cc(edges) == want                  # collapsed plan
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run_cc(edges) == want                  # distributed plan
 
 
 def test_cc_path_graph_distributed(monkeypatch):
     # a long path is the worst case for plain min-propagation; pointer
     # jumping must converge it well inside the round cap
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     edges = [(i, i + 1) for i in range(60)]
     got = run_cc(edges)
     assert set(got.values()) == {0}

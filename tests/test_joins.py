@@ -12,7 +12,7 @@ import pytest
 import ray
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.graph import label_all_nodes
 from batch_geocode_ray.stages.joins import equi_join
 from batch_geocode_ray.stages.stateful import gather
@@ -86,8 +86,8 @@ def test_equi_join_plans_match_naive(how, key_type, side, monkeypatch):
     want = sorted((tuple(r.items()) for r in want), key=repr)
     if side == "rows":
         assert want  # the join has something to find
-    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+    for collapse in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
         got = equi_join(_left(key_type), right, "k", how, value_cols,
                         right_key="rk")
         assert _rows(got) == want, (how, key_type, side, collapse)
@@ -97,8 +97,8 @@ def test_equi_join_empty_left_side(monkeypatch):
     """A left side emptied by a filter carries no schema; each ``how``
     gives no rows on both plans."""
     left = _left("int").filter(lambda r: False)
-    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+    for collapse in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
         for how in ("inner", "left", "semi", "anti"):
             right = _right("int", "rows", how)
             assert equi_join(left, right, "k", how, right_key="rk") \
@@ -110,8 +110,8 @@ def test_equi_join_rejects_bad_how_and_key_type(monkeypatch):
     right = rd.from_arrow(pa.table({"k": pa.array([1.5])}))
     with pytest.raises(ValueError, match="how"):
         equi_join(left, right, "k", "outer")
-    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+    for collapse in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
         with pytest.raises(TypeError, match="integer or string"):
             equi_join(left, right, "k", "semi")
 
@@ -128,8 +128,8 @@ def test_label_all_nodes_empty_labels_both_plans(side, monkeypatch):
         labels = labels.filter(lambda r: False)  # no schema survives
     nodes = rd.from_arrow(pa.table({"doc_id": pa.array(range(7),
                                                        pa.int64())}))
-    for collapse in (dd.SMALL_COLLAPSE_BYTES, 0):
-        monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+    for collapse in (exchange.SMALL_COLLAPSE_BYTES, 0):
+        monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
         got = label_all_nodes(nodes, "doc_id", labels).take_all()
         assert sorted((r["doc_id"], r["cluster_id"]) for r in got) == \
             [(i, i) for i in range(7)]

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.lm import bigram_lm_perplexity
 
 
@@ -50,7 +50,7 @@ def test_merge_plans_agree(ray_session, monkeypatch):
              for _ in range(200)]
     ds = _mkds(list(range(200)), texts).repartition(8)
     single = _collect(bigram_lm_perplexity(ds, "doc_id", "text"))
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     shuffle = _collect(bigram_lm_perplexity(ds, "doc_id", "text"))
     assert single.keys() == shuffle.keys()
     for d in single:

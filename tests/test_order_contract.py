@@ -26,15 +26,15 @@ SF = "/root/testdata/sf0.001"
 def sweeps():
     """plan -> entry name -> its result table: every registry entry run
     once per plan."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.pipelines.queries import QUERIES
     from batch_geocode_ray.stages.stateful import gather
 
     out = {}
-    for plan, collapse in (("default", dd.SMALL_COLLAPSE_BYTES),
+    for plan, collapse in (("default", exchange.SMALL_COLLAPSE_BYTES),
                            ("forced", 0)):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dd, "SMALL_COLLAPSE_BYTES", collapse)
+            m.setattr(exchange, "SMALL_COLLAPSE_BYTES", collapse)
             out[plan] = {name: gather(fn(SF)) for name, fn in QUERIES.items()}
     return out
 

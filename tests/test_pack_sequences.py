@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.windows import sequence_pack_offsets
 
 
@@ -58,7 +58,7 @@ def test_pack_sequences_both_plans_match_oracle(monkeypatch):
     assert small.equals(want)
 
     # 7 range buckets -> 7 base offsets from the exclusive scan
-    monkeypatch.setattr(dd, "adaptive_bucket_count", lambda *a, **k: 7)
+    monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 7)
     big = _collect(sequence_pack_offsets(
         ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
     assert big.equals(want)
@@ -174,7 +174,7 @@ def test_mixture_budget_both_plans_match_oracle(monkeypatch):
     assert small.equals(want)
     assert 0 < small.num_rows < len(ids)  # budget actually bites
 
-    monkeypatch.setattr(dd, "adaptive_bucket_count", lambda *a, **k: 5)
+    monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 5)
     big = _collect(grouped_token_budget_sample(
         ds, "doc_id", "text", "source", 120, size_hint_bytes=1 << 40))
     assert big.equals(want)
@@ -203,6 +203,54 @@ def test_mixture_budget_hint_streams(monkeypatch):
             ds, "doc_id", "text", "source", 100, size_hint_bytes=1 << 40))
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
+    assert got.equals(want)
+
+
+@pytest.mark.parametrize("op", ["pack", "budget"])
+def test_range_buckets_sharing_a_coarse_bucket_match_oracle(op, tmp_path,
+                                                            monkeypatch):
+    """The distributed scans key the exchange on their range bucket, so
+    one coarse bucket can hold several range buckets. Each row must
+    still start from its own range bucket's base: the test first sees a
+    group fn handed rows of more than one range bucket, then checks the
+    result against the NumPy oracle."""
+    import json
+
+    ids, grps, texts = _grouped_corpus()
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "source": pa.array(grps, pa.string()),
+    })).repartition(4)
+    log = tmp_path / "range_buckets.jsonl"
+    real = exchange._exchange
+
+    def spy(ds, key, fn, size_hint_bytes=None):
+        if key != "range_bucket":
+            return real(ds, key, fn, size_hint_bytes)
+
+        def logged(g):
+            # runs in the worker: append this group's range buckets
+            with open(log, "a") as f:
+                f.write(json.dumps(sorted(set(
+                    g["range_bucket"].to_pylist()))) + "\n")
+            return fn(g)
+        return real(ds, key, logged, size_hint_bytes)
+
+    monkeypatch.setattr(exchange, "_exchange", spy)
+    monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 16)
+    if op == "pack":
+        got = _collect(sequence_pack_offsets(
+            ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
+        want = _numpy_oracle(ids, texts, 64)
+    else:
+        got = _collect(grouped_token_budget_sample(
+            ds, "doc_id", "text", "source", 300, size_hint_bytes=1 << 40))
+        want = _budget_oracle(ids, np.array(grps), texts, 300)
+        assert 0 < want.num_rows < len(ids)  # budget actually bites
+    groups = [json.loads(line) for line in log.read_text().splitlines()]
+    assert max(map(len, groups)) >= 2  # range buckets shared a group
+    assert sorted(b for g in groups for b in g) == list(range(16))
     assert got.equals(want)
 
 

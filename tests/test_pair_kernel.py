@@ -1,15 +1,20 @@
 """The dedup family's one candidate-pair kernel, ``dedup._run_pairs``:
 a property test against a brute-force Python oracle, and an ast guard
-that no second pair enumeration (``triu_indices``) grows back."""
+that no second pair enumeration (``triu_indices``) grows back. Also
+MinHash verify's all-pairs Jaccard kernel, ``dedup._pair_jaccard``,
+against Python sets."""
 
 import ast
 import itertools
 from pathlib import Path
 
 import numpy as np
+import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import batch_geocode_ray.stages.dedup as dd
 from batch_geocode_ray.stages.dedup import _run_pairs
 
 PKG = Path(__file__).resolve().parents[1] / "batch_geocode_ray"
@@ -70,6 +75,30 @@ def test_run_pairs_edge_cases():
     assert list(zip(ids[ia], ids[ib])) == [(1, 2)]
     assert sorted(ids[hot]) == [1, 2, 3, 4] and set(keys[0][hot]) == {9}
     _check(keys, ids, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=10),
+                min_size=1, max_size=10),
+       st.integers(1, 4), st.data(), st.sampled_from([8, 64, dd.SLICE_BYTES]))
+def test_pair_jaccard_matches_python_sets(docs, k, data, slice_bytes):
+    """Exact k-gram Jaccard of every pair in one call equals Python set
+    arithmetic: empty docs and docs shorter than k included (a pair of
+    two gram-less docs scores 0.0), repeated and self pairs, and pair
+    slices down to one probe."""
+    n = len(docs)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=30))
+    i = np.array([a for a, _ in pairs], np.int64)
+    j = np.array([b for _, b in pairs], np.int64)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dd, "SLICE_BYTES", slice_bytes)
+        got = dd._pair_jaccard(*dd._gram_arrays(
+            pa.array([" ".join(d) for d in docs]), k), i, j)
+    sets = [{tuple(d[s:s + k]) for s in range(len(d) - k + 1)} for d in docs]
+    want = [len(sets[a] & sets[b]) / len(sets[a] | sets[b])
+            if sets[a] | sets[b] else 0.0 for a, b in pairs]
+    assert got.tolist() == want
 
 
 def _triu_sites(tree: ast.Module):

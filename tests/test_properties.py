@@ -99,7 +99,7 @@ def test_grouped_aggregate_matches_pandas(rows):
     import pandas as pd
     import ray.data as rd
 
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
     from batch_geocode_ray.stages.aggregates import grouped_aggregate
 
     t = pa.table({
@@ -113,7 +113,7 @@ def test_grouped_aggregate_matches_pandas(rows):
         ds = rd.from_arrow(t).repartition(3)
         with pytest.MonkeyPatch.context() as m:
             if merge == "shuffle":
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
             got = grouped_aggregate(
                 ds, ["k"],
                 [("v", "sum", "sum"), ("v", "min", "min"),

@@ -124,13 +124,13 @@ def test_int64_beyond_2_53_at_integer_rank(ray_session):
 def _both_plans(make, monkeypatch):
     """Rows of ``make()`` collapsed and with the exchange forced
     distributed (``SMALL_COLLAPSE_BYTES = 0``)."""
-    import batch_geocode_ray.stages.dedup as dd
+    from batch_geocode_ray.stages import exchange
 
     out = []
     for distributed in (False, True):
         with monkeypatch.context() as m:
             if distributed:
-                m.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+                m.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
             t = pa.concat_tables(make().iter_batches(batch_format="pyarrow"))
         out.append(sorted(tuple(r.values()) for r in t.to_pylist()))
     return out

@@ -8,10 +8,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 import batch_geocode_ray.stages.dedup as dd
-from batch_geocode_ray.stages.dedup import (
-    adaptive_bucket_count,
-    ngram_jaccard_pairs,
-)
+from batch_geocode_ray.stages import exchange
+from batch_geocode_ray.stages.dedup import ngram_jaccard_pairs
+from batch_geocode_ray.stages.exchange import adaptive_bucket_count
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +23,7 @@ def test_adaptive_bucket_count_grows_with_input():
     # 100 TB at the default 32 MB/bucket target: ~3.3M buckets, so one
     # bucket stays ~one task's memory at any scale
     big = adaptive_bucket_count(100 << 40)
-    assert big == (100 << 40) // dd.TARGET_BUCKET_BYTES + 1
+    assert big == (100 << 40) // exchange.TARGET_BUCKET_BYTES + 1
     # monotone in input size
     sizes = [0, 1 << 30, 1 << 35, 1 << 40, 100 << 40]
     counts = [adaptive_bucket_count(s) for s in sizes]
@@ -35,14 +34,14 @@ def test_adaptive_bucket_count_wired_to_probed_size(monkeypatch):
     """The distributed n-gram plan derives its bucket count from the
     probed gram-table size (not a constant)."""
     seen = {}
-    real = dd.adaptive_bucket_count
+    real = exchange.adaptive_bucket_count
 
     def spy(size_bytes, *a, **kw):
         seen["size"] = size_bytes
         return real(size_bytes, *a, **kw)
 
-    monkeypatch.setattr(dd, "adaptive_bucket_count", spy)
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "adaptive_bucket_count", spy)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     docs = pa.table({
         "doc_id": pa.array(range(20), pa.int64()),
         "text": pa.array([f"a{i} b{i} c{i} d{i}" for i in range(20)]),
@@ -89,7 +88,7 @@ def test_hot_gram_governor_output_exact(monkeypatch):
     """With the governor on (capped postings escalate to LSH+trigram
     verify), the distributed plan's output equals the ungoverned exact
     join — the planted 154-doc gram changes the PLAN, not the result."""
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     docs = _hot_gram_docs()
     governed = _pairs_of(ngram_jaccard_pairs(
         docs, "text", "doc_id", k=3, threshold=0.8, max_posting=32))
@@ -105,7 +104,7 @@ def test_hot_gram_capped_posting_emits_no_pairs(monkeypatch):
     markers, not its ~11.7k quadratic pair rows, and hot×hot pairs were
     excluded from the counting path. Hot-doc detection is checked via
     the stub's input cardinality."""
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     seen = {}
 
     def stub(hot_docs, text_col, id_col, **kw):
@@ -138,7 +137,7 @@ def test_cc_giant_component_bounded_bucket_segments(monkeypatch):
     wrapped propagate fn would raise inside the worker."""
     import batch_geocode_ray.stages.graph as gr
 
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # force distributed
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # force distributed
     monkeypatch.setattr(gr, "HOT_DETECT_MIN_BYTES", 0)
     cap = 64
     monkeypatch.setattr(gr, "HOT_REQ_CAP", cap)
@@ -211,7 +210,7 @@ def _span_docs():
 def test_duplicate_substring_pairs_planted(monkeypatch):
     from batch_geocode_ray.stages.substring import duplicate_substring_pairs
 
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # distributed plan
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # distributed plan
     got = {(r["d1"], r["d2"]) for r in duplicate_substring_pairs(
         _span_docs(), "text", "doc_id", L=40).take_all()}
     assert got == {(0, 1), (2, 3), (2, 4), (3, 4)}
@@ -220,7 +219,7 @@ def test_duplicate_substring_pairs_planted(monkeypatch):
 def test_duplicate_position_counts_planted(monkeypatch):
     from batch_geocode_ray.stages.substring import duplicate_position_counts
 
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = {r["doc_id"]: r["n_dup_positions"]
            for r in duplicate_position_counts(
                _span_docs(), "text", "doc_id", L=40).take_all()}
@@ -264,7 +263,7 @@ def test_duplicate_span_coverage_planted(monkeypatch):
     cover (starts + 39) chars of their 45..47-char dup regions."""
     from batch_geocode_ray.stages.substring import duplicate_span_coverage
 
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = {r["doc_id"]: r["n_dup_chars"]
            for r in duplicate_span_coverage(
                _span_docs(), "text", "doc_id", L=40).take_all()}
@@ -313,7 +312,7 @@ def test_cut_duplicate_spans_planted(monkeypatch):
     texts = {r["doc_id"]: r["text"] for r in _span_docs().take_all()}
     for d, t in texts.items():
         assert len(t) - len(got[d]) == cov.get(d, 0)
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)  # distributed plan
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # distributed plan
     assert run() == want
 
 
@@ -386,7 +385,7 @@ def test_bucket_lookup_join_semantics(monkeypatch):
     import pytest
     import ray
 
-    from batch_geocode_ray.stages.dedup import _bucket_lookup_join
+    from batch_geocode_ray.stages.joins import _bucket_lookup_join
 
     src = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 2], pa.int64()),     # duplicate carrier
@@ -404,7 +403,7 @@ def test_bucket_lookup_join_semantics(monkeypatch):
 
     want = [(2, 10, "b"), (2, 20, "b"), (9, 30, None)]
     assert run() == want
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == want
     with pytest.raises(ray.exceptions.RayTaskError,
                        match="no source row"):

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.dedup import (
     lsh_banding_for_threshold,
     minhash_lsh_pairs,
@@ -168,7 +168,7 @@ def test_semi_anti_join_string_keys_both_plans(monkeypatch):
         return semi, anti
 
     assert run() == (want_semi, want_anti)          # broadcast plan
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert run() == (want_semi, want_anti)          # exchange plan
     # output schema unchanged (no internal hash column leaks)
     out = equi_join(big, keys, "u", "semi").take_all()
@@ -182,7 +182,7 @@ def test_semi_anti_join_bad_key_type_raises_on_both_plans(monkeypatch):
         "k": pa.array([1.5], pa.float64())}))
     with pytest.raises(TypeError, match="integer or string"):
         equi_join(big, keys, "k", "semi")
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     with pytest.raises(TypeError, match="integer or string"):
         equi_join(big, keys, "k", "semi")
 

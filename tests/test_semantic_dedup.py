@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-from batch_geocode_ray.stages.dedup import SMALL_COLLAPSE_BYTES
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.similarity import _normalize, semantic_dedup
 
 
@@ -89,7 +89,7 @@ def test_both_plans_equal(ray_session, random_world, monkeypatch):
     try:
         streamed = _collect(semantic_dedup(
             ds, "embedding", "vec_id", threshold=0.8, centroids=centroids,
-            size_hint_bytes=SMALL_COLLAPSE_BYTES * 4))
+            size_hint_bytes=exchange.SMALL_COLLAPSE_BYTES * 4))
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert collapsed == streamed

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-import batch_geocode_ray.stages.dedup as dd
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.functions.sketches import (
     heavy_hitters_with_total,
     hll_estimate,
@@ -125,5 +125,5 @@ def test_q38_one_global_order_on_both_plans(monkeypatch):
     sf = "/root/testdata/sf0.01"
     want = q38(sf).take_all()
     assert len(want) > 1  # an order to keep
-    monkeypatch.setattr(dd, "SMALL_COLLAPSE_BYTES", 0)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     assert q38(sf).take_all() == want
