@@ -21,8 +21,10 @@ Conventions (driver contract):
     function returns its rows in any order: it calls no
     ``_sort_adaptive``, no ``.sort(`` and passes no ``sort_keys=``
     (ast-guarded in tests/test_order_contract.py). A top-k keeps its
-    selection (q02, q57: ``LIMIT`` is their semantics); a size hint for
-    an O(corpus)-row result rides in its entry (q12, q19, q73).
+    selection (q02, q57: ``LIMIT`` is their semantics);
+  * every keyed plan (sort, exchange, join, aggregate) sizes itself
+    from the plan's own estimate of its input
+    (``exchange.estimated_bytes``): a query passes no size.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from batch_geocode_ray.stages.exchange import (
     _one_task,
     _probe_small,
     distributed_sort,
+    scaled,
 )
 from batch_geocode_ray.stages.joins import broadcast_join, equi_join
 from batch_geocode_ray.stages.similarity import (
@@ -83,47 +86,25 @@ def _sql_fixed(expr: str, nd: int = 4) -> str:
     return f"round(({expr}) * {10 ** nd}) / {10 ** nd}.0"
 
 
-def _sort_adaptive(ds: Dataset, keys: list | str,
-                   size_hint_bytes: int | None = None) -> Dataset:
+def _sort_adaptive(ds: Dataset, keys: list | str) -> Dataset:
     """Final ordering by ``keys`` (pyarrow-style: a bare name sorts
     ascending, ``(name, "descending")`` descending) with the same
     adaptive shape as the dedup ops: a Ray ``sort`` is an all-to-all
     with a ~1-2 s fixed floor that small results (gate outputs, per-row
-    projections at test scale) don't need — probe the materialized size
-    and sort in ONE task below the collapse threshold, distributed above
-    it (the 10^12-row plan). ``size_hint_bytes`` >= the collapse
-    threshold skips the probe and feeds the stream straight into the
-    distributed sort — pass it for O(corpus)-sized outputs so the result
-    is never pinned twice. The registry (:func:`_ordered`) is its one
-    caller in this module."""
+    projections at test scale) don't need — sort in ONE task when the
+    plan estimates the result below the collapse threshold, distributed
+    otherwise (the 10^12-row plan). The result is never materialized to
+    choose. The registry (:func:`_ordered`) is its one caller in this
+    module."""
     keys = [(k, "ascending") if isinstance(k, str) else k
             for k in ([keys] if isinstance(keys, str) else keys)]
-    m, small, _ = _probe_small(ds, size_hint_bytes=size_hint_bytes)
-    if small:
-        return _one_task(m, lambda b: b.sort_by(keys))
-    return distributed_sort(m, keys)
+    if _probe_small(ds):
+        return _one_task(ds, lambda b: b.sort_by(keys))
+    return distributed_sort(ds, keys)
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _table_bytes(sf_dir: str, table: str) -> int:
-    """On-disk bytes of a table — the basis for derived-stream size
-    hints (input bytes x a per-op width factor). Factors are chosen
-    CONSERVATIVE (underestimates): a low hint just means the probe
-    still runs and measures (today's behavior at test scale), while at
-    corpus scale any reasonable factor clears SMALL_COLLAPSE_BYTES and
-    the op streams without pinning its derived stream."""
-    import os
-
-    p = f"{sf_dir}/{table}.parquet"
-    try:
-        if os.path.isdir(p):
-            return sum(e.stat().st_size for e in os.scandir(p))
-        return os.path.getsize(p)
-    except OSError:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +431,9 @@ FROM h ORDER BY doc_id
 # dedup
 # ---------------------------------------------------------------------------
 
-def _doc_ids_bytes(sf_dir: str) -> int:
-    """Size hint of a stream of O(documents) narrow rows (hashes, ids):
-    ~16 B/row vs ~0.5-1 KB/row of compressed input."""
-    return _table_bytes(sf_dir, "documents") // 32
-
-
 def q12_dedup_exact(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return exact_dedup(docs, "text", "doc_id",
-                       size_hint_bytes=_doc_ids_bytes(sf_dir))
+    return exact_dedup(docs, "text", "doc_id")
 
 
 SQL_Q12 = """
@@ -546,11 +520,7 @@ ORDER BY t.doc_id, g.name
 
 def q15_ngram_dup_pairs(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    # gram stream ~24 B/token over ~file_bytes/3 tokens (x2 parquet
-    # compression) => ~8x file bytes; x2 is the conservative floor
-    return ngram_jaccard_pairs(
-        docs, "text", "doc_id", k=3, threshold=0.8,
-        size_hint_bytes=2 * _table_bytes(sf_dir, "documents"))
+    return ngram_jaccard_pairs(docs, "text", "doc_id", k=3, threshold=0.8)
 
 
 SQL_Q15 = f"""
@@ -652,10 +622,7 @@ def q18_minhash_neardup(sf_dir: str) -> Dataset:
     makes the LSH path fully SQL-oracle-gated (same oracle as q15, a
     different physical plan — like q26 vs q03)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    # signature stream ~1 KB/doc vs ~0.5-1 KB/doc of compressed input
-    return minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.8,
-                             size_hint_bytes=_table_bytes(sf_dir,
-                                                          "documents"))
+    return minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.8)
 
 
 SQL_Q18 = SQL_Q15
@@ -663,8 +630,7 @@ SQL_Q18 = SQL_Q15
 
 def q19_simhash_neardup(sf_dir: str) -> Dataset:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_pairs(docs, "text", "doc_id", max_hamming=3,
-                         size_hint_bytes=_doc_ids_bytes(sf_dir))
+    return simhash_pairs(docs, "text", "doc_id", max_hamming=3)
 
 
 def q20_fingerprint_dedup(sf_dir: str) -> Dataset:
@@ -1071,22 +1037,17 @@ def q34_corpus_curation(sf_dir: str) -> Dataset:
                              batch_format="pyarrow")
 
     # gate 1: exact-dedup survivors — the kept-id set STAYS a Dataset
-    # (size-probed semi join: broadcast when small, bucket-exchange at
-    # scale; never an O(N) driver collect). Survivor ids are O(docs),
-    # so the hint (~16 B/row of a ~0.5-1 KB/row input) keeps the whole
-    # dedup+membership path probe-free at corpus scale.
-    id_hint = _doc_ids_bytes(sf_dir)
-    survivors = exact_dedup(gated, "text", "doc_id",
-                            size_hint_bytes=id_hint)
-    step1 = equi_join(slim, survivors, "doc_id", "semi",
-                      size_hint_bytes=id_hint)
+    # (semi join sized by the plan's estimate: broadcast when small,
+    # bucket-exchange at scale; never an O(N) driver collect)
+    survivors = exact_dedup(gated, "text", "doc_id")
+    step1 = equi_join(slim, survivors, "doc_id", "semi")
 
     # gate 2: drop the larger-id side of near-dup pairs (anti join
-    # against the pairs Dataset's d2 column, same adaptive plan; no
-    # hint — the pair set is output-dependent, usually small)
-    pairs = ngram_jaccard_pairs(
-        gated, "text", "doc_id", k=3, threshold=0.8,
-        size_hint_bytes=2 * _table_bytes(sf_dir, "documents"))
+    # against the pairs Dataset's d2 column, same adaptive plan)
+    # (pinned: the plan's estimate of a pair set is its gram stream's,
+    # ~GRAM_GROWTH x the corpus; its exact size lets it broadcast)
+    pairs = ngram_jaccard_pairs(gated, "text", "doc_id", k=3,
+                                threshold=0.8).materialize()  # O(pairs)
     cleaned = equi_join(step1, pairs, "doc_id", "anti", right_key="d2")
     return cleaned.select_columns(["doc_id", "n_tokens"])
 
@@ -2125,11 +2086,10 @@ def q56_dedup_clusters(sf_dir: str) -> Dataset:
     )
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = ngram_jaccard_pairs(
-        docs, "text", "doc_id", k=3, threshold=0.8,
-        size_hint_bytes=2 * _table_bytes(sf_dir, "documents"))
-    # edge count is output-dependent (no hint — its probe is O(pairs),
-    # bounded by the dedup rate, not the corpus)
+    # pinned as q34's pairs are: their exact size, not the gram
+    # stream's estimate, sizes the CC plan and the label join
+    pairs = ngram_jaccard_pairs(docs, "text", "doc_id", k=3,
+                                threshold=0.8).materialize()  # O(pairs)
     labels = connected_components(pairs, "d1", "d2")
     return label_all_nodes(_read(sf_dir, "documents", ["doc_id"]),
                            "doc_id", labels)
@@ -2431,7 +2391,7 @@ GROUP BY l_returnflag ORDER BY l_returnflag
 def q63_engaged_users(sf_dir: str) -> Dataset:
     """INTERSECT: distinct users with BOTH a signup and a purchase
     event. Each side reduces to its distinct key set via the
-    partial-combining aggregate; the intersection is the size-probed
+    partial-combining aggregate; the intersection is the adaptive
     semi join (broadcast small / bucket exchange big)."""
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -2871,12 +2831,6 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-def _doc_grams_bytes(sf_dir: str) -> int:
-    """Size hint of the L-gram stream of the documents: ~32 B/char over
-    ~2x-compressed text, x8 conservative."""
-    return 8 * _table_bytes(sf_dir, "documents")
-
-
 def q73_dup_substring_positions(sf_dir: str) -> Dataset:
     """Substring-level exact dedup, span-removal form: per document,
     how many character positions start a 40-char gram that appears
@@ -2886,8 +2840,7 @@ def q73_dup_substring_positions(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.substring import duplicate_position_counts
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return duplicate_position_counts(docs, "text", "doc_id", L=40,
-                                     size_hint_bytes=_doc_grams_bytes(sf_dir))
+    return duplicate_position_counts(docs, "text", "doc_id", L=40)
 
 
 SQL_Q73 = """
@@ -2913,9 +2866,7 @@ def q74_dup_span_coverage(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.substring import duplicate_span_coverage
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return duplicate_span_coverage(
-        docs, "text", "doc_id", L=40,
-        size_hint_bytes=_doc_grams_bytes(sf_dir))
+    return duplicate_span_coverage(docs, "text", "doc_id", L=40)
 
 
 SQL_Q74 = """
@@ -2972,17 +2923,10 @@ def q76_decontaminate(sf_dir: str) -> Dataset:
         return f
 
     train = docs.map_batches(half(False), batch_format="pyarrow")
-    ev = docs.map_batches(half(True), batch_format="pyarrow")
-    # eval slice is ~1/17 of the corpus: its gram stream scales with
-    # input bytes too (~8x expansion), so hint it as well — at real
-    # scale the probe would otherwise pin a multi-TB derived stream
-    # (at gate scale the hint stays under the threshold and the cheap
-    # broadcast plan is kept)
-    doc_bytes = _table_bytes(sf_dir, "documents")
-    return ngram_decontaminate(
-        train, ev, "text", "doc_id", k=13,
-        size_hint_bytes=8 * doc_bytes,
-        eval_size_hint_bytes=8 * doc_bytes // 17)
+    # the eval slice keeps 1 document in 17: its estimate says so, so
+    # its gram set is sized (and broadcast) as ~1/17 of the corpus's
+    ev = scaled(docs.map_batches(half(True), batch_format="pyarrow"), 1 / 17)
+    return ngram_decontaminate(train, ev, "text", "doc_id", k=13)
 
 
 def q77_cut_dup_spans(sf_dir: str) -> Dataset:
@@ -2994,9 +2938,7 @@ def q77_cut_dup_spans(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.substring import cut_duplicate_spans
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return cut_duplicate_spans(
-        docs, "text", "doc_id", L=40,
-        size_hint_bytes=_doc_grams_bytes(sf_dir))
+    return cut_duplicate_spans(docs, "text", "doc_id", L=40)
 
 
 SQL_Q77 = """
@@ -3038,9 +2980,7 @@ def q78_pack_sequences(sf_dir: str) -> Dataset:
     from batch_geocode_ray.stages.windows import sequence_pack_offsets
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return sequence_pack_offsets(
-        docs, "doc_id", "text", seq_len=1024,
-        size_hint_bytes=_table_bytes(sf_dir, "documents"))
+    return sequence_pack_offsets(docs, "doc_id", "text", seq_len=1024)
 
 
 SQL_Q78 = """
@@ -3074,8 +3014,7 @@ def q79_mixture_budget(sf_dir: str) -> Dataset:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     return grouped_token_budget_sample(
-        docs, "doc_id", "text", "source", budget_tokens=700,
-        size_hint_bytes=_table_bytes(sf_dir, "documents"))
+        docs, "doc_id", "text", "source", budget_tokens=700)
 
 
 SQL_Q79 = """
@@ -3307,16 +3246,13 @@ ORDER BY tr.doc_id
 # registry
 # ---------------------------------------------------------------------------
 
-def _ordered(fn, keys: list, size_hint=None):
+def _ordered(fn, keys: list):
     """The registry entry of query ``fn``: its result ordered by
-    ``keys`` through one :func:`_sort_adaptive`. ``size_hint(sf_dir)``
-    sizes an O(corpus)-row result, so its sort streams instead of
-    materializing it to probe."""
+    ``keys`` through one :func:`_sort_adaptive`."""
 
     @functools.wraps(fn)
     def run(sf_dir: str) -> Dataset:
-        return _sort_adaptive(fn(sf_dir), keys,
-                              size_hint(sf_dir) if size_hint else None)
+        return _sort_adaptive(fn(sf_dir), keys)
 
     return run
 
@@ -3355,7 +3291,7 @@ QUERIES = {fn.__name__: _ordered(fn, *order) for fn, *order in [
     (q11_doc_langid, ["doc_id"]),
     (q13_doc_langs, ["lang"]),
     (q14_gazetteer_mentions, ["doc_id", "name"]),
-    (q19_simhash_neardup, ["d1", "d2"], _doc_ids_bytes),
+    (q19_simhash_neardup, ["d1", "d2"]),
     (q21_ivf_knn, ["query_id", "rank"]),
     (q24_image_features, ["media_id"]),
     (q25_audio_frames, ["media_id"]),
@@ -3375,7 +3311,7 @@ QUERIES = {fn.__name__: _ordered(fn, *order) for fn, *order in [
     (q49_geocode_admin, ["url"]),
     (q22_geocode_pages, ["warc_ts", "url"]),
     (q23_tile_aggregates, ["hex_cell_r7"]),
-    (q12_dedup_exact, ["doc_id"], _doc_ids_bytes),
+    (q12_dedup_exact, ["doc_id"]),
     (q15_ngram_dup_pairs, ["d1", "d2"]),
     (q16_embed_knn, ["query_id", "rank"]),
     (q17_embed_neardup, ["d1", "d2"]),
@@ -3436,7 +3372,7 @@ QUERIES = {fn.__name__: _ordered(fn, *order) for fn, *order in [
     (q71_doc_repetition, ["doc_id"]),
     (q72_dup_substring_pairs, ["d1", "d2"]),
     # its aggregate streams at corpus scale on this hint, so its sort does
-    (q73_dup_substring_positions, ["doc_id"], _doc_grams_bytes),
+    (q73_dup_substring_positions, ["doc_id"]),
     (q74_dup_span_coverage, ["doc_id"]),
     (q75_embedding_pca, ["vec_id"]),
     (q81_semantic_dedup, ["vec_id"]),

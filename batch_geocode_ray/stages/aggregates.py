@@ -6,7 +6,7 @@ mega-city cell collapses to ONE partial row per batch, which is what
 kills skew), then ONE merge kernel over the partials (a pyarrow
 ``group_by`` re-merge plus the finalize, e.g. mean = sum/count) run
 through :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` on the
-group keys. The exchange measures the partials: below
+group keys. The exchange estimates the partials from the plan: below
 ``SMALL_COLLAPSE_BYTES`` the merge is one task, above it one task per
 coarse bucket. The all-to-all only ever carries ~n_groups x n_blocks
 rows, not the input rows. Exact quantiles use the same shape with
@@ -50,8 +50,7 @@ def tile_aggregate(ds: Dataset, cell_col: str) -> Dataset:
 
 def grouped_aggregate(ds: Dataset, keys: list[str],
                       specs: list[tuple[str, str, str]],
-                      sort_keys: list[str] | None = None,
-                      size_hint_bytes: int | None = None) -> Dataset:
+                      sort_keys: list[str] | None = None) -> Dataset:
     """Generic scalable grouped aggregation: per-batch partial combine
     (pyarrow C++ hash group-by) -> merge of partials -> finalize.
     ``specs`` entries are ``(column, op, out_name)`` with op in
@@ -61,14 +60,13 @@ def grouped_aggregate(ds: Dataset, keys: list[str],
     per input row (a hot key costs one partial row per batch). The
     merge is ONE kernel — re-aggregate the partials with pyarrow
     ``group_by`` and finalize — run through :func:`bucket_exchange` on
-    ``keys``: one task when the partials measure small (few groups),
-    one task per coarse bucket otherwise (10^12-row per-url groups).
+    ``keys``: one task when the input is estimated small, one task per
+    coarse bucket otherwise (10^12-row per-url groups).
     Key columns must be integer, temporal, string or binary; null keys
     form their own group. ``sort_keys`` orders the output: inside the
     merge task when collapsed, by a distributed ``sort`` otherwise.
-    The exchange materializes the partials to measure them, unless
-    ``size_hint_bytes`` (>= the collapse threshold) says they are big:
-    a corpus-scale caller passes its hint and the partials stream.
+    The exchange sizes the partials by the plan's own estimate of the
+    input, so nothing is materialized to choose the plan.
     """
     partial_aggs: list[tuple] = []   # (col, pa_fn)
     partial_names: list[str] = []
@@ -120,8 +118,7 @@ def grouped_aggregate(ds: Dataset, keys: list[str],
         return g
 
     out, collapsed = _exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), keys, merge,
-        size_hint_bytes)
+        ds.map_batches(partial, batch_format="pyarrow"), keys, merge)
     if collapsed or not sort_keys:
         return out
     return distributed_sort(out, sort_keys)
@@ -174,7 +171,8 @@ def grouping_sets_aggregate(ds: Dataset, keys: list[str],
             raise ValueError(f"cannot re-aggregate op {op!r}")
     out_names = [out for _, _, out in specs]
 
-    fine = grouped_aggregate(ds, keys, specs).materialize()
+    fine = grouped_aggregate(ds, keys, specs)
+    fine = fine.materialize()  # every level below reads it
     respec = [(out, "sum" if op in ("sum", "count", "count_rows")
                else op, out) for _, op, out in specs]
 

@@ -3,10 +3,17 @@
 Every stage that co-locates rows by key goes through
 :func:`bucket_exchange`; ``_exchange`` holds the package's only
 ``groupby(...).map_groups(...)``. Around it sit the pieces each
-keyed plan shares: the small-side probe (:func:`_probe_small`), the
+keyed plan shares: the plan's own size estimate
+(:func:`estimated_bytes`, scaled by :func:`scaled` where an op's own
+map grows its stream), the small-side test (:func:`_probe_small`), the
 one-task collapse (:func:`_one_task`), the size-grown bucket count
 (:func:`adaptive_bucket_count`), the key hash (:func:`key_hash64`) and
 Ray's range-partitioned sort (:func:`distributed_sort`).
+
+Every plan is chosen before anything runs: the estimate reads the
+sizes the plan's sources already carry and executes nothing. Rows
+never depend on the plan, so a wrong estimate costs speed or memory,
+never rows.
 
 The two thresholds, ``SMALL_COLLAPSE_BYTES`` and
 ``TARGET_BUCKET_BYTES``, are read through this module at call time, so
@@ -29,9 +36,9 @@ from batch_geocode_ray.functions.hashing import splitmix64, stable_hash64_array
 # ---------------------------------------------------------------------------
 
 # Adaptive threshold (like Spark AQE's shuffle->broadcast conversion):
-# once an intermediate is materialized and measures below this, the rest
-# of the computation collapses into ONE task instead of paying 1-2s of
-# fixed cost per all-to-all operator. Above it, the shuffle plan runs.
+# a keyed step whose input is estimated below this runs as ONE task
+# instead of paying 1-2s of fixed cost per all-to-all operator. Above
+# it, or with no estimate, the shuffle plan runs.
 SMALL_COLLAPSE_BYTES = 256 << 20
 
 # One coarse bucket = one ``map_groups`` task = the whole bucket
@@ -51,23 +58,41 @@ def adaptive_bucket_count(size_bytes: int) -> int:
     return max(1024, int(size_bytes or 0) // TARGET_BUCKET_BYTES + 1)
 
 
-def _probe_small(ds: Dataset, size_hint_bytes: int | None = None):
-    """Adaptive-plan probe: report ``(ds, fits_one_task, approx_bytes)``.
+def scaled(ds: Dataset, factor: float) -> Dataset:
+    """Mark ``ds``, the output of the caller's own ``map_batches``, as
+    ~``factor`` x its input's bytes (below 1 for a map that keeps a
+    known share of its rows), so :func:`estimated_bytes` of it and of
+    every plan built on it scale by ``factor``: the factor rides on the
+    plan's last operator."""
+    ds._logical_plan.dag.bgr_growth = factor
+    return ds
 
-    With ``size_hint_bytes`` >= the threshold the input is NOT
-    materialized — the stream passes through untouched and the hint is
-    the reported size, so a 100 TB caller never pins a corpus-sized
-    derived stream in the object store just to learn it isn't small
-    (VERDICT r4 "What's wrong" #1). Without a hint (or when the hint
-    is below the threshold — then the true size could still be above
-    it), the input materializes and its measured size decides.
-    ``SMALL_COLLAPSE_BYTES`` is read at call time, so tests can patch
-    it."""
-    if size_hint_bytes is not None and size_hint_bytes >= SMALL_COLLAPSE_BYTES:
-        return ds, False, int(size_hint_bytes)
-    m = ds.materialize()
-    size = m.size_bytes() or 0
-    return m, size < SMALL_COLLAPSE_BYTES, size
+
+def estimated_bytes(ds: Dataset) -> int | None:
+    """The plan's own size estimate of ``ds``, computed without
+    executing anything: on every path of the logical plan down from
+    its last operator, the first ``infer_metadata().size_bytes`` found
+    (a read's estimate, an ``InputData``'s or a materialized dataset's
+    blocks), summed over the inputs and scaled by every :func:`scaled`
+    factor on the way. ``None`` when some path has no size."""
+    def walk(op) -> int | None:
+        size = op.infer_metadata().size_bytes
+        if size is None:
+            parts = [walk(d) for d in op.input_dependencies]
+            if not parts or None in parts:
+                return None
+            size = sum(parts)
+        return int(size * getattr(op, "bgr_growth", 1))
+
+    return walk(ds._logical_plan.dag)
+
+
+def _probe_small(ds: Dataset) -> bool:
+    """Whether ``ds`` fits one task: its :func:`estimated_bytes` is
+    known and below ``SMALL_COLLAPSE_BYTES`` (read at call time, so
+    tests can patch it)."""
+    size = estimated_bytes(ds)
+    return size is not None and size < SMALL_COLLAPSE_BYTES
 
 
 def _one_task(ds: Dataset, fn) -> Dataset:
@@ -146,47 +171,47 @@ def _keys_hash64(b: pa.Table, keys: list[str]) -> np.ndarray:
     return h
 
 
-def _exchange(ds: Dataset, key: str | list[str], fn,
-              size_hint_bytes: int | None = None) -> tuple[Dataset, bool]:
+def _exchange(ds: Dataset, key: str | list[str],
+              fn) -> tuple[Dataset, bool]:
     """:func:`bucket_exchange`, plus whether it collapsed to one task."""
     keys = [key] if isinstance(key, str) else list(key)
-    m, small, probed_bytes = _probe_small(ds, size_hint_bytes=size_hint_bytes)
-    # a lazy (hinted) stream has no schema yet: its batches check instead
-    schema = m.schema(fetch_if_missing=False)
+    # a lazy stream may have no schema yet: its batches check instead
+    schema = ds.schema(fetch_if_missing=False)
     if schema is not None:
         types = dict(zip(schema.names, schema.types))
         for k in keys:
             if k in types:
                 _check_key_type(types[k], k)
-    if small:
-        return _one_task(m, fn), True
-    nb = np.uint64(adaptive_bucket_count(probed_bytes))
+    if _probe_small(ds):
+        def checked(b: pa.Table) -> pa.Table:
+            for k in set(keys) & set(b.column_names):
+                _check_key_type(b[k].type, k)
+            return fn(b)
+        return _one_task(ds, checked), True
+    nb = np.uint64(adaptive_bucket_count(estimated_bytes(ds)))
 
     def add_bucket(b: pa.Table) -> pa.Table:
         return b.append_column(EXCHANGE_BUCKET, pa.array(
             (_keys_hash64(b, keys) % nb).astype(np.int64)))
 
-    return (m.map_batches(add_bucket, batch_format="pyarrow")
+    return (ds.map_batches(add_bucket, batch_format="pyarrow")
             .groupby(EXCHANGE_BUCKET)
             .map_groups(lambda g: fn(g.drop_columns([EXCHANGE_BUCKET])),
                         batch_format="pyarrow")), False
 
 
-def bucket_exchange(ds: Dataset, key: str | list[str], fn,
-                    size_hint_bytes: int | None = None) -> Dataset:
+def bucket_exchange(ds: Dataset, key: str | list[str], fn) -> Dataset:
     """Co-locate every row sharing a ``key`` value (one column or a
     list of columns) and run ``fn`` over each co-located group of rows:
     the repo's one keyed shuffle.
 
     ``fn`` must be bucket-independent (it lexsorts and segments by key
-    internally): below ``SMALL_COLLAPSE_BYTES`` the whole input runs
-    through it as ONE task, skipping the all-to-all (~1-2 s fixed).
-    Above it, rows hash (:func:`key_hash64`, combined per column) into
-    :func:`adaptive_bucket_count` coarse buckets and
+    internally): when :func:`estimated_bytes` puts the input below
+    ``SMALL_COLLAPSE_BYTES`` the whole input runs through it as ONE
+    task, skipping the all-to-all (~1-2 s fixed). Otherwise rows hash
+    (:func:`key_hash64`, combined per column) into
+    :func:`adaptive_bucket_count` coarse buckets of the estimate and
     ``groupby(EXCHANGE_BUCKET).map_groups(fn)`` runs ``fn`` once per
     bucket, never once per key. ``fn`` never sees the bucket column.
-
-    The probe materializes the input to measure it; a caller that
-    knows the input is big passes ``size_hint_bytes`` (>= the
-    threshold) and the exchange streams, bucket count from the hint."""
-    return _exchange(ds, key, fn, size_hint_bytes)[0]
+    Nothing is materialized to choose the plan."""
+    return _exchange(ds, key, fn)[0]

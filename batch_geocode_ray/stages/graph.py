@@ -11,8 +11,8 @@ training-data scope.
 
 Two physical plans behind one API (the repo-wide adaptive pattern):
 
-* **collapsed** — when the edge list measures small
-  (``exchange.SMALL_COLLAPSE_BYTES`` probe), one task runs a fully
+* **collapsed** — when the plan estimates the edge list small
+  (below ``exchange.SMALL_COLLAPSE_BYTES``), one task runs a fully
   vectorized NumPy min-label fixpoint (no Python loop over edges).
 * **distributed** — hash-to-min label propagation with pointer
   jumping, expressed as one ``exchange.bucket_exchange`` keyed on
@@ -93,19 +93,15 @@ def _minlabel_fixpoint(nodes: np.ndarray, ia: np.ndarray,
     return nodes[lbl]
 
 
-def connected_components(edges: Dataset, a_col: str, b_col: str,
-                         size_hint_bytes: int | None = None) -> Dataset:
+def connected_components(edges: Dataset, a_col: str,
+                         b_col: str) -> Dataset:
     """Label every node that appears in ``edges`` with its component id
     (= the minimum node id in the component). Returns a Dataset with
     columns ``node``/``label`` (int64). Nodes with no edges simply
     don't appear — callers label them with their own id (see q56).
-    ``size_hint_bytes`` (~16 B x edges): pass at real scale so the edge
-    projection streams into round 1 instead of materializing for the
-    plan probe (rounds still bound label blocks via the governor).
     """
-    proj, small, _ = _probe_small(edges.select_columns([a_col, b_col]),
-                                  size_hint_bytes=size_hint_bytes)
-    if small:
+    proj = edges.select_columns([a_col, b_col])
+    if _probe_small(proj):
         def one(b: pa.Table) -> pa.Table:
             a = np.asarray(b[a_col].to_numpy(zero_copy_only=False),
                            dtype=np.int64)
@@ -191,8 +187,8 @@ def _hot_request_keys(reqs: Dataset, cap: int):
 
 def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
     sym = edges.map_batches(
-        lambda b: _sym(b, a_col, b_col), batch_format="pyarrow").materialize()
-    sym_bytes = sym.size_bytes() or 0
+        lambda b: _sym(b, a_col, b_col),
+        batch_format="pyarrow").materialize()  # read every round
 
     def add_salt(b: pa.Table, *, hot) -> pa.Table:
         """Each row's ``_salt``: 0, except that a hot key's requests
@@ -232,9 +228,9 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
     part_cap = max(2, min(64, cpus), sym.num_blocks())
 
     def bounded(ds: Dataset) -> Dataset:
-        m = ds.materialize()
+        m = ds.materialize()  # summed, then read by the next round
         if m.num_blocks() > part_cap:
-            m = m.repartition(part_cap).materialize()
+            m = m.repartition(part_cap).materialize()  # fewer blocks
         return m
 
     labels = bounded(min_by_node(sym.map_batches(
@@ -246,7 +242,7 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
         lambda b: pa.table({
             "key": b["src"], "q": b["dst"],
             "lab": pa.array(np.zeros(b.num_rows, np.int64))}),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow").materialize()  # read every round
 
     # giant-component mitigation only pays its count pre-pass on graphs
     # big enough for a hot key to outgrow a task (module doc)
@@ -269,8 +265,7 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
                if detect_hot else None)
         salted = rows.map_batches(add_salt, batch_format="pyarrow",
                                   fn_kwargs={"hot": hot})
-        cands = bucket_exchange(salted, ["key", "_salt"], _propagate_bucket,
-                                size_hint_bytes=sym_bytes)
+        cands = bucket_exchange(salted, ["key", "_salt"], _propagate_bucket)
         labels = bounded(min_by_node(labels.union(cands)))
         s = labels.sum("label")
         if s == prev_sum:  # labels only decrease ⇒ fixpoint
@@ -283,16 +278,14 @@ def _cc_distributed(edges: Dataset, a_col: str, b_col: str) -> Dataset:
 
 
 def label_all_nodes(nodes: Dataset, node_col: str,
-                    labels: Dataset,
-                    size_hint_bytes: int | None = None) -> Dataset:
+                    labels: Dataset) -> Dataset:
     """Left-join component labels (``node``/``label``) onto the FULL
     node table as ``cluster_id``; nodes outside any edge keep their own
     id as the label. One :func:`~batch_geocode_ray.stages.joins.equi_join`,
     so the label table broadcasts when small and goes through the bucket
-    exchange when not (pass ``size_hint_bytes`` ~16 B x labeled nodes to
-    skip the probe)."""
+    exchange when not."""
     out = equi_join(nodes, labels, node_col, "left", ["label"],
-                    right_key="node", size_hint_bytes=size_hint_bytes)
+                    right_key="node")
 
     def fill(b: pa.Table) -> pa.Table:
         cid = pc.coalesce(pc.cast(b["label"], pa.int64()),

@@ -7,10 +7,11 @@ fits in memory, ``ray.put`` it once and probe it inside ``map_batches``
 — the big side never shuffles. :func:`equi_join` (inner, left, semi,
 anti) has exactly two plans:
 
-* **broadcast** — the right side measures below
-  ``exchange.SMALL_COLLAPSE_BYTES``: it is gathered into one table and
-  probed by :func:`broadcast_join`, the entry point for a right side
-  that is already a ``pa.Table``;
+* **broadcast** — the plan estimates the right side below
+  ``exchange.SMALL_COLLAPSE_BYTES`` (``exchange.estimated_bytes``, from
+  the sizes its sources carry; nothing runs to choose): it is gathered
+  into one table and probed by :func:`broadcast_join`, the entry point
+  for a right side that is already a ``pa.Table``;
 * **exchange** — otherwise: :func:`_bucket_lookup_join` co-locates
   both sides' keys in one ``exchange.bucket_exchange``; MinHash
   verify attaches each candidate's text with it too.
@@ -122,8 +123,7 @@ class _BroadcastProbe:
 
 def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
               value_cols: list[str] | tuple = (),
-              right_key: str | None = None,
-              size_hint_bytes: int | None = None) -> Dataset:
+              right_key: str | None = None) -> Dataset:
     """Join ``right`` onto ``ds`` where ``ds[key] == right[right_key]``
     (``right_key`` defaults to ``key``). ``how``:
 
@@ -132,20 +132,21 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
     * ``semi``/``anti`` keep the rows whose key is / is not in
       ``right`` and add no columns (right keys may repeat).
 
-    The right side's size picks the plan (module doc): measured by
-    ``exchange._probe_small``, or said by ``size_hint_bytes`` — at or
-    above the collapse threshold the right side is never materialized
-    and the exchange streams. The key type is checked
-    before the plan runs, so a bad key fails at any size. An empty
-    right side (with or without a schema) gives the empty join on both
-    plans. Output columns: ``ds``'s, then ``value_cols``."""
+    The plan's estimate of the right side picks the plan (module doc);
+    the right side is never materialized to choose it. A bad key type
+    fails before the plan runs when the right side's schema is known
+    without running it, and when its batches are read otherwise. An
+    empty right side (with or without a schema) gives the empty join on
+    both plans. Output columns: ``ds``'s, then ``value_cols``."""
     if how not in _HOW:
         raise ValueError(f"equi_join how={how!r}; expected one of {_HOW}")
     right_key = right_key or key
     value_cols = list(value_cols)
-    m, small, _ = _probe_small(
-        right.select_columns([right_key] + value_cols), size_hint_bytes)
-    schema = m.schema()
+    m = right.select_columns([right_key] + value_cols)
+    small = _probe_small(m)
+    table = gather(m) if small else None
+    schema = (table.schema if small and table.num_columns
+              else right.schema(fetch_if_missing=False))
     # Ray keeps no schema for an empty block: such a right side is
     # empty, its key matches nothing and its values come out null-typed
     types = dict(zip(schema.names, schema.types)) if schema else {}
@@ -153,7 +154,6 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
     join_key64(pa.nulls(0, key_type), right_key)  # TypeError on a bad key
     if small:
         # Ray's select_columns passes an empty block through whole
-        table = gather(m)
         table = (table.select([right_key] + value_cols) if table.num_columns
                  else pa.schema([(right_key, key_type)]
                                 + [(c, types.get(c, pa.null()))
@@ -165,8 +165,7 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
     hit = "__join_hit"
     marked = _bucket_lookup_join(
         ds, key, m, right_key,
-        {right_key: hit, **{c: c for c in value_cols}}, missing="null",
-        size_hint_bytes=size_hint_bytes)
+        {right_key: hit, **{c: c for c in value_cols}}, missing="null")
 
     def finish(b: pa.Table) -> pa.Table:
         found = pc.is_valid(b[hit])
@@ -186,8 +185,7 @@ def equi_join(ds: Dataset, right: Dataset, key: str, how: str,
 def _bucket_lookup_join(requests: Dataset, req_key: str,
                         source: Dataset, source_key: str,
                         payload: dict[str, str],
-                        missing: str = "error",
-                        size_hint_bytes: int | None = None) -> Dataset:
+                        missing: str = "error") -> Dataset:
     """Attach ``payload`` columns (``{source_col: out_col}``) from
     ``source`` onto every ``requests`` row whose ``req_key`` equals the
     source row's ``source_key`` — an equi-join expressed as one
@@ -198,7 +196,7 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     side delivers zero blocks to a partition — guaranteed for the
     low-cardinality candidate sides these verify steps produce. The
     exchange here shuffles the same O(source + requests) rows once,
-    collapses to one task below the small probe, and is empty-safe.
+    collapses to one task below the small threshold, and is empty-safe.
 
     Keys follow :func:`join_key64` (integers exactly, strings by stable
     hash); a null key matches nothing. A request key should appear ONCE
@@ -206,41 +204,31 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
     an arbitrary one attaches — fine for membership flags). Source rows
     without requests emit nothing. ``missing``: "error" raises on a
     request key absent from source; "null" attaches typed nulls (left
-    semantics)."""
-    req_schema = requests.schema()
-    if req_schema is None:  # Ray keeps no schema for empty blocks
-        return requests
-    req_names = list(req_schema.names)
-    req_types = dict(zip(req_schema.names, req_schema.types))
-    src_schema = source.schema()
-    # an empty source may have no schema: its payload attaches as nulls
-    src_types = (dict(zip(src_schema.names, src_schema.types))
-                 if src_schema is not None else {})
-    out_payload = [(sc, oc) for sc, oc in payload.items()]
-    all_cols = req_names + [oc for _, oc in out_payload]
+    semantics).
+
+    Neither side runs to learn its schema: a carrier row holds only the
+    payload columns and a request row only the request columns, and
+    the exchange's concatenation fills each side's absent columns with
+    typed nulls (Arrow's default schema promotion). A merge task that
+    receives no carrier row attaches null-typed payload columns."""
+    outs = list(payload.values())
 
     def as_carrier(b: pa.Table) -> pa.Table:
         if b[source_key].null_count:
             b = b.filter(pc.is_valid(b[source_key]))
-        n = b.num_rows
         cols = {"__lk_k": pa.array(join_key64(b[source_key], source_key)),
-                "__lk_r": pa.array(np.zeros(n, np.int8))}
-        for c in req_names:
-            cols[c] = pa.nulls(n, req_types[c])
-        for sc, oc in out_payload:
+                "__lk_r": pa.array(np.zeros(b.num_rows, np.int8))}
+        for sc, oc in payload.items():
             cols[oc] = b[sc]
         return pa.table(cols)
 
     def as_request(b: pa.Table) -> pa.Table:
-        n = b.num_rows
         # 1 marks a request, 2 a request with a null key (never matched)
         valid = pc.is_valid(b[req_key]).to_numpy(zero_copy_only=False)
         cols = {"__lk_k": pa.array(join_key64(b[req_key], req_key)),
                 "__lk_r": pa.array(np.where(valid, 1, 2).astype(np.int8))}
-        for c in req_names:
+        for c in b.column_names:
             cols[c] = b[c]
-        for sc, oc in out_payload:
-            cols[oc] = pa.nulls(n, src_types.get(sc, pa.null()))
         return pa.table(cols)
 
     rows = (source.map_batches(as_carrier, batch_format="pyarrow")
@@ -270,20 +258,19 @@ def _bucket_lookup_join(requests: Dataset, req_key: str,
                 "lookup-join request key(s) "
                 f"{np.unique(ks[req_idx[~car_ok]])[:5].tolist()} "
                 "have no source row")
+        req_names = [c for c in g2.column_names
+                     if c not in outs and c not in ("__lk_k", "__lk_r")]
         out = {c: g2[c].take(pa.array(req_idx, pa.int64()))
                for c in req_names}
         idx = (pa.array(car_idx, pa.int64()) if car_ok.all()
                else pa.array(car_idx, pa.int64(), mask=~car_ok))
-        for _, oc in out_payload:
-            out[oc] = g2[oc].take(idx)
-        return pa.table(out).select(all_cols)
+        for oc in outs:
+            out[oc] = (g2[oc].take(idx) if oc in g2.column_names
+                       else pa.nulls(len(idx)))
+        return pa.table(out)
 
-    # size_hint_bytes: the exchange is O(source + requests) — when the
-    # source side is corpus-sized (e.g. verify joins attaching document
-    # text), pass the caller's hint so the union streams instead of
-    # materializing for the plan probe
-    return bucket_exchange(rows, "__lk_k", attach,
-                           size_hint_bytes=size_hint_bytes)
+    # the union's estimate sums both sides: O(source + requests)
+    return bucket_exchange(rows, "__lk_k", attach)
 
 
 def _int64(col) -> np.ndarray:

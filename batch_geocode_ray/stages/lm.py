@@ -70,9 +70,9 @@ def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
     ``P(w2|w1) = (cb + k) / (cu + k·V)`` — cb the bigram count, cu the
     context count, V the context-vocabulary size. Documents with fewer
     than two tokens emit no row (no pairs to score). The bigram counts
-    merge through :func:`grouped_aggregate`, which measures them: one
-    task for a bounded vocabulary, a bucket exchange when the bigram
-    table itself is large.
+    merge through :func:`grouped_aggregate`, which sizes them from the
+    plan's estimate: one task when it is small, a bucket exchange when
+    the input is large.
 
     Output: (``id_col``, ``n_pairs`` int64, ``ppl`` float64).
     """

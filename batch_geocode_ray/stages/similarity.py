@@ -137,7 +137,7 @@ def _merge_partial_topk(partials: Dataset, k: int,
     the oracle order.
 
     Large query sets (Q > SHUFFLE_MERGE_QUERIES, e.g. per-doc queries):
-    unless the partials measure small enough for that same one task,
+    unless the plan estimates the partials small enough for that task,
     a :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
     query_id merges per coarse bucket in parallel (never one task per
     query — see grouped-aggregate notes), then a distributed sort
@@ -163,12 +163,10 @@ def _merge_partial_topk(partials: Dataset, k: int,
             "rank": pa.array(rank[keep], pa.int64()),
         })
 
-    if n_queries is not None and n_queries > SHUFFLE_MERGE_QUERIES:
-        partials, small, size = _probe_small(partials)
-        if not small:
-            return (bucket_exchange(partials, "query_id", merge_one,
-                                    size_hint_bytes=size)
-                    .sort(["query_id", "rank"]))
+    if (n_queries is not None and n_queries > SHUFFLE_MERGE_QUERIES
+            and not _probe_small(partials)):
+        return (bucket_exchange(partials, "query_id", merge_one)
+                .sort(["query_id", "rank"]))
     return _one_task(partials, merge_one)
 
 
@@ -183,8 +181,9 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
     Output: (d1, d2, cosine), d1 < d2.
 
     One keyed exchange tiles the triangular self-join. The (id,
-    normalized vector) projection is measured: it is one block when it
-    fits one task, else ``B = ceil(size / TARGET_BUCKET_BYTES)`` blocks,
+    normalized vector) projection is sized by the plan's estimate: it
+    is one block when it fits one task, else
+    ``B = ceil(size / TARGET_BUCKET_BYTES)`` blocks,
     a row's block being ``key_hash64(id) mod B``. Each row is copied
     once per tile ``(min(b, j), max(b, j))``, j = 0..B-1, and
     :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` co-locates
@@ -203,9 +202,10 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             "_vec": _vector_column(_normalize(_matrix_of(b, vec_col))),
         })
 
-    proj, small, size = _probe_small(
-        ds.map_batches(project, batch_format="pyarrow"))
-    n_blocks = 1 if small else max(1, -(-size // exchange.TARGET_BUCKET_BYTES))
+    proj = ds.map_batches(project, batch_format="pyarrow")
+    size = exchange.estimated_bytes(proj)
+    n_blocks = (1 if _probe_small(proj) else
+                max(1, -(-(size or 0) // exchange.TARGET_BUCKET_BYTES)))
 
     def to_tiles(b: pa.Table) -> pa.Table:
         blk = (key_hash64(b["_id"], "_id") % np.uint64(n_blocks)).astype(
@@ -255,9 +255,10 @@ def cosine_neardup_pairs(ds: Dataset, vec_col: str, id_col: str,
             "cosine": pa.array(np.concatenate(cos), pa.float64()),
         })
 
-    return bucket_exchange(proj.map_batches(to_tiles, batch_format="pyarrow"),
-                           "_tile", tile_pairs,
-                           size_hint_bytes=size * n_blocks)
+    # each row is copied once per block: the tiles are n_blocks x proj
+    tiles = exchange.scaled(
+        proj.map_batches(to_tiles, batch_format="pyarrow"), n_blocks)
+    return bucket_exchange(tiles, "_tile", tile_pairs)
 
 
 def _nearest_centroid(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -506,8 +507,7 @@ def pca_project(ds: Dataset, vec_col: str, id_col: str,
 
 def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                    threshold: float = 0.9,
-                   centroids: np.ndarray | None = None,
-                   size_hint_bytes: int | None = None) -> Dataset:
+                   centroids: np.ndarray | None = None) -> Dataset:
     """SemDeDup-class semantic deduplication (Abbas et al. 2023,
     arXiv:2303.09540): cluster the embedding space with k-means, then
     WITHIN each cluster flag every item whose cosine similarity to an
@@ -523,10 +523,8 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
     NORMALIZED vector as a fixed_size_list column; then ONE
     :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
     cluster delivers whole clusters to tasks that lexsort, segment, and
-    matmul per cluster. Below the
-    small threshold (or under a small ``size_hint_bytes``) the exchange
-    collapses to one task; above it the plan streams — pass
-    ``size_hint_bytes`` (input bytes) to skip the size probe entirely.
+    matmul per cluster. Below the small threshold the exchange collapses
+    to one task; above it the plan streams.
 
     Partitioning assumption (document per the paper: k is chosen so
     clusters average ~n/k items): ONE CLUSTER's members fit one task's
@@ -589,5 +587,4 @@ def semantic_dedup(ds: Dataset, vec_col: str, id_col: str,
                          "kept": pa.array(kept)})
 
     return bucket_exchange(ds.map_batches(assign, batch_format="pyarrow"),
-                           "cluster", dedup_in_bucket,
-                           size_hint_bytes=size_hint_bytes)
+                           "cluster", dedup_in_bucket)

@@ -16,9 +16,10 @@ is the hashed analogue of that suffix sort:
   n_positions)`` rows before anything moves, so repeated grams within
   a document never widen the exchange;
 * ONE :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
-  the gram hash (size-probed bucket count, small-collapse to a single
-  task below the probe) co-locates each gram hash's posting list; cross-document segments
-  are found by vectorized lexsort + boundary diff.
+  the gram hash (bucket count from the plan's estimate x
+  ``POSITION_GROWTH``, small-collapse to a single task below the
+  threshold) co-locates each gram hash's posting list; cross-document
+  segments are found by vectorized lexsort + boundary diff.
 
 Two output semantics:
 
@@ -57,6 +58,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
+from batch_geocode_ray.stages import exchange
 from batch_geocode_ray.stages.aggregates import grouped_aggregate
 from batch_geocode_ray.stages.dedup import _i64, _run_pairs
 from batch_geocode_ray.stages.exchange import bucket_exchange
@@ -172,25 +174,27 @@ def _lgram_table(b: pa.Table, text_col: str, id_col: str,
     })
 
 
+# The per-position gram stream (up to one 32 B (h, h2, doc, cnt|pos)
+# row per byte of text) against the plan's estimate of its (id, text)
+# input: 25.8x and 26.2x on the sf0.01 and sf0.1 documents. Its
+# exchanges scale the input's estimate by this.
+POSITION_GROWTH = 27
+
+
 def _stream(ds: Dataset, text_col: str, id_col: str, L: int,
             with_positions: bool = False) -> Dataset:
-    return ds.map_batches(
+    return exchange.scaled(ds.map_batches(
         lambda b: _lgram_table(b, text_col, id_col, L, with_positions),
-        batch_format="pyarrow")
+        batch_format="pyarrow"), POSITION_GROWTH)
 
 
 def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
-                              L: int = 40,
-                              size_hint_bytes: int | None = None) -> Dataset:
+                              L: int = 40) -> Dataset:
     """Per-document duplicated-position counts: for each document with
     at least one, the number of byte positions whose length-``L`` gram
     occurs in ≥ 2 distinct documents. Output: (``id_col``,
     n_dup_positions), only documents with a positive count, in no set
-    order.
-
-    ``size_hint_bytes``: pass ~32 x corpus_chars (the gram-stream
-    width) at real scale so the exchange streams instead of
-    materializing the corpus-sized stream for the plan probe."""
+    order."""
     def emit_counts(g: pa.Table) -> pa.Table:
         h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
                        dtype=np.int64)
@@ -216,10 +220,9 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
                          "cnt": pa.array(cnt[keep], pa.int64())})
 
     partials = bucket_exchange(_stream(ds, text_col, id_col, L), "h",
-                               emit_counts, size_hint_bytes=size_hint_bytes)
+                               emit_counts)
     return grouped_aggregate(partials, [id_col],
-                             [("cnt", "sum", "n_dup_positions")],
-                             size_hint_bytes=size_hint_bytes)
+                             [("cnt", "sum", "n_dup_positions")])
 
 
 def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
@@ -246,8 +249,7 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
         lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),
         batch_format="pyarrow")
     joined = _bucket_lookup_join(cand, "d1", texts, id_col, {"_t": "_t1"})
-    joined = _bucket_lookup_join(joined, "d2", texts, id_col,
-                                 {"_t": "_t2"})
+    joined = _bucket_lookup_join(joined, "d2", texts, id_col, {"_t": "_t2"})
 
     def verify(b: pa.Table) -> pa.Table:
         out = pa.table({"d1": pa.array([], pa.int64()),
@@ -299,20 +301,18 @@ def _emit_dup_positions(g: pa.Table) -> pa.Table:
 
 
 def _dup_positions_stream(ds: Dataset, text_col: str, id_col: str,
-                          L: int,
-                          size_hint_bytes: int | None) -> Dataset:
+                          L: int) -> Dataset:
     """(doc, pos) rows of every duplicated L-gram window: per-position
     gram stream -> ONE bucket exchange by gram hash -> shared flagging
     kernel."""
 
     return bucket_exchange(
         _stream(ds, text_col, id_col, L, with_positions=True), "h",
-        _emit_dup_positions, size_hint_bytes=size_hint_bytes)
+        _emit_dup_positions)
 
 
 def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
-                            L: int = 40,
-                            size_hint_bytes: int | None = None) -> Dataset:
+                            L: int = 40) -> Dataset:
     """Per-document count of characters covered by at least one
     duplicated L-gram window — the quantity a span-CUT pass removes
     (Lee et al. cut the duplicated substrings, not whole documents).
@@ -324,8 +324,7 @@ def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
     sweep (coverage = L + sum(min(gap, L)) over consecutive sorted
     starts). Two all-to-alls over O(duplicated positions) rows."""
 
-    dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
-                                    size_hint_bytes)
+    dup_pos = _dup_positions_stream(ds, text_col, id_col, L)
 
     def coverage(g: pa.Table) -> pa.Table:
         doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
@@ -363,8 +362,7 @@ def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
 
 
 def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
-                        L: int = 40,
-                        size_hint_bytes: int | None = None) -> Dataset:
+                        L: int = 40) -> Dataset:
     """The span-CUT transform itself (Lee et al.'s actual dedup pass):
     every document re-emitted with the characters covered by a
     duplicated L-gram window REMOVED. Output: (``id_col``,
@@ -380,13 +378,8 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
        the bucket lookup join, and a map emits the cut text;
     3. unflagged docs — the overwhelming majority of a real corpus —
        take the :func:`~batch_geocode_ray.stages.joins.equi_join` anti
-       path against the flagged-id set and stream through untouched.
-
-    ``size_hint_bytes``: same meaning as
-    :func:`duplicate_span_coverage` (the per-position gram stream,
-    ~32 x corpus chars)."""
-    dup_pos = _dup_positions_stream(ds, text_col, id_col, L,
-                                    size_hint_bytes)
+       path against the flagged-id set and stream through untouched."""
+    dup_pos = _dup_positions_stream(ds, text_col, id_col, L)
 
     def spans_blob(g: pa.Table) -> pa.Table:
         """One row per flagged doc: its merged [s, e) cut intervals as
@@ -434,7 +427,8 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     # pin the per-position gram stream and both exchanges would execute
     # twice. It is one narrow row per FLAGGED doc (~24 B + 16 B per
     # interval) — the bounded dedup-artifact class, not the corpus
-    spans = bucket_exchange(dup_pos, "doc", spans_blob).materialize()
+    spans = bucket_exchange(dup_pos, "doc", spans_blob)
+    spans = spans.materialize()  # read by the text join and the anti join
 
     texts = ds.map_batches(
         lambda b: pa.table({id_col: b[id_col], "_t": b[text_col]}),

@@ -184,7 +184,7 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
     Per-batch partial top-k bounds what the merge sees to
     k x n_groups x n_blocks rows. The merge is one
     :func:`bucket_exchange` keyed on the group: one final task when the
-    partials measure small (the summary case: few groups), else one
+    plan estimates the partials small (the summary case), else one
     task per coarse bucket (per-url top-k at 10^12 rows), segments
     inside the bucket ranked vectorized. ``group_col`` must be an
     integer, temporal, string or binary column.
@@ -421,8 +421,7 @@ def _exclusive_scan(tok: np.ndarray, new_seg: np.ndarray) -> np.ndarray:
 
 
 def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
-                          seq_len: int = 1024,
-                          size_hint_bytes: int | None = None) -> Dataset:
+                          seq_len: int = 1024) -> Dataset:
     """GPT-style training-sequence packing: a DISTRIBUTED ORDERED PREFIX
     SUM over token counts in a deterministic shuffle order.
 
@@ -457,11 +456,11 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
        (key, id) and a cumsum restarted per range bucket + that range
        bucket's base gives exact global offsets.
 
-    Below ``SMALL_COLLAPSE_BYTES`` (or without a qualifying
-    ``size_hint_bytes``) the whole narrow table sorts and scans in ONE
-    task, skipping both all-to-alls. With a hint >= the threshold the
-    plan is fully streaming (no materialization); the narrow lineage
-    re-executes once per pass (2 pruned reads total).
+    When the plan estimates the input below ``SMALL_COLLAPSE_BYTES``
+    the whole narrow table sorts and scans in ONE task, skipping both
+    all-to-alls. Above it the plan is fully streaming (no
+    materialization): the narrow lineage re-executes once per pass (2
+    pruned reads total) rather than pinning O(documents) rows.
 
     Requires non-negative integer ids and non-null text. Offsets are
     int64 (a 100 TB corpus is ~2^44 tokens — 3 orders of magnitude of
@@ -499,21 +498,19 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
         })
 
     narrow_ds = ds.map_batches(narrow, batch_format="pyarrow")
-    m, small, approx = _probe_small(narrow_ds,
-                                    size_hint_bytes=size_hint_bytes)
-    if small:
-        return _one_task(m, pack)
+    if _probe_small(narrow_ds):
+        return _one_task(narrow_ds, pack)
 
-    nb = exchange.adaptive_bucket_count(approx)
-    bucketed = m.map_batches(_range_bucket_fn(nb), batch_format="pyarrow")
+    nb = exchange.adaptive_bucket_count(exchange.estimated_bytes(narrow_ds))
+    bucketed = narrow_ds.map_batches(_range_bucket_fn(nb),
+                                     batch_format="pyarrow")
 
     # pass 1: per-bucket token totals -> driver exclusive scan (nb rows,
     # bounded: nb grows ~linearly at 32 MB/bucket => ~12 MB of totals
     # even at a 10^12-doc corpus)
     totals = grouped_aggregate(
         bucketed.select_columns(["range_bucket", "n_tokens"]),
-        ["range_bucket"], [("n_tokens", "sum", "tok_sum")],
-        size_hint_bytes=size_hint_bytes)
+        ["range_bucket"], [("n_tokens", "sum", "tok_sum")])
     tb = gather(totals)
     per_bucket = np.zeros(nb, dtype=np.int64)
     if tb.num_rows:
@@ -524,16 +521,14 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
                        dtype=np.int64)
     bases = np.concatenate([[0], np.cumsum(per_bucket)[:-1]]).astype(np.int64)
 
-    # pass 2: co-locate each contiguous key slice, scan locally (the
-    # size is >= the collapse threshold here, so nothing is probed)
+    # pass 2: co-locate each contiguous key slice, scan locally
     return bucket_exchange(bucketed, "range_bucket",
-                           lambda g: pack(g, bases), size_hint_bytes=approx)
+                           lambda g: pack(g, bases))
 
 
 def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
-                                group_col: str, budget_tokens: int,
-                                size_hint_bytes: int | None = None
-                                ) -> Dataset:
+                                group_col: str,
+                                budget_tokens: int) -> Dataset:
     """Data-mixture curation: cap every group (source / domain) at a
     token budget, keeping documents in DETERMINISTIC shuffle order —
     the distributed form of "take each source's first N tokens of the
@@ -609,21 +604,19 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
         })
 
     narrow_ds = ds.map_batches(narrow, batch_format="pyarrow")
-    m, small, approx = _probe_small(narrow_ds,
-                                    size_hint_bytes=size_hint_bytes)
-    if small:
-        return _one_task(m, scan)
+    if _probe_small(narrow_ds):
+        return _one_task(narrow_ds, scan)
 
-    nb = exchange.adaptive_bucket_count(approx)
-    bucketed = m.map_batches(_range_bucket_fn(nb), batch_format="pyarrow")
+    nb = exchange.adaptive_bucket_count(exchange.estimated_bytes(narrow_ds))
+    bucketed = narrow_ds.map_batches(_range_bucket_fn(nb),
+                                     batch_format="pyarrow")
 
     # pass 1: (bucket, group) token totals -> driver per-group
     # exclusive scan over buckets (nb x n_groups rows, bounded by the
     # group-cardinality assumption above)
     totals = grouped_aggregate(
         bucketed.select_columns(["range_bucket", group_col, "n_tokens"]),
-        ["range_bucket", group_col], [("n_tokens", "sum", "tok_sum")],
-        size_hint_bytes=size_hint_bytes)
+        ["range_bucket", group_col], [("n_tokens", "sum", "tok_sum")])
     tb = gather(totals)
     per: dict[str, np.ndarray] = {}
     if tb.num_rows:
@@ -637,4 +630,4 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
              for gname, v in per.items()}
 
     return bucket_exchange(bucketed, "range_bucket",
-                           lambda g: scan(g, bases), size_hint_bytes=approx)
+                           lambda g: scan(g, bases))

@@ -19,8 +19,10 @@ pipeline or input invalidates the fingerprint and re-runs everything.
 The lineage also stores the fingerprint's parts (the tag, and each
 file's path, size, ``mtime_ns`` and footer sha256), so a recomputed
 partition names its cause: ``tag``, ``input:<file>``, ``rows`` (the
-output no longer holds the recorded rows) or ``missing`` (no readable
-lineage or no output).
+output no longer holds the recorded rows, or one of its files is torn)
+or ``missing`` (no readable lineage or no output). A recomputed
+partition's lineage is removed before its output is cleared, so a run
+killed mid-write leaves no lineage to match the partial output.
 
 Each partition is one bounded Dataset execution (fully parallel across
 the cluster internally); partitions run in sequence on the driver. On
@@ -132,7 +134,10 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
                 if lin.get("fingerprint") != fp:
                     cause = _changed_part(lin, pipeline_tag, inputs)
                 elif os.path.isdir(part_dir):
-                    actual = _count_rows(part_dir)
+                    try:
+                        actual = _count_rows(part_dir)
+                    except ValueError:  # a torn output file
+                        actual = None
                     if actual == lin.get("rows_out"):
                         results.append(PartitionResult(
                             pid, True, actual, 0.0, prev_attempt, None))
@@ -144,6 +149,11 @@ def run_resumable(build_fn: Callable[[list[str]], Dataset],
         t0 = time.perf_counter()
         ds = build_fn(files)
         rows_in = sum(pq.read_metadata(f).num_rows for f in files)
+        # the old lineage goes before its output: a run killed from here
+        # until the new lineage is written leaves none to match, never a
+        # current fingerprint over another run's rows
+        if os.path.exists(lineage_path):
+            os.unlink(lineage_path)
         # clean any partial previous output before rewriting
         if os.path.isdir(part_dir):
             for f in os.listdir(part_dir):

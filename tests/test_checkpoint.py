@@ -186,6 +186,53 @@ def test_recomputed_partition_names_its_cause(inputs, tmp_path):
     assert [r.skipped for r in res] == [True, False, False, False]
 
 
+class _KilledWrite:
+    """Stand-in Dataset of a run killed while it writes: one parquet
+    file of ``table`` lands in the partition directory, then the write
+    raises."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    def write_parquet(self, path: str) -> None:
+        os.makedirs(path, exist_ok=True)
+        pq.write_table(self.table, os.path.join(path, "killed.parquet"))
+        raise RuntimeError("killed mid-write")
+
+
+def test_kill_during_another_tags_rewrite_does_not_resume_stale(inputs,
+                                                                tmp_path):
+    """Tag A completes, a tag-B rerun is killed after writing as many
+    rows as A's output holds, and tag A runs again. A's old lineage
+    must not vouch for B's rows: the partition recomputes (its lineage
+    is gone, so the cause is ``missing``) and the output equals run 1's."""
+    out = str(tmp_path / "run")
+    run_resumable(build, inputs, out, "A", files_per_partition=4)
+    want = read_all(out)
+    other = pa.table({"x": pa.array(range(100, 140), pa.int64()),
+                      "y": pa.array(range(40), pa.int64())})
+    with pytest.raises(RuntimeError, match="killed"):
+        run_resumable(lambda files: _KilledWrite(other), inputs, out, "B",
+                      files_per_partition=4)
+    res = run_resumable(build, inputs, out, "A", files_per_partition=4)
+    assert [(r.skipped, r.cause) for r in res] == [(False, "missing")]
+    assert read_all(out) == want
+
+
+def test_torn_output_file_recomputes_with_cause_rows(inputs, tmp_path):
+    """An output file cut in half (its footer gone) makes the resume
+    recompute that partition with cause ``rows`` instead of raising."""
+    out = str(tmp_path / "run")
+    run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    want = read_all(out)
+    part1 = os.path.join(out, "part-00001")
+    path = os.path.join(part1, sorted(os.listdir(part1))[0])
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) // 2)
+    res = run_resumable(build, inputs, out, "v1", files_per_partition=1)
+    assert [r.cause for r in res] == [None, "rows", None, None]
+    assert read_all(out) == want
+
 
 @pytest.mark.parametrize("changed", ["gazetteer", "polygons", "facilities"])
 def test_cli_rerun_recomputes_changed_broadcast_input(changed, tmp_path):

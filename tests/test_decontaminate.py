@@ -85,20 +85,18 @@ def test_empty_eval_flags_nothing():
 
 
 def test_streams_under_size_hints(monkeypatch):
-    """With hints >= the collapse threshold on BOTH sides, plan choice
-    must not materialize anything (VERDICT r4 #1 discipline)."""
+    """On the exchange plan (``SMALL_COLLAPSE_BYTES = 0``, so both sides
+    count as big), plan choice must not materialize anything."""
     from batch_geocode_ray.stages import exchange
     from ray.data import Dataset
 
     def boom(self, *a, **k):
-        raise AssertionError("materialize() called under a size hint")
+        raise AssertionError("materialize() called on the exchange plan")
 
     monkeypatch.setattr(Dataset, "materialize", boom)
-    big = exchange.SMALL_COLLAPSE_BYTES + 1
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     out = ngram_decontaminate(_mk(TRAIN_DOCS), _mk(EVAL_DOCS),
-                              "text", "doc_id", k=K,
-                              eval_size_hint_bytes=big,
-                              size_hint_bytes=big)
+                              "text", "doc_id", k=K)
     got = {r["doc_id"]: (r["n_hit_grams"], r["n_grams"])
            for r in out.take_all()}
     assert got == _naive()

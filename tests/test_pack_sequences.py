@@ -1,7 +1,7 @@
 """q78 sequence packing: the distributed ordered prefix sum.
 
 Pins (a) both physical plans (single-task collapse vs bucket exchange)
-bit-equal to a NumPy scan oracle, (b) the hinted plan never
+bit-equal to a NumPy scan oracle, (b) the exchange plan never
 materializes, (c) the packing invariants (offsets partition the token
 stream; sequence ids consistent with seq_len), (d) id validation.
 """
@@ -59,8 +59,8 @@ def test_pack_sequences_both_plans_match_oracle(monkeypatch):
 
     # 7 range buckets -> 7 base offsets from the exclusive scan
     monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 7)
-    big = _collect(sequence_pack_offsets(
-        ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
+    big = _collect(sequence_pack_offsets(ds, "doc_id", "text", seq_len=64))
     assert big.equals(want)
 
 
@@ -98,12 +98,13 @@ def test_pack_sequences_hint_streams(monkeypatch):
     real = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
-        got = _collect(sequence_pack_offsets(
-            ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
+        got = _collect(sequence_pack_offsets(ds, "doc_id", "text",
+                                             seq_len=64))
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert got.equals(want)
@@ -175,8 +176,9 @@ def test_mixture_budget_both_plans_match_oracle(monkeypatch):
     assert 0 < small.num_rows < len(ids)  # budget actually bites
 
     monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 5)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     big = _collect(grouped_token_budget_sample(
-        ds, "doc_id", "text", "source", 120, size_hint_bytes=1 << 40))
+        ds, "doc_id", "text", "source", 120))
     assert big.equals(want)
 
 
@@ -195,12 +197,13 @@ def test_mixture_budget_hint_streams(monkeypatch):
     real = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
         got = _collect(grouped_token_budget_sample(
-            ds, "doc_id", "text", "source", 100, size_hint_bytes=1 << 40))
+            ds, "doc_id", "text", "source", 100))
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert got.equals(want)
@@ -225,9 +228,9 @@ def test_range_buckets_sharing_a_coarse_bucket_match_oracle(op, tmp_path,
     log = tmp_path / "range_buckets.jsonl"
     real = exchange._exchange
 
-    def spy(ds, key, fn, size_hint_bytes=None):
+    def spy(ds, key, fn):
         if key != "range_bucket":
-            return real(ds, key, fn, size_hint_bytes)
+            return real(ds, key, fn)
 
         def logged(g):
             # runs in the worker: append this group's range buckets
@@ -235,17 +238,18 @@ def test_range_buckets_sharing_a_coarse_bucket_match_oracle(op, tmp_path,
                 f.write(json.dumps(sorted(set(
                     g["range_bucket"].to_pylist()))) + "\n")
             return fn(g)
-        return real(ds, key, logged, size_hint_bytes)
+        return real(ds, key, logged)
 
     monkeypatch.setattr(exchange, "_exchange", spy)
     monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 16)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     if op == "pack":
-        got = _collect(sequence_pack_offsets(
-            ds, "doc_id", "text", seq_len=64, size_hint_bytes=1 << 40))
+        got = _collect(sequence_pack_offsets(ds, "doc_id", "text",
+                                             seq_len=64))
         want = _numpy_oracle(ids, texts, 64)
     else:
         got = _collect(grouped_token_budget_sample(
-            ds, "doc_id", "text", "source", 300, size_hint_bytes=1 << 40))
+            ds, "doc_id", "text", "source", 300))
         want = _budget_oracle(ids, np.array(grps), texts, 300)
         assert 0 < want.num_rows < len(ids)  # budget actually bites
     groups = [json.loads(line) for line in log.read_text().splitlines()]

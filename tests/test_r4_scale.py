@@ -32,12 +32,12 @@ def test_adaptive_bucket_count_grows_with_input():
 
 def test_adaptive_bucket_count_wired_to_probed_size(monkeypatch):
     """The distributed n-gram plan derives its bucket count from the
-    probed gram-table size (not a constant)."""
+    estimated gram-table size (not a constant)."""
     seen = {}
     real = exchange.adaptive_bucket_count
 
     def spy(size_bytes, *a, **kw):
-        seen["size"] = size_bytes
+        seen.setdefault("size", size_bytes)  # the first is the gram exchange
         return real(size_bytes, *a, **kw)
 
     monkeypatch.setattr(exchange, "adaptive_bucket_count", spy)
@@ -345,30 +345,31 @@ def test_pca_project_matches_numpy():
         assert abs(got[i][1] - want[i, 1]) < 1e-6
 
 
-def test_size_hint_streaming_plan_same_result():
-    """With a big size hint the exchange skips the probe/materialize
-    entirely (fully streaming) and produces identical results."""
+def test_size_hint_streaming_plan_same_result(monkeypatch):
+    """The streaming exchange plan (forced by ``SMALL_COLLAPSE_BYTES =
+    0``) produces the one-task plan's results."""
     from batch_geocode_ray.stages.substring import duplicate_position_counts
 
     docs = _span_docs()
     probed = {r["doc_id"]: r["n_dup_positions"]
               for r in duplicate_position_counts(
                   docs, "text", "doc_id", L=40).take_all()}
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     streamed = {r["doc_id"]: r["n_dup_positions"]
                 for r in duplicate_position_counts(
-                    docs, "text", "doc_id", L=40,
-                    size_hint_bytes=1 << 40).take_all()}
+                    docs, "text", "doc_id", L=40).take_all()}
     assert streamed == probed
 
 
-def test_ngram_hint_streaming_same_result():
+def test_ngram_hint_streaming_same_result(monkeypatch):
     from batch_geocode_ray.stages.dedup import ngram_jaccard_pairs as njp
 
     docs = _hot_gram_docs()
     probed = _pairs_of(njp(docs, "text", "doc_id", k=3, threshold=0.8,
                            max_posting=32))
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     streamed = _pairs_of(njp(docs, "text", "doc_id", k=3, threshold=0.8,
-                             max_posting=32, size_hint_bytes=1 << 40))
+                             max_posting=32))
     assert streamed == probed == {(200, 201): 1.0, (202, 203): 1.0,
                                   (300, 301): 1.0}
 

@@ -201,7 +201,7 @@ def test_pca_project_empty_input_raises_value_error():
 
 
 # ---------------------------------------------------------------------------
-# size_hint_bytes: every probed op streams when hinted (VERDICT r4 #2)
+# the exchange plan streams: no op materializes to choose it
 # ---------------------------------------------------------------------------
 
 def _docs_ds():
@@ -219,9 +219,9 @@ def _rows(ds):
 
 
 def test_size_hint_skips_materialize_everywhere(monkeypatch):
-    """With a hint >= SMALL_COLLAPSE_BYTES no op in the hinted family
-    may call Dataset.materialize at ALL (plan construction or
-    execution) — the probe is the only materializer they had."""
+    """On the exchange plan (``SMALL_COLLAPSE_BYTES = 0``) no op in this
+    family may call Dataset.materialize at ALL (plan construction or
+    execution): the plans are chosen from the estimate."""
     from ray.data import Dataset
 
     from batch_geocode_ray.stages.dedup import (
@@ -234,23 +234,8 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
     from batch_geocode_ray.pipelines.queries import _sort_adaptive
 
     docs = _docs_ds()
-    H = 1 << 40
 
     plans = {
-        "exact_dedup": lambda: exact_dedup(
-            docs, "text", "doc_id", size_hint_bytes=H),
-        "fingerprint_dup_pairs": lambda: fingerprint_dup_pairs(
-            docs, "text", "doc_id", size_hint_bytes=H),
-        "simhash_pairs": lambda: simhash_pairs(
-            docs, "text", "doc_id", size_hint_bytes=H),
-        "edit_distance_pairs": lambda: edit_distance_pairs(
-            docs, "text", "doc_id", max_dist=1, size_hint_bytes=H),
-        "minhash_lsh_pairs": lambda: minhash_lsh_pairs(
-            docs, "text", "doc_id", size_hint_bytes=H),
-        "sort_adaptive": lambda: _sort_adaptive(
-            docs, "doc_id", size_hint_bytes=H),
-    }
-    unhinted = {
         "exact_dedup": lambda: exact_dedup(docs, "text", "doc_id"),
         "fingerprint_dup_pairs": lambda: fingerprint_dup_pairs(
             docs, "text", "doc_id"),
@@ -262,13 +247,14 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         "sort_adaptive": lambda: _sort_adaptive(docs, "doc_id"),
     }
 
-    want = {name: _rows(fn()) for name, fn in unhinted.items()}
+    want = {name: _rows(fn()) for name, fn in plans.items()}
 
     real_materialize = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     for name, fn in plans.items():
         monkeypatch.setattr(Dataset, "materialize", forbidden)
         try:
@@ -278,7 +264,7 @@ def test_size_hint_skips_materialize_everywhere(monkeypatch):
         assert got == want[name], name
 
 
-def test_connected_components_hint_same_result():
+def test_connected_components_hint_same_result(monkeypatch):
     from batch_geocode_ray.stages.graph import connected_components
 
     edges = rd.from_arrow(pa.table({
@@ -287,9 +273,9 @@ def test_connected_components_hint_same_result():
     })).repartition(3)
     want = sorted((r["node"], r["label"]) for r in
                   connected_components(edges, "a", "b").take_all())
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = sorted((r["node"], r["label"]) for r in
-                 connected_components(edges, "a", "b",
-                                      size_hint_bytes=1 << 40).take_all())
+                 connected_components(edges, "a", "b").take_all())
     assert got == want
     assert want[0] == (1, 1)
 
@@ -490,38 +476,40 @@ def test_image_features_real_decodes_png():
 
 
 def test_minhash_hint_streams_and_matches(monkeypatch):
-    """With a size hint the signature table is never materialized (the
-    probe AND the verify-text source are stream-only) and the pairs
-    are exactly the probed plan's."""
+    """On the exchange plan (``SMALL_COLLAPSE_BYTES = 0``) the signature
+    table is never materialized (the plan choice AND the verify-text
+    source are stream-only) and the pairs are exactly the one-task
+    plan's."""
     from ray.data import Dataset
 
     docs = _docs_ds()
 
-    def run(hint):
+    def run():
         out = minhash_lsh_pairs(docs, "text", "doc_id", k=3,
-                                threshold=0.8, size_hint_bytes=hint)
+                                threshold=0.8)
         return sorted((r["d1"], r["d2"]) for r in out.take_all())
 
-    want_tri = run(None)
+    want_tri = run()
     assert want_tri  # planted dups exist in _docs_ds
 
     real = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
-        got_tri = run(1 << 40)
+        got_tri = run()
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert got_tri == want_tri
 
 
 def test_semi_anti_join_hint_streams(monkeypatch):
-    """Hinted semi/anti join never materializes (key projection OR the
-    lookup-join exchange) and matches the probed plans, for both int
-    and string keys."""
+    """The exchange-plan semi/anti join (``SMALL_COLLAPSE_BYTES = 0``)
+    never materializes (key projection OR the lookup-join exchange) and
+    matches the broadcast plan, for both int and string keys."""
     from ray.data import Dataset
 
     big_i = rd.from_arrow(pa.table({
@@ -532,24 +520,25 @@ def test_semi_anti_join_hint_streams(monkeypatch):
         "k": pa.array([1, 4, 7, 99], pa.int64())}))
     big_s, keys_s = _str_tables()
 
-    def run(hint):
+    def run():
         a = sorted(r["v"] for r in equi_join(
-            big_i, keys_i, "k", "semi", size_hint_bytes=hint).take_all())
+            big_i, keys_i, "k", "semi").take_all())
         b = sorted(r["v"] for r in equi_join(
-            big_i, keys_i, "k", "anti", size_hint_bytes=hint).take_all())
+            big_i, keys_i, "k", "anti").take_all())
         c = sorted(r["x"] for r in equi_join(
-            big_s, keys_s, "u", "semi", size_hint_bytes=hint).take_all())
+            big_s, keys_s, "u", "semi").take_all())
         return a, b, c
 
-    want = run(None)
+    want = run()
     real = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
-        got = run(1 << 40)
+        got = run()
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert got == want

@@ -201,19 +201,7 @@ def test_exemptions_are_current():
 # stays; ``def`` is ``Class.method`` for a method. A parameter stays only
 # as a correctness check, a resource guard, a path, or when a test sets
 # it to reach at fixture scale a path the default reaches at corpus scale.
-_HINT = ("corpus-scale no-materialize hint "
-         "(test_size_hint_skips_materialize_everywhere)")
 EXEMPT_PARAMS = {
-    ("batch_geocode_ray/stages/dedup.py", "fingerprint_dup_pairs",
-     "size_hint_bytes"): _HINT,
-    ("batch_geocode_ray/stages/dedup.py", "edit_distance_pairs",
-     "size_hint_bytes"): _HINT,
-    ("batch_geocode_ray/stages/graph.py", "connected_components",
-     "size_hint_bytes"): _HINT,
-    ("batch_geocode_ray/stages/graph.py", "label_all_nodes",
-     "size_hint_bytes"): _HINT,
-    ("batch_geocode_ray/stages/similarity.py", "semantic_dedup",
-     "size_hint_bytes"): _HINT,
     ("batch_geocode_ray/pipelines/geocode.py", "build_geocode_pipeline",
      "verify_extraction"):
         "correctness check: html kernel against the extracted text",

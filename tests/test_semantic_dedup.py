@@ -77,19 +77,18 @@ def test_both_plans_equal(ray_session, random_world, monkeypatch):
     ds = _mkds(ids, vecs)
     collapsed = _collect(semantic_dedup(
         ds, "embedding", "vec_id", threshold=0.8, centroids=centroids))
-    # the hinted plan must also never materialize (house convention:
-    # the size probe was the only materializer these plans had)
+    # the exchange plan must also never materialize
     from ray.data import Dataset
     real = Dataset.materialize
 
     def forbidden(self, *a, **kw):
-        raise AssertionError("materialize() called on the hinted plan")
+        raise AssertionError("materialize() called on the exchange plan")
 
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     monkeypatch.setattr(Dataset, "materialize", forbidden)
     try:
         streamed = _collect(semantic_dedup(
-            ds, "embedding", "vec_id", threshold=0.8, centroids=centroids,
-            size_hint_bytes=exchange.SMALL_COLLAPSE_BYTES * 4))
+            ds, "embedding", "vec_id", threshold=0.8, centroids=centroids))
     finally:
         monkeypatch.setattr(Dataset, "materialize", real)
     assert collapsed == streamed
