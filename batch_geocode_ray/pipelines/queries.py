@@ -2974,9 +2974,9 @@ def q78_pack_sequences(sf_dir: str) -> Dataset:
     shuffle order, then a DISTRIBUTED ORDERED PREFIX SUM of whitespace
     token counts gives every document its token offset in the packed
     stream and the fixed 1024-token training sequences it spans
-    (Blelloch scan: per-bucket totals -> driver exclusive scan over a
-    bounded nb-row table -> one coarse-bucket exchange of NARROW
-    (id, key, n_tokens) tuples; the text never rides a shuffle)."""
+    (Blelloch scan: per-bucket totals -> in-plan exclusive scan into
+    base rows -> one coarse-bucket exchange of NARROW (id, key,
+    n_tokens) tuples; the text never rides a shuffle)."""
     from batch_geocode_ray.stages.windows import sequence_pack_offsets
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -3009,7 +3009,7 @@ def q79_mixture_budget(sf_dir: str) -> Dataset:
     subsampling step behind mixture reweighting a la DoReMi / The
     Pile's per-set epochs). Same Blelloch scan as q78 with the prefix
     sum PARTITIONED BY source — pass-1 totals keyed on (range-bucket,
-    source), per-source bases broadcast once."""
+    source), scanned per source inside the plan."""
     from batch_geocode_ray.stages.windows import grouped_token_budget_sample
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"])

@@ -101,34 +101,24 @@ def main(argv=None):
     configure_for_throughput()
 
     if args.query:
-        from ray.data import Dataset
-
         from batch_geocode_ray.pipelines.queries import QUERIES
 
         if args.query not in QUERIES:
             raise SystemExit(
                 f"unknown query {args.query!r}; choose from "
                 f"{', '.join(sorted(QUERIES))}")
-        res = QUERIES[args.query](args.sf_dir)
         os.makedirs(args.out, exist_ok=True)
         stale = [f for f in os.listdir(args.out) if f.endswith(".parquet")]
         if stale:
-            # a reused --out would mix old outputs in and over-count rows
+            # a reused --out would mix old outputs in and over-count
+            # rows; refused before the query, which may already run Ray
+            # work while it is built
             raise SystemExit(
                 f"--out {args.out!r} already holds {len(stale)} parquet "
                 "file(s); pass an empty/new directory")
-        if isinstance(res, Dataset):
-            res.write_parquet(args.out)
-            n = sum(pq.read_metadata(os.path.join(args.out, f)).num_rows
-                    for f in os.listdir(args.out)
-                    if f.endswith(".parquet"))
-        else:  # pandas / pyarrow result
-            import pyarrow as pa_
-
-            tbl = (pa_.Table.from_pandas(res)
-                   if not isinstance(res, pa_.Table) else res)
-            pq.write_table(tbl, os.path.join(args.out, "result.parquet"))
-            n = tbl.num_rows
+        QUERIES[args.query](args.sf_dir).write_parquet(args.out)
+        n = sum(pq.read_metadata(os.path.join(args.out, f)).num_rows
+                for f in os.listdir(args.out) if f.endswith(".parquet"))
         print(json.dumps({"query": args.query, "rows": n,
                           "out": args.out}))
         if owns_ray:
@@ -181,13 +171,13 @@ def main(argv=None):
     # columnar result — cells only, not the wide columns)
     import ray.data as rd
 
+    # explicit file list: read_parquet expands a single dir but not a
+    # LIST of dirs
+    part_files = sorted(glob.glob(os.path.join(page_out, "part-*",
+                                               "*.parquet")))
     tile_out = {}
     for res in [int(x) for x in args.tiles.split(",") if x]:
         cols = [f"hex_cell_r{res}", "best_buffer"]
-        # explicit file list: read_parquet expands a single dir but not
-        # a LIST of dirs
-        part_files = sorted(glob.glob(os.path.join(page_out, "part-*",
-                                                   "*.parquet")))
         ds = rd.read_parquet(part_files, columns=cols)
         tiles = build_tile_aggregates_from_pages(ds, res)
         t_dir = os.path.join(args.out, f"tiles_r{res}")
@@ -202,8 +192,6 @@ def main(argv=None):
     if args.csv_out:
         from batch_geocode_ray.sources.writers import write_reference_csv
 
-        part_files = sorted(glob.glob(os.path.join(page_out, "part-*",
-                                                   "*.parquet")))
         csv_rows = write_reference_csv(rd.read_parquet(part_files),
                                        args.csv_out)
 

@@ -2,8 +2,8 @@
 
 * **Collects** — a Dataset comes back to the driver only through
   :func:`gather`, as one ``pa.Table``.
-* **Bounded constants** going out (range-bucket bases, centroids, a
-  PCA basis, query vectors, hot keys) are captured by the UDF or passed
+* **Bounded constants** going out (centroids, a PCA basis, query
+  vectors, hot keys) are captured by the UDF or passed
   in ``fn_kwargs``: Ray Data puts each operator's UDF into the object
   store once, so nothing is re-shipped per batch.
 * **Input-sized state** going out (a rank table, an eval gram set, an

@@ -1,15 +1,13 @@
 """Event-stream style operators over a batch table: gap-based
-sessionization and per-group top-k.
+sessionization, per-key windows, per-group top-k and the token scan.
 
 Ray Data has no native session windows; ``sessionize`` expresses them
 as: :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
 the user (the Python group hook runs once per coarse bucket, not once
 per user) -> vectorized NumPy session assignment over the lexsorted
 (user, ts) arrays inside each bucket. The other per-key windows here
-(moving average, rank, LAG gaps, transitions) share that exchange, and
-so do the two Blelloch scans (``sequence_pack_offsets``,
-``grouped_token_budget_sample``), keyed on a contiguous range bucket of
-the shuffle key.
+(moving average, rank, LAG gaps, transitions) share that exchange and
+its one sort-and-segment (:func:`_sort_segments`).
 Partitioning assumption: one user's events fit in one group's memory
 (true even for pathological users at billions of events/user — then
 pre-split by day).
@@ -17,6 +15,12 @@ pre-split by day).
 ``grouped_topk`` keeps per-group candidates k-bounded inside every
 batch (partial top-k), so the final merge sees at most
 k x n_blocks x n_groups rows.
+
+``sequence_pack_offsets`` and ``grouped_token_budget_sample`` are thin
+wrappers over one Blelloch scan, :func:`_token_offsets`, planned end to
+end: its per-range-bucket bases reach their rows inside the plan, so
+nothing comes back to the driver and no function carries state sized
+by the input.
 """
 
 from __future__ import annotations
@@ -35,7 +39,32 @@ from batch_geocode_ray.stages.exchange import (
     _probe_small,
     bucket_exchange,
 )
-from batch_geocode_ray.stages.stateful import gather
+from batch_geocode_ray.stages.joins import _int64
+
+
+def _first_of_run(keys: np.ndarray) -> np.ndarray:
+    """For rows sorted by ``keys``: the mask of each key's first row."""
+    new_seg = np.ones(len(keys), dtype=bool)
+    new_seg[1:] = keys[1:] != keys[:-1]
+    return new_seg
+
+
+def _pos_in_run(new_seg: np.ndarray) -> np.ndarray:
+    """Each row's 0-based position in its run (runs start where
+    ``new_seg`` is set)."""
+    idx = np.arange(len(new_seg))
+    return idx - np.maximum.accumulate(np.where(new_seg, idx, 0))
+
+
+def _sort_segments(g: pa.Table, key, *by):
+    """The per-key windows' one sort-and-segment: ``g``'s rows in
+    (``key``, *``by``) order, each a column name (read as int64,
+    temporal in µs) or an int64 array. Returns (order, the sorted
+    columns, the mask of each key's first row)."""
+    cols = [_int64(g[c]) if isinstance(c, str) else c for c in (key, *by)]
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    return order, cols, _first_of_run(cols[0])
 
 
 def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
@@ -49,34 +78,17 @@ def sessionize(ds: Dataset, user_col: str, ts_col: str, value_col: str,
     """
 
     def sessions_in_bucket(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        users = np.asarray(g[user_col].to_numpy(zero_copy_only=False),
-                           dtype=np.int64)
-        ts = np.asarray(g[ts_col].to_numpy(zero_copy_only=False))
-        ts_us = ts.astype("datetime64[us]").astype(np.int64)
+        order, (users, ts_us, _), new_sess = _sort_segments(
+            g, user_col, ts_col, order_col)
         val = np.asarray(g[value_col].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        order_v = np.asarray(g[order_col].to_numpy(zero_copy_only=False),
-                             dtype=np.int64)
-        order = np.lexsort((order_v, ts_us, users))
-        users, ts_us, val = users[order], ts_us[order], val[order]
-
+                         dtype=np.float64)[order]
         gap_us = int(gap_seconds * 1_000_000)
-        new_sess = np.ones(n, dtype=bool)
-        if n > 1:
-            new_sess[1:] = (users[1:] != users[:-1]) | \
-                           (ts_us[1:] - ts_us[:-1] > gap_us)
-        sess_id = np.cumsum(new_sess) - 1  # global (bucket-local) session idx
+        new_sess[1:] |= ts_us[1:] - ts_us[:-1] > gap_us
         starts = np.nonzero(new_sess)[0]
-        ends = np.concatenate([starts[1:], [n]])
+        ends = np.concatenate([starts[1:], [g.num_rows]])
         # per-user 1-based numbering: rank of session start within user
         user_of_sess = users[starts]
-        m = len(starts)
-        new_run = np.ones(m, dtype=bool)
-        if m > 1:
-            new_run[1:] = user_of_sess[1:] != user_of_sess[:-1]
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(m), 0))
-        sess_n = np.arange(m) - run_start + 1
+        sess_n = _pos_in_run(_first_of_run(user_of_sess)) + 1
         sums = np.add.reduceat(val, starts)
         counts = (ends - starts).astype(np.int64)
         return pa.table({
@@ -109,24 +121,12 @@ def grouped_moving_avg(ds: Dataset, key_col: str, ts_col: str,
     """
 
     def avg_in_bucket(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        keys = np.asarray(g[key_col].to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-        ts = np.asarray(g[ts_col].to_numpy(zero_copy_only=False))
-        ts_i = ts.astype("datetime64[us]").astype(np.int64) \
-            if ts.dtype.kind == "M" else ts.astype(np.int64)
-        oid = np.asarray(g[order_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
+        order, (_, _, oid), new_seg = _sort_segments(
+            g, key_col, ts_col, order_col)
         val = np.asarray(g[value_col].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        order = np.lexsort((oid, ts_i, keys))
-        keys, oid, val = keys[order], oid[order], val[order]
-        new_seg = np.ones(n, dtype=bool)
-        if n > 1:
-            new_seg[1:] = keys[1:] != keys[:-1]
-        seg_start = np.maximum.accumulate(
-            np.where(new_seg, np.arange(n), 0))
-        pos_in_seg = np.arange(n) - seg_start
+                         dtype=np.float64)[order]
+        n = g.num_rows
+        pos_in_seg = _pos_in_run(new_seg)
         # windowed sum by shifted adds, oldest term first (forward
         # accumulation order — same association as a naive running
         # window, keeping float drift vs the SQL oracle at ~7 ulp
@@ -191,30 +191,25 @@ def grouped_topk(ds: Dataset, group_col: str, sort_col: str,
     """
     cols = list(dict.fromkeys([group_col, sort_col, tie_col]))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def ranked(b: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        """``b``'s top-k rows per group, in rank order, and their
+        0-based ranks."""
         b = b.select(cols)
-        idx = pc.sort_indices(b, sort_keys=[
+        b = b.take(pc.sort_indices(b, sort_keys=[
             (group_col, "ascending"), (sort_col, "descending"),
-            (tie_col, "ascending")])
-        b = b.take(idx)
-        g = np.asarray(b[group_col].to_numpy(zero_copy_only=False))
-        new_g = np.ones(len(g), dtype=bool)
-        new_g[1:] = g[1:] != g[:-1]
-        start = np.maximum.accumulate(np.where(new_g, np.arange(len(g)), 0))
-        rank = np.arange(len(g)) - start
-        return b.filter(pa.array(rank < k))
+            (tie_col, "ascending")]))
+        rank = _pos_in_run(_first_of_run(
+            np.asarray(b[group_col].to_numpy(zero_copy_only=False))))
+        keep = rank < k
+        return b.filter(pa.array(keep)), rank[keep]
 
     def final(b: pa.Table) -> pa.Table:
-        b = partial(b)
-        g = np.asarray(b[group_col].to_numpy(zero_copy_only=False))
-        new_g = np.ones(len(g), dtype=bool)
-        new_g[1:] = g[1:] != g[:-1]
-        start = np.maximum.accumulate(np.where(new_g, np.arange(len(g)), 0))
-        rank = np.arange(len(g)) - start + 1
-        return b.append_column("rank", pa.array(rank, pa.int64()))
+        b, rank = ranked(b)
+        return b.append_column("rank", pa.array(rank + 1, pa.int64()))
 
-    return bucket_exchange(ds.map_batches(partial, batch_format="pyarrow"),
-                           group_col, final)
+    return bucket_exchange(
+        ds.map_batches(lambda b: ranked(b)[0], batch_format="pyarrow"),
+        group_col, final)
 
 
 def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
@@ -238,33 +233,14 @@ def grouped_rank(ds: Dataset, key_col: str, rank_col: str,
     """
 
     def rank_in_bucket(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        keys = np.asarray(g[key_col].to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-        rv = np.asarray(g[rank_col].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        ties = []
-        for c in tie_cols:
-            t = np.asarray(g[c].to_numpy(zero_copy_only=False))
-            if t.dtype.kind == "M":
-                t = t.astype("datetime64[us]").astype(np.int64)
-            ties.append(t.astype(np.int64))
-        ids = np.asarray(g[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        # lexsort: last key is primary -> (tie_cols reversed, -rank, key)
-        order = np.lexsort(tuple(reversed(ties)) + (-rv, keys))
-        keys, rv, ids = keys[order], rv[order], ids[order]
-        idx = np.arange(n)
-        new_key = np.ones(n, dtype=bool)
-        if n > 1:
-            new_key[1:] = keys[1:] != keys[:-1]
+        order, (keys, neg_rv, *_), new_key = _sort_segments(
+            g, key_col, -_int64(g[rank_col]), *tie_cols)
+        ids = _int64(g[id_col])[order]
         new_run = new_key.copy()
-        if n > 1:
-            new_run[1:] |= rv[1:] != rv[:-1]
-        key_start = np.maximum.accumulate(np.where(new_key, idx, 0))
-        run_start = np.maximum.accumulate(np.where(new_run, idx, 0))
-        rn = idx - key_start + 1
-        rnk = run_start - key_start + 1
+        new_run[1:] |= neg_rv[1:] != neg_rv[:-1]
+        pos_key = _pos_in_run(new_key)
+        rn = pos_key + 1
+        rnk = pos_key - _pos_in_run(new_run) + 1
         drun = np.cumsum(new_run)
         drun_at_key = np.maximum.accumulate(np.where(new_key, drun, 0))
         drnk = drun - drun_at_key + 1
@@ -294,31 +270,17 @@ def interarrival_stats(ds: Dataset, key_col: str, ts_col: str,
     """
 
     def gaps_in_bucket(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        keys = np.asarray(g[key_col].to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-        ts = np.asarray(g[ts_col].to_numpy(zero_copy_only=False))
-        ts_us = ts.astype("datetime64[us]").astype(np.int64)
-        oid = np.asarray(g[order_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((oid, ts_us, keys))
-        keys, ts_us = keys[order], ts_us[order]
-        if n < 2:
-            return pa.table({key_col: pa.array([], pa.int64()),
-                             "n_gaps": pa.array([], pa.int64()),
-                             "sum_gap_us": pa.array([], pa.int64()),
-                             "max_gap_us": pa.array([], pa.int64())})
-        same = keys[1:] == keys[:-1]
-        gap = ts_us[1:] - ts_us[:-1]
+        _, (keys, ts_us, _), new_key = _sort_segments(
+            g, key_col, ts_col, order_col)
+        same = ~new_key[1:]
         gkey = keys[1:][same]
-        gval = gap[same]
+        gval = (ts_us[1:] - ts_us[:-1])[same]
         if not len(gkey):
             return pa.table({key_col: pa.array([], pa.int64()),
                              "n_gaps": pa.array([], pa.int64()),
                              "sum_gap_us": pa.array([], pa.int64()),
                              "max_gap_us": pa.array([], pa.int64())})
-        starts = np.nonzero(np.concatenate(
-            [[True], gkey[1:] != gkey[:-1]]))[0]
+        starts = np.flatnonzero(_first_of_run(gkey))
         ends = np.concatenate([starts[1:], [len(gkey)]])
         return pa.table({
             key_col: pa.array(gkey[starts], pa.int64()),
@@ -348,16 +310,9 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
         n = g.num_rows
         if n < 2:
             return empty
-        keys = np.asarray(g[key_col].to_numpy(zero_copy_only=False),
-                          dtype=np.int64)
-        ts_us = np.asarray(g[ts_col].to_numpy(zero_copy_only=False)) \
-            .astype("datetime64[us]").astype(np.int64)
-        oid = np.asarray(g[order_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((oid, ts_us, keys))
-        keys_s = keys[order]
+        order, _, new_key = _sort_segments(g, key_col, ts_col, order_col)
         vals = g[val_col].combine_chunks().take(pa.array(order, pa.int64()))
-        same = pa.array(keys_s[1:] == keys_s[:-1])
+        same = pa.array(~new_key[1:])
         frm = vals.slice(0, n - 1).filter(same)
         to = vals.slice(1).filter(same)
         if not len(frm):
@@ -375,17 +330,17 @@ def grouped_transition_counts(ds: Dataset, key_col: str, ts_col: str,
 def _shuffle_narrow_tokens(b: pa.Table, id_col: str, text_col: str,
                            op_name: str,
                            group_col: str | None = None) -> pa.Table:
-    """Shared narrow pass behind the Blelloch-scan operators
-    (:func:`sequence_pack_offsets`, :func:`grouped_token_budget_sample`):
-    (id, [group,] shuffle_key, n_tokens) — the Knuth shuffle key
-    ``(id * KNUTH_MULT) mod 2^32`` and the whitespace token count
-    (``count(' ') + 1``; SQL parity: ``len(string_split(text, ' '))``).
-    ONE definition: both operators' SQL oracles depend on the exact
-    same key formula and tokenization."""
+    """The token scan's narrow pass: (id, [group,] shuffle_key,
+    n_tokens) — the Knuth shuffle key ``(id * KNUTH_MULT) mod 2^32``
+    and the whitespace token count (``count(' ') + 1``; SQL parity:
+    ``len(string_split(text, ' '))``). A negative id or a null text
+    raises ``ValueError`` naming ``op_name``."""
     ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
                      dtype=np.int64)
     if len(ids) and ids.min() < 0:
         raise ValueError(f"{op_name}: ids must be >= 0")
+    if b[text_col].null_count:
+        raise ValueError(f"{op_name}: text must be non-null")
     key = (ids.astype(np.uint64) * np.uint64(KNUTH_MULT)) \
         & np.uint64(0xFFFFFFFF)
     toks = pc.add(pc.count_substring(
@@ -420,6 +375,106 @@ def _exclusive_scan(tok: np.ndarray, new_seg: np.ndarray) -> np.ndarray:
     return cum - np.repeat(cum[seg], np.diff(np.append(seg, len(tok))))
 
 
+def _token_offsets(ds: Dataset, id_col: str, text_col: str, op_name: str,
+                   group_col: str | None = None) -> Dataset:
+    """The Blelloch scan behind :func:`sequence_pack_offsets` and
+    :func:`grouped_token_budget_sample`: (id, [group,] shuffle_key,
+    n_tokens, start_off), where ``start_off`` is the EXCLUSIVE prefix
+    sum of ``n_tokens`` in (shuffle_key, id) order, restarted per
+    ``group_col`` value (one scan over all rows without a group).
+
+    A global ordered scan is an inherently sequential recurrence; the
+    distributed plan decomposes it the textbook way (Blelloch):
+
+    1. one map pass reduces the corpus to narrow (id, [group,] key,
+       n_tokens) tuples — the text NEVER rides an exchange — and
+       range-buckets the uniform 32-bit key space into ``nb``
+       contiguous slices;
+    2. :func:`grouped_aggregate` sums the tokens per (range bucket[,
+       group]); one :func:`bucket_exchange` keyed on the group (with
+       no group, one task over the ``nb`` totals) scans each group's
+       totals over its range buckets into BASE offsets, each a carrier
+       row of its (range bucket[, group]) segment;
+    3. one :func:`bucket_exchange` keyed on the range bucket
+       co-locates each key slice with its carriers, a union of the
+       two streams as in ``joins._bucket_lookup_join``. Inside a group
+       a carrier (id and key -1) sorts first in its segment, so one
+       exclusive scan restarted at every carrier gives exact global
+       offsets.
+
+    Nothing comes back to the driver and no function captures a table:
+    the plan runs only when its result is consumed. When the plan
+    estimates the input below ``SMALL_COLLAPSE_BYTES`` the whole narrow
+    table sorts and scans in ONE task, skipping the all-to-alls. Above
+    it the narrow lineage re-executes once per pass (2 pruned reads)
+    rather than pinning O(documents) rows.
+    """
+    def narrow(b: pa.Table) -> pa.Table:
+        return _shuffle_narrow_tokens(b, id_col, text_col, op_name,
+                                      group_col=group_col)
+
+    def groups(t: pa.Table) -> np.ndarray:
+        """Group codes, equal for equal values (all 0 without a group)."""
+        if group_col is None:
+            return np.zeros(t.num_rows, np.int64)
+        return np.asarray(pc.rank(t[group_col], tiebreaker="dense"),
+                          dtype=np.int64)
+
+    def carriers(t: pa.Table) -> pa.Table:
+        """(range bucket[, group]) token totals -> each segment's base
+        (the per-group exclusive scan over range buckets) as a carrier
+        row of the narrow schema."""
+        order, (_, rb), new_grp = _sort_segments(
+            t, groups(t), "range_bucket")
+        base = _exclusive_scan(_int64(t["n_tokens"])[order], new_grp)
+        none = pa.array(np.full(len(order), -1, np.int64))
+        cols: dict = {id_col: none}
+        if group_col is not None:
+            cols[group_col] = t[group_col].take(pa.array(order, pa.int64()))
+        cols["shuffle_key"] = none
+        cols["n_tokens"] = pa.array(base, pa.int64())
+        cols["range_bucket"] = pa.array(rb, pa.int64())
+        return pa.table(cols)
+
+    def scan(t: pa.Table) -> pa.Table:
+        """Exclusive scan per group in (range bucket, key, id) order,
+        restarted at every carrier; the one-task plan has no range
+        buckets and no carriers."""
+        rb = ("range_bucket" if "range_bucket" in t.column_names
+              else np.zeros(t.num_rows, np.int64))
+        order, (_, _, key, ids), new_grp = _sort_segments(
+            t, groups(t), rb, "shuffle_key", id_col)
+        tok = _int64(t["n_tokens"])[order]
+        carrier = ids < 0
+        off = _exclusive_scan(tok, new_grp | carrier)
+        doc = ~carrier
+        cols: dict = {id_col: pa.array(ids[doc], pa.int64())}
+        if group_col is not None:
+            cols[group_col] = t[group_col].take(
+                pa.array(order[doc], pa.int64()))
+        cols["shuffle_key"] = pa.array(key[doc], pa.int64())
+        cols["n_tokens"] = pa.array(tok[doc], pa.int64())
+        cols["start_off"] = pa.array(off[doc], pa.int64())
+        return pa.table(cols)
+
+    narrow_ds = ds.map_batches(narrow, batch_format="pyarrow")
+    if _probe_small(narrow_ds):
+        return _one_task(narrow_ds, scan)
+
+    nb = exchange.adaptive_bucket_count(exchange.estimated_bytes(narrow_ds))
+    bucketed = narrow_ds.map_batches(_range_bucket_fn(nb),
+                                     batch_format="pyarrow")
+    seg = ["range_bucket"] + ([group_col] if group_col else [])
+    totals = grouped_aggregate(bucketed.select_columns(seg + ["n_tokens"]),
+                               seg, [("n_tokens", "sum", "n_tokens")])
+    bases = (bucket_exchange(totals, group_col, carriers) if group_col
+             else _one_task(totals, carriers))
+    # nb x n_groups carrier rows beside the corpus: the union keeps the
+    # narrow stream's estimate, so the pass-2 bucket count is its own
+    return bucket_exchange(bucketed.union(exchange.scaled(bases, 0)),
+                           "range_bucket", scan)
+
+
 def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
                           seq_len: int = 1024) -> Dataset:
     """GPT-style training-sequence packing: a DISTRIBUTED ORDERED PREFIX
@@ -441,89 +496,21 @@ def sequence_pack_offsets(ds: Dataset, id_col: str, text_col: str,
       the doc lands in (``start_off // seq_len`` and
       ``(start_off + n_tokens - 1) // seq_len``).
 
-    A global ordered scan is an inherently sequential recurrence; the
-    distributed plan decomposes it the textbook way (Blelloch):
-
-    1. one map pass reduces the corpus to narrow (id, key, n_tokens)
-       tuples — the text NEVER rides an exchange — and range-buckets
-       the uniform 32-bit key space into ``nb`` contiguous slices;
-    2. per-bucket token TOTALS (one tiny partial row per batch x
-       bucket via :func:`grouped_aggregate`) come back to the driver —
-       a bounded ``nb``-row table — where an exclusive scan yields
-       per-bucket BASE offsets, which the pass-2 UDF captures;
-    3. one :func:`bucket_exchange` keyed on the range bucket
-       co-locates each key slice; inside a group the rows lexsort by
-       (key, id) and a cumsum restarted per range bucket + that range
-       bucket's base gives exact global offsets.
-
-    When the plan estimates the input below ``SMALL_COLLAPSE_BYTES``
-    the whole narrow table sorts and scans in ONE task, skipping both
-    all-to-alls. Above it the plan is fully streaming (no
-    materialization): the narrow lineage re-executes once per pass (2
-    pruned reads total) rather than pinning O(documents) rows.
-
-    Requires non-negative integer ids and non-null text. Offsets are
-    int64 (a 100 TB corpus is ~2^44 tokens — 3 orders of magnitude of
-    headroom).
+    The scan is :func:`_token_offsets` with no group. Requires
+    non-negative integer ids and non-null text (either fault raises
+    ``ValueError``). Offsets are int64 (a 100 TB corpus is ~2^44
+    tokens — 3 orders of magnitude of headroom).
     """
-    def narrow(b: pa.Table) -> pa.Table:
-        return _shuffle_narrow_tokens(b, id_col, text_col,
-                                      "sequence_pack_offsets")
+    def seqs(t: pa.Table) -> pa.Table:
+        start = _int64(t["start_off"])
+        tok = _int64(t["n_tokens"])
+        return (t.append_column("first_seq",
+                                pa.array(start // seq_len, pa.int64()))
+                .append_column("last_seq", pa.array(
+                    (start + tok - 1) // seq_len, pa.int64())))
 
-    def pack(t: pa.Table, bases: np.ndarray | None = None) -> pa.Table:
-        """Offsets in (key, id) order; with ``bases``, each row's range
-        bucket adds its base (without, the table is one range)."""
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        key = np.asarray(t["shuffle_key"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        tok = np.asarray(t["n_tokens"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((ids, key))
-        ids, key, tok = ids[order], key[order], tok[order]
-        start = np.cumsum(tok) - tok
-        if bases is not None:
-            # range buckets are contiguous key slices: sorted by key
-            rb = np.asarray(t["range_bucket"].to_numpy(
-                zero_copy_only=False), dtype=np.int64)[order]
-            start = bases[rb] + _exclusive_scan(
-                tok, np.diff(rb, prepend=np.int64(-1)) != 0)
-        return pa.table({
-            id_col: pa.array(ids, pa.int64()),
-            "shuffle_key": pa.array(key, pa.int64()),
-            "n_tokens": pa.array(tok, pa.int64()),
-            "start_off": pa.array(start, pa.int64()),
-            "first_seq": pa.array(start // seq_len, pa.int64()),
-            "last_seq": pa.array((start + tok - 1) // seq_len, pa.int64()),
-        })
-
-    narrow_ds = ds.map_batches(narrow, batch_format="pyarrow")
-    if _probe_small(narrow_ds):
-        return _one_task(narrow_ds, pack)
-
-    nb = exchange.adaptive_bucket_count(exchange.estimated_bytes(narrow_ds))
-    bucketed = narrow_ds.map_batches(_range_bucket_fn(nb),
-                                     batch_format="pyarrow")
-
-    # pass 1: per-bucket token totals -> driver exclusive scan (nb rows,
-    # bounded: nb grows ~linearly at 32 MB/bucket => ~12 MB of totals
-    # even at a 10^12-doc corpus)
-    totals = grouped_aggregate(
-        bucketed.select_columns(["range_bucket", "n_tokens"]),
-        ["range_bucket"], [("n_tokens", "sum", "tok_sum")])
-    tb = gather(totals)
-    per_bucket = np.zeros(nb, dtype=np.int64)
-    if tb.num_rows:
-        per_bucket[np.asarray(
-            tb["range_bucket"].to_numpy(zero_copy_only=False),
-            dtype=np.int64)] = \
-            np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-    bases = np.concatenate([[0], np.cumsum(per_bucket)[:-1]]).astype(np.int64)
-
-    # pass 2: co-locate each contiguous key slice, scan locally
-    return bucket_exchange(bucketed, "range_bucket",
-                           lambda g: pack(g, bases))
+    return _token_offsets(ds, id_col, text_col, "sequence_pack_offsets") \
+        .map_batches(seqs, batch_format="pyarrow")
 
 
 def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
@@ -543,91 +530,18 @@ def grouped_token_budget_sample(ds: Dataset, id_col: str, text_col: str,
     ``src_off + n_tokens <= budget_tokens``. Output columns:
     (id, group, shuffle_key, n_tokens, src_off) — kept rows only.
 
-    Same Blelloch-scan plan as :func:`sequence_pack_offsets` with the
-    pass-1 totals keyed on (range bucket, group) and per-group base
-    offsets broadcast as a dict of arrays; the scan restarts per
-    (group, range bucket). Partitioning assumption:
-    GROUP CARDINALITY IS BOUNDED (mixture sources/domains, ~10^0-10^4)
-    — the driver-side totals table is nb x n_groups rows; a
-    high-cardinality group key (per-url) needs a different plan (it
-    also makes no sense as a mixture axis).
+    The scan is :func:`_token_offsets` per group: its bases are one row
+    per (range bucket, group), scanned by an exchange keyed on the
+    group, so any group cardinality plans the same way. Requires
+    non-negative integer ids and non-null text (either fault raises
+    ``ValueError``).
     """
-    def narrow(b: pa.Table) -> pa.Table:
-        return _shuffle_narrow_tokens(b, id_col, text_col,
-                                      "grouped_token_budget_sample",
-                                      group_col=group_col)
+    def within_budget(t: pa.Table) -> pa.Table:
+        keep = pc.less_equal(pc.add(t["start_off"], t["n_tokens"]),
+                             budget_tokens)
+        return t.filter(keep).rename_columns(
+            t.column_names[:-1] + ["src_off"])
 
-    def scan(t: pa.Table, bases: dict | None = None) -> pa.Table:
-        """Per-group exclusive scan in (key, id) order + budget filter;
-        with ``bases``, each (group, range bucket) segment starts at
-        ``bases[group][range_bucket]`` (without, at 0)."""
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        key = np.asarray(t["shuffle_key"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        tok = np.asarray(t["n_tokens"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        grp = t[group_col].combine_chunks()
-        # stable group codes from the SORTED unique list so the segment
-        # order below is deterministic (vectorized: dictionary-encode,
-        # then re-rank the dictionary into sorted order)
-        de = grp.dictionary_encode()
-        dict_vals = de.dictionary
-        idx = np.asarray(de.indices, dtype=np.int64)
-        si = np.asarray(pc.sort_indices(dict_vals), dtype=np.int64)
-        uniq = dict_vals.take(pa.array(si, pa.int64()))
-        rank = np.empty(len(si), np.int64)
-        rank[si] = np.arange(len(si), dtype=np.int64)
-        g = rank[idx]
-        order = np.lexsort((ids, key, g))   # group-major, shuffle order
-        ids, key, tok, g = ids[order], key[order], tok[order], g[order]
-        new_seg = np.diff(g, prepend=np.int64(-1)) != 0
-        seg_base = np.zeros(len(g), np.int64)
-        if bases is not None:
-            # range buckets are contiguous key slices: sorted in a group
-            rb = np.asarray(t["range_bucket"].to_numpy(
-                zero_copy_only=False), dtype=np.int64)[order]
-            new_seg |= np.diff(rb, prepend=np.int64(-1)) != 0
-            seg = np.flatnonzero(new_seg)
-            seg_base = np.repeat(
-                np.array([bases[uniq[c].as_py()][r]
-                          for c, r in zip(g[seg], rb[seg])], dtype=np.int64),
-                np.diff(np.append(seg, len(g))))
-        src_off = seg_base + _exclusive_scan(tok, new_seg)
-        keep = src_off + tok <= budget_tokens
-        return pa.table({
-            id_col: pa.array(ids[keep], pa.int64()),
-            group_col: uniq.take(pa.array(g[keep], pa.int64())),
-            "shuffle_key": pa.array(key[keep], pa.int64()),
-            "n_tokens": pa.array(tok[keep], pa.int64()),
-            "src_off": pa.array(src_off[keep], pa.int64()),
-        })
-
-    narrow_ds = ds.map_batches(narrow, batch_format="pyarrow")
-    if _probe_small(narrow_ds):
-        return _one_task(narrow_ds, scan)
-
-    nb = exchange.adaptive_bucket_count(exchange.estimated_bytes(narrow_ds))
-    bucketed = narrow_ds.map_batches(_range_bucket_fn(nb),
-                                     batch_format="pyarrow")
-
-    # pass 1: (bucket, group) token totals -> driver per-group
-    # exclusive scan over buckets (nb x n_groups rows, bounded by the
-    # group-cardinality assumption above)
-    totals = grouped_aggregate(
-        bucketed.select_columns(["range_bucket", group_col, "n_tokens"]),
-        ["range_bucket", group_col], [("n_tokens", "sum", "tok_sum")])
-    tb = gather(totals)
-    per: dict[str, np.ndarray] = {}
-    if tb.num_rows:
-        bks = np.asarray(tb["range_bucket"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        ts = np.asarray(tb["tok_sum"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        for bk, gname, tv in zip(bks, tb[group_col].to_pylist(), ts):
-            per.setdefault(gname, np.zeros(nb, np.int64))[bk] = tv
-    bases = {gname: np.concatenate([[0], np.cumsum(v)[:-1]]).astype(np.int64)
-             for gname, v in per.items()}
-
-    return bucket_exchange(bucketed, "range_bucket",
-                           lambda g: scan(g, bases))
+    return _token_offsets(ds, id_col, text_col,
+                          "grouped_token_budget_sample", group_col) \
+        .map_batches(within_budget, batch_format="pyarrow")

@@ -239,3 +239,10 @@ def test_per_row_python_guard_is_not_vacuous():
 @pytest.mark.parametrize("rel", _FUSED_PATH)
 def test_fused_path_builds_no_per_row_python(rel):
     assert _per_row_python((_PKG / rel).read_text()) == [], rel
+
+
+def test_windows_builds_no_per_row_python():
+    """The per-key windows and the token scan stay vectorized too."""
+    src = (_PKG / "stages/windows.py").read_text()
+    assert _per_row_python(src) == []
+    assert ".as_py(" not in src and "gather" not in src

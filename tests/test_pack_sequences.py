@@ -258,6 +258,90 @@ def test_range_buckets_sharing_a_coarse_bucket_match_oracle(op, tmp_path,
     assert got.equals(want)
 
 
+def _build(op, ds):
+    if op == "pack":
+        return sequence_pack_offsets(ds, "doc_id", "text", seq_len=64)
+    return grouped_token_budget_sample(ds, "doc_id", "text", "source", 300)
+
+
+def _grouped_ds():
+    ids, grps, texts = _grouped_corpus()
+    return rd.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "source": pa.array(grps, pa.string()),
+    })).repartition(4)
+
+
+@pytest.mark.parametrize("op", ["pack", "budget"])
+def test_token_scan_builds_without_executing(op, monkeypatch):
+    """Building either op on the exchange plan runs nothing: the
+    range-bucket bases are computed inside the plan, not collected on
+    the driver first. ``iter_internal_ref_bundles`` is what a collect
+    runs, so it raises while the op is built."""
+    from ray.data import Dataset
+
+    ds = _grouped_ds()
+    monkeypatch.setattr(exchange, "adaptive_bucket_count", lambda *a, **k: 16)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
+    real = Dataset.iter_internal_ref_bundles
+
+    def forbidden(self, *a, **kw):
+        raise AssertionError("the plan executed while it was built")
+
+    monkeypatch.setattr(Dataset, "iter_internal_ref_bundles", forbidden)
+    try:
+        built = _build(op, ds)
+    finally:
+        monkeypatch.setattr(Dataset, "iter_internal_ref_bundles", real)
+    ids, grps, texts = _grouped_corpus()
+    want = (_numpy_oracle(ids, texts, 64) if op == "pack"
+            else _budget_oracle(ids, np.array(grps), texts, 300))
+    assert _collect(built).equals(want)
+
+
+@pytest.mark.parametrize("op", ["pack", "budget"])
+def test_token_scan_functions_do_not_grow_with_bucket_count(op, monkeypatch):
+    """Every function either op hands to the exchange pickles to the
+    same size at 16 and at 256 range buckets: no base table rides in a
+    closure."""
+    import cloudpickle
+
+    real = exchange._exchange
+    sizes: list[int] = []
+
+    def spy(ds, key, fn):
+        sizes.append(len(cloudpickle.dumps(fn)))
+        return real(ds, key, fn)
+
+    monkeypatch.setattr(exchange, "_exchange", spy)
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
+    ds = _grouped_ds()
+    per_nb = []
+    for nb in (16, 256):
+        monkeypatch.setattr(exchange, "adaptive_bucket_count",
+                            lambda *a, _nb=nb, **k: _nb)
+        sizes.clear()
+        _collect(_build(op, ds))
+        per_nb.append(list(sizes))
+    assert per_nb[0] and per_nb[0] == per_nb[1], per_nb
+
+
+@pytest.mark.parametrize("op", ["pack", "budget"])
+def test_token_scan_rejects_null_text(op):
+    """A null text has no token count: it fails loudly, naming the op,
+    rather than turning every later offset into garbage."""
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": pa.array(["a b", None, "c d e"], pa.string()),
+        "source": pa.array(["s", "s", "s"], pa.string()),
+    }))
+    name = ("sequence_pack_offsets" if op == "pack"
+            else "grouped_token_budget_sample")
+    with pytest.raises(Exception, match=f"{name}: text must be non-null"):
+        _build(op, ds).take_all()
+
+
 # ---------------------------------------------------------------------------
 # q80: exact global integer quantile threshold (mergeable value counts)
 # ---------------------------------------------------------------------------

@@ -134,3 +134,30 @@ def test_facility_index_rejects_non_finite_coordinates():
     fac = _facilities([50.0, np.nan, 51.0, 52.0], [10.0, 10.0, np.inf, 11.0])
     with pytest.raises(ValueError, match=r"facility_id \[2, 3\]"):
         FacilityIndex(fac)
+
+
+def test_query_mode_writes_the_registry_rows_and_refuses_a_used_out(
+        tmp_path, monkeypatch):
+    """``run.py --query`` writes as many rows as the registry entry
+    returns; a second run into the same --out is refused before the
+    query function is called (some queries run Ray work while they
+    are built)."""
+    import pyarrow.parquet as pq
+
+    from batch_geocode_ray.pipelines import queries
+    from batch_geocode_ray.run import main
+
+    from .test_order_contract import SF as sf
+    name = "q01_pricing_summary"
+    out = tmp_path / "q01"
+    main(["--query", name, "--sf-dir", sf, "--out", str(out)])
+    written = sum(pq.read_metadata(str(f)).num_rows
+                  for f in out.glob("*.parquet"))
+    assert written == queries.QUERIES[name](sf).count() > 0
+
+    calls = []
+    monkeypatch.setitem(queries.QUERIES, name,
+                        lambda sf_dir: calls.append(sf_dir))
+    with pytest.raises(SystemExit, match="already holds"):
+        main(["--query", name, "--sf-dir", sf, "--out", str(out)])
+    assert calls == []
