@@ -10,22 +10,25 @@ Data Makes Language Models Better"), who find exact duplicate
 substrings with a distributed suffix-array sort. The Ray Data plan here
 is the hashed analogue of that suffix sort:
 
-* one candidate row per CHARACTER position — the honest, irreducible
-  cost of substring-exact semantics (Lee et al. sort the same volume);
-  each batch reduces its positions to distinct ``(gram_hash, doc,
-  n_positions)`` rows before anything moves, so repeated grams within
-  a document never widen the exchange;
+* one candidate row per BYTE position — the honest, irreducible cost
+  of substring-exact semantics (Lee et al. sort the same volume); the
+  counts path reduces each batch's positions to distinct ``(gram_hash,
+  doc, n_positions)`` rows before anything moves;
 * ONE :func:`~batch_geocode_ray.stages.exchange.bucket_exchange` keyed on
-  the gram hash (bucket count from the plan's estimate x
-  ``POSITION_GROWTH``, small-collapse to a single task below the
-  threshold) co-locates each gram hash's posting list; cross-document
-  segments are found by vectorized lexsort + boundary diff.
+  the gram hash co-locates each gram's posting list, and one flagging
+  kernel (:func:`_shared`) keeps the rows of grams found in ≥ 2 docs.
 
-Two output semantics:
+Four ops sit on that stream:
 
 * :func:`duplicate_position_counts` — per-document count of positions
-  whose L-gram appears in ≥ 2 documents (the span-removal signal).
-  Output is O(documents): THE scale semantic.
+  whose L-gram appears in ≥ 2 documents. Output is O(documents): THE
+  scale semantic.
+* :func:`duplicate_span_coverage` and :func:`cut_duplicate_spans` — a
+  second exchange by doc runs the one span kernel (:func:`_spans`),
+  which merges each doc's duplicated positions into sorted [s, e) byte
+  intervals. Coverage sums e - s per doc; the cut carries the intervals
+  as ``list<int64>`` columns to the doc's text and removes them in one
+  vectorized pass over the batch's bytes (:func:`_cut`).
 * :func:`duplicate_substring_pairs` — distinct (d1, d2) document pairs
   sharing ≥ 1 exact L-character substring, char-verified. NOTE the
   pair SEMANTIC is inherently quadratic in a boilerplate clique —
@@ -43,11 +46,13 @@ already collide on ~10^8 of them (5*10^27 / 2^64) — silently inflating
 dup-position counts — while the double hash expects ~10^-11 colliding
 pairs (5*10^27 / 2^128): zero in practice. The pair path additionally
 re-verifies every candidate against the actual texts (no collision
-exposure at all); the count paths rely on the 128-bit width instead of
+exposure at all); the other paths rely on the 128-bit width instead of
 shipping L-byte grams through the exchange.
 
 Grams are UTF-8 BYTE level — identical to SQL's character semantics on
-ASCII corpora (all fixture tables are ASCII).
+ASCII corpora (all fixture tables are ASCII). On other text the cut
+removes every codepoint with a covered byte whole, so it always
+re-decodes.
 """
 
 from __future__ import annotations
@@ -106,6 +111,27 @@ def _roll_hashes(by: np.ndarray, L: int, B: np.uint64,
         return (q[L:L + npos] - q[:npos]) * pows[L - 1:L - 1 + npos]
 
 
+def _utf8(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """A string column's row offsets (int64, from 0) into its UTF-8
+    bytes, and the bytes; a null row is empty."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    col = pc.cast(pc.fill_null(col, ""), pa.large_string())
+    _, offs, data = col.buffers()
+    offs = np.frombuffer(offs, np.int64)[col.offset:col.offset + len(col) + 1]
+    data = np.frombuffer(data or b"", np.uint8)
+    return offs - offs[0], data[offs[0]:offs[-1]]
+
+
+def _changes(*keys: np.ndarray) -> np.ndarray:
+    """True at row 0 and where any of the sorted ``keys`` changes."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
 def _lgram_table(b: pa.Table, text_col: str, id_col: str,
                  L: int, with_positions: bool = False) -> pa.Table:
     """Distinct (h, h2, doc, cnt) rows for every length-``L`` byte gram
@@ -113,65 +139,31 @@ def _lgram_table(b: pa.Table, text_col: str, id_col: str,
     independent rolling hashes (128-bit identity — module docstring),
     ``cnt`` how many positions of ``doc`` carry it. With
     ``with_positions``, one (h, h2, doc, pos) row per POSITION instead
-    (pos is the 0-based byte offset inside the doc) — same exchange
-    order for typical text, where repeated within-doc grams are rare.
-    Fully vectorized over the column's concatenated UTF-8 data buffer —
-    no per-row Python."""
-    col = b[text_col]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    ids = np.asarray(b[id_col].to_numpy(zero_copy_only=False),
-                     dtype=np.int64)
+    (pos is the 0-based byte offset inside the doc). Fully vectorized
+    over the column's concatenated UTF-8 data buffer."""
+    offs, data = _utf8(b[text_col])
+    ids = _i64(b, id_col)
     third = "pos" if with_positions else "cnt"
-    empty = pa.table({"h": pa.array([], pa.int64()),
-                      "h2": pa.array([], pa.int64()),
-                      "doc": pa.array([], pa.int64()),
-                      third: pa.array([], pa.int64())})
-    n_rows = len(col)
-    if n_rows == 0:
-        return empty
-    col = pc.cast(col, pa.large_string())  # one int64 offsets layout
-    bufs = col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64)[
-        col.offset:col.offset + n_rows + 1]
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
-    total = int(offs[-1] - offs[0])
-    if total < L:
-        return empty
-    base = offs[0]
-    by = data[base:base + total].astype(np.uint64) + np.uint64(1)
-    h = _roll_hashes(by, L, _B, _B_INV)
-    h2 = _roll_hashes(by, L, _B2, _B2_INV)
-    npos = total - L + 1
+    if len(data) < L:
+        return pa.table({c: pa.array([], pa.int64())
+                         for c in ("h", "h2", "doc", third)})
+    by = data.astype(np.uint64) + np.uint64(1)
+    h = _roll_hashes(by, L, _B, _B_INV).astype(np.int64)
+    h2 = _roll_hashes(by, L, _B2, _B2_INV).astype(np.int64)
     # keep positions whose window stays inside one document
-    pos = np.arange(npos, dtype=np.int64) + base
+    pos = np.arange(len(h), dtype=np.int64)
     doc_ix = np.searchsorted(offs, pos, side="right") - 1
     valid = pos + L <= offs[doc_ix + 1]
-    h, h2 = h[valid], h2[valid]
-    doc = ids[doc_ix[valid]]
-    if len(h) == 0:
-        return empty
+    h, h2, doc_ix = h[valid], h2[valid], doc_ix[valid]
+    doc = ids[doc_ix]
     if with_positions:
-        rel = (pos[valid] - offs[doc_ix[valid]]).astype(np.int64)
-        return pa.table({
-            "h": pa.array(h.astype(np.int64), pa.int64()),
-            "h2": pa.array(h2.astype(np.int64), pa.int64()),
-            "doc": pa.array(doc, pa.int64()),
-            "pos": pa.array(rel, pa.int64()),
-        })
+        return pa.table({"h": h, "h2": h2, "doc": doc,
+                         "pos": pos[valid] - offs[doc_ix]})
     order = np.lexsort((h2, h, doc))
     h, h2, doc = h[order], h2[order], doc[order]
-    seg = np.ones(len(h), dtype=bool)
-    seg[1:] = ((h[1:] != h[:-1]) | (h2[1:] != h2[:-1])
-               | (doc[1:] != doc[:-1]))
-    starts = np.nonzero(seg)[0]
-    cnt = np.diff(np.concatenate([starts, [len(h)]]))
-    return pa.table({
-        "h": pa.array(h[starts].astype(np.int64), pa.int64()),
-        "h2": pa.array(h2[starts].astype(np.int64), pa.int64()),
-        "doc": pa.array(doc[starts], pa.int64()),
-        "cnt": pa.array(cnt, pa.int64()),
-    })
+    starts = np.flatnonzero(_changes(h, h2, doc))
+    return pa.table({"h": h[starts], "h2": h2[starts], "doc": doc[starts],
+                     "cnt": np.diff(np.append(starts, len(h)))})
 
 
 # The per-position gram stream (up to one 32 B (h, h2, doc, cnt|pos)
@@ -188,6 +180,19 @@ def _stream(ds: Dataset, text_col: str, id_col: str, L: int,
         batch_format="pyarrow"), POSITION_GROWTH)
 
 
+def _shared(g: pa.Table, col: str) -> pa.Table:
+    """Per h-bucket: the (doc, ``col``) rows whose (h, h2) gram occurs
+    in ≥ 2 distinct docs — the one flagging rule, for the counts
+    (``col`` = cnt) and the positions (``col`` = pos)."""
+    h, h2, doc, v = (_i64(g, c) for c in ("h", "h2", "doc", col))
+    order = np.lexsort((doc, h2, h))
+    h, h2, doc, v = h[order], h2[order], doc[order], v[order]
+    gram = np.cumsum(_changes(h, h2)) - 1
+    n_docs = np.bincount(gram, weights=_changes(h, h2, doc))
+    keep = n_docs[gram] >= 2
+    return pa.table({"doc": doc[keep], col: v[keep]})
+
+
 def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
                               L: int = 40) -> Dataset:
     """Per-document duplicated-position counts: for each document with
@@ -195,32 +200,9 @@ def duplicate_position_counts(ds: Dataset, text_col: str, id_col: str,
     occurs in ≥ 2 distinct documents. Output: (``id_col``,
     n_dup_positions), only documents with a positive count, in no set
     order."""
-    def emit_counts(g: pa.Table) -> pa.Table:
-        h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
-                       dtype=np.int64)
-        h2 = np.asarray(g["h2"].to_numpy(zero_copy_only=False),
-                        dtype=np.int64)
-        doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        cnt = np.asarray(g["cnt"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        order = np.lexsort((doc, h2, h))
-        h, h2, doc, cnt = h[order], h2[order], doc[order], cnt[order]
-        seg = np.ones(len(h), dtype=bool)
-        seg[1:] = (h[1:] != h[:-1]) | (h2[1:] != h2[:-1])
-        seg_id = np.cumsum(seg) - 1
-        # rows per segment == distinct docs per gram (rows are distinct
-        # (h, doc) by construction upstream)
-        n_docs = np.bincount(seg_id)
-        keep = n_docs[seg_id] >= 2
-        if not keep.any():
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        return pa.table({id_col: pa.array(doc[keep], pa.int64()),
-                         "cnt": pa.array(cnt[keep], pa.int64())})
-
-    partials = bucket_exchange(_stream(ds, text_col, id_col, L), "h",
-                               emit_counts)
+    partials = bucket_exchange(
+        _stream(ds, text_col, id_col, L), "h",
+        lambda g: _shared(g, "cnt").rename_columns([id_col, "cnt"]))
     return grouped_aggregate(partials, [id_col],
                              [("cnt", "sum", "n_dup_positions")])
 
@@ -272,43 +254,30 @@ def duplicate_substring_pairs(ds: Dataset, text_col: str, id_col: str,
     return joined.map_batches(verify, batch_format="pyarrow")
 
 
-def _emit_dup_positions(g: pa.Table) -> pa.Table:
-    """Per h-bucket: the (doc, pos) rows whose (h, h2) gram occurs in
-    >= 2 distinct docs — the shared flagging kernel behind
-    :func:`duplicate_span_coverage` (measures the cut) and
-    :func:`cut_duplicate_spans` (applies it); one definition so the
-    flagging rule cannot silently diverge between the two."""
-    h = np.asarray(g["h"].to_numpy(zero_copy_only=False),
-                   dtype=np.int64)
-    h2 = np.asarray(g["h2"].to_numpy(zero_copy_only=False),
-                    dtype=np.int64)
-    doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
-                     dtype=np.int64)
-    pos = np.asarray(g["pos"].to_numpy(zero_copy_only=False),
-                     dtype=np.int64)
-    order = np.lexsort((doc, h2, h))
-    h, h2, doc, pos = h[order], h2[order], doc[order], pos[order]
-    seg = np.ones(len(h), dtype=bool)
-    seg[1:] = (h[1:] != h[:-1]) | (h2[1:] != h2[:-1])
-    seg_id = np.cumsum(seg) - 1
-    # distinct docs per gram: count doc-changes inside each segment
-    doc_start = seg.copy()
-    doc_start[1:] |= doc[1:] != doc[:-1]
-    n_docs = np.bincount(seg_id, weights=doc_start).astype(np.int64)
-    keep = n_docs[seg_id] >= 2
-    return pa.table({"doc": pa.array(doc[keep], pa.int64()),
-                     "pos": pa.array(pos[keep], pa.int64())})
+def _spans(g: pa.Table, L: int) -> tuple[np.ndarray, ...]:
+    """Per doc bucket: each doc's duplicated (doc, pos) windows merged
+    into sorted [s, e) byte intervals — the one span kernel. Intervals
+    merge while they touch (a gap of at most ``L``), so a repeated
+    position counts once. Returns the docs (ascending), the CSR offsets
+    of their intervals, and the interval starts and ends."""
+    doc, pos = _i64(g, "doc"), _i64(g, "pos")
+    order = np.lexsort((pos, doc))
+    doc, pos = doc[order], pos[order]
+    first = _changes(doc)
+    new = first.copy()
+    new[1:] |= pos[1:] - pos[:-1] > L
+    last = np.ones_like(new)
+    last[:-1] = new[1:]
+    return (doc[first], np.append(np.flatnonzero(first[new]), new.sum()),
+            pos[new], pos[last] + L)
 
 
-def _dup_positions_stream(ds: Dataset, text_col: str, id_col: str,
-                          L: int) -> Dataset:
-    """(doc, pos) rows of every duplicated L-gram window: per-position
-    gram stream -> ONE bucket exchange by gram hash -> shared flagging
-    kernel."""
-
+def _dup_positions(ds: Dataset, text_col: str, id_col: str,
+                   L: int) -> Dataset:
+    """(doc, pos) rows of every duplicated L-gram window."""
     return bucket_exchange(
         _stream(ds, text_col, id_col, L, with_positions=True), "h",
-        _emit_dup_positions)
+        lambda g: _shared(g, "pos"))
 
 
 def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
@@ -318,47 +287,38 @@ def duplicate_span_coverage(ds: Dataset, text_col: str, id_col: str,
     (Lee et al. cut the duplicated substrings, not whole documents).
     Output: (``id_col``, n_dup_chars), documents with a positive count.
 
-    Plan: per-position (h, doc, pos) stream -> bucket exchange by h
-    marks positions whose gram occurs in >= 2 docs -> second exchange
-    by doc unions each doc's [pos, pos+L) intervals with a vectorized
-    sweep (coverage = L + sum(min(gap, L)) over consecutive sorted
-    starts). Two all-to-alls over O(duplicated positions) rows."""
-
-    dup_pos = _dup_positions_stream(ds, text_col, id_col, L)
-
+    Plan: the duplicated (doc, pos) rows, then a second exchange by doc
+    runs the span kernel and sums each doc's e - s. Two all-to-alls over
+    O(duplicated positions) rows."""
     def coverage(g: pa.Table) -> pa.Table:
-        doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        pos = np.asarray(g["pos"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        if len(doc) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "n_dup_chars": pa.array([], pa.int64())})
-        order = np.lexsort((pos, doc))
-        doc, pos = doc[order], pos[order]
-        starts = np.ones(len(doc), dtype=bool)
-        starts[1:] = doc[1:] != doc[:-1]
-        seg_id = np.cumsum(starts) - 1
-        # the same position can arrive twice (same gram emitted from
-        # two hash buckets can't happen, but a position whose gram is
-        # duplicated is emitted once per (h, pos) — drop exact repeats
-        rep = np.zeros(len(doc), dtype=bool)
-        rep[1:] = (~starts[1:]) & (pos[1:] == pos[:-1])
-        doc, pos, seg_id = doc[~rep], pos[~rep], seg_id[~rep]
-        starts = starts[~rep]
-        gap = np.empty(len(pos), dtype=np.int64)
-        gap[0] = L
-        gap[1:] = np.minimum(pos[1:] - pos[:-1], L)
-        gap[starts] = L  # each doc's first interval contributes L
-        n_docs = seg_id[-1] + 1
-        cov = np.zeros(n_docs, dtype=np.int64)
-        np.add.at(cov, seg_id, gap)
-        return pa.table({
-            id_col: pa.array(doc[starts.nonzero()[0]], pa.int64()),
-            "n_dup_chars": pa.array(cov, pa.int64()),
-        })
+        docs, offs, s, e = _spans(g, L)
+        c = np.concatenate([np.zeros(1, np.int64), np.cumsum(e - s)])
+        return pa.table({id_col: docs,
+                         "n_dup_chars": c[offs[1:]] - c[offs[:-1]]})
 
-    return bucket_exchange(dup_pos, "doc", coverage)
+    return bucket_exchange(_dup_positions(ds, text_col, id_col, L), "doc",
+                           coverage)
+
+
+def _cut(text: pa.ChunkedArray, row: np.ndarray, s: np.ndarray,
+         e: np.ndarray) -> pa.Array:
+    """``text`` with bytes [s, e) of row ``row`` removed, for every
+    interval, in one pass over the batch's bytes: a difference array
+    marks the covered bytes, and a codepoint with any covered byte goes
+    whole. A null row gives ``''``."""
+    offs, data = _utf8(text)
+    n = len(data) + 1
+    depth = np.cumsum(np.bincount(offs[row] + s, minlength=n)
+                      - np.bincount(offs[row] + e, minlength=n))[:-1]
+    cp = np.cumsum((data & 0xC0) != 0x80) - 1  # codepoint of each byte
+    hit = np.zeros(len(data), dtype=bool)
+    hit[cp[depth > 0]] = True
+    keep = ~hit[cp]
+    kept = np.zeros(n, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return pa.LargeStringArray.from_buffers(
+        len(offs) - 1, pa.py_buffer(kept[offs]),
+        pa.py_buffer(data[keep]), null_count=0).cast(pa.string())
 
 
 def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
@@ -367,67 +327,30 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
     every document re-emitted with the characters covered by a
     duplicated L-gram window REMOVED. Output: (``id_col``,
     ``text_cut``) for ALL documents — unaffected docs pass through with
-    their full text.
+    their full text, a null text gives ``''``.
 
-    Plan — the corpus text never rides an exchange:
+    Plan:
 
-    1. duplicated (doc, pos) stream + one bucket exchange by doc folds
-       each flagged doc's positions into a packed interval blob (int64
-       [s, e) pairs, merged while touching) — O(duplicated positions);
-    2. the blobs (one narrow row per FLAGGED doc) join their text via
-       the bucket lookup join, and a map emits the cut text;
+    1. the duplicated (doc, pos) rows + one bucket exchange by doc run
+       the span kernel: one row per FLAGGED doc, its intervals as
+       ``list<int64>`` columns ``_s`` and ``_e``;
+    2. those rows join their text via the bucket lookup join, and one
+       vectorized :func:`_cut` per batch emits the cut texts;
     3. unflagged docs — the overwhelming majority of a real corpus —
        take the :func:`~batch_geocode_ray.stages.joins.equi_join` anti
-       path against the flagged-id set and stream through untouched."""
-    dup_pos = _dup_positions_stream(ds, text_col, id_col, L)
+       path against the flagged-id set and pass through untouched.
 
-    def spans_blob(g: pa.Table) -> pa.Table:
-        """One row per flagged doc: its merged [s, e) cut intervals as
-        an int64-pair blob (lists don't survive acero joins — CLAUDE.md
-        pack-around-the-join pattern)."""
-        doc = np.asarray(g["doc"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        pos = np.asarray(g["pos"].to_numpy(zero_copy_only=False),
-                         dtype=np.int64)
-        if len(doc) == 0:
-            return pa.table({"doc": pa.array([], pa.int64()),
-                             "_spans": pa.array([], pa.binary())})
-        order = np.lexsort((pos, doc))
-        doc, pos = doc[order], pos[order]
-        first = np.ones(len(doc), dtype=bool)
-        first[1:] = doc[1:] != doc[:-1]
-        # drop repeated positions (same position emitted once per
-        # duplicated gram hash)
-        rep = np.zeros(len(doc), dtype=bool)
-        rep[1:] = (~first[1:]) & (pos[1:] == pos[:-1])
-        doc, pos, first = doc[~rep], pos[~rep], first[~rep]
-        # a new interval starts at a doc boundary or after a gap > L
-        new_iv = first.copy()
-        new_iv[1:] |= (pos[1:] - pos[:-1]) > L
-        iv_id = np.cumsum(new_iv) - 1
-        s = pos[new_iv]
-        e = np.zeros(len(s), dtype=np.int64)
-        np.maximum.at(e, iv_id, pos + L)
-        iv_doc = doc[new_iv]
-        docs, blobs = [], []
-        bounds = np.concatenate(
-            [np.nonzero(np.ones_like(iv_doc, dtype=bool)
-                        if len(iv_doc) == 0 else
-                        np.concatenate([[True], iv_doc[1:] != iv_doc[:-1]])
-                        )[0], [len(iv_doc)]])
-        for bi in range(len(bounds) - 1):
-            lo, hi = bounds[bi], bounds[bi + 1]
-            docs.append(iv_doc[lo])
-            blobs.append(np.column_stack([s[lo:hi], e[lo:hi]])
-                         .astype(np.int64).tobytes())
-        return pa.table({"doc": pa.array(docs, pa.int64()),
-                         "_spans": pa.array(blobs, pa.binary())})
+    Step 2's lookup join shuffles every doc's text as a carrier, and
+    so does step 3 when the flagged-id set is too big to broadcast."""
+    def as_lists(g: pa.Table) -> pa.Table:
+        docs, offs, s, e = _spans(g, L)
+        return pa.table({"doc": docs,
+                         "_s": pa.LargeListArray.from_arrays(offs, s),
+                         "_e": pa.LargeListArray.from_arrays(offs, e)})
 
-    # spans is consumed TWICE (text join + anti-membership); without a
-    # pin the per-position gram stream and both exchanges would execute
-    # twice. It is one narrow row per FLAGGED doc (~24 B + 16 B per
-    # interval) — the bounded dedup-artifact class, not the corpus
-    spans = bucket_exchange(dup_pos, "doc", spans_blob)
+    spans = bucket_exchange(_dup_positions(ds, text_col, id_col, L), "doc",
+                            as_lists)
+    # one narrow row per FLAGGED doc (~24 B + 16 B per interval)
     spans = spans.materialize()  # read by the text join and the anti join
 
     texts = ds.map_batches(
@@ -437,50 +360,19 @@ def cut_duplicate_spans(ds: Dataset, text_col: str, id_col: str,
                                  {"_t": "_t"})
 
     def cut(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
+        if b.num_rows == 0:  # a merge task that got no flagged doc
             return pa.table({id_col: pa.array([], pa.int64()),
                              "text_cut": pa.array([], pa.string())})
-        ids = b["doc"]
-        ts = b["_t"].to_pylist()
-        blobs = b["_spans"].to_pylist()
-        out = []
-        for t, blob in zip(ts, blobs):
-            iv = np.frombuffer(blob, dtype=np.int64).reshape(-1, 2)
-            tb = t.encode()
-            if len(tb) != len(t):
-                # non-ASCII: the byte-level gram windows can start/end
-                # mid-codepoint (a duplicated run may begin at a UTF-8
-                # continuation byte); snap each cut OUTWARD to codepoint
-                # boundaries so a partially covered character is removed
-                # whole and the kept bytes always re-decode. ASCII
-                # corpora take the fast path untouched (bytes == chars,
-                # which is also what keeps the SQL oracle's substr
-                # semantics aligned).
-                arr = np.frombuffer(tb, np.uint8)
-                starts = np.flatnonzero((arr & 0xC0) != 0x80)
-                s_col = starts[np.searchsorted(starts, iv[:, 0],
-                                               side="right") - 1]
-                hi = np.searchsorted(starts, iv[:, 1], side="left")
-                e_col = np.where(hi < len(starts),
-                                 starts[np.minimum(hi, len(starts) - 1)],
-                                 len(tb))
-                iv = np.stack([s_col, e_col], axis=1)
-            kept, prev = [], 0
-            for s_, e_ in iv:
-                kept.append(tb[prev:s_])
-                prev = min(max(prev, e_), len(tb))
-            kept.append(tb[prev:])
-            out.append(b"".join(kept).decode())
-        return pa.table({id_col: ids, "text_cut": pa.array(out,
-                                                           pa.string())})
-
-    cut_docs = joined.map_batches(cut, batch_format="pyarrow")
+        row = pc.list_parent_indices(b["_s"]).to_numpy()
+        s, e = (pc.list_flatten(b[c]).to_numpy() for c in ("_s", "_e"))
+        return pa.table({id_col: b["doc"],
+                         "text_cut": _cut(b["_t"], row, s, e)})
 
     clean = equi_join(
         ds.select_columns([id_col, text_col]),
         spans.select_columns(["doc"]), id_col, "anti",
         right_key="doc").map_batches(
             lambda b: pa.table({id_col: b[id_col],
-                                "text_cut": b[text_col]}),
+                                "text_cut": pc.fill_null(b[text_col], "")}),
             batch_format="pyarrow")
-    return clean.union(cut_docs)
+    return clean.union(joined.map_batches(cut, batch_format="pyarrow"))

@@ -255,3 +255,36 @@ def read_xlsx(path_or_bytes) -> pa.Table:
         else:
             arrays[name] = pa.array(vals, pa.string())
     return pa.table(arrays)
+
+
+# ---------------------------------------------------------------------------
+# substring span cut (stages/substring.py)
+# ---------------------------------------------------------------------------
+
+def span_cut(texts: dict[int, str], L: int) -> tuple[dict[int, int],
+                                                     dict[int, str]]:
+    """Byte-level span-cut oracle. A byte L-gram found in >= 2 docs
+    covers its L bytes; returns each doc's covered byte count (docs with
+    any) and its text with every codepoint that has a covered byte
+    removed whole."""
+    raw = {d: t.encode() for d, t in texts.items()}
+    gram_docs: dict[bytes, set[int]] = {}
+    for d, b in raw.items():
+        for i in range(len(b) - L + 1):
+            gram_docs.setdefault(b[i:i + L], set()).add(d)
+    covered, cut = {}, {}
+    for d, b in raw.items():
+        hit = set()
+        for i in range(len(b) - L + 1):
+            if len(gram_docs[b[i:i + L]]) >= 2:
+                hit.update(range(i, i + L))
+        if hit:
+            covered[d] = len(hit)
+        kept, i = [], 0
+        for ch in texts[d]:
+            n = len(ch.encode())
+            if not hit.intersection(range(i, i + n)):
+                kept.append(ch)
+            i += n
+        cut[d] = "".join(kept)
+    return covered, cut

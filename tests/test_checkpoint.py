@@ -300,3 +300,80 @@ def test_cli_rerun_recomputes_after_an_engine_change(tmp_path, monkeypatch):
     s = run.main(args)
     assert (s["computed"], s["skipped_resume"]) == (2, 0)
     assert s["recomputed_by_cause"] == {"tag": 2}
+
+
+# The CLI, on the Ray cluster at argv[2], with its lineage commit (the
+# ``os.replace`` in ``run_resumable``) replaced by a self-SIGKILL at the
+# partition named by argv[1]: that partition's parquet is written, its
+# lineage never is.
+_KILL_AT_COMMIT = """
+import os, signal, sys
+
+import ray
+
+commits, replace = [], os.replace
+
+
+def kill_at_commit(src, dst):
+    if dst.endswith(".lineage.json"):
+        commits.append(dst)
+        if len(commits) == int(sys.argv[1]) + 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+
+os.replace = kill_at_commit
+ray.init(address=sys.argv[2])
+from batch_geocode_ray.run import main
+main(sys.argv[3:])
+"""
+
+
+def test_cli_sigkilled_after_a_parquet_write_resumes_identical(tmp_path):
+    """A CLI run SIGKILLed between partition 1's parquet write and its
+    lineage commit resumes: the rerun skips partition 0, recomputes
+    partition 1 with cause ``missing``, and every page partition and
+    the tiles equal a clean run's."""
+    import glob
+    import signal
+    import subprocess
+    import sys
+
+    import ray
+
+    from batch_geocode_ray.run import _ENGINE_ROOT, main
+    from batch_geocode_ray.sources.fixtures import generate_pages, generate_world
+
+    world = generate_world(42)
+    generate_pages(str(tmp_path / "pages"), 400, rows_per_file=200,
+                   world=world)
+    pq.write_table(world.gazetteer, str(tmp_path / "gazetteer.parquet"))
+    args = ["--pages", str(tmp_path / "pages"),
+            "--gazetteer", str(tmp_path / "gazetteer.parquet"),
+            "--tiles", "7", "--files-per-partition", "1"]
+    out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    root = os.path.dirname(_ENGINE_ROOT)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_AT_COMMIT, "1",
+         ray.get_runtime_context().gcs_address, *args, "--out", out],
+        cwd=root, env={**os.environ, "PYTHONPATH": root},
+        capture_output=True, timeout=600)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()[-3000:]
+    pages = os.path.join(out, "pages")
+    assert glob.glob(os.path.join(pages, "part-00001", "*.parquet"))
+    assert [r["partition"] for r in load_lineage(pages)] == [0]
+
+    s = main(args + ["--out", out])
+    assert (s["computed"], s["skipped_resume"]) == (1, 1)
+    assert s["recomputed_by_cause"] == {"missing": 1}
+    main(args + ["--out", clean])
+
+    def table(run_dir, sub, key):
+        files = sorted(glob.glob(os.path.join(run_dir, sub, "*.parquet")))
+        return pa.concat_tables([pq.read_table(f) for f in files]).sort_by(key)
+
+    for part in ("part-00000", "part-00001"):
+        assert table(out, f"pages/{part}", "url").equals(
+            table(clean, f"pages/{part}", "url"))
+    tiles = table(clean, "tiles_r7", "hex_cell_r7")
+    assert tiles.num_rows and table(out, "tiles_r7", "hex_cell_r7").equals(tiles)

@@ -246,3 +246,16 @@ def test_windows_builds_no_per_row_python():
     src = (_PKG / "stages/windows.py").read_text()
     assert _per_row_python(src) == []
     assert ".as_py(" not in src and "gather" not in src
+
+
+def test_span_cut_builds_no_per_row_python():
+    """q74's coverage and q77's cut stay vectorized: both ops and the
+    kernels they run (``duplicate_substring_pairs``' verify is out of
+    scope), and no interval is packed into bytes."""
+    src = (_PKG / "stages/substring.py").read_text()
+    fns = {n.name: ast.get_source_segment(src, n)
+           for n in ast.parse(src).body if isinstance(n, ast.FunctionDef)}
+    for name in ("duplicate_span_coverage", "cut_duplicate_spans",
+                 "_shared", "_spans", "_cut", "_utf8", "_lgram_table"):
+        assert _per_row_python(fns[name]) == [], name
+        assert "tobytes" not in fns[name], name

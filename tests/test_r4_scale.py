@@ -256,18 +256,75 @@ def test_lgram_hashes_match_python_slices():
     assert len(h2 & h3) == len(grams(s2) & grams(s3))
 
 
+# Edge docs for the span kernel at L = 8, each case planted by its
+# flanks (every neighbour of a shared run differs between its docs):
+# 10 holds G1 and G2 back to back (windows at gap exactly L: one
+# interval), 13 holds G3 and G4 one byte apart (gap L + 1: two);
+# 16 is G5 alone (cut whole); 18 repeats one period, so the same
+# duplicated gram sits at several positions; 20-23 carry 2- and 3-byte
+# characters inside, before and after their shared runs, so windows
+# start and end mid-codepoint.
+_EDGE_L = 8
+_EDGE_TEXTS = {
+    10: "q" + "ABCDEFGH" + "IJKLMNOP" + "r",
+    11: "s" + "ABCDEFGH" + "t",
+    12: "u" + "IJKLMNOP" + "v",
+    13: "w" + "abcdefgh" + "x" + "ijklmnop" + "y",
+    14: "1" + "abcdefgh" + "2",
+    15: "3" + "ijklmnop" + "4",
+    16: "0123456789",
+    17: "Z0123456789Z",
+    18: "hello-" * 4,
+    19: "<hello-hello->",
+    20: "left é" + "S" * 7 + " one",
+    21: "right ©" + "S" * 7 + " two",
+    22: "k€" + "café-€-ok" + "é" + "m",
+    23: "nꂬ" + "café-€-ok" + "ó" + "p",
+}
+
+
+def _edge_docs():
+    return rd.from_arrow(pa.table({
+        "doc_id": pa.array(list(_EDGE_TEXTS), pa.int64()),
+        "text": pa.array(list(_EDGE_TEXTS.values()), pa.string()),
+    })).repartition(3)
+
+
 def test_duplicate_span_coverage_planted(monkeypatch):
     """Interval union: the 60-char span sits between spaces in both
     docs, so dup windows start at span_start-1 .. span_start+20 (23
     starts) and cover 23 - 1 + 40 = 62 chars; the boilerplate docs
-    cover (starts + 39) chars of their 45..47-char dup regions."""
-    from batch_geocode_ray.stages.substring import duplicate_span_coverage
+    cover (starts + 39) chars of their 45..47-char dup regions. On the
+    edge docs the covered bytes equal the byte-level oracle's on both
+    plans, and the span kernel merges touching windows and counts a
+    repeated position once."""
+    from batch_geocode_ray.stages.substring import (
+        _spans,
+        duplicate_span_coverage,
+    )
 
+    from .reference import span_cut
+
+    def edge():
+        return {r["doc_id"]: r["n_dup_chars"]
+                for r in duplicate_span_coverage(
+                    _edge_docs(), "text", "doc_id", L=_EDGE_L).take_all()}
+
+    want, _ = span_cut(_EDGE_TEXTS, _EDGE_L)
+    assert want[10] == want[13] == 16 and want[16] == 10
+    assert edge() == want
     monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
     got = {r["doc_id"]: r["n_dup_chars"]
            for r in duplicate_span_coverage(
                _span_docs(), "text", "doc_id", L=40).take_all()}
     assert got == {0: 62, 1: 62, 2: 46, 3: 47, 4: 46}
+    assert edge() == want
+
+    docs, offs, s, e = _spans(pa.table({
+        "doc": pa.array([7, 9, 7, 7, 7], pa.int64()),
+        "pos": pa.array([5, 2, 0, 13, 5], pa.int64())}), 8)
+    assert [docs.tolist(), offs.tolist(), s.tolist(), e.tolist()] == \
+        [[7, 9], [0, 1, 2], [0, 2], [21, 10]]
 
 
 def _naive_cut(L=40):
@@ -290,11 +347,15 @@ def _naive_cut(L=40):
 def test_cut_duplicate_spans_planted(monkeypatch):
     """The span-cut TRANSFORM: every doc present, flagged docs lose
     exactly the q74-covered characters, clean docs pass through
-    byte-identical — on both physical plans."""
+    byte-identical — on both physical plans. The edge docs' cuts equal
+    the byte-level oracle's (a codepoint with a covered byte goes
+    whole); on their ASCII docs the cut is q74's coverage too."""
     from batch_geocode_ray.stages.substring import (
         cut_duplicate_spans,
         duplicate_span_coverage,
     )
+
+    from .reference import span_cut
 
     want = _naive_cut()
 
@@ -312,8 +373,22 @@ def test_cut_duplicate_spans_planted(monkeypatch):
     texts = {r["doc_id"]: r["text"] for r in _span_docs().take_all()}
     for d, t in texts.items():
         assert len(t) - len(got[d]) == cov.get(d, 0)
+    edge_cov, edge_want = span_cut(_EDGE_TEXTS, _EDGE_L)
+    assert edge_want[10] == "qr" and edge_want[13] == "wxy"
+    assert edge_want[16] == "" and edge_want[22] == "km"
+    for d, t in _EDGE_TEXTS.items():
+        if t.isascii():  # bytes == chars: the cut is q74's coverage
+            assert len(t) - len(edge_want[d]) == edge_cov.get(d, 0)
+
+    def edge():
+        return {r["doc_id"]: r["text_cut"]
+                for r in cut_duplicate_spans(
+                    _edge_docs(), "text", "doc_id", L=_EDGE_L).take_all()}
+
+    assert edge() == edge_want
     monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)  # distributed plan
     assert run() == want
+    assert edge() == edge_want
 
 
 def test_pca_project_matches_numpy():
@@ -438,3 +513,29 @@ def test_cut_duplicate_spans_utf8_mid_codepoint():
         assert "é" not in t and "©" not in t
     assert got[1].startswith("left pad one") and got[1].endswith("one")
     assert got[2].startswith("other padding") and got[2].endswith("two")
+
+
+def test_cut_duplicate_spans_null_text_gives_empty(monkeypatch):
+    """A null text is cut to '' as SQL_Q77's coalesce gives it, on both
+    plans, and every other doc equals the oracle's cut too."""
+    import duckdb
+
+    from batch_geocode_ray.pipelines.queries import SQL_Q77
+    from batch_geocode_ray.stages.substring import cut_duplicate_spans
+
+    rows = _span_docs().sort("doc_id").take_all()
+    documents = pa.Table.from_pylist(rows + [{"doc_id": 8, "text": None}])
+    with duckdb.connect() as con:
+        con.register("documents", documents)
+        want = dict(con.sql(SQL_Q77).fetchall())
+    assert want[8] == ""
+
+    def run():
+        docs = rd.from_arrow(documents).repartition(3)
+        return {r["doc_id"]: r["text_cut"]
+                for r in cut_duplicate_spans(docs, "text", "doc_id",
+                                             L=40).take_all()}
+
+    assert run() == want
+    monkeypatch.setattr(exchange, "SMALL_COLLAPSE_BYTES", 0)
+    assert run() == want
