@@ -11,11 +11,11 @@
            -> [optional] KNNFacilities (broadcast facility grid)
       -> write (page-level parquet) / build_tile_aggregates
 
-The stage runs as plain tasks whose built state is cached per worker
-process (``stages/stateful.py``), so Ray fuses Read->Map->Write into a
-single operator and the stage reaches full cluster parallelism at once
-(a 30-actor pool measured ~10 s of spin-up: 960k pages ran 15.4 s under
-actors vs 4.2 s under cached tasks).
+The driver builds the stage; it runs as plain tasks, each worker
+loading the built stage once (``stages/stateful.py``), so Ray fuses
+Read->Map->Write into a single operator and the stage reaches full
+cluster parallelism at once (a 30-actor pool measured ~10 s of spin-up:
+960k pages ran 15.4 s under actors vs 4.2 s under cached tasks).
 
 All pipeline builders are lazy — they return Datasets; the caller
 consumes (write_parquet / iter_batches / to_pandas on small results).
@@ -91,10 +91,10 @@ class GeocodeFusedStage:
     gets near-linear scaling and no intermediate object-store round
     trips. Each layer's callable is still usable on its own.
 
-    Broadcast inputs (gazetteer index, config, prior, polygon index,
-    facility index) arrive built: ``stateful_map_batches`` fetches
-    their ObjectRefs once per worker when it constructs the stage. The
-    page columns passed through are ``url``, ``warc_ts`` and ``lang``.
+    The driver builds the stage, matcher and resolver tables included,
+    and ``stateful_map_batches`` ships it built: each worker loads it
+    once from the object store and builds nothing. The page columns
+    passed through are ``url``, ``warc_ts`` and ``lang``.
     """
 
     def __init__(self, gazetteer, config: PipelineConfig, lang_cc_prior,
@@ -187,49 +187,28 @@ def build_geocode_pipeline(pages_path: str | list[str],
     cfg = dataclasses.replace(cfg or PipelineConfig(),
                               sources=list(gaz_index.sources))
 
-    # prune at the read: the oracle `text` column is recomputed from
-    # `html` and only needed when verifying extraction — skipping it
-    # cuts ~30% of input decode + object-store bytes
-    read_cols = None
-    try:
-        import glob as _glob
-        import os as _os
-
-        import pyarrow.parquet as _pq
-
-        first = pages_path if isinstance(pages_path, str) else pages_path[0]
-        if _os.path.isdir(first):
-            first = sorted(_glob.glob(_os.path.join(first, "*.parquet")))[0]
-        names = _pq.read_schema(first).names
-        if "text" in names and not verify_extraction:
-            read_cols = [c for c in names if c != "text"]
-    except (OSError, IndexError):
-        pass
-    ds = rd.read_parquet(pages_path, columns=read_cols,
+    # read only what the stage reads: the oracle `text` column is
+    # recomputed from `html` and needed only when verifying extraction
+    # (skipping it cuts ~30% of input decode + object-store bytes)
+    cols = ["url", "warc_ts", "lang", "html"] + (
+        ["text"] if verify_extraction else [])
+    ds = rd.read_parquet(pages_path, columns=cols,
                          override_num_blocks=_read_num_blocks(pages_path))
-
-    # Every broadcast input goes behind an ObjectRef: each worker reads
-    # it zero-copy from plasma, and the refs are hashable, so they form
-    # the key of the bounded per-worker state cache.
-    kwargs = {
-        "gazetteer": ray.put(gaz_index),
-        "config": ray.put(cfg),
-        "lang_cc_prior": ray.put(LANG_CC_PRIOR),
-        "polygons": (ray.put(PolygonIndex(admin_polygons))
-                     if admin_polygons is not None else None),
-        "facilities": (ray.put(FacilityIndex(facilities))
-                       if with_knn and facilities is not None else None),
-        "verify_extraction": verify_extraction,
-        "with_knn": with_knn,
-    }
+    stage = GeocodeFusedStage(
+        gaz_index, cfg, LANG_CC_PRIOR,
+        polygons=(PolygonIndex(admin_polygons)
+                  if admin_polygons is not None else None),
+        facilities=(FacilityIndex(facilities)
+                    if with_knn and facilities is not None else None),
+        verify_extraction=verify_extraction, with_knn=with_knn)
     # batch_size=None: one batch per read block, which lets Ray fuse
     # ReadParquet->MapBatches->Write into ONE operator — no intermediate
     # object-store round trip (measured ~15% at 32 CPUs, and it is
     # exactly the memory traffic the bandwidth-bound 8->32 pair pays
     # for). Block grain is set by _read_num_blocks (~32 MB), so
     # per-batch memory stays bounded.
-    return stateful_map_batches(ds, GeocodeFusedStage, kwargs,
-                                batch_format="pyarrow", batch_size=None)
+    return stateful_map_batches(ds, stage, batch_format="pyarrow",
+                                batch_size=None)
 
 
 def build_tile_aggregates(page_ds: Dataset, res: int = 7) -> Dataset:

@@ -36,7 +36,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 from ray.data import Dataset
 
@@ -478,11 +477,10 @@ def q14_gazetteer_mentions(sf_dir: str) -> Dataset:
         "population": pa.array([0] * len(names), pa.int64()),
         "source": pa.array(["GM"] * len(names), pa.string()),
     })
-    gaz_ref = ray.put(GazetteerIndex.from_table(gaz))
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    matched = stateful_map_batches(docs, GazetteerMatcher,
-                                   {"gazetteer": gaz_ref},
-                                   batch_format="pyarrow")
+    matched = stateful_map_batches(
+        docs, GazetteerMatcher(GazetteerIndex.from_table(gaz)),
+        batch_format="pyarrow")
 
     def explode(b: pa.Table) -> pa.Table:
         m = b["mentions"].combine_chunks()
@@ -2229,7 +2227,7 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
     """Per-document top TF-IDF term. Document frequencies come from a
     token aggregate whose partials are exact per batch (a doc never
     spans batches), the resulting vocabulary table broadcasts ONCE
-    (ray.put, per-worker cache — not re-shipped per batch) into a
+    (``stateful_map_batches`` — not re-shipped per batch) into a
     second vectorized pass that scores tf * ln(N/df) and
     argmax-selects per doc IN BATCH — no per-doc shuffle anywhere.
     Scores are fixed-point stabilized on both sides; ties break on the
@@ -2258,7 +2256,6 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
     vocab_tokens = vocab["token"].combine_chunks()
     df_np = np.asarray(vocab["df"].to_numpy(zero_copy_only=False),
                        dtype=np.float64)
-    ref = ray.put((vocab_tokens, df_np))
 
     class _Score:
         """Per-worker cached scorer over the broadcast vocabulary."""
@@ -2294,9 +2291,9 @@ def q60_tfidf_top_terms(sf_dir: str) -> Dataset:
                 "tfidf": pa.array(si[sel] / 1e4, pa.float64()),
             })
 
-    return stateful_map_batches(docs, _Score,
-                                {"lookup": ref, "n_total": n_docs},
-                                batch_format="pyarrow")
+    return stateful_map_batches(
+        docs, _Score((vocab_tokens, df_np), n_total=n_docs),
+        batch_format="pyarrow")
 
 
 SQL_Q60 = f"""
@@ -2905,7 +2902,7 @@ def q76_decontaminate(sf_dir: str) -> Dataset:
     13-token grams): flag every "train" document (doc_id % 17 != 0)
     sharing at least one 13-gram with the held-out "eval" slice
     (doc_id % 17 == 0), with its contaminated-gram and total-gram
-    counts. The eval gram set broadcasts once (``ray.put``) and the
+    counts. The eval gram set broadcasts once and the
     train corpus STREAMS through a vectorized membership test — zero
     shuffles in the common (bounded-eval) case; a bucket-exchange plan
     takes over when the eval side outgrows the broadcast threshold

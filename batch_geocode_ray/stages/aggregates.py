@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ray.data import Dataset
 
@@ -347,8 +346,8 @@ def global_percent_rank(ds: Dataset, value_col: str,
     :func:`int_quantile_threshold` — the exchange carries one row per
     DISTINCT value, never the inputs), a driver-built
     value -> rows-strictly-below table over the bounded-cardinality
-    integer score, ONE ``ray.put`` broadcast, and a zero-shuffle
-    scoring pass (one searchsorted probe per batch).
+    integer score, ONE broadcast (:func:`stateful_map_batches`), and a
+    zero-shuffle scoring pass (one searchsorted probe per batch).
 
     Tie semantics match SQL RANK: every row of a tied value shares
     ``pct = rows_strictly_below / (n - 1)`` (0.0 when n == 1). The
@@ -375,8 +374,7 @@ def global_percent_rank(ds: Dataset, value_col: str,
     pct = (below / float(total - 1) if total > 1
            else np.zeros(len(v), dtype=np.float64))
     return stateful_map_batches(
-        ds, _PercentRank, {"table": ray.put((v, pct)),
-                           "value_col": value_col, "out_col": out_col},
+        ds, _PercentRank((v, pct), value_col=value_col, out_col=out_col),
         batch_format="pyarrow")
 
 

@@ -33,7 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.functions.hashing import (
@@ -391,8 +390,9 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
     * **broadcast** (the 100 TB common case — eval benchmarks are
       O(10-100 MB) against an arbitrarily large train corpus): collect
       the eval corpus's distinct gram hashes into ONE sorted int64
-      array, ``ray.put`` it once, and stream train batches through a
-      vectorized ``searchsorted`` membership test. ZERO shuffles; the
+      array, broadcast it once (:func:`stateful_map_batches`), and
+      stream train batches through a vectorized ``searchsorted``
+      membership test. ZERO shuffles; the
       train side is one map pass, exactly like :func:`bloom_anti_join`
       but with an exact membership set and per-doc hit counts.
     * **distributed** (eval side too big to broadcast): the train
@@ -426,9 +426,8 @@ def ngram_decontaminate(train: Dataset, eval_ds: Dataset, text_col: str,
             grams["gram"].to_numpy(zero_copy_only=False), dtype=np.int64))
             if grams.num_rows else np.empty(0, np.int64))
         return stateful_map_batches(
-            train, _GramFlag,
-            {"eval_set": ray.put(eval_set), "id_col": id_col,
-             "text_col": text_col, "k": k},
+            train, _GramFlag(eval_set, id_col=id_col, text_col=text_col,
+                             k=k),
             batch_format="pyarrow")
 
     # ---- distributed plan: semi-join on the gram hash ---------------
@@ -461,8 +460,8 @@ SIG_GROWTH = 5
 class MinHashSignatures:
     """Stateful stage: per-doc ``NUM_PERM``-wide MinHash signature over
     k-token shingles. Permutation params are built once per instance
-    (deterministic seed); ``stateful_map_batches`` caches one per
-    worker process."""
+    (deterministic seed), on the driver; ``stateful_map_batches``
+    loads the built stage once per worker process."""
 
     def __init__(self, text_col: str, id_col: str, k: int = 3,
                  include_text: bool = False):
@@ -600,9 +599,8 @@ def minhash_lsh_pairs(ds: Dataset, text_col: str, id_col: str,
 
     def signatures(include_text: bool) -> Dataset:
         return exchange.scaled(stateful_map_batches(
-            ds, MinHashSignatures,
-            {"text_col": text_col, "id_col": id_col, "k": k,
-             "include_text": include_text},
+            ds, MinHashSignatures(text_col=text_col, id_col=id_col, k=k,
+                                  include_text=include_text),
             batch_format="pyarrow"), SIG_GROWTH)
 
     def _empty() -> pa.Table:

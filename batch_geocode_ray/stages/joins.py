@@ -3,9 +3,9 @@ joins.
 
 SURVEY §2.5: the reference's only join is a small left join
 (vet_geocode.py:106-111). At 10^12-row scale the rule is: when one side
-fits in memory, ``ray.put`` it once and probe it inside ``map_batches``
-— the big side never shuffles. :func:`equi_join` (inner, left, semi,
-anti) has exactly two plans:
+fits in memory, broadcast it once (``stateful.stateful_map_batches``)
+and probe it inside ``map_batches`` — the big side never shuffles.
+:func:`equi_join` (inner, left, semi, anti) has exactly two plans:
 
 * **broadcast** — the plan estimates the right side below
   ``exchange.SMALL_COLLAPSE_BYTES`` (``exchange.estimated_bytes``, from
@@ -31,7 +31,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.functions.hashing import splitmix64, stable_hash64_array
@@ -62,7 +61,8 @@ def join_key64(col: pa.Array | pa.ChunkedArray, name: str) -> np.ndarray:
 
 
 class _Lookup:
-    """Immutable right-side lookup, built once, broadcast via ray.put:
+    """Immutable right-side lookup, built once on the driver and
+    broadcast inside its :class:`_BroadcastProbe`:
     the distinct keys (:func:`join_key64`) sorted, and each value
     column in that order.
 
@@ -356,8 +356,8 @@ def broadcast_asof(ds: Dataset, small: pa.Table, key: str, ts_col: str,
               for c in value_cols}
     names = tuple((c, (out_names or {}).get(c, c)) for c in value_cols)
     return stateful_map_batches(
-        ds, _AsofProbe, {"side": ray.put((times, values)), "key": key,
-                         "ts_col": ts_col, "out_names": names},
+        ds, _AsofProbe((times, values), key=key, ts_col=ts_col,
+                       out_names=names),
         batch_format="pyarrow")
 
 
@@ -409,10 +409,9 @@ def broadcast_range_count(ds: Dataset, small: pa.Table, key: str,
     ids = np.asarray(small[small_id].to_numpy(zero_copy_only=False),
                      dtype=np.int64)[times.order]
     partials = stateful_map_batches(
-        ds, _RangeCounts,
-        {"side": ray.put((times, ids)), "key": key, "ts_col": ts_col,
-         "small_id": small_id, "window_us": window_us,
-         "count_name": count_name},
+        ds, _RangeCounts((times, ids), key=key, ts_col=ts_col,
+                         small_id=small_id, window_us=window_us,
+                         count_name=count_name),
         batch_format="pyarrow")
     return grouped_aggregate(partials, [small_id],
                              [(count_name, "sum", count_name)])
@@ -432,10 +431,9 @@ def broadcast_join(ds: Dataset, small: pa.Table, key: str,
     State cost per worker is one zero-copy plasma read."""
     if how not in _HOW:
         raise ValueError(f"broadcast_join how={how!r}; expected one of {_HOW}")
-    ref = ray.put(_Lookup(small, key, value_cols))
-    return stateful_map_batches(ds, _BroadcastProbe,
-                                {"lookup": ref, "key": key, "how": how},
-                                batch_format="pyarrow")
+    return stateful_map_batches(
+        ds, _BroadcastProbe(_Lookup(small, key, value_cols), key=key, how=how),
+        batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,7 @@ def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
                     k_hashes: int = 4) -> Dataset:
     """EXACT anti join (keep ``ds`` rows whose key is NOT in
     ``keys_ds``) with a Bloom prefilter: the bitmap broadcasts once
-    (``ray.put`` + per-worker cache), definite misses stream straight
+    (``stateful_map_batches``), definite misses stream straight
     through (a Bloom filter has no false negatives), and only the
     possible-hit slice — a few % of rows at the default 1 MiB / 4-hash
     sizing — pays the exact :func:`equi_join` anti join. The big side
@@ -524,14 +522,9 @@ def bloom_anti_join(ds: Dataset, keys_ds: Dataset, key: str,
     right_key = right_key or key
     bm = build_bloom(keys_ds.select_columns([right_key]), right_key,
                      m_bits, k_hashes)
-    ref = ray.put(bm)
-    common = {"lookup": ref, "key": key, "m_bits": m_bits,
-              "k_hashes": k_hashes}
-    miss = stateful_map_batches(ds, _BloomSplit,
-                                {**common, "want_possible": False},
-                                batch_format="pyarrow")
-    poss = stateful_map_batches(ds, _BloomSplit,
-                                {**common, "want_possible": True},
-                                batch_format="pyarrow")
+    miss, poss = (stateful_map_batches(
+        ds, _BloomSplit(bm, key=key, m_bits=m_bits, k_hashes=k_hashes,
+                        want_possible=want),
+        batch_format="pyarrow") for want in (False, True))
     exact = equi_join(poss, keys_ds, key, "anti", right_key=right_key)
     return miss.union(exact)

@@ -1,10 +1,11 @@
 """kNN nearest-facility lookup (SURVEY §2.5 J4, §2.7 T4).
 
 ``KNNFacilities`` appends the k nearest facilities by haversine
-distance, ties broken by smaller facility_id. The built
-``FacilityIndex`` rides `ray.put` into per-worker cached state (the fused geocode stage runs as
-tasks through ``stages/stateful.stateful_map_batches``, built once per
-worker process), so no shuffle runs. Two per-batch plans, same answer:
+distance, ties broken by smaller facility_id. The ``FacilityIndex``
+is built on the driver and ships inside the fused geocode stage, which
+runs as tasks through ``stages/stateful.stateful_map_batches`` and is
+loaded once per worker process, so no shuffle runs. Two per-batch
+plans, same answer:
 
   * brute force (default): a points x facilities chord matmul and a
     partial top-k with argpartition. Right while facilities fit in
@@ -66,8 +67,9 @@ class KNNFacilities:
     (list<int64> / list<float64>, distance-ordered, id tie-break) of
     each row's (best_long, best_lat) point. Rows with null coordinates,
     and every row when there are no facilities, get empty lists.
-    The fused geocode stage builds it once per worker process
-    (worker-cached tasks via ``stateful_map_batches``, no actor pool).
+    The fused geocode stage builds it on the driver, and each worker
+    loads it once (worker-cached tasks via ``stateful_map_batches``, no
+    actor pool).
     """
 
     def __init__(self, facilities: FacilityIndex, k: int = 3, use_grid: bool = False):

@@ -9,11 +9,11 @@ Distributed shape, two streaming passes:
    CONTEXT counts and the context-vocabulary size derive from the
    bigram table (``cu(w1) = sum_w2 cb(w1, w2)``), so ONE aggregation
    builds the whole model.
-2. **Score** — the model broadcasts once (``ray.put``) as sorted hash
-   arrays; every batch re-tokenizes, hashes its adjacent pairs, and
-   looks probabilities up with two ``searchsorted`` probes — zero
-   shuffles; per-doc log-prob sums reduce inside the batch (documents
-   never span batches).
+2. **Score** — the model broadcasts once (``stateful_map_batches``)
+   as sorted hash arrays; every batch re-tokenizes, hashes its
+   adjacent pairs, and looks probabilities up with two
+   ``searchsorted`` probes — zero shuffles; per-doc log-prob sums
+   reduce inside the batch (documents never span batches).
 
 Size bound, stated: the model is O(distinct bigrams) — vocab-bounded,
 NOT corpus-bounded — and must fit the driver + object store to
@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
 from ray.data import Dataset
 
 from batch_geocode_ray.functions.hashing import (
@@ -108,9 +107,8 @@ def bigram_lm_perplexity(ds: Dataset, id_col: str, text_col: str,
     cu = np.add.reduceat(cb[o1], start)
     vocab_v = len(ctx)
     return stateful_map_batches(
-        ds, _BigramScore,
-        {"model": ray.put((phs, cbs, ctx, cu, vocab_v, float(k))),
-         "id_col": id_col, "text_col": text_col},
+        ds, _BigramScore((phs, cbs, ctx, cu, vocab_v, float(k)),
+                         id_col=id_col, text_col=text_col),
         batch_format="pyarrow")
 
 

@@ -1,5 +1,6 @@
-"""Gazetteer mention matcher — stateful stage (a worker-cached task
-inside the fused flagship stage; see pipelines/geocode).
+"""Gazetteer mention matcher — stateful stage (built on the driver and
+loaded once per worker, inside the fused flagship stage; see
+pipelines/geocode).
 
 Replaces the reference's per-row HTTP geocoding fan-out
 (query_funcs.py:178-191) with offline matching of gazetteer phrases
@@ -33,8 +34,9 @@ The gazetteer's names take the same path: ``token_runs`` over the
 ``name`` column, keyed by the same ``_run_keys``/``_run_words``. The
 vocab is the distinct keys of the names' runs, and each name is a row of
 vocab codes. The vocab's hash table (a ``pd.Index`` of the keys) is
-built once, in ``__init__``, so a lookup costs the same at 321 keys as
-at 10^6 (Arrow's ``index_in`` rebuilds its hash set on every call).
+built once per process, on its first lookup, so a lookup costs the same
+at 321 keys as at 10^6 (Arrow's ``index_in`` rebuilds its hash set on
+every call).
 For every phrase length L, the windows of L consecutive in-vocab tokens
 of one row get a key (the code itself for L = 1, else a splitmix
 chain), binary-searched against the sorted keys of the gazetteer's
@@ -152,9 +154,9 @@ class GazetteerMatcher:
         if any((w != w[rep][code]).any() for w in words):
             raise ValueError("vocab token key collision")
         # position = vocab code; pandas builds the index's hash table on
-        # its first lookup, here, so no call rebuilds it
+        # its first lookup and keeps it, so no later call rebuilds it
+        # (pickling drops it: a loaded matcher builds it on first use)
         self.vocab = pd.Index(vkeys)
-        self.vocab.get_indexer(vkeys[:1])
         self.vocab_words = [w[rep] for w in words]
         # per phrase length L (an entry's run count): the distinct code
         # tuples, sorted by key, each with its entries (one phrase in

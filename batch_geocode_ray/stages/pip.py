@@ -2,8 +2,8 @@
 
 The admin-polygon side is small (thousands of polygons); the page side
 is the 10^12-row stream. So: build a columnar polygon index ONCE on the
-driver, ``ray.put`` it, and probe it inside the fused stage's tasks —
-the big side never shuffles.
+driver, ship it inside the fused stage (``stateful_map_batches``), and
+probe it inside the stage's tasks — the big side never shuffles.
 
 From-scratch pieces (no shapely/geos in the sandbox):
   * Storage: rings as CSR (``offsets`` + flat ``xs``/``ys``) taken

@@ -26,11 +26,12 @@ Semantics ported (NOT code) from the reference:
 
 Everything below is NumPy over flattened Arrow list columns — there is
 no per-row Python in this stage. The per-entry arrays (pooled-point
-sums, and one ``{name, type, lat, long, buffer}`` record batch) are
-built once in ``__init__``; a call maps ``lang`` to its prior row with
-one ``pc.index_in`` and fills each ``{source}{rank}`` prefix with one
-``take`` of the entry batch, so its cost follows the batch's candidates,
-not the gazetteer's size. Rows keep their original ``{source}{rank}``
+sums and centroids) are built once in ``__init__``; a call maps
+``lang`` to its prior row with one ``pc.index_in`` and fills each
+``{source}{rank}`` prefix with one ``take`` of a zero-copy
+``{name, type, lat, long, buffer}`` record batch over those arrays and
+the index's own, so its cost follows the batch's candidates, not the
+gazetteer's size. Rows keep their original ``{source}{rank}``
 key even when a higher-ranked result is vetted out (the reference nulls
 GM1 but keeps GM2's key, it does not renumber).
 """
@@ -82,11 +83,8 @@ class MentionResolver:
         two = gaz.n_pts == 2
         self.sum_lon = np.where(two, gaz.min_lon + gaz.max_lon, gaz.lon)
         self.sum_lat = np.where(two, gaz.min_lat + gaz.max_lat, gaz.lat)
-        # one row per entry, one column per wide suffix
-        self.entries = pa.RecordBatch.from_arrays(
-            [gaz.name, gaz.type, pa.array(self.sum_lat / gaz.n_pts),
-             pa.array(self.sum_lon / gaz.n_pts), pa.array(gaz.buffer_km)],
-            names=GEOCODING_SUFFIXES)
+        self.mean_lat = self.sum_lat / gaz.n_pts
+        self.mean_lon = self.sum_lon / gaz.n_pts
 
         # Static wide layout: prefixes from config (sources x ranks +
         # best), ordered exactly like reference batch_geocode.py:29-34.
@@ -178,13 +176,20 @@ class MentionResolver:
         best_mask = pooled_rows & (pooled_buffer <= cfg.max_buffer)
 
         # --- wide columns: one take of the entry table per prefix,
-        # through a row -> entry index that is null without a candidate
+        # through a row -> entry index that is null without a candidate;
+        # the table is one row per entry, one column per wide suffix,
+        # over the index's own arrays (zero-copy, not kept: a kept copy
+        # of the names would ship twice with the stage)
+        entries = pa.RecordBatch.from_arrays(
+            [gaz.name, gaz.type, pa.array(self.mean_lat),
+             pa.array(self.mean_lon), pa.array(gaz.buffer_km)],
+            names=GEOCODING_SUFFIXES)
         out_cols: dict[str, pa.Array] = {}
         for (si, r), prefix in self.source_rank_prefix.items():
             m = (src_t == si) & (rank_t == r) & valid
             pick = np.full(n, -1, dtype=np.int64)
             pick[row_t[m]] = cand_t[m]
-            cols = self.entries.take(pa.array(pick, mask=pick < 0))
+            cols = entries.take(pa.array(pick, mask=pick < 0))
             for suffix, col in zip(GEOCODING_SUFFIXES, cols.columns):
                 out_cols[f"{prefix}_{suffix}"] = col
 

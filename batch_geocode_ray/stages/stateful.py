@@ -7,21 +7,21 @@
   in ``fn_kwargs``: Ray Data puts each operator's UDF into the object
   store once, so nothing is re-shipped per batch.
 * **Input-sized state** going out (a rank table, an eval gram set, an
-  LM, a join's right side) is a ``ray.put`` ObjectRef in the
-  ``kwargs`` of :func:`stateful_map_batches`. Its cache is the one
-  place that unwraps refs: each is fetched once per worker, when the
-  instance is built, so constructors take plain values.
+  LM, a join's right side, the fused geocode stage) is a callable the
+  driver has already built, passed to :func:`stateful_map_batches`.
+  It is the one ``ray.put`` of the package: the built stage goes into
+  the object store once, and each worker loads it with one ``ray.get``
+  (NumPy and Arrow buffers map zero-copy), so no worker builds state.
 
 No UDF calls ``ray.get`` itself.
 
-:func:`stateful_map_batches` gives class-based stages the task path
-instead of Ray Data's actor pool, whose ~1-2 s-per-actor spin-up
-dominates short queries: the instance is constructed once per WORKER
-PROCESS (memoized by cache key) and reused by every task the worker
-runs. The fused flagship stage runs this way too. The cache holds at
-most ``_STATE_CACHE_MAX`` instances per worker and evicts the oldest
-first: each pipeline build puts fresh ObjectRefs into its key, so an
-unbounded cache would keep one state copy per build.
+:func:`stateful_map_batches` gives stages the task path instead of Ray
+Data's actor pool, whose ~1-2 s-per-actor spin-up dominates short
+queries: the stage is loaded once per WORKER PROCESS (memoized by its
+ObjectRef) and reused by every task the worker runs. The fused flagship
+stage runs this way too. The cache holds at most ``_STATE_CACHE_MAX``
+stages per worker and evicts the oldest first: each plan puts a fresh
+ref, so an unbounded cache would keep one state copy per plan.
 """
 
 from __future__ import annotations
@@ -36,29 +36,22 @@ _STATE_CACHE: dict = {}
 _STATE_CACHE_MAX = 8
 
 
-def _cached_call(batch, *, _cls, _key, _kwargs):
-    inst = _STATE_CACHE.get(_key)
-    if inst is None:
-        inst = _cls(**{k: ray.get(v) if isinstance(v, ray.ObjectRef) else v
-                       for k, v in _kwargs.items()})
+def _cached_call(batch, *, _ref):
+    stage = _STATE_CACHE.get(_ref)
+    if stage is None:
+        stage = ray.get(_ref)
         if len(_STATE_CACHE) >= _STATE_CACHE_MAX:
             _STATE_CACHE.pop(next(iter(_STATE_CACHE)))
-        _STATE_CACHE[_key] = inst
-    return inst(batch)
+        _STATE_CACHE[_ref] = stage
+    return stage(batch)
 
 
-def stateful_map_batches(ds: Dataset, cls, kwargs: dict,
-                         **map_batches_kwargs) -> Dataset:
-    """``ds.map_batches(cls, fn_constructor_kwargs=kwargs, ...)`` but as
-    cached TASKS instead of an actor pool. ``kwargs`` values must be
-    hashable (ObjectRefs, scalars) — they form the per-worker cache
-    key."""
-    key = (cls.__module__, cls.__qualname__,
-           tuple(sorted(kwargs.items(), key=lambda kv: kv[0])))
-    return ds.map_batches(
-        _cached_call,
-        fn_kwargs={"_cls": cls, "_key": key, "_kwargs": kwargs},
-        **map_batches_kwargs)
+def stateful_map_batches(ds: Dataset, stage, **map_batches_kwargs) -> Dataset:
+    """``ds.map_batches(stage, ...)`` for a callable built on the
+    driver, as cached TASKS instead of an actor pool: ``stage`` is put
+    into the object store once and loaded once per worker."""
+    return ds.map_batches(_cached_call, fn_kwargs={"_ref": ray.put(stage)},
+                          **map_batches_kwargs)
 
 
 def gather(ds: Dataset) -> pa.Table:

@@ -1,14 +1,14 @@
 """Gazetteer broadcast state.
 
-One immutable columnar index built on the driver, `ray.put` once, and
-materialized once per worker when the worker-cached fused stage is
-constructed. Every field is a NumPy or Arrow array (plus the short list
-of source names), so the index pickles as a fixed set of out-of-band
-buffers at any entry count and each worker maps it zero-copy from the
-object store. This replaces the reference's four per-row HTTP geocoding
-services (query_funcs.py:293-506) with an offline lookup; the
-``source`` column keeps the multi-provider shape so the wide output
-layout survives.
+One immutable columnar index built on the driver, shipped inside the
+fused stage the driver builds from it, and loaded once per worker with
+that stage (``stages/stateful.stateful_map_batches``). Every field is a
+NumPy or Arrow array (plus the short list of source names), so the
+index pickles as a fixed set of out-of-band buffers at any entry count
+and each worker maps it zero-copy from the object store. This replaces
+the reference's four per-row HTTP geocoding services
+(query_funcs.py:293-506) with an offline lookup; the ``source`` column
+keeps the multi-provider shape so the wide output layout survives.
 
 Names are tokenized by the page kernel itself
 (``functions/text.token_runs``: [A-Za-z0-9] runs, ASCII-folded), so a
@@ -61,7 +61,7 @@ class GazetteerIndex:
     min_lat: np.ndarray
     max_lon: np.ndarray
     max_lat: np.ndarray
-    n_pts: np.ndarray          # float64 points pooled into best: 2 corners or 1 point
+    n_pts: np.ndarray          # int8 points pooled into best: 2 corners or 1 point
     cc_code: np.ndarray        # int32 index into cc_vocab; -1 = missing
     cc_vocab: pa.StringArray   # sorted
     population: np.ndarray     # int64
@@ -108,7 +108,7 @@ class GazetteerIndex:
             ids=ids, name=name, type=table["type"].combine_chunks().cast(pa.string()),
             lat=lat, lon=lon,
             min_lon=min_lon, min_lat=min_lat, max_lon=max_lon, max_lat=max_lat,
-            n_pts=np.where(has_box, 2.0, 1.0),
+            n_pts=np.where(has_box, 2, 1).astype(np.int8),
             cc_code=cc_code, cc_vocab=cc_vocab,
             population=np.asarray(table["population"].to_numpy(zero_copy_only=False),
                                   dtype=np.int64),

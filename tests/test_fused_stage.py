@@ -1,7 +1,8 @@
-"""The fused flagship stage's physical plan: per-worker state stays
-bounded across builds, read blocks are sized for the cluster, and the
-bench world keeps the plan its scaling record was measured on. Its
-output is checked against tests/oracle.py in test_pipeline_oracle.py."""
+"""The fused flagship stage's physical plan: stage state is built on the
+driver and only loaded by the workers, per-worker state stays bounded
+across builds, read blocks are sized for the cluster, and the bench
+world keeps the plan its scaling record was measured on. Its output is
+checked against tests/oracle.py in test_pipeline_oracle.py."""
 
 import pyarrow as pa
 
@@ -19,6 +20,43 @@ def _live_fused_states(batch: pa.Table) -> pa.Table:
     gc.collect()
     live = sum(isinstance(o, GeocodeFusedStage) for o in gc.get_objects())
     return pa.table({"pid": [os.getpid()], "live": [live]})
+
+
+class _BuiltIn:
+    """Stage that records the pid of the process that constructed it,
+    and of the process that runs each batch."""
+
+    def __init__(self):
+        import os
+
+        self.pid = os.getpid()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import os
+
+        n = batch.num_rows
+        return pa.table({"built": pa.array([self.pid] * n, pa.int64()),
+                         "ran": pa.array([os.getpid()] * n, pa.int64())})
+
+
+def test_stage_state_is_built_on_the_driver():
+    """``stateful_map_batches`` takes a stage the driver has built: over
+    more blocks than there are workers, every batch runs in a worker and
+    carries the driver's pid as its builder's, so no worker built it."""
+    import os
+
+    import ray
+    import ray.data as rd
+
+    from batch_geocode_ray.stages.stateful import gather, stateful_map_batches
+
+    blocks = 3 * int(ray.cluster_resources().get("CPU", 4))
+    ds = rd.range(blocks * 5, override_num_blocks=blocks)
+    out = gather(stateful_map_batches(ds, _BuiltIn(), batch_format="pyarrow",
+                                      batch_size=None))
+    assert out.num_rows == blocks * 5
+    assert set(out["built"].to_pylist()) == {os.getpid()}
+    assert os.getpid() not in set(out["ran"].to_pylist())
 
 
 def test_fused_state_per_worker_bounded():

@@ -211,15 +211,16 @@ _COLLECTS = {"to_arrow_refs", "iter_batches", "take_all"}
 _BOUNDARY_EXCEPTIONS = {
     # fixture shards are generated by plain Ray tasks, not a Dataset
     ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.get"),
+    ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.put"),
     ("batch_geocode_ray/sources/fixtures.py", "generate_pages", "ray.remote"),
 }
 
 
 def boundary_sites(tree: ast.Module, rel: str) -> list[str]:
     """Sites in ``tree`` (file ``rel``) that cross the driver/task
-    boundary outside ``stages/stateful.py``: a ``ray.get`` or a
-    ``ray.remote`` (as a decorator or a call, under any alias of
-    ``ray``) and a Dataset collect other than ``gather``."""
+    boundary outside ``stages/stateful.py``: a ``ray.get``, a
+    ``ray.put`` or a ``ray.remote`` (as a decorator or a call, under any
+    alias of ``ray``) and a Dataset collect other than ``gather``."""
     if rel.endswith("stages/stateful.py"):
         return []
     ray_names = {a.asname or a.name for n in ast.walk(tree)
@@ -236,9 +237,9 @@ def boundary_sites(tree: ast.Module, rel: str) -> list[str]:
             f = node.func
             if f.attr in _COLLECTS:
                 call = f.attr
-            elif (f.attr == "get" and isinstance(f.value, ast.Name)
+            elif (f.attr in ("get", "put") and isinstance(f.value, ast.Name)
                   and f.value.id in ray_names):
-                call = "ray.get"
+                call = f"ray.{f.attr}"
         elif (isinstance(node, ast.Attribute) and node.attr == "remote"
               and isinstance(node.value, ast.Name)
               and node.value.id in ray_names):
@@ -261,8 +262,9 @@ def test_package_has_one_equi_join():
 
 
 def test_package_has_one_driver_task_boundary():
-    """Collects go through ``stateful.gather``, no UDF ``ray.get``s and
-    no plan starts raw tasks: ``ray.get``, ``.to_arrow_refs(``,
+    """Collects go through ``stateful.gather``, no UDF ``ray.get``s, state
+    goes out only as a stage ``stateful_map_batches`` puts, and no plan
+    starts raw tasks: ``ray.get``, ``ray.put``, ``.to_arrow_refs(``,
     ``.iter_batches(`` and ``.take_all(`` occur only in
     ``stages/stateful.py`` and ``ray.remote`` nowhere, except in the
     fixture fan-out."""
@@ -302,20 +304,20 @@ def test_second_join_guard_is_not_vacuous():
     assert len(second_join_sites(tree, "batch_geocode_ray/stages/x.py")) == 6
     got = boundary_sites(tree, "batch_geocode_ray/stages/x.py")
     assert [g.split(" ", 1)[1] for g in got] == [
-        "ray.get in f", "iter_batches in f",
+        "ray.put in f", "ray.get in f", "iter_batches in f",
         "to_arrow_refs in cosine_neardup_pairs",
         "ray.remote in tile", "ray.remote in tile",
         "ray.get in generate_pages", "ray.remote in generate_pages"], got
     got = boundary_sites(tree, "batch_geocode_ray/stages/similarity.py")
     assert [g.split(" ", 1)[1] for g in got] == [
-        "ray.get in f", "iter_batches in f",
+        "ray.put in f", "ray.get in f", "iter_batches in f",
         "to_arrow_refs in cosine_neardup_pairs",
         "ray.remote in tile", "ray.remote in tile",
         "ray.get in generate_pages", "ray.remote in generate_pages"], got
     # the named exception holds in its own file only
     got = boundary_sites(tree, "batch_geocode_ray/sources/fixtures.py")
     assert [g.split(" ", 1)[1] for g in got] == [
-        "ray.get in f", "iter_batches in f",
+        "ray.put in f", "ray.get in f", "iter_batches in f",
         "to_arrow_refs in cosine_neardup_pairs",
         "ray.remote in tile", "ray.remote in tile"], got
     assert boundary_sites(tree, "batch_geocode_ray/stages/stateful.py") == []

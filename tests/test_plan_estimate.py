@@ -127,9 +127,9 @@ def _doc_streams():
             lambda b: dedup._doc_grams(b, "text", "doc_id", 3),
             batch_format="pyarrow")),
         "signatures": (dedup.SIG_GROWTH, lambda d: stateful_map_batches(
-            d, dedup.MinHashSignatures,
-            {"text_col": "text", "id_col": "doc_id", "k": 3,
-             "include_text": True}, batch_format="pyarrow")),
+            d, dedup.MinHashSignatures(text_col="text", id_col="doc_id",
+                                       k=3, include_text=True),
+            batch_format="pyarrow")),
         "positions": (substring.POSITION_GROWTH, lambda d: d.map_batches(
             lambda b: substring._lgram_table(b, "text", "doc_id", 40),
             batch_format="pyarrow")),
