@@ -25,15 +25,18 @@ Semantics ported (NOT code) from the reference:
     the intermediate bb_n/bb_s/bb_e/bb_w never reach the output.
 
 Everything below is NumPy over flattened Arrow list columns — there is
-no per-row Python in this stage. The per-entry arrays (pooled-point
-sums and centroids) are built once in ``__init__``; a call maps
-``lang`` to its prior row with one ``pc.index_in`` and fills each
-``{source}{rank}`` prefix with one ``take`` of a zero-copy
-``{name, type, lat, long, buffer}`` record batch over those arrays and
-the index's own, so its cost follows the batch's candidates, not the
-gazetteer's size. Rows keep their original ``{source}{rank}``
-key even when a higher-ranked result is vetted out (the reference nulls
-GM1 but keeps GM2's key, it does not renumber).
+no per-row Python in this stage, and the resolver keeps no per-entry
+array of its own: the index (``state/gazetteer.py``) holds each fact
+once. A call finds each mention's entry by one ``searchsorted`` of the
+index's increasing ids, maps ``lang`` to its prior row with one
+``pc.index_in``, gathers the extent and ``n_pts`` of its surviving top
+candidates to derive their pooled points and centroids, and fills each
+``{source}{rank}`` prefix with one ``take`` of a per-candidate
+``{name, type, lat, long, buffer}`` record batch, so its cost follows
+the batch's candidates, not the gazetteer's size. Rows keep their
+original ``{source}{rank}`` key even when a higher-ranked result is
+vetted out (the reference nulls GM1 but keeps GM2's key, it does not
+renumber).
 """
 
 from __future__ import annotations
@@ -63,9 +66,6 @@ class MentionResolver:
         self.gaz = gaz = gazetteer
         self.cfg = config
         self.keep_columns = keep_columns
-        # gazetteer ids are unique (GazetteerIndex.from_table checks)
-        self.gid_lookup_vals = np.argsort(gaz.ids)
-        self.gid_lookup_keys = gaz.ids[self.gid_lookup_vals]
 
         # cc prior as a dense bool matrix (n_langs x n_ccs)
         langs = sorted(lang_cc_prior)
@@ -75,16 +75,6 @@ class MentionResolver:
             cc = pc.index_in(pa.array(sorted(lang_cc_prior[lang]), pa.string()),
                              value_set=gaz.cc_vocab).drop_null()
             self.prior_matrix[li, np.asarray(cc, dtype=np.int64)] = True
-
-        # Pooled points (reference pools raw points_list then nanmean /
-        # min / max, query_funcs.py:211-217): a bbox entry contributes
-        # its two corners, a point entry the point. The candidate
-        # centroid is their mean (bbox centroid, or the point).
-        two = gaz.n_pts == 2
-        self.sum_lon = np.where(two, gaz.min_lon + gaz.max_lon, gaz.lon)
-        self.sum_lat = np.where(two, gaz.min_lat + gaz.max_lat, gaz.lat)
-        self.mean_lat = self.sum_lat / gaz.n_pts
-        self.mean_lon = self.sum_lon / gaz.n_pts
 
         # Static wide layout: prefixes from config (sources x ranks +
         # best), ordered exactly like reference batch_geocode.py:29-34.
@@ -108,9 +98,8 @@ class MentionResolver:
         row_of_mention = np.asarray(mentions.value_parent_indices())
         gids = np.asarray(flat.field("gazetteer_id"))
 
-        # gazetteer_id -> dense entry index
-        pos = np.searchsorted(self.gid_lookup_keys, gids)
-        entry = self.gid_lookup_vals[np.clip(pos, 0, len(self.gid_lookup_vals) - 1)]
+        # gazetteer_id -> entry (the index is in gazetteer_id order)
+        entry = np.searchsorted(gaz.ids, gids)
 
         # distinct (row, entry): many occurrences of one place on a page
         # resolve to one candidate (reference: one API result per place)
@@ -134,8 +123,9 @@ class MentionResolver:
             row_idx, cand = row_idx[keep], cand[keep]
 
         # --- per-(row, source) top-N rank: population DESC, gid ASC
+        # (entry order is gid order)
         src = gaz.source_idx[cand].astype(np.int64)
-        order = np.lexsort((gaz.ids[cand], -gaz.population[cand], src, row_idx))
+        order = np.lexsort((cand, -gaz.population[cand], src, row_idx))
         row_s, src_s, cand_s = row_idx[order], src[order], cand[order]
         new_group = np.ones(len(order), dtype=bool)
         if len(order) > 1:
@@ -148,22 +138,29 @@ class MentionResolver:
         # --- vet: drop candidates whose own buffer exceeds max_buffer
         buf_t = gaz.buffer_km[cand_t]
         valid = buf_t <= cfg.max_buffer
+        row_t, src_t, rank_t, cand_t, buf_t = (
+            a[valid] for a in (row_t, src_t, rank_t, cand_t, buf_t))
 
         # --- pooled composite best over surviving candidates' POINTS
-        v_cand = cand_t[valid]
-        v_row = row_t[valid]
+        # (reference pools raw points_list then nanmean / min / max,
+        # query_funcs.py:211-217): a bbox entry contributes its two
+        # corners, a point entry its degenerate extent's one point; the
+        # candidate centroid is their mean (bbox centroid, or the point)
+        lo_lon, lo_lat = gaz.min_lon[cand_t], gaz.min_lat[cand_t]
+        hi_lon, hi_lat = gaz.max_lon[cand_t], gaz.max_lat[cand_t]
+        pts_t = gaz.n_pts[cand_t]
+        s_lon = np.where(pts_t == 2, lo_lon + hi_lon, lo_lon)
+        s_lat = np.where(pts_t == 2, lo_lat + hi_lat, lo_lat)
         p_min_lon = np.full(n, np.inf); p_min_lat = np.full(n, np.inf)
         p_max_lon = np.full(n, -np.inf); p_max_lat = np.full(n, -np.inf)
-        sum_lon = np.zeros(n); sum_lat = np.zeros(n); n_pts = np.zeros(n)
-        np.minimum.at(p_min_lon, v_row, gaz.min_lon[v_cand])
-        np.minimum.at(p_min_lat, v_row, gaz.min_lat[v_cand])
-        np.maximum.at(p_max_lon, v_row, gaz.max_lon[v_cand])
-        np.maximum.at(p_max_lat, v_row, gaz.max_lat[v_cand])
-        np.add.at(sum_lon, v_row, self.sum_lon[v_cand])
-        np.add.at(sum_lat, v_row, self.sum_lat[v_cand])
-        np.add.at(n_pts, v_row, gaz.n_pts[v_cand])
-        num_valid = np.zeros(n, dtype=np.int64)
-        np.add.at(num_valid, v_row, 1)
+        np.minimum.at(p_min_lon, row_t, lo_lon)
+        np.minimum.at(p_min_lat, row_t, lo_lat)
+        np.maximum.at(p_max_lon, row_t, hi_lon)
+        np.maximum.at(p_max_lat, row_t, hi_lat)
+        sum_lon = np.bincount(row_t, s_lon, n)
+        sum_lat = np.bincount(row_t, s_lat, n)
+        n_pts = np.bincount(row_t, pts_t, n)
+        num_valid = np.bincount(row_t, minlength=n)
 
         with np.errstate(invalid="ignore", divide="ignore"):
             best_lon = np.where(n_pts > 0, sum_lon / np.maximum(n_pts, 1), np.nan)
@@ -175,21 +172,19 @@ class MentionResolver:
             p_max_lon[pooled_rows], p_max_lat[pooled_rows])
         best_mask = pooled_rows & (pooled_buffer <= cfg.max_buffer)
 
-        # --- wide columns: one take of the entry table per prefix,
-        # through a row -> entry index that is null without a candidate;
-        # the table is one row per entry, one column per wide suffix,
-        # over the index's own arrays (zero-copy, not kept: a kept copy
-        # of the names would ship twice with the stage)
-        entries = pa.RecordBatch.from_arrays(
-            [gaz.name, gaz.type, pa.array(self.mean_lat),
-             pa.array(self.mean_lon), pa.array(gaz.buffer_km)],
+        # --- wide columns: one take of the surviving candidates' table
+        # per prefix, through a row -> candidate index that is null
+        # without one
+        cands = pa.RecordBatch.from_arrays(
+            [gaz.name.take(cand_t), gaz.type.take(cand_t),
+             pa.array(s_lat / pts_t), pa.array(s_lon / pts_t), pa.array(buf_t)],
             names=GEOCODING_SUFFIXES)
         out_cols: dict[str, pa.Array] = {}
         for (si, r), prefix in self.source_rank_prefix.items():
-            m = (src_t == si) & (rank_t == r) & valid
+            m = np.flatnonzero((src_t == si) & (rank_t == r))
             pick = np.full(n, -1, dtype=np.int64)
-            pick[row_t[m]] = cand_t[m]
-            cols = entries.take(pa.array(pick, mask=pick < 0))
+            pick[row_t[m]] = m
+            cols = cands.take(pa.array(pick, mask=pick < 0))
             for suffix, col in zip(GEOCODING_SUFFIXES, cols.columns):
                 out_cols[f"{prefix}_{suffix}"] = col
 

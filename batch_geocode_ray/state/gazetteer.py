@@ -39,8 +39,10 @@ def _encode(col: pa.Array) -> tuple[pa.Array, np.ndarray]:
 
 @dataclass
 class GazetteerIndex:
-    """Columnar gazetteer keyed by dense entry index (== gazetteer_id in
-    the fixtures; arbitrary ids are remapped).
+    """Columnar gazetteer, one entry per row in ``gazetteer_id`` order,
+    so an id's entry is ``np.searchsorted(ids, id)``. A point entry's
+    bbox extent is degenerate at the point, so the extent and ``n_pts``
+    are the one geometry of every entry.
 
     :meth:`from_table` raises ``ValueError`` naming the offending
     ``gazetteer_id``s for a rule the engine would otherwise break
@@ -51,11 +53,9 @@ class GazetteerIndex:
     ``gazetteer_id`` (one entry would shadow the other).
     """
 
-    ids: np.ndarray            # int64 original gazetteer_id per entry
+    ids: np.ndarray            # int64 gazetteer_id per entry, increasing
     name: pa.StringArray
     type: pa.StringArray
-    lat: np.ndarray
-    lon: np.ndarray
     # bbox extent; a point entry's is degenerate at the point
     min_lon: np.ndarray
     min_lat: np.ndarray
@@ -75,6 +75,9 @@ class GazetteerIndex:
             return np.asarray(table[col].to_numpy(zero_copy_only=False), dtype=np.float64)
 
         ids = np.asarray(table["gazetteer_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
+        if (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            table, ids = table.take(order), ids[order]
         name = table["name"].combine_chunks().cast(pa.string())
         lat, lon = f64("lat"), f64("lon")
         bb_n, bb_s, bb_e, bb_w = f64("bb_n"), f64("bb_s"), f64("bb_e"), f64("bb_w")
@@ -93,8 +96,7 @@ class GazetteerIndex:
         reject(~np.isnan(box).all(axis=0) & ~np.isfinite(box).all(axis=0),
                "has a bbox that is neither all null nor all finite")
         reject(source_idx < 0, "has a null source")
-        srt = np.sort(ids)
-        reject(np.isin(ids, srt[1:][srt[1:] == srt[:-1]]), "is duplicated")
+        reject(np.r_[False, ids[1:] == ids[:-1]], "is duplicated")
 
         # Entry buffer: bbox diagonal (reference get_diag_buffer,
         # query_funcs.py:272-278); a point entry's bbox is the point -> 0.
@@ -106,7 +108,6 @@ class GazetteerIndex:
 
         return cls(
             ids=ids, name=name, type=table["type"].combine_chunks().cast(pa.string()),
-            lat=lat, lon=lon,
             min_lon=min_lon, min_lat=min_lat, max_lon=max_lon, max_lat=max_lat,
             n_pts=np.where(has_box, 2, 1).astype(np.int8),
             cc_code=cc_code, cc_vocab=cc_vocab,

@@ -329,36 +329,67 @@ main(sys.argv[3:])
 """
 
 
-def test_cli_sigkilled_after_a_parquet_write_resumes_identical(tmp_path):
-    """A CLI run SIGKILLed between partition 1's parquet write and its
-    lineage commit resumes: the rerun skips partition 0, recomputes
-    partition 1 with cause ``missing``, and every page partition and
-    the tiles equal a clean run's."""
-    import glob
-    import signal
-    import subprocess
-    import sys
-
-    import ray
-
-    from batch_geocode_ray.run import _ENGINE_ROOT, main
+def _cli_args(tmp_path) -> list[str]:
+    """CLI arguments over 400 seed-42 fixture pages in two one-file
+    partitions, with res-7 tiles (``--out`` not included)."""
     from batch_geocode_ray.sources.fixtures import generate_pages, generate_world
 
     world = generate_world(42)
     generate_pages(str(tmp_path / "pages"), 400, rows_per_file=200,
                    world=world)
     pq.write_table(world.gazetteer, str(tmp_path / "gazetteer.parquet"))
-    args = ["--pages", str(tmp_path / "pages"),
+    return ["--pages", str(tmp_path / "pages"),
             "--gazetteer", str(tmp_path / "gazetteer.parquet"),
             "--tiles", "7", "--files-per-partition", "1"]
-    out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+
+
+def _cli_killed_at_partition_1(args):
+    """Run the CLI in a subprocess that SIGKILLs itself at partition 1's
+    lineage commit, after that partition's parquet is written."""
+    import signal
+    import subprocess
+    import sys
+
+    import ray
+
+    from batch_geocode_ray.run import _ENGINE_ROOT
+
     root = os.path.dirname(_ENGINE_ROOT)
     proc = subprocess.run(
         [sys.executable, "-c", _KILL_AT_COMMIT, "1",
-         ray.get_runtime_context().gcs_address, *args, "--out", out],
+         ray.get_runtime_context().gcs_address, *args],
         cwd=root, env={**os.environ, "PYTHONPATH": root},
         capture_output=True, timeout=600)
     assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()[-3000:]
+
+
+def _cli_table(run_dir, sub, key):
+    import glob
+
+    files = sorted(glob.glob(os.path.join(run_dir, sub, "*.parquet")))
+    return pa.concat_tables([pq.read_table(f) for f in files]).sort_by(key)
+
+
+def _assert_cli_outputs_equal(out, clean):
+    for part in ("part-00000", "part-00001"):
+        assert _cli_table(out, f"pages/{part}", "url").equals(
+            _cli_table(clean, f"pages/{part}", "url"))
+    tiles = _cli_table(clean, "tiles_r7", "hex_cell_r7")
+    assert tiles.num_rows and _cli_table(out, "tiles_r7", "hex_cell_r7").equals(tiles)
+
+
+def test_cli_sigkilled_after_a_parquet_write_resumes_identical(tmp_path):
+    """A CLI run SIGKILLed between partition 1's parquet write and its
+    lineage commit resumes: the rerun skips partition 0, recomputes
+    partition 1 with cause ``missing``, and every page partition and
+    the tiles equal a clean run's."""
+    import glob
+
+    from batch_geocode_ray.run import main
+
+    args = _cli_args(tmp_path)
+    out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    _cli_killed_at_partition_1(args + ["--out", out])
     pages = os.path.join(out, "pages")
     assert glob.glob(os.path.join(pages, "part-00001", "*.parquet"))
     assert [r["partition"] for r in load_lineage(pages)] == [0]
@@ -367,13 +398,30 @@ def test_cli_sigkilled_after_a_parquet_write_resumes_identical(tmp_path):
     assert (s["computed"], s["skipped_resume"]) == (1, 1)
     assert s["recomputed_by_cause"] == {"missing": 1}
     main(args + ["--out", clean])
+    _assert_cli_outputs_equal(out, clean)
 
-    def table(run_dir, sub, key):
-        files = sorted(glob.glob(os.path.join(run_dir, sub, "*.parquet")))
-        return pa.concat_tables([pq.read_table(f) for f in files]).sort_by(key)
 
-    for part in ("part-00000", "part-00001"):
-        assert table(out, f"pages/{part}", "url").equals(
-            table(clean, f"pages/{part}", "url"))
-    tiles = table(clean, "tiles_r7", "hex_cell_r7")
-    assert tiles.num_rows and table(out, "tiles_r7", "hex_cell_r7").equals(tiles)
+def test_cli_kill_during_another_tags_rerun_resumes_identical(tmp_path):
+    """Tag A completes; a tag-B rerun (another ``--max-buffer``) is
+    SIGKILLed at partition 1's lineage commit, after writing as many
+    rows as A's partition holds; tag A again recomputes both partitions
+    B touched and names each cause in ``run_summary.json``, and its
+    pages and tiles equal a clean tag-A run's."""
+    from batch_geocode_ray.run import main
+
+    args = _cli_args(tmp_path)
+    out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    assert main(args + ["--out", out])["computed"] == 2
+    tag_a = _cli_table(out, "pages/part-00001", "url")
+    _cli_killed_at_partition_1(args + ["-b", "1.0", "--out", out])
+    pages = os.path.join(out, "pages")
+    assert [r["partition"] for r in load_lineage(pages)] == [0]
+    tag_b = _cli_table(out, "pages/part-00001", "url")
+    assert tag_b.num_rows == tag_a.num_rows and not tag_b.equals(tag_a)
+
+    s = main(args + ["--out", out])
+    assert (s["computed"], s["skipped_resume"]) == (2, 0)
+    with open(os.path.join(out, "run_summary.json")) as f:
+        assert json.load(f)["recomputed_by_cause"] == {"tag": 1, "missing": 1}
+    main(args + ["--out", clean])
+    _assert_cli_outputs_equal(out, clean)

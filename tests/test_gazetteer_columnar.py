@@ -5,6 +5,7 @@ index pickles as a fixed set of buffers; names that fold to no token
 are rejected; and the fused path builds no Python object per row."""
 
 import ast
+import dataclasses
 import math
 import pathlib
 import pickle
@@ -154,6 +155,59 @@ def test_pickle_is_a_fixed_set_of_buffers():
         text = pa.table({"text": idx.name.slice(0, 20)})
         assert (GazetteerMatcher(back)(text).equals(GazetteerMatcher(idx)(text)))
     assert counts[0] == counts[1], counts
+
+
+def _oob_bytes(obj) -> int:
+    bufs = []
+    pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
+    return sum(b.raw().nbytes for b in bufs)
+
+
+def test_resolver_ships_no_per_entry_array():
+    """The index holds each per-entry fact once: one bbox extent (no
+    ``lat``/``lon`` beside it), and the resolver ships nothing per entry
+    beyond its index, so its out-of-band bytes past the index's are the
+    same at any entry count."""
+    fields = {f.name for f in dataclasses.fields(GazetteerIndex)}
+    assert not fields & {"lat", "lon"}, fields
+    own = []
+    for n in (100, 10_000):
+        idx = GazetteerIndex.from_table(big_gazetteer(n)[0])
+        res = MentionResolver(idx, config=PipelineConfig(sources=idx.sources),
+                              lang_cc_prior=LANG_CC_PRIOR, keep_columns=["url"])
+        own.append(_oob_bytes(res) - _oob_bytes(idx))
+    assert own[0] == own[1], own
+
+
+def test_index_is_in_gazetteer_id_order():
+    """``from_table`` orders the entries by ``gazetteer_id``, so a
+    row-shuffled copy of the table builds the same index, field by
+    field, and matches and resolves the same pages alike."""
+    gaz, *vocabs = big_gazetteer(10_000)
+    shuffled = gaz.take(np.random.default_rng(3).permutation(gaz.num_rows))
+    a, b = GazetteerIndex.from_table(gaz), GazetteerIndex.from_table(shuffled)
+    assert (np.diff(a.ids) > 0).all()
+    for f in dataclasses.fields(GazetteerIndex):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif isinstance(x, pa.Array):
+            assert x.equals(y), f.name
+        else:
+            assert x == y, f.name
+
+    texts, langs = _pages(gaz, *vocabs, 200)
+    batch = pa.table({"url": pa.array([f"u{i}" for i in range(len(texts))]),
+                      "text": pa.array(texts), "lang": pa.array(langs)})
+    out = []
+    for idx in (a, b):
+        matched = GazetteerMatcher(idx)(batch)
+        out.append((matched, MentionResolver(
+            idx, config=PipelineConfig(sources=idx.sources),
+            lang_cc_prior=LANG_CC_PRIOR, keep_columns=["url"])(matched)))
+    assert out[0][0].equals(out[1][0])
+    assert out[0][1].equals(out[1][1])
+    assert out[0][1]["best_lat"].null_count < len(texts)
 
 
 def _gaz_table(names):

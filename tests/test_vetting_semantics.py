@@ -2,6 +2,8 @@
 (query_funcs.py:193-219, :376; batch_geocode.py:29-38) on handcrafted
 inputs where the expected answer is computed by hand."""
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -11,6 +13,8 @@ from batch_geocode_ray.functions.geo import haversine_km
 from batch_geocode_ray.stages.matcher import GazetteerMatcher
 from batch_geocode_ray.stages.resolve import MentionResolver
 from batch_geocode_ray.state.gazetteer import GazetteerIndex
+
+from .oracle import OracleGazetteer, geocode_page
 
 
 def gaz_table(rows):
@@ -160,6 +164,67 @@ def test_multiple_occurrences_resolve_once():
     assert row["GM1_name"] == "Echo City"
     assert row["GM2_name"] is None  # not duplicated into rank 2
     assert row["best_type"] == "Composite of 1 geocoded locations"
+
+
+# --- one geometry per entry: the bbox extent, degenerate at a point ---------
+
+def _wide_like_oracle(text, gaz, want):
+    """``run`` over one page, checked against ``tests/oracle.geocode_page``
+    column by column and against the hand values ``want``."""
+    (row,) = run([text], gaz)
+    ogaz = OracleGazetteer(gaz)
+    cfg = PipelineConfig(sources=ogaz.sources)
+    oracle = geocode_page(text, "en", ogaz, None, cfg)
+    for col in cfg.wide_columns():
+        w, g = oracle.get(col), row[col]
+        if isinstance(w, float):
+            assert g is not None and math.isclose(g, w, rel_tol=1e-12), col
+        else:
+            assert g == w, (col, g, w)
+    for col, w in want.items():
+        if isinstance(w, float):
+            assert math.isclose(row[col], w, rel_tol=1e-12), (col, row[col], w)
+        else:
+            assert row[col] == w, (col, row[col], w)
+    return row
+
+
+def test_bbox_entry_reports_its_box_not_its_point():
+    """A bbox entry's lat/lon lie far from its box: it still reports the
+    box centre, and pools its two corners (not its centre, not its
+    point) with a point entry into ``best``."""
+    gaz = gaz_table([
+        (0, "Boxford", 30.0, -40.0, 10.02, 9.98, 20.04, 19.96, "US", "admin_area", 100, "GM"),
+        (1, "Pointon", 10.01, 20.01, None, None, None, None, "US", "populated_place", 90, "OSM"),
+    ])
+    _wide_like_oracle("Boxford meets Pointon", gaz, {
+        "GM1_lat": 10.0, "GM1_long": 20.0,
+        "GM1_buffer": float(haversine_km(19.96, 9.98, 20.04, 10.02)),
+        "OSM1_lat": 10.01, "OSM1_long": 20.01,
+        "best_type": "Composite of 2 geocoded locations",
+        "best_lat": (9.98 + 10.02 + 10.01) / 3,
+        "best_long": (19.96 + 20.04 + 20.01) / 3,
+        "best_buffer": float(haversine_km(19.96, 9.98, 20.04, 10.02)),
+    })
+
+
+def test_zero_extent_bbox_pools_two_points():
+    """A bbox with ``bb_n == bb_s`` and ``bb_e == bb_w`` at A is still a
+    bbox: it pools A twice, so with a point entry at B the composite is
+    (2A + B) / 3, though its extent equals a point's."""
+    a_lat, a_lon, b_lat, b_lon = 10.0, 20.0, 10.03, 20.03
+    gaz = gaz_table([
+        (0, "Flatbox", 50.0, 50.0, a_lat, a_lat, a_lon, a_lon, "US", "admin_area", 100, "GM"),
+        (1, "Pointon", b_lat, b_lon, None, None, None, None, "US", "populated_place", 90, "OSM"),
+    ])
+    _wide_like_oracle("Flatbox and Pointon", gaz, {
+        "GM1_lat": a_lat, "GM1_long": a_lon, "GM1_buffer": 0.0,
+        "best_name": "Vetted",
+        "best_type": "Composite of 2 geocoded locations",
+        "best_lat": (2 * a_lat + b_lat) / 3,
+        "best_long": (2 * a_lon + b_lon) / 3,
+        "best_buffer": float(haversine_km(a_lon, a_lat, b_lon, b_lat)),
+    })
 
 
 # --- gazetteer rows the resolver would mis-answer silently -------------------
